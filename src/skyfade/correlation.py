@@ -48,6 +48,9 @@ Q_CAP_DEG = 1.0e6
 RHO_FLOOR = 1.0e-3
 DEFAULT_MIN_CELL_COUNT = 30
 DEFAULT_NUGGET_FACTOR = 1.0e-6
+#: Output rows filled per pass by :func:`correlation_matrix`; bounds the
+#: size of its per-block temporaries.
+CORRELATION_BLOCK_ROWS = 128
 SCHEMA_VERSION = 1
 
 DEFAULT_TILT_EDGES = (-math.inf, -7.0, -3.0, 3.0, 7.0, math.inf)
@@ -344,32 +347,30 @@ def _geom_arrays(geoms):
     )
 
 
-def _angular_factor(model, theta_a, delta_a, theta_b, delta_b, mode):
-    """Directional angular product with rows as the reference sample."""
-    bt = model.bins.tilt_indices(delta_a)
-    be = model.bins.elev_indices(theta_a)
-    # Validate side b's angles even in modes that skip a factor.
-    model.bins.tilt_indices(delta_b)
-    model.bins.elev_indices(theta_b)
+def _inverse_rates(model, theta, delta):
+    """Per-sample inverse decay rates (1/q+, 1/q-, 1/r+, 1/r-).
+
+    Validates both angles; a capped or infinite constant gives rate 0.
+    """
+    bt = model.bins.tilt_indices(delta)
+    be = model.bins.elev_indices(theta)
     qp, qn, rp, rn = model.kernel_arrays()
-    out = np.ones((delta_a.size, delta_b.size))
-    if mode in ("angle_aware", "tilt_only"):
-        sep = np.abs(delta_a[:, None] - delta_b[None, :])
-        q = np.where(
-            delta_b[None, :] >= delta_a[:, None],
-            qp[bt, be][:, None],
-            qn[bt, be][:, None],
-        )
-        out *= np.exp(-sep / q)
-    if mode in ("angle_aware", "elev_only"):
-        sep = np.abs(theta_a[:, None] - theta_b[None, :])
-        r = np.where(
-            theta_b[None, :] >= theta_a[:, None],
-            rp[be, bt][:, None],
-            rn[be, bt][:, None],
-        )
-        out *= np.exp(-sep / r)
-    return out
+    return 1.0 / qp[bt, be], 1.0 / qn[bt, be], 1.0 / rp[be, bt], 1.0 / rn[be, bt]
+
+
+def _add_exponent(expo, x_i, pos_i, neg_i, x_j, pos_j, neg_j):
+    """Add the summed directional exponent of one angle to ``expo``.
+
+    With s = x_j - x_i the raw terms of (i, j) and (j, i) together decay
+    as max(s, 0) * (pos_i + neg_j) + max(-s, 0) * (neg_i + pos_j).
+    """
+    s = x_j[None, :] - x_i[:, None]
+    up = np.maximum(s, 0.0)
+    down = np.subtract(up, s, out=s)  # max(-s, 0), exactly
+    up *= pos_i[:, None] + neg_j[None, :]
+    down *= neg_i[:, None] + pos_j[None, :]
+    expo += up
+    expo += down
 
 
 def correlation_matrix(
@@ -383,20 +384,53 @@ def correlation_matrix(
     Vectorized equivalent of :func:`eval_full_correlation` applied to every
     pair; returns an (len(a), len(b)) matrix.  ``geoms_b`` defaults to
     ``geoms_a``.
+
+    The geometric mean of the two raw products is evaluated as a single
+    exponential, sqrt(exp(-x) * exp(-y)) = exp(-(x + y) / 2), from inverse
+    decay rates looked up once per sample.  The output is filled in blocks
+    of :data:`CORRELATION_BLOCK_ROWS` rows, so no other (len(a), len(b))
+    array is allocated; in the square case only the upper triangle is
+    computed and mirrored, which makes the result exactly symmetric.
     """
     check_mode(mode)
+    square = geoms_b is None
     ea, na, ta, da = _geom_arrays(geoms_a)
-    if geoms_b is None:
-        eb, nb, tb, db = ea, na, ta, da
-    else:
-        eb, nb, tb, db = _geom_arrays(geoms_b)
-    dist = np.hypot(ea[:, None] - eb[None, :], na[:, None] - nb[None, :])
-    r_d = dedm_eval(model.dedm, dist)
-    if mode == "baseline":
-        return r_d
-    raw_ab = _angular_factor(model, ta, da, tb, db, mode)
-    raw_ba = _angular_factor(model, tb, db, ta, da, mode)
-    return r_d * np.sqrt(raw_ab * raw_ba.T)
+    eb, nb, tb, db = (ea, na, ta, da) if square else _geom_arrays(geoms_b)
+    angles = []
+    if mode != "baseline":
+        qp_a, qn_a, rp_a, rn_a = _inverse_rates(model, ta, da)
+        qp_b, qn_b, rp_b, rn_b = (
+            (qp_a, qn_a, rp_a, rn_a) if square else _inverse_rates(model, tb, db)
+        )
+        if mode in ("angle_aware", "tilt_only"):
+            angles.append((da, qp_a, qn_a, db, qp_b, qn_b))
+        if mode in ("angle_aware", "elev_only"):
+            angles.append((ta, rp_a, rn_a, tb, rp_b, rn_b))
+
+    out = np.empty((ea.size, eb.size))
+    for r0 in range(0, ea.size, CORRELATION_BLOCK_ROWS):
+        rows = slice(r0, r0 + CORRELATION_BLOCK_ROWS)
+        cols = slice(r0 if square else 0, None)
+        block = out[rows, cols]
+        dist = np.hypot(
+            ea[rows, None] - eb[None, cols], na[rows, None] - nb[None, cols]
+        )
+        r_d = dedm_eval(model.dedm, dist)
+        if angles:
+            expo = np.zeros_like(block)
+            for x_a, pos_a, neg_a, x_b, pos_b, neg_b in angles:
+                _add_exponent(
+                    expo, x_a[rows], pos_a[rows], neg_a[rows],
+                    x_b[cols], pos_b[cols], neg_b[cols],
+                )
+            expo *= -0.5
+            np.exp(expo, out=expo)
+            np.multiply(r_d, expo, out=block)
+        else:
+            block[...] = r_d
+        if square:
+            out[rows.stop:, rows] = out[rows, rows.stop:].T
+    return out
 
 
 # ---------------------------------------------------------------------------

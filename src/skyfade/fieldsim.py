@@ -220,7 +220,8 @@ def sample_sf_field(
         raise ValidationError(
             f"field synthesis capped at {MAX_FIELD_SAMPLES} samples, got {n}"
         )
-    cov = truth.sigma2 * correlation_matrix(truth, geometries, mode=mode)
+    cov = correlation_matrix(truth, geometries, mode=mode)
+    cov *= truth.sigma2
     cov[np.diag_indices_from(cov)] += truth.nugget
 
     factor = None

@@ -10,9 +10,15 @@ covariance between tuning sample i and the target.  The unbiasedness row
 forces the weights to sum to one; the predictor is lambda^T w and the
 prediction variance is sigma2 - lambda^T c0 - nu, floored at zero.
 
-The factorization uses dense LU with partial pivoting.  A solve whose
-relative residual exceeds the acceptance threshold (or that fails
-outright) retries with the diagonal nugget multiplied by 10, up to six
+The solve factors C by Cholesky and removes the unbiasedness row by Schur
+complement (Rasmussen & Williams 2006, Alg. 2.1; Cressie 1993, sec. 3.2):
+with C [Y | a] = [c0 | 1], nu = (1^T Y - 1) / (1^T a) and
+lambda = Y - a nu.  A solution is accepted only if the relative residual
+of the augmented system, over every right-hand side, is below the
+acceptance threshold.  When C is not numerically positive definite or the
+Cholesky solution fails that test, the augmented matrix is solved by dense
+LU with partial pivoting at the same nugget.  When both fail, the diagonal
+nugget is multiplied by 10 and both solvers are tried again, up to six
 escalations; the nugget actually used is recorded on the system.
 """
 
@@ -63,22 +69,27 @@ def dedup_training(samples) -> tuple[list[LinkGeometry], np.ndarray]:
     The first occurrence keeps its position in the ordering and its SF
     value becomes the mean over all duplicates.
     """
-    order: list[LinkGeometry] = []
-    values: dict[tuple, list[float]] = {}
-    for s in samples:
-        g = s.geometry
-        key = (g.east_m, g.north_m, g.up_m, g.theta_deg, g.theta_gs_deg, g.delta_deg)
-        if key not in values:
-            values[key] = []
-            order.append(g)
-        values[key].append(s.sf_db)
-    w = np.array(
+    samples = list(samples)
+    if not samples:
+        return [], np.empty(0)
+    geoms = [s.geometry for s in samples]
+    keys = np.array(
         [
-            float(np.mean(values[(g.east_m, g.north_m, g.up_m, g.theta_deg, g.theta_gs_deg, g.delta_deg)]))
-            for g in order
+            (g.east_m, g.north_m, g.up_m, g.theta_deg, g.theta_gs_deg, g.delta_deg)
+            for g in geoms
         ]
     )
-    return order, w
+    _, first, inverse = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True
+    )
+    # Renumber the unique rows in order of first occurrence.
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    group = rank[inverse.ravel()]
+    sf = np.array([s.sf_db for s in samples], dtype=float)
+    w = np.bincount(group, weights=sf) / np.bincount(group)
+    return [geoms[i] for i in first[order]], w
 
 
 def assemble_system(
@@ -95,9 +106,11 @@ def assemble_system(
     if len(training) == 0:
         raise ValidationError("need at least one training sample")
     geoms, w = dedup_training(training)
-    cov = model.sigma2 * correlation_matrix(model, geoms, mode=mode)
+    cov = correlation_matrix(model, geoms, mode=mode)
+    cov *= model.sigma2
     cov[np.diag_indices_from(cov)] += model.nugget
-    c0 = model.sigma2 * correlation_matrix(model, geoms, [target], mode=mode)[:, 0]
+    c0 = correlation_matrix(model, geoms, [target], mode=mode)[:, 0]
+    c0 *= model.sigma2
     return KrigingSystem(
         cov=cov,
         target_cov=c0,
@@ -107,32 +120,88 @@ def assemble_system(
     )
 
 
-def _solve_augmented(cov, rhs, sigma2, base_nugget):
-    """LU solve with the escalation ladder; returns (solution, nugget)."""
-    m = cov.shape[0]
-    k = rhs.shape[1]
+def _cholesky_schur(cov, rhs, shift):
+    """Solve by Cholesky of C, eliminating the unbiasedness row.
+
+    With C [Y | a] = [rhs | 1], the multiplier is the Schur complement
+    solution nu = (1^T Y - 1) / (1^T a) and the weights are Y - a nu.
+    Returns None when C (diagonal shifted by ``shift``) is not numerically
+    positive definite.
+    """
+    m, k = rhs.shape
+    # cov is symmetric, so copying its transpose gives the Fortran-ordered
+    # matrix that LAPACK factors in place.
+    work = cov.T.copy(order="F")
+    work[np.diag_indices(m)] += shift
+    b = np.empty((m, k + 1), order="F")
+    b[:, :k] = rhs
+    b[:, k] = 1.0
+    try:
+        factor = scipy.linalg.cho_factor(
+            work, lower=True, overwrite_a=True, check_finite=False
+        )
+        sol = scipy.linalg.cho_solve(factor, b, overwrite_b=True, check_finite=False)
+    except (scipy.linalg.LinAlgError, ValueError):
+        return None
+    y, a = sol[:, :k], sol[:, k]
+    nu = (y.sum(axis=0) - 1.0) / a.sum()
+    x = np.empty((m + 1, k))
+    np.subtract(y, np.multiply.outer(a, nu), out=x[:m])
+    x[m] = nu
+    return x
+
+
+def _lu_augmented(cov, rhs, shift):
+    """Solve the full augmented system by LU with partial pivoting."""
+    m, k = rhs.shape
     a = np.zeros((m + 1, m + 1))
     a[:m, :m] = cov
+    a[np.diag_indices(m)] += shift
     a[:m, m] = 1.0
     a[m, :m] = 1.0
-    b = np.zeros((m + 1, k))
-    b[:m, :] = rhs
-    b[m, :] = 1.0
-    b_scale = float(np.abs(b).max())
+    b = np.empty((m + 1, k))
+    b[:m] = rhs
+    b[m] = 1.0
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            return scipy.linalg.solve(a, b, assume_a="gen")
+    except (scipy.linalg.LinAlgError, ValueError):
+        return None
 
+
+def _augmented_residual(cov, shift, rhs, x):
+    """Largest |A x - b| entry of the augmented system, over every column."""
+    m = cov.shape[0]
+    lam, nu = x[:m], x[m]
+    top = cov @ lam
+    if shift:
+        top += shift * lam
+    top += nu
+    top -= rhs
+    bottom = lam.sum(axis=0) - 1.0
+    return max(float(np.abs(top).max()), float(np.abs(bottom).max()))
+
+
+def _solve_augmented(cov, rhs, sigma2, base_nugget):
+    """Augmented solve with the escalation ladder; returns (solution, nugget).
+
+    ``cov`` already carries ``base_nugget`` on its diagonal and ``rhs`` is
+    (M, k); the solution is (M + 1, k) with the multipliers in its last
+    row.  Each rung adds ``nugget - base_nugget`` to the diagonal and tries
+    Cholesky with Schur elimination first, then LU of the augmented matrix;
+    the first finite solution whose relative residual passes is accepted.
+    """
+    m = cov.shape[0]
+    b_scale = max(float(np.abs(rhs).max()), 1.0)
     nugget = base_nugget
     for attempt in range(MAX_ESCALATIONS + 1):
-        a[np.diag_indices(m)] = np.diagonal(cov)[:m] + (nugget - base_nugget)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                x = scipy.linalg.solve(a, b, assume_a="gen")
-        except (scipy.linalg.LinAlgError, ValueError):
-            x = None
-        if x is not None and np.all(np.isfinite(x)):
-            residual = float(np.abs(a @ x - b).max()) / b_scale
-            if residual < RESIDUAL_TOL:
-                return x, nugget
+        shift = nugget - base_nugget
+        for solve in (_cholesky_schur, _lu_augmented):
+            x = solve(cov, rhs, shift)
+            if x is not None and np.all(np.isfinite(x)):
+                if _augmented_residual(cov, shift, rhs, x) / b_scale < RESIDUAL_TOL:
+                    return x, nugget
         if nugget == 0.0:
             nugget = DEFAULT_NUGGET_FACTOR * sigma2
         else:
@@ -200,7 +269,7 @@ def predict_sf_batch(
 
     Returns (w_hat, variance, nugget_used) with one entry per target.
     Identical inputs produce the same weights as the per-target path; the
-    batch form just reuses the LU factors across right-hand sides.
+    batch form just reuses one factorization across right-hand sides.
     """
     check_mode(mode)
     if len(training) == 0:
@@ -208,9 +277,11 @@ def predict_sf_batch(
     if len(targets) == 0:
         return np.empty(0), np.empty(0), model.nugget
     geoms, w = dedup_training(training)
-    cov = model.sigma2 * correlation_matrix(model, geoms, mode=mode)
+    cov = correlation_matrix(model, geoms, mode=mode)
+    cov *= model.sigma2
     cov[np.diag_indices_from(cov)] += model.nugget
-    c0 = model.sigma2 * correlation_matrix(model, geoms, targets, mode=mode)
+    c0 = correlation_matrix(model, geoms, targets, mode=mode)
+    c0 *= model.sigma2
     x, nugget = _solve_augmented(cov, c0, model.sigma2, model.nugget)
     m = len(geoms)
     lam = x[:m, :]

@@ -22,8 +22,10 @@ from _recipes import (
     single_exp_sf,
 )
 from skyfade.correlation import (
+    CORRELATION_BLOCK_ROWS,
     DEFAULT_ELEV_REPS,
     DEFAULT_TILT_REPS,
+    MODES,
     Q_CAP_DEG,
     AngleBins,
     CorrelationModel,
@@ -345,6 +347,106 @@ class TestModelEvaluation:
                 dedm=DedmParams(0.5, 0.1, 0.01),
                 tilt_kernels={(7, 0): PiecewiseExpKernel(10.0, 10.0)},
             )
+
+
+def edge_case_model():
+    """Cell-coded model with absent, capped and infinite kernel constants."""
+    base = cell_coded_model()
+    tilt = dict(base.tilt_kernels)
+    elev = dict(base.elev_kernels)
+    tilt[(0, 0)] = None
+    tilt[(2, 1)] = PiecewiseExpKernel(Q_CAP_DEG, 7.0)
+    tilt[(3, 2)] = PiecewiseExpKernel(math.inf, 4.0)
+    tilt[(4, 3)] = PiecewiseExpKernel(2.0 * Q_CAP_DEG, math.inf)
+    elev[(1, 2)] = None
+    elev[(2, 3)] = PiecewiseExpKernel(6.0, Q_CAP_DEG)
+    elev[(0, 4)] = PiecewiseExpKernel(math.inf, 3.0)
+    return CorrelationModel(
+        mu=base.mu, sigma2=base.sigma2, dedm=base.dedm, bins=base.bins,
+        tilt_kernels=tilt, elev_kernels=elev,
+    )
+
+
+def edge_case_geoms(n, seed):
+    """Random links; a third sit exactly on a bin edge, so angles repeat."""
+    rng = np.random.default_rng(seed)
+    edge_theta = (10.0, 30.0, 50.0, 90.0)
+    edge_delta = (-7.0, -3.0, 3.0, 7.0)
+    geoms = []
+    for _ in range(n):
+        if rng.uniform() < 1.0 / 3.0:
+            theta, delta = rng.choice(edge_theta), rng.choice(edge_delta)
+        else:
+            theta, delta = rng.uniform(0.5, 90.0), rng.uniform(-15.0, 15.0)
+        geoms.append(
+            mk_geom(
+                rng.uniform(-300.0, 300.0),
+                rng.uniform(-300.0, 300.0),
+                theta=float(theta),
+                delta=float(delta),
+            )
+        )
+    return geoms
+
+
+def block_edge_indices(n, seed):
+    """Indices on both sides of every row-block boundary, plus random ones."""
+    b = CORRELATION_BLOCK_ROWS
+    edges = {0, n - 1}
+    for start in range(b, n, b):
+        edges.update((start - 1, start))
+    rng = np.random.default_rng(seed)
+    edges.update(rng.choice(n, size=8, replace=False).tolist())
+    return sorted(edges)
+
+
+class TestCorrelationKernel:
+    """The blocked matrix kernel against the pairwise oracle."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_square_matches_oracle(self, mode):
+        model = edge_case_model()
+        geoms = edge_case_geoms(700, seed=31)
+        mat = correlation_matrix(model, geoms, mode=mode)
+        assert mat.shape == (700, 700)
+        assert np.array_equal(mat, mat.T)
+        assert np.all(np.diagonal(mat) == 1.0)
+        idx = block_edge_indices(700, seed=32)
+        for i in idx:
+            for j in idx:
+                expect = eval_full_correlation(model, geoms[i], geoms[j], mode)
+                assert abs(mat[i, j] - expect) <= 1e-12
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rectangular_matches_oracle(self, mode):
+        model = edge_case_model()
+        ga = edge_case_geoms(700, seed=33)
+        gb = edge_case_geoms(333, seed=34)
+        mat = correlation_matrix(model, ga, gb, mode=mode)
+        assert mat.shape == (700, 333)
+        for i in block_edge_indices(700, seed=35):
+            for j in block_edge_indices(333, seed=36):
+                expect = eval_full_correlation(model, ga[i], gb[j], mode)
+                assert abs(mat[i, j] - expect) <= 1e-12
+
+    def test_rectangular_block_of_square(self):
+        model = edge_case_model()
+        geoms = edge_case_geoms(300, seed=37)
+        full = correlation_matrix(model, geoms)
+        part = correlation_matrix(model, geoms, geoms[100:250])
+        assert np.array_equal(part, full[:, 100:250])
+
+    @pytest.mark.parametrize("mode", ["angle_aware", "tilt_only", "elev_only"])
+    def test_out_of_range_angles_rejected_on_either_side(self, mode):
+        model = edge_case_model()
+        good = edge_case_geoms(5, seed=38)
+        for bad in (mk_geom(theta=0.0), mk_geom(theta=91.0), mk_geom(delta=math.nan)):
+            with pytest.raises(ValidationError):
+                correlation_matrix(model, good + [bad], mode=mode)
+            with pytest.raises(ValidationError):
+                correlation_matrix(model, good, [bad], mode=mode)
+            with pytest.raises(ValidationError):
+                correlation_matrix(model, [bad], good, mode=mode)
 
 
 class TestBalanceResample:

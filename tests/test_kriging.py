@@ -11,11 +11,14 @@ from skyfade.correlation import (
     Q_CAP_DEG,
     CorrelationModel,
     DedmParams,
+    correlation_matrix,
     eval_full_correlation,
 )
 from skyfade.errors import ValidationError
 from skyfade.kriging import (
     KrigingSystem,
+    _cholesky_schur,
+    _solve_augmented,
     assemble_system,
     dedup_training,
     predict_rsrp,
@@ -132,6 +135,50 @@ class TestAugmentedSolve:
         assert float(np.sum(system.weights)) == pytest.approx(1.0, abs=1e-9)
 
 
+def augmented_direct(cov, rhs):
+    """Reference solution of the augmented system by np.linalg.solve."""
+    m = cov.shape[0]
+    aug = np.zeros((m + 1, m + 1))
+    aug[:m, :m] = cov
+    aug[:m, m] = 1.0
+    aug[m, :m] = 1.0
+    b = np.vstack([rhs, np.ones((1, rhs.shape[1]))])
+    return np.linalg.solve(aug, b)
+
+
+class TestSolvePaths:
+    def test_cholesky_schur_matches_augmented_solve(self):
+        model = smooth_model(nugget=1e-4)
+        training = scattered_samples(60, seed=26)
+        geoms = [s.geometry for s in training]
+        targets = [g.geometry for g in scattered_samples(7, seed=27)]
+        cov = model.sigma2 * correlation_matrix(model, geoms)
+        cov[np.diag_indices_from(cov)] += model.nugget
+        rhs = model.sigma2 * correlation_matrix(model, geoms, targets)
+        expect = augmented_direct(cov, rhs)
+        chol = _cholesky_schur(cov, rhs, 0.0)
+        assert chol is not None
+        assert np.max(np.abs(chol - expect)) <= 1e-9
+        x, nugget = _solve_augmented(cov, rhs, model.sigma2, model.nugget)
+        assert nugget == model.nugget
+        assert np.array_equal(x, chol)
+
+    def test_indefinite_covariance_accepted_through_lu(self):
+        cov = np.array([[1.0, 2.0], [2.0, 1.0]])
+        rhs = np.array([[0.5], [0.3]])
+        assert _cholesky_schur(cov, rhs, 0.0) is None
+        system = solve_ok(
+            KrigingSystem(
+                cov=cov, target_cov=rhs[:, 0], train_w=np.array([1.0, 2.0]),
+                sigma2=1.0, nugget=0.0,
+            )
+        )
+        assert system.nugget_used == 0.0
+        expect = augmented_direct(cov, rhs)[:, 0]
+        assert system.weights == pytest.approx(expect[:2], abs=1e-12)
+        assert system.multiplier == pytest.approx(expect[2], abs=1e-12)
+
+
 class TestAssembly:
     def test_covariance_blocks_entrywise(self):
         model = smooth_model(nugget=2e-3)
@@ -167,6 +214,21 @@ class TestAssembly:
         assert w.tolist() == [2.0, 5.0]
         system = assemble_system(samples, mk_geom(10.0), smooth_model(nugget=1e-4))
         assert system.cov.shape == (2, 2)
+
+    def test_dedup_matches_first_occurrence_loop(self):
+        rng = np.random.default_rng(28)
+        pool = [s.geometry for s in scattered_samples(30, seed=29)]
+        samples = [
+            SfSample(geometry=pool[int(i)], sf_db=float(rng.normal()), rsrp_dbm=0.0,
+                     pl_est_dbm=0.0)
+            for i in rng.integers(0, len(pool), size=200)
+        ]
+        values = {}
+        for s in samples:
+            values.setdefault(s.geometry, []).append(s.sf_db)
+        geoms, w = dedup_training(samples)
+        assert geoms == list(values)
+        assert w == pytest.approx([np.mean(v) for v in values.values()], abs=1e-12)
 
     def test_empty_training_rejected(self):
         with pytest.raises(ValidationError):
