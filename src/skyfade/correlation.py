@@ -105,16 +105,24 @@ class AngleBins:
     def n_elev(self) -> int:
         return len(self.elev_reps)
 
-    def _indices(self, values, edges, label: str) -> np.ndarray:
+    @staticmethod
+    def _locate(values, edges) -> tuple[np.ndarray, np.ndarray]:
+        """Bin indices and an in-range mask; indices are meaningless where
+        the mask is False (non-finite or outside (edges[0], edges[-1]])."""
         v = np.asarray(values, dtype=float)
         e = np.asarray(edges, dtype=float)
-        bad = ~np.isfinite(v) | (v <= e[0]) | (v > e[-1])
-        if np.any(bad):
-            offending = np.atleast_1d(v)[np.atleast_1d(bad)][:5]
+        ok = np.isfinite(v) & (v > e[0]) & (v <= e[-1])
+        return np.searchsorted(e[1:-1], v, side="left"), ok
+
+    def _indices(self, values, edges, label: str) -> np.ndarray:
+        idx, ok = self._locate(values, edges)
+        if not np.all(ok):
+            e = np.asarray(edges, dtype=float)
+            bad = np.atleast_1d(np.asarray(values, dtype=float))[~np.atleast_1d(ok)]
             raise ValidationError(
-                f"{label} value(s) outside ({e[0]}, {e[-1]}]: {offending.tolist()}"
+                f"{label} value(s) outside ({e[0]}, {e[-1]}]: {bad[:5].tolist()}"
             )
-        return np.searchsorted(e[1:-1], v, side="left")
+        return idx
 
     def tilt_indices(self, delta_deg) -> np.ndarray:
         return self._indices(delta_deg, self.tilt_edges, "tilt")
@@ -503,7 +511,14 @@ class AngularProfile:
     counts: np.ndarray
 
 
-def _estimate_profile(cells, counts, n_cond, n_ref, mu, min_count):
+def _estimate_profile(cells, mu, min_count):
+    """Sorted-pair correlations within each row of a (cond, ref) cell grid.
+
+    ``cells[c, i]`` holds the SF values of conditioning bin c and
+    reference bin i.
+    """
+    counts = np.array([[w.size for w in row] for row in cells], dtype=int)
+    n_cond, n_ref = counts.shape
     floor = max(min_count, 1)
     rho = np.full((n_cond, n_ref, n_ref), np.nan)
     for c in range(n_cond):
@@ -514,30 +529,37 @@ def _estimate_profile(cells, counts, n_cond, n_ref, mu, min_count):
             for j in range(i + 1, n_ref):
                 if counts[c, j] < floor:
                     continue
-                wa, wb = balance_resample(cells[(c, i)], cells[(c, j)])
+                wa, wb = balance_resample(cells[c, i], cells[c, j])
                 try:
                     value = empirical_angular_correlation(wa, wb, mu)
                 except DegenerateCorrelationError:
                     continue
                 rho[c, i, j] = value
                 rho[c, j, i] = value
-    return rho
+    return AngularProfile(rho=rho, counts=counts)
 
 
 def _bin_cells(samples, bins: AngleBins):
-    """Group SF values by (elevation bin, tilt bin); out-of-range dropped."""
-    cells: dict[tuple[int, int], list[float]] = {}
-    dropped = 0
-    for s in samples:
-        g = s.geometry
-        try:
-            e = bins.elev_index(g.theta_deg)
-            t = bins.tilt_index(g.delta_deg)
-        except ValidationError:
-            dropped += 1
-            continue
-        cells.setdefault((e, t), []).append(s.sf_db)
-    return {k: np.asarray(v) for k, v in cells.items()}, dropped
+    """Group SF values into the (elevation bin, tilt bin) grid in one pass.
+
+    Returns ``(cells, dropped)``: ``cells`` is an (n_elev, n_tilt) object
+    array whose entries hold each cell's SF values in sample order (empty
+    where no sample fell), and ``dropped`` counts the samples left out
+    because either angle lies outside the bins.
+    """
+    theta = np.array([s.geometry.theta_deg for s in samples], dtype=float)
+    delta = np.array([s.geometry.delta_deg for s in samples], dtype=float)
+    sf = np.array([s.sf_db for s in samples], dtype=float)
+    e, e_ok = bins._locate(theta, bins.elev_edges)
+    t, t_ok = bins._locate(delta, bins.tilt_edges)
+    keep = e_ok & t_ok
+    flat = e[keep] * bins.n_tilt + t[keep]
+    order = np.argsort(flat, kind="stable")  # stable: sample order per cell
+    sizes = np.bincount(flat, minlength=bins.n_elev * bins.n_tilt)
+    cells = np.empty(sizes.size, dtype=object)
+    for k, values in enumerate(np.split(sf[keep][order], np.cumsum(sizes)[:-1])):
+        cells[k] = values
+    return cells.reshape(bins.n_elev, bins.n_tilt), int(keep.size - keep.sum())
 
 
 def estimate_tilt_profile(
@@ -553,14 +575,7 @@ def estimate_tilt_profile(
     stay NaN (absent, not zero).
     """
     cells, _ = _bin_cells(samples, bins)
-    ne, nt = bins.n_elev, bins.n_tilt
-    counts = np.zeros((ne, nt), dtype=int)
-    grouped = {}
-    for (e, t), w in cells.items():
-        counts[e, t] = w.size
-        grouped[(e, t)] = w
-    rho = _estimate_profile(grouped, counts, ne, nt, mu, min_count)
-    return AngularProfile(rho=rho, counts=counts)
+    return _estimate_profile(cells, mu, min_count)
 
 
 def estimate_elev_profile(
@@ -575,14 +590,7 @@ def estimate_elev_profile(
     ``counts[t, e]`` gives the cell populations.
     """
     cells, _ = _bin_cells(samples, bins)
-    nt, ne = bins.n_tilt, bins.n_elev
-    counts = np.zeros((nt, ne), dtype=int)
-    grouped = {}
-    for (e, t), w in cells.items():
-        counts[t, e] = w.size
-        grouped[(t, e)] = w
-    rho = _estimate_profile(grouped, counts, nt, ne, mu, min_count)
-    return AngularProfile(rho=rho, counts=counts)
+    return _estimate_profile(cells.T, mu, min_count)
 
 
 def fit_piecewise_kernel(
@@ -708,18 +716,11 @@ def empirical_correlogram(
     return Correlogram(lag_m=lag, rho=rho, counts=count)
 
 
-def fit_dedm(
-    samples,
-    max_lag_m: float | None = None,
-    n_lags: int = 24,
-    empty_tol: float = 0.2,
-) -> DedmParams:
-    """Fit the double-exponential distance decay to the correlogram.
+def _fit_distance(samples, max_lag_m, n_lags, empty_tol=0.2):
+    """SF statistics, correlogram and DEDM fit, each computed once.
 
     ``max_lag_m`` defaults to half the bounding-box diagonal of the sample
-    positions.  The three parameters are estimated by bounded nonlinear
-    least squares over the non-empty lags and returned with the faster
-    decay first (p1 >= p2).
+    positions.  Returns ``(mu, sigma2, correlogram, dedm)``.
     """
     from .propagation import sf_statistics
 
@@ -756,7 +757,23 @@ def fit_dedm(
     a, p1, p2 = result.x
     if p1 < p2:  # canonical order: fast component first
         a, p1, p2 = 1.0 - a, p2, p1
-    return DedmParams(a=float(a), p1=float(p1), p2=float(p2))
+    return mu, sigma2, gram, DedmParams(a=float(a), p1=float(p1), p2=float(p2))
+
+
+def fit_dedm(
+    samples,
+    max_lag_m: float | None = None,
+    n_lags: int = 24,
+    empty_tol: float = 0.2,
+) -> DedmParams:
+    """Fit the double-exponential distance decay to the correlogram.
+
+    ``max_lag_m`` defaults to half the bounding-box diagonal of the sample
+    positions.  The three parameters are estimated by bounded nonlinear
+    least squares over the non-empty lags and returned with the faster
+    decay first (p1 >= p2).
+    """
+    return _fit_distance(samples, max_lag_m, n_lags, empty_tol)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -835,31 +852,22 @@ def fit_correlation_model(
 ) -> FitResult:
     """Estimate the full correlation model from decomposed SF samples.
 
-    Runs the distance-decay fit and both angular profile estimations, then
-    converts profile rows into per-bin piecewise kernels.  With
-    ``single_center`` each conditioning bin gets one kernel fitted at the
-    center reference bin (tilt: the bin containing zero tilt; elevation:
-    the most populated bin) and shared across reference bins.
+    One pass over the data: the SF statistics, the distance correlogram
+    (fitted to the DEDM) and the (elevation, tilt) cell grid are each
+    computed once; the tilt profile correlates the grid's rows and the
+    elevation profile its columns.  Profile rows are then converted into
+    per-bin piecewise kernels.  With ``single_center`` each conditioning
+    bin gets one kernel fitted at the center reference bin (tilt: the bin
+    containing zero tilt; elevation: the most populated bin) and shared
+    across reference bins.  Samples with an angle outside the bins are
+    left out of the profiles and counted in a warning.
     """
-    from .propagation import sf_statistics
-
     bins = bins if bins is not None else AngleBins()
-    mu, sigma2 = sf_statistics(samples)
-    if sigma2 <= 0.0:
-        raise DegenerateCorrelationError("constant SF; nothing to fit")
+    mu, sigma2, gram, dedm = _fit_distance(samples, max_lag_m, n_lags)
 
-    dedm = fit_dedm(samples, max_lag_m=max_lag_m, n_lags=n_lags)
-    gram_max = max_lag_m
-    if gram_max is None:
-        east = np.array([s.geometry.east_m for s in samples])
-        north = np.array([s.geometry.north_m for s in samples])
-        gram_max = 0.5 * math.hypot(
-            float(east.max() - east.min()), float(north.max() - north.min())
-        )
-    gram = empirical_correlogram(samples, mu, sigma2, gram_max, n_lags)
-
-    tilt_profile = estimate_tilt_profile(samples, bins, mu, min_count)
-    elev_profile = estimate_elev_profile(samples, bins, mu, min_count)
+    cells, dropped = _bin_cells(samples, bins)
+    tilt_profile = _estimate_profile(cells, mu, min_count)
+    elev_profile = _estimate_profile(cells.T, mu, min_count)
 
     excluded = []
     for e in range(bins.n_elev):
@@ -871,6 +879,11 @@ def fit_correlation_model(
                 )
 
     warnings: list[str] = []
+    if dropped:
+        warnings.append(
+            f"{dropped} sample(s) outside the angle bins left out of the"
+            " angular profiles"
+        )
     try:
         center_tilt = bins.tilt_index(0.0)
     except ValidationError:

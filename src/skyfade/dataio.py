@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,6 +87,36 @@ def _median_filter(values: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
+@contextmanager
+def _open_mapped(path, column_map: dict | None, required):
+    """Open a CSV and map canonical column names onto its header.
+
+    ``column_map`` renames canonical columns to the file's actual headers.
+    Yields ``(reader, mapping, header)`` after checking that every column
+    in ``required`` is present; raises :class:`SchemaError` otherwise.
+    """
+    mapping = {name: name for name in CANONICAL_COLUMNS}
+    if column_map:
+        for canonical, actual in column_map.items():
+            if canonical not in CANONICAL_COLUMNS:
+                raise SchemaError(
+                    f"unknown canonical column in map: {canonical}", field=canonical
+                )
+            mapping[canonical] = actual
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise SchemaError(f"{path}: file is empty; expected a header row")
+        header = list(reader.fieldnames)
+        missing = [mapping[c] for c in required if mapping[c] not in header]
+        if missing:
+            raise SchemaError(
+                f"{path}: missing required column(s): {', '.join(missing)}",
+                field=missing[0],
+            )
+        yield reader, mapping, header
+
+
 def ingest_csv(
     path: str | Path,
     budget: LinkBudget,
@@ -101,26 +132,7 @@ def ingest_csv(
     columns are missing and :class:`IngestError` when more than
     ``max_invalid_frac`` of the data rows fail validation.
     """
-    mapping = {name: name for name in CANONICAL_COLUMNS}
-    if column_map:
-        for canonical, actual in column_map.items():
-            if canonical not in CANONICAL_COLUMNS:
-                raise SchemaError(
-                    f"unknown canonical column in map: {canonical}", field=canonical
-                )
-            mapping[canonical] = actual
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: file is empty; expected a header row")
-        header = list(reader.fieldnames)
-        missing = [mapping[c] for c in CANONICAL_COLUMNS if mapping[c] not in header]
-        if missing:
-            raise SchemaError(
-                f"{path}: missing required column(s): {', '.join(missing)}",
-                field=missing[0],
-            )
+    with _open_mapped(path, column_map, CANONICAL_COLUMNS) as (reader, mapping, header):
         extra = [
             c
             for c in header
@@ -214,29 +226,11 @@ def load_targets_csv(
     Returns ``(geometries, measurements)`` where each measurement carries
     the parsed RSRP when the column is present and 0.0 otherwise.
     """
-    mapping = {name: name for name in CANONICAL_COLUMNS}
-    if column_map:
-        for canonical, actual in column_map.items():
-            if canonical not in CANONICAL_COLUMNS:
-                raise SchemaError(
-                    f"unknown canonical column in map: {canonical}", field=canonical
-                )
-            mapping[canonical] = actual
     required = [c for c in CANONICAL_COLUMNS if c != "rsrp_dbm"]
 
     from .propagation import link_geometry
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: file is empty; expected a header row")
-        header = list(reader.fieldnames)
-        missing = [mapping[c] for c in required if mapping[c] not in header]
-        if missing:
-            raise SchemaError(
-                f"{path}: missing required column(s): {', '.join(missing)}",
-                field=missing[0],
-            )
+    with _open_mapped(path, column_map, required) as (reader, mapping, header):
         has_rsrp = mapping["rsrp_dbm"] in header
 
         geometries = []

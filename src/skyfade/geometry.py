@@ -230,18 +230,3 @@ def compute_tilt(
         north_m=float(uav_enu[1]),
         up_m=float(uav_enu[2]),
     )
-
-
-def pairwise_d2d(geoms_a, geoms_b=None) -> np.ndarray:
-    """Horizontal distances between two sets of link geometries.
-
-    Returns an (len(a), len(b)) matrix; ``geoms_b`` defaults to ``geoms_a``.
-    """
-    ea = np.array([g.east_m for g in geoms_a])
-    na = np.array([g.north_m for g in geoms_a])
-    if geoms_b is None:
-        eb, nb = ea, na
-    else:
-        eb = np.array([g.east_m for g in geoms_b])
-        nb = np.array([g.north_m for g in geoms_b])
-    return np.hypot(ea[:, None] - eb[None, :], na[:, None] - nb[None, :])

@@ -92,6 +92,24 @@ def dedup_training(samples) -> tuple[list[LinkGeometry], np.ndarray]:
     return [geoms[i] for i in first[order]], w
 
 
+def _covariances(training, targets, model, mode):
+    """(w, cov, c0): deduplicated training SF values, training covariance
+    with the base nugget on its diagonal, and the (M, len(targets))
+    training-target covariance; None when there are no targets."""
+    check_mode(mode)
+    if len(training) == 0:
+        raise ValidationError("need at least one training sample")
+    if len(targets) == 0:
+        return None
+    geoms, w = dedup_training(training)
+    cov = correlation_matrix(model, geoms, mode=mode)
+    cov *= model.sigma2
+    cov[np.diag_indices_from(cov)] += model.nugget
+    c0 = correlation_matrix(model, geoms, targets, mode=mode)
+    c0 *= model.sigma2
+    return w, cov, c0
+
+
 def assemble_system(
     training,
     target: LinkGeometry,
@@ -102,18 +120,10 @@ def assemble_system(
 
     ``training`` is a list of SF samples; duplicates are collapsed first.
     """
-    check_mode(mode)
-    if len(training) == 0:
-        raise ValidationError("need at least one training sample")
-    geoms, w = dedup_training(training)
-    cov = correlation_matrix(model, geoms, mode=mode)
-    cov *= model.sigma2
-    cov[np.diag_indices_from(cov)] += model.nugget
-    c0 = correlation_matrix(model, geoms, [target], mode=mode)[:, 0]
-    c0 *= model.sigma2
+    w, cov, c0 = _covariances(training, [target], model, mode)
     return KrigingSystem(
         cov=cov,
-        target_cov=c0,
+        target_cov=c0[:, 0],
         train_w=w,
         sigma2=model.sigma2,
         nugget=model.nugget,
@@ -271,19 +281,12 @@ def predict_sf_batch(
     Identical inputs produce the same weights as the per-target path; the
     batch form just reuses one factorization across right-hand sides.
     """
-    check_mode(mode)
-    if len(training) == 0:
-        raise ValidationError("need at least one training sample")
-    if len(targets) == 0:
+    blocks = _covariances(training, targets, model, mode)
+    if blocks is None:
         return np.empty(0), np.empty(0), model.nugget
-    geoms, w = dedup_training(training)
-    cov = correlation_matrix(model, geoms, mode=mode)
-    cov *= model.sigma2
-    cov[np.diag_indices_from(cov)] += model.nugget
-    c0 = correlation_matrix(model, geoms, targets, mode=mode)
-    c0 *= model.sigma2
+    w, cov, c0 = blocks
     x, nugget = _solve_augmented(cov, c0, model.sigma2, model.nugget)
-    m = len(geoms)
+    m = w.size
     lam = x[:m, :]
     nu = x[m, :]
     w_hat = lam.T @ w

@@ -1,5 +1,6 @@
 """Correlation model: kernels, empirical profiles, distance decay, serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -24,6 +25,7 @@ from _recipes import (
 from skyfade.correlation import (
     CORRELATION_BLOCK_ROWS,
     DEFAULT_ELEV_REPS,
+    DEFAULT_MIN_CELL_COUNT,
     DEFAULT_TILT_REPS,
     MODES,
     Q_CAP_DEG,
@@ -31,6 +33,7 @@ from skyfade.correlation import (
     CorrelationModel,
     DedmParams,
     PiecewiseExpKernel,
+    _bin_cells,
     balance_resample,
     correlation_matrix,
     dedm_eval,
@@ -52,6 +55,7 @@ from skyfade.correlation import (
 from skyfade.errors import (
     DegenerateCorrelationError,
     InsufficientCoverageError,
+    InsufficientDataError,
     ValidationError,
 )
 from skyfade.geometry import LinkGeometry
@@ -781,6 +785,156 @@ class TestModelFit:
             "count": 5,
             "min_count": 30,
         } in fit.excluded_cells
+
+    def test_out_of_bin_samples_counted_in_a_warning(self):
+        rng = np.random.default_rng(62)
+        east = rng.uniform(0.0, 300.0, 400)
+        samples = [
+            mk_sf(float(rng.normal()), east=float(east[i]), theta=20.0, delta=0.0)
+            for i in range(400)
+        ]
+        fit = fit_correlation_model(samples, max_lag_m=200.0, n_lags=8)
+        assert not any("outside the angle bins" in msg for msg in fit.warnings)
+        samples.append(mk_sf(0.3, east=50.0, theta=95.0, delta=0.0))
+        fit = fit_correlation_model(samples, max_lag_m=200.0, n_lags=8)
+        dropped = [msg for msg in fit.warnings if "outside the angle bins" in msg]
+        assert dropped == [
+            "1 sample(s) outside the angle bins left out of the angular profiles"
+        ]
+        assert fit.tilt_profile.counts.sum() == 400
+
+
+def reference_cells(samples, bins):
+    """Per-sample binning loop: {(elev bin, tilt bin): SF list}, dropped."""
+    cells, dropped = {}, 0
+    for s in samples:
+        try:
+            key = (
+                bins.elev_index(s.geometry.theta_deg),
+                bins.tilt_index(s.geometry.delta_deg),
+            )
+        except ValidationError:
+            dropped += 1
+            continue
+        cells.setdefault(key, []).append(s.sf_db)
+    return cells, dropped
+
+
+def reference_profiles(samples, bins, mu, min_count):
+    """(tilt, elevation) profiles from the per-sample binning reference."""
+    cells, _ = reference_cells(samples, bins)
+    floor = max(min_count, 1)
+    profiles = []
+    for n_cond, n_ref, key in (
+        (bins.n_elev, bins.n_tilt, lambda c, r: (c, r)),
+        (bins.n_tilt, bins.n_elev, lambda c, r: (r, c)),
+    ):
+        counts = np.zeros((n_cond, n_ref), dtype=int)
+        rho = np.full((n_cond, n_ref, n_ref), np.nan)
+        for c in range(n_cond):
+            for i in range(n_ref):
+                counts[c, i] = len(cells.get(key(c, i), []))
+        for c in range(n_cond):
+            for i in range(n_ref):
+                if counts[c, i] < floor:
+                    continue
+                rho[c, i, i] = 1.0
+                for j in range(i + 1, n_ref):
+                    if counts[c, j] < floor:
+                        continue
+                    wa, wb = balance_resample(cells[key(c, i)], cells[key(c, j)])
+                    try:
+                        value = empirical_angular_correlation(wa, wb, mu)
+                    except DegenerateCorrelationError:
+                        continue
+                    rho[c, i, j] = rho[c, j, i] = value
+        profiles.append((rho, counts))
+    return profiles
+
+
+class TestOnePassFit:
+    """``fit_correlation_model`` equals its parts computed on their own."""
+
+    @pytest.mark.parametrize("max_lag_m", [200.0, None])
+    def test_equals_its_parts(self, max_lag_m):
+        rows, _ = angle_grid_dataset(n=1200)
+        samples = decompose_all(rows)
+        # Out-of-bin elevation and a non-finite tilt: both are dropped.
+        for theta, delta in ((95.0, 0.0), (20.0, math.inf)):
+            geom = dataclasses.replace(
+                samples[7].geometry, theta_deg=theta, delta_deg=delta
+            )
+            samples.append(dataclasses.replace(samples[7], geometry=geom, sf_db=1.25))
+        bins = AngleBins()
+        fit = fit_correlation_model(samples, bins=bins, max_lag_m=max_lag_m, n_lags=10)
+
+        mu, sigma2 = sf_statistics(samples)
+        assert (fit.model.mu, fit.model.sigma2) == (mu, sigma2)
+        assert fit.model.dedm == fit_dedm(samples, max_lag_m=max_lag_m, n_lags=10)
+        if max_lag_m is None:
+            east = [s.geometry.east_m for s in samples]
+            north = [s.geometry.north_m for s in samples]
+            max_lag_m = 0.5 * math.hypot(
+                max(east) - min(east), max(north) - min(north)
+            )
+        gram = empirical_correlogram(samples, mu, sigma2, max_lag_m, 10)
+        for got, want in (
+            (fit.correlogram.lag_m, gram.lag_m),
+            (fit.correlogram.rho, gram.rho),
+            (fit.correlogram.counts, gram.counts),
+        ):
+            assert np.array_equal(got, want, equal_nan=True)
+
+        cells, dropped = _bin_cells(samples, bins)
+        ref_cells, ref_dropped = reference_cells(samples, bins)
+        assert dropped == ref_dropped == 2
+        for key, values in np.ndenumerate(cells):
+            assert np.array_equal(values, ref_cells.get(key, []))  # sample order
+        (tilt_rho, tilt_counts), (elev_rho, elev_counts) = reference_profiles(
+            samples, bins, mu, DEFAULT_MIN_CELL_COUNT
+        )
+        assert tilt_counts.sum() == len(samples) - 2
+        assert np.array_equal(fit.tilt_profile.counts, tilt_counts)
+        assert np.array_equal(fit.tilt_profile.rho, tilt_rho, equal_nan=True)
+        assert np.array_equal(fit.elev_profile.counts, elev_counts)
+        assert np.array_equal(fit.elev_profile.rho, elev_rho, equal_nan=True)
+        for profile, estimate in (
+            (fit.tilt_profile, estimate_tilt_profile),
+            (fit.elev_profile, estimate_elev_profile),
+        ):
+            alone = estimate(samples, bins, mu)
+            assert np.array_equal(alone.counts, profile.counts)
+            assert np.array_equal(alone.rho, profile.rho, equal_nan=True)
+        assert "2 sample(s) outside the angle bins" in fit.warnings[0]
+
+    @pytest.mark.parametrize(
+        "make, kwargs, error, message",
+        [
+            (lambda: [mk_sf(1.0, east=3.0)], {}, InsufficientDataError, "at least 2"),
+            (
+                lambda: [mk_sf(1.5, east=10.0 * i) for i in range(10)],
+                {},
+                DegenerateCorrelationError,
+                "constant SF",
+            ),
+            (
+                lambda: [mk_sf(0.1 * i) for i in range(10)],
+                {},
+                ValidationError,
+                "no horizontal extent",
+            ),
+            (
+                lambda: [mk_sf(0.1 * i, east=5.0 * i) for i in range(20)],
+                {"max_lag_m": 50.0, "n_lags": 2},
+                ValidationError,
+                "at least 3 lags",
+            ),
+        ],
+    )
+    def test_degenerate_inputs_raise_typed_errors(self, make, kwargs, error, message):
+        for fit in (fit_dedm, fit_correlation_model):
+            with pytest.raises(error, match=message):
+                fit(make(), **kwargs)
 
 
 class TestSerialization:

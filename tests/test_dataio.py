@@ -202,6 +202,34 @@ class TestTargets:
             load_targets_csv(path, BUDGET)
         assert "lon_deg" in str(err.value)
 
+    def test_column_map_renames_headers(self, tmp_path):
+        header = "t,latitude,longitude,alt_m,yaw_deg,pitch_deg,roll_deg,power"
+        path = write_lines(
+            tmp_path / "ext.csv", [header, "0,35.7205,-78.699,30,10,1,-1,-64.5"]
+        )
+        column_map = {
+            "time_s": "t",
+            "lat_deg": "latitude",
+            "lon_deg": "longitude",
+            "rsrp_dbm": "power",
+        }
+        geoms, meas = load_targets_csv(path, BUDGET, column_map)
+        ref_path = write_lines(tmp_path / "ref.csv", [HEADER, good_row(rsrp=-64.5)])
+        ref_geoms, ref_meas = load_targets_csv(ref_path, BUDGET)
+        assert geoms == ref_geoms
+        assert meas == ref_meas
+        # A mapped column that is absent is named by its actual header.
+        with pytest.raises(SchemaError) as err:
+            load_targets_csv(ref_path, BUDGET, {"lat_deg": "latitude"})
+        assert err.value.field == "latitude"
+
+    def test_unknown_canonical_name_in_map(self, tmp_path):
+        path = write_lines(tmp_path / "t.csv", [HEADER, good_row()])
+        with pytest.raises(SchemaError) as err:
+            load_targets_csv(path, BUDGET, {"signal": "rsrp_dbm"})
+        assert err.value.field == "signal"
+        assert "unknown canonical column in map: signal" in str(err.value)
+
 
 class TestWriters:
     def test_geometry_csv_layout_and_idempotence(self, tmp_path):

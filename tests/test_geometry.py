@@ -13,7 +13,6 @@ from skyfade.geometry import (
     compute_tilt,
     enu_to_geodetic,
     euler_zyx_matrix,
-    pairwise_d2d,
     project_enu,
 )
 
@@ -239,20 +238,3 @@ class TestMeasurementSample:
                 roll_deg=0.0,
                 rsrp_dbm=-80.0,
             )
-
-
-class TestPairwiseDistance:
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(3)
-        geoms = [
-            compute_tilt(
-                sample_at(e, n, 40.0), TX_ENU, ORIGIN
-            )
-            for e, n in rng.uniform(-500.0, 500.0, (8, 2))
-        ]
-        d = pairwise_d2d(geoms)
-        for i, gi in enumerate(geoms):
-            for j, gj in enumerate(geoms):
-                expected = math.hypot(gi.east_m - gj.east_m, gi.north_m - gj.north_m)
-                assert d[i, j] == pytest.approx(expected, abs=1e-9)
-        assert np.all(np.diag(d) == 0.0)
