@@ -23,8 +23,7 @@ from .correlation import MODES, fit_correlation_model, load_model, save_model
 from .errors import SkyfadeError
 from .evaluation import run_evaluation
 from .fieldsim import synthesize_dataset, truth_sidecar
-from .kriging import Prediction, predict_sf_batch
-from .propagation import two_ray_rsrp
+from .kriging import predict_rsrp
 
 
 def _parse_column_map(pairs) -> dict | None:
@@ -68,6 +67,14 @@ def _ingest_options(config: dict, args) -> dict:
         "column_map": column_map,
         "max_invalid_frac": float(section.get("max_invalid_frac", 0.1)),
     }
+
+
+def _warn_escalated(mode: str, what: str) -> None:
+    print(
+        f"warning: {mode}: {what} escalated the nugget above the model's"
+        " (covariance not numerically positive definite)",
+        file=sys.stderr,
+    )
 
 
 def cmd_geometry(args) -> int:
@@ -140,20 +147,9 @@ def cmd_predict(args) -> int:
     targets, _meas = dataio.load_targets_csv(
         args.targets, budget, _parse_column_map(args.column_map)
     )
-    w_hat, variance, nugget = predict_sf_batch(
-        ingest.samples, targets, model, mode=args.mode
-    )
-    predictions = []
-    for geom, w, v in zip(targets, w_hat, variance):
-        est = two_ray_rsrp(geom, geom.up_m, budget.antenna_height_m, budget)
-        predictions.append(
-            Prediction(
-                w_hat_db=float(w),
-                z_hat_dbm=est + float(w),
-                variance_db2=float(v),
-                nugget_used=float(nugget),
-            )
-        )
+    predictions = predict_rsrp(ingest.samples, targets, budget, model, args.mode)
+    if predictions and predictions[0].nugget_used > model.nugget:
+        _warn_escalated(args.mode, "the solve")
     dataio.write_predictions_csv(args.out, predictions)
     print(f"{args.out}: {len(predictions)} predictions ({args.mode})")
     return 0
@@ -184,6 +180,11 @@ def cmd_evaluate(args) -> int:
                 f"M={m} {mode}: median RMSE"
                 f" {result.median_rmse(m, mode):.3f} dB"
             )
+    for mode in eval_config.modes:
+        trials = [t for t in result.trials if t.mode == mode]
+        escalated = sum(t.nugget_used > model.nugget for t in trials)
+        if escalated:
+            _warn_escalated(mode, f"{escalated} of {len(trials)} trials")
     return 0
 
 

@@ -15,16 +15,16 @@ complement (Rasmussen & Williams 2006, Alg. 2.1; Cressie 1993, sec. 3.2):
 with C [Y | a] = [c0 | 1], nu = (1^T Y - 1) / (1^T a) and
 lambda = Y - a nu.  A solution is accepted only if the relative residual
 of the augmented system, over every right-hand side, is below the
-acceptance threshold.  When C is not numerically positive definite or the
-Cholesky solution fails that test, the augmented matrix is solved by dense
-LU with partial pivoting at the same nugget.  When both fail, the diagonal
-nugget is multiplied by 10 and both solvers are tried again, up to six
-escalations; the nugget actually used is recorded on the system.
+acceptance threshold.  When C is not numerically positive definite, or the
+solution fails that test, the diagonal nugget is multiplied by 10 and the
+factorization is tried again (diagonal loading), up to six escalations.
+An indefinite covariance is therefore never accepted at the model's
+nugget: the nugget actually used is recorded on the system, and callers
+report it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,25 +161,6 @@ def _cholesky_schur(cov, rhs, shift):
     return x
 
 
-def _lu_augmented(cov, rhs, shift):
-    """Solve the full augmented system by LU with partial pivoting."""
-    m, k = rhs.shape
-    a = np.zeros((m + 1, m + 1))
-    a[:m, :m] = cov
-    a[np.diag_indices(m)] += shift
-    a[:m, m] = 1.0
-    a[m, :m] = 1.0
-    b = np.empty((m + 1, k))
-    b[:m] = rhs
-    b[m] = 1.0
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            return scipy.linalg.solve(a, b, assume_a="gen")
-    except (scipy.linalg.LinAlgError, ValueError):
-        return None
-
-
 def _augmented_residual(cov, shift, rhs, x):
     """Largest |A x - b| entry of the augmented system, over every column."""
     m = cov.shape[0]
@@ -198,24 +179,22 @@ def _solve_augmented(cov, rhs, sigma2, base_nugget):
 
     ``cov`` already carries ``base_nugget`` on its diagonal and ``rhs`` is
     (M, k); the solution is (M + 1, k) with the multipliers in its last
-    row.  Each rung adds ``nugget - base_nugget`` to the diagonal and tries
-    Cholesky with Schur elimination first, then LU of the augmented matrix;
-    the first finite solution whose relative residual passes is accepted.
+    row.  Each rung adds ``nugget - base_nugget`` to the diagonal and makes
+    one Cholesky-Schur attempt; the first finite solution whose relative
+    residual passes is accepted.  A covariance that is not numerically
+    positive definite at a rung moves up to the next one.
     """
     m = cov.shape[0]
     b_scale = max(float(np.abs(rhs).max()), 1.0)
     nugget = base_nugget
     for attempt in range(MAX_ESCALATIONS + 1):
+        if attempt:
+            nugget = DEFAULT_NUGGET_FACTOR * sigma2 if nugget == 0.0 else nugget * 10.0
         shift = nugget - base_nugget
-        for solve in (_cholesky_schur, _lu_augmented):
-            x = solve(cov, rhs, shift)
-            if x is not None and np.all(np.isfinite(x)):
-                if _augmented_residual(cov, shift, rhs, x) / b_scale < RESIDUAL_TOL:
-                    return x, nugget
-        if nugget == 0.0:
-            nugget = DEFAULT_NUGGET_FACTOR * sigma2
-        else:
-            nugget *= 10.0
+        x = _cholesky_schur(cov, rhs, shift)
+        if x is not None and np.all(np.isfinite(x)):
+            if _augmented_residual(cov, shift, rhs, x) / b_scale < RESIDUAL_TOL:
+                return x, nugget
     raise SingularSystemError(
         f"augmented system unsolvable after {MAX_ESCALATIONS} nugget escalations"
         f" (M={m}, final nugget={nugget:g})"
@@ -252,19 +231,31 @@ class Prediction:
     nugget_used: float
 
 
+def _krige(lam, nu, w, c0, sigma2):
+    """(w_hat, variance) for (M, k) weights and target covariances and (k,)
+    multipliers: lambda^T w and sigma2 - lambda^T c0 - nu, floored at zero."""
+    w_hat = lam.T @ w
+    variance = np.maximum(sigma2 - np.sum(lam * c0, axis=0) - nu, 0.0)
+    return w_hat, variance
+
+
 def predict_sf(system: KrigingSystem) -> Prediction:
     """Predictor and variance from a solved (or solvable) single system."""
     if system.target_cov.ndim != 1:
         raise ValidationError("predict_sf expects a single-target system")
     if system.weights is None:
         solve_ok(system)
-    lam = system.weights
-    w_hat = float(lam @ system.train_w)
-    variance = system.sigma2 - float(lam @ system.target_cov) - float(system.multiplier)
+    w_hat, variance = _krige(
+        system.weights[:, None],
+        system.multiplier,
+        system.train_w,
+        system.target_cov[:, None],
+        system.sigma2,
+    )
     return Prediction(
-        w_hat_db=w_hat,
+        w_hat_db=float(w_hat[0]),
         z_hat_dbm=None,
-        variance_db2=max(variance, 0.0),
+        variance_db2=float(variance[0]),
         nugget_used=float(system.nugget_used),
     )
 
@@ -287,27 +278,27 @@ def predict_sf_batch(
     w, cov, c0 = blocks
     x, nugget = _solve_augmented(cov, c0, model.sigma2, model.nugget)
     m = w.size
-    lam = x[:m, :]
-    nu = x[m, :]
-    w_hat = lam.T @ w
-    variance = np.maximum(model.sigma2 - np.sum(lam * c0, axis=0) - nu, 0.0)
+    w_hat, variance = _krige(x[:m, :], x[m, :], w, c0, model.sigma2)
     return w_hat, variance, nugget
 
 
 def predict_rsrp(
     training,
-    target: LinkGeometry,
+    targets,
     budget: LinkBudget,
     model: CorrelationModel,
     mode: str = "angle_aware",
-) -> Prediction:
-    """Received-power prediction: two-ray estimate plus Kriged SF."""
-    system = solve_ok(assemble_system(training, target, model, mode))
-    sf = predict_sf(system)
-    est = two_ray_rsrp(target, target.up_m, budget.antenna_height_m, budget)
-    return Prediction(
-        w_hat_db=sf.w_hat_db,
-        z_hat_dbm=est + sf.w_hat_db,
-        variance_db2=sf.variance_db2,
-        nugget_used=sf.nugget_used,
-    )
+) -> list[Prediction]:
+    """Received-power predictions: two-ray estimate plus Kriged SF, one
+    per target, off one factorization."""
+    w_hat, variance, nugget = predict_sf_batch(training, targets, model, mode)
+    return [
+        Prediction(
+            w_hat_db=float(w),
+            z_hat_dbm=two_ray_rsrp(geom, geom.up_m, budget.antenna_height_m, budget)
+            + float(w),
+            variance_db2=float(v),
+            nugget_used=float(nugget),
+        )
+        for geom, w, v in zip(targets, w_hat, variance)
+    ]

@@ -148,7 +148,12 @@ def separation_mean(rho, reps, separation):
 # Lawnmower field campaigns (distance-decay recovery and benchmarks).
 
 
-def lawnmower_sf(
+def lawnmower_sf(seed, truth, *, box, **flight):
+    """Decomposed SF samples from one synthesized lawnmower flight."""
+    return decompose_all(lawnmower_rows(seed, truth, box=box, **flight))
+
+
+def lawnmower_rows(
     seed,
     truth,
     *,
@@ -159,7 +164,7 @@ def lawnmower_sf(
     excitation_deg=12.0,
     altitude_m=28.0,
 ):
-    """Decomposed SF samples from one synthesized lawnmower flight."""
+    """Measurement rows from one synthesized lawnmower flight."""
     flight = FlightSpec(
         altitude_m=altitude_m,
         east_extent_m=(-box, box),
@@ -172,7 +177,7 @@ def lawnmower_sf(
     config = SimConfig(
         seed=seed, n_samples=n_samples, truth=truth, budget=BUDGET, flight=flight
     )
-    return decompose_all(synthesize_dataset(config))
+    return synthesize_dataset(config)
 
 
 # Distance-decay recovery: a two-rate truth over a box wide relative to the
@@ -235,8 +240,12 @@ def gap_benchmark_truth():
     )
 
 
+def gap_benchmark_rows(seed=GAP_BENCHMARK_SEED):
+    return lawnmower_rows(seed, gap_benchmark_truth(), box=300.0)
+
+
 def gap_benchmark_sf(seed=GAP_BENCHMARK_SEED):
-    return lawnmower_sf(seed, gap_benchmark_truth(), box=300.0)
+    return decompose_all(gap_benchmark_rows(seed))
 
 
 # ---------------------------------------------------------------------------

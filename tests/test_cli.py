@@ -7,10 +7,16 @@ from types import SimpleNamespace
 
 import pytest
 
+from _recipes import BUDGET, gap_benchmark_rows, gap_benchmark_truth
 from skyfade import CorrelationModel, DedmParams
 from skyfade.cli import main
 from skyfade.correlation import load_model, save_model, serialize_model
-from skyfade.dataio import budget_from_config, ingest_csv, load_config
+from skyfade.dataio import (
+    budget_from_config,
+    ingest_csv,
+    load_config,
+    write_dataset_csv,
+)
 
 
 def read_rows(path):
@@ -436,3 +442,90 @@ class TestFailureModes:
         assert rc == 0
         assert "skipped line" in captured.err
         assert "1 skipped" in captured.out
+
+
+class TestNuggetEscalation:
+    """A fitted model that is not positive definite is reported on stderr."""
+
+    WARNING = (
+        "warning: elev_only: {what} escalated the nugget above the model's"
+        " (covariance not numerically positive definite)\n"
+    )
+
+    @pytest.fixture(scope="class")
+    def gap(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("gap")
+        config = root / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "budget": {
+                        "tx_lat_deg": BUDGET.tx_lat_deg,
+                        "tx_lon_deg": BUDGET.tx_lon_deg,
+                    },
+                    "eval": {
+                        "m_values": [150],
+                        "tests_per_trial": 100,
+                        "total_test_predictions": 400,
+                    },
+                }
+            )
+        )
+        rows = gap_benchmark_rows()
+        data = root / "flight.csv"
+        write_dataset_csv(data, rows)
+        targets = root / "targets.csv"
+        write_dataset_csv(targets, rows[:5])
+        tuning = root / "tuning.csv"
+        write_dataset_csv(tuning, rows[::4])
+        fitted = root / "fitted.json"
+        argv = ["fit", "--config", str(config), "--input", str(data)]
+        assert main([*argv, "--out", str(fitted)]) == 0
+        truth = root / "truth.json"
+        save_model(gap_benchmark_truth(), truth)
+        return SimpleNamespace(
+            root=root, config=config, data=data, targets=targets, tuning=tuning,
+            fitted=fitted, truth=truth,
+        )
+
+    def evaluate(self, gap, model, capsys):
+        capsys.readouterr()
+        prefix = gap.root / model.stem
+        argv = ["evaluate", "--config", str(gap.config), "--input", str(gap.data)]
+        argv += ["--model", str(model), "--out", str(prefix), "--mode", "elev_only"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        trials = read_rows(f"{prefix}_trials.csv")
+        nugget = load_model(model).nugget
+        escalated = sum(float(t["nugget_used"]) > nugget for t in trials)
+        return out, err, escalated, len(trials)
+
+    def predict(self, gap, model, capsys):
+        capsys.readouterr()
+        out_csv = gap.root / f"{model.stem}_predictions.csv"
+        argv = ["predict", "--config", str(gap.config), "--input", str(gap.tuning)]
+        argv += ["--targets", str(gap.targets), "--model", str(model)]
+        argv += ["--out", str(out_csv), "--mode", "elev_only"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        nugget = load_model(model).nugget
+        escalated = float(read_rows(out_csv)[0]["nugget_used"]) > nugget
+        return out, err, escalated
+
+    def test_fitted_model_warns(self, gap, capsys):
+        out, err, escalated, total = self.evaluate(gap, gap.fitted, capsys)
+        assert escalated > 0
+        assert err == self.WARNING.format(what=f"{escalated} of {total} trials")
+        assert "warning" not in out
+        out, err, escalated = self.predict(gap, gap.fitted, capsys)
+        assert escalated
+        assert err == self.WARNING.format(what="the solve")
+        assert "warning" not in out
+
+    def test_truth_model_does_not_warn(self, gap, capsys):
+        _out, err, escalated, _total = self.evaluate(gap, gap.truth, capsys)
+        assert escalated == 0
+        assert err == ""
+        _out, err, escalated = self.predict(gap, gap.truth, capsys)
+        assert not escalated
+        assert err == ""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _recipes import decompose_all, gap_benchmark_sf, gap_benchmark_truth
-from skyfade.correlation import CorrelationModel, DedmParams
+from skyfade.correlation import CorrelationModel, DedmParams, fit_correlation_model
 from skyfade.errors import ValidationError
 from skyfade.evaluation import (
     DEFAULT_M_VALUES,
@@ -175,3 +175,27 @@ class TestRunEvaluation:
         # Pinned campaign: the gap at M=150 is 1.25 dB over the full run;
         # this 20-trial subset keeps a clear margin.
         assert gap > 0.3
+
+
+class TestFittedModel:
+    def test_indefinite_fitted_covariance_escalates_instead_of_diverging(self):
+        # The fitted elev_only covariance on this flight is not positive
+        # definite: a solve accepted at the model nugget puts the median
+        # RMSE at M=350 in the hundreds of dB.
+        samples = gap_benchmark_sf()
+        model = fit_correlation_model(samples).model
+        config = EvalConfig(
+            m_values=(150, 350),
+            tests_per_trial=100,
+            total_test_predictions=800,
+            modes=("elev_only", "angle_aware"),
+        )
+        result = run_evaluation(samples, model, config)
+        assert result.median_rmse(350, "elev_only") < 10.0
+        escalated = [
+            t.nugget_used > model.nugget
+            for t in result.trials
+            if t.mode == "elev_only"
+        ]
+        assert len(escalated) == 16
+        assert any(escalated)

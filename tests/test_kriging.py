@@ -14,9 +14,11 @@ from skyfade.correlation import (
     correlation_matrix,
     eval_full_correlation,
 )
-from skyfade.errors import ValidationError
+from skyfade.errors import SingularSystemError, ValidationError
 from skyfade.kriging import (
+    RESIDUAL_TOL,
     KrigingSystem,
+    _augmented_residual,
     _cholesky_schur,
     _solve_augmented,
     assemble_system,
@@ -163,20 +165,37 @@ class TestSolvePaths:
         assert nugget == model.nugget
         assert np.array_equal(x, chol)
 
-    def test_indefinite_covariance_accepted_through_lu(self):
-        cov = np.array([[1.0, 2.0], [2.0, 1.0]])
+    def test_indefinite_covariance_exhausts_the_ladder(self):
+        cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
         rhs = np.array([[0.5], [0.3]])
         assert _cholesky_schur(cov, rhs, 0.0) is None
-        system = solve_ok(
-            KrigingSystem(
-                cov=cov, target_cov=rhs[:, 0], train_w=np.array([1.0, 2.0]),
-                sigma2=1.0, nugget=0.0,
-            )
+        system = KrigingSystem(
+            cov=cov, target_cov=rhs[:, 0], train_w=np.array([1.0, 2.0]),
+            sigma2=1.0, nugget=0.0,
         )
-        assert system.nugget_used == 0.0
-        expect = augmented_direct(cov, rhs)[:, 0]
-        assert system.weights == pytest.approx(expect[:2], abs=1e-12)
-        assert system.multiplier == pytest.approx(expect[2], abs=1e-12)
+        # Rungs 0, 1e-6, ..., 0.1: the message names the last one tried.
+        with pytest.raises(
+            SingularSystemError,
+            match=r"after 6 nugget escalations \(M=2, final nugget=0\.1\)",
+        ):
+            solve_ok(system)
+
+    def test_mildly_indefinite_covariance_loads_the_diagonal(self):
+        sigma2 = 4.0
+        base = 1e-6 * sigma2
+        corr = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, 0.5], [0.9, 0.5, 1.0]])
+        assert np.linalg.eigvalsh(corr)[0] == pytest.approx(-0.047, abs=1e-3)
+        cov = sigma2 * corr
+        cov[np.diag_indices(3)] += base
+        rhs = sigma2 * np.array([[0.8, 0.1], [0.5, 0.7], [0.3, 0.2]])
+        x, nugget = _solve_augmented(cov, rhs, sigma2, base)
+        assert nugget > base
+        # Accepted at the first rung that factors: 0.1 * sigma2; the rung
+        # below it (0.01 * sigma2) is still indefinite.
+        assert nugget == pytest.approx(0.1 * sigma2, rel=1e-12)
+        assert _cholesky_schur(cov, rhs, nugget / 10.0 - base) is None
+        assert _augmented_residual(cov, nugget - base, rhs, x) < RESIDUAL_TOL
+        assert np.sum(x[:3], axis=0) == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 class TestAssembly:
@@ -339,9 +358,17 @@ class TestRsrpPrediction:
         model = smooth_model(nugget=1e-5)
         training = scattered_samples(15, seed=25)
         target = mk_geom(120.0, -80.0, theta=11.0, delta=0.5, up=30.0)
-        pred = predict_rsrp(training, target, BUDGET, model)
-        est = two_ray_rsrp(target, target.up_m, BUDGET.antenna_height_m, BUDGET)
-        assert pred.z_hat_dbm == est + pred.w_hat_db
+        targets = [target, mk_geom(-30.0, 45.0, theta=40.0, delta=-3.0, up=60.0)]
+        preds = predict_rsrp(training, targets, BUDGET, model)
+        w_hat, variance, nugget = predict_sf_batch(training, targets, model)
+        assert len(preds) == 2
+        for pred, geom, w, v in zip(preds, targets, w_hat, variance):
+            est = two_ray_rsrp(geom, geom.up_m, BUDGET.antenna_height_m, BUDGET)
+            assert pred.w_hat_db == w
+            assert pred.z_hat_dbm == est + pred.w_hat_db
+            assert pred.variance_db2 == v
+            assert pred.nugget_used == nugget
+        assert predict_rsrp(training, [], BUDGET, model) == []
 
 
 class TestAgainstPrior:
