@@ -47,7 +47,13 @@ from .fieldsim import (
     synthesize_dataset,
     truth_sidecar,
 )
-from .geometry import LinkGeometry, MeasurementSample, compute_tilt, project_enu
+from .geometry import (
+    Geometry,
+    LinkGeometry,
+    MeasurementSample,
+    compute_tilt,
+    project_enu,
+)
 from .kriging import (
     Prediction,
     assemble_system,
@@ -59,6 +65,7 @@ from .propagation import (
     GainTable,
     LinkBudget,
     SfSample,
+    SfTable,
     decompose_sf,
     link_geometry,
     sf_statistics,
@@ -76,6 +83,7 @@ __all__ = [
     "EvalResult",
     "FlightSpec",
     "GainTable",
+    "Geometry",
     "IngestError",
     "InsufficientCoverageError",
     "InsufficientDataError",
@@ -87,6 +95,7 @@ __all__ = [
     "Prediction",
     "SchemaError",
     "SfSample",
+    "SfTable",
     "SimConfig",
     "SingularSystemError",
     "SkyfadeError",

@@ -144,7 +144,7 @@ def cmd_predict(args) -> int:
     budget = dataio.budget_from_config(config, base)
     model = load_model(args.model)
     ingest = dataio.ingest_csv(args.input, budget, **_ingest_options(config, args))
-    targets, _meas = dataio.load_targets_csv(
+    targets, _rsrp = dataio.load_targets_csv(
         args.targets, budget, _parse_column_map(args.column_map)
     )
     predictions = predict_rsrp(ingest.samples, targets, budget, model, args.mode)

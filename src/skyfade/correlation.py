@@ -38,7 +38,8 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .geometry import LinkGeometry
+from .geometry import Geometry, LinkGeometry
+from .propagation import SfTable, sf_statistics
 
 MODES = ("baseline", "angle_aware", "tilt_only", "elev_only")
 
@@ -346,15 +347,6 @@ def eval_full_correlation(
     return r_d * math.sqrt(raw_ij * raw_ji)
 
 
-def _geom_arrays(geoms):
-    return (
-        np.array([g.east_m for g in geoms], dtype=float),
-        np.array([g.north_m for g in geoms], dtype=float),
-        np.array([g.theta_deg for g in geoms], dtype=float),
-        np.array([g.delta_deg for g in geoms], dtype=float),
-    )
-
-
 def _inverse_rates(model, theta, delta):
     """Per-sample inverse decay rates (1/q+, 1/q-, 1/r+, 1/r-).
 
@@ -387,11 +379,12 @@ def correlation_matrix(
     geoms_b=None,
     mode: str = "angle_aware",
 ) -> np.ndarray:
-    """Dense model correlation between two geometry lists.
+    """Dense model correlation between two sets of link geometries.
 
     Vectorized equivalent of :func:`eval_full_correlation` applied to every
-    pair; returns an (len(a), len(b)) matrix.  ``geoms_b`` defaults to
-    ``geoms_a``.
+    pair; returns an (len(a), len(b)) matrix.  Each side is a
+    :class:`Geometry` or a sequence of :class:`LinkGeometry`; ``geoms_b``
+    defaults to ``geoms_a``.
 
     The geometric mean of the two raw products is evaluated as a single
     exponential, sqrt(exp(-x) * exp(-y)) = exp(-(x + y) / 2), from inverse
@@ -402,8 +395,10 @@ def correlation_matrix(
     """
     check_mode(mode)
     square = geoms_b is None
-    ea, na, ta, da = _geom_arrays(geoms_a)
-    eb, nb, tb, db = (ea, na, ta, da) if square else _geom_arrays(geoms_b)
+    a = Geometry.of(geoms_a)
+    b = a if square else Geometry.of(geoms_b)
+    ea, na, ta, da = a.east_m, a.north_m, a.theta_deg, a.delta_deg
+    eb, nb, tb, db = b.east_m, b.north_m, b.theta_deg, b.delta_deg
     angles = []
     if mode != "baseline":
         qp_a, qn_a, rp_a, rn_a = _inverse_rates(model, ta, da)
@@ -547,11 +542,10 @@ def _bin_cells(samples, bins: AngleBins):
     where no sample fell), and ``dropped`` counts the samples left out
     because either angle lies outside the bins.
     """
-    theta = np.array([s.geometry.theta_deg for s in samples], dtype=float)
-    delta = np.array([s.geometry.delta_deg for s in samples], dtype=float)
-    sf = np.array([s.sf_db for s in samples], dtype=float)
-    e, e_ok = bins._locate(theta, bins.elev_edges)
-    t, t_ok = bins._locate(delta, bins.tilt_edges)
+    table = SfTable.of(samples)
+    sf = table.sf_db
+    e, e_ok = bins._locate(table.geometry.theta_deg, bins.elev_edges)
+    t, t_ok = bins._locate(table.geometry.delta_deg, bins.tilt_edges)
     keep = e_ok & t_ok
     flat = e[keep] * bins.n_tilt + t[keep]
     order = np.argsort(flat, kind="stable")  # stable: sample order per cell
@@ -676,9 +670,9 @@ def empirical_correlogram(
         raise ValidationError("need n_lags >= 1 and a positive max lag")
     if sigma2 <= 0.0:
         raise DegenerateCorrelationError("zero SF variance; correlogram undefined")
-    east = np.array([s.geometry.east_m for s in samples], dtype=float)
-    north = np.array([s.geometry.north_m for s in samples], dtype=float)
-    dev = np.array([s.sf_db for s in samples], dtype=float) - mu
+    table = SfTable.of(samples)
+    east, north = table.geometry.east_m, table.geometry.north_m
+    dev = table.sf_db - mu
     n = east.size
     if n < 2:
         raise ValidationError("need at least two samples")
@@ -722,14 +716,12 @@ def _fit_distance(samples, max_lag_m, n_lags, empty_tol=0.2):
     ``max_lag_m`` defaults to half the bounding-box diagonal of the sample
     positions.  Returns ``(mu, sigma2, correlogram, dedm)``.
     """
-    from .propagation import sf_statistics
-
+    samples = SfTable.of(samples)
     mu, sigma2 = sf_statistics(samples)
     if sigma2 <= 0.0:
         raise DegenerateCorrelationError("constant SF; nothing to fit")
     if max_lag_m is None:
-        east = np.array([s.geometry.east_m for s in samples])
-        north = np.array([s.geometry.north_m for s in samples])
+        east, north = samples.geometry.east_m, samples.geometry.north_m
         max_lag_m = 0.5 * math.hypot(
             float(east.max() - east.min()), float(north.max() - north.min())
         )
@@ -863,6 +855,7 @@ def fit_correlation_model(
     left out of the profiles and counted in a warning.
     """
     bins = bins if bins is not None else AngleBins()
+    samples = SfTable.of(samples)
     mu, sigma2, gram, dedm = _fit_distance(samples, max_lag_m, n_lags)
 
     cells, dropped = _bin_cells(samples, bins)

@@ -2,11 +2,15 @@
 
 The ingestion schema is a header row of
 time_s, lat_deg, lon_deg, alt_m, yaw_deg, pitch_deg, roll_deg, rsrp_dbm
-with '.' decimals; extra columns pass through untouched.  Rows that fail
-validation are skipped and reported with their line numbers, and the run
-aborts when more than the allowed fraction of rows is bad.  An optional
-column map renames external headers onto the canonical ones, and an
-optional centered sliding-window median (off by default) smooths the RSRP
+with '.' decimals; extra columns pass through untouched.  A file is read
+into columns and decomposed with one call into the column code of
+:mod:`skyfade.propagation`.  Rows that fail validation (parse, pose,
+geometry or two-ray rules) are skipped and reported with their line
+numbers, sorted by line, and the run aborts when more than the allowed
+fraction of rows is bad.  Target files go through the same rules and
+fail on their first bad row, naming its line.  An optional column map
+renames external headers onto the canonical ones, and an optional
+centered sliding-window median (off by default) smooths the RSRP
 sequence before decomposition.
 
 All emitted files are UTF-8 with a mandatory header row; floats are
@@ -17,9 +21,7 @@ identical.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,11 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import AngleBins, AngularProfile, Correlogram, FitResult
-from .errors import IngestError, SchemaError, SkyfadeError, ValidationError
+from .errors import IngestError, RowErrors, SchemaError, ValidationError
 from .evaluation import EvalConfig, EvalResult
 from .fieldsim import FlightSpec, SimConfig
-from .geometry import MeasurementSample
-from .propagation import GainTable, LinkBudget, SfSample, decompose_sf
+from .geometry import Geometry, check_poses, wrap_deg
+from .propagation import GainTable, LinkBudget, SfTable, decompose
 
 CANONICAL_COLUMNS = (
     "time_s",
@@ -52,6 +54,8 @@ ANNOTATION_COLUMNS = (
     "sf_db",
 )
 PREDICTION_COLUMNS = ("w_hat_db", "z_hat_dbm", "kriging_var_db2", "nugget_used")
+#: Rows :func:`write_geometry_csv` formats per pass.
+WRITE_BLOCK_ROWS = 4096
 
 
 def _fmt(value) -> str:
@@ -62,10 +66,15 @@ def _fmt(value) -> str:
 
 @dataclass
 class IngestResult:
-    """Parsed dataset plus passthrough rows and the skip report."""
+    """Parsed dataset plus passthrough rows and the skip report.
 
-    samples: list[SfSample]
-    measurements: list[MeasurementSample]
+    ``measurements`` maps each canonical column to the kept rows' values,
+    with yaw and roll wrapped and the RSRP median-filtered as decomposed;
+    ``skipped`` lists (line, reason) sorted by line.
+    """
+
+    samples: SfTable
+    measurements: dict[str, np.ndarray]
     passthrough: list[dict]
     extra_columns: list[str]
     skipped: list[tuple[int, str]]
@@ -138,41 +147,38 @@ def ingest_csv(
             for c in header
             if c not in set(mapping.values()) and c not in ANNOTATION_COLUMNS
         ]
-
-        parsed: list[tuple[int, MeasurementSample, dict]] = []
+        keys = [mapping[c] for c in CANONICAL_COLUMNS]
+        lines, values, passthrough = [], [], []
         skipped: list[tuple[int, str]] = []
-        n_rows = 0
         for row in reader:
-            n_rows += 1
-            line = reader.line_num
             try:
-                values = {
-                    c: float(row[mapping[c]]) for c in CANONICAL_COLUMNS
-                }
+                values.append([float(row[k]) for k in keys])
             except (TypeError, ValueError):
-                skipped.append((line, "non-numeric or missing value"))
+                skipped.append((reader.line_num, "non-numeric or missing value"))
                 continue
-            if not all(math.isfinite(v) for v in values.values()):
-                skipped.append((line, "non-finite value"))
-                continue
-            try:
-                sample = MeasurementSample(
-                    time_s=values["time_s"],
-                    lat_deg=values["lat_deg"],
-                    lon_deg=values["lon_deg"],
-                    alt_m=values["alt_m"],
-                    yaw_deg=values["yaw_deg"],
-                    pitch_deg=values["pitch_deg"],
-                    roll_deg=values["roll_deg"],
-                    rsrp_dbm=values["rsrp_dbm"],
-                )
-            except ValidationError as exc:
-                skipped.append((line, str(exc)))
-                continue
-            parsed.append((line, sample, {c: row.get(c, "") for c in extra}))
+            lines.append(reader.line_num)
+            passthrough.append({c: row.get(c, "") for c in extra})
 
+    n_rows = len(lines) + len(skipped)
     if n_rows == 0:
         raise SchemaError(f"{path}: no data rows")
+    table = np.array(values, dtype=float).reshape(-1, len(CANONICAL_COLUMNS))
+    errors = RowErrors()
+    errors.flag(
+        ~np.isfinite(table).all(axis=1), lambda _i: ValidationError("non-finite value")
+    )
+    check_poses(dict(zip(CANONICAL_COLUMNS, table.T)), errors)
+    skipped += [(lines[i], str(exc)) for i, exc in errors.items()]
+    rows = np.delete(np.arange(len(lines)), list(errors))
+
+    columns = _wrap_attitude(dict(zip(CANONICAL_COLUMNS, table[rows].T)))
+    columns["rsrp_dbm"] = _median_filter(columns["rsrp_dbm"], median_window)
+    errors = RowErrors()
+    samples = decompose(columns, budget, errors)
+    skipped += [
+        (lines[rows[i]], f"geometry/propagation: {exc}") for i, exc in errors.items()
+    ]
+    skipped.sort()
     if len(skipped) > max_invalid_frac * n_rows:
         raise IngestError(
             f"{path}: {len(skipped)} of {n_rows} rows invalid"
@@ -180,77 +186,64 @@ def ingest_csv(
             + "; ".join(f"line {ln}: {why}" for ln, why in skipped[:5]),
             bad_rows=skipped,
         )
-
-    if median_window > 1 and parsed:
-        rsrp = np.array([s.rsrp_dbm for _ln, s, _x in parsed])
-        filtered = _median_filter(rsrp, median_window)
-        parsed = [
-            (ln, dataclasses.replace(s, rsrp_dbm=float(v)), extra_cols)
-            for (ln, s, extra_cols), v in zip(parsed, filtered)
-        ]
-
-    samples: list[SfSample] = []
-    measurements: list[MeasurementSample] = []
-    passthrough: list[dict] = []
-    for line, sample, extra_cols in parsed:
-        try:
-            sf = decompose_sf(sample, budget)
-        except SkyfadeError as exc:
-            skipped.append((line, f"geometry/propagation: {exc}"))
-            continue
-        samples.append(sf)
-        measurements.append(sample)
-        passthrough.append(extra_cols)
-
-    if len(skipped) > max_invalid_frac * n_rows:
-        raise IngestError(
-            f"{path}: {len(skipped)} of {n_rows} rows invalid"
-            f" (limit {max_invalid_frac:.0%})",
-            bad_rows=skipped,
-        )
+    keep = np.delete(np.arange(rows.size), list(errors))
     return IngestResult(
-        samples=samples,
-        measurements=measurements,
-        passthrough=passthrough,
+        samples=samples[keep],
+        measurements={name: column[keep] for name, column in columns.items()},
+        passthrough=[passthrough[i] for i in rows[keep]],
         extra_columns=extra,
         skipped=skipped,
         n_rows=n_rows,
     )
 
 
+def _wrap_attitude(columns: dict) -> dict:
+    """Wrap the yaw and roll columns into [-180, 180), as
+    :class:`~skyfade.geometry.MeasurementSample` does."""
+    for name in ("yaw_deg", "roll_deg"):
+        columns[name] = wrap_deg(columns[name])
+    return columns
+
+
 def load_targets_csv(
     path: str | Path, budget: LinkBudget, column_map: dict | None = None
-):
+) -> tuple[Geometry, np.ndarray]:
     """Read prediction targets: pose columns required, RSRP optional.
 
-    Returns ``(geometries, measurements)`` where each measurement carries
-    the parsed RSRP when the column is present and 0.0 otherwise.
+    Returns ``(geometry, rsrp)``: the targets' link geometry and their
+    RSRP column (zeros when the file has none).  Every row must pass the
+    ingest rules (numeric cells, pose ranges, a UAV away from and above
+    the transmitter's ground plane); the first row that does not raises
+    :class:`IngestError` naming its line.
     """
     required = [c for c in CANONICAL_COLUMNS if c != "rsrp_dbm"]
-
-    from .propagation import link_geometry
-
     with _open_mapped(path, column_map, required) as (reader, mapping, header):
-        has_rsrp = mapping["rsrp_dbm"] in header
-
-        geometries = []
-        measurements = []
+        names = required + ["rsrp_dbm"] if mapping["rsrp_dbm"] in header else required
+        lines, values = [], []
         for row in reader:
             line = reader.line_num
             try:
-                values = {c: float(row[mapping[c]]) for c in required}
-                rsrp = float(row[mapping["rsrp_dbm"]]) if has_rsrp else 0.0
+                values.append([float(row[mapping[c]]) for c in names])
             except (TypeError, ValueError) as exc:
                 raise IngestError(
                     f"{path}: line {line}: non-numeric value ({exc})",
                     bad_rows=[(line, "non-numeric value")],
                 ) from exc
-            sample = MeasurementSample(rsrp_dbm=rsrp, **values)
-            geometries.append(link_geometry(sample, budget))
-            measurements.append(sample)
-    if not geometries:
+            lines.append(line)
+    if not lines:
         raise SchemaError(f"{path}: no data rows")
-    return geometries, measurements
+    columns = dict(zip(names, np.array(values, dtype=float).T))
+    columns.setdefault("rsrp_dbm", np.zeros(len(lines)))
+    errors = RowErrors()
+    check_poses(columns, errors)
+    targets = decompose(_wrap_attitude(columns), budget, errors)
+    if errors:
+        i = min(errors)
+        reason = str(errors[i])
+        raise IngestError(
+            f"{path}: line {lines[i]}: {reason}", bad_rows=[(lines[i], reason)]
+        )
+    return targets.geometry, columns["rsrp_dbm"]
 
 
 def write_dataset_csv(path: str | Path, samples) -> None:
@@ -259,18 +252,7 @@ def write_dataset_csv(path: str | Path, samples) -> None:
         writer = csv.writer(fh)
         writer.writerow(CANONICAL_COLUMNS)
         for s in samples:
-            writer.writerow(
-                [
-                    _fmt(s.time_s),
-                    _fmt(s.lat_deg),
-                    _fmt(s.lon_deg),
-                    _fmt(s.alt_m),
-                    _fmt(s.yaw_deg),
-                    _fmt(s.pitch_deg),
-                    _fmt(s.roll_deg),
-                    _fmt(s.rsrp_dbm),
-                ]
-            )
+            writer.writerow([_fmt(getattr(s, c)) for c in CANONICAL_COLUMNS])
 
 
 def write_geometry_csv(path: str | Path, ingest: IngestResult) -> None:
@@ -282,33 +264,28 @@ def write_geometry_csv(path: str | Path, ingest: IngestResult) -> None:
     header = list(CANONICAL_COLUMNS) + list(ingest.extra_columns) + list(
         ANNOTATION_COLUMNS
     )
+    s = ingest.samples
+    numeric = [ingest.measurements[c] for c in CANONICAL_COLUMNS] + [
+        s.geometry.theta_deg,
+        s.geometry.delta_deg,
+        s.geometry.d2d_m,
+        s.geometry.d3d_m,
+        s.pl_est_dbm,
+        s.sf_db,
+    ]
+    n = len(CANONICAL_COLUMNS)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for meas, sf, extra in zip(
-            ingest.measurements, ingest.samples, ingest.passthrough
-        ):
-            g = sf.geometry
-            row = [
-                _fmt(meas.time_s),
-                _fmt(meas.lat_deg),
-                _fmt(meas.lon_deg),
-                _fmt(meas.alt_m),
-                _fmt(meas.yaw_deg),
-                _fmt(meas.pitch_deg),
-                _fmt(meas.roll_deg),
-                _fmt(meas.rsrp_dbm),
+        # Format a block of rows at a time, so the strings of the whole
+        # file are never held at once.
+        for r0 in range(0, len(s), WRITE_BLOCK_ROWS):
+            block = slice(r0, r0 + WRITE_BLOCK_ROWS)
+            cells = [[_fmt(v) for v in column[block].tolist()] for column in numeric]
+            extra = [
+                [p[c] for p in ingest.passthrough[block]] for c in ingest.extra_columns
             ]
-            row += [extra[c] for c in ingest.extra_columns]
-            row += [
-                _fmt(g.theta_deg),
-                _fmt(g.delta_deg),
-                _fmt(g.d2d_m),
-                _fmt(g.d3d_m),
-                _fmt(sf.pl_est_dbm),
-                _fmt(sf.sf_db),
-            ]
-            writer.writerow(row)
+            writer.writerows(zip(*cells[:n], *extra, *cells[n:]))
 
 
 def write_predictions_csv(path: str | Path, predictions) -> None:

@@ -4,6 +4,8 @@ Everything derives from SkyfadeError so callers can catch the package's
 failures with a single except clause while still distinguishing causes.
 """
 
+import numpy as np
+
 
 class SkyfadeError(Exception):
     """Base class for all errors raised by this package."""
@@ -61,3 +63,29 @@ class IngestError(SkyfadeError):
     def __init__(self, message: str, bad_rows=None):
         super().__init__(message)
         self.bad_rows = list(bad_rows) if bad_rows is not None else []
+
+
+class RowErrors(dict):
+    """Row index -> the first error found in that row.
+
+    Column code records failing rows here, rule by rule, instead of
+    raising, so a file reports every bad row; :meth:`strict` raises
+    instead, which is how a one-row call reports its first broken rule.
+    """
+
+    @classmethod
+    def strict(cls, function, *args):
+        """``function(*args, errors)``, raising the error of the lowest
+        failing row, if any."""
+        errors = cls()
+        result = function(*args, errors)
+        if errors:
+            raise errors[min(errors)]
+        return result
+
+    def flag(self, bad, make_error) -> None:
+        """Record ``make_error(i)`` for each row ``i`` where ``bad`` holds,
+        unless an earlier rule already failed that row."""
+        for i in np.flatnonzero(bad).tolist():
+            if i not in self:
+                self[i] = make_error(i)

@@ -21,6 +21,7 @@ import numpy as np
 from .correlation import MODES, CorrelationModel, check_mode
 from .errors import ValidationError
 from .kriging import predict_sf_batch
+from .propagation import SfTable
 
 DEFAULT_M_VALUES = tuple(range(50, 451, 50))
 
@@ -108,11 +109,14 @@ def run_evaluation(
 ) -> EvalResult:
     """Run the full trial grid over a decomposed dataset.
 
-    ``samples`` are SF samples (measured RSRP plus its decomposition); the
-    predicted z for a target reuses the target row's own two-ray estimate,
-    so no link budget is needed here.  ``progress`` may be a callable
-    invoked as progress(m, completed_trials, total_trials).
+    ``samples`` is an :class:`SfTable` or a sequence of SF samples
+    (measured RSRP plus its decomposition); each trial takes its tuning
+    and test rows by index.  The predicted z for a target reuses the
+    target row's own two-ray estimate, so no link budget is needed here.
+    ``progress`` may be a callable invoked as
+    progress(m, completed_trials, total_trials).
     """
+    samples = SfTable.of(samples)
     n = len(samples)
     needed = max(config.m_values) + config.tests_per_trial
     if n < needed:
@@ -120,10 +124,6 @@ def run_evaluation(
             f"dataset has {n} rows; need at least {needed} for"
             f" M={max(config.m_values)} plus {config.tests_per_trial} tests"
         )
-    geoms = [s.geometry for s in samples]
-    z = np.array([s.rsrp_dbm for s in samples])
-    pl_est = np.array([s.pl_est_dbm for s in samples])
-
     result = EvalResult(config=config)
     n_trials = config.n_trials
     for m in config.m_values:
@@ -132,12 +132,14 @@ def run_evaluation(
             draw = rng.choice(n, size=m + config.tests_per_trial, replace=False)
             train_idx = draw[:m]
             test_idx = draw[m:]
-            train = [samples[i] for i in train_idx]
-            test_geoms = [geoms[i] for i in test_idx]
+            train = samples[train_idx]
+            test = samples[test_idx]
             for mode in config.modes:
-                w_hat, _var, nugget = predict_sf_batch(train, test_geoms, model, mode)
-                z_hat = pl_est[test_idx] + w_hat
-                rmse = float(np.sqrt(np.mean((z_hat - z[test_idx]) ** 2)))
+                w_hat, _var, nugget = predict_sf_batch(
+                    train, test.geometry, model, mode
+                )
+                z_hat = test.pl_est_dbm + w_hat
+                rmse = float(np.sqrt(np.mean((z_hat - test.rsrp_dbm) ** 2)))
                 result.trials.append(
                     TrialRecord(
                         m=m, mode=mode, trial=trial, rmse_db=rmse, nugget_used=nugget

@@ -15,14 +15,14 @@ a config reproduces its dataset bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .correlation import CorrelationModel, correlation_matrix
-from .errors import NotPositiveDefiniteError, ValidationError
-from .geometry import MeasurementSample, compute_tilt, enu_to_geodetic
-from .propagation import LinkBudget, two_ray_rsrp
+from .errors import NotPositiveDefiniteError, RowErrors, ValidationError
+from .geometry import MeasurementSample, enu_to_geodetic, tilt_geometry
+from .propagation import LinkBudget, link_rsrp
 
 RNG_ALGORITHM = "numpy-pcg64"
 MAX_FIELD_SAMPLES = 5000
@@ -106,6 +106,9 @@ class TrajectoryPoint:
         return (self.lat_deg, self.lon_deg, self.alt_m)
 
 
+_POSE_FIELDS = tuple(f.name for f in fields(TrajectoryPoint))
+
+
 def _lawnmower_waypoints(spec: FlightSpec):
     e0, e1 = spec.east_extent_m
     rows = np.linspace(spec.north_extent_m[0], spec.north_extent_m[1], spec.n_passes)
@@ -120,13 +123,9 @@ def _lawnmower_waypoints(spec: FlightSpec):
     return points
 
 
-def generate_trajectory(config: SimConfig) -> list[TrajectoryPoint]:
-    """Deterministic pose sequence for the configured flight.
-
-    The walk advances speed * interval meters per sample along the
-    waypoint polyline (cycling when a lawnmower pattern is exhausted) and
-    redraws pitch and roll each time a new leg starts.
-    """
+def _walk(config: SimConfig) -> np.ndarray:
+    """(n, 7) array of the flight's poses, one :class:`TrajectoryPoint`
+    per row; see :func:`generate_trajectory`."""
     spec = config.flight
     rng = np.random.default_rng([config.seed, _STREAM_TRAJECTORY])
 
@@ -158,22 +157,12 @@ def generate_trajectory(config: SimConfig) -> list[TrajectoryPoint]:
     yaw, pitch, roll = draw_attitude(heading)
 
     step = spec.speed_mps * spec.sample_interval_s
-    points: list[TrajectoryPoint] = []
+    rows = []
     for k in range(config.n_samples):
         lat, lon, alt = enu_to_geodetic(
             np.array([pos[0], pos[1], spec.altitude_m]), config.budget.origin
         )
-        points.append(
-            TrajectoryPoint(
-                time_s=k * spec.sample_interval_s,
-                lat_deg=lat,
-                lon_deg=lon,
-                alt_m=alt,
-                yaw_deg=yaw,
-                pitch_deg=pitch,
-                roll_deg=roll,
-            )
-        )
+        rows.append((k * spec.sample_interval_s, lat, lon, alt, yaw, pitch, roll))
         remaining = step
         while remaining > 0.0:
             leg = target - pos
@@ -193,7 +182,17 @@ def generate_trajectory(config: SimConfig) -> list[TrajectoryPoint]:
             else:
                 pos = pos + leg * (remaining / dist)
                 remaining = 0.0
-    return points
+    return np.array(rows, dtype=float).reshape(-1, len(_POSE_FIELDS))
+
+
+def generate_trajectory(config: SimConfig) -> list[TrajectoryPoint]:
+    """Deterministic pose sequence for the configured flight.
+
+    The walk advances speed * interval meters per sample along the
+    waypoint polyline (cycling when a lawnmower pattern is exhausted) and
+    redraws pitch and roll each time a new leg starts.
+    """
+    return [TrajectoryPoint(*row) for row in _walk(config).tolist()]
 
 
 def sample_sf_field(
@@ -259,35 +258,22 @@ def synthesize_dataset(config: SimConfig) -> list[MeasurementSample]:
     them against the same link budget recovers the synthesized shadow
     fading (exactly, when the noise is zero).
     """
-    trajectory = generate_trajectory(config)
-    tx_enu = np.array([0.0, 0.0, config.budget.antenna_height_m])
-    geoms = [compute_tilt(p, tx_enu, config.budget.origin) for p in trajectory]
-    w = sample_sf_field(geoms, config.truth, [config.seed, _STREAM_FIELD])
+    poses = _walk(config)
+    budget = config.budget
+    columns = dict(zip(_POSE_FIELDS, poses.T))
+    geometry = RowErrors.strict(tilt_geometry, columns, budget.tx_enu, budget.origin)
+    estimate = RowErrors.strict(link_rsrp, geometry, budget)
+    w = sample_sf_field(geometry, config.truth, [config.seed, _STREAM_FIELD])
     if config.noise_std_db > 0.0:
         noise = np.random.default_rng([config.seed, _STREAM_NOISE]).normal(
-            0.0, config.noise_std_db, len(trajectory)
+            0.0, config.noise_std_db, len(geometry)
         )
     else:
-        noise = np.zeros(len(trajectory))
-
-    samples = []
-    for k, (point, geom) in enumerate(zip(trajectory, geoms)):
-        est = two_ray_rsrp(
-            geom, geom.up_m, config.budget.antenna_height_m, config.budget
-        )
-        samples.append(
-            MeasurementSample(
-                time_s=point.time_s,
-                lat_deg=point.lat_deg,
-                lon_deg=point.lon_deg,
-                alt_m=point.alt_m,
-                yaw_deg=point.yaw_deg,
-                pitch_deg=point.pitch_deg,
-                roll_deg=point.roll_deg,
-                rsrp_dbm=est + float(w[k]) + float(noise[k]),
-            )
-        )
-    return samples
+        noise = np.zeros(len(geometry))
+    rsrp = estimate + w + noise
+    return [
+        MeasurementSample(*row, z) for row, z in zip(poses.tolist(), rsrp.tolist())
+    ]
 
 
 def truth_sidecar(config: SimConfig) -> dict:

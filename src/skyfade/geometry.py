@@ -17,26 +17,74 @@ Frames and conventions used throughout the package:
   horizontal plane, i.e. where the airframe "sees" the ground station.
 * Tilt ``delta = theta - theta_gs``: zero for a level airframe, positive
   when the body plane leans toward the transmitter.
+
+Data moves as columns: :class:`Geometry` holds the :class:`LinkGeometry`
+fields of many links as 1-d arrays, and poses travel as a mapping from the
+pose field names to 1-d arrays.  The pose rules, the projection, the
+rotation and the tilt are written once, on arrays; failing rows go into a
+:class:`~skyfade.errors.RowErrors`.  The scalar helpers and
+:class:`MeasurementSample`'s checks are one-row calls into that code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import UndefinedGeometryError, ValidationError
+from .errors import RowErrors, UndefinedGeometryError, ValidationError
 
 EARTH_RADIUS_M = 6371000.0
+_FINITE = np.finfo(float).max
+# The pose rules in the order they are checked: (field, lowest and highest
+# allowed value, message).  Every bound rejects NaN; a finite one, infinity.
+_POSE_RULES = (
+    ("lat_deg", -90.0, 90.0, "latitude out of range: {}"),
+    ("lon_deg", -180.0, 180.0, "longitude out of range: {}"),
+    ("alt_m", -_FINITE, _FINITE, "altitude not finite: {}"),
+    ("pitch_deg", -90.0, 90.0, "pitch out of range: {}"),
+    ("time_s", -_FINITE, _FINITE, "time_s not finite"),
+    ("yaw_deg", -_FINITE, _FINITE, "yaw_deg not finite"),
+    ("roll_deg", -_FINITE, _FINITE, "roll_deg not finite"),
+)
 
 
-def _wrap_deg(angle: float) -> float:
-    """Wrap an angle to [-180, 180)."""
-    wrapped = math.fmod(angle + 180.0, 360.0)
-    if wrapped < 0.0:
-        wrapped += 360.0
-    return wrapped - 180.0
+def wrap_deg(angle):
+    """Wrap angles to [-180, 180)."""
+    wrapped = np.fmod(angle + 180.0, 360.0)
+    return np.where(wrapped < 0.0, wrapped + 360.0, wrapped) - 180.0
+
+
+def _check(columns, rules, prefix: str, errors: RowErrors) -> None:
+    """Flag each row whose value breaks a rule, naming its first broken one
+    (message prefixed by ``prefix``)."""
+    values = np.array([columns[rule[0]] for rule in rules], dtype=float)
+    values = values.reshape(len(rules), -1).T
+    lo, hi = np.array([rule[1:3] for rule in rules]).T
+    bad = ~((values >= lo) & (values <= hi))
+
+    def first_broken(i):
+        j = int(np.argmax(bad[i]))
+        return ValidationError(prefix + rules[j][3].format(float(values[i, j])))
+
+    errors.flag(bad.any(axis=1), first_broken)
+
+
+def check_poses(poses, errors: RowErrors) -> None:
+    """Flag the pose rows that break a :class:`MeasurementSample` rule.
+
+    ``poses`` maps the pose field names to equal-length columns (or to
+    single values).  In order: latitude in [-90, 90], longitude in
+    [-180, 180], finite altitude, pitch in [-90, 90], and finite time, yaw
+    and roll.
+    """
+    _check(poses, _POSE_RULES, "", errors)
+
+
+def _pose_row(sample) -> dict:
+    """One-row columns of a sample's fields (the pose, and the RSRP if any)."""
+    return {name: np.array([v], dtype=float) for name, v in vars(sample).items()}
 
 
 @dataclass(frozen=True)
@@ -44,7 +92,7 @@ class MeasurementSample:
     """One timestamped RSRP measurement with UAV position and attitude.
 
     Yaw and roll are wrapped into [-180, 180) on construction; pitch must
-    already lie in [-90, 90].
+    already lie in [-90, 90] (see :func:`check_poses`).
     """
 
     time_s: float
@@ -57,23 +105,10 @@ class MeasurementSample:
     rsrp_dbm: float
 
     def __post_init__(self):
-        if not -90.0 <= self.lat_deg <= 90.0:
-            raise ValidationError(f"latitude out of range: {self.lat_deg}")
-        if not -180.0 <= self.lon_deg <= 180.0:
-            raise ValidationError(f"longitude out of range: {self.lon_deg}")
-        if not math.isfinite(self.alt_m):
-            raise ValidationError(f"altitude not finite: {self.alt_m}")
-        if not -90.0 <= self.pitch_deg <= 90.0:
-            raise ValidationError(f"pitch out of range: {self.pitch_deg}")
-        for name in ("time_s", "yaw_deg", "roll_deg"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} not finite")
-        object.__setattr__(self, "yaw_deg", _wrap_deg(self.yaw_deg))
-        object.__setattr__(self, "roll_deg", _wrap_deg(self.roll_deg))
-
-    @property
-    def position(self) -> tuple[float, float, float]:
-        return (self.lat_deg, self.lon_deg, self.alt_m)
+        RowErrors.strict(check_poses, vars(self))
+        yaw, roll = wrap_deg(np.array([self.yaw_deg, self.roll_deg])).tolist()
+        object.__setattr__(self, "yaw_deg", yaw)
+        object.__setattr__(self, "roll_deg", roll)
 
 
 @dataclass(frozen=True)
@@ -93,6 +128,65 @@ class LinkGeometry:
     east_m: float
     north_m: float
     up_m: float
+
+
+class Columns:
+    """Base of the column types: dataclass fields holding one value per row
+    each (a 1-d array or another column type).  ``len()`` counts the rows
+    and an integer index array takes a subset; columns are not iterated."""
+
+    __iter__ = None
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def __getitem__(self, index):
+        return type(self)(*(getattr(self, f.name)[index] for f in fields(self)))
+
+
+_LINK_FIELDS = tuple(f.name for f in fields(LinkGeometry))
+
+
+@dataclass(frozen=True, eq=False)
+class Geometry(Columns):
+    """Geometry of many links: each :class:`LinkGeometry` field as a 1-d
+    array."""
+
+    theta_deg: np.ndarray
+    theta_gs_deg: np.ndarray
+    delta_deg: np.ndarray
+    d2d_m: np.ndarray
+    d3d_m: np.ndarray
+    east_m: np.ndarray
+    north_m: np.ndarray
+    up_m: np.ndarray
+
+    @classmethod
+    def of(cls, geometries) -> Geometry:
+        """Columns of a sequence of :class:`LinkGeometry`; a
+        :class:`Geometry` is returned as it is."""
+        if isinstance(geometries, cls):
+            return geometries
+        table = np.array(
+            [[getattr(g, name) for name in _LINK_FIELDS] for g in geometries],
+            dtype=float,
+        ).reshape(-1, len(_LINK_FIELDS))
+        return cls(*table.T.copy())
+
+    def row(self, i: int) -> LinkGeometry:
+        return LinkGeometry(*(float(getattr(self, f)[i]) for f in _LINK_FIELDS))
+
+
+def _project(lat, lon, alt, origin, errors: RowErrors):
+    """Equirectangular ENU columns (east, north, up) about ``origin``."""
+    lat0, lon0, alt0 = origin
+    _check({"lat_deg": lat, "lon_deg": lon}, _POSE_RULES[:2], "", errors)
+    n = np.size(lat)
+    origins = {"lat_deg": np.full(n, lat0), "lon_deg": np.full(n, lon0)}
+    _check(origins, _POSE_RULES[:2], "origin ", errors)
+    east = EARTH_RADIUS_M * math.cos(math.radians(lat0)) * np.radians(lon - lon0)
+    north = EARTH_RADIUS_M * np.radians(lat - lat0)
+    return east, north, alt - alt0
 
 
 def project_enu(
@@ -117,19 +211,8 @@ def project_enu(
     Equirectangular flat-earth projection on a sphere of radius 6371 km.
     Intended for horizontal extents below ~10 km around the origin.
     """
-    lat, lon, alt = position
-    lat0, lon0, alt0 = origin
-    for value, lo, hi, name in (
-        (lat, -90.0, 90.0, "latitude"),
-        (lon, -180.0, 180.0, "longitude"),
-        (lat0, -90.0, 90.0, "origin latitude"),
-        (lon0, -180.0, 180.0, "origin longitude"),
-    ):
-        if not (math.isfinite(value) and lo <= value <= hi):
-            raise ValidationError(f"{name} out of range: {value}")
-    east = EARTH_RADIUS_M * math.cos(math.radians(lat0)) * math.radians(lon - lon0)
-    north = EARTH_RADIUS_M * math.radians(lat - lat0)
-    return np.array([east, north, alt - alt0], dtype=float)
+    lat, lon, alt = (np.array([v], dtype=float) for v in position)
+    return np.concatenate(RowErrors.strict(_project, lat, lon, alt, origin))
 
 
 def enu_to_geodetic(
@@ -144,34 +227,87 @@ def enu_to_geodetic(
     return (lat, lon, alt0 + up)
 
 
+def _elevation(d_east, d_north, d_up, errors: RowErrors):
+    """(elevation in degrees, horizontal distance) of UAV-minus-transmitter
+    offsets; coincident points are flagged."""
+    d2d = np.hypot(d_east, d_north)
+    errors.flag(
+        (d2d == 0.0) & (d_up == 0.0),
+        lambda _i: UndefinedGeometryError("UAV and transmitter positions coincide"),
+    )
+    return np.degrees(np.arctan2(d_up, d2d)), d2d
+
+
 def compute_elevation(uav_enu: np.ndarray, tx_enu: np.ndarray) -> float:
     """Elevation angle of the UAV seen from the transmitter, in degrees.
 
     ``atan2(delta_up, d2d)``; the sign follows the up difference.  Raises
     :class:`UndefinedGeometryError` when the two points coincide.
     """
-    d_east = float(uav_enu[0]) - float(tx_enu[0])
-    d_north = float(uav_enu[1]) - float(tx_enu[1])
-    d_up = float(uav_enu[2]) - float(tx_enu[2])
-    d2d = math.hypot(d_east, d_north)
-    if d2d == 0.0 and d_up == 0.0:
-        raise UndefinedGeometryError("UAV and transmitter positions coincide")
-    return math.degrees(math.atan2(d_up, d2d))
+    offsets = np.asarray(uav_enu, dtype=float) - np.asarray(tx_enu, dtype=float)
+    theta, _ = RowErrors.strict(_elevation, *offsets[:, None])
+    return float(theta[0])
+
+
+def euler_zyx_matrices(yaw_deg, pitch_deg, roll_deg) -> np.ndarray:
+    """Body-to-NED rotation matrices for intrinsic Z-Y-X Euler angles.
+
+    Takes equal-length angle columns and returns an (n, 3, 3) stack, the
+    product Rz(yaw) Ry(pitch) Rx(roll) written out per entry.
+    """
+    cy, sy = np.cos(np.radians(yaw_deg)), np.sin(np.radians(yaw_deg))
+    cp, sp = np.cos(np.radians(pitch_deg)), np.sin(np.radians(pitch_deg))
+    cr, sr = np.cos(np.radians(roll_deg)), np.sin(np.radians(roll_deg))
+    return np.stack(
+        [
+            cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr,
+            sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr,
+            -sp, cp * sr, cp * cr,
+        ],
+        axis=-1,
+    ).reshape(-1, 3, 3)
 
 
 def euler_zyx_matrix(yaw_deg: float, pitch_deg: float, roll_deg: float) -> np.ndarray:
     """Body-to-NED rotation matrix for intrinsic Z-Y-X Euler angles."""
-    cy, sy = math.cos(math.radians(yaw_deg)), math.sin(math.radians(yaw_deg))
-    cp, sp = math.cos(math.radians(pitch_deg)), math.sin(math.radians(pitch_deg))
-    cr, sr = math.cos(math.radians(roll_deg)), math.sin(math.radians(roll_deg))
-    rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
-    ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
-    return rz @ ry @ rx
+    return euler_zyx_matrices([yaw_deg], [pitch_deg], [roll_deg])[0]
 
 
-def _enu_to_ned(v: np.ndarray) -> np.ndarray:
-    return np.array([v[1], v[0], -v[2]], dtype=float)
+def tilt_geometry(poses, tx_enu, origin, errors: RowErrors) -> Geometry:
+    """Link geometry of every pose row, including the body-frame tilt.
+
+    ``poses`` holds the latitude, longitude, altitude and attitude columns;
+    positions are projected about the geodetic ``origin`` (transmitter
+    ground position), and ``tx_enu`` is the antenna phase center in that
+    frame.  Out-of-range coordinates and UAVs at the transmitter go into
+    ``errors``; the other columns of those rows are meaningless.
+
+    The unit line of sight from the UAV to the transmitter is rotated into
+    the body frame with the transpose of the body-to-world matrix;
+    ``theta_gs`` is its depression below the body x-y plane.  For a level
+    airframe this equals ``theta`` for any yaw, so the tilt ``delta``
+    vanishes; pitching the nose down toward a transmitter dead ahead makes
+    ``delta`` positive.
+    """
+    east, north, up = _project(
+        poses["lat_deg"], poses["lon_deg"], poses["alt_m"], origin, errors
+    )
+    d_east, d_north, d_up = east - tx_enu[0], north - tx_enu[1], up - tx_enu[2]
+    theta, d2d = _elevation(d_east, d_north, d_up, errors)
+    d3d = np.sqrt(d_east * d_east + d_north * d_north + d_up * d_up)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # NED components of the unit vector from the UAV to the transmitter.
+        los_ned = np.stack([-d_north, -d_east, d_up], axis=-1) / d3d[:, None]
+    rotation = euler_zyx_matrices(
+        poses["yaw_deg"], poses["pitch_deg"], poses["roll_deg"]
+    )
+    los_body = np.einsum("nij,ni->nj", rotation, los_ned)
+    # NED z points down, so a positive z component means the transmitter
+    # sits below the body horizontal plane.
+    theta_gs = np.degrees(
+        np.arctan2(los_body[:, 2], np.hypot(los_body[:, 0], los_body[:, 1]))
+    )
+    return Geometry(theta, theta_gs, theta - theta_gs, d2d, d3d, east, north, up)
 
 
 def compute_tilt(
@@ -179,54 +315,11 @@ def compute_tilt(
     tx_enu: np.ndarray,
     origin: tuple[float, float, float],
 ) -> LinkGeometry:
-    """Full link geometry for one sample, including the body-frame tilt.
+    """Full link geometry for one sample: a one-row :func:`tilt_geometry`.
 
-    Parameters
-    ----------
-    sample : MeasurementSample
-        UAV state; its position is projected about ``origin``.
-    tx_enu : ndarray, shape (3,)
-        Transmitter antenna phase center in the same ENU frame.
-    origin : (lat_deg, lon_deg, alt_m)
-        Geodetic origin of the ENU frame (transmitter ground position).
-
-    Returns
-    -------
-    LinkGeometry
-
-    Notes
-    -----
-    The unit line-of-sight vector from the UAV to the transmitter is rotated
-    from the world frame into the body frame with the transpose of the
-    body-to-world matrix; ``theta_gs`` is its depression below the body x-y
-    plane.  For a level airframe this equals ``theta`` for any yaw, so the
-    tilt ``delta`` vanishes.  Pitching the nose down toward a transmitter
-    dead ahead makes ``delta`` positive.
+    Raises the first error of the row (:class:`ValidationError` for an
+    out-of-range coordinate, :class:`UndefinedGeometryError` when the UAV
+    sits at the transmitter).
     """
-    uav_enu = project_enu(sample.position, origin)
-    theta = compute_elevation(uav_enu, tx_enu)
-
-    los_enu = np.asarray(tx_enu, dtype=float) - uav_enu
-    d3d = float(np.linalg.norm(los_enu))
-    d2d = math.hypot(float(los_enu[0]), float(los_enu[1]))
-    if d3d == 0.0:
-        raise UndefinedGeometryError("UAV and transmitter positions coincide")
-
-    los_ned = _enu_to_ned(los_enu / d3d)
-    r_bw = euler_zyx_matrix(sample.yaw_deg, sample.pitch_deg, sample.roll_deg)
-    los_body = r_bw.T @ los_ned
-    horiz = math.hypot(float(los_body[0]), float(los_body[1]))
-    # NED z points down, so a positive z component means the transmitter
-    # sits below the body horizontal plane.
-    theta_gs = math.degrees(math.atan2(float(los_body[2]), horiz))
-
-    return LinkGeometry(
-        theta_deg=theta,
-        theta_gs_deg=theta_gs,
-        delta_deg=theta - theta_gs,
-        d2d_m=d2d,
-        d3d_m=d3d,
-        east_m=float(uav_enu[0]),
-        north_m=float(uav_enu[1]),
-        up_m=float(uav_enu[2]),
-    )
+    tx_enu = np.asarray(tx_enu, dtype=float)
+    return RowErrors.strict(tilt_geometry, _pose_row(sample), tx_enu, origin).row(0)

@@ -36,9 +36,9 @@ from .correlation import (
     check_mode,
     correlation_matrix,
 )
-from .errors import SingularSystemError, ValidationError
-from .geometry import LinkGeometry
-from .propagation import LinkBudget, two_ray_rsrp
+from .errors import RowErrors, SingularSystemError, ValidationError
+from .geometry import Geometry, LinkGeometry
+from .propagation import LinkBudget, SfTable, link_rsrp
 
 RESIDUAL_TOL = 1.0e-8
 MAX_ESCALATIONS = 6
@@ -63,21 +63,19 @@ class KrigingSystem:
     nugget_used: float | None = None
 
 
-def dedup_training(samples) -> tuple[list[LinkGeometry], np.ndarray]:
+def dedup_training(samples) -> tuple[Geometry, np.ndarray]:
     """Collapse exactly duplicated training geometries.
 
-    The first occurrence keeps its position in the ordering and its SF
-    value becomes the mean over all duplicates.
+    ``samples`` is an :class:`SfTable` or a sequence of SF samples.  The
+    first occurrence keeps its position in the ordering and its SF value
+    becomes the mean over all duplicates.
     """
-    samples = list(samples)
-    if not samples:
-        return [], np.empty(0)
-    geoms = [s.geometry for s in samples]
-    keys = np.array(
-        [
-            (g.east_m, g.north_m, g.up_m, g.theta_deg, g.theta_gs_deg, g.delta_deg)
-            for g in geoms
-        ]
+    table = SfTable.of(samples)
+    if len(table) == 0:
+        return table.geometry, np.empty(0)
+    g = table.geometry
+    keys = np.column_stack(
+        (g.east_m, g.north_m, g.up_m, g.theta_deg, g.theta_gs_deg, g.delta_deg)
     )
     _, first, inverse = np.unique(
         keys, axis=0, return_index=True, return_inverse=True
@@ -87,9 +85,8 @@ def dedup_training(samples) -> tuple[list[LinkGeometry], np.ndarray]:
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     group = rank[inverse.ravel()]
-    sf = np.array([s.sf_db for s in samples], dtype=float)
-    w = np.bincount(group, weights=sf) / np.bincount(group)
-    return [geoms[i] for i in first[order]], w
+    w = np.bincount(group, weights=table.sf_db) / np.bincount(group)
+    return g[first[order]], w
 
 
 def _covariances(training, targets, model, mode):
@@ -101,6 +98,7 @@ def _covariances(training, targets, model, mode):
         raise ValidationError("need at least one training sample")
     if len(targets) == 0:
         return None
+    targets = Geometry.of(targets)
     geoms, w = dedup_training(training)
     cov = correlation_matrix(model, geoms, mode=mode)
     cov *= model.sigma2
@@ -118,7 +116,8 @@ def assemble_system(
 ) -> KrigingSystem:
     """Build the covariance blocks for one target.
 
-    ``training`` is a list of SF samples; duplicates are collapsed first.
+    ``training`` is an :class:`SfTable` or a sequence of SF samples;
+    duplicates are collapsed first.
     """
     w, cov, c0 = _covariances(training, [target], model, mode)
     return KrigingSystem(
@@ -268,6 +267,8 @@ def predict_sf_batch(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Kriging predictions for many targets off one factorization.
 
+    ``training`` is an :class:`SfTable` or a sequence of SF samples and
+    ``targets`` a :class:`Geometry` or a sequence of link geometries.
     Returns (w_hat, variance, nugget_used) with one entry per target.
     Identical inputs produce the same weights as the per-target path; the
     batch form just reuses one factorization across right-hand sides.
@@ -291,14 +292,12 @@ def predict_rsrp(
 ) -> list[Prediction]:
     """Received-power predictions: two-ray estimate plus Kriged SF, one
     per target, off one factorization."""
+    targets = Geometry.of(targets)
     w_hat, variance, nugget = predict_sf_batch(training, targets, model, mode)
+    z_hat = RowErrors.strict(link_rsrp, targets, budget) + w_hat
     return [
         Prediction(
-            w_hat_db=float(w),
-            z_hat_dbm=two_ray_rsrp(geom, geom.up_m, budget.antenna_height_m, budget)
-            + float(w),
-            variance_db2=float(v),
-            nugget_used=float(nugget),
+            w_hat_db=w, z_hat_dbm=z, variance_db2=v, nugget_used=float(nugget)
         )
-        for geom, w, v in zip(targets, w_hat, variance)
+        for w, z, v in zip(w_hat.tolist(), z_hat.tolist(), variance.tolist())
     ]

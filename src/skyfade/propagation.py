@@ -15,11 +15,15 @@ far field rolls off at -40 dB per decade of horizontal distance.
 
 Shadow fading is defined in the received-power domain as the residual
 w = z - rsrp_est of the measured RSRP z against this estimate.
+
+The estimate and the decomposition are written once, on columns, and a
+decomposed dataset is an :class:`SfTable`.  :func:`two_ray_rsrp`,
+:func:`link_geometry` and :func:`decompose_sf` are one-row calls into that
+code.
 """
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 from dataclasses import dataclass, field
@@ -27,8 +31,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientDataError, SchemaError, ValidationError
-from .geometry import LinkGeometry, MeasurementSample, compute_tilt, project_enu
+from .errors import InsufficientDataError, RowErrors, SchemaError, ValidationError
+from .geometry import (
+    Columns,
+    Geometry,
+    LinkGeometry,
+    MeasurementSample,
+    _pose_row,
+    compute_tilt,
+    tilt_geometry,
+)
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -128,6 +140,11 @@ class LinkBudget:
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT / self.freq_hz
 
+    @property
+    def tx_enu(self) -> np.ndarray:
+        """Transmitter antenna phase center in the ENU frame about ``origin``."""
+        return np.array([0.0, 0.0, self.antenna_height_m])
+
 
 @dataclass(frozen=True)
 class SfSample:
@@ -143,10 +160,90 @@ class SfSample:
     pl_est_dbm: float
 
 
+@dataclass(frozen=True, eq=False)
+class SfTable(Columns):
+    """Many decomposed measurements: the :class:`SfSample` fields as 1-d
+    arrays, with the geometry as a :class:`Geometry`."""
+
+    geometry: Geometry
+    sf_db: np.ndarray
+    rsrp_dbm: np.ndarray
+    pl_est_dbm: np.ndarray
+
+    @classmethod
+    def of(cls, samples) -> SfTable:
+        """Columns of a sequence of :class:`SfSample`; an :class:`SfTable`
+        is returned as it is."""
+        if isinstance(samples, cls):
+            return samples
+        samples = list(samples)
+        values = np.array(
+            [(s.sf_db, s.rsrp_dbm, s.pl_est_dbm) for s in samples], dtype=float
+        ).reshape(-1, 3)
+        return cls(Geometry.of([s.geometry for s in samples]), *values.T.copy())
+
+
 def link_geometry(sample: MeasurementSample, budget: LinkBudget) -> LinkGeometry:
     """Geometry of one sample against the budget's transmitter."""
-    tx_enu = np.array([0.0, 0.0, budget.antenna_height_m])
-    return compute_tilt(sample, tx_enu, budget.origin)
+    return compute_tilt(sample, budget.tx_enu, budget.origin)
+
+
+def two_ray_power(d2d, d_los, uav_alt, tx_alt, budget: LinkBudget, errors: RowErrors):
+    """Two-ray received power in dBm, one value per link.
+
+    Parameters
+    ----------
+    d2d, d_los : array
+        Horizontal and slant distances of each link.
+    uav_alt, tx_alt : array or float
+        Antenna heights above the flat reflecting ground plane.
+    budget : LinkBudget
+        Power, carrier, reflection coefficient and antenna patterns.
+    errors : RowErrors
+        Receives, in this order: a height not above the ground plane, a
+        non-positive slant distance, and a field that cancels exactly.
+    """
+    errors.flag(
+        (uav_alt <= 0.0) | (tx_alt <= 0.0),
+        lambda _i: ValidationError("antenna heights must be above the ground plane"),
+    )
+    errors.flag(
+        d_los <= 0.0,
+        lambda _i: ValidationError("line-of-sight distance must be positive"),
+    )
+    d_ref = np.hypot(d2d, uav_alt + tx_alt)
+    k = 2.0 * math.pi / budget.wavelength_m
+
+    # Direct ray: the UAV sits at +theta_los from the transmitter and the
+    # transmitter at -theta_los from the UAV.
+    theta_los = np.degrees(np.arctan2(uav_alt - tx_alt, d2d))
+    g_los_db = budget.gain_tx.lookup(theta_los) + budget.gain_uav.lookup(-theta_los)
+    # Reflected ray: both ends look down at the specular point with the
+    # common grazing angle of the image construction.
+    grazing = np.degrees(np.arctan2(uav_alt + tx_alt, d2d))
+    g_ref_db = budget.gain_tx.lookup(-grazing) + budget.gain_uav.lookup(-grazing)
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        e_field = np.sqrt(10.0 ** (g_los_db / 10.0)) * np.exp(-1j * k * d_los) / d_los
+        if budget.reflection != 0.0:
+            e_field += (
+                budget.reflection
+                * np.sqrt(10.0 ** (g_ref_db / 10.0))
+                * np.exp(-1j * k * d_ref)
+                / d_ref
+            )
+        magnitude = np.abs(e_field)
+        errors.flag(
+            magnitude == 0.0,
+            lambda _i: ValidationError(
+                "two-ray field magnitude vanished (perfect null)"
+            ),
+        )
+        return (
+            budget.tx_power_dbm
+            + 20.0 * math.log10(budget.wavelength_m / (4.0 * math.pi))
+            + 20.0 * np.log10(magnitude)
+        )
 
 
 def two_ray_rsrp(
@@ -155,68 +252,42 @@ def two_ray_rsrp(
     tx_alt_m: float,
     budget: LinkBudget,
 ) -> float:
-    """Two-ray received power in dBm for one link.
+    """Two-ray received power in dBm for one link: a one-row
+    :func:`two_ray_power` on the geometry's distances."""
+    d2d, d_los = np.array([geometry.d2d_m]), np.array([geometry.d3d_m])
+    power = RowErrors.strict(two_ray_power, d2d, d_los, uav_alt_m, tx_alt_m, budget)
+    return float(power[0])
 
-    Parameters
-    ----------
-    geometry : LinkGeometry
-        Supplies the horizontal and slant distances.
-    uav_alt_m, tx_alt_m : float
-        Antenna heights above the flat reflecting ground plane.
-    budget : LinkBudget
-        Power, carrier, reflection coefficient and antenna patterns.
-    """
-    if uav_alt_m <= 0.0 or tx_alt_m <= 0.0:
-        raise ValidationError("antenna heights must be above the ground plane")
-    d2d = geometry.d2d_m
-    d_los = geometry.d3d_m
-    if d_los <= 0.0:
-        raise ValidationError("line-of-sight distance must be positive")
-    d_ref = math.hypot(d2d, uav_alt_m + tx_alt_m)
 
-    k = 2.0 * math.pi / budget.wavelength_m
-
-    # Direct ray: the UAV sits at +theta_los from the transmitter and the
-    # transmitter at -theta_los from the UAV.
-    theta_los = math.degrees(math.atan2(uav_alt_m - tx_alt_m, d2d))
-    g_los_db = budget.gain_tx.lookup(theta_los) + budget.gain_uav.lookup(-theta_los)
-    # Reflected ray: both ends look down at the specular point with the
-    # common grazing angle of the image construction.
-    grazing = math.degrees(math.atan2(uav_alt_m + tx_alt_m, d2d))
-    g_ref_db = budget.gain_tx.lookup(-grazing) + budget.gain_uav.lookup(-grazing)
-
-    e_field = math.sqrt(10.0 ** (float(g_los_db) / 10.0)) * cmath.exp(-1j * k * d_los) / d_los
-    if budget.reflection != 0.0:
-        e_field += (
-            budget.reflection
-            * math.sqrt(10.0 ** (float(g_ref_db) / 10.0))
-            * cmath.exp(-1j * k * d_ref)
-            / d_ref
-        )
-    magnitude = abs(e_field)
-    if magnitude == 0.0:
-        raise ValidationError("two-ray field magnitude vanished (perfect null)")
-    return (
-        budget.tx_power_dbm
-        + 20.0 * math.log10(budget.wavelength_m / (4.0 * math.pi))
-        + 20.0 * math.log10(magnitude)
+def link_rsrp(geometry: Geometry, budget: LinkBudget, errors: RowErrors):
+    """Two-ray estimate of each link: the UAV at its height above the
+    transmitter ground plane, the antenna at the mast height."""
+    return two_ray_power(
+        geometry.d2d_m, geometry.d3d_m, geometry.up_m, budget.antenna_height_m,
+        budget, errors,
     )
 
 
-def decompose_sf(
-    sample: MeasurementSample,
-    budget: LinkBudget,
-    geometry: LinkGeometry | None = None,
-) -> SfSample:
-    """Split a measurement into the two-ray estimate and the SF residual."""
-    geom = geometry if geometry is not None else link_geometry(sample, budget)
-    uav_alt = geom.up_m  # height above the transmitter ground plane
-    est = two_ray_rsrp(geom, uav_alt, budget.antenna_height_m, budget)
+def decompose(poses, budget: LinkBudget, errors: RowErrors) -> SfTable:
+    """Geometry, two-ray estimate and SF residual of every pose row.
+
+    ``poses`` holds the pose columns and ``rsrp_dbm``; rows recorded in
+    ``errors`` carry meaningless values.
+    """
+    geometry = tilt_geometry(poses, budget.tx_enu, budget.origin, errors)
+    estimate = link_rsrp(geometry, budget, errors)
+    return SfTable(geometry, poses["rsrp_dbm"] - estimate, poses["rsrp_dbm"], estimate)
+
+
+def decompose_sf(sample: MeasurementSample, budget: LinkBudget) -> SfSample:
+    """Split a measurement into the two-ray estimate and the SF residual:
+    one row of :func:`decompose`."""
+    table = RowErrors.strict(decompose, _pose_row(sample), budget)
     return SfSample(
-        geometry=geom,
-        sf_db=sample.rsrp_dbm - est,
-        rsrp_dbm=sample.rsrp_dbm,
-        pl_est_dbm=est,
+        table.geometry.row(0),
+        float(table.sf_db[0]),
+        sample.rsrp_dbm,
+        float(table.pl_est_dbm[0]),
     )
 
 
@@ -225,7 +296,7 @@ def sf_statistics(samples) -> tuple[float, float]:
 
     Raises :class:`InsufficientDataError` for fewer than two samples.
     """
-    w = np.array([s.sf_db for s in samples], dtype=float)
+    w = SfTable.of(samples).sf_db
     if w.size < 2:
         raise InsufficientDataError(f"need at least 2 SF samples, got {w.size}")
     return float(np.mean(w)), float(np.var(w, ddof=1))

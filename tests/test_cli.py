@@ -242,9 +242,11 @@ class TestPipeline:
         ingest = ingest_csv(ws.small, budget)
         rows = read_rows(ws.predictions)
         assert len(rows) == 120
-        for row, sf, meas in zip(rows, ingest.samples, ingest.measurements):
-            assert abs(float(row["w_hat_db"]) - sf.sf_db) < 2e-6
-            assert abs(float(row["z_hat_dbm"]) - meas.rsrp_dbm) < 2e-6
+        for row, w, z in zip(
+            rows, ingest.samples.sf_db.tolist(), ingest.measurements["rsrp_dbm"].tolist()
+        ):
+            assert abs(float(row["w_hat_db"]) - w) < 2e-6
+            assert abs(float(row["z_hat_dbm"]) - z) < 2e-6
             assert float(row["kriging_var_db2"]) < 1e-4
             assert float(row["nugget_used"]) == 0.0
 

@@ -45,6 +45,10 @@ def good_row(time=0.0, alt=30.0, rsrp=-75.0, lat=35.7205, lon=-78.699):
     return f"{time},{lat},{lon},{alt},10.0,1.0,-1.0,{rsrp}"
 
 
+# A pose at the transmitter antenna (the budget's mast is 1.5 m high).
+ANTENNA_ROW = "7,35.72,-78.7,1.5,10,1,-1,-75"
+
+
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
@@ -56,11 +60,16 @@ class TestIngest:
         path = tmp_path / "dataset.csv"
         write_dataset_csv(path, rows)
         ingest = ingest_csv(path, BUDGET)
-        assert ingest.measurements == rows
+        for name in CANONICAL_COLUMNS:
+            assert ingest.measurements[name].tolist() == [getattr(r, name) for r in rows]
         assert ingest.skipped == []
         assert ingest.n_rows == 40
-        for row, sf in zip(rows, ingest.samples):
-            assert sf.pl_est_dbm + sf.sf_db == pytest.approx(row.rsrp_dbm, abs=1e-12)
+        samples = ingest.samples
+        assert len(samples) == 40
+        assert samples.rsrp_dbm.tolist() == [r.rsrp_dbm for r in rows]
+        assert samples.pl_est_dbm + samples.sf_db == pytest.approx(
+            [r.rsrp_dbm for r in rows], abs=1e-12
+        )
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -107,6 +116,56 @@ class TestIngest:
         assert len(ingest.skipped) == 1
         assert ingest.skipped[0][0] == 17
 
+    def test_one_row_per_rule_reports_its_reason(self, tmp_path):
+        lines = [HEADER] + [good_row(time=float(i)) for i in range(12)]
+        bad = [
+            "1,35.7205,-78.699,30,10,1,-1,n/a",
+            "2,,-78.699,30,10,1,-1,-75",
+            "3,35.7205,-78.699,nan,10,1,-1,-75",
+            "4,95.0,-78.699,30,10,1,-1,-75",
+            "5,35.7205,181.0,30,10,1,-1,-75",
+            "6,35.7205,-78.699,30,10,95.0,-1,-75",
+            ANTENNA_ROW,
+            "8,35.7205,-78.699,-5.0,10,1,-1,-75",
+        ]
+        for k, row in enumerate(bad):
+            lines.insert(2 + 2 * k, row)
+        path = write_lines(tmp_path / "rules.csv", lines)
+        ingest = ingest_csv(path, BUDGET, max_invalid_frac=1.0)
+        assert ingest.skipped == [
+            (3, "non-numeric or missing value"),
+            (5, "non-numeric or missing value"),
+            (7, "non-finite value"),
+            (9, "latitude out of range: 95.0"),
+            (11, "longitude out of range: 181.0"),
+            (13, "pitch out of range: 95.0"),
+            (15, "geometry/propagation: UAV and transmitter positions coincide"),
+            (17, "geometry/propagation: antenna heights must be above the ground plane"),
+        ]
+        assert ingest.n_rows == 20
+        assert len(ingest.samples) == 12
+        assert ingest.measurements["time_s"].tolist() == [float(i) for i in range(12)]
+        assert ingest.passthrough == [{}] * 12
+
+    def test_skips_reported_in_line_order(self, tmp_path):
+        lines = [HEADER, good_row(), ANTENNA_ROW, good_row(), "x,x,x,x,x,x,x,x"]
+        lines += [good_row(), "2,35.7205,-78.699,-5.0,10,1,-1,-75"]
+        lines += [good_row(time=float(i)) for i in range(30)]
+        path = write_lines(tmp_path / "order.csv", lines)
+        expected = [
+            (3, "geometry/propagation: UAV and transmitter positions coincide"),
+            (5, "non-numeric or missing value"),
+            (7, "geometry/propagation: antenna heights must be above the ground plane"),
+        ]
+        assert ingest_csv(path, BUDGET).skipped == expected
+        with pytest.raises(IngestError) as err:
+            ingest_csv(path, BUDGET, max_invalid_frac=0.05)
+        assert err.value.bad_rows == expected
+        assert str(err.value) == (
+            f"{path}: 3 of 36 rows invalid (limit 5%); first failures: "
+            + "; ".join(f"line {ln}: {why}" for ln, why in expected)
+        )
+
     def test_too_many_bad_rows_abort(self, tmp_path):
         lines = [HEADER, good_row(), good_row(time=1.0), "x,x,x,x,x,x,x,x"]
         path = write_lines(tmp_path / "bad.csv", lines)
@@ -130,7 +189,7 @@ class TestIngest:
             },
         )
         assert len(ingest.samples) == 1
-        assert ingest.measurements[0].rsrp_dbm == -75.0
+        assert ingest.measurements["rsrp_dbm"].tolist() == [-75.0]
 
     def test_unknown_canonical_name_in_map(self, tmp_path):
         path = write_lines(tmp_path / "x.csv", [HEADER, good_row()])
@@ -166,9 +225,10 @@ class TestMedianFilter:
             lines.append(good_row(time=float(i), rsrp=rsrp))
         path = write_lines(tmp_path / "f.csv", lines)
         ingest = ingest_csv(path, BUDGET, median_window=3)
-        assert [m.rsrp_dbm for m in ingest.measurements] == [5.0, 0.0, 5.0]
+        assert ingest.measurements["rsrp_dbm"].tolist() == [5.0, 0.0, 5.0]
+        assert ingest.samples.rsrp_dbm.tolist() == [5.0, 0.0, 5.0]
         raw = ingest_csv(path, BUDGET)
-        assert ingest.samples[0].sf_db == raw.samples[0].sf_db + 5.0
+        assert ingest.samples.sf_db[0] == raw.samples.sf_db[0] + 5.0
 
 
 class TestTargets:
@@ -177,15 +237,15 @@ class TestTargets:
         path = write_lines(
             tmp_path / "t.csv", [header, "0,35.7205,-78.699,30,10,1,-1"]
         )
-        geoms, meas = load_targets_csv(path, BUDGET)
+        geoms, rsrp = load_targets_csv(path, BUDGET)
         assert len(geoms) == 1
-        assert meas[0].rsrp_dbm == 0.0
-        assert geoms[0].d2d_m > 0.0
+        assert rsrp.tolist() == [0.0]
+        assert geoms.d2d_m[0] > 0.0
 
     def test_rsrp_parsed_when_present(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", [HEADER, good_row(rsrp=-64.5)])
-        _, meas = load_targets_csv(path, BUDGET)
-        assert meas[0].rsrp_dbm == -64.5
+        _, rsrp = load_targets_csv(path, BUDGET)
+        assert rsrp.tolist() == [-64.5]
 
     def test_bad_value_names_line(self, tmp_path):
         path = write_lines(
@@ -195,6 +255,29 @@ class TestTargets:
         with pytest.raises(IngestError) as err:
             load_targets_csv(path, BUDGET)
         assert "line 3" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("1,35.7205,-78.699,30,10,95.0,-1", "pitch out of range: 95.0"),
+            ("1,35.7205,-78.699,nan,10,1,-1", "altitude not finite: nan"),
+            ("1,35.72,-78.7,1.5,10,1,-1", "UAV and transmitter positions coincide"),
+            (
+                "1,35.7205,-78.699,-5.0,10,1,-1",
+                "antenna heights must be above the ground plane",
+            ),
+        ],
+        ids=["pitch", "nan-altitude", "at-antenna", "below-ground"],
+    )
+    def test_invalid_pose_names_line(self, tmp_path, row, reason):
+        header = ",".join(c for c in CANONICAL_COLUMNS if c != "rsrp_dbm")
+        path = write_lines(
+            tmp_path / "t.csv", [header, "0,35.7205,-78.699,30,10,1,-1", row]
+        )
+        with pytest.raises(IngestError) as err:
+            load_targets_csv(path, BUDGET)
+        assert str(err.value) == f"{path}: line 3: {reason}"
+        assert err.value.bad_rows == [(3, reason)]
 
     def test_missing_pose_column(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", ["time_s,lat_deg", "0,35.72"])
@@ -213,11 +296,11 @@ class TestTargets:
             "lon_deg": "longitude",
             "rsrp_dbm": "power",
         }
-        geoms, meas = load_targets_csv(path, BUDGET, column_map)
+        geoms, rsrp = load_targets_csv(path, BUDGET, column_map)
         ref_path = write_lines(tmp_path / "ref.csv", [HEADER, good_row(rsrp=-64.5)])
-        ref_geoms, ref_meas = load_targets_csv(ref_path, BUDGET)
-        assert geoms == ref_geoms
-        assert meas == ref_meas
+        ref_geoms, ref_rsrp = load_targets_csv(ref_path, BUDGET)
+        assert geoms.row(0) == ref_geoms.row(0)
+        assert rsrp.tolist() == ref_rsrp.tolist() == [-64.5]
         # A mapped column that is absent is named by its actual header.
         with pytest.raises(SchemaError) as err:
             load_targets_csv(ref_path, BUDGET, {"lat_deg": "latitude"})

@@ -5,15 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from skyfade.errors import UndefinedGeometryError, ValidationError
+from skyfade.errors import RowErrors, UndefinedGeometryError, ValidationError
 from skyfade.geometry import (
     EARTH_RADIUS_M,
     MeasurementSample,
     compute_elevation,
     compute_tilt,
     enu_to_geodetic,
+    euler_zyx_matrices,
     euler_zyx_matrix,
     project_enu,
+    tilt_geometry,
 )
 
 ORIGIN = (35.72, -78.70, 0.0)
@@ -149,6 +151,45 @@ class TestEulerMatrix:
             ).max()
             worst = max(worst, diff)
         assert worst < 1e-6
+
+    def test_columns_match_quaternion_oracle_over_1000_poses(self):
+        rng = np.random.default_rng(17)
+        n = 1000
+        yaw = rng.uniform(-180.0, 180.0, n)
+        pitch = rng.uniform(-90.0, 90.0, n)
+        roll = rng.uniform(-180.0, 180.0, n)
+        oracle = np.array([quaternion_matrix(*a) for a in zip(yaw, pitch, roll)])
+
+        matrices = euler_zyx_matrices(yaw, pitch, roll)
+        assert matrices.shape == (n, 3, 3)
+        assert np.abs(matrices - oracle).max() < 1e-12
+
+        # The tilt of the same poses, one call, against the oracle's rotation
+        # of the unit line of sight (NED) into the body frame.
+        east = rng.uniform(-2000.0, 2000.0, n)
+        north = rng.uniform(-2000.0, 2000.0, n)
+        alt = rng.uniform(5.0, 150.0, n)
+        lat, lon = np.array(
+            [enu_to_geodetic(np.array(p), ORIGIN)[:2] for p in zip(east, north, alt)]
+        ).T
+        poses = {
+            "lat_deg": lat, "lon_deg": lon, "alt_m": alt,
+            "yaw_deg": yaw, "pitch_deg": pitch, "roll_deg": roll,
+        }
+        errors = RowErrors()
+        geom = tilt_geometry(poses, TX_ENU, ORIGIN, errors)
+        assert not errors
+        assert len(geom) == n
+        los = TX_ENU - np.column_stack((geom.east_m, geom.north_m, geom.up_m))
+        d3d = np.linalg.norm(los, axis=1)
+        los_ned = np.column_stack((los[:, 1], los[:, 0], -los[:, 2])) / d3d[:, None]
+        body = np.einsum("nij,ni->nj", oracle, los_ned)
+        theta_gs = np.degrees(np.arctan2(body[:, 2], np.hypot(body[:, 0], body[:, 1])))
+        theta = np.degrees(np.arcsin(los_ned[:, 2]))  # down the LOS = UAV above
+        assert np.abs(geom.d3d_m - d3d).max() < 1e-9
+        assert np.abs(geom.theta_gs_deg - theta_gs).max() < 1e-9
+        assert np.abs(geom.theta_deg - theta).max() < 1e-9
+        assert np.array_equal(geom.delta_deg, geom.theta_deg - geom.theta_gs_deg)
 
 
 class TestTilt:

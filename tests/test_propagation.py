@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from _recipes import BUDGET, ORIGIN
-from skyfade.errors import InsufficientDataError, SchemaError, ValidationError
+from skyfade.errors import (
+    InsufficientDataError,
+    RowErrors,
+    SchemaError,
+    ValidationError,
+)
 from skyfade.geometry import LinkGeometry, MeasurementSample, enu_to_geodetic
 from skyfade.propagation import (
     SPEED_OF_LIGHT,
@@ -17,6 +22,7 @@ from skyfade.propagation import (
     decompose_sf,
     link_geometry,
     sf_statistics,
+    two_ray_power,
     two_ray_rsrp,
 )
 
@@ -96,6 +102,29 @@ class TestTwoRay:
             assert two_ray_rsrp(geom, alt, 1.5, budget) == pytest.approx(
                 reference_two_ray(d2d, alt, 1.5, budget), abs=1e-9
             )
+
+    def test_columns_match_complex_field_oracle(self):
+        directional = LinkBudget(
+            tx_lat_deg=35.72,
+            tx_lon_deg=-78.70,
+            gain_tx=GainTable(angles_deg=(-90.0, 0.0, 90.0), gains_dbi=(-3.0, 5.0, 1.0)),
+            gain_uav=GainTable(angles_deg=(-90.0, 90.0), gains_dbi=(2.0, -2.0)),
+            reflection=complex(-0.7, 0.2),
+        )
+        rng = np.random.default_rng(41)
+        d2d = rng.uniform(20.0, 3000.0, 500)
+        alt = rng.uniform(5.0, 150.0, 500)
+        alt[[17, 300]] = (0.0, -4.0)  # at and below the ground plane
+        for budget in (BUDGET, directional):
+            errors = RowErrors()
+            power = two_ray_power(d2d, np.hypot(d2d, alt - 1.5), alt, 1.5, budget, errors)
+            assert sorted(errors) == [17, 300]
+            assert {str(e) for e in errors.values()} == {
+                "antenna heights must be above the ground plane"
+            }
+            ok = np.flatnonzero(alt > 0.0)
+            expected = [reference_two_ray(d2d[i], alt[i], 1.5, budget) for i in ok]
+            assert power[ok] == pytest.approx(expected, abs=1e-9)
 
     def test_far_field_slope_is_fourth_power(self):
         # at 915 MHz the breakpoint 4*h1*h2/lambda sits near 500 m, so the
