@@ -18,7 +18,6 @@ from .correlation import (
     empirical_correlogram,
     estimate_elev_profile,
     estimate_tilt_profile,
-    eval_full_correlation,
     fit_correlation_model,
     fit_dedm,
     fit_piecewise_kernel,
@@ -111,7 +110,6 @@ __all__ = [
     "empirical_correlogram",
     "estimate_elev_profile",
     "estimate_tilt_profile",
-    "eval_full_correlation",
     "fit_correlation_model",
     "fit_dedm",
     "fit_piecewise_kernel",

@@ -3,19 +3,23 @@
 The correlation between two shadow-fading samples factors into a distance
 term and two angular terms:
 
-    r_raw(i, j) = R_d(d2d_ij) * R_tlt(delta_i, delta_j; theta_i)
-                             * R_elv(theta_i, theta_j; delta_i)
+    r_hat(i, j) = R_d(d2d_ij) * exp(-|u_t(i) - u_t(j)|) * exp(-|u_e(i) - u_e(j)|)
 
 ``R_d`` is a double-exponential decay in horizontal separation.  The
-angular terms are piecewise exponentials in the angle separation with
-direction-dependent decay constants, looked up from per-bin kernel tables
-conditioned on the reference sample's own angle bin.  Because the raw value
-conditions on sample i, it is not symmetric; the model value used
-everywhere downstream is the geometric mean
+angular terms are Laplace kernels in warped angles (the deformation
+approach of Sampson & Guttorp 1992): u_t(i) integrates the tilt decay rate
+from 0 to sample i's tilt, with the rate of each tilt bin read from the
+kernel table of sample i's own elevation bin, and u_e(i) integrates the
+elevation rate the same way within sample i's tilt bin.  A cell's rate is
+its symmetric rate 1/2 (1/q+ + 1/q-); capped and absent cells have rate 0.
 
-    r_hat(i, j) = sqrt(r_raw(i, j) * r_raw(j, i))
-
-which restores symmetry and keeps r_hat(i, i) = 1.
+exp(-|f(x) - f(y)|) is positive semidefinite for any map f, the DEDM is a
+mixture of exponentials, and products of such kernels stay semidefinite
+(Schur), so every model is a valid correlation with r_hat(i, i) = 1.  Two
+samples in the same (tilt, elevation) cell decay at exactly the cell's
+rate in each angle.  Samples in different cells may not: two samples with
+the same tilt delta != 0 in elevation bins of different rates get a
+nonzero tilt separation.
 
 Kernels are estimated from binned empirical correlations computed on
 sorted, quantile-balanced sample vectors against the global SF mean; the
@@ -38,7 +42,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .geometry import Geometry, LinkGeometry
+from .geometry import Geometry
 from .propagation import SfTable, sf_statistics
 
 MODES = ("baseline", "angle_aware", "tilt_only", "elev_only")
@@ -166,11 +170,12 @@ def dedm_eval(params: DedmParams, d2d_m):
 
 @dataclass(frozen=True)
 class PiecewiseExpKernel:
-    """Direction-dependent exponential decay over an angle separation.
+    """Decay constants of one angular cell, fitted per direction.
 
-    ``q_pos_deg`` applies when the other sample's angle is at or above the
-    reference angle, ``q_neg_deg`` when below.  Infinite decay constants are
-    allowed and make the kernel identically 1.
+    ``q_pos_deg`` was fitted toward larger angles, ``q_neg_deg`` toward
+    smaller ones; the model uses only their symmetric :attr:`rate`.
+    Constants at or above :data:`Q_CAP_DEG` (infinity included) mean "no
+    observable decay" and contribute nothing to it.
     """
 
     q_pos_deg: float
@@ -181,20 +186,13 @@ class PiecewiseExpKernel:
             if not q > 0.0:
                 raise ValidationError(f"decay constants must be positive: {q}")
 
-    def eval(self, separation_deg, increasing):
-        """Kernel value for |angle_j - angle_i| with the direction flag.
-
-        Decay constants at or above the cap mean "no observable decay" and
-        evaluate to exactly 1, so capped kernels reduce the model to its
-        distance-only form with zero error.
-        """
-        sep = np.asarray(separation_deg, dtype=float)
-        if np.any(sep < 0.0):
-            raise ValidationError("separations must be non-negative")
-        q = np.where(increasing, self.q_pos_deg, self.q_neg_deg)
-        q = np.where(q >= Q_CAP_DEG, np.inf, q)
-        out = np.exp(-sep / q)
-        return float(out) if out.ndim == 0 else out
+    @property
+    def rate(self) -> float:
+        """Symmetric decay rate 1/2 (1/q+ + 1/q-) in 1/deg."""
+        pos, neg = (
+            0.0 if q >= Q_CAP_DEG else 1.0 / q for q in (self.q_pos_deg, self.q_neg_deg)
+        )
+        return 0.5 * (pos + neg)
 
 
 @dataclass
@@ -270,107 +268,45 @@ class CorrelationModel:
         )
 
     def kernel_arrays(self):
-        """Dense (q_pos, q_neg, r_pos, r_neg) lookup tables for bin pairs.
-
-        Absent cells are filled with the no-decay cap, and every constant
-        at or above the cap is promoted to infinity so capped kernels
-        evaluate to exactly 1.  Shapes: tilt tables (n_tilt, n_elev),
-        elevation tables (n_elev, n_tilt).
-        """
+        """Dense decay-rate tables (tilt (n_tilt, n_elev), elevation
+        (n_elev, n_tilt)) holding each cell's :attr:`PiecewiseExpKernel.rate`;
+        absent cells have rate 0."""
         if self._arrays is None:
-            nt, ne = self.bins.n_tilt, self.bins.n_elev
-            qp = np.full((nt, ne), Q_CAP_DEG)
-            qn = np.full((nt, ne), Q_CAP_DEG)
-            rp = np.full((ne, nt), Q_CAP_DEG)
-            rn = np.full((ne, nt), Q_CAP_DEG)
-            for (t, e), kern in self.tilt_kernels.items():
-                if kern is not None:
-                    qp[t, e] = kern.q_pos_deg
-                    qn[t, e] = kern.q_neg_deg
-            for (e, t), kern in self.elev_kernels.items():
-                if kern is not None:
-                    rp[e, t] = kern.q_pos_deg
-                    rn[e, t] = kern.q_neg_deg
-            for table in (qp, qn, rp, rn):
-                table[table >= Q_CAP_DEG] = np.inf
-            self._arrays = (qp, qn, rp, rn)
+            tilt = np.zeros((self.bins.n_tilt, self.bins.n_elev))
+            elev = np.zeros((self.bins.n_elev, self.bins.n_tilt))
+            for table, kernels in ((tilt, self.tilt_kernels), (elev, self.elev_kernels)):
+                for cell, kern in kernels.items():
+                    if kern is not None:
+                        table[cell] = kern.rate
+            self._arrays = (tilt, elev)
         return self._arrays
 
 
-def eval_r_tilt(
-    model: CorrelationModel, delta_i: float, delta_j: float, theta_i: float
-) -> float:
-    """Tilt correlation term conditioned on sample i's tilt and elevation."""
-    t = model.bins.tilt_index(delta_i)
-    e = model.bins.elev_index(theta_i)
-    qp, qn, _, _ = model.kernel_arrays()
-    sep = abs(delta_j - delta_i)
-    q = qp[t, e] if delta_j >= delta_i else qn[t, e]
-    return math.exp(-sep / q)
+def _warp(x, edges, rates):
+    """Warped angles u(x) = integral of the rate from 0 to x.
 
-
-def eval_r_elev(
-    model: CorrelationModel, theta_i: float, theta_j: float, delta_i: float
-) -> float:
-    """Elevation correlation term conditioned on sample i's bins."""
-    e = model.bins.elev_index(theta_i)
-    t = model.bins.tilt_index(delta_i)
-    _, _, rp, rn = model.kernel_arrays()
-    sep = abs(theta_j - theta_i)
-    r = rp[e, t] if theta_j >= theta_i else rn[e, t]
-    return math.exp(-sep / r)
-
-
-def eval_full_correlation(
-    model: CorrelationModel,
-    gi: LinkGeometry,
-    gj: LinkGeometry,
-    mode: str = "angle_aware",
-) -> float:
-    """Symmetrized model correlation between two link geometries.
-
-    The raw directional products are combined with a geometric mean so the
-    result does not depend on argument order.
+    ``rates`` is (len(x), n_bins): each sample's own row of per-bin rates.
     """
-    check_mode(mode)
-    d2d = math.hypot(gi.east_m - gj.east_m, gi.north_m - gj.north_m)
-    r_d = dedm_eval(model.dedm, d2d)
-    if mode == "baseline":
-        return r_d
-    raw_ij = raw_ji = 1.0
+    lo, hi = np.asarray(edges[:-1], dtype=float), np.asarray(edges[1:], dtype=float)
+    span = np.clip(x[:, None], lo, hi) - np.clip(0.0, lo, hi)
+    return np.sum(rates * span, axis=1)
+
+
+def _warped_angles(model, geoms, mode):
+    """The warped angles ``mode`` uses, one array per angle.
+
+    Validates both angles in every angular mode.
+    """
+    bins = model.bins
+    bt = bins.tilt_indices(geoms.delta_deg)
+    be = bins.elev_indices(geoms.theta_deg)
+    tilt_rate, elev_rate = model.kernel_arrays()
+    out = []
     if mode in ("angle_aware", "tilt_only"):
-        raw_ij *= eval_r_tilt(model, gi.delta_deg, gj.delta_deg, gi.theta_deg)
-        raw_ji *= eval_r_tilt(model, gj.delta_deg, gi.delta_deg, gj.theta_deg)
+        out.append(_warp(geoms.delta_deg, bins.tilt_edges, tilt_rate[:, be].T))
     if mode in ("angle_aware", "elev_only"):
-        raw_ij *= eval_r_elev(model, gi.theta_deg, gj.theta_deg, gi.delta_deg)
-        raw_ji *= eval_r_elev(model, gj.theta_deg, gi.theta_deg, gj.delta_deg)
-    return r_d * math.sqrt(raw_ij * raw_ji)
-
-
-def _inverse_rates(model, theta, delta):
-    """Per-sample inverse decay rates (1/q+, 1/q-, 1/r+, 1/r-).
-
-    Validates both angles; a capped or infinite constant gives rate 0.
-    """
-    bt = model.bins.tilt_indices(delta)
-    be = model.bins.elev_indices(theta)
-    qp, qn, rp, rn = model.kernel_arrays()
-    return 1.0 / qp[bt, be], 1.0 / qn[bt, be], 1.0 / rp[be, bt], 1.0 / rn[be, bt]
-
-
-def _add_exponent(expo, x_i, pos_i, neg_i, x_j, pos_j, neg_j):
-    """Add the summed directional exponent of one angle to ``expo``.
-
-    With s = x_j - x_i the raw terms of (i, j) and (j, i) together decay
-    as max(s, 0) * (pos_i + neg_j) + max(-s, 0) * (neg_i + pos_j).
-    """
-    s = x_j[None, :] - x_i[:, None]
-    up = np.maximum(s, 0.0)
-    down = np.subtract(up, s, out=s)  # max(-s, 0), exactly
-    up *= pos_i[:, None] + neg_j[None, :]
-    down *= neg_i[:, None] + pos_j[None, :]
-    expo += up
-    expo += down
+        out.append(_warp(geoms.theta_deg, bins.elev_edges, elev_rate[:, bt].T))
+    return out
 
 
 def correlation_matrix(
@@ -381,15 +317,14 @@ def correlation_matrix(
 ) -> np.ndarray:
     """Dense model correlation between two sets of link geometries.
 
-    Vectorized equivalent of :func:`eval_full_correlation` applied to every
-    pair; returns an (len(a), len(b)) matrix.  Each side is a
-    :class:`Geometry` or a sequence of :class:`LinkGeometry`; ``geoms_b``
-    defaults to ``geoms_a``.
+    Returns an (len(a), len(b)) matrix.  Each side is a :class:`Geometry`
+    or a sequence of :class:`LinkGeometry`; ``geoms_b`` defaults to
+    ``geoms_a``.
 
-    The geometric mean of the two raw products is evaluated as a single
-    exponential, sqrt(exp(-x) * exp(-y)) = exp(-(x + y) / 2), from inverse
-    decay rates looked up once per sample.  The output is filled in blocks
-    of :data:`CORRELATION_BLOCK_ROWS` rows, so no other (len(a), len(b))
+    Each sample's warped angles are computed once; an entry is then the
+    distance term times one exponential of the summed absolute warped
+    separations.  The output is filled in blocks of
+    :data:`CORRELATION_BLOCK_ROWS` rows, so no other (len(a), len(b))
     array is allocated; in the square case only the upper triangle is
     computed and mirrored, which makes the result exactly symmetric.
     """
@@ -397,19 +332,13 @@ def correlation_matrix(
     square = geoms_b is None
     a = Geometry.of(geoms_a)
     b = a if square else Geometry.of(geoms_b)
-    ea, na, ta, da = a.east_m, a.north_m, a.theta_deg, a.delta_deg
-    eb, nb, tb, db = b.east_m, b.north_m, b.theta_deg, b.delta_deg
-    angles = []
+    warps = []
     if mode != "baseline":
-        qp_a, qn_a, rp_a, rn_a = _inverse_rates(model, ta, da)
-        qp_b, qn_b, rp_b, rn_b = (
-            (qp_a, qn_a, rp_a, rn_a) if square else _inverse_rates(model, tb, db)
-        )
-        if mode in ("angle_aware", "tilt_only"):
-            angles.append((da, qp_a, qn_a, db, qp_b, qn_b))
-        if mode in ("angle_aware", "elev_only"):
-            angles.append((ta, rp_a, rn_a, tb, rp_b, rn_b))
+        u_a = _warped_angles(model, a, mode)
+        u_b = u_a if square else _warped_angles(model, b, mode)
+        warps = list(zip(u_a, u_b))
 
+    ea, na, eb, nb = a.east_m, a.north_m, b.east_m, b.north_m
     out = np.empty((ea.size, eb.size))
     for r0 in range(0, ea.size, CORRELATION_BLOCK_ROWS):
         rows = slice(r0, r0 + CORRELATION_BLOCK_ROWS)
@@ -419,14 +348,10 @@ def correlation_matrix(
             ea[rows, None] - eb[None, cols], na[rows, None] - nb[None, cols]
         )
         r_d = dedm_eval(model.dedm, dist)
-        if angles:
+        if warps:
             expo = np.zeros_like(block)
-            for x_a, pos_a, neg_a, x_b, pos_b, neg_b in angles:
-                _add_exponent(
-                    expo, x_a[rows], pos_a[rows], neg_a[rows],
-                    x_b[cols], pos_b[cols], neg_b[cols],
-                )
-            expo *= -0.5
+            for wa, wb in warps:
+                expo -= np.abs(wa[rows, None] - wb[None, cols])
             np.exp(expo, out=expo)
             np.multiply(r_d, expo, out=block)
         else:
@@ -599,7 +524,8 @@ def fit_piecewise_kernel(
     equation q = sum(s^2) / (-sum(s * ln(rho))) over that direction's
     points, with correlations clamped to [rho_floor, 1] first.  A direction
     with no points inherits the other's constant; no decay at all (every
-    rho at 1) yields the cap.
+    rho at 1) yields the cap.  The model reads the result only through
+    :attr:`PiecewiseExpKernel.rate`.
     """
     sep = np.asarray(separations_deg, dtype=float)
     rho = np.asarray(rhos, dtype=float)
@@ -919,11 +845,14 @@ def _encode_number(x: float):
     return float(x)
 
 
-def _decode_number(x) -> float:
-    if isinstance(x, str):
-        if x in ("inf", "-inf"):
-            return float(x)
-        raise SchemaError(f"unexpected string number: {x!r}")
+def _decode_number(x, path: str) -> float:
+    """A JSON number, or the string "inf"/"-inf", at field ``path``."""
+    if isinstance(x, str) and x in ("inf", "-inf"):
+        return float(x)
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise SchemaError(
+            f"model document field '{path}' must be a number, got {x!r}", field=path
+        )
     return float(x)
 
 
@@ -967,17 +896,40 @@ def serialize_model(model: CorrelationModel) -> dict:
     }
 
 
-def _require(doc: dict, key: str, where: str):
+def _require(doc, key: str, where: str):
+    """``doc[key]``, where ``doc`` is the field at path ``where`` (empty
+    at the top level, else ending in ".") and must be a JSON object."""
+    if not isinstance(doc, dict):
+        name = where.rstrip(".")
+        raise SchemaError(f"model document field '{name}' must be a JSON object", field=name)
     if key not in doc:
         raise SchemaError(f"model document missing field '{where}{key}'", field=where + key)
     return doc[key]
 
 
+def _require_list(doc, key: str, where: str) -> list:
+    value = _require(doc, key, where)
+    if not isinstance(value, list):
+        raise SchemaError(
+            f"model document field '{where}{key}' must be a list", field=where + key
+        )
+    return value
+
+
+def _require_number(doc, key: str, where: str) -> float:
+    return _decode_number(_require(doc, key, where), where + key)
+
+
+def _require_numbers(doc, key: str, where: str) -> tuple[float, ...]:
+    values = _require_list(doc, key, where)
+    return tuple(_decode_number(v, f"{where}{key}[{k}]") for k, v in enumerate(values))
+
+
 def deserialize_model(doc: dict) -> CorrelationModel:
     """Rebuild a model from its serialized form.
 
-    Raises :class:`SchemaError` naming the first missing field; unknown
-    extra fields are ignored.
+    Raises :class:`SchemaError` naming the first missing field or the
+    first field of the wrong JSON type; unknown extra fields are ignored.
     """
     if not isinstance(doc, dict):
         raise SchemaError("model document must be a JSON object")
@@ -987,40 +939,36 @@ def deserialize_model(doc: dict) -> CorrelationModel:
 
     dedm_doc = _require(doc, "dedm", "")
     dedm = DedmParams(
-        a=_decode_number(_require(dedm_doc, "a", "dedm.")),
-        p1=_decode_number(_require(dedm_doc, "p1", "dedm.")),
-        p2=_decode_number(_require(dedm_doc, "p2", "dedm.")),
+        a=_require_number(dedm_doc, "a", "dedm."),
+        p1=_require_number(dedm_doc, "p1", "dedm."),
+        p2=_require_number(dedm_doc, "p2", "dedm."),
     )
     bins_doc = _require(doc, "bins", "")
     bins = AngleBins(
-        tilt_edges=tuple(
-            _decode_number(v) for v in _require(bins_doc, "tilt_edges", "bins.")
-        ),
-        tilt_reps=tuple(
-            _decode_number(v) for v in _require(bins_doc, "tilt_reps", "bins.")
-        ),
-        elev_edges=tuple(
-            _decode_number(v) for v in _require(bins_doc, "elev_edges", "bins.")
-        ),
-        elev_reps=tuple(
-            _decode_number(v) for v in _require(bins_doc, "elev_reps", "bins.")
-        ),
+        tilt_edges=_require_numbers(bins_doc, "tilt_edges", "bins."),
+        tilt_reps=_require_numbers(bins_doc, "tilt_reps", "bins."),
+        elev_edges=_require_numbers(bins_doc, "elev_edges", "bins."),
+        elev_reps=_require_numbers(bins_doc, "elev_reps", "bins."),
     )
 
     def kernel_from(cell, where):
         if cell is None:
             return None
         return PiecewiseExpKernel(
-            q_pos_deg=_decode_number(_require(cell, "q_pos", where)),
-            q_neg_deg=_decode_number(_require(cell, "q_neg", where)),
+            q_pos_deg=_require_number(cell, "q_pos", where),
+            q_neg_deg=_require_number(cell, "q_neg", where),
         )
 
-    tilt_rows = _require(doc, "tilt_kernels", "")
-    elev_rows = _require(doc, "elev_kernels", "")
-    if len(tilt_rows) != bins.n_tilt or any(len(r) != bins.n_elev for r in tilt_rows):
-        raise SchemaError("tilt_kernels shape does not match bins", field="tilt_kernels")
-    if len(elev_rows) != bins.n_elev or any(len(r) != bins.n_tilt for r in elev_rows):
-        raise SchemaError("elev_kernels shape does not match bins", field="elev_kernels")
+    def kernel_rows(key, n_rows, n_cols):
+        rows = _require_list(doc, key, "")
+        if len(rows) != n_rows or any(
+            not isinstance(r, list) or len(r) != n_cols for r in rows
+        ):
+            raise SchemaError(f"{key} shape does not match bins", field=key)
+        return rows
+
+    tilt_rows = kernel_rows("tilt_kernels", bins.n_tilt, bins.n_elev)
+    elev_rows = kernel_rows("elev_kernels", bins.n_elev, bins.n_tilt)
     tilt_kernels = {
         (t, e): kernel_from(tilt_rows[t][e], f"tilt_kernels[{t}][{e}].")
         for t in range(bins.n_tilt)
@@ -1033,13 +981,13 @@ def deserialize_model(doc: dict) -> CorrelationModel:
     }
 
     return CorrelationModel(
-        mu=_decode_number(_require(doc, "mu", "")),
-        sigma2=_decode_number(_require(doc, "sigma2", "")),
+        mu=_require_number(doc, "mu", ""),
+        sigma2=_require_number(doc, "sigma2", ""),
         dedm=dedm,
         bins=bins,
         tilt_kernels=tilt_kernels,
         elev_kernels=elev_kernels,
-        nugget=_decode_number(_require(doc, "nugget", "")),
+        nugget=_require_number(doc, "nugget", ""),
     )
 
 

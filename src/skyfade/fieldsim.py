@@ -203,14 +203,13 @@ def sample_sf_field(
 ) -> np.ndarray:
     """Draw one realization of the SF field at the given geometries.
 
-    Builds the dense covariance sigma2 * r_hat + nugget * I and factors it
-    as L L^T: Cholesky when the matrix is positive definite, otherwise a
-    spectral square root with tiny negative eigenvalues clipped to zero
-    (exact for merely semidefinite covariances, e.g. perfectly correlated
-    duplicate geometries with no nugget).  Matrices indefinite beyond
-    rounding fall back to a diagonal jitter escalated by 10x up to six
-    times.  Returns mu + L @ g with g standard normal from the seeded
-    generator.
+    Builds the dense covariance sigma2 * r_hat + nugget * I, which every
+    model makes positive semidefinite, and factors it as L L^T: Cholesky
+    when it is positive definite, otherwise a spectral square root with
+    rounding-level negative eigenvalues clipped to zero (exact for merely
+    semidefinite covariances, e.g. perfectly correlated duplicate
+    geometries with no nugget).  Returns mu + L @ g with g standard normal
+    from the seeded generator.
     """
     n = len(geometries)
     if n == 0:
@@ -222,31 +221,15 @@ def sample_sf_field(
     cov = correlation_matrix(truth, geometries, mode=mode)
     cov *= truth.sigma2
     cov[np.diag_indices_from(cov)] += truth.nugget
-
-    factor = None
     try:
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         eigvals, eigvecs = np.linalg.eigh(cov)
-        min_eig = float(eigvals[0])
-        if min_eig >= -1.0e-8 * truth.sigma2:
-            factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-    if factor is None:
-        base = truth.nugget if truth.nugget > 0.0 else 1.0e-6 * truth.sigma2
-        diag0 = np.diagonal(cov).copy()
-        jitter = base
-        for _attempt in range(6):
-            cov[np.diag_indices_from(cov)] = diag0 + jitter
-            try:
-                factor = np.linalg.cholesky(cov)
-                break
-            except np.linalg.LinAlgError:
-                jitter *= 10.0
-        if factor is None:
+        if eigvals[0] < -1.0e-8 * truth.sigma2:
             raise NotPositiveDefiniteError(
-                f"covariance not factorizable after jitter escalation"
-                f" (min eigenvalue {min_eig:g})"
-            )
+                f"covariance is indefinite (min eigenvalue {eigvals[0]:g})"
+            ) from None
+        factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
     g = np.random.default_rng(seed).standard_normal(n)
     return truth.mu + factor @ g
 

@@ -422,6 +422,32 @@ class TestFailureModes:
         with pytest.raises(SystemExit):
             main(["transmogrify"])
 
+    def test_model_with_wrong_json_type(self, ws, tmp_path, capsys):
+        doc = json.loads(ws.exact_model.read_text())
+        doc["tilt_kernels"] = 3
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(
+            [
+                "predict",
+                "--config",
+                str(ws.config),
+                "--input",
+                str(ws.small),
+                "--targets",
+                str(ws.small),
+                "--model",
+                str(bad),
+                "--out",
+                str(tmp_path / "never.csv"),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: model document field 'tilt_kernels' must be a list\n"
+        )
+
     def test_geometry_reports_skipped_rows(self, ws, tmp_path, capsys):
         lines = ws.train.read_text().splitlines()[:31]
         parts = lines[1].split(",")
@@ -447,10 +473,11 @@ class TestFailureModes:
 
 
 class TestNuggetEscalation:
-    """A fitted model that is not positive definite is reported on stderr."""
+    """A covariance that is not numerically positive definite is reported
+    on stderr; valid models, fitted ones included, solve silently."""
 
     WARNING = (
-        "warning: elev_only: {what} escalated the nugget above the model's"
+        "warning: {mode}: {what} escalated the nugget above the model's"
         " (covariance not numerically positive definite)\n"
     )
 
@@ -490,10 +517,11 @@ class TestNuggetEscalation:
             fitted=fitted, truth=truth,
         )
 
-    def evaluate(self, gap, model, capsys):
+    def evaluate(self, gap, model, capsys, config=None, data=None):
         capsys.readouterr()
         prefix = gap.root / model.stem
-        argv = ["evaluate", "--config", str(gap.config), "--input", str(gap.data)]
+        argv = ["evaluate", "--config", str(config or gap.config)]
+        argv += ["--input", str(data or gap.data)]
         argv += ["--model", str(model), "--out", str(prefix), "--mode", "elev_only"]
         assert main(argv) == 0
         out, err = capsys.readouterr()
@@ -502,32 +530,65 @@ class TestNuggetEscalation:
         escalated = sum(float(t["nugget_used"]) > nugget for t in trials)
         return out, err, escalated, len(trials)
 
-    def predict(self, gap, model, capsys):
+    def predict(self, gap, model, capsys, tuning=None, mode="elev_only"):
         capsys.readouterr()
         out_csv = gap.root / f"{model.stem}_predictions.csv"
-        argv = ["predict", "--config", str(gap.config), "--input", str(gap.tuning)]
+        argv = ["predict", "--config", str(gap.config), "--input", str(tuning or gap.tuning)]
         argv += ["--targets", str(gap.targets), "--model", str(model)]
-        argv += ["--out", str(out_csv), "--mode", "elev_only"]
+        argv += ["--out", str(out_csv), "--mode", mode]
         assert main(argv) == 0
         out, err = capsys.readouterr()
-        nugget = load_model(model).nugget
-        escalated = float(read_rows(out_csv)[0]["nugget_used"]) > nugget
-        return out, err, escalated
+        nugget_used = {float(row["nugget_used"]) for row in read_rows(out_csv)}
+        assert len(nugget_used) == 1
+        return out, err, nugget_used.pop()
 
-    def test_fitted_model_warns(self, gap, capsys):
-        out, err, escalated, total = self.evaluate(gap, gap.fitted, capsys)
-        assert escalated > 0
-        assert err == self.WARNING.format(what=f"{escalated} of {total} trials")
-        assert "warning" not in out
-        out, err, escalated = self.predict(gap, gap.fitted, capsys)
-        assert escalated
-        assert err == self.WARNING.format(what="the solve")
-        assert "warning" not in out
+    def test_fitted_model_is_silent(self, gap, capsys):
+        _out, err, escalated, total = self.evaluate(gap, gap.fitted, capsys)
+        assert (escalated, total) == (0, 4)
+        assert err == ""
+        _out, err, nugget_used = self.predict(gap, gap.fitted, capsys)
+        assert nugget_used == load_model(gap.fitted).nugget
+        assert err == ""
 
     def test_truth_model_does_not_warn(self, gap, capsys):
         _out, err, escalated, _total = self.evaluate(gap, gap.truth, capsys)
         assert escalated == 0
         assert err == ""
-        _out, err, escalated = self.predict(gap, gap.truth, capsys)
-        assert not escalated
+        _out, err, nugget_used = self.predict(gap, gap.truth, capsys)
+        assert nugget_used == load_model(gap.truth).nugget
         assert err == ""
+
+    def test_semidefinite_covariance_warns(self, gap, capsys):
+        # Rows at one lat/lon but different altitudes are distinct samples
+        # at zero horizontal distance: with flat kernels and no nugget they
+        # are perfectly correlated, so the covariance is singular.
+        sigma2 = 25.0
+        flat = gap.root / "flat.json"
+        save_model(
+            CorrelationModel.with_uniform_kernels(
+                0.0, sigma2, DedmParams(0.5, 0.008, 0.001), nugget=0.0
+            ),
+            flat,
+        )
+        base = gap_benchmark_rows()[0]
+        stack = [
+            dataclasses.replace(base, alt_m=base.alt_m + 2.0 * k) for k in range(12)
+        ]
+        tuning = gap.root / "stacked_pair.csv"
+        write_dataset_csv(tuning, stack[:2])
+        for mode in ("elev_only", "baseline", "angle_aware"):
+            out, err, nugget_used = self.predict(gap, flat, capsys, tuning, mode)
+            assert nugget_used == pytest.approx(1e-6 * sigma2, rel=1e-12)
+            assert err == self.WARNING.format(mode=mode, what="the solve")
+            assert "warning" not in out
+
+        data = gap.root / "stacked.csv"
+        write_dataset_csv(data, stack)
+        config = gap.root / "stacked_config.json"
+        doc = json.loads(gap.config.read_text())
+        doc["eval"] = {"m_values": [5], "tests_per_trial": 5, "total_test_predictions": 10}
+        config.write_text(json.dumps(doc))
+        out, err, escalated, total = self.evaluate(gap, flat, capsys, config, data)
+        assert (escalated, total) == (2, 2)
+        assert err == self.WARNING.format(mode="elev_only", what="2 of 2 trials")
+        assert "warning" not in out

@@ -488,6 +488,18 @@ class TestConfigs:
             sim_from_config({}, BUDGET)
         assert err.value.field == "sim"
 
+    def test_sim_inline_truth_of_wrong_type(self):
+        from skyfade import CorrelationModel, DedmParams
+        from skyfade.correlation import serialize_model
+
+        truth = serialize_model(
+            CorrelationModel.with_uniform_kernels(0.0, 4.0, DedmParams(0.5, 0.01, 0.001))
+        )
+        truth["dedm"] = 3
+        with pytest.raises(SchemaError) as err:
+            sim_from_config({"sim": {"truth": truth}}, BUDGET)
+        assert err.value.field == "dedm"
+
     def test_sim_missing_truth(self):
         with pytest.raises(SchemaError) as err:
             sim_from_config({"sim": {"seed": 1}}, BUDGET)

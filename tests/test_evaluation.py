@@ -178,10 +178,9 @@ class TestRunEvaluation:
 
 
 class TestFittedModel:
-    def test_indefinite_fitted_covariance_escalates_instead_of_diverging(self):
-        # The fitted elev_only covariance on this flight is not positive
-        # definite: a solve accepted at the model nugget puts the median
-        # RMSE at M=350 in the hundreds of dB.
+    def test_fitted_covariance_never_escalates(self):
+        # The fitted model is a valid covariance, so every trial solves at
+        # the model nugget; the pinned flight's worst trial reads 4.09 dB.
         samples = gap_benchmark_sf()
         model = fit_correlation_model(samples).model
         config = EvalConfig(
@@ -191,11 +190,8 @@ class TestFittedModel:
             modes=("elev_only", "angle_aware"),
         )
         result = run_evaluation(samples, model, config)
-        assert result.median_rmse(350, "elev_only") < 10.0
-        escalated = [
-            t.nugget_used > model.nugget
-            for t in result.trials
-            if t.mode == "elev_only"
-        ]
-        assert len(escalated) == 16
-        assert any(escalated)
+        for mode in config.modes:
+            trials = [t for t in result.trials if t.mode == mode]
+            assert len(trials) == 16
+            assert [t.nugget_used for t in trials] == [model.nugget] * 16
+            assert max(t.rmse_db for t in trials) < 6.0

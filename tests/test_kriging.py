@@ -12,7 +12,6 @@ from skyfade.correlation import (
     CorrelationModel,
     DedmParams,
     correlation_matrix,
-    eval_full_correlation,
 )
 from skyfade.errors import SingularSystemError, ValidationError
 from skyfade.kriging import (
@@ -29,7 +28,7 @@ from skyfade.kriging import (
     solve_ok,
 )
 from skyfade.propagation import SfSample, two_ray_rsrp
-from test_correlation import mk_geom, mk_sf
+from test_correlation import mk_geom, mk_sf, oracle_correlation
 
 
 def smooth_model(nugget=0.0, sigma2=9.0):
@@ -208,7 +207,7 @@ class TestAssembly:
             geoms = [s.geometry for s in training]
             for i in range(3):
                 for j in range(3):
-                    expect = model.sigma2 * eval_full_correlation(
+                    expect = model.sigma2 * oracle_correlation(
                         model, geoms[i], geoms[j], mode
                     )
                     if i == j:
@@ -216,7 +215,7 @@ class TestAssembly:
                     assert system.cov[i, j] == pytest.approx(expect, abs=1e-12)
                 assert system.target_cov[i] == pytest.approx(
                     model.sigma2
-                    * eval_full_correlation(model, geoms[i], target, mode),
+                    * oracle_correlation(model, geoms[i], target, mode),
                     abs=1e-12,
                 )
 
