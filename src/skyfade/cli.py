@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import dataio
 from .correlation import MODES, fit_correlation_model, load_model, save_model
-from .errors import SkyfadeError
+from .errors import SchemaError, SkyfadeError
 from .evaluation import run_evaluation
 from .fieldsim import synthesize_dataset, truth_sidecar
 from .kriging import predict_rsrp
@@ -55,17 +55,52 @@ def _load_config(args, required: bool = False) -> tuple[dict, Path | None]:
 
 
 def _ingest_options(config: dict, args) -> dict:
-    section = config.get("ingest", {})
+    section = dataio.config_section(config, "ingest")
     window = args.median_window
     if window is None:
-        window = int(section.get("median_window", 0))
+        window = dataio.config_number(
+            section, "median_window", "ingest.", 0, integer=True
+        )
     column_map = _parse_column_map(getattr(args, "column_map", None))
     if column_map is None and "column_map" in section:
-        column_map = dict(section["column_map"])
+        column_map = dict(dataio.config_section(section, "column_map", "ingest."))
+        for canonical, actual in column_map.items():
+            if not isinstance(actual, str):
+                path = f"ingest.column_map.{canonical}"
+                raise SchemaError(
+                    f"config field '{path}' must be a column name, got {actual!r}",
+                    field=path,
+                )
     return {
         "median_window": window,
         "column_map": column_map,
-        "max_invalid_frac": float(section.get("max_invalid_frac", 0.1)),
+        "max_invalid_frac": dataio.config_number(
+            section, "max_invalid_frac", "ingest.", 0.1
+        ),
+    }
+
+
+def _fit_options(config: dict, args) -> dict:
+    section = dataio.config_section(config, "fit")
+    min_count = args.min_count
+    if min_count is None:
+        min_count = dataio.config_number(section, "min_count", "fit.", 30, integer=True)
+    max_lag_m = None
+    if section.get("max_lag_m") is not None:
+        max_lag_m = dataio.config_number(section, "max_lag_m", "fit.")
+    single_center = section.get("single_center", False)
+    if not isinstance(single_center, bool):
+        raise SchemaError(
+            "config field 'fit.single_center' must be true or false,"
+            f" got {single_center!r}",
+            field="fit.single_center",
+        )
+    return {
+        "max_lag_m": max_lag_m,
+        "n_lags": dataio.config_number(section, "n_lags", "fit.", 24, integer=True),
+        "min_count": min_count,
+        "single_center": args.single_center or single_center,
+        "nugget_factor": dataio.config_number(section, "nugget_factor", "fit.", 1e-6),
     }
 
 
@@ -95,22 +130,9 @@ def cmd_fit(args) -> int:
     config, base = _load_config(args, required=True)
     budget = dataio.budget_from_config(config, base)
     bins = dataio.bins_from_config(config)
-    section = config.get("fit", {})
-    min_count = args.min_count
-    if min_count is None:
-        min_count = int(section.get("min_count", 30))
-    single_center = args.single_center or bool(section.get("single_center", False))
-
+    options = _fit_options(config, args)
     ingest = dataio.ingest_csv(args.input, budget, **_ingest_options(config, args))
-    fit = fit_correlation_model(
-        ingest.samples,
-        bins=bins,
-        max_lag_m=section.get("max_lag_m"),
-        n_lags=int(section.get("n_lags", 24)),
-        min_count=min_count,
-        single_center=single_center,
-        nugget_factor=float(section.get("nugget_factor", 1e-6)),
-    )
+    fit = fit_correlation_model(ingest.samples, bins=bins, **options)
 
     out = Path(args.out)
     save_model(fit.model, out)

@@ -845,15 +845,21 @@ def _encode_number(x: float):
     return float(x)
 
 
-def _decode_number(x, path: str) -> float:
-    """A JSON number, or the string "inf"/"-inf", at field ``path``."""
+def _decode_number(
+    x, path: str, integer: bool = False, doc: str = "model document"
+) -> float | int:
+    """A JSON number, or the string "inf"/"-inf", at field ``path`` of a
+    ``doc``.  Booleans are not numbers.  With ``integer`` the value must be
+    integral (50.0 passes, 50.7 does not) and comes back as an int."""
     if isinstance(x, str) and x in ("inf", "-inf"):
-        return float(x)
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise SchemaError(
-            f"model document field '{path}' must be a number, got {x!r}", field=path
-        )
-    return float(x)
+        x = float(x)
+    ok = isinstance(x, (int, float)) and not isinstance(x, bool)
+    if ok and integer and isinstance(x, float):
+        ok = x.is_integer()
+    if not ok:
+        kind = "an integer" if integer else "a number"
+        raise SchemaError(f"{doc} field '{path}' must be {kind}, got {x!r}", field=path)
+    return int(x) if integer else float(x)
 
 
 def serialize_model(model: CorrelationModel) -> dict:

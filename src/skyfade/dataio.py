@@ -28,7 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlation import AngleBins, AngularProfile, Correlogram, FitResult
+from .correlation import (
+    AngleBins,
+    AngularProfile,
+    Correlogram,
+    FitResult,
+    _decode_number,
+)
 from .errors import IngestError, RowErrors, SchemaError, ValidationError
 from .evaluation import EvalConfig, EvalResult
 from .fieldsim import FlightSpec, SimConfig
@@ -371,10 +377,28 @@ def write_coverage_report(path: str | Path, fit: FitResult, ingest_skipped=None)
 def write_trials_csv(path: str | Path, result: EvalResult) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["m", "mode", "trial", "rmse_db", "nugget_used"])
+        writer.writerow(
+            [
+                "m",
+                "mode",
+                "trial",
+                "rmse_db",
+                "nugget_used",
+                "pi95_coverage",
+                "zscore_sd",
+            ]
+        )
         for t in result.trials:
             writer.writerow(
-                [t.m, t.mode, t.trial, _fmt(t.rmse_db), _fmt(t.nugget_used)]
+                [
+                    t.m,
+                    t.mode,
+                    t.trial,
+                    _fmt(t.rmse_db),
+                    _fmt(t.nugget_used),
+                    _fmt(t.pi95_coverage),
+                    _fmt(t.zscore_sd),
+                ]
             )
 
 
@@ -398,9 +422,61 @@ def load_config(path: str | Path) -> dict:
     return doc
 
 
+def config_section(doc: dict, key: str, where: str = "") -> dict:
+    """``doc[key]``, empty when absent; it must be a JSON object.  ``where``
+    is the path of ``doc`` (empty at the top level, else ending in ".")."""
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise SchemaError(
+            f"config field '{where}{key}' must be a JSON object", field=where + key
+        )
+    return section
+
+
+def config_number(
+    section: dict, key: str, where: str, default=None, integer: bool = False
+):
+    """``section[key]`` as a float (an int with ``integer``), or ``default``
+    when the key is absent.  Raises :class:`SchemaError` naming the field
+    for a value of the wrong type: booleans are not numbers, and an integer
+    field rejects non-integral values."""
+    if key not in section:
+        return default
+    return _decode_number(section[key], where + key, integer, doc="config")
+
+
+def config_numbers(section: dict, key: str, where: str, integer: bool = False):
+    """``section[key]``, a list of numbers, as a tuple; each entry is
+    checked like :func:`config_number` and named by its index."""
+    values = section[key]
+    path = where + key
+    if not isinstance(values, (list, tuple)):
+        raise SchemaError(
+            f"config field '{path}' must be a list, got {values!r}", field=path
+        )
+    return tuple(
+        _decode_number(v, f"{path}[{k}]", integer, doc="config")
+        for k, v in enumerate(values)
+    )
+
+
+def _config_path(section: dict, key: str, where: str, base_dir: Path | None) -> Path:
+    """``section[key]`` as a path, relative paths taken from ``base_dir``."""
+    value = section[key]
+    if not isinstance(value, (str, Path)):
+        raise SchemaError(
+            f"config field '{where}{key}' must be a path string, got {value!r}",
+            field=where + key,
+        )
+    path = Path(value)
+    if base_dir is not None and not path.is_absolute():
+        path = base_dir / path
+    return path
+
+
 def budget_from_config(doc: dict, base_dir: Path | None = None) -> LinkBudget:
     """Build a link budget from the config's ``budget`` section."""
-    section = doc.get("budget", {})
+    section = config_section(doc, "budget")
     kwargs = {}
     for key in (
         "tx_lat_deg",
@@ -411,19 +487,26 @@ def budget_from_config(doc: dict, base_dir: Path | None = None) -> LinkBudget:
         "freq_hz",
     ):
         if key in section:
-            kwargs[key] = float(section[key])
+            kwargs[key] = config_number(section, key, "budget.")
     if "reflection" in section:
-        value = section["reflection"]
-        if isinstance(value, (list, tuple)):
-            kwargs["reflection"] = complex(float(value[0]), float(value[1]))
+        if isinstance(section["reflection"], (list, tuple)):
+            parts = config_numbers(section, "reflection", "budget.")
+            if len(parts) != 2:
+                raise SchemaError(
+                    "config field 'budget.reflection' must be a number or a"
+                    " [real, imag] pair",
+                    field="budget.reflection",
+                )
+            kwargs["reflection"] = complex(*parts)
         else:
-            kwargs["reflection"] = complex(float(value), 0.0)
+            kwargs["reflection"] = complex(
+                config_number(section, "reflection", "budget."), 0.0
+            )
     for key, attr in (("gain_tx_csv", "gain_tx"), ("gain_uav_csv", "gain_uav")):
         if key in section:
-            gain_path = Path(section[key])
-            if base_dir is not None and not gain_path.is_absolute():
-                gain_path = base_dir / gain_path
-            kwargs[attr] = GainTable.from_csv(gain_path)
+            kwargs[attr] = GainTable.from_csv(
+                _config_path(section, key, "budget.", base_dir)
+            )
     if "tx_lat_deg" not in kwargs or "tx_lon_deg" not in kwargs:
         raise SchemaError(
             "config budget section must set tx_lat_deg and tx_lon_deg",
@@ -433,21 +516,17 @@ def budget_from_config(doc: dict, base_dir: Path | None = None) -> LinkBudget:
 
 
 def bins_from_config(doc: dict) -> AngleBins:
-    section = doc.get("bins")
-    if not section:
-        return AngleBins()
-
-    def edges(values):
-        return tuple(float(v) for v in values)
-
+    section = config_section(doc, "bins")
     kwargs = {}
     for key in ("tilt_edges", "tilt_reps", "elev_edges", "elev_reps"):
         if key in section:
-            kwargs[key] = edges(section[key])
+            kwargs[key] = config_numbers(section, key, "bins.")
     return AngleBins(**kwargs)
 
 
 def flight_from_config(section: dict) -> FlightSpec:
+    """Flight layout from the config's ``sim.flight`` section."""
+    where = "sim.flight."
     kwargs = {}
     for key in (
         "altitude_m",
@@ -457,14 +536,20 @@ def flight_from_config(section: dict) -> FlightSpec:
         "roll_excitation_deg",
     ):
         if key in section:
-            kwargs[key] = float(section[key])
+            kwargs[key] = config_number(section, key, where)
     for key in ("east_extent_m", "north_extent_m"):
         if key in section:
-            kwargs[key] = (float(section[key][0]), float(section[key][1]))
+            extent = config_numbers(section, key, where)
+            if len(extent) != 2:
+                raise SchemaError(
+                    f"config field '{where}{key}' must be a [low, high] pair",
+                    field=where + key,
+                )
+            kwargs[key] = extent
     if "path" in section:
         kwargs["path"] = str(section["path"])
     if "n_passes" in section:
-        kwargs["n_passes"] = int(section["n_passes"])
+        kwargs["n_passes"] = config_number(section, "n_passes", where, integer=True)
     return FlightSpec(**kwargs)
 
 
@@ -473,42 +558,43 @@ def sim_from_config(
 ) -> SimConfig:
     from .correlation import deserialize_model, load_model
 
-    section = doc.get("sim")
+    section = config_section(doc, "sim")
     if not section:
         raise SchemaError("config has no sim section", field="sim")
     if "truth" in section:
         truth = deserialize_model(section["truth"])
     elif "truth_path" in section:
-        truth_path = Path(section["truth_path"])
-        if base_dir is not None and not truth_path.is_absolute():
-            truth_path = base_dir / truth_path
-        truth = load_model(truth_path)
+        truth = load_model(_config_path(section, "truth_path", "sim.", base_dir))
     else:
         raise SchemaError(
             "sim section needs 'truth' (inline model) or 'truth_path'",
             field="sim.truth",
         )
     return SimConfig(
-        seed=int(section.get("seed", 0)),
-        n_samples=int(section.get("n_samples", 1000)),
+        seed=config_number(section, "seed", "sim.", 0, integer=True),
+        n_samples=config_number(section, "n_samples", "sim.", 1000, integer=True),
         truth=truth,
         budget=budget,
-        flight=flight_from_config(section.get("flight", {})),
-        noise_std_db=float(section.get("noise_std_db", 0.0)),
+        flight=flight_from_config(config_section(section, "flight", "sim.")),
+        noise_std_db=config_number(section, "noise_std_db", "sim.", 0.0),
     )
 
 
 def eval_from_config(doc: dict) -> EvalConfig:
-    section = doc.get("eval", {})
+    section = config_section(doc, "eval")
     kwargs = {}
     if "m_values" in section:
-        kwargs["m_values"] = tuple(int(m) for m in section["m_values"])
-    if "tests_per_trial" in section:
-        kwargs["tests_per_trial"] = int(section["tests_per_trial"])
-    if "total_test_predictions" in section:
-        kwargs["total_test_predictions"] = int(section["total_test_predictions"])
-    if "seed" in section:
-        kwargs["seed"] = int(section["seed"])
+        kwargs["m_values"] = config_numbers(section, "m_values", "eval.", integer=True)
+    for key in ("tests_per_trial", "total_test_predictions", "seed"):
+        if key in section:
+            kwargs[key] = config_number(section, key, "eval.", integer=True)
     if "modes" in section:
-        kwargs["modes"] = tuple(str(m) for m in section["modes"])
+        modes = section["modes"]
+        if not isinstance(modes, list) or not all(isinstance(m, str) for m in modes):
+            raise SchemaError(
+                "config field 'eval.modes' must be a list of mode names,"
+                f" got {modes!r}",
+                field="eval.modes",
+            )
+        kwargs["modes"] = tuple(modes)
     return EvalConfig(**kwargs)

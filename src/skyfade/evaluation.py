@@ -58,6 +58,8 @@ class TrialRecord:
     trial: int
     rmse_db: float
     nugget_used: float
+    pi95_coverage: float = math.nan
+    zscore_sd: float = math.nan
 
 
 @dataclass
@@ -65,20 +67,25 @@ class EvalResult:
     config: EvalConfig
     trials: list[TrialRecord] = field(default_factory=list)
 
-    def rmse_values(self, m: int, mode: str) -> np.ndarray:
+    def values(self, m: int, mode: str, name: str = "rmse_db") -> np.ndarray:
+        """One ``TrialRecord`` field over the (m, mode) trials, in trial order."""
         return np.array(
-            [t.rmse_db for t in self.trials if t.m == m and t.mode == mode]
+            [getattr(t, name) for t in self.trials if t.m == m and t.mode == mode]
         )
 
     def median_rmse(self, m: int, mode: str) -> float:
-        return float(np.median(self.rmse_values(m, mode)))
+        return float(np.median(self.values(m, mode)))
 
     def summary(self) -> dict:
         """JSON-ready summary with per-(M, mode) medians and full RMSE lists."""
+
+        def median(values):
+            return float(np.median(values)) if values.size else None
+
         results = []
         for m in self.config.m_values:
             for mode in self.config.modes:
-                values = self.rmse_values(m, mode)
+                values = self.values(m, mode)
                 results.append(
                     {
                         "m": m,
@@ -87,10 +94,12 @@ class EvalResult:
                         "tests_per_trial": self.config.tests_per_trial,
                         "total_predictions": int(values.size)
                         * self.config.tests_per_trial,
-                        "median_rmse_db": (
-                            float(np.median(values)) if values.size else None
-                        ),
+                        "median_rmse_db": median(values),
                         "rmse_db": [float(v) for v in values],
+                        "median_pi95_coverage": median(
+                            self.values(m, mode, "pi95_coverage")
+                        ),
+                        "median_zscore_sd": median(self.values(m, mode, "zscore_sd")),
                     }
                 )
         return {
@@ -135,14 +144,26 @@ def run_evaluation(
             train = samples[train_idx]
             test = samples[test_idx]
             for mode in config.modes:
-                w_hat, _var, nugget = predict_sf_batch(
+                w_hat, var, nugget = predict_sf_batch(
                     train, test.geometry, model, mode
                 )
                 z_hat = test.pl_est_dbm + w_hat
-                rmse = float(np.sqrt(np.mean((z_hat - test.rsrp_dbm) ** 2)))
+                err = z_hat - test.rsrp_dbm
+                rmse = float(np.sqrt(np.mean(err**2)))
+                sd = np.sqrt(var)
+                # A floored (zero) variance gives an infinite z-score
+                # unless the error is zero too.
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    zscore_sd = float(np.std(err / sd))
                 result.trials.append(
                     TrialRecord(
-                        m=m, mode=mode, trial=trial, rmse_db=rmse, nugget_used=nugget
+                        m=m,
+                        mode=mode,
+                        trial=trial,
+                        rmse_db=rmse,
+                        nugget_used=nugget,
+                        pi95_coverage=float(np.mean(np.abs(err) <= 1.96 * sd)),
+                        zscore_sd=zscore_sd,
                     )
                 )
             if progress is not None:

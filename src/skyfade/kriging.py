@@ -21,6 +21,11 @@ factorization is tried again (diagonal loading), up to six escalations.
 An indefinite covariance is therefore never accepted at the model's
 nugget: the nugget actually used is recorded on the system, and callers
 report it.
+
+The factor, the solve and the residual product all run in scipy's BLAS:
+numpy and scipy wheels each ship their own OpenBLAS with its own thread
+pool, and mixing the two makes the pools' idle-spinning workers fight over
+the cores.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemm
 
 from .correlation import (
     DEFAULT_NUGGET_FACTOR,
@@ -161,10 +167,14 @@ def _cholesky_schur(cov, rhs, shift):
 
 
 def _augmented_residual(cov, shift, rhs, x):
-    """Largest |A x - b| entry of the augmented system, over every column."""
+    """Largest |A x - b| entry of the augmented system, over every column.
+
+    C lambda is computed as (lambda^T C^T)^T: both transposes are
+    Fortran-ordered views, so scipy's GEMM copies nothing.
+    """
     m = cov.shape[0]
     lam, nu = x[:m], x[m]
-    top = cov @ lam
+    top = dgemm(1.0, lam.T, cov.T).T
     if shift:
         top += shift * lam
     top += nu

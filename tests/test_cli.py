@@ -418,6 +418,63 @@ class TestFailureModes:
         with pytest.raises(SystemExit):
             main(["fit", "--input", str(ws.train), "--out", str(tmp_path / "m.json")])
 
+    @pytest.mark.parametrize(
+        "command, section, key, value, field",
+        [
+            ("evaluate", "eval", "m_values", "abc", "eval.m_values"),
+            ("evaluate", "eval", "m_values", 5, "eval.m_values"),
+            ("evaluate", "eval", "m_values", [50.7], "eval.m_values[0]"),
+            ("evaluate", "eval", "m_values", [40, True], "eval.m_values[1]"),
+            ("evaluate", "eval", "tests_per_trial", None, "eval.tests_per_trial"),
+            ("evaluate", "eval", "seed", "1", "eval.seed"),
+            ("evaluate", "eval", "modes", 3, "eval.modes"),
+            ("evaluate", "budget", "tx_alt_m", "high", "budget.tx_alt_m"),
+            ("evaluate", "budget", "reflection", [-0.9], "budget.reflection"),
+            ("evaluate", "ingest", "median_window", 2.5, "ingest.median_window"),
+            (
+                "geometry",
+                "ingest",
+                "max_invalid_frac",
+                False,
+                "ingest.max_invalid_frac",
+            ),
+            (
+                "geometry",
+                "ingest",
+                "column_map",
+                {"time_s": 5},
+                "ingest.column_map.time_s",
+            ),
+            ("fit", "fit", "n_lags", "24", "fit.n_lags"),
+            ("fit", "fit", "min_count", 10.5, "fit.min_count"),
+            ("fit", "fit", "nugget_factor", [1e-6], "fit.nugget_factor"),
+            ("fit", "fit", "single_center", "false", "fit.single_center"),
+            ("fit", "bins", "elev_edges", [0, "45", 90], "bins.elev_edges[1]"),
+            ("simulate", "sim", "n_samples", 600.5, "sim.n_samples"),
+            ("simulate", "sim", "flight", 3, "sim.flight"),
+        ],
+    )
+    def test_malformed_config_value(
+        self, ws, tmp_path, capsys, command, section, key, value, field
+    ):
+        doc = json.loads(json.dumps(ws.config_doc))
+        doc.setdefault(section, {})[key] = value
+        config = tmp_path / "bad_value.json"
+        config.write_text(json.dumps(doc))
+        argv = {
+            "evaluate": ["--input", str(ws.train), "--model", str(ws.exact_model)],
+            "fit": ["--input", str(ws.train)],
+            "geometry": ["--input", str(ws.train)],
+            "simulate": [],
+        }[command]
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(config), "--out", str(out), *argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"'{field}'" in err
+        assert not list(tmp_path.glob("out*"))
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["transmogrify"])

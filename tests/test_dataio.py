@@ -370,24 +370,43 @@ class TestWriters:
         config = EvalConfig(m_values=(5,), tests_per_trial=2, total_test_predictions=2)
         result = EvalResult(config=config)
         result.trials.append(
-            TrialRecord(m=5, mode="baseline", trial=0, rmse_db=3.5, nugget_used=1e-06)
+            TrialRecord(
+                m=5,
+                mode="baseline",
+                trial=0,
+                rmse_db=3.5,
+                nugget_used=1e-06,
+                pi95_coverage=0.95,
+                zscore_sd=1.25,
+            )
         )
         path = tmp_path / "trials.csv"
         write_trials_csv(path, result)
         lines = path.read_text().splitlines()
-        assert lines[0] == "m,mode,trial,rmse_db,nugget_used"
-        assert lines[1] == "5,baseline,0,3.5,1e-06"
+        # The calibration columns come after the original five.
+        assert lines[0] == "m,mode,trial,rmse_db,nugget_used,pi95_coverage,zscore_sd"
+        assert lines[1] == "5,baseline,0,3.5,1e-06,0.95,1.25"
 
     def test_summary_json(self, tmp_path):
         config = EvalConfig(m_values=(5,), tests_per_trial=2, total_test_predictions=2)
         result = EvalResult(config=config)
         result.trials.append(
-            TrialRecord(m=5, mode="baseline", trial=0, rmse_db=3.5, nugget_used=0.0)
+            TrialRecord(
+                m=5,
+                mode="baseline",
+                trial=0,
+                rmse_db=3.5,
+                nugget_used=0.0,
+                pi95_coverage=0.9,
+                zscore_sd=1.5,
+            )
         )
         path = tmp_path / "summary.json"
         write_summary_json(path, result)
         doc = json.loads(path.read_text())
         assert doc["results"][0]["median_rmse_db"] == 3.5
+        assert doc["results"][0]["median_pi95_coverage"] == 0.9
+        assert doc["results"][0]["median_zscore_sd"] == 1.5
 
     def test_coverage_report(self, tmp_path):
         class FakeFit:

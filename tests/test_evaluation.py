@@ -177,6 +177,40 @@ class TestRunEvaluation:
         assert gap > 0.3
 
 
+class TestCalibration:
+    def test_truth_model_is_calibrated_on_benchmark_subset(self):
+        samples = gap_benchmark_sf()
+        model = gap_benchmark_truth()
+        config = EvalConfig(
+            m_values=(150,),
+            tests_per_trial=100,
+            total_test_predictions=2000,
+            seed=0,
+            modes=("angle_aware",),
+        )
+        result = run_evaluation(samples, model, config)
+        entry = result.summary()["results"][0]
+        # Measured on this 20-trial subset: median coverage 0.950 and
+        # median z-score SD 0.992 (seeds 1-3: 0.945-0.950, 0.998-1.017).
+        assert 0.92 <= entry["median_pi95_coverage"] <= 0.98
+        assert 0.9 <= entry["median_zscore_sd"] <= 1.1
+        for t in result.trials:
+            assert 0.0 <= t.pi95_coverage <= 1.0
+            assert np.isfinite(t.zscore_sd)
+
+    def test_summary_medians_match_trials(self):
+        config = EvalConfig(
+            m_values=(12,), tests_per_trial=8, total_test_predictions=24, seed=4
+        )
+        result = run_evaluation(quick_samples(70, seed=31), quick_model(), config)
+        for entry in result.summary()["results"]:
+            coverage = result.values(entry["m"], entry["mode"], "pi95_coverage")
+            sd = result.values(entry["m"], entry["mode"], "zscore_sd")
+            assert coverage.size == entry["trials"] == 3
+            assert entry["median_pi95_coverage"] == float(np.median(coverage))
+            assert entry["median_zscore_sd"] == float(np.median(sd))
+
+
 class TestFittedModel:
     def test_fitted_covariance_never_escalates(self):
         # The fitted model is a valid covariance, so every trial solves at

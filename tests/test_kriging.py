@@ -197,6 +197,33 @@ class TestSolvePaths:
         assert np.sum(x[:3], axis=0) == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_residual_is_the_explicit_augmented_product(self, k):
+        # A non-symmetric C: the residual must not assume the symmetry it
+        # exists to guard, so neither C^T nor a symmetric product may
+        # stand in for C.
+        m, shift = 9, 0.25
+        rng = np.random.default_rng(k)
+        cov = rng.standard_normal((m, m)) + m * np.eye(m)
+        rhs = rng.standard_normal((m, k))
+        x = rng.standard_normal((m + 1, k))
+        x[:m] -= (x[:m].sum(axis=0) - 1.0) / m  # weights sum to 1
+
+        def reference(c):
+            aug = np.zeros((m + 1, m + 1))
+            aug[:m, :m] = c + shift * np.eye(m)
+            aug[:m, m] = 1.0
+            aug[m, :m] = 1.0
+            b = np.vstack([rhs, np.ones((1, k))])
+            return np.max(np.abs(aug @ x - b))
+
+        expect = reference(cov)
+        assert abs(reference(cov.T) - expect) > 0.1
+        assert _augmented_residual(cov, shift, rhs, x) == pytest.approx(
+            expect, rel=1e-12
+        )
+
+
 class TestAssembly:
     def test_covariance_blocks_entrywise(self):
         model = smooth_model(nugget=2e-3)

@@ -1,6 +1,7 @@
-"""Property tests of the correlation model on random bins, kernel tables
-and geometries."""
+"""Property tests of the correlation model and the Kriging predictor on
+random bins, kernel tables and geometries."""
 
+import dataclasses
 import json
 import math
 
@@ -19,6 +20,8 @@ from skyfade.correlation import (
     deserialize_model,
     serialize_model,
 )
+from skyfade.kriging import predict_sf_batch
+from skyfade.propagation import SfSample
 from test_correlation import mk_geom
 
 CAPPED = (Q_CAP_DEG, 2.0 * Q_CAP_DEG, math.inf)
@@ -115,3 +118,46 @@ def test_json_round_trip_gives_the_identical_matrix(model, geoms):
             correlation_matrix(back, geoms, mode=mode),
             correlation_matrix(model, geoms, mode=mode),
         )
+
+
+@st.composite
+def sf_samples(draw):
+    """Training samples on random geometries with random SF values."""
+    geoms = draw(geometries)
+    values = draw(
+        st.lists(st.floats(-10.0, 10.0), min_size=len(geoms), max_size=len(geoms))
+    )
+    return [
+        SfSample(geometry=g, sf_db=v, rsrp_dbm=v, pl_est_dbm=0.0)
+        for g, v in zip(geoms, values)
+    ]
+
+
+@given(models(), sf_samples(), geometries, st.sampled_from(MODES))
+def test_kriging_weights_sum_to_one(model, training, targets, mode):
+    # With every training value 1 the predictor lambda^T w is the weight sum.
+    ones = [dataclasses.replace(s, sf_db=1.0) for s in training]
+    w_hat, _, _ = predict_sf_batch(ones, targets, model, mode)
+    assert np.max(np.abs(w_hat - 1.0)) <= 1e-10
+
+
+@given(
+    models(),
+    st.sampled_from((1e-4, 1e-2)),
+    sf_samples(),
+    geometries,
+    st.sampled_from(MODES),
+    st.data(),
+)
+def test_kriging_ignores_training_order(model, nugget, training, targets, mode, data):
+    # A nugget keeps C well conditioned.  Without one, two rows the mode
+    # cannot tell apart (equal but for tilt, in baseline) make C singular;
+    # the ladder's 1e-6 sigma2 loading then leaves a condition number near
+    # 1e6, and reordering the rows moves w_hat by about 1e-9 through
+    # rounding alone.
+    model = dataclasses.replace(model, nugget=nugget * model.sigma2)
+    order = data.draw(st.permutations(range(len(training))))
+    w_hat, _, _ = predict_sf_batch(training, targets, model, mode)
+    shuffled = [training[i] for i in order]
+    w_hat_shuffled, _, _ = predict_sf_batch(shuffled, targets, model, mode)
+    assert np.max(np.abs(w_hat_shuffled - w_hat)) <= 1e-9
