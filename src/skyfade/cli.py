@@ -15,6 +15,8 @@ exit with status 2 and a one-line message on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -188,8 +190,6 @@ def cmd_evaluate(args) -> int:
     if args.mode is not None:
         overrides["modes"] = tuple(m.strip() for m in args.mode.split(","))
     if overrides:
-        import dataclasses
-
         eval_config = dataclasses.replace(eval_config, **overrides)
     ingest = dataio.ingest_csv(args.input, budget, **_ingest_options(config, args))
     result = run_evaluation(ingest.samples, model, eval_config)
@@ -220,15 +220,11 @@ def cmd_simulate(args) -> int:
     if args.n_samples is not None:
         overrides["n_samples"] = args.n_samples
     if overrides:
-        import dataclasses
-
         sim = dataclasses.replace(sim, **overrides)
     samples = synthesize_dataset(sim)
     out = Path(args.out)
     dataio.write_dataset_csv(out, samples)
     sidecar = truth_sidecar(sim)
-    import json
-
     Path(f"{_stem(out)}_truth.json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
     )

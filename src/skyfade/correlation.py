@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (
     DegenerateCorrelationError,
@@ -642,6 +641,10 @@ def _fit_distance(samples, max_lag_m, n_lags, empty_tol=0.2):
     ``max_lag_m`` defaults to half the bounding-box diagonal of the sample
     positions.  Returns ``(mu, sigma2, correlogram, dedm)``.
     """
+    # Imported here: scipy.optimize adds about 0.1 s to every command's
+    # start-up, and only fitting uses it.
+    from scipy.optimize import least_squares
+
     samples = SfTable.of(samples)
     mu, sigma2 = sf_statistics(samples)
     if sigma2 <= 0.0:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +33,8 @@ from .correlation import (
     Correlogram,
     FitResult,
     _decode_number,
+    deserialize_model,
+    load_model,
 )
 from .errors import IngestError, RowErrors, SchemaError, ValidationError
 from .evaluation import EvalConfig, EvalResult
@@ -60,28 +61,23 @@ ANNOTATION_COLUMNS = (
     "sf_db",
 )
 PREDICTION_COLUMNS = ("w_hat_db", "z_hat_dbm", "kriging_var_db2", "nugget_used")
-#: Rows :func:`write_geometry_csv` formats per pass.
+#: Rows :func:`_write_csv` formats per pass.
 WRITE_BLOCK_ROWS = 4096
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 @dataclass
 class IngestResult:
-    """Parsed dataset plus passthrough rows and the skip report.
+    """Parsed dataset plus passthrough columns and the skip report.
 
     ``measurements`` maps each canonical column to the kept rows' values,
     with yaw and roll wrapped and the RSRP median-filtered as decomposed;
+    ``passthrough`` maps each extra column to the kept rows' text cells;
     ``skipped`` lists (line, reason) sorted by line.
     """
 
     samples: SfTable
     measurements: dict[str, np.ndarray]
-    passthrough: list[dict]
+    passthrough: dict[str, np.ndarray]
     extra_columns: list[str]
     skipped: list[tuple[int, str]]
     n_rows: int
@@ -102,13 +98,15 @@ def _median_filter(values: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-@contextmanager
-def _open_mapped(path, column_map: dict | None, required):
-    """Open a CSV and map canonical column names onto its header.
+def _read_csv(path, column_map: dict | None, required):
+    """Read a CSV in one pass, every canonical column in its header as floats.
 
-    ``column_map`` renames canonical columns to the file's actual headers.
-    Yields ``(reader, mapping, header)`` after checking that every column
-    in ``required`` is present; raises :class:`SchemaError` otherwise.
+    ``column_map`` renames canonical columns to the file's actual headers;
+    a ``required`` one that is absent raises :class:`SchemaError`.  Returns
+    ``(names, lines, table, failures, passthrough)``: the parsed names, the
+    line of each parsed row and its values (one table column per name),
+    ``(line, exception)`` per row whose cells did not parse, and each extra
+    column (neither mapped nor an annotation) as the parsed rows' text.
     """
     mapping = {name: name for name in CANONICAL_COLUMNS}
     if column_map:
@@ -129,7 +127,26 @@ def _open_mapped(path, column_map: dict | None, required):
                 f"{path}: missing required column(s): {', '.join(missing)}",
                 field=missing[0],
             )
-        yield reader, mapping, header
+        names = [c for c in CANONICAL_COLUMNS if mapping[c] in header]
+        keys = [mapping[c] for c in names]
+        extra = {
+            c: []
+            for c in header
+            if c not in set(mapping.values()) and c not in ANNOTATION_COLUMNS
+        }
+        lines, values, failures = [], [], []
+        for row in reader:
+            try:
+                values.append([float(row[k]) for k in keys])
+            except (TypeError, ValueError) as exc:
+                failures.append((reader.line_num, exc))
+                continue
+            lines.append(reader.line_num)
+            for c, cells in extra.items():
+                cells.append(row[c] or "")
+    table = np.array(values, dtype=float).reshape(-1, len(names))
+    passthrough = {c: np.array(cells, dtype=object) for c, cells in extra.items()}
+    return names, lines, table, failures, passthrough
 
 
 def ingest_csv(
@@ -147,28 +164,13 @@ def ingest_csv(
     columns are missing and :class:`IngestError` when more than
     ``max_invalid_frac`` of the data rows fail validation.
     """
-    with _open_mapped(path, column_map, CANONICAL_COLUMNS) as (reader, mapping, header):
-        extra = [
-            c
-            for c in header
-            if c not in set(mapping.values()) and c not in ANNOTATION_COLUMNS
-        ]
-        keys = [mapping[c] for c in CANONICAL_COLUMNS]
-        lines, values, passthrough = [], [], []
-        skipped: list[tuple[int, str]] = []
-        for row in reader:
-            try:
-                values.append([float(row[k]) for k in keys])
-            except (TypeError, ValueError):
-                skipped.append((reader.line_num, "non-numeric or missing value"))
-                continue
-            lines.append(reader.line_num)
-            passthrough.append({c: row.get(c, "") for c in extra})
-
+    _names, lines, table, failures, passthrough = _read_csv(
+        path, column_map, CANONICAL_COLUMNS
+    )
+    skipped = [(line, "non-numeric or missing value") for line, _exc in failures]
     n_rows = len(lines) + len(skipped)
     if n_rows == 0:
         raise SchemaError(f"{path}: no data rows")
-    table = np.array(values, dtype=float).reshape(-1, len(CANONICAL_COLUMNS))
     errors = RowErrors()
     errors.flag(
         ~np.isfinite(table).all(axis=1), lambda _i: ValidationError("non-finite value")
@@ -196,8 +198,8 @@ def ingest_csv(
     return IngestResult(
         samples=samples[keep],
         measurements={name: column[keep] for name, column in columns.items()},
-        passthrough=[passthrough[i] for i in rows[keep]],
-        extra_columns=extra,
+        passthrough={name: cells[rows[keep]] for name, cells in passthrough.items()},
+        extra_columns=list(passthrough),
         skipped=skipped,
         n_rows=n_rows,
     )
@@ -223,22 +225,16 @@ def load_targets_csv(
     :class:`IngestError` naming its line.
     """
     required = [c for c in CANONICAL_COLUMNS if c != "rsrp_dbm"]
-    with _open_mapped(path, column_map, required) as (reader, mapping, header):
-        names = required + ["rsrp_dbm"] if mapping["rsrp_dbm"] in header else required
-        lines, values = [], []
-        for row in reader:
-            line = reader.line_num
-            try:
-                values.append([float(row[mapping[c]]) for c in names])
-            except (TypeError, ValueError) as exc:
-                raise IngestError(
-                    f"{path}: line {line}: non-numeric value ({exc})",
-                    bad_rows=[(line, "non-numeric value")],
-                ) from exc
-            lines.append(line)
+    names, lines, table, failures, _ = _read_csv(path, column_map, required)
+    if failures:
+        line, exc = failures[0]
+        raise IngestError(
+            f"{path}: line {line}: non-numeric value ({exc})",
+            bad_rows=[(line, "non-numeric value")],
+        ) from exc
     if not lines:
         raise SchemaError(f"{path}: no data rows")
-    columns = dict(zip(names, np.array(values, dtype=float).T))
+    columns = dict(zip(names, table.T))
     columns.setdefault("rsrp_dbm", np.zeros(len(lines)))
     errors = RowErrors()
     check_poses(columns, errors)
@@ -252,13 +248,44 @@ def load_targets_csv(
     return targets.geometry, columns["rsrp_dbm"]
 
 
-def write_dataset_csv(path: str | Path, samples) -> None:
-    """Write measurement rows in the canonical ingestion schema."""
+def _cells(values) -> list:
+    """CSV cells of a column slice: floats (numpy's too) in shortest
+    round-trip form, so reruns are byte identical; None stays None, which
+    :mod:`csv` writes as an empty cell."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return [repr(float(v)) if isinstance(v, float) else v for v in values]
+
+
+def _record_columns(records, fields) -> list[list]:
+    """One column per name in ``fields``, read off each of ``records``."""
+    records = list(records)
+    return [[getattr(r, name) for r in records] for name in fields]
+
+
+def _blank_nonfinite(values) -> np.ndarray:
+    """``values`` as floats, each non-finite one replaced by None."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isfinite(values), values, None)
+
+
+def _write_csv(path: str | Path, header, columns) -> None:
+    """Write ``header`` and then one row per index of ``columns``.
+
+    The cells are formatted :data:`WRITE_BLOCK_ROWS` rows at a time, so
+    the strings of a whole file are never held at once.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CANONICAL_COLUMNS)
-        for s in samples:
-            writer.writerow([_fmt(getattr(s, c)) for c in CANONICAL_COLUMNS])
+        writer.writerow(header)
+        for r0 in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
+            block = slice(r0, r0 + WRITE_BLOCK_ROWS)
+            writer.writerows(zip(*(_cells(column[block]) for column in columns)))
+
+
+def write_dataset_csv(path: str | Path, samples) -> None:
+    """Write measurement samples in the canonical ingestion schema."""
+    _write_csv(path, CANONICAL_COLUMNS, _record_columns(samples, CANONICAL_COLUMNS))
 
 
 def write_geometry_csv(path: str | Path, ingest: IngestResult) -> None:
@@ -267,46 +294,20 @@ def write_geometry_csv(path: str | Path, ingest: IngestResult) -> None:
     Annotation columns from the input (if any) are recomputed, so running
     the command on its own output is stable.
     """
-    header = list(CANONICAL_COLUMNS) + list(ingest.extra_columns) + list(
-        ANNOTATION_COLUMNS
-    )
     s = ingest.samples
-    numeric = [ingest.measurements[c] for c in CANONICAL_COLUMNS] + [
-        s.geometry.theta_deg,
-        s.geometry.delta_deg,
-        s.geometry.d2d_m,
-        s.geometry.d3d_m,
-        s.pl_est_dbm,
-        s.sf_db,
-    ]
-    n = len(CANONICAL_COLUMNS)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        # Format a block of rows at a time, so the strings of the whole
-        # file are never held at once.
-        for r0 in range(0, len(s), WRITE_BLOCK_ROWS):
-            block = slice(r0, r0 + WRITE_BLOCK_ROWS)
-            cells = [[_fmt(v) for v in column[block].tolist()] for column in numeric]
-            extra = [
-                [p[c] for p in ingest.passthrough[block]] for c in ingest.extra_columns
-            ]
-            writer.writerows(zip(*cells[:n], *extra, *cells[n:]))
+    g = s.geometry
+    _write_csv(
+        path,
+        list(CANONICAL_COLUMNS) + ingest.extra_columns + list(ANNOTATION_COLUMNS),
+        [ingest.measurements[c] for c in CANONICAL_COLUMNS]
+        + [ingest.passthrough[c] for c in ingest.extra_columns]
+        + [g.theta_deg, g.delta_deg, g.d2d_m, g.d3d_m, s.pl_est_dbm, s.sf_db],
+    )
 
 
 def write_predictions_csv(path: str | Path, predictions) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PREDICTION_COLUMNS)
-        for p in predictions:
-            writer.writerow(
-                [
-                    _fmt(p.w_hat_db),
-                    _fmt(p.z_hat_dbm),
-                    _fmt(p.variance_db2),
-                    _fmt(p.nugget_used),
-                ]
-            )
+    fields = ("w_hat_db", "z_hat_dbm", "variance_db2", "nugget_used")
+    _write_csv(path, PREDICTION_COLUMNS, _record_columns(predictions, fields))
 
 
 def write_profile_csv(
@@ -317,48 +318,27 @@ def write_profile_csv(
     cond_reps,
     ref_reps,
 ) -> None:
-    """Long-format export of a binned correlation profile."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                f"{cond_label}_rep_deg",
-                f"{ref_label}_rep_i_deg",
-                f"{ref_label}_rep_j_deg",
-                "rho",
-                "count_i",
-                "count_j",
-            ]
-        )
-        n_cond, n_ref = profile.counts.shape
-        for c in range(n_cond):
-            for i in range(n_ref):
-                for j in range(n_ref):
-                    rho = profile.rho[c, i, j]
-                    writer.writerow(
-                        [
-                            _fmt(float(cond_reps[c])),
-                            _fmt(float(ref_reps[i])),
-                            _fmt(float(ref_reps[j])),
-                            "" if not np.isfinite(rho) else _fmt(float(rho)),
-                            int(profile.counts[c, i]),
-                            int(profile.counts[c, j]),
-                        ]
-                    )
+    """Long-format export of a binned correlation profile: one row per
+    (conditioning bin, reference bin i, reference bin j), with an empty
+    ``rho`` where the profile has none."""
+    counts = np.asarray(profile.counts, dtype=int)
+    cond = np.asarray(cond_reps, dtype=float)[:, None, None]
+    ref = np.asarray(ref_reps, dtype=float)
+    rho = _blank_nonfinite(profile.rho)
+    grid = [cond, ref[:, None], ref, rho, counts[:, :, None], counts[:, None, :]]
+    _write_csv(
+        path,
+        [f"{cond_label}_rep_deg", f"{ref_label}_rep_i_deg", f"{ref_label}_rep_j_deg"]
+        + ["rho", "count_i", "count_j"],
+        [np.broadcast_to(a, profile.rho.shape).ravel() for a in grid],
+    )
 
 
 def write_correlogram_csv(path: str | Path, gram: Correlogram) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lag_m", "rho", "count"])
-        for lag, rho, count in zip(gram.lag_m, gram.rho, gram.counts):
-            writer.writerow(
-                [
-                    "" if not np.isfinite(lag) else _fmt(float(lag)),
-                    "" if not np.isfinite(rho) else _fmt(float(rho)),
-                    int(count),
-                ]
-            )
+    """One row per lag bin, with empty cells where the bin has no pairs."""
+    counts = np.asarray(gram.counts, dtype=int)
+    columns = [_blank_nonfinite(gram.lag_m), _blank_nonfinite(gram.rho), counts]
+    _write_csv(path, ["lag_m", "rho", "count"], columns)
 
 
 def write_coverage_report(path: str | Path, fit: FitResult, ingest_skipped=None) -> None:
@@ -375,31 +355,9 @@ def write_coverage_report(path: str | Path, fit: FitResult, ingest_skipped=None)
 
 
 def write_trials_csv(path: str | Path, result: EvalResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "m",
-                "mode",
-                "trial",
-                "rmse_db",
-                "nugget_used",
-                "pi95_coverage",
-                "zscore_sd",
-            ]
-        )
-        for t in result.trials:
-            writer.writerow(
-                [
-                    t.m,
-                    t.mode,
-                    t.trial,
-                    _fmt(t.rmse_db),
-                    _fmt(t.nugget_used),
-                    _fmt(t.pi95_coverage),
-                    _fmt(t.zscore_sd),
-                ]
-            )
+    """One row per trial; a non-finite value is written as ``nan``/``inf``."""
+    fields = "m mode trial rmse_db nugget_used pi95_coverage zscore_sd".split()
+    _write_csv(path, fields, _record_columns(result.trials, fields))
 
 
 def write_summary_json(path: str | Path, result: EvalResult) -> None:
@@ -556,8 +514,6 @@ def flight_from_config(section: dict) -> FlightSpec:
 def sim_from_config(
     doc: dict, budget: LinkBudget, base_dir: Path | None = None
 ) -> SimConfig:
-    from .correlation import deserialize_model, load_model
-
     section = config_section(doc, "sim")
     if not section:
         raise SchemaError("config has no sim section", field="sim")

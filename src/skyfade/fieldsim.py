@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .correlation import CorrelationModel, correlation_matrix
+from .correlation import CorrelationModel, correlation_matrix, serialize_model
 from .errors import NotPositiveDefiniteError, RowErrors, ValidationError
 from .geometry import MeasurementSample, enu_to_geodetic, tilt_geometry
 from .propagation import LinkBudget, link_rsrp
@@ -265,8 +265,6 @@ def truth_sidecar(config: SimConfig) -> dict:
     The top level is a valid model document (the truth model) extended
     with a ``sim`` section recording the seed and generator.
     """
-    from .correlation import serialize_model
-
     doc = serialize_model(config.truth)
     doc["sim"] = {
         "seed": config.seed,

@@ -3,10 +3,14 @@
 import csv
 import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import skyfade
 from _recipes import BUDGET, gap_benchmark_rows, gap_benchmark_truth
 from skyfade import CorrelationModel, DedmParams
 from skyfade.cli import main
@@ -22,6 +26,20 @@ from skyfade.dataio import (
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """Only fitting uses scipy.optimize, so the other commands do not pay
+    for importing it at start-up."""
+    src = str(Path(skyfade.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import skyfade.cli;"
+        " print('scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 @pytest.fixture(scope="module")

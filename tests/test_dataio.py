@@ -1,5 +1,6 @@
 """CSV ingestion, exporters, and config parsing."""
 
+import csv
 import json
 import math
 
@@ -35,6 +36,7 @@ from skyfade.dataio import (
 from skyfade.errors import IngestError, SchemaError, ValidationError
 from skyfade.evaluation import EvalConfig, EvalResult, TrialRecord
 from skyfade.fieldsim import synthesize_dataset
+from skyfade.geometry import MeasurementSample
 from skyfade.kriging import Prediction
 from test_fieldsim import small_config
 
@@ -145,7 +147,7 @@ class TestIngest:
         assert ingest.n_rows == 20
         assert len(ingest.samples) == 12
         assert ingest.measurements["time_s"].tolist() == [float(i) for i in range(12)]
-        assert ingest.passthrough == [{}] * 12
+        assert ingest.passthrough == {}
 
     def test_skips_reported_in_line_order(self, tmp_path):
         lines = [HEADER, good_row(), ANTENNA_ROW, good_row(), "x,x,x,x,x,x,x,x"]
@@ -203,7 +205,38 @@ class TestIngest:
         )
         ingest = ingest_csv(path, BUDGET)
         assert ingest.extra_columns == ["site"]
-        assert [p["site"] for p in ingest.passthrough] == ["LW1", "LW2"]
+        assert ingest.passthrough["site"].tolist() == ["LW1", "LW2"]
+
+    def test_blank_line_ignored_and_not_counted(self, tmp_path):
+        lines = [HEADER, good_row(), "", "1,35.7205,-78.699,x,10,1,-1,-75"]
+        lines += [good_row(time=float(i)) for i in range(2, 12)]
+        path = write_lines(tmp_path / "blank.csv", lines)
+        ingest = ingest_csv(path, BUDGET)
+        assert ingest.n_rows == 12
+        assert len(ingest.samples) == 11
+        assert ingest.skipped == [(4, "non-numeric or missing value")]
+
+    def test_short_row_skipped_on_its_line(self, tmp_path):
+        lines = [HEADER] + [good_row(time=float(i)) for i in range(12)]
+        lines.insert(4, "3,35.7205,-78.699,30")
+        path = write_lines(tmp_path / "short.csv", lines)
+        ingest = ingest_csv(path, BUDGET)
+        assert ingest.n_rows == 13
+        assert ingest.skipped == [(5, "non-numeric or missing value")]
+
+    def test_numpy_float_samples_round_trip(self, tmp_path):
+        table = np.array(
+            [
+                [0.0, 35.7205, -78.699, 30.0, 10.0, 1.0, -1.0, -75.0],
+                [1.0, 35.7206, -78.6991, 31.5, 12.0, 2.0, -2.0, -76.25],
+            ]
+        )
+        path = tmp_path / "numpy.csv"
+        write_dataset_csv(path, (MeasurementSample(*row) for row in table))
+        ingest = ingest_csv(path, BUDGET)
+        assert ingest.skipped == []
+        for k, name in enumerate(CANONICAL_COLUMNS):
+            assert ingest.measurements[name].tolist() == table[:, k].tolist()
 
 
 class TestMedianFilter:
@@ -279,6 +312,15 @@ class TestTargets:
         assert str(err.value) == f"{path}: line 3: {reason}"
         assert err.value.bad_rows == [(3, reason)]
 
+    def test_short_row_names_line(self, tmp_path):
+        path = write_lines(
+            tmp_path / "t.csv", [HEADER, good_row(), "", "1,35.7205,-78.699,30"]
+        )
+        with pytest.raises(IngestError) as err:
+            load_targets_csv(path, BUDGET)
+        assert str(err.value).startswith(f"{path}: line 4: non-numeric value (")
+        assert err.value.bad_rows == [(4, "non-numeric value")]
+
     def test_missing_pose_column(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", ["time_s,lat_deg", "0,35.72"])
         with pytest.raises(SchemaError) as err:
@@ -324,6 +366,27 @@ class TestWriters:
         write_geometry_csv(out1, ingest_csv(path, BUDGET))
         header = out1.read_text().splitlines()[0].split(",")
         assert header == list(CANONICAL_COLUMNS) + ["site"] + list(ANNOTATION_COLUMNS)
+        out2 = tmp_path / "out2.csv"
+        write_geometry_csv(out2, ingest_csv(out1, BUDGET))
+        assert out2.read_bytes() == out1.read_bytes()
+
+    def test_geometry_csv_passthrough_cells(self, tmp_path):
+        path = write_lines(
+            tmp_path / "in.csv",
+            [
+                HEADER + ",site,note",
+                good_row() + ',"LW1, north","say ""hi"""',
+                good_row(time=1.0) + ",LW2",  # no note cell
+            ],
+        )
+        out1 = tmp_path / "out1.csv"
+        write_geometry_csv(out1, ingest_csv(path, BUDGET))
+        with open(out1, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["site"], r["note"]) for r in rows] == [
+            ("LW1, north", 'say "hi"'),
+            ("LW2", ""),
+        ]
         out2 = tmp_path / "out2.csv"
         write_geometry_csv(out2, ingest_csv(out1, BUDGET))
         assert out2.read_bytes() == out1.read_bytes()
