@@ -50,7 +50,6 @@ from .geometry import (
     Geometry,
     LinkGeometry,
     MeasurementSample,
-    compute_tilt,
     project_enu,
 )
 from .kriging import (
@@ -65,8 +64,6 @@ from .propagation import (
     LinkBudget,
     SfSample,
     SfTable,
-    decompose_sf,
-    link_geometry,
     sf_statistics,
     two_ray_rsrp,
 )
@@ -102,8 +99,6 @@ __all__ = [
     "ValidationError",
     "assemble_system",
     "balance_resample",
-    "compute_tilt",
-    "decompose_sf",
     "dedm_eval",
     "deserialize_model",
     "empirical_angular_correlation",
@@ -114,7 +109,6 @@ __all__ = [
     "fit_dedm",
     "fit_piecewise_kernel",
     "generate_trajectory",
-    "link_geometry",
     "load_model",
     "predict_rsrp",
     "predict_sf",

@@ -167,9 +167,10 @@ def cmd_predict(args) -> int:
     config, base = _load_config(args, required=True)
     budget = dataio.budget_from_config(config, base)
     model = load_model(args.model)
-    ingest = dataio.ingest_csv(args.input, budget, **_ingest_options(config, args))
+    options = _ingest_options(config, args)
+    ingest = dataio.ingest_csv(args.input, budget, **options)
     targets, _rsrp = dataio.load_targets_csv(
-        args.targets, budget, _parse_column_map(args.column_map)
+        args.targets, budget, options["column_map"]
     )
     predictions = predict_rsrp(ingest.samples, targets, budget, model, args.mode)
     if predictions and predictions[0].nugget_used > model.nugget:

@@ -134,12 +134,6 @@ class AngleBins:
     def elev_indices(self, theta_deg) -> np.ndarray:
         return self._indices(theta_deg, self.elev_edges, "elevation")
 
-    def tilt_index(self, delta_deg: float) -> int:
-        return int(self.tilt_indices(np.asarray([delta_deg]))[0])
-
-    def elev_index(self, theta_deg: float) -> int:
-        return int(self.elev_indices(np.asarray([theta_deg]))[0])
-
 
 @dataclass(frozen=True)
 class DedmParams:
@@ -807,7 +801,7 @@ def fit_correlation_model(
             " angular profiles"
         )
     try:
-        center_tilt = bins.tilt_index(0.0)
+        center_tilt = int(bins.tilt_indices([0.0])[0])
     except ValidationError:
         center_tilt = bins.n_tilt // 2
     center_elev = int(np.argmax(elev_profile.counts.sum(axis=0)))

@@ -84,7 +84,10 @@ class IngestResult:
 
 
 def _median_filter(values: np.ndarray, window: int) -> np.ndarray:
-    """Centered sliding median; the window shrinks near the edges."""
+    """Centered sliding median; the window shrinks near the edges.  A window
+    of 0 or 1 leaves the values as they are."""
+    if window < 0:
+        raise ValidationError(f"median window must not be negative: {window}")
     if window <= 1:
         return values
     if window % 2 == 0:
@@ -102,7 +105,8 @@ def _read_csv(path, column_map: dict | None, required):
     """Read a CSV in one pass, every canonical column in its header as floats.
 
     ``column_map`` renames canonical columns to the file's actual headers;
-    a ``required`` one that is absent raises :class:`SchemaError`.  Returns
+    a map that sends two canonical columns to one header, or a ``required``
+    column that is absent, raises :class:`SchemaError`.  Returns
     ``(names, lines, table, failures, passthrough)``: the parsed names, the
     line of each parsed row and its values (one table column per name),
     ``(line, exception)`` per row whose cells did not parse, and each extra
@@ -116,6 +120,15 @@ def _read_csv(path, column_map: dict | None, required):
                     f"unknown canonical column in map: {canonical}", field=canonical
                 )
             mapping[canonical] = actual
+    claimed = {}
+    for canonical, actual in mapping.items():
+        if actual in claimed:
+            raise SchemaError(
+                f"column map sends {claimed[actual]} and {canonical} to the same"
+                f" header: {actual}",
+                field=canonical,
+            )
+        claimed[actual] = canonical
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:

@@ -70,7 +70,8 @@ class RowErrors(dict):
 
     Column code records failing rows here, rule by rule, instead of
     raising, so a file reports every bad row; :meth:`strict` raises
-    instead, which is how a one-row call reports its first broken rule.
+    instead, for callers that accept no bad row (a one-row check, or
+    columns the package built itself).
     """
 
     @classmethod

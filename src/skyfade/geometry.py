@@ -20,10 +20,18 @@ Frames and conventions used throughout the package:
 
 Data moves as columns: :class:`Geometry` holds the :class:`LinkGeometry`
 fields of many links as 1-d arrays, and poses travel as a mapping from the
-pose field names to 1-d arrays.  The pose rules, the projection, the
-rotation and the tilt are written once, on arrays; failing rows go into a
-:class:`~skyfade.errors.RowErrors`.  The scalar helpers and
-:class:`MeasurementSample`'s checks are one-row calls into that code.
+pose field names to 1-d arrays.  The pose rules (:func:`check_poses`), the
+rotation (:func:`euler_zyx_matrices`) and the projection and tilt
+(:func:`tilt_geometry`) are written once, on arrays; failing rows go into a
+:class:`~skyfade.errors.RowErrors`.
+
+Rows remain only at the edges.  :class:`MeasurementSample` is one logged
+measurement, the row type of synthesized datasets and of the dataset
+writer; its checks are a one-row :func:`check_poses`.  :class:`LinkGeometry`
+is one link, the single Kriging target, packed into columns by
+:meth:`Geometry.of`.  :func:`project_enu` and :func:`enu_to_geodetic` map
+one position between the geodetic and ENU frames, for callers that place
+waypoints or check a pose by hand.
 """
 
 from __future__ import annotations
@@ -80,11 +88,6 @@ def check_poses(poses, errors: RowErrors) -> None:
     and roll.
     """
     _check(poses, _POSE_RULES, "", errors)
-
-
-def _pose_row(sample) -> dict:
-    """One-row columns of a sample's fields (the pose, and the RSRP if any)."""
-    return {name: np.array([v], dtype=float) for name, v in vars(sample).items()}
 
 
 @dataclass(frozen=True)
@@ -173,9 +176,6 @@ class Geometry(Columns):
         ).reshape(-1, len(_LINK_FIELDS))
         return cls(*table.T.copy())
 
-    def row(self, i: int) -> LinkGeometry:
-        return LinkGeometry(*(float(getattr(self, f)[i]) for f in _LINK_FIELDS))
-
 
 def _project(lat, lon, alt, origin, errors: RowErrors):
     """Equirectangular ENU columns (east, north, up) about ``origin``."""
@@ -238,17 +238,6 @@ def _elevation(d_east, d_north, d_up, errors: RowErrors):
     return np.degrees(np.arctan2(d_up, d2d)), d2d
 
 
-def compute_elevation(uav_enu: np.ndarray, tx_enu: np.ndarray) -> float:
-    """Elevation angle of the UAV seen from the transmitter, in degrees.
-
-    ``atan2(delta_up, d2d)``; the sign follows the up difference.  Raises
-    :class:`UndefinedGeometryError` when the two points coincide.
-    """
-    offsets = np.asarray(uav_enu, dtype=float) - np.asarray(tx_enu, dtype=float)
-    theta, _ = RowErrors.strict(_elevation, *offsets[:, None])
-    return float(theta[0])
-
-
 def euler_zyx_matrices(yaw_deg, pitch_deg, roll_deg) -> np.ndarray:
     """Body-to-NED rotation matrices for intrinsic Z-Y-X Euler angles.
 
@@ -266,11 +255,6 @@ def euler_zyx_matrices(yaw_deg, pitch_deg, roll_deg) -> np.ndarray:
         ],
         axis=-1,
     ).reshape(-1, 3, 3)
-
-
-def euler_zyx_matrix(yaw_deg: float, pitch_deg: float, roll_deg: float) -> np.ndarray:
-    """Body-to-NED rotation matrix for intrinsic Z-Y-X Euler angles."""
-    return euler_zyx_matrices([yaw_deg], [pitch_deg], [roll_deg])[0]
 
 
 def tilt_geometry(poses, tx_enu, origin, errors: RowErrors) -> Geometry:
@@ -309,17 +293,3 @@ def tilt_geometry(poses, tx_enu, origin, errors: RowErrors) -> Geometry:
     )
     return Geometry(theta, theta_gs, theta - theta_gs, d2d, d3d, east, north, up)
 
-
-def compute_tilt(
-    sample: MeasurementSample,
-    tx_enu: np.ndarray,
-    origin: tuple[float, float, float],
-) -> LinkGeometry:
-    """Full link geometry for one sample: a one-row :func:`tilt_geometry`.
-
-    Raises the first error of the row (:class:`ValidationError` for an
-    out-of-range coordinate, :class:`UndefinedGeometryError` when the UAV
-    sits at the transmitter).
-    """
-    tx_enu = np.asarray(tx_enu, dtype=float)
-    return RowErrors.strict(tilt_geometry, _pose_row(sample), tx_enu, origin).row(0)

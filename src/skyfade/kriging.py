@@ -54,9 +54,9 @@ MAX_ESCALATIONS = 6
 class KrigingSystem:
     """One assembled (and optionally solved) ordinary Kriging system.
 
-    ``cov`` includes the base nugget on its diagonal.  ``target_cov`` is an
-    (M,) vector for a single target or an (M, k) matrix for a batch;
-    ``weights``/``multiplier`` follow the same shape once solved.
+    ``cov`` includes the base nugget on its diagonal and ``target_cov`` is
+    the (M,) covariance of the tuning samples with the one target; once
+    solved, ``weights`` is (M,) and ``multiplier`` a float.
     """
 
     cov: np.ndarray
@@ -65,7 +65,7 @@ class KrigingSystem:
     sigma2: float
     nugget: float
     weights: np.ndarray | None = None
-    multiplier: np.ndarray | float | None = None
+    multiplier: float | None = None
     nugget_used: float | None = None
 
 
@@ -216,16 +216,12 @@ def solve_ok(system: KrigingSystem) -> KrigingSystem:
     Fills ``weights``, ``multiplier`` and ``nugget_used``; raises
     :class:`SingularSystemError` if the escalation ladder is exhausted.
     """
-    single = system.target_cov.ndim == 1
-    rhs = system.target_cov[:, None] if single else system.target_cov
-    x, nugget = _solve_augmented(system.cov, rhs, system.sigma2, system.nugget)
+    x, nugget = _solve_augmented(
+        system.cov, system.target_cov[:, None], system.sigma2, system.nugget
+    )
     m = system.cov.shape[0]
-    if single:
-        system.weights = x[:m, 0]
-        system.multiplier = float(x[m, 0])
-    else:
-        system.weights = x[:m, :]
-        system.multiplier = x[m, :]
+    system.weights = x[:m, 0]
+    system.multiplier = float(x[m, 0])
     system.nugget_used = nugget
     return system
 
@@ -250,8 +246,6 @@ def _krige(lam, nu, w, c0, sigma2):
 
 def predict_sf(system: KrigingSystem) -> Prediction:
     """Predictor and variance from a solved (or solvable) single system."""
-    if system.target_cov.ndim != 1:
-        raise ValidationError("predict_sf expects a single-target system")
     if system.weights is None:
         solve_ok(system)
     w_hat, variance = _krige(

@@ -16,10 +16,12 @@ far field rolls off at -40 dB per decade of horizontal distance.
 Shadow fading is defined in the received-power domain as the residual
 w = z - rsrp_est of the measured RSRP z against this estimate.
 
-The estimate and the decomposition are written once, on columns, and a
-decomposed dataset is an :class:`SfTable`.  :func:`two_ray_rsrp`,
-:func:`link_geometry` and :func:`decompose_sf` are one-row calls into that
-code.
+The estimate (:func:`two_ray_power`, :func:`link_rsrp`) and the
+decomposition (:func:`decompose`) are written once, on columns, and a
+decomposed dataset is an :class:`SfTable`.  Two row shapes stay:
+:func:`two_ray_rsrp` is a one-row :func:`two_ray_power` for checking the
+model link by link, and :class:`SfSample` is one decomposed measurement,
+packed into columns by :meth:`SfTable.of`.
 """
 
 from __future__ import annotations
@@ -32,15 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InsufficientDataError, RowErrors, SchemaError, ValidationError
-from .geometry import (
-    Columns,
-    Geometry,
-    LinkGeometry,
-    MeasurementSample,
-    _pose_row,
-    compute_tilt,
-    tilt_geometry,
-)
+from .geometry import Columns, Geometry, LinkGeometry, tilt_geometry
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -183,11 +177,6 @@ class SfTable(Columns):
         return cls(Geometry.of([s.geometry for s in samples]), *values.T.copy())
 
 
-def link_geometry(sample: MeasurementSample, budget: LinkBudget) -> LinkGeometry:
-    """Geometry of one sample against the budget's transmitter."""
-    return compute_tilt(sample, budget.tx_enu, budget.origin)
-
-
 def two_ray_power(d2d, d_los, uav_alt, tx_alt, budget: LinkBudget, errors: RowErrors):
     """Two-ray received power in dBm, one value per link.
 
@@ -277,18 +266,6 @@ def decompose(poses, budget: LinkBudget, errors: RowErrors) -> SfTable:
     geometry = tilt_geometry(poses, budget.tx_enu, budget.origin, errors)
     estimate = link_rsrp(geometry, budget, errors)
     return SfTable(geometry, poses["rsrp_dbm"] - estimate, poses["rsrp_dbm"], estimate)
-
-
-def decompose_sf(sample: MeasurementSample, budget: LinkBudget) -> SfSample:
-    """Split a measurement into the two-ray estimate and the SF residual:
-    one row of :func:`decompose`."""
-    table = RowErrors.strict(decompose, _pose_row(sample), budget)
-    return SfSample(
-        table.geometry.row(0),
-        float(table.sf_db[0]),
-        sample.rsrp_dbm,
-        float(table.pl_est_dbm[0]),
-    )
 
 
 def sf_statistics(samples) -> tuple[float, float]:

@@ -10,6 +10,7 @@ inside the asserted tolerance bands.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,18 +23,36 @@ from skyfade import (
     MeasurementSample,
     SimConfig,
     synthesize_dataset,
-    two_ray_rsrp,
 )
+from skyfade.errors import RowErrors
 from skyfade.fieldsim import sample_sf_field
-from skyfade.geometry import enu_to_geodetic
-from skyfade.propagation import decompose_sf, link_geometry
+from skyfade.geometry import enu_to_geodetic, tilt_geometry
+from skyfade.propagation import decompose, link_rsrp
 
 BUDGET = LinkBudget(tx_lat_deg=35.72, tx_lon_deg=-78.70)
 ORIGIN = BUDGET.origin
 
 
+def pose_columns(rows):
+    """Columns of a non-empty sequence of pose rows (measurement samples or
+    trajectory points), one 1-d array per field."""
+    names = [f.name for f in dataclasses.fields(rows[0])]
+    return {n: np.array([getattr(r, n) for r in rows], dtype=float) for n in names}
+
+
+def same_geometry(a, b):
+    """Whether two :class:`~skyfade.geometry.Geometry` tables are equal,
+    field by field."""
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        for f in dataclasses.fields(a)
+    )
+
+
 def decompose_all(rows):
-    return [decompose_sf(r, BUDGET) for r in rows]
+    """The :class:`~skyfade.propagation.SfTable` of measurement rows, in
+    one call; any invalid row raises."""
+    return RowErrors.strict(decompose, pose_columns(rows), BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -108,23 +127,11 @@ def angle_grid_dataset(
                 )
             )
             i += 1
-    geoms = [link_geometry(r, BUDGET) for r in rows]
-    w = sample_sf_field(geoms, truth, seed)
-    out = []
-    for row, geom, wi in zip(rows, geoms, w):
-        est = two_ray_rsrp(geom, geom.up_m, BUDGET.antenna_height_m, BUDGET)
-        out.append(
-            MeasurementSample(
-                time_s=row.time_s,
-                lat_deg=row.lat_deg,
-                lon_deg=row.lon_deg,
-                alt_m=row.alt_m,
-                yaw_deg=row.yaw_deg,
-                pitch_deg=row.pitch_deg,
-                roll_deg=row.roll_deg,
-                rsrp_dbm=est + float(wi),
-            )
-        )
+    geoms = RowErrors.strict(tilt_geometry, pose_columns(rows), BUDGET.tx_enu, ORIGIN)
+    rsrp = RowErrors.strict(link_rsrp, geoms, BUDGET) + sample_sf_field(
+        geoms, truth, seed
+    )
+    out = [dataclasses.replace(r, rsrp_dbm=z) for r, z in zip(rows, rsrp.tolist())]
     return out, truth
 
 

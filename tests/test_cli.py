@@ -42,6 +42,26 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_public_names_resolve():
+    """Every exported name resolves, and the one-row wrappers that the
+    column functions replaced are exported nowhere."""
+    assert len(set(skyfade.__all__)) == len(skyfade.__all__)
+    for name in skyfade.__all__:
+        assert getattr(skyfade, name) is not None
+    modules = [skyfade] + [
+        m for n, m in sys.modules.items() if n.startswith("skyfade.")
+    ]
+    for name in (
+        "compute_elevation",
+        "euler_zyx_matrix",
+        "compute_tilt",
+        "link_geometry",
+        "decompose_sf",
+    ):
+        assert name not in skyfade.__all__
+        assert not any(hasattr(m, name) for m in modules), name
+
+
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
     """Run the full simulate -> geometry -> fit -> predict -> evaluate chain once."""
@@ -268,6 +288,36 @@ class TestPipeline:
             assert float(row["kriging_var_db2"]) < 1e-4
             assert float(row["nugget_used"]) == 0.0
 
+    def test_predict_maps_targets_with_config_column_map(self, ws, tmp_path):
+        # One external header for tuning rows and targets, renamed by the
+        # config's ingest.column_map alone.
+        header, body = ws.small.read_text().split("\n", 1)
+        assert header.startswith("time_s,")
+        external = tmp_path / "external.csv"
+        external.write_text(header.replace("time_s", "t", 1) + "\n" + body)
+        doc = json.loads(json.dumps(ws.config_doc))
+        doc["ingest"] = {"column_map": {"time_s": "t"}}
+        config = tmp_path / "mapped.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "predictions.csv"
+        rc = main(
+            [
+                "predict",
+                "--config",
+                str(config),
+                "--input",
+                str(external),
+                "--targets",
+                str(external),
+                "--model",
+                str(ws.exact_model),
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 0
+        assert out.read_bytes() == ws.predictions.read_bytes()
+
     def test_predict_baseline_also_exact_here(self, ws, tmp_path):
         out = tmp_path / "baseline.csv"
         assert (
@@ -431,6 +481,59 @@ class TestFailureModes:
                 ]
             )
         assert "--column-map" in str(err.value)
+
+    def test_column_map_sharing_a_header(self, ws, tmp_path, capsys):
+        capsys.readouterr()
+        out = tmp_path / "x.csv"
+        rc = main(
+            [
+                "geometry",
+                "--config",
+                str(ws.config),
+                "--input",
+                str(ws.small),
+                "--out",
+                str(out),
+                "--column-map",
+                "time_s=lat_deg",
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: column map sends time_s and lat_deg to the same header:"
+            " lat_deg\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_median_window(self, ws, tmp_path, capsys, source):
+        config, flags = ws.config, []
+        if source == "flag":
+            flags = ["--median-window", "-4"]
+        else:
+            doc = json.loads(json.dumps(ws.config_doc))
+            doc["ingest"] = {"median_window": -3}
+            config = tmp_path / "negative_window.json"
+            config.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "x.csv"
+        rc = main(
+            [
+                "geometry",
+                "--config",
+                str(config),
+                "--input",
+                str(ws.small),
+                "--out",
+                str(out),
+                *flags,
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: median window must not be negative: -")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_config_flag_required(self, ws, tmp_path):
         with pytest.raises(SystemExit):

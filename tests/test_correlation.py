@@ -1,6 +1,5 @@
 """Correlation model: kernels, empirical profiles, distance decay, serialization."""
 
-import dataclasses
 import json
 import math
 
@@ -91,21 +90,17 @@ class TestAngleBins:
 
     def test_half_open_semantics(self):
         bins = AngleBins()
-        assert bins.tilt_index(-7.0) == 0  # upper edge belongs to the bin
-        assert bins.tilt_index(-6.999) == 1
-        assert bins.tilt_index(3.0) == 2
-        assert bins.tilt_index(3.0001) == 3
-        assert bins.tilt_index(100.0) == 4  # unbounded outer bin
-        assert bins.elev_index(10.0) == 0
-        assert bins.elev_index(10.1) == 1
-        assert bins.elev_index(90.0) == 3
+        # The upper edge belongs to the bin; the outer tilt bin is unbounded.
+        tilts = [-7.0, -6.999, 3.0, 3.0001, 100.0]
+        assert bins.tilt_indices(tilts).tolist() == [0, 1, 2, 3, 4]
+        assert bins.elev_indices([10.0, 10.1, 90.0]).tolist() == [0, 1, 3]
 
     def test_out_of_range_elevations(self):
         bins = AngleBins()
         with pytest.raises(ValidationError):
-            bins.elev_index(0.0)  # lower edge excluded
+            bins.elev_indices([0.0])  # lower edge excluded
         with pytest.raises(ValidationError):
-            bins.elev_index(90.5)
+            bins.elev_indices([90.5])
         with pytest.raises(ValidationError):
             bins.elev_indices(np.array([20.0, math.nan]))
 
@@ -113,7 +108,7 @@ class TestAngleBins:
         bins = AngleBins()
         deltas = np.array([-12.0, -7.0, -3.0, 0.0, 3.5, 8.0])
         assert bins.tilt_indices(deltas).tolist() == [
-            bins.tilt_index(d) for d in deltas
+            int(bins.tilt_indices([d])[0]) for d in deltas
         ]
 
     def test_validation(self):
@@ -190,13 +185,13 @@ def oracle_correlation(model, gi, gj, mode="angle_aware"):
     bins = model.bins
 
     def u_tilt(g):
-        e = bins.elev_index(g.theta_deg)
+        e = int(bins.elev_indices([g.theta_deg])[0])
         return oracle_warp(
             g.delta_deg, bins.tilt_edges, lambda t: oracle_rate(model.tilt_kernels.get((t, e)))
         )
 
     def u_elev(g):
-        t = bins.tilt_index(g.delta_deg)
+        t = int(bins.tilt_indices([g.delta_deg])[0])
         return oracle_warp(
             g.theta_deg, bins.elev_edges, lambda e: oracle_rate(model.elev_kernels.get((e, t)))
         )
@@ -903,16 +898,17 @@ class TestModelFit:
 def reference_cells(samples, bins):
     """Per-sample binning loop: {(elev bin, tilt bin): SF list}, dropped."""
     cells, dropped = {}, 0
-    for s in samples:
+    g = samples.geometry
+    for theta, delta, w in zip(g.theta_deg, g.delta_deg, samples.sf_db.tolist()):
         try:
             key = (
-                bins.elev_index(s.geometry.theta_deg),
-                bins.tilt_index(s.geometry.delta_deg),
+                int(bins.elev_indices([theta])[0]),
+                int(bins.tilt_indices([delta])[0]),
             )
         except ValidationError:
             dropped += 1
             continue
-        cells.setdefault(key, []).append(s.sf_db)
+        cells.setdefault(key, []).append(w)
     return cells, dropped
 
 
@@ -954,13 +950,13 @@ class TestOnePassFit:
     @pytest.mark.parametrize("max_lag_m", [200.0, None])
     def test_equals_its_parts(self, max_lag_m):
         rows, _ = angle_grid_dataset(n=1200)
-        samples = decompose_all(rows)
-        # Out-of-bin elevation and a non-finite tilt: both are dropped.
-        for theta, delta in ((95.0, 0.0), (20.0, math.inf)):
-            geom = dataclasses.replace(
-                samples[7].geometry, theta_deg=theta, delta_deg=delta
-            )
-            samples.append(dataclasses.replace(samples[7], geometry=geom, sf_db=1.25))
+        table = decompose_all(rows)
+        # Two copies of row 7, with an out-of-bin elevation and a non-finite
+        # tilt: both are dropped.
+        samples = table[np.r_[np.arange(len(table)), 7, 7]]
+        samples.geometry.theta_deg[-2:] = (95.0, 20.0)
+        samples.geometry.delta_deg[-2:] = (0.0, math.inf)
+        samples.sf_db[-2:] = 1.25
         bins = AngleBins()
         fit = fit_correlation_model(samples, bins=bins, max_lag_m=max_lag_m, n_lags=10)
 
@@ -968,8 +964,8 @@ class TestOnePassFit:
         assert (fit.model.mu, fit.model.sigma2) == (mu, sigma2)
         assert fit.model.dedm == fit_dedm(samples, max_lag_m=max_lag_m, n_lags=10)
         if max_lag_m is None:
-            east = [s.geometry.east_m for s in samples]
-            north = [s.geometry.north_m for s in samples]
+            east = samples.geometry.east_m.tolist()
+            north = samples.geometry.north_m.tolist()
             max_lag_m = 0.5 * math.hypot(
                 max(east) - min(east), max(north) - min(north)
             )

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from _recipes import BUDGET
+from _recipes import BUDGET, same_geometry
 from skyfade.correlation import (
     AngularProfile,
     Correlogram,
@@ -198,6 +198,24 @@ class TestIngest:
         with pytest.raises(SchemaError):
             ingest_csv(path, BUDGET, column_map={"signal": "rsrp_dbm"})
 
+    def test_column_map_sharing_a_header_rejected(self, tmp_path):
+        # time_s sent to lat_deg's header would read the latitude twice.
+        path = write_lines(tmp_path / "x.csv", [HEADER, good_row()])
+        with pytest.raises(SchemaError) as err:
+            ingest_csv(path, BUDGET, column_map={"time_s": "lat_deg"})
+        assert str(err.value) == (
+            "column map sends time_s and lat_deg to the same header: lat_deg"
+        )
+        # Swapping two headers claims each once.
+        swapped = write_lines(
+            tmp_path / "swapped.csv",
+            ["lat_deg,time_s," + HEADER.split(",", 2)[2], good_row()],
+        )
+        ingest = ingest_csv(
+            swapped, BUDGET, column_map={"time_s": "lat_deg", "lat_deg": "time_s"}
+        )
+        assert ingest.measurements["lat_deg"].tolist() == [35.7205]
+
     def test_extra_columns_passed_through(self, tmp_path):
         path = write_lines(
             tmp_path / "extra.csv",
@@ -251,6 +269,16 @@ class TestMedianFilter:
     def test_even_window_rejected(self):
         with pytest.raises(ValidationError):
             _median_filter(np.array([1.0, 2.0]), 4)
+
+    def test_window_zero_is_off_and_negative_rejected(self, tmp_path):
+        values = np.array([3.0, 1.0, 2.0])
+        assert _median_filter(values, 0) is values
+        for window in (-1, -3, -4):
+            with pytest.raises(ValidationError, match="must not be negative"):
+                _median_filter(values, window)
+        path = write_lines(tmp_path / "f.csv", [HEADER, good_row()])
+        with pytest.raises(ValidationError):
+            ingest_csv(path, BUDGET, median_window=-3)
 
     def test_applied_before_decomposition(self, tmp_path):
         lines = [HEADER]
@@ -341,12 +369,15 @@ class TestTargets:
         geoms, rsrp = load_targets_csv(path, BUDGET, column_map)
         ref_path = write_lines(tmp_path / "ref.csv", [HEADER, good_row(rsrp=-64.5)])
         ref_geoms, ref_rsrp = load_targets_csv(ref_path, BUDGET)
-        assert geoms.row(0) == ref_geoms.row(0)
+        assert same_geometry(geoms, ref_geoms)
         assert rsrp.tolist() == ref_rsrp.tolist() == [-64.5]
         # A mapped column that is absent is named by its actual header.
         with pytest.raises(SchemaError) as err:
             load_targets_csv(ref_path, BUDGET, {"lat_deg": "latitude"})
         assert err.value.field == "latitude"
+        # Two canonical columns may not share one header.
+        with pytest.raises(SchemaError, match="sends time_s and lat_deg"):
+            load_targets_csv(ref_path, BUDGET, {"time_s": "lat_deg"})
 
     def test_unknown_canonical_name_in_map(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", [HEADER, good_row()])

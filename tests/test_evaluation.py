@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _recipes import decompose_all, gap_benchmark_sf, gap_benchmark_truth
+from _recipes import gap_benchmark_sf, gap_benchmark_truth
 from skyfade.correlation import CorrelationModel, DedmParams, fit_correlation_model
 from skyfade.errors import ValidationError
 from skyfade.evaluation import (

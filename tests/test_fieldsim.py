@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from _recipes import BUDGET, decompose_all, fidelity_case
+from _recipes import BUDGET, decompose_all, fidelity_case, pose_columns
 from skyfade.correlation import (
     AngleBins,
     CorrelationModel,
@@ -13,7 +13,7 @@ from skyfade.correlation import (
     correlation_matrix,
     deserialize_model,
 )
-from skyfade.errors import ValidationError
+from skyfade.errors import RowErrors, ValidationError
 from skyfade.fieldsim import (
     MAX_FIELD_SAMPLES,
     FlightSpec,
@@ -23,8 +23,8 @@ from skyfade.fieldsim import (
     synthesize_dataset,
     truth_sidecar,
 )
-from skyfade.geometry import compute_tilt, project_enu
-from skyfade.propagation import two_ray_rsrp
+from skyfade.geometry import project_enu, tilt_geometry
+from skyfade.propagation import link_rsrp
 from test_correlation import mk_geom
 
 
@@ -55,6 +55,13 @@ def trajectory_enu(config):
         project_enu((p.lat_deg, p.lon_deg, p.alt_m), config.budget.origin)
         for p in points
     ]
+
+
+def trajectory_geometry(points):
+    """Link geometry of trajectory points against the test budget's mast."""
+    return RowErrors.strict(
+        tilt_geometry, pose_columns(points), BUDGET.tx_enu, BUDGET.origin
+    )
 
 
 class TestValidation:
@@ -127,20 +134,14 @@ class TestTrajectory:
     def test_zero_excitation_means_level_flight(self):
         config = small_config(seed=3, n=150, excitation=0.0)
         points = generate_trajectory(config)
-        tx = np.array([0.0, 0.0, BUDGET.antenna_height_m])
         for p in points:
             assert p.pitch_deg == 0.0
             assert p.roll_deg == 0.0
-            geom = compute_tilt(p, tx, BUDGET.origin)
-            assert abs(geom.delta_deg) < 1e-9
+        assert np.abs(trajectory_geometry(points).delta_deg).max() < 1e-9
 
     def test_excitation_covers_all_tilt_bins(self):
         config = small_config(seed=0, n=600)
-        points = generate_trajectory(config)
-        tx = np.array([0.0, 0.0, BUDGET.antenna_height_m])
-        deltas = np.array(
-            [compute_tilt(p, tx, BUDGET.origin).delta_deg for p in points]
-        )
+        deltas = trajectory_geometry(generate_trajectory(config)).delta_deg
         bins = AngleBins()
         assert set(bins.tilt_indices(deltas).tolist()) == {0, 1, 2, 3, 4}
 
@@ -187,9 +188,7 @@ class TestFieldDraw:
 
     def test_field_statistics_match_truth(self):
         config, truth = fidelity_case()
-        points = generate_trajectory(config)
-        tx = np.array([0.0, 0.0, BUDGET.antenna_height_m])
-        geoms = [compute_tilt(p, tx, BUDGET.origin) for p in points]
+        geoms = trajectory_geometry(generate_trajectory(config))
         r_truth = correlation_matrix(truth, geoms)
         draws = np.stack(
             [sample_sf_field(geoms, truth, [77, k]) for k in range(500)]
@@ -221,10 +220,8 @@ class TestDatasetSynthesis:
         config = SimConfig(seed=3, n_samples=400, truth=truth, budget=BUDGET)
         rows = synthesize_dataset(config)
         samples = decompose_all(rows)
-        geoms = [s.geometry for s in samples]
-        w_direct = sample_sf_field(geoms, truth, [3, 2])
-        recovered = np.array([s.sf_db for s in samples])
-        assert float(np.max(np.abs(recovered - w_direct))) <= 1e-9
+        w_direct = sample_sf_field(samples.geometry, truth, [3, 2])
+        assert float(np.max(np.abs(samples.sf_db - w_direct))) <= 1e-9
 
     def test_same_positions_different_fields_across_seeds(self):
         a = synthesize_dataset(small_config(seed=0, n=60, excitation=0.0))
@@ -245,11 +242,9 @@ class TestDatasetSynthesis:
         config = small_config(seed=8, n=50)
         rows = synthesize_dataset(config)
         samples = decompose_all(rows)
-        for row, s in zip(rows, samples):
-            est = two_ray_rsrp(
-                s.geometry, s.geometry.up_m, BUDGET.antenna_height_m, BUDGET
-            )
-            assert row.rsrp_dbm == pytest.approx(est + s.sf_db, abs=1e-9)
+        est = RowErrors.strict(link_rsrp, samples.geometry, BUDGET)
+        rsrp = np.array([row.rsrp_dbm for row in rows])
+        assert rsrp == pytest.approx(est + samples.sf_db, abs=1e-9)
 
 
 class TestTruthSidecar:

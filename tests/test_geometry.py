@@ -5,15 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from _recipes import pose_columns
 from skyfade.errors import RowErrors, UndefinedGeometryError, ValidationError
 from skyfade.geometry import (
     EARTH_RADIUS_M,
     MeasurementSample,
-    compute_elevation,
-    compute_tilt,
     enu_to_geodetic,
     euler_zyx_matrices,
-    euler_zyx_matrix,
     project_enu,
     tilt_geometry,
 )
@@ -36,6 +34,22 @@ def sample_at(east, north, alt, yaw=0.0, pitch=0.0, roll=0.0):
 
 
 TX_ENU = np.array([0.0, 0.0, 1.5])
+
+
+def tilt_of(samples):
+    """:func:`tilt_geometry` of the samples in one call; a bad row raises."""
+    return RowErrors.strict(tilt_geometry, pose_columns(samples), TX_ENU, ORIGIN)
+
+
+def elevation(uav_enu, tx_enu):
+    """Elevation of a UAV at ``uav_enu`` seen from ``tx_enu``, through
+    :func:`tilt_geometry`.  The level UAV sits above the frame origin and
+    the transmitter moves by the UAV's horizontal offset, so the offsets
+    are exact and no projection rounding enters."""
+    east, north, up = uav_enu
+    tx = np.asarray(tx_enu, dtype=float) - [east, north, 0.0]
+    poses = pose_columns([sample_at(0.0, 0.0, up)])
+    return float(RowErrors.strict(tilt_geometry, poses, tx, ORIGIN).theta_deg[0])
 
 
 class TestProjection:
@@ -74,20 +88,20 @@ class TestProjection:
 
 class TestElevation:
     def test_forty_five_degrees(self):
-        assert compute_elevation(
-            np.array([100.0, 0.0, 101.5]), TX_ENU
-        ) == pytest.approx(45.0, abs=1e-12)
+        assert elevation([100.0, 0.0, 101.5], TX_ENU) == pytest.approx(45.0, abs=1e-12)
 
     def test_sign_follows_height_difference(self):
-        below = compute_elevation(np.array([100.0, 0.0, 0.5]), TX_ENU)
+        below = elevation([100.0, 0.0, 0.5], TX_ENU)
         assert below < 0.0
 
     def test_directly_overhead_is_ninety(self):
-        assert compute_elevation(np.array([0.0, 0.0, 50.0]), TX_ENU) == 90.0
+        assert elevation([0.0, 0.0, 50.0], TX_ENU) == 90.0
 
     def test_coincident_points_rejected(self):
-        with pytest.raises(UndefinedGeometryError):
-            compute_elevation(TX_ENU.copy(), TX_ENU)
+        with pytest.raises(
+            UndefinedGeometryError, match="UAV and transmitter positions coincide"
+        ):
+            elevation(TX_ENU.copy(), TX_ENU)
 
 
 def quaternion_matrix(yaw_deg, pitch_deg, roll_deg):
@@ -128,28 +142,32 @@ def quaternion_matrix(yaw_deg, pitch_deg, roll_deg):
 
 class TestEulerMatrix:
     def test_identity_at_zero(self):
-        assert np.allclose(euler_zyx_matrix(0.0, 0.0, 0.0), np.eye(3), atol=1e-15)
+        identity = euler_zyx_matrices([0.0], [0.0], [0.0])
+        assert identity.shape == (1, 3, 3)
+        assert np.allclose(identity[0], np.eye(3), atol=1e-15)
 
     def test_orthonormal_with_unit_determinant(self):
         rng = np.random.default_rng(11)
-        for _ in range(100):
-            yaw, pitch, roll = rng.uniform(-180.0, 180.0, 3)
-            r = euler_zyx_matrix(yaw, pitch, roll)
-            assert np.allclose(r.T @ r, np.eye(3), atol=1e-12)
-            assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
+        yaw, pitch, roll = rng.uniform(-180.0, 180.0, (100, 3)).T
+        r = euler_zyx_matrices(yaw, pitch, roll)
+        gram = np.einsum("nji,njk->nik", r, r)
+        assert np.allclose(gram, np.eye(3), atol=1e-12)
+        assert np.linalg.det(r) == pytest.approx(np.ones(100), abs=1e-12)
 
     def test_matches_quaternion_oracle_over_1000_poses(self):
         rng = np.random.default_rng(13)
-        worst = 0.0
-        for _ in range(1000):
-            yaw = rng.uniform(-180.0, 180.0)
-            pitch = rng.uniform(-90.0, 90.0)
-            roll = rng.uniform(-180.0, 180.0)
-            diff = np.abs(
-                euler_zyx_matrix(yaw, pitch, roll)
-                - quaternion_matrix(yaw, pitch, roll)
-            ).max()
-            worst = max(worst, diff)
+        angles = np.array(
+            [
+                (
+                    rng.uniform(-180.0, 180.0),
+                    rng.uniform(-90.0, 90.0),
+                    rng.uniform(-180.0, 180.0),
+                )
+                for _ in range(1000)
+            ]
+        )
+        oracle = np.array([quaternion_matrix(*a) for a in angles])
+        worst = np.abs(euler_zyx_matrices(*angles.T) - oracle).max()
         assert worst < 1e-6
 
     def test_columns_match_quaternion_oracle_over_1000_poses(self):
@@ -194,44 +212,46 @@ class TestEulerMatrix:
 
 class TestTilt:
     def test_level_pose_zero_tilt_for_any_yaw(self):
-        for yaw in (-180.0, -135.0, -30.0, 0.0, 45.0, 90.0, 179.0):
-            geom = compute_tilt(sample_at(120.0, -80.0, 40.0, yaw=yaw), TX_ENU, ORIGIN)
-            assert abs(geom.delta_deg) < 1e-9
-            assert geom.theta_gs_deg == pytest.approx(geom.theta_deg, abs=1e-9)
+        yaws = (-180.0, -135.0, -30.0, 0.0, 45.0, 90.0, 179.0)
+        geom = tilt_of([sample_at(120.0, -80.0, 40.0, yaw=yaw) for yaw in yaws])
+        assert np.abs(geom.delta_deg).max() < 1e-9
+        assert geom.theta_gs_deg == pytest.approx(geom.theta_deg, abs=1e-9)
 
     def test_pitch_toward_transmitter_dead_ahead(self):
         # Transmitter due north; nose-down pitch (negative) raises the
         # line of sight in the body frame, so delta equals minus pitch.
-        for pitch in (-10.0, -5.0, -1.0, 2.5, 8.0):
-            geom = compute_tilt(
-                sample_at(0.0, -150.0, 40.0, yaw=0.0, pitch=pitch), TX_ENU, ORIGIN
-            )
-            assert geom.delta_deg == pytest.approx(-pitch, abs=1e-9)
+        pitches = np.array([-10.0, -5.0, -1.0, 2.5, 8.0])
+        geom = tilt_of(
+            [sample_at(0.0, -150.0, 40.0, yaw=0.0, pitch=p) for p in pitches]
+        )
+        assert geom.delta_deg == pytest.approx(-pitches, abs=1e-9)
 
     def test_roll_toward_transmitter_abeam(self):
         # Transmitter abeam to starboard while heading north: rolling
         # right wing down by gamma tilts the antenna boresight toward the
         # transmitter by exactly gamma.
-        for gamma in (-12.0, -4.0, 3.0, 9.0):
-            geom = compute_tilt(
-                sample_at(-200.0, 0.0, 60.0, yaw=0.0, roll=gamma), TX_ENU, ORIGIN
-            )
-            assert geom.delta_deg == pytest.approx(gamma, abs=1e-9)
+        gammas = np.array([-12.0, -4.0, 3.0, 9.0])
+        geom = tilt_of(
+            [sample_at(-200.0, 0.0, 60.0, yaw=0.0, roll=g) for g in gammas]
+        )
+        assert geom.delta_deg == pytest.approx(gammas, abs=1e-9)
 
     def test_distances_and_elevation_consistent(self):
-        geom = compute_tilt(sample_at(300.0, -400.0, 51.5), TX_ENU, ORIGIN)
-        assert geom.d2d_m == pytest.approx(500.0, abs=1e-6)
-        assert geom.d3d_m == pytest.approx(math.hypot(500.0, 50.0), abs=1e-6)
-        assert geom.theta_deg == pytest.approx(
+        geom = tilt_of([sample_at(300.0, -400.0, 51.5)])
+        assert geom.d2d_m[0] == pytest.approx(500.0, abs=1e-6)
+        assert geom.d3d_m[0] == pytest.approx(math.hypot(500.0, 50.0), abs=1e-6)
+        assert geom.theta_deg[0] == pytest.approx(
             math.degrees(math.atan2(50.0, 500.0)), abs=1e-9
         )
 
     def test_yaw_offset_with_level_airframe_keeps_theta_gs(self):
-        geoms = [
-            compute_tilt(sample_at(250.0, 100.0, 80.0, yaw=yaw), TX_ENU, ORIGIN)
-            for yaw in np.linspace(-180.0, 179.0, 25)
-        ]
-        values = {round(g.theta_gs_deg, 9) for g in geoms}
+        geom = tilt_of(
+            [
+                sample_at(250.0, 100.0, 80.0, yaw=yaw)
+                for yaw in np.linspace(-180.0, 179.0, 25)
+            ]
+        )
+        values = {round(v, 9) for v in geom.theta_gs_deg.tolist()}
         assert len(values) == 1
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from _recipes import BUDGET, decompose_all
+from _recipes import BUDGET, decompose_all, same_geometry
 from skyfade import FlightSpec, SimConfig, synthesize_dataset
 from skyfade.correlation import (
     Q_CAP_DEG,
@@ -14,6 +14,7 @@ from skyfade.correlation import (
     correlation_matrix,
 )
 from skyfade.errors import SingularSystemError, ValidationError
+from skyfade.geometry import Geometry
 from skyfade.kriging import (
     RESIDUAL_TOL,
     KrigingSystem,
@@ -255,7 +256,7 @@ class TestAssembly:
             SfSample(geometry=g1, sf_db=3.0, rsrp_dbm=0.0, pl_est_dbm=0.0),
         ]
         geoms, w = dedup_training(samples)
-        assert [geoms.row(i) for i in range(len(geoms))] == [g1, g2]
+        assert same_geometry(geoms, Geometry.of([g1, g2]))
         assert w.tolist() == [2.0, 5.0]
         system = assemble_system(samples, mk_geom(10.0), smooth_model(nugget=1e-4))
         assert system.cov.shape == (2, 2)
@@ -272,7 +273,7 @@ class TestAssembly:
         for s in samples:
             values.setdefault(s.geometry, []).append(s.sf_db)
         geoms, w = dedup_training(samples)
-        assert [geoms.row(i) for i in range(len(geoms))] == list(values)
+        assert same_geometry(geoms, Geometry.of(list(values)))
         assert w == pytest.approx([np.mean(v) for v in values.values()], abs=1e-12)
 
     def test_empty_training_rejected(self):
@@ -412,8 +413,8 @@ class TestAgainstPrior:
         )
         samples = decompose_all(synthesize_dataset(config))
         train, test = samples[:150], samples[150:]
-        w_true = np.array([s.sf_db for s in test])
-        w_hat, _, _ = predict_sf_batch(train, [s.geometry for s in test], truth)
+        w_true = test.sf_db
+        w_hat, _, _ = predict_sf_batch(train, test.geometry, truth)
         kriging_rmse = float(np.sqrt(np.mean((w_hat - w_true) ** 2)))
         prior_rmse = float(np.sqrt(np.mean(w_true**2)))
         # Pinned campaign: 3.33 dB versus 6.29 dB for the two-ray prior alone.

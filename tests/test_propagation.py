@@ -6,21 +6,24 @@ import math
 import numpy as np
 import pytest
 
-from _recipes import BUDGET, ORIGIN
+from _recipes import BUDGET, ORIGIN, decompose_all, pose_columns, same_geometry
 from skyfade.errors import (
     InsufficientDataError,
     RowErrors,
     SchemaError,
     ValidationError,
 )
-from skyfade.geometry import LinkGeometry, MeasurementSample, enu_to_geodetic
+from skyfade.geometry import (
+    LinkGeometry,
+    MeasurementSample,
+    enu_to_geodetic,
+    tilt_geometry,
+)
 from skyfade.propagation import (
     SPEED_OF_LIGHT,
     GainTable,
     LinkBudget,
-    SfSample,
-    decompose_sf,
-    link_geometry,
+    SfTable,
     sf_statistics,
     two_ray_power,
     two_ray_rsrp,
@@ -213,35 +216,34 @@ class TestDecomposition:
 
     def test_estimate_plus_residual_reproduces_measurement(self):
         sample = self.sample_at(200.0, -120.0, 45.0, -71.25)
-        sf = decompose_sf(sample, BUDGET)
-        assert sf.pl_est_dbm + sf.sf_db == pytest.approx(sample.rsrp_dbm, abs=1e-12)
-        assert sf.rsrp_dbm == sample.rsrp_dbm
+        sf = decompose_all([sample])
+        assert sf.pl_est_dbm[0] + sf.sf_db[0] == pytest.approx(
+            sample.rsrp_dbm, abs=1e-12
+        )
+        assert sf.rsrp_dbm.tolist() == [sample.rsrp_dbm]
 
     def test_link_geometry_matches_decomposition_geometry(self):
-        sample = self.sample_at(80.0, 60.0, 35.0, -70.0)
-        assert decompose_sf(sample, BUDGET).geometry == link_geometry(sample, BUDGET)
+        samples = [
+            self.sample_at(80.0, 60.0, 35.0, -70.0),
+            self.sample_at(-20.0, 140.0, 60.0, -75.0),
+        ]
+        geom = RowErrors.strict(
+            tilt_geometry, pose_columns(samples), BUDGET.tx_enu, BUDGET.origin
+        )
+        assert same_geometry(decompose_all(samples).geometry, geom)
 
     def test_statistics_match_numpy(self):
         rng = np.random.default_rng(5)
         values = rng.normal(-2.0, 3.0, 400)
-        samples = [
-            decompose_sf(self.sample_at(50.0 + i, 40.0, 30.0, -70.0), BUDGET)
-            for i in range(values.size)
-        ]
-        shifted = [
-            SfSample(
-                geometry=s.geometry,
-                sf_db=float(v),
-                rsrp_dbm=s.rsrp_dbm,
-                pl_est_dbm=s.pl_est_dbm,
-            )
-            for s, v in zip(samples, values)
-        ]
+        table = decompose_all(
+            [self.sample_at(50.0 + i, 40.0, 30.0, -70.0) for i in range(values.size)]
+        )
+        shifted = SfTable(table.geometry, values, table.rsrp_dbm, table.pl_est_dbm)
         mu, var = sf_statistics(shifted)
         assert mu == pytest.approx(float(np.mean(values)), abs=1e-12)
         assert var == pytest.approx(float(np.var(values, ddof=1)), abs=1e-12)
 
     def test_statistics_require_two_samples(self):
-        sample = decompose_sf(self.sample_at(50.0, 40.0, 30.0, -70.0), BUDGET)
+        table = decompose_all([self.sample_at(50.0, 40.0, 30.0, -70.0)])
         with pytest.raises(InsufficientDataError):
-            sf_statistics([sample])
+            sf_statistics(table)
