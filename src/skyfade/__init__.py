@@ -10,7 +10,6 @@ from .correlation import (
     AngleBins,
     CorrelationModel,
     DedmParams,
-    PiecewiseExpKernel,
     balance_resample,
     dedm_eval,
     deserialize_model,
@@ -20,7 +19,6 @@ from .correlation import (
     estimate_tilt_profile,
     fit_correlation_model,
     fit_dedm,
-    fit_piecewise_kernel,
     load_model,
     save_model,
     serialize_model,
@@ -87,7 +85,6 @@ __all__ = [
     "LinkGeometry",
     "MeasurementSample",
     "NotPositiveDefiniteError",
-    "PiecewiseExpKernel",
     "Prediction",
     "SchemaError",
     "SfSample",
@@ -107,7 +104,6 @@ __all__ = [
     "estimate_tilt_profile",
     "fit_correlation_model",
     "fit_dedm",
-    "fit_piecewise_kernel",
     "generate_trajectory",
     "load_model",
     "predict_rsrp",

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import dataio
 from .correlation import MODES, fit_correlation_model, load_model, save_model
-from .errors import SchemaError, SkyfadeError
+from .errors import SchemaError, SkyfadeError, ValidationError
 from .evaluation import run_evaluation
 from .fieldsim import synthesize_dataset, truth_sidecar
 from .kriging import predict_rsrp
@@ -34,8 +34,8 @@ def _parse_column_map(pairs) -> dict | None:
     mapping = {}
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(
-                f"error: --column-map expects canonical=actual, got {pair!r}"
+            raise ValidationError(
+                f"--column-map expects canonical=actual, got {pair!r}"
             )
         canonical, actual = pair.split("=", 1)
         mapping[canonical] = actual
@@ -47,11 +47,7 @@ def _stem(out: Path) -> Path:
     return out.with_suffix("") if out.suffix else out
 
 
-def _load_config(args, required: bool = False) -> tuple[dict, Path | None]:
-    if args.config is None:
-        if required:
-            raise SystemExit("error: this command requires --config")
-        return {}, None
+def _load_config(args) -> tuple[dict, Path]:
     path = Path(args.config)
     return dataio.load_config(path), path.parent
 
@@ -115,7 +111,7 @@ def _warn_escalated(mode: str, what: str) -> None:
 
 
 def cmd_geometry(args) -> int:
-    config, base = _load_config(args, required=True)
+    config, base = _load_config(args)
     budget = dataio.budget_from_config(config, base)
     ingest = dataio.ingest_csv(args.input, budget, **_ingest_options(config, args))
     dataio.write_geometry_csv(args.out, ingest)
@@ -129,7 +125,7 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    config, base = _load_config(args, required=True)
+    config, base = _load_config(args)
     budget = dataio.budget_from_config(config, base)
     bins = dataio.bins_from_config(config)
     options = _fit_options(config, args)
@@ -164,7 +160,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    config, base = _load_config(args, required=True)
+    config, base = _load_config(args)
     budget = dataio.budget_from_config(config, base)
     model = load_model(args.model)
     options = _ingest_options(config, args)
@@ -181,7 +177,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config, base = _load_config(args, required=True)
+    config, base = _load_config(args)
     budget = dataio.budget_from_config(config, base)
     model = load_model(args.model)
     eval_config = dataio.eval_from_config(config)
@@ -212,7 +208,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config, base = _load_config(args, required=True)
+    config, base = _load_config(args)
     budget = dataio.budget_from_config(config, base)
     sim = dataio.sim_from_config(config, budget, base)
     overrides = {}
@@ -240,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="JSON config file")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="JSON config file")
 
     def add_ingest_flags(p):
         p.add_argument(
@@ -271,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--single-center",
         action="store_true",
-        help="fit one kernel per direction from the center reference bin",
+        help="fit one decay rate per conditioning bin, at the center reference bin",
     )
     add_common(p)
     add_ingest_flags(p)

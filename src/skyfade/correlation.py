@@ -9,9 +9,10 @@ term and two angular terms:
 angular terms are Laplace kernels in warped angles (the deformation
 approach of Sampson & Guttorp 1992): u_t(i) integrates the tilt decay rate
 from 0 to sample i's tilt, with the rate of each tilt bin read from the
-kernel table of sample i's own elevation bin, and u_e(i) integrates the
-elevation rate the same way within sample i's tilt bin.  A cell's rate is
-its symmetric rate 1/2 (1/q+ + 1/q-); capped and absent cells have rate 0.
+tilt-rate table's column for sample i's own elevation bin, and u_e(i)
+integrates the elevation rate the same way within sample i's tilt bin.
+The model stores just these two tables, one rate in 1/deg per (angle bin,
+conditioning bin) cell; capped and absent cells have rate 0.
 
 exp(-|f(x) - f(y)|) is positive semidefinite for any map f, the DEDM is a
 mixture of exponentials, and products of such kernels stay semidefinite
@@ -21,9 +22,11 @@ rate in each angle.  Samples in different cells may not: two samples with
 the same tilt delta != 0 in elevation bins of different rates get a
 nonzero tilt separation.
 
-Kernels are estimated from binned empirical correlations computed on
-sorted, quantile-balanced sample vectors against the global SF mean; the
-same sorted-pair construction is exposed for reuse by the fitting code.
+The rates are estimated from binned empirical correlations computed on
+sorted, quantile-balanced sample vectors against the global SF mean: each
+cell's rate is 1/2 (r+ + r-) of two log-domain least-squares fits, one
+toward larger and one toward smaller angles.  The same sorted-pair
+construction is exposed for reuse by the fitting code.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ DEFAULT_NUGGET_FACTOR = 1.0e-6
 #: Output rows filled per pass by :func:`correlation_matrix`; bounds the
 #: size of its per-block temporaries.
 CORRELATION_BLOCK_ROWS = 128
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 DEFAULT_TILT_EDGES = (-math.inf, -7.0, -3.0, 3.0, 7.0, math.inf)
 DEFAULT_TILT_REPS = (-10.0, -5.0, 0.0, 5.0, 10.0)
@@ -161,67 +164,59 @@ def dedm_eval(params: DedmParams, d2d_m):
     return float(out) if np.isscalar(d2d_m) else out
 
 
-@dataclass(frozen=True)
-class PiecewiseExpKernel:
-    """Decay constants of one angular cell, fitted per direction.
+def _q_rate(q_deg: float) -> float:
+    """Decay rate 1/q of a decay constant in degrees; 0 for constants at or
+    above :data:`Q_CAP_DEG` (infinity included), which mean "no observable
+    decay"."""
+    if not q_deg > 0.0:
+        raise ValidationError(f"decay constants must be positive: {q_deg}")
+    return 0.0 if q_deg >= Q_CAP_DEG else 1.0 / q_deg
 
-    ``q_pos_deg`` was fitted toward larger angles, ``q_neg_deg`` toward
-    smaller ones; the model uses only their symmetric :attr:`rate`.
-    Constants at or above :data:`Q_CAP_DEG` (infinity included) mean "no
-    observable decay" and contribute nothing to it.
-    """
 
-    q_pos_deg: float
-    q_neg_deg: float
-
-    def __post_init__(self):
-        for q in (self.q_pos_deg, self.q_neg_deg):
-            if not q > 0.0:
-                raise ValidationError(f"decay constants must be positive: {q}")
-
-    @property
-    def rate(self) -> float:
-        """Symmetric decay rate 1/2 (1/q+ + 1/q-) in 1/deg."""
-        pos, neg = (
-            0.0 if q >= Q_CAP_DEG else 1.0 / q for q in (self.q_pos_deg, self.q_neg_deg)
-        )
-        return 0.5 * (pos + neg)
+def _rate_table(rates, shape: tuple[int, int], name: str) -> np.ndarray:
+    """A read-only float copy of ``rates`` (zeros when None), checked to be
+    finite and non-negative with ``shape``."""
+    table = np.zeros(shape) if rates is None else np.array(rates, dtype=float)
+    if table.shape != shape:
+        raise ValidationError(f"{name} must have shape {shape}, got {table.shape}")
+    if not np.all(np.isfinite(table) & (table >= 0.0)):
+        raise ValidationError(f"{name} must be finite and non-negative")
+    table.setflags(write=False)
+    return table
 
 
 @dataclass
 class CorrelationModel:
     """Fitted SF statistics plus the distance and angular correlation terms.
 
-    Kernel tables are dictionaries keyed by (reference bin, conditioning
-    bin) pairs: ``tilt_kernels[(tilt_bin_of_i, elev_bin_of_i)]`` and
-    ``elev_kernels[(elev_bin_of_i, tilt_bin_of_i)]``.  A ``None`` entry
-    records a cell the data could not populate; evaluation falls back to
-    the no-decay cap there, i.e. treats the kernel as flat.  Instances are
-    treated as immutable after construction.
+    The angular terms are two decay-rate tables in 1/deg:
+    ``tilt_rates[t, e]`` is the tilt rate of tilt bin t for samples in
+    elevation bin e, shape (n_tilt, n_elev), and ``elev_rates[e, t]`` the
+    elevation rate of elevation bin e for samples in tilt bin t, shape
+    (n_elev, n_tilt).  Rates are finite and non-negative; a rate of 0
+    means no angular decay (a capped, excluded or absent cell).  Omitted
+    tables are all zero.  Instances are treated as immutable after
+    construction, and the tables are stored read-only.
     """
 
     mu: float
     sigma2: float
     dedm: DedmParams
     bins: AngleBins = field(default_factory=AngleBins)
-    tilt_kernels: dict = field(default_factory=dict)
-    elev_kernels: dict = field(default_factory=dict)
+    tilt_rates: np.ndarray | None = None
+    elev_rates: np.ndarray | None = None
     nugget: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and self.sigma2 > 0.0):
-            raise ValidationError(f"need finite mu and positive sigma2, got {self.mu}, {self.sigma2}")
-        if not self.nugget >= 0.0:
-            raise ValidationError(f"nugget must be non-negative: {self.nugget}")
-        for key in self.tilt_kernels:
-            t, e = key
-            if not (0 <= t < self.bins.n_tilt and 0 <= e < self.bins.n_elev):
-                raise ValidationError(f"tilt kernel key out of range: {key}")
-        for key in self.elev_kernels:
-            e, t = key
-            if not (0 <= e < self.bins.n_elev and 0 <= t < self.bins.n_tilt):
-                raise ValidationError(f"elevation kernel key out of range: {key}")
-        self._arrays = None
+        if not (math.isfinite(self.mu) and 0.0 < self.sigma2 < math.inf):
+            raise ValidationError(
+                f"need finite mu and finite positive sigma2, got {self.mu}, {self.sigma2}"
+            )
+        if not 0.0 <= self.nugget < math.inf:
+            raise ValidationError(f"nugget must be finite and non-negative: {self.nugget}")
+        nt, ne = self.bins.n_tilt, self.bins.n_elev
+        self.tilt_rates = _rate_table(self.tilt_rates, (nt, ne), "tilt_rates")
+        self.elev_rates = _rate_table(self.elev_rates, (ne, nt), "elev_rates")
 
     @classmethod
     def with_uniform_kernels(
@@ -232,47 +227,23 @@ class CorrelationModel:
         *,
         bins: AngleBins | None = None,
         q_pos_deg: float = math.inf,
-        q_neg_deg: float | None = None,
         r_pos_deg: float = math.inf,
-        r_neg_deg: float | None = None,
         nugget: float = 0.0,
     ) -> "CorrelationModel":
-        """Model with one tilt kernel and one elevation kernel everywhere.
+        """Model with one tilt rate 1/q_pos_deg and one elevation rate
+        1/r_pos_deg everywhere (0 for constants at or above
+        :data:`Q_CAP_DEG`).
 
-        Defaults build unit (flat) kernels, which makes the full model
-        coincide with the distance-only baseline.
+        Defaults build flat kernels, which makes the full model coincide
+        with the distance-only baseline.
         """
         bins = bins if bins is not None else AngleBins()
-        q_neg = q_pos_deg if q_neg_deg is None else q_neg_deg
-        r_neg = r_pos_deg if r_neg_deg is None else r_neg_deg
-        tilt = {
-            (t, e): PiecewiseExpKernel(q_pos_deg, q_neg)
-            for t in range(bins.n_tilt)
-            for e in range(bins.n_elev)
-        }
-        elev = {
-            (e, t): PiecewiseExpKernel(r_pos_deg, r_neg)
-            for e in range(bins.n_elev)
-            for t in range(bins.n_tilt)
-        }
         return cls(
             mu=mu, sigma2=sigma2, dedm=dedm, bins=bins,
-            tilt_kernels=tilt, elev_kernels=elev, nugget=nugget,
+            tilt_rates=np.full((bins.n_tilt, bins.n_elev), _q_rate(q_pos_deg)),
+            elev_rates=np.full((bins.n_elev, bins.n_tilt), _q_rate(r_pos_deg)),
+            nugget=nugget,
         )
-
-    def kernel_arrays(self):
-        """Dense decay-rate tables (tilt (n_tilt, n_elev), elevation
-        (n_elev, n_tilt)) holding each cell's :attr:`PiecewiseExpKernel.rate`;
-        absent cells have rate 0."""
-        if self._arrays is None:
-            tilt = np.zeros((self.bins.n_tilt, self.bins.n_elev))
-            elev = np.zeros((self.bins.n_elev, self.bins.n_tilt))
-            for table, kernels in ((tilt, self.tilt_kernels), (elev, self.elev_kernels)):
-                for cell, kern in kernels.items():
-                    if kern is not None:
-                        table[cell] = kern.rate
-            self._arrays = (tilt, elev)
-        return self._arrays
 
 
 def _warp(x, edges, rates):
@@ -293,12 +264,11 @@ def _warped_angles(model, geoms, mode):
     bins = model.bins
     bt = bins.tilt_indices(geoms.delta_deg)
     be = bins.elev_indices(geoms.theta_deg)
-    tilt_rate, elev_rate = model.kernel_arrays()
     out = []
     if mode in ("angle_aware", "tilt_only"):
-        out.append(_warp(geoms.delta_deg, bins.tilt_edges, tilt_rate[:, be].T))
+        out.append(_warp(geoms.delta_deg, bins.tilt_edges, model.tilt_rates[:, be].T))
     if mode in ("angle_aware", "elev_only"):
-        out.append(_warp(geoms.theta_deg, bins.elev_edges, elev_rate[:, bt].T))
+        out.append(_warp(geoms.theta_deg, bins.elev_edges, model.elev_rates[:, bt].T))
     return out
 
 
@@ -505,54 +475,6 @@ def estimate_elev_profile(
     return _estimate_profile(cells.T, mu, min_count)
 
 
-def fit_piecewise_kernel(
-    separations_deg,
-    rhos,
-    increasing,
-    rho_floor: float = RHO_FLOOR,
-) -> PiecewiseExpKernel:
-    """Closed-form least-squares fit of the direction-dependent decay.
-
-    For each direction the decay constant solves the log-domain normal
-    equation q = sum(s^2) / (-sum(s * ln(rho))) over that direction's
-    points, with correlations clamped to [rho_floor, 1] first.  A direction
-    with no points inherits the other's constant; no decay at all (every
-    rho at 1) yields the cap.  The model reads the result only through
-    :attr:`PiecewiseExpKernel.rate`.
-    """
-    sep = np.asarray(separations_deg, dtype=float)
-    rho = np.asarray(rhos, dtype=float)
-    inc = np.asarray(increasing, dtype=bool)
-    if not (sep.shape == rho.shape == inc.shape) or sep.ndim != 1:
-        raise ValidationError("separations, rhos and flags must match 1-d shapes")
-    if sep.size == 0:
-        raise ValidationError("no profile points to fit")
-    if np.any(sep <= 0.0) or np.any(~np.isfinite(sep)):
-        raise ValidationError("separations must be positive and finite")
-    if np.any(~np.isfinite(rho)):
-        raise ValidationError("correlations must be finite")
-    rho = np.clip(rho, rho_floor, 1.0)
-
-    def solve(mask: np.ndarray) -> float | None:
-        if not np.any(mask):
-            return None
-        s = sep[mask]
-        denom = -float(np.sum(s * np.log(rho[mask])))
-        if denom <= 0.0:
-            return Q_CAP_DEG
-        return min(float(np.sum(s * s)) / denom, Q_CAP_DEG)
-
-    q_pos = solve(inc)
-    q_neg = solve(~inc)
-    if q_pos is None and q_neg is None:
-        raise ValidationError("no points in either direction")
-    if q_pos is None:
-        q_pos = q_neg
-    if q_neg is None:
-        q_neg = q_pos
-    return PiecewiseExpKernel(q_pos_deg=q_pos, q_neg_deg=q_neg)
-
-
 # ---------------------------------------------------------------------------
 # Distance-decay fitting
 
@@ -707,52 +629,60 @@ class FitResult:
     warnings: list
 
 
-def _fit_kernel_table(profile, reps, center_ref, single_center, label, warnings):
-    """Fit one kernel per (reference, conditioning) pair from a profile.
+def _fit_rates(rho, reps, center_ref, single_center, label, warnings):
+    """Decay-rate table (n_ref, n_cond) fitted to a profile ``rho`` of shape
+    (n_cond, n_ref, n_ref).
 
-    ``profile.rho`` is (n_cond, n_ref, n_ref); returns a dict keyed by
-    (ref, cond) with None for cells the data could not support.
+    Each cell's rate is 1/2 (r+ + r-).  r+ is fitted to the finite profile
+    points toward larger representatives, r- to those toward smaller ones:
+    the log-domain least-squares constant q = sum(s^2) / (-sum(s ln rho)),
+    with rho clamped to [RHO_FLOOR, 1], gives r = 1/q, and a fit that shows
+    no decay (q capped at :data:`Q_CAP_DEG`) gives 0.  A direction with no
+    points takes the other direction's rate; a cell with none has rate 0
+    and is named in a warning.  With ``single_center`` every reference bin
+    takes the rate fitted at ``center_ref``.
     """
-    n_cond = profile.rho.shape[0]
-    n_ref = profile.rho.shape[1]
-    table: dict[tuple[int, int], PiecewiseExpKernel | None] = {}
-    for cond in range(n_cond):
-        fitted: dict[int, PiecewiseExpKernel | None] = {}
-        refs = [center_ref] if single_center else range(n_ref)
-        for ref in refs:
-            seps, rhos, incs = [], [], []
-            for other in range(n_ref):
-                if other == ref:
-                    continue
-                value = profile.rho[cond, ref, other]
-                if not np.isfinite(value):
-                    continue
-                seps.append(abs(reps[other] - reps[ref]))
-                rhos.append(value)
-                incs.append(reps[other] > reps[ref])
-            if not seps:
-                fitted[ref] = None
-                continue
-            fitted[ref] = fit_piecewise_kernel(seps, rhos, incs)
+    reps = np.asarray(reps, dtype=float)
+    refs = [center_ref] if single_center else list(range(rho.shape[1]))
+    r = rho[:, refs, :]  # (n_cond, n_fit, n_ref): each fitted row's points
+    sep = reps[None, :] - reps[refs, None]  # other minus reference
+    used = np.isfinite(r)
+    used[:, np.arange(len(refs)), refs] = False
+    if np.any(used & ~((np.abs(sep) > 0.0) & np.isfinite(sep))):
+        raise ValidationError(
+            f"{label}: representatives of bins with profile points must differ"
+            " and be finite"
+        )
+    log_rho = np.log(np.clip(np.where(used, r, 1.0), RHO_FLOOR, 1.0))
+
+    def direction(side):
+        """The rate fitted to each row's points on one side, and whether
+        the row has any."""
+        s = np.where(side, np.abs(sep), 0.0)
+        denom = -np.sum(s * log_rho, axis=-1)
+        q = np.divide(
+            np.sum(s * s, axis=-1), denom,
+            out=np.full(denom.shape, np.inf), where=denom > 0.0,
+        )
+        return np.where(q < Q_CAP_DEG, 1.0 / q, 0.0), np.any(side, axis=-1)
+
+    pos, has_pos = direction(used & (sep > 0.0))
+    neg, has_neg = direction(used & (sep < 0.0))
+    cell = 0.5 * (np.where(has_pos, pos, neg) + np.where(has_neg, neg, pos))
+    empty = ~(has_pos | has_neg)
+    for cond in np.flatnonzero(np.any(empty, axis=1)).tolist():
         if single_center:
-            kern = fitted[center_ref]
-            if kern is None:
-                warnings.append(
-                    f"{label}: conditioning bin {cond} has no usable center-reference"
-                    " pairs; kernels left absent"
-                )
-            for ref in range(n_ref):
-                table[(ref, cond)] = kern
+            warnings.append(
+                f"{label}: conditioning bin {cond} has no usable center-reference"
+                " pairs; kernels left absent"
+            )
         else:
-            none_refs = [r for r, k in fitted.items() if k is None]
-            if none_refs:
-                warnings.append(
-                    f"{label}: conditioning bin {cond} reference bins {none_refs}"
-                    " have no usable pairs; kernels left absent"
-                )
-            for ref in range(n_ref):
-                table[(ref, cond)] = fitted[ref]
-    return table
+            warnings.append(
+                f"{label}: conditioning bin {cond} reference bins"
+                f" {np.flatnonzero(empty[cond]).tolist()} have no usable pairs;"
+                " kernels left absent"
+            )
+    return np.broadcast_to(cell, (rho.shape[0], rho.shape[1])).T
 
 
 def fit_correlation_model(
@@ -770,11 +700,11 @@ def fit_correlation_model(
     One pass over the data: the SF statistics, the distance correlogram
     (fitted to the DEDM) and the (elevation, tilt) cell grid are each
     computed once; the tilt profile correlates the grid's rows and the
-    elevation profile its columns.  Profile rows are then converted into
-    per-bin piecewise kernels.  With ``single_center`` each conditioning
-    bin gets one kernel fitted at the center reference bin (tilt: the bin
-    containing zero tilt; elevation: the most populated bin) and shared
-    across reference bins.  Samples with an angle outside the bins are
+    elevation profile its columns.  Each profile is then fitted to one
+    decay-rate table.  With ``single_center`` each conditioning bin gets
+    one rate fitted at the center reference bin (tilt: the bin containing
+    zero tilt; elevation: the most populated bin), shared across reference
+    bins.  Samples with an angle outside the bins are
     left out of the profiles and counted in a warning.
     """
     bins = bins if bins is not None else AngleBins()
@@ -806,11 +736,12 @@ def fit_correlation_model(
         center_tilt = bins.n_tilt // 2
     center_elev = int(np.argmax(elev_profile.counts.sum(axis=0)))
 
-    tilt_kernels = _fit_kernel_table(
-        tilt_profile, bins.tilt_reps, center_tilt, single_center, "tilt", warnings
+    tilt_rates = _fit_rates(
+        tilt_profile.rho, bins.tilt_reps, center_tilt, single_center, "tilt", warnings
     )
-    elev_kernels = _fit_kernel_table(
-        elev_profile, bins.elev_reps, center_elev, single_center, "elevation", warnings
+    elev_rates = _fit_rates(
+        elev_profile.rho, bins.elev_reps, center_elev, single_center, "elevation",
+        warnings,
     )
 
     model = CorrelationModel(
@@ -818,8 +749,8 @@ def fit_correlation_model(
         sigma2=sigma2,
         dedm=dedm,
         bins=bins,
-        tilt_kernels=tilt_kernels,
-        elev_kernels=elev_kernels,
+        tilt_rates=tilt_rates,
+        elev_rates=elev_rates,
         nugget=nugget_factor * sigma2,
     )
     return FitResult(
@@ -860,22 +791,12 @@ def _decode_number(
 
 
 def serialize_model(model: CorrelationModel) -> dict:
-    """Model as a JSON-ready dict (schema version 1).
+    """Model as a JSON-ready dict (schema version 2).
 
-    Kernel tables become nested lists indexed [reference][conditioning]
-    with ``null`` marking absent cells; infinite decay constants are
-    encoded as the strings "inf"/"-inf".
+    The rate tables become nested lists, ``tilt_rates[tilt][elev]`` and
+    ``elev_rates[elev][tilt]``; infinite bin edges are encoded as the
+    strings "inf"/"-inf".
     """
-
-    def kernel_doc(kern):
-        if kern is None:
-            return None
-        return {
-            "q_pos": _encode_number(kern.q_pos_deg),
-            "q_neg": _encode_number(kern.q_neg_deg),
-        }
-
-    nt, ne = model.bins.n_tilt, model.bins.n_elev
     return {
         "version": SCHEMA_VERSION,
         "mu": model.mu,
@@ -887,14 +808,8 @@ def serialize_model(model: CorrelationModel) -> dict:
             "elev_edges": [_encode_number(v) for v in model.bins.elev_edges],
             "elev_reps": list(model.bins.elev_reps),
         },
-        "tilt_kernels": [
-            [kernel_doc(model.tilt_kernels.get((t, e))) for e in range(ne)]
-            for t in range(nt)
-        ],
-        "elev_kernels": [
-            [kernel_doc(model.elev_kernels.get((e, t))) for t in range(nt)]
-            for e in range(ne)
-        ],
+        "tilt_rates": model.tilt_rates.tolist(),
+        "elev_rates": model.elev_rates.tolist(),
         "nugget": model.nugget,
     }
 
@@ -929,7 +844,12 @@ def _require_numbers(doc, key: str, where: str) -> tuple[float, ...]:
 
 
 def deserialize_model(doc: dict) -> CorrelationModel:
-    """Rebuild a model from its serialized form.
+    """Rebuild a model from its serialized form, schema version 2 or 1.
+
+    Version 1 stored each cell's two decay scales ``{q_pos, q_neg}`` (or
+    ``null``) under ``tilt_kernels``/``elev_kernels``; each cell loads as
+    its rate 1/2 (1/q_pos + 1/q_neg), where scales at or above
+    :data:`Q_CAP_DEG` and ``null`` cells contribute 0.
 
     Raises :class:`SchemaError` naming the first missing field or the
     first field of the wrong JSON type; unknown extra fields are ignored.
@@ -937,7 +857,7 @@ def deserialize_model(doc: dict) -> CorrelationModel:
     if not isinstance(doc, dict):
         raise SchemaError("model document must be a JSON object")
     version = _require(doc, "version", "")
-    if version != SCHEMA_VERSION:
+    if version not in (1, SCHEMA_VERSION):
         raise SchemaError(f"unsupported model schema version: {version}")
 
     dedm_doc = _require(doc, "dedm", "")
@@ -954,42 +874,37 @@ def deserialize_model(doc: dict) -> CorrelationModel:
         elev_reps=_require_numbers(bins_doc, "elev_reps", "bins."),
     )
 
-    def kernel_from(cell, where):
+    def v1_rate(cell, where):
+        # Version 1 stored each cell as its {q_pos, q_neg} scales, or null.
         if cell is None:
-            return None
-        return PiecewiseExpKernel(
-            q_pos_deg=_require_number(cell, "q_pos", where),
-            q_neg_deg=_require_number(cell, "q_neg", where),
-        )
+            return 0.0
+        q_pos = _require_number(cell, "q_pos", where + ".")
+        q_neg = _require_number(cell, "q_neg", where + ".")
+        return 0.5 * (_q_rate(q_pos) + _q_rate(q_neg))
 
-    def kernel_rows(key, n_rows, n_cols):
+    def table(key, n_rows, n_cols, cell_value):
         rows = _require_list(doc, key, "")
         if len(rows) != n_rows or any(
             not isinstance(r, list) or len(r) != n_cols for r in rows
         ):
             raise SchemaError(f"{key} shape does not match bins", field=key)
-        return rows
+        return [
+            [cell_value(v, f"{key}[{i}][{j}]") for j, v in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
 
-    tilt_rows = kernel_rows("tilt_kernels", bins.n_tilt, bins.n_elev)
-    elev_rows = kernel_rows("elev_kernels", bins.n_elev, bins.n_tilt)
-    tilt_kernels = {
-        (t, e): kernel_from(tilt_rows[t][e], f"tilt_kernels[{t}][{e}].")
-        for t in range(bins.n_tilt)
-        for e in range(bins.n_elev)
-    }
-    elev_kernels = {
-        (e, t): kernel_from(elev_rows[e][t], f"elev_kernels[{e}][{t}].")
-        for e in range(bins.n_elev)
-        for t in range(bins.n_tilt)
-    }
-
+    keys, cell_value = ("tilt_rates", "elev_rates"), _decode_number
+    if version == 1:
+        keys, cell_value = ("tilt_kernels", "elev_kernels"), v1_rate
+    tilt_rates = table(keys[0], bins.n_tilt, bins.n_elev, cell_value)
+    elev_rates = table(keys[1], bins.n_elev, bins.n_tilt, cell_value)
     return CorrelationModel(
         mu=_require_number(doc, "mu", ""),
         sigma2=_require_number(doc, "sigma2", ""),
         dedm=dedm,
         bins=bins,
-        tilt_kernels=tilt_kernels,
-        elev_kernels=elev_kernels,
+        tilt_rates=tilt_rates,
+        elev_rates=elev_rates,
         nugget=_require_number(doc, "nugget", ""),
     )
 

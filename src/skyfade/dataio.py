@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .correlation import (
     AngleBins,
@@ -92,12 +93,12 @@ def _median_filter(values: np.ndarray, window: int) -> np.ndarray:
         return values
     if window % 2 == 0:
         raise ValidationError(f"median window must be odd: {window}")
-    half = window // 2
+    n, half = values.size, window // 2
     out = np.empty_like(values)
-    for i in range(values.size):
-        lo = max(0, i - half)
-        hi = min(values.size, i + half + 1)
-        out[i] = np.median(values[lo:hi])
+    if n >= window:  # full windows: one median call over all of them
+        out[half:n - half] = np.median(sliding_window_view(values, window), axis=1)
+    for i in (*range(min(half, n)), *range(max(n - half, half), n)):
+        out[i] = np.median(values[max(0, i - half):i + half + 1])
     return out
 
 

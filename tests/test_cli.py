@@ -44,7 +44,8 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 def test_public_names_resolve():
     """Every exported name resolves, and the one-row wrappers that the
-    column functions replaced are exported nowhere."""
+    column functions replaced, and the kernel objects and scalar fit that
+    the rate tables replaced, are exported nowhere."""
     assert len(set(skyfade.__all__)) == len(skyfade.__all__)
     for name in skyfade.__all__:
         assert getattr(skyfade, name) is not None
@@ -57,9 +58,12 @@ def test_public_names_resolve():
         "compute_tilt",
         "link_geometry",
         "decompose_sf",
+        "PiecewiseExpKernel",
+        "fit_piecewise_kernel",
     ):
         assert name not in skyfade.__all__
         assert not any(hasattr(m, name) for m in modules), name
+    assert not hasattr(skyfade.CorrelationModel, "kernel_arrays")
 
 
 @pytest.fixture(scope="module")
@@ -379,9 +383,9 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "M=40 baseline: median RMSE" in out
         assert "M=40 angle_aware: median RMSE" in out
-        assert (tmp_path / "eval2_trials.csv").read_bytes() == open(
-            f"{ws.eval_prefix}_trials.csv", "rb"
-        ).read()
+        assert (tmp_path / "eval2_trials.csv").read_bytes() == Path(
+            f"{ws.eval_prefix}_trials.csv"
+        ).read_bytes()
 
     def test_evaluate_mode_subset(self, ws, tmp_path):
         prefix = tmp_path / "only"
@@ -465,22 +469,26 @@ class TestFailureModes:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_column_map_flag(self, ws):
-        with pytest.raises(SystemExit) as err:
-            main(
-                [
-                    "geometry",
-                    "--config",
-                    str(ws.config),
-                    "--input",
-                    str(ws.train),
-                    "--out",
-                    str(ws.root / "x.csv"),
-                    "--column-map",
-                    "no_equals_sign",
-                ]
-            )
-        assert "--column-map" in str(err.value)
+    def test_bad_column_map_flag(self, ws, capsys):
+        capsys.readouterr()
+        rc = main(
+            [
+                "geometry",
+                "--config",
+                str(ws.config),
+                "--input",
+                str(ws.train),
+                "--out",
+                str(ws.root / "x.csv"),
+                "--column-map",
+                "no_equals_sign",
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --column-map expects canonical=actual, got 'no_equals_sign'\n"
+        )
+        assert not (ws.root / "x.csv").exists()
 
     def test_column_map_sharing_a_header(self, ws, tmp_path, capsys):
         capsys.readouterr()
@@ -602,7 +610,7 @@ class TestFailureModes:
 
     def test_model_with_wrong_json_type(self, ws, tmp_path, capsys):
         doc = json.loads(ws.exact_model.read_text())
-        doc["tilt_kernels"] = 3
+        doc["tilt_rates"] = 3
         bad = tmp_path / "bad_model.json"
         bad.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -623,8 +631,36 @@ class TestFailureModes:
         )
         assert rc == 2
         assert capsys.readouterr().err == (
-            "error: model document field 'tilt_kernels' must be a list\n"
+            "error: model document field 'tilt_rates' must be a list\n"
         )
+
+    @pytest.mark.parametrize("field", ["sigma2", "nugget"])
+    def test_model_with_infinite_variance(self, ws, tmp_path, capsys, field):
+        doc = json.loads(ws.exact_model.read_text())
+        doc[field] = "inf"
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(
+            [
+                "predict",
+                "--config",
+                str(ws.config),
+                "--input",
+                str(ws.small),
+                "--targets",
+                str(ws.small),
+                "--model",
+                str(bad),
+                "--out",
+                str(tmp_path / "never.csv"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err and field in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "never.csv").exists()
 
     def test_geometry_reports_skipped_rows(self, ws, tmp_path, capsys):
         lines = ws.train.read_text().splitlines()[:31]

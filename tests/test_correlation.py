@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,11 +29,12 @@ from skyfade.correlation import (
     DEFAULT_TILT_REPS,
     MODES,
     Q_CAP_DEG,
+    RHO_FLOOR,
     AngleBins,
     CorrelationModel,
     DedmParams,
-    PiecewiseExpKernel,
     _bin_cells,
+    _fit_rates,
     balance_resample,
     correlation_matrix,
     dedm_eval,
@@ -43,7 +45,6 @@ from skyfade.correlation import (
     estimate_tilt_profile,
     fit_correlation_model,
     fit_dedm,
-    fit_piecewise_kernel,
     load_model,
     save_model,
     serialize_model,
@@ -57,6 +58,8 @@ from skyfade.errors import (
 )
 from skyfade.geometry import LinkGeometry
 from skyfade.propagation import SfSample, sf_statistics
+
+MODEL_V1 = Path(__file__).parent / "data" / "model_v1.json"
 
 
 def mk_geom(east=0.0, north=0.0, theta=20.0, delta=0.0, up=30.0):
@@ -155,12 +158,26 @@ class TestDistanceDecay:
             dedm_eval(DedmParams(0.5, 0.1, 0.01), -1.0)
 
 
-def oracle_rate(kern):
-    """Symmetric decay rate of one kernel cell; 0 when absent or capped."""
-    if kern is None:
+def oracle_rate(cell):
+    """Symmetric decay rate of one version-1 kernel cell ``{q_pos, q_neg}``
+    (scales in degrees, "inf" allowed); 0 when absent (None) or capped."""
+    if cell is None:
         return 0.0
-    rates = [0.0 if q >= Q_CAP_DEG else 1.0 / q for q in (kern.q_pos_deg, kern.q_neg_deg)]
+    scales = (float(cell["q_pos"]), float(cell["q_neg"]))
+    rates = [0.0 if q >= Q_CAP_DEG else 1.0 / q for q in scales]
     return 0.5 * (rates[0] + rates[1])
+
+
+def as_version_1(model, tilt_cell, elev_cell):
+    """``model``'s document in schema version 1, with one kernel cell
+    everywhere in each table."""
+    doc = json.loads(json.dumps(serialize_model(model)))
+    del doc["tilt_rates"], doc["elev_rates"]
+    nt, ne = model.bins.n_tilt, model.bins.n_elev
+    doc["version"] = 1
+    doc["tilt_kernels"] = [[tilt_cell] * ne for _ in range(nt)]
+    doc["elev_kernels"] = [[elev_cell] * nt for _ in range(ne)]
+    return doc
 
 
 def oracle_warp(x, edges, rate_of_bin):
@@ -175,7 +192,7 @@ def oracle_warp(x, edges, rate_of_bin):
 
 
 def oracle_correlation(model, gi, gj, mode="angle_aware"):
-    """Model correlation of one pair of link geometries, from the kernel
+    """Model correlation of one pair of link geometries, from the rate
     tables with scalar math."""
     d = math.hypot(gi.east_m - gj.east_m, gi.north_m - gj.north_m)
     dedm = model.dedm
@@ -187,13 +204,13 @@ def oracle_correlation(model, gi, gj, mode="angle_aware"):
     def u_tilt(g):
         e = int(bins.elev_indices([g.theta_deg])[0])
         return oracle_warp(
-            g.delta_deg, bins.tilt_edges, lambda t: oracle_rate(model.tilt_kernels.get((t, e)))
+            g.delta_deg, bins.tilt_edges, lambda t: model.tilt_rates[t, e]
         )
 
     def u_elev(g):
         t = int(bins.tilt_indices([g.delta_deg])[0])
         return oracle_warp(
-            g.theta_deg, bins.elev_edges, lambda e: oracle_rate(model.elev_kernels.get((e, t)))
+            g.theta_deg, bins.elev_edges, lambda e: model.elev_rates[e, t]
         )
 
     expo = 0.0
@@ -210,8 +227,8 @@ def pair(model, gi, gj, mode="angle_aware"):
 
 
 class TestPiecewiseKernel:
-    """One cell's decay constants enter the model only through the
-    symmetric rate 1/2 (1/q+ + 1/q-)."""
+    """One cell's decay rate r gives the kernel exp(-r |delta|) within the
+    cell; version-1 scales load as the rate 1/2 (1/q+ + 1/q-)."""
 
     def test_matches_exponential(self):
         model = CorrelationModel.with_uniform_kernels(
@@ -220,8 +237,10 @@ class TestPiecewiseKernel:
         value = pair(model, mk_geom(delta=0.0), mk_geom(delta=10.0), "tilt_only")
         assert value == pytest.approx(math.exp(-10.0 / 61.5), rel=1e-15)
         assert value == pytest.approx(0.84993, abs=5e-6)
-        kern = PiecewiseExpKernel(q_pos_deg=ANGLE_GRID_TILT_Q, q_neg_deg=30.0)
-        assert kern.rate == 0.5 * (1.0 / 61.5 + 1.0 / 30.0)
+        doc = as_version_1(model, {"q_pos": ANGLE_GRID_TILT_Q, "q_neg": 30.0}, None)
+        back = deserialize_model(doc)
+        assert np.all(back.tilt_rates == 0.5 * (1.0 / 61.5 + 1.0 / 30.0))
+        assert np.all(back.elev_rates == 0.0)
 
     def test_elevation_scale(self):
         model = CorrelationModel.with_uniform_kernels(
@@ -233,10 +252,14 @@ class TestPiecewiseKernel:
 
     def test_capped_kernel_is_exactly_one(self):
         for q in (Q_CAP_DEG, 2.0 * Q_CAP_DEG, math.inf):
-            assert PiecewiseExpKernel(q_pos_deg=q, q_neg_deg=q).rate == 0.0
+            model = CorrelationModel.with_uniform_kernels(
+                0.0, 1.0, DedmParams(0.5, 0.01, 0.001), q_pos_deg=q, r_pos_deg=q
+            )
+            assert np.all(model.tilt_rates == 0.0)
+            assert np.all(model.elev_rates == 0.0)
         model = CorrelationModel.with_uniform_kernels(
             0.0, 1.0, DedmParams(0.5, 0.01, 0.001),
-            q_pos_deg=Q_CAP_DEG, q_neg_deg=math.inf, r_pos_deg=2.0 * Q_CAP_DEG,
+            q_pos_deg=Q_CAP_DEG, r_pos_deg=2.0 * Q_CAP_DEG,
         )
         geoms = edge_case_geoms(60, seed=39)
         base = correlation_matrix(model, geoms, mode="baseline")
@@ -255,42 +278,49 @@ class TestPiecewiseKernel:
         assert 0.9999998 <= value < 1.0
 
     def test_vector_eval(self):
-        model = CorrelationModel.with_uniform_kernels(
-            0.0, 1.0, DedmParams(0.5, 0.01, 0.001), q_pos_deg=15.0, q_neg_deg=5.0
+        rate = 0.5 * (1.0 / 15.0 + 1.0 / 5.0)
+        model = CorrelationModel(
+            0.0, 1.0, DedmParams(0.5, 0.01, 0.001), tilt_rates=np.full((5, 4), rate)
         )
         others = [mk_geom(delta=d) for d in (0.0, -2.0, 8.0)]
         out = correlation_matrix(model, [mk_geom(delta=0.0)], others, mode="tilt_only")
-        rate = 0.5 * (1.0 / 15.0 + 1.0 / 5.0)
         assert np.allclose(
             out[0], [1.0, math.exp(-2.0 * rate), math.exp(-8.0 * rate)], atol=1e-15
         )
 
     def test_validation(self):
-        for q_pos, q_neg in ((0.0, 1.0), (1.0, -2.0), (math.nan, 1.0)):
-            with pytest.raises(ValidationError):
-                PiecewiseExpKernel(q_pos_deg=q_pos, q_neg_deg=q_neg)
+        dedm = DedmParams(0.5, 0.01, 0.001)
+        for q in (0.0, -2.0, math.nan):
+            with pytest.raises(ValidationError, match="decay constants must be positive"):
+                CorrelationModel.with_uniform_kernels(0.0, 1.0, dedm, q_pos_deg=q)
+            with pytest.raises(ValidationError, match="decay constants must be positive"):
+                CorrelationModel.with_uniform_kernels(0.0, 1.0, dedm, r_pos_deg=q)
+        for rate in (-0.1, math.nan, math.inf):
+            table = np.zeros((4, 5))
+            table[1, 2] = rate
+            with pytest.raises(ValidationError, match="elev_rates must be finite"):
+                CorrelationModel(0.0, 1.0, dedm, elev_rates=table)
 
 
 def cell_coded_model():
-    """Model whose kernel constants encode their own (ref, cond) cell."""
+    """Model whose decay rates encode their own (ref, cond) cell: each is
+    :func:`cell_rate` of two scales computed from the cell's indices."""
     bins = AngleBins()
-    tilt = {
-        (t, e): PiecewiseExpKernel(10.0 + t + 5.0 * e, 5.0 + t + 2.0 * e)
+    tilt = [
+        [cell_rate(10.0 + t + 5.0 * e, 5.0 + t + 2.0 * e) for e in range(bins.n_elev)]
         for t in range(bins.n_tilt)
+    ]
+    elev = [
+        [cell_rate(20.0 + 3.0 * e + t, 8.0 + e + t) for t in range(bins.n_tilt)]
         for e in range(bins.n_elev)
-    }
-    elev = {
-        (e, t): PiecewiseExpKernel(20.0 + 3.0 * e + t, 8.0 + e + t)
-        for e in range(bins.n_elev)
-        for t in range(bins.n_tilt)
-    }
+    ]
     return CorrelationModel(
         mu=0.0,
         sigma2=4.0,
         dedm=DedmParams(0.5, 0.01, 0.001),
         bins=bins,
-        tilt_kernels=tilt,
-        elev_kernels=elev,
+        tilt_rates=tilt,
+        elev_rates=elev,
     )
 
 
@@ -404,17 +434,8 @@ class TestModelEvaluation:
             assert np.array_equal(correlation_matrix(model, geoms, mode=mode), base)
 
     def test_absent_cells_fall_back_to_flat(self):
-        bins = AngleBins()
-        model = CorrelationModel(
-            mu=0.0,
-            sigma2=4.0,
-            dedm=DedmParams(0.5, 0.01, 0.001),
-            bins=bins,
-            tilt_kernels={
-                (t, e): None for t in range(bins.n_tilt) for e in range(bins.n_elev)
-            },
-            elev_kernels={},
-        )
+        model = CorrelationModel(mu=0.0, sigma2=4.0, dedm=DedmParams(0.5, 0.01, 0.001))
+        assert np.all(model.tilt_rates == 0.0) and np.all(model.elev_rates == 0.0)
         gi = mk_geom(0.0, 0.0, theta=20.0, delta=-5.0)
         gj = mk_geom(30.0, 40.0, theta=60.0, delta=8.0)
         assert pair(model, gi, gj, "angle_aware") == dedm_eval(model.dedm, 50.0)
@@ -437,30 +458,33 @@ class TestModelEvaluation:
             correlation_matrix(model, [mk_geom()], [mk_geom(1.0)], mode="spatial")
 
     def test_kernel_key_out_of_range(self):
-        with pytest.raises(ValidationError):
-            CorrelationModel(
-                mu=0.0,
-                sigma2=1.0,
-                dedm=DedmParams(0.5, 0.1, 0.01),
-                tilt_kernels={(7, 0): PiecewiseExpKernel(10.0, 10.0)},
-            )
+        # The tables must cover exactly the (tilt, elevation) bin grid.
+        for shape in ((8, 4), (4, 5), (5,)):
+            with pytest.raises(ValidationError, match="tilt_rates must have shape"):
+                CorrelationModel(
+                    mu=0.0,
+                    sigma2=1.0,
+                    dedm=DedmParams(0.5, 0.1, 0.01),
+                    tilt_rates=np.full(shape, 0.1),
+                )
 
 
 def edge_case_model():
-    """Cell-coded model with absent, capped and infinite kernel constants."""
+    """Cell-coded model with absent, capped and infinite kernel scales,
+    each converted to its rate (0 for absent cells and capped scales)."""
     base = cell_coded_model()
-    tilt = dict(base.tilt_kernels)
-    elev = dict(base.elev_kernels)
-    tilt[(0, 0)] = None
-    tilt[(2, 1)] = PiecewiseExpKernel(Q_CAP_DEG, 7.0)
-    tilt[(3, 2)] = PiecewiseExpKernel(math.inf, 4.0)
-    tilt[(4, 3)] = PiecewiseExpKernel(2.0 * Q_CAP_DEG, math.inf)
-    elev[(1, 2)] = None
-    elev[(2, 3)] = PiecewiseExpKernel(6.0, Q_CAP_DEG)
-    elev[(0, 4)] = PiecewiseExpKernel(math.inf, 3.0)
+    tilt = base.tilt_rates.copy()
+    elev = base.elev_rates.copy()
+    tilt[0, 0] = oracle_rate(None)
+    tilt[2, 1] = oracle_rate({"q_pos": Q_CAP_DEG, "q_neg": 7.0})
+    tilt[3, 2] = oracle_rate({"q_pos": "inf", "q_neg": 4.0})
+    tilt[4, 3] = oracle_rate({"q_pos": 2.0 * Q_CAP_DEG, "q_neg": "inf"})
+    elev[1, 2] = oracle_rate(None)
+    elev[2, 3] = oracle_rate({"q_pos": 6.0, "q_neg": Q_CAP_DEG})
+    elev[0, 4] = oracle_rate({"q_pos": "inf", "q_neg": 3.0})
     return CorrelationModel(
         mu=base.mu, sigma2=base.sigma2, dedm=base.dedm, bins=base.bins,
-        tilt_kernels=tilt, elev_kernels=elev,
+        tilt_rates=tilt, elev_rates=elev,
     )
 
 
@@ -672,42 +696,115 @@ class TestAngularProfiles:
         assert 0.55 <= e_mean <= 0.65
 
 
+def oracle_fit_rate(rho, reps, cond, ref):
+    """Per-cell loop over one profile row: the rate 1/2 (r+ + r-) of the
+    log-domain fits toward larger and smaller representatives, or None
+    when the row has no points."""
+    # np.log, as the fit uses: math.log may differ in the last digit.
+    log_rho = np.log(np.clip(rho[cond, ref], RHO_FLOOR, 1.0))
+    rates = {}
+    for toward_larger in (True, False):
+        s_sum = log_sum = 0.0
+        for other in range(len(reps)):
+            value = rho[cond, ref, other]
+            if other == ref or not math.isfinite(value):
+                continue
+            if (reps[other] > reps[ref]) != toward_larger:
+                continue
+            s = abs(reps[other] - reps[ref])
+            s_sum += s * s
+            log_sum += s * float(log_rho[other])
+        if s_sum > 0.0:
+            q = min(s_sum / -log_sum, Q_CAP_DEG) if -log_sum > 0.0 else Q_CAP_DEG
+            rates[toward_larger] = 0.0 if q >= Q_CAP_DEG else 1.0 / q
+    if not rates:
+        return None
+    pos = rates.get(True, rates.get(False))
+    neg = rates.get(False, pos)
+    return 0.5 * (pos + neg)
+
+
+def fit_cell(points):
+    """Rate fitted to one reference bin at 0 deg whose profile row holds
+    ``points``, (signed separation, rho) pairs; positive separations lie
+    toward larger angles."""
+    reps = sorted([0.0] + [sep for sep, _ in points])
+    ref = reps.index(0.0)
+    rho = np.full((1, len(reps), len(reps)), np.nan)
+    for sep, value in points:
+        rho[0, ref, reps.index(sep)] = value
+    rates = _fit_rates(rho, reps, ref, True, "tilt", [])
+    assert np.all(rates == rates[ref, 0])
+    return rates[ref, 0]
+
+
 class TestKernelFit:
     def test_recovers_exact_exponential(self):
-        sep = np.array([5.0, 10.0, 15.0, 5.0, 10.0, 15.0])
-        inc = np.array([True, True, True, False, False, False])
-        rho = np.where(inc, np.exp(-sep / 30.0), np.exp(-sep / 12.0))
-        kern = fit_piecewise_kernel(sep, rho, inc)
-        assert kern.q_pos_deg == pytest.approx(30.0, abs=1e-9)
-        assert kern.q_neg_deg == pytest.approx(12.0, abs=1e-9)
+        pos = [(s, math.exp(-s / 30.0)) for s in (5.0, 10.0, 15.0)]
+        neg = [(-s, math.exp(-s / 12.0)) for s in (5.0, 10.0, 15.0)]
+        assert 1.0 / fit_cell(pos) == pytest.approx(30.0, abs=1e-9)
+        assert 1.0 / fit_cell(neg) == pytest.approx(12.0, abs=1e-9)
+        assert fit_cell(pos + neg) == 0.5 * (fit_cell(pos) + fit_cell(neg))
 
     def test_all_unit_correlations_hit_cap(self):
-        kern = fit_piecewise_kernel([5.0, 10.0], [1.0, 1.0], [True, False])
-        assert kern.q_pos_deg == Q_CAP_DEG
-        assert kern.q_neg_deg == Q_CAP_DEG
+        assert fit_cell([(5.0, 1.0), (-10.0, 1.0)]) == 0.0
+
+    @pytest.mark.parametrize("single_center", [False, True])
+    def test_matches_per_cell_loop(self, single_center):
+        rng = np.random.default_rng(71)
+        for _ in range(100):
+            n_cond, n_ref = int(rng.integers(1, 5)), int(rng.integers(2, 8))
+            reps = sorted(rng.choice(np.arange(-40.0, 40.0), n_ref, replace=False))
+            rho = rng.uniform(-0.3, 1.2, (n_cond, n_ref, n_ref))
+            rho[rng.uniform(size=rho.shape) < 0.4] = np.nan
+            rho[rng.uniform(size=rho.shape) < 0.1] = 1.0
+            center = int(rng.integers(n_ref))
+            rates = _fit_rates(rho, reps, center, single_center, "tilt", [])
+            assert rates.shape == (n_ref, n_cond)
+            for cond in range(n_cond):
+                for ref in range(n_ref):
+                    expect = oracle_fit_rate(
+                        rho, reps, cond, center if single_center else ref
+                    )
+                    assert rates[ref, cond] == (0.0 if expect is None else expect)
 
     def test_one_sided_data_inherits(self):
-        kern = fit_piecewise_kernel([10.0], [math.exp(-1.0)], [True])
-        assert kern.q_pos_deg == pytest.approx(10.0, abs=1e-9)
-        assert kern.q_neg_deg == kern.q_pos_deg
+        # The empty direction takes the fitted one's rate, so the cell's
+        # rate is 1/q and not 1/(2q).
+        assert 1.0 / fit_cell([(10.0, math.exp(-1.0))]) == pytest.approx(10.0, abs=1e-9)
 
     def test_floor_clamps_tiny_correlations(self):
-        kern = fit_piecewise_kernel([10.0], [1.0e-6], [True])
-        assert kern.q_pos_deg == pytest.approx(
+        assert 1.0 / fit_cell([(10.0, 1.0e-6)]) == pytest.approx(
             10.0 / (-math.log(1.0e-3)), rel=1e-12
         )
 
     def test_negative_correlations_clamped_at_floor(self):
-        kern = fit_piecewise_kernel([10.0], [-0.4], [True])
-        assert kern.q_pos_deg == pytest.approx(10.0 / (-math.log(1.0e-3)), rel=1e-12)
+        assert 1.0 / fit_cell([(10.0, -0.4)]) == pytest.approx(
+            10.0 / (-math.log(1.0e-3)), rel=1e-12
+        )
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            fit_piecewise_kernel([], [], [])
-        with pytest.raises(ValidationError):
-            fit_piecewise_kernel([1.0, 2.0], [0.5], [True])
-        with pytest.raises(ValidationError):
-            fit_piecewise_kernel([0.0], [0.5], [True])
+        # Equal representatives of two populated bins: a zero separation.
+        rho = np.array([[[1.0, 0.5, 0.4], [0.5, 1.0, 0.6], [0.4, 0.6, 1.0]]])
+        with pytest.raises(ValidationError, match="representatives"):
+            _fit_rates(rho, (0.0, 3.0, 3.0), 0, False, "tilt", [])
+        # Without profile points every rate is 0, and each bin is named.
+        warnings = []
+        rates = _fit_rates(np.full((2, 3, 3), np.nan), (-5.0, 0.0, 5.0), 1, False,
+                           "tilt", warnings)
+        assert np.array_equal(rates, np.zeros((3, 2)))
+        assert warnings == [
+            f"tilt: conditioning bin {c} reference bins [0, 1, 2] have no usable"
+            " pairs; kernels left absent"
+            for c in (0, 1)
+        ]
+        warnings = []
+        _fit_rates(np.full((1, 3, 3), np.nan), (-5.0, 0.0, 5.0), 1, True,
+                   "elevation", warnings)
+        assert warnings == [
+            "elevation: conditioning bin 0 has no usable center-reference pairs;"
+            " kernels left absent"
+        ]
 
 
 class TestCorrelogram:
@@ -826,8 +923,8 @@ class TestModelFit:
         assert fit.model.mu == mu
         assert fit.model.sigma2 == sigma2
         assert fit.model.nugget == pytest.approx(1e-6 * sigma2)
-        assert any(k is not None for k in fit.model.tilt_kernels.values())
-        assert any(k is not None for k in fit.model.elev_kernels.values())
+        assert np.any(fit.model.tilt_rates > 0.0)
+        assert np.any(fit.model.elev_rates > 0.0)
         # The report artifacts cover the whole bin grid.
         assert fit.tilt_profile.rho.shape == (4, 5, 5)
         assert fit.elev_profile.rho.shape == (5, 4, 4)
@@ -839,8 +936,7 @@ class TestModelFit:
             decompose_all(rows), max_lag_m=200.0, n_lags=10, single_center=True
         )
         for cond in range(4):
-            kernels = {fit.model.tilt_kernels[(t, cond)] for t in range(5)}
-            assert len(kernels) == 1
+            assert len(set(fit.model.tilt_rates[:, cond].tolist())) == 1
 
     def test_single_elev_bin_warns_but_fits(self):
         rng = np.random.default_rng(60)
@@ -1033,13 +1129,14 @@ class TestSerialization:
     def test_round_trip_preserves_everything(self):
         model = cell_coded_model()
         doc = json.loads(json.dumps(serialize_model(model)))
+        assert doc["version"] == 2
         back = deserialize_model(doc)
         assert back.mu == model.mu
         assert back.sigma2 == model.sigma2
         assert back.dedm == model.dedm
         assert back.bins == model.bins
-        assert back.tilt_kernels == model.tilt_kernels
-        assert back.elev_kernels == model.elev_kernels
+        assert back.tilt_rates.tobytes() == model.tilt_rates.tobytes()
+        assert back.elev_rates.tobytes() == model.elev_rates.tobytes()
         assert back.nugget == model.nugget
 
     def test_infinities_encoded_as_strings(self):
@@ -1047,29 +1144,49 @@ class TestSerialization:
             0.0, 1.0, DedmParams(0.5, 0.1, 0.01)
         )
         doc = serialize_model(model)
-        assert doc["tilt_kernels"][0][0]["q_pos"] == "inf"
+        assert doc["tilt_rates"][0][0] == 0.0
         assert doc["bins"]["tilt_edges"][0] == "-inf"
         back = deserialize_model(json.loads(json.dumps(doc)))
-        assert back.tilt_kernels[(0, 0)].q_pos_deg == math.inf
         assert back.bins.tilt_edges[0] == -math.inf
+        # Version 1 wrote unbounded scales as "inf": no decay.
+        cell = {"q_pos": "inf", "q_neg": "inf"}
+        back = deserialize_model(as_version_1(model, cell, cell))
+        assert np.all(back.tilt_rates == 0.0) and np.all(back.elev_rates == 0.0)
 
     def test_absent_cells_round_trip_as_null(self):
-        bins = AngleBins()
-        model = CorrelationModel(
-            mu=0.0,
-            sigma2=1.0,
-            dedm=DedmParams(0.5, 0.1, 0.01),
-            bins=bins,
-            tilt_kernels={
-                (t, e): None for t in range(bins.n_tilt) for e in range(bins.n_elev)
-            },
-            elev_kernels={},
-        )
-        doc = serialize_model(model)
-        assert doc["tilt_kernels"][2][1] is None
-        back = deserialize_model(doc)
-        assert back.tilt_kernels[(2, 1)] is None
-        assert back.elev_kernels[(1, 2)] is None
+        model = cell_coded_model()
+        back = deserialize_model(as_version_1(model, None, {"q_pos": 8.0, "q_neg": 2.0}))
+        assert np.all(back.tilt_rates == 0.0)
+        assert np.all(back.elev_rates == 0.5 * (1.0 / 8.0 + 1.0 / 2.0))
+        doc = serialize_model(back)
+        assert doc["tilt_rates"][2][1] == 0.0
+
+    def test_version_1_fixture_loads_to_its_rates(self):
+        doc = json.loads(MODEL_V1.read_text())
+        assert doc["version"] == 1
+        model = load_model(MODEL_V1)
+        tables = {"tilt_kernels": model.tilt_rates, "elev_kernels": model.elev_rates}
+        for key, table in tables.items():
+            expect = np.array([[oracle_rate(cell) for cell in row] for row in doc[key]])
+            assert table.tobytes() == expect.tobytes()
+        # The file holds the edge-case model; written again it is version 2
+        # and gives the identical correlation matrix.
+        assert model.tilt_rates.tobytes() == edge_case_model().tilt_rates.tobytes()
+        assert model.elev_rates.tobytes() == edge_case_model().elev_rates.tobytes()
+        back = deserialize_model(json.loads(json.dumps(serialize_model(model))))
+        geoms = edge_case_geoms(200, seed=41)
+        for mode in MODES:
+            assert np.array_equal(
+                correlation_matrix(back, geoms, mode=mode),
+                correlation_matrix(model, geoms, mode=mode),
+            )
+
+    @pytest.mark.parametrize("field", ["sigma2", "nugget"])
+    def test_infinite_variance_rejected(self, field):
+        doc = serialize_model(cell_coded_model())
+        doc[field] = "inf"
+        with pytest.raises(ValidationError, match=f"finite.*{field}|{field}.*finite"):
+            deserialize_model(doc)
 
     def test_missing_field_named(self):
         doc = serialize_model(cell_coded_model())
@@ -1100,10 +1217,16 @@ class TestSerialization:
             (("dedm",), 3, "dedm"),
             (("mu",), None, "mu"),
             (("bins", "elev_edges", 2), "ten", "bins.elev_edges[2]"),
+            (("tilt_rates", 1, 2), "five", "tilt_rates[1][2]"),
+            (("elev_rates", 0, 3), None, "elev_rates[0][3]"),
+            (("tilt_rates",), 3, "tilt_rates"),
         ],
     )
     def test_wrong_json_type_named(self, path, value, field):
-        doc = json.loads(json.dumps(serialize_model(cell_coded_model())))
+        if path[0].endswith("_kernels"):  # a version-1 field
+            doc = json.loads(MODEL_V1.read_text())
+        else:
+            doc = json.loads(json.dumps(serialize_model(cell_coded_model())))
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
@@ -1115,7 +1238,7 @@ class TestSerialization:
 
     def test_kernel_shape_mismatch_rejected(self):
         doc = serialize_model(cell_coded_model())
-        doc["tilt_kernels"] = doc["tilt_kernels"][:3]
+        doc["tilt_rates"] = doc["tilt_rates"][:3]
         with pytest.raises(Exception):
             deserialize_model(doc)
 
@@ -1125,7 +1248,7 @@ class TestSerialization:
         save_model(model, path)
         back = load_model(path)
         assert back.dedm == model.dedm
-        assert back.tilt_kernels == model.tilt_kernels
+        assert back.tilt_rates.tobytes() == model.tilt_rates.tobytes()
         geoms = edge_case_geoms(50, seed=40)
         assert np.array_equal(
             correlation_matrix(back, geoms), correlation_matrix(model, geoms)

@@ -262,6 +262,23 @@ class TestMedianFilter:
         out = _median_filter(np.array([5.0, 1.0, 4.0, 2.0, 8.0]), 3)
         assert out.tolist() == [3.0, 4.0, 2.0, 4.0, 5.0]
 
+    @pytest.mark.parametrize("window", [3, 5, 7])
+    def test_matches_per_row_loop(self, window):
+        def per_row(values):
+            half = window // 2
+            out = np.empty_like(values)
+            for i in range(values.size):
+                lo, hi = max(0, i - half), min(values.size, i + half + 1)
+                out[i] = np.median(values[lo:hi])
+            return out
+
+        rng = np.random.default_rng(window)
+        for n in [*range(1, 21), 1000]:
+            # Rounded values repeat, so windows hold ties.
+            values = np.round(rng.normal(-90.0, 8.0, n), 1)
+            out = _median_filter(values, window)
+            assert out.tobytes() == per_row(values).tobytes(), n
+
     def test_window_one_is_identity(self):
         values = np.array([3.0, 1.0, 2.0])
         assert _median_filter(values, 1) is values

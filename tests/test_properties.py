@@ -1,5 +1,5 @@
 """Property tests of the correlation model and the Kriging predictor on
-random bins, kernel tables and geometries."""
+random bins, decay-rate tables and geometries."""
 
 import dataclasses
 import json
@@ -15,7 +15,6 @@ from skyfade.correlation import (
     AngleBins,
     CorrelationModel,
     DedmParams,
-    PiecewiseExpKernel,
     correlation_matrix,
     deserialize_model,
     serialize_model,
@@ -62,21 +61,20 @@ def models(draw, capped_only=False):
     q = st.sampled_from(CAPPED)
     if not capped_only:
         q = st.one_of(st.floats(0.2, 200.0), q)
-    cell = st.one_of(st.none(), st.builds(PiecewiseExpKernel, q, q))
-    tilt = {
-        (t, e): draw(cell) for t in range(bins.n_tilt) for e in range(bins.n_elev)
-    }
-    elev = {
-        (e, t): draw(cell) for e in range(bins.n_elev) for t in range(bins.n_tilt)
-    }
+    # A cell's rate: 1/q, or 0 for an absent cell or a capped scale.
+    cell = st.one_of(st.none(), q).map(
+        lambda v: 0.0 if v is None or v >= Q_CAP_DEG else 1.0 / v
+    )
+    tilt = [[draw(cell) for _ in range(bins.n_elev)] for _ in range(bins.n_tilt)]
+    elev = [[draw(cell) for _ in range(bins.n_tilt)] for _ in range(bins.n_elev)]
     rate = st.floats(1e-4, 1.0)
     return CorrelationModel(
         mu=0.0,
         sigma2=4.0,
         dedm=DedmParams(draw(st.floats(0.0, 1.0)), draw(rate), draw(rate)),
         bins=bins,
-        tilt_kernels=tilt,
-        elev_kernels=elev,
+        tilt_rates=tilt,
+        elev_rates=elev,
     )
 
 
