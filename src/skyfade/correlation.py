@@ -99,7 +99,7 @@ class AngleBins:
                 )
             for k, rep in enumerate(reps):
                 lo, hi = e[k], e[k + 1]
-                if math.isfinite(lo) and math.isfinite(hi) and not lo <= rep <= hi:
+                if not (math.isfinite(rep) and lo <= rep <= hi):
                     raise ValidationError(
                         f"{label} representative {rep} outside bin ({lo}, {hi}]"
                     )

@@ -221,6 +221,11 @@ def sample_sf_field(
     cov = correlation_matrix(truth, geometries, mode=mode)
     cov *= truth.sigma2
     cov[np.diag_indices_from(cov)] += truth.nugget
+    # numpy's Cholesky copies its input and returns a separate factor, two
+    # n x n buffers that scipy's in-place factor would not need.  It stays:
+    # numpy and scipy bundle different OpenBLAS builds, whose factors differ
+    # in the last bits (up to 2.1e-13 at n = 4000), and every simulated
+    # dataset would change with them.
     try:
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:

@@ -22,6 +22,15 @@ An indefinite covariance is therefore never accepted at the model's
 nugget: the nugget actually used is recorded on the system, and callers
 report it.
 
+C is factored in place, so a solve holds one M x M matrix, not two.  The
+factor overwrites one triangle and the shifted diagonal; after each
+attempt, failed or not, the intact triangle is mirrored back over the
+factored one, a block of columns at a time, and the saved diagonal is
+written back, so the caller's matrix comes back bitwise as it went in.
+That mirror needs C exactly symmetric: the solve checks this first and
+raises ValidationError naming the first asymmetric entry, which no valid
+covariance has.
+
 The factor, the solve and the residual product all run in scipy's BLAS:
 numpy and scipy wheels each ship their own OpenBLAS with its own thread
 pool, and mixing the two makes the pools' idle-spinning workers fight over
@@ -48,6 +57,9 @@ from .propagation import LinkBudget, SfTable, link_rsrp
 
 RESIDUAL_TOL = 1.0e-8
 MAX_ESCALATIONS = 6
+# Rows or columns per block in the symmetry check and the restore.
+_BLOCK = 128
+_STRICT_LOWER = np.tri(_BLOCK, k=-1, dtype=bool)
 
 
 @dataclass
@@ -135,6 +147,34 @@ def assemble_system(
     )
 
 
+def _check_symmetric(cov):
+    """Raise ValidationError naming the first (i, j), i <= j in row-major
+    order, where C_ij != C_ji (a NaN is unequal to itself); compared one
+    block of rows at a time."""
+    m = cov.shape[0]
+    for i0 in range(0, m, _BLOCK):
+        i1 = min(i0 + _BLOCK, m)
+        bad = cov[i0:i1, i0:] != cov[i0:, i0:i1].T
+        if bad.any():
+            i, j = (int(v) + i0 for v in np.argwhere(bad)[0])
+            raise ValidationError(
+                f"covariance is not symmetric: C[{i}, {j}] = {cov[i, j]!r}"
+                f" but C[{j}, {i}] = {cov[j, i]!r}"
+            )
+
+
+def _restore_lower(work, diag):
+    """Mirror the strict upper triangle of ``work`` over its strict lower
+    one, a block of columns at a time, then write ``diag`` back."""
+    m = work.shape[0]
+    for j0 in range(0, m, _BLOCK):
+        j1 = min(j0 + _BLOCK, m)
+        tile = work[j0:j1, j0:j1]
+        np.copyto(tile, tile.T, where=_STRICT_LOWER[: j1 - j0, : j1 - j0])
+        work[j1:, j0:j1] = work[j0:j1, j1:].T
+    work[np.diag_indices(m)] = diag
+
+
 def _cholesky_schur(cov, rhs, shift):
     """Solve by Cholesky of C, eliminating the unbiasedness row.
 
@@ -142,11 +182,15 @@ def _cholesky_schur(cov, rhs, shift):
     solution nu = (1^T Y - 1) / (1^T a) and the weights are Y - a nu.
     Returns None when C (diagonal shifted by ``shift``) is not numerically
     positive definite.
+
+    C is factored in place and given back bitwise as it came, whether or
+    not the factor succeeds; this requires C to be exactly symmetric.
     """
     m, k = rhs.shape
-    # cov is symmetric, so copying its transpose gives the Fortran-ordered
-    # matrix that LAPACK factors in place.
-    work = cov.T.copy(order="F")
+    # The transpose of a C-ordered matrix is the Fortran-ordered view that
+    # LAPACK factors in place; any other layout is copied here.
+    work = np.asfortranarray(cov.T)
+    diag = work.diagonal().copy()
     work[np.diag_indices(m)] += shift
     b = np.empty((m, k + 1), order="F")
     b[:, :k] = rhs
@@ -158,6 +202,9 @@ def _cholesky_schur(cov, rhs, shift):
         sol = scipy.linalg.cho_solve(factor, b, overwrite_b=True, check_finite=False)
     except (scipy.linalg.LinAlgError, ValueError):
         return None
+    finally:
+        # The factor overwrote the lower triangle only; C = C^T restores it.
+        _restore_lower(work, diag)
     y, a = sol[:, :k], sol[:, k]
     nu = (y.sum(axis=0) - 1.0) / a.sum()
     x = np.empty((m + 1, k))
@@ -191,9 +238,11 @@ def _solve_augmented(cov, rhs, sigma2, base_nugget):
     row.  Each rung adds ``nugget - base_nugget`` to the diagonal and makes
     one Cholesky-Schur attempt; the first finite solution whose relative
     residual passes is accepted.  A covariance that is not numerically
-    positive definite at a rung moves up to the next one.
+    positive definite at a rung moves up to the next one.  ``cov`` must be
+    exactly symmetric (ValidationError otherwise); it is left unchanged.
     """
     m = cov.shape[0]
+    _check_symmetric(cov)
     b_scale = max(float(np.abs(rhs).max()), 1.0)
     nugget = base_nugget
     for attempt in range(MAX_ESCALATIONS + 1):

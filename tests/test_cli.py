@@ -604,6 +604,22 @@ class TestFailureModes:
         assert f"'{field}'" in err
         assert not list(tmp_path.glob("out*"))
 
+    def test_tilt_representative_outside_its_bin(self, ws, tmp_path, capsys):
+        doc = json.loads(json.dumps(ws.config_doc))
+        doc.setdefault("bins", {})["tilt_reps"] = [50.0, -5.0, 0.0, 5.0, -60.0]
+        config = tmp_path / "bad_reps.json"
+        config.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "never.json"
+        rc = main(
+            ["fit", "--config", str(config), "--input", str(ws.train), "--out", str(out)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tilt representative 50.0 outside bin")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["transmogrify"])

@@ -122,6 +122,22 @@ class TestAngleBins:
         with pytest.raises(ValidationError):
             AngleBins(elev_edges=(0.0, 45.0, 90.0), elev_reps=(20.0, 44.0))
 
+    @pytest.mark.parametrize(
+        "reps, bad",
+        [
+            # Each outer tilt bin is unbounded on one side only.
+            ((50.0, -5.0, 0.0, 5.0, -60.0), "50.0"),
+            ((-10.0, -5.0, 0.0, 5.0, -60.0), "-60.0"),
+            ((-math.inf, -5.0, 0.0, 5.0, 10.0), "-inf"),
+            ((math.nan, -5.0, 0.0, 5.0, 10.0), "nan"),
+        ],
+    )
+    def test_representative_outside_an_unbounded_bin(self, reps, bad):
+        with pytest.raises(
+            ValidationError, match=rf"^tilt representative {bad} outside bin"
+        ):
+            AngleBins(tilt_reps=reps)
+
 
 class TestDistanceDecay:
     def test_unit_at_zero(self):

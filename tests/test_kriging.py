@@ -1,6 +1,7 @@
 """Ordinary Kriging: augmented solve, exactness, modes, and escalation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,101 @@ class TestSolvePaths:
         assert _augmented_residual(cov, shift, rhs, x) == pytest.approx(
             expect, rel=1e-12
         )
+
+
+def spd_covariance(m, seed):
+    """A symmetric positive definite covariance over m scattered samples,
+    with a small nugget on its diagonal, and the model that built it."""
+    model = smooth_model(nugget=1e-4)
+    geoms = [s.geometry for s in scattered_samples(m, seed=seed)]
+    cov = model.sigma2 * correlation_matrix(model, geoms)
+    cov[np.diag_indices_from(cov)] += model.nugget
+    return cov, model
+
+
+class TestInPlaceFactor:
+    """The solver factors the caller's covariance in place and restores it."""
+
+    def test_cholesky_schur_restores_cov_after_success(self):
+        cov, model = spd_covariance(300, seed=40)
+        rhs = np.random.default_rng(40).standard_normal((300, 3))
+        before = cov.copy()
+        assert _cholesky_schur(cov, rhs, 0.5) is not None
+        assert np.array_equal(cov, before)
+
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            [[1.0, 2.0], [2.0, 1.0]],
+            # The factor scales the first column before the second pivot fails.
+            [[4.0, 2.0, 1.0], [2.0, 1.0, 3.0], [1.0, 3.0, 2.0]],
+        ],
+    )
+    def test_cholesky_schur_restores_cov_after_failed_factor(self, cov):
+        cov = np.array(cov)
+        before = cov.copy()
+        rhs = np.full((cov.shape[0], 1), 0.5)
+        assert _cholesky_schur(cov, rhs, 0.0) is None
+        assert np.array_equal(cov, before)
+
+    def test_escalating_solve_restores_cov(self):
+        sigma2 = 4.0
+        base = 1e-6 * sigma2
+        cov = sigma2 * np.array([[1.0, 0.9, 0.9], [0.9, 1.0, 0.5], [0.9, 0.5, 1.0]])
+        cov[np.diag_indices(3)] += base
+        before = cov.copy()
+        rhs = sigma2 * np.array([[0.8, 0.1], [0.5, 0.7], [0.3, 0.2]])
+        _x, nugget = _solve_augmented(cov, rhs, sigma2, base)
+        assert nugget > base
+        assert np.array_equal(cov, before)
+
+    def test_solve_ok_leaves_system_cov_unchanged(self):
+        model = smooth_model(nugget=1e-4)
+        training = scattered_samples(200, seed=41)
+        target = mk_geom(15.0, -40.0, theta=30.0, delta=2.0)
+        system = assemble_system(training, target, model)
+        before = system.cov.copy()
+        solve_ok(system)
+        assert np.array_equal(system.cov, before)
+
+    def test_memory_layout_does_not_change_the_solution(self):
+        cov, model = spd_covariance(150, seed=42)
+        rhs = np.random.default_rng(42).standard_normal((150, 4))
+        big = np.zeros((300, 300))
+        big[::2, ::2] = cov
+        layouts = [np.asfortranarray(cov), big[::2, ::2]]
+        x, _nugget = _solve_augmented(cov, rhs, model.sigma2, model.nugget)
+        for view in layouts:
+            assert not view.flags.c_contiguous
+            got, _nugget = _solve_augmented(view, rhs, model.sigma2, model.nugget)
+            assert np.array_equal(got, x)
+            assert np.array_equal(view, cov)
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (4, 199), (150, 3)])
+    def test_asymmetric_cov_is_rejected_and_left_unchanged(self, i, j):
+        cov, model = spd_covariance(200, seed=43)
+        cov[i, j] = np.nextafter(cov[i, j], np.inf)
+        before = cov.copy()
+        first, second = min(i, j), max(i, j)
+        with pytest.raises(
+            ValidationError, match=rf"not symmetric: C\[{first}, {second}\]"
+        ):
+            _solve_augmented(cov, cov[:, :2], model.sigma2, model.nugget)
+        assert np.array_equal(cov, before)
+
+    def test_solve_holds_no_second_matrix(self):
+        # Copying C before the factor holds a second M x M matrix, a traced
+        # peak of about 1.05 M^2 doubles; factored in place it is about 0.05.
+        m, k = 1500, 20
+        cov, model = spd_covariance(m, seed=44)
+        rhs = np.random.default_rng(44).standard_normal((m, k))
+        tracemalloc.start()
+        try:
+            _solve_augmented(cov, rhs, model.sigma2, model.nugget)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * m * m * 8
 
 
 class TestAssembly:
