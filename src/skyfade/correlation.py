@@ -58,6 +58,8 @@ DEFAULT_NUGGET_FACTOR = 1.0e-6
 #: Output rows filled per pass by :func:`correlation_matrix`; bounds the
 #: size of its per-block temporaries.
 CORRELATION_BLOCK_ROWS = 128
+#: Pairs per row block of :func:`empirical_correlogram`; bounds its memory.
+CORRELOGRAM_BLOCK_PAIRS = 2**14
 SCHEMA_VERSION = 2
 
 DEFAULT_TILT_EDGES = (-math.inf, -7.0, -3.0, 3.0, 7.0, math.inf)
@@ -506,9 +508,16 @@ def empirical_correlogram(
     [0, max_lag_m); each pair contributes (w_i - mu)(w_j - mu)/sigma2.
     Raises :class:`InsufficientCoverageError` when more than ``empty_tol``
     of the lags are empty.
+
+    Memory is O(n): row blocks of about ``CORRELOGRAM_BLOCK_PAIRS`` pairs.
+    The sums are bitwise one ``bincount`` per 512-row chunk over its pairs
+    in row-major order, added chunk by chunk: the DEDM's fast rate is not
+    identifiable, so another summation order can move the fitted model.
     """
-    if n_lags < 1 or max_lag_m <= 0.0:
-        raise ValidationError("need n_lags >= 1 and a positive max lag")
+    if n_lags < 1:
+        raise ValidationError("need n_lags >= 1")
+    if not 0.0 < max_lag_m < math.inf:
+        raise ValidationError(f"need a positive finite max lag, got {max_lag_m}")
     if sigma2 <= 0.0:
         raise DegenerateCorrelationError("zero SF variance; correlogram undefined")
     table = SfTable.of(samples)
@@ -525,20 +534,26 @@ def empirical_correlogram(
     chunk = 512
     for i0 in range(0, n, chunk):
         i1 = min(i0 + chunk, n)
-        d = np.hypot(
-            east[i0:i1, None] - east[None, i0:],
-            north[i0:i1, None] - north[None, i0:],
-        )
-        upper = np.arange(i0, n)[None, :] > np.arange(i0, i1)[:, None]
-        keep = upper & (d < max_lag_m)
-        if not np.any(keep):
-            continue
-        dk = d[keep]
-        idx = np.minimum((dk / width).astype(np.int64), n_lags - 1)
-        pk = (dev[i0:i1, None] * dev[None, i0:])[keep]
-        prod_sum += np.bincount(idx, weights=pk, minlength=n_lags)
-        dist_sum += np.bincount(idx, weights=dk, minlength=n_lags)
-        count += np.bincount(idx, minlength=n_lags)
+        prod_part, dist_part = np.zeros(n_lags), np.zeros(n_lags)
+        r0 = i0
+        while r0 < i1:
+            r1 = min(r0 + max(1, CORRELOGRAM_BLOCK_PAIRS // (n - r0)), i1)
+            d = east[r0:r1, None] - east[None, r0:]
+            np.hypot(d, north[r0:r1, None] - north[None, r0:], out=d)
+            keep = d < max_lag_m
+            keep[:, : r1 - r0] &= ~np.tri(r1 - r0, dtype=bool)  # column > row
+            dk = d[keep]
+            pk = np.multiply(dev[r0:r1, None], dev[None, r0:], out=d)[keep]
+            idx = np.minimum((dk / width).astype(np.int64), n_lags - 1)
+            count += np.bincount(idx, minlength=n_lags)
+            # Each bin's running chunk sum goes first, so the bin goes on
+            # adding its pairs in row-major order, as one bincount would.
+            idx = np.concatenate((np.arange(n_lags), idx))
+            prod_part = np.bincount(idx, weights=np.concatenate((prod_part, pk)))
+            dist_part = np.bincount(idx, weights=np.concatenate((dist_part, dk)))
+            r0 = r1
+        prod_sum += prod_part
+        dist_sum += dist_part
 
     empty = np.flatnonzero(count == 0)
     if empty.size > empty_tol * n_lags:

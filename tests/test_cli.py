@@ -620,6 +620,23 @@ class TestFailureModes:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("max_lag", ["inf", float("nan")])
+    def test_non_finite_max_lag(self, ws, tmp_path, capsys, max_lag):
+        doc = json.loads(json.dumps(ws.config_doc))
+        doc.setdefault("fit", {})["max_lag_m"] = max_lag
+        config = tmp_path / "bad_lag.json"
+        config.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "never.json"
+        rc = main(
+            ["fit", "--config", str(config), "--input", str(ws.train), "--out", str(out)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: need a positive finite max lag, got")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["transmogrify"])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +57,8 @@ from skyfade.errors import (
     SchemaError,
     ValidationError,
 )
-from skyfade.geometry import LinkGeometry
-from skyfade.propagation import SfSample, sf_statistics
+from skyfade.geometry import Geometry, LinkGeometry
+from skyfade.propagation import SfSample, SfTable, sf_statistics
 
 MODEL_V1 = Path(__file__).parent / "data" / "model_v1.json"
 
@@ -83,6 +84,13 @@ def mk_sf(w, east=0.0, north=0.0, theta=20.0, delta=0.0):
         rsrp_dbm=float(w),
         pl_est_dbm=0.0,
     )
+
+
+def sf_columns(east, north, w):
+    """An SF table with the given positions and values; the angles are 0."""
+    zero = np.zeros(np.size(w))
+    geometry = Geometry(zero, zero, zero, zero, zero, east, north, zero)
+    return SfTable(geometry, np.asarray(w, dtype=float), zero, zero)
 
 
 class TestAngleBins:
@@ -823,6 +831,27 @@ class TestKernelFit:
         ]
 
 
+def oracle_correlogram(east, north, w, mu, sigma2, max_lag, n_lags):
+    """Correlogram bins as one bincount per 512-row chunk over the chunk's
+    pairs in row-major order, added to the totals chunk by chunk."""
+    n = east.size
+    i, j = np.triu_indices(n, 1)
+    d = np.hypot(east[i] - east[j], north[i] - north[j])
+    prod = (w[i] - mu) * (w[j] - mu)
+    bins = np.minimum((d / (max_lag / n_lags)).astype(np.int64), n_lags - 1)
+    sums = np.zeros((2, n_lags))
+    counts = np.zeros(n_lags, dtype=np.int64)
+    for i0 in range(0, n, 512):
+        kept = (i >= i0) & (i < i0 + 512) & (d < max_lag)
+        sums[0] += np.bincount(bins[kept], weights=prod[kept], minlength=n_lags)
+        sums[1] += np.bincount(bins[kept], weights=d[kept], minlength=n_lags)
+        counts += np.bincount(bins[kept], minlength=n_lags)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = np.where(counts > 0, sums[0] / np.maximum(counts, 1) / sigma2, np.nan)
+        lag = np.where(counts > 0, sums[1] / np.maximum(counts, 1), np.nan)
+    return counts, rho, lag
+
+
 class TestCorrelogram:
     def hand_samples(self):
         east = [0.0, 5.0, 12.0, 28.0]
@@ -874,10 +903,51 @@ class TestCorrelogram:
         assert np.allclose(gram.rho, rho, atol=1e-12)
         assert np.allclose(gram.lag_m, lag, atol=1e-12)
 
+    @pytest.mark.parametrize("block_pairs", [1, 700, 2**14])
+    @pytest.mark.parametrize("n", [2, 3, 511, 512, 513, 1100])
+    def test_matches_per_chunk_bincount(self, n, block_pairs, monkeypatch):
+        # Integer positions put many pairs at d = 0, on lag edges and at
+        # exactly max_lag; every third row is off the grid.
+        rng = np.random.default_rng(n)
+        east = rng.integers(0, 30, n).astype(float)
+        north = rng.integers(0, 30, n).astype(float)
+        east[::3] += rng.uniform(0.0, 1.0, east[::3].size)
+        w = rng.normal(0.0, 2.0, n)
+        mu, sigma2, max_lag, n_lags = 0.3, 4.0, 20.0, 8
+        monkeypatch.setattr(
+            "skyfade.correlation.CORRELOGRAM_BLOCK_PAIRS", block_pairs
+        )
+        gram = empirical_correlogram(
+            sf_columns(east, north, w), mu, sigma2, max_lag, n_lags, empty_tol=1.0
+        )
+        counts, rho, lag = oracle_correlogram(
+            east, north, w, mu, sigma2, max_lag, n_lags
+        )
+        assert np.array_equal(gram.counts, counts)
+        assert np.array_equal(gram.rho, rho, equal_nan=True)
+        assert np.array_equal(gram.lag_m, lag, equal_nan=True)
+
+    def test_pair_pass_memory_is_linear(self):
+        n = 6000
+        rng = np.random.default_rng(8)
+        table = sf_columns(
+            rng.uniform(-300.0, 300.0, n),
+            rng.uniform(-300.0, 300.0, n),
+            rng.normal(0.0, 3.0, n),
+        )
+        tracemalloc.start()
+        try:
+            empirical_correlogram(table, 0.0, 9.0, 300.0 * math.sqrt(2.0), 24)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * 512 * n * 8
+
     def test_validation(self):
         samples = self.hand_samples()
-        with pytest.raises(ValidationError):
-            empirical_correlogram(samples, 0.0, 1.0, 0.0, 3)
+        for max_lag in (0.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match=f"max lag, got {max_lag}"):
+                empirical_correlogram(samples, 0.0, 1.0, max_lag, 3)
         with pytest.raises(ValidationError):
             empirical_correlogram(samples, 0.0, 1.0, 30.0, 0)
         with pytest.raises(DegenerateCorrelationError):
