@@ -16,21 +16,19 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from . import dataio
 from .correlation import MODES, fit_correlation_model, load_model, save_model
-from .errors import SchemaError, SkyfadeError, ValidationError
+from .errors import SkyfadeError, ValidationError
 from .evaluation import run_evaluation
 from .fieldsim import synthesize_dataset, truth_sidecar
 from .kriging import predict_rsrp
+from .schema import write_json
 
 
-def _parse_column_map(pairs) -> dict | None:
-    if not pairs:
-        return None
+def _parse_column_map(pairs) -> dict:
     mapping = {}
     for pair in pairs:
         if "=" not in pair:
@@ -53,53 +51,23 @@ def _load_config(args) -> tuple[dict, Path]:
 
 
 def _ingest_options(config: dict, args) -> dict:
-    section = dataio.config_section(config, "ingest")
-    window = args.median_window
-    if window is None:
-        window = dataio.config_number(
-            section, "median_window", "ingest.", 0, integer=True
-        )
-    column_map = _parse_column_map(getattr(args, "column_map", None))
-    if column_map is None and "column_map" in section:
-        column_map = dict(dataio.config_section(section, "column_map", "ingest."))
-        for canonical, actual in column_map.items():
-            if not isinstance(actual, str):
-                path = f"ingest.column_map.{canonical}"
-                raise SchemaError(
-                    f"config field '{path}' must be a column name, got {actual!r}",
-                    field=path,
-                )
-    return {
-        "median_window": window,
-        "column_map": column_map,
-        "max_invalid_frac": dataio.config_number(
-            section, "max_invalid_frac", "ingest.", 0.1
-        ),
-    }
+    """The config's ingest options, overridden by the command-line flags."""
+    options = dataio.ingest_from_config(config)
+    if args.median_window is not None:
+        options["median_window"] = args.median_window
+    if args.column_map:
+        options["column_map"] = _parse_column_map(args.column_map)
+    return options
 
 
 def _fit_options(config: dict, args) -> dict:
-    section = dataio.config_section(config, "fit")
-    min_count = args.min_count
-    if min_count is None:
-        min_count = dataio.config_number(section, "min_count", "fit.", 30, integer=True)
-    max_lag_m = None
-    if section.get("max_lag_m") is not None:
-        max_lag_m = dataio.config_number(section, "max_lag_m", "fit.")
-    single_center = section.get("single_center", False)
-    if not isinstance(single_center, bool):
-        raise SchemaError(
-            "config field 'fit.single_center' must be true or false,"
-            f" got {single_center!r}",
-            field="fit.single_center",
-        )
-    return {
-        "max_lag_m": max_lag_m,
-        "n_lags": dataio.config_number(section, "n_lags", "fit.", 24, integer=True),
-        "min_count": min_count,
-        "single_center": args.single_center or single_center,
-        "nugget_factor": dataio.config_number(section, "nugget_factor", "fit.", 1e-6),
-    }
+    """The config's fit options, overridden by the command-line flags."""
+    options = dataio.fit_from_config(config)
+    if args.min_count is not None:
+        options["min_count"] = args.min_count
+    if args.single_center:
+        options["single_center"] = True
+    return options
 
 
 def _warn_escalated(mode: str, what: str) -> None:
@@ -166,7 +134,7 @@ def cmd_predict(args) -> int:
     options = _ingest_options(config, args)
     ingest = dataio.ingest_csv(args.input, budget, **options)
     targets, _rsrp = dataio.load_targets_csv(
-        args.targets, budget, options["column_map"]
+        args.targets, budget, options.get("column_map")
     )
     predictions = predict_rsrp(ingest.samples, targets, budget, model, args.mode)
     if predictions and predictions[0].nugget_used > model.nugget:
@@ -221,10 +189,7 @@ def cmd_simulate(args) -> int:
     samples = synthesize_dataset(sim)
     out = Path(args.out)
     dataio.write_dataset_csv(out, samples)
-    sidecar = truth_sidecar(sim)
-    Path(f"{_stem(out)}_truth.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(f"{_stem(out)}_truth.json", truth_sidecar(sim))
     print(f"{out}: {len(samples)} samples (seed {sim.seed})")
     return 0
 

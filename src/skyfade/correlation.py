@@ -31,9 +31,8 @@ construction is exposed for reuse by the fitting code.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +45,7 @@ from .errors import (
 )
 from .geometry import Geometry
 from .propagation import SfTable, sf_statistics
+from .schema import JsonObject, decode, read_json, write_json
 
 MODES = ("baseline", "angle_aware", "tilt_only", "elev_only")
 
@@ -61,6 +61,8 @@ CORRELATION_BLOCK_ROWS = 128
 #: Pairs per row block of :func:`empirical_correlogram`; bounds its memory.
 CORRELOGRAM_BLOCK_PAIRS = 2**14
 SCHEMA_VERSION = 2
+#: How errors name a model document.
+MODEL_DOC = "model document"
 
 DEFAULT_TILT_EDGES = (-math.inf, -7.0, -3.0, 3.0, 7.0, math.inf)
 DEFAULT_TILT_REPS = (-10.0, -5.0, 0.0, 5.0, 10.0)
@@ -138,6 +140,10 @@ class AngleBins:
 
     def elev_indices(self, theta_deg) -> np.ndarray:
         return self._indices(theta_deg, self.elev_edges, "elevation")
+
+
+#: The fields of :class:`AngleBins`, as config and model documents name them.
+BIN_FIELDS = tuple(f.name for f in fields(AngleBins))
 
 
 @dataclass(frozen=True)
@@ -788,23 +794,6 @@ def _encode_number(x: float):
     return float(x)
 
 
-def _decode_number(
-    x, path: str, integer: bool = False, doc: str = "model document"
-) -> float | int:
-    """A JSON number, or the string "inf"/"-inf", at field ``path`` of a
-    ``doc``.  Booleans are not numbers.  With ``integer`` the value must be
-    integral (50.0 passes, 50.7 does not) and comes back as an int."""
-    if isinstance(x, str) and x in ("inf", "-inf"):
-        x = float(x)
-    ok = isinstance(x, (int, float)) and not isinstance(x, bool)
-    if ok and integer and isinstance(x, float):
-        ok = x.is_integer()
-    if not ok:
-        kind = "an integer" if integer else "a number"
-        raise SchemaError(f"{doc} field '{path}' must be {kind}, got {x!r}", field=path)
-    return int(x) if integer else float(x)
-
-
 def serialize_model(model: CorrelationModel) -> dict:
     """Model as a JSON-ready dict (schema version 2).
 
@@ -816,46 +805,15 @@ def serialize_model(model: CorrelationModel) -> dict:
         "version": SCHEMA_VERSION,
         "mu": model.mu,
         "sigma2": model.sigma2,
-        "dedm": {"a": model.dedm.a, "p1": model.dedm.p1, "p2": model.dedm.p2},
+        "dedm": asdict(model.dedm),
         "bins": {
-            "tilt_edges": [_encode_number(v) for v in model.bins.tilt_edges],
-            "tilt_reps": list(model.bins.tilt_reps),
-            "elev_edges": [_encode_number(v) for v in model.bins.elev_edges],
-            "elev_reps": list(model.bins.elev_reps),
+            name: [_encode_number(v) for v in getattr(model.bins, name)]
+            for name in BIN_FIELDS
         },
         "tilt_rates": model.tilt_rates.tolist(),
         "elev_rates": model.elev_rates.tolist(),
         "nugget": model.nugget,
     }
-
-
-def _require(doc, key: str, where: str):
-    """``doc[key]``, where ``doc`` is the field at path ``where`` (empty
-    at the top level, else ending in ".") and must be a JSON object."""
-    if not isinstance(doc, dict):
-        name = where.rstrip(".")
-        raise SchemaError(f"model document field '{name}' must be a JSON object", field=name)
-    if key not in doc:
-        raise SchemaError(f"model document missing field '{where}{key}'", field=where + key)
-    return doc[key]
-
-
-def _require_list(doc, key: str, where: str) -> list:
-    value = _require(doc, key, where)
-    if not isinstance(value, list):
-        raise SchemaError(
-            f"model document field '{where}{key}' must be a list", field=where + key
-        )
-    return value
-
-
-def _require_number(doc, key: str, where: str) -> float:
-    return _decode_number(_require(doc, key, where), where + key)
-
-
-def _require_numbers(doc, key: str, where: str) -> tuple[float, ...]:
-    values = _require_list(doc, key, where)
-    return tuple(_decode_number(v, f"{where}{key}[{k}]") for k, v in enumerate(values))
 
 
 def deserialize_model(doc: dict) -> CorrelationModel:
@@ -869,70 +827,52 @@ def deserialize_model(doc: dict) -> CorrelationModel:
     Raises :class:`SchemaError` naming the first missing field or the
     first field of the wrong JSON type; unknown extra fields are ignored.
     """
-    if not isinstance(doc, dict):
-        raise SchemaError("model document must be a JSON object")
-    version = _require(doc, "version", "")
+    doc = JsonObject(doc, MODEL_DOC)
+    version = doc.get("version", "integer")
     if version not in (1, SCHEMA_VERSION):
         raise SchemaError(f"unsupported model schema version: {version}")
+    dedm = doc.section("dedm")
+    dedm = DedmParams(**{f.name: dedm.get(f.name) for f in fields(DedmParams)})
+    bins = doc.section("bins")
+    bins = AngleBins(**{name: bins.list(name, "number") for name in BIN_FIELDS})
 
-    dedm_doc = _require(doc, "dedm", "")
-    dedm = DedmParams(
-        a=_require_number(dedm_doc, "a", "dedm."),
-        p1=_require_number(dedm_doc, "p1", "dedm."),
-        p2=_require_number(dedm_doc, "p2", "dedm."),
-    )
-    bins_doc = _require(doc, "bins", "")
-    bins = AngleBins(
-        tilt_edges=_require_numbers(bins_doc, "tilt_edges", "bins."),
-        tilt_reps=_require_numbers(bins_doc, "tilt_reps", "bins."),
-        elev_edges=_require_numbers(bins_doc, "elev_edges", "bins."),
-        elev_reps=_require_numbers(bins_doc, "elev_reps", "bins."),
-    )
-
-    def v1_rate(cell, where):
+    def rate(cell, path):
+        if version == SCHEMA_VERSION:
+            return decode(cell, "number", path, MODEL_DOC)
         # Version 1 stored each cell as its {q_pos, q_neg} scales, or null.
         if cell is None:
             return 0.0
-        q_pos = _require_number(cell, "q_pos", where + ".")
-        q_neg = _require_number(cell, "q_neg", where + ".")
-        return 0.5 * (_q_rate(q_pos) + _q_rate(q_neg))
+        cell = JsonObject(cell, MODEL_DOC, path)
+        return 0.5 * (_q_rate(cell.get("q_pos")) + _q_rate(cell.get("q_neg")))
 
-    def table(key, n_rows, n_cols, cell_value):
-        rows = _require_list(doc, key, "")
+    def table(key, n_rows, n_cols):
+        rows = doc.list(key)
         if len(rows) != n_rows or any(
             not isinstance(r, list) or len(r) != n_cols for r in rows
         ):
             raise SchemaError(f"{key} shape does not match bins", field=key)
         return [
-            [cell_value(v, f"{key}[{i}][{j}]") for j, v in enumerate(row)]
+            [rate(v, f"{key}[{i}][{j}]") for j, v in enumerate(row)]
             for i, row in enumerate(rows)
         ]
 
-    keys, cell_value = ("tilt_rates", "elev_rates"), _decode_number
-    if version == 1:
-        keys, cell_value = ("tilt_kernels", "elev_kernels"), v1_rate
-    tilt_rates = table(keys[0], bins.n_tilt, bins.n_elev, cell_value)
-    elev_rates = table(keys[1], bins.n_elev, bins.n_tilt, cell_value)
+    suffix = "rates" if version == SCHEMA_VERSION else "kernels"
+    tilt_rates = table(f"tilt_{suffix}", bins.n_tilt, bins.n_elev)
+    elev_rates = table(f"elev_{suffix}", bins.n_elev, bins.n_tilt)
     return CorrelationModel(
-        mu=_require_number(doc, "mu", ""),
-        sigma2=_require_number(doc, "sigma2", ""),
+        mu=doc.get("mu"),
+        sigma2=doc.get("sigma2"),
         dedm=dedm,
         bins=bins,
         tilt_rates=tilt_rates,
         elev_rates=elev_rates,
-        nugget=_require_number(doc, "nugget", ""),
+        nugget=doc.get("nugget"),
     )
 
 
 def save_model(model: CorrelationModel, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(serialize_model(model), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(path, serialize_model(model))
 
 
 def load_model(path: str | Path) -> CorrelationModel:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return deserialize_model(doc)
+    return deserialize_model(read_json(path, MODEL_DOC))

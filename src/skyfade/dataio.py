@@ -21,7 +21,6 @@ identical.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,11 +28,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .correlation import (
+    BIN_FIELDS,
     AngleBins,
     AngularProfile,
     Correlogram,
     FitResult,
-    _decode_number,
     deserialize_model,
     load_model,
 )
@@ -42,6 +41,7 @@ from .evaluation import EvalConfig, EvalResult
 from .fieldsim import FlightSpec, SimConfig
 from .geometry import Geometry, check_poses, wrap_deg
 from .propagation import GainTable, LinkBudget, SfTable, decompose
+from .schema import JsonObject, read_json, write_json
 
 CANONICAL_COLUMNS = (
     "time_s",
@@ -178,6 +178,10 @@ def ingest_csv(
     columns are missing and :class:`IngestError` when more than
     ``max_invalid_frac`` of the data rows fail validation.
     """
+    if not 0.0 <= max_invalid_frac < np.inf:
+        raise ValidationError(
+            f"max_invalid_frac must be finite and non-negative: {max_invalid_frac}"
+        )
     _names, lines, table, failures, passthrough = _read_csv(
         path, column_map, CANONICAL_COLUMNS
     )
@@ -365,7 +369,7 @@ def write_coverage_report(path: str | Path, fit: FitResult, ingest_skipped=None)
         doc["skipped_rows"] = [
             {"line": line, "reason": reason} for line, reason in ingest_skipped
         ]
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def write_trials_csv(path: str | Path, result: EvalResult) -> None:
@@ -375,110 +379,82 @@ def write_trials_csv(path: str | Path, result: EvalResult) -> None:
 
 
 def write_summary_json(path: str | Path, result: EvalResult) -> None:
-    Path(path).write_text(
-        json.dumps(result.summary(), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(path, result.summary())
 
 
 # ---------------------------------------------------------------------------
 # Config files
 
 
+#: The config schema: the JSON kind of each field read by name, by section
+#: path (see :class:`~skyfade.schema.JsonObject`).  ``ingest.column_map``,
+#: ``budget.reflection``, the gain tables and the ``sim`` truth are read apart.
+CONFIG_KINDS = {
+    "ingest": dict(median_window="integer", max_invalid_frac="number"),
+    "fit": dict(
+        max_lag_m="number", n_lags="integer", min_count="integer",
+        single_center="flag", nugget_factor="number",
+    ),
+    "budget": dict.fromkeys(
+        ("tx_lat_deg", "tx_lon_deg", "tx_alt_m", "antenna_height_m", "tx_power_dbm", "freq_hz"),
+        "number",
+    ),
+    "bins": dict.fromkeys(BIN_FIELDS, ["number"]),
+    "sim": dict(seed="integer", n_samples="integer", noise_std_db="number"),
+    "sim.flight": dict(
+        altitude_m="number", east_extent_m=["number", 2], north_extent_m=["number", 2],
+        speed_mps="number", sample_interval_s="number", pitch_excitation_deg="number",
+        roll_excitation_deg="number", path="string", n_passes="integer",
+    ),
+    "eval": dict(
+        m_values=["integer"], tests_per_trial="integer", total_test_predictions="integer",
+        seed="integer", modes=["string"],
+    ),
+}
+
+
 def load_config(path: str | Path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: config root must be a JSON object")
-    return doc
+    return read_json(path, "config")
 
 
-def config_section(doc: dict, key: str, where: str = "") -> dict:
-    """``doc[key]``, empty when absent; it must be a JSON object.  ``where``
-    is the path of ``doc`` (empty at the top level, else ending in ".")."""
-    section = doc.get(key, {})
-    if not isinstance(section, dict):
-        raise SchemaError(
-            f"config field '{where}{key}' must be a JSON object", field=where + key
-        )
-    return section
+def _section(doc: dict, key: str) -> JsonObject:
+    """Top-level config section ``key``, empty when absent."""
+    return JsonObject(doc).section(key, {})
 
 
-def config_number(
-    section: dict, key: str, where: str, default=None, integer: bool = False
-):
-    """``section[key]`` as a float (an int with ``integer``), or ``default``
-    when the key is absent.  Raises :class:`SchemaError` naming the field
-    for a value of the wrong type: booleans are not numbers, and an integer
-    field rejects non-integral values."""
-    if key not in section:
-        return default
-    return _decode_number(section[key], where + key, integer, doc="config")
+def _fields(section: JsonObject) -> dict:
+    """The fields of ``section`` named in its :data:`CONFIG_KINDS` entry
+    that are present, read."""
+    return section.read(CONFIG_KINDS[section.where])
 
 
-def config_numbers(section: dict, key: str, where: str, integer: bool = False):
-    """``section[key]``, a list of numbers, as a tuple; each entry is
-    checked like :func:`config_number` and named by its index."""
-    values = section[key]
-    path = where + key
-    if not isinstance(values, (list, tuple)):
-        raise SchemaError(
-            f"config field '{path}' must be a list, got {values!r}", field=path
-        )
-    return tuple(
-        _decode_number(v, f"{path}[{k}]", integer, doc="config")
-        for k, v in enumerate(values)
-    )
+def ingest_from_config(doc: dict) -> dict:
+    """Keyword arguments of :func:`ingest_csv` set in the ``ingest`` section."""
+    section = _section(doc, "ingest")
+    options = _fields(section)
+    if "column_map" in section:
+        names = section.section("column_map")
+        options["column_map"] = {key: names.get(key, "string") for key in names.value}
+    return options
 
 
-def _config_path(section: dict, key: str, where: str, base_dir: Path | None) -> Path:
-    """``section[key]`` as a path, relative paths taken from ``base_dir``."""
-    value = section[key]
-    if not isinstance(value, (str, Path)):
-        raise SchemaError(
-            f"config field '{where}{key}' must be a path string, got {value!r}",
-            field=where + key,
-        )
-    path = Path(value)
-    if base_dir is not None and not path.is_absolute():
-        path = base_dir / path
-    return path
+def fit_from_config(doc: dict) -> dict:
+    """Keyword arguments of :func:`~skyfade.correlation.fit_correlation_model`
+    set in the ``fit`` section."""
+    return _fields(_section(doc, "fit"))
 
 
 def budget_from_config(doc: dict, base_dir: Path | None = None) -> LinkBudget:
     """Build a link budget from the config's ``budget`` section."""
-    section = config_section(doc, "budget")
-    kwargs = {}
-    for key in (
-        "tx_lat_deg",
-        "tx_lon_deg",
-        "tx_alt_m",
-        "antenna_height_m",
-        "tx_power_dbm",
-        "freq_hz",
-    ):
-        if key in section:
-            kwargs[key] = config_number(section, key, "budget.")
-    if "reflection" in section:
-        if isinstance(section["reflection"], (list, tuple)):
-            parts = config_numbers(section, "reflection", "budget.")
-            if len(parts) != 2:
-                raise SchemaError(
-                    "config field 'budget.reflection' must be a number or a"
-                    " [real, imag] pair",
-                    field="budget.reflection",
-                )
-            kwargs["reflection"] = complex(*parts)
-        else:
-            kwargs["reflection"] = complex(
-                config_number(section, "reflection", "budget."), 0.0
-            )
+    section = _section(doc, "budget")
+    kwargs = _fields(section)
+    if isinstance(section.value.get("reflection"), (list, tuple)):
+        kwargs["reflection"] = complex(*section.list("reflection", "number", 2))
+    elif "reflection" in section:
+        kwargs["reflection"] = complex(section.get("reflection"))
     for key, attr in (("gain_tx_csv", "gain_tx"), ("gain_uav_csv", "gain_uav")):
         if key in section:
-            kwargs[attr] = GainTable.from_csv(
-                _config_path(section, key, "budget.", base_dir)
-            )
+            kwargs[attr] = GainTable.from_csv(section.path(key, base_dir))
     if "tx_lat_deg" not in kwargs or "tx_lon_deg" not in kwargs:
         raise SchemaError(
             "config budget section must set tx_lat_deg and tx_lon_deg",
@@ -488,83 +464,28 @@ def budget_from_config(doc: dict, base_dir: Path | None = None) -> LinkBudget:
 
 
 def bins_from_config(doc: dict) -> AngleBins:
-    section = config_section(doc, "bins")
-    kwargs = {}
-    for key in ("tilt_edges", "tilt_reps", "elev_edges", "elev_reps"):
-        if key in section:
-            kwargs[key] = config_numbers(section, key, "bins.")
-    return AngleBins(**kwargs)
-
-
-def flight_from_config(section: dict) -> FlightSpec:
-    """Flight layout from the config's ``sim.flight`` section."""
-    where = "sim.flight."
-    kwargs = {}
-    for key in (
-        "altitude_m",
-        "speed_mps",
-        "sample_interval_s",
-        "pitch_excitation_deg",
-        "roll_excitation_deg",
-    ):
-        if key in section:
-            kwargs[key] = config_number(section, key, where)
-    for key in ("east_extent_m", "north_extent_m"):
-        if key in section:
-            extent = config_numbers(section, key, where)
-            if len(extent) != 2:
-                raise SchemaError(
-                    f"config field '{where}{key}' must be a [low, high] pair",
-                    field=where + key,
-                )
-            kwargs[key] = extent
-    if "path" in section:
-        kwargs["path"] = str(section["path"])
-    if "n_passes" in section:
-        kwargs["n_passes"] = config_number(section, "n_passes", where, integer=True)
-    return FlightSpec(**kwargs)
+    return AngleBins(**_fields(_section(doc, "bins")))
 
 
 def sim_from_config(
     doc: dict, budget: LinkBudget, base_dir: Path | None = None
 ) -> SimConfig:
-    section = config_section(doc, "sim")
-    if not section:
+    section = _section(doc, "sim")
+    if not section.value:
         raise SchemaError("config has no sim section", field="sim")
     if "truth" in section:
-        truth = deserialize_model(section["truth"])
+        truth = deserialize_model(section.section("truth").value)
     elif "truth_path" in section:
-        truth = load_model(_config_path(section, "truth_path", "sim.", base_dir))
+        truth = load_model(section.path("truth_path", base_dir))
     else:
         raise SchemaError(
             "sim section needs 'truth' (inline model) or 'truth_path'",
             field="sim.truth",
         )
-    return SimConfig(
-        seed=config_number(section, "seed", "sim.", 0, integer=True),
-        n_samples=config_number(section, "n_samples", "sim.", 1000, integer=True),
-        truth=truth,
-        budget=budget,
-        flight=flight_from_config(config_section(section, "flight", "sim.")),
-        noise_std_db=config_number(section, "noise_std_db", "sim.", 0.0),
-    )
+    flight = FlightSpec(**_fields(section.section("flight", {})))
+    options = {"seed": 0, "n_samples": 1000, **_fields(section)}
+    return SimConfig(truth=truth, budget=budget, flight=flight, **options)
 
 
 def eval_from_config(doc: dict) -> EvalConfig:
-    section = config_section(doc, "eval")
-    kwargs = {}
-    if "m_values" in section:
-        kwargs["m_values"] = config_numbers(section, "m_values", "eval.", integer=True)
-    for key in ("tests_per_trial", "total_test_predictions", "seed"):
-        if key in section:
-            kwargs[key] = config_number(section, key, "eval.", integer=True)
-    if "modes" in section:
-        modes = section["modes"]
-        if not isinstance(modes, list) or not all(isinstance(m, str) for m in modes):
-            raise SchemaError(
-                "config field 'eval.modes' must be a list of mode names,"
-                f" got {modes!r}",
-                field="eval.modes",
-            )
-        kwargs["modes"] = tuple(modes)
-    return EvalConfig(**kwargs)
+    return EvalConfig(**_fields(_section(doc, "eval")))

@@ -54,6 +54,13 @@ class FlightSpec:
     def __post_init__(self):
         if self.path not in ("lawnmower", "waypoints"):
             raise ValidationError(f"unknown path kind: {self.path!r}")
+        # A non-finite speed or interval would never end the waypoint walk.
+        for name in (
+            "altitude_m", "east_extent_m", "north_extent_m", "speed_mps", "sample_interval_s"
+        ):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ValidationError(f"flight {name} must be finite: {value}")
         if not (self.east_extent_m[0] < self.east_extent_m[1]):
             raise ValidationError("east extent must be a non-empty interval")
         if not (self.north_extent_m[0] < self.north_extent_m[1]):
@@ -81,8 +88,10 @@ class SimConfig:
     def __post_init__(self):
         if self.n_samples < 2:
             raise ValidationError("need at least 2 samples")
-        if self.noise_std_db < 0.0:
-            raise ValidationError("noise standard deviation must be non-negative")
+        if not 0.0 <= self.noise_std_db < math.inf:
+            raise ValidationError(
+                f"noise standard deviation must be finite and non-negative: {self.noise_std_db}"
+            )
         if self.flight.altitude_m <= self.budget.antenna_height_m:
             raise ValidationError(
                 "flight altitude must clear the transmitter antenna"

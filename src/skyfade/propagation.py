@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +105,8 @@ class LinkBudget:
     ``tx_alt_m`` is the ground altitude at the mast; the antenna phase
     center sits ``antenna_height_m`` above it.  ``reflection`` is the
     complex ground reflection coefficient (default -1, perfect reflector
-    with phase inversion; 0 disables the reflected ray).
+    with phase inversion; 0 disables the reflected ray).  Every number
+    must be finite.
     """
 
     tx_lat_deg: float
@@ -119,6 +120,10 @@ class LinkBudget:
     gain_uav: GainTable = field(default_factory=GainTable.isotropic)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, GainTable) and not np.isfinite(value):
+                raise ValidationError(f"link budget {f.name} must be finite: {value}")
         if self.freq_hz <= 0.0:
             raise ValidationError(f"carrier frequency must be positive: {self.freq_hz}")
         if abs(self.reflection) > 1.0 + 1e-12:

@@ -581,6 +581,8 @@ class TestFailureModes:
             ("fit", "bins", "elev_edges", [0, "45", 90], "bins.elev_edges[1]"),
             ("simulate", "sim", "n_samples", 600.5, "sim.n_samples"),
             ("simulate", "sim", "flight", 3, "sim.flight"),
+            ("simulate", "sim", "flight", {"path": 5}, "sim.flight.path"),
+            ("simulate", "sim", "truth", 3, "sim.truth"),
         ],
     )
     def test_malformed_config_value(
@@ -634,6 +636,34 @@ class TestFailureModes:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: need a positive finite max lag, got")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("freq_hz", "inf"),
+            ("freq_hz", float("nan")),
+            ("antenna_height_m", "inf"),
+            ("tx_power_dbm", "-inf"),
+            ("tx_alt_m", float("nan")),
+        ],
+    )
+    def test_non_finite_budget_value(self, ws, tmp_path, capsys, key, value):
+        """An infinite frequency used to end in a ZeroDivisionError traceback,
+        and the other values in rows of nan/inf SF with none skipped."""
+        doc = json.loads(json.dumps(ws.config_doc))
+        doc["budget"][key] = value
+        config = tmp_path / "bad_budget.json"
+        config.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "never.csv"
+        rc = main(
+            ["geometry", "--config", str(config), "--input", str(ws.small), "--out", str(out)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: link budget {key} must be finite")
         assert len(err.splitlines()) == 1
         assert not out.exists()
 

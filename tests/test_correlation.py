@@ -1306,6 +1306,7 @@ class TestSerialization:
             (("tilt_rates", 1, 2), "five", "tilt_rates[1][2]"),
             (("elev_rates", 0, 3), None, "elev_rates[0][3]"),
             (("tilt_rates",), 3, "tilt_rates"),
+            (("version",), True, "version"),
         ],
     )
     def test_wrong_json_type_named(self, path, value, field):

@@ -77,6 +77,30 @@ class TestValidation:
         with pytest.raises(ValidationError):
             FlightSpec(n_passes=1)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"altitude_m": math.nan}, "altitude_m"),
+            ({"east_extent_m": (-math.inf, 300.0)}, "east_extent_m"),
+            ({"north_extent_m": (-300.0, math.nan)}, "north_extent_m"),
+            ({"speed_mps": math.inf}, "speed_mps"),
+            ({"speed_mps": math.nan}, "speed_mps"),
+            ({"sample_interval_s": math.inf}, "sample_interval_s"),
+        ],
+    )
+    def test_flight_spec_non_finite(self, kwargs, field):
+        """An infinite speed or interval never ends the waypoint walk, and a
+        NaN one parks every sample at the start pose."""
+        with pytest.raises(ValidationError, match=f"flight {field} must be finite"):
+            FlightSpec(**kwargs)
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf])
+    def test_sim_config_non_finite_noise(self, noise):
+        with pytest.raises(ValidationError, match="noise standard deviation"):
+            SimConfig(
+                seed=0, n_samples=10, truth=flat_truth(), budget=BUDGET, noise_std_db=noise
+            )
+
     def test_sim_config(self):
         with pytest.raises(ValidationError):
             SimConfig(seed=0, n_samples=1, truth=flat_truth(), budget=BUDGET)

@@ -196,6 +196,24 @@ class TestLinkBudget:
         with pytest.raises(ValidationError):
             LinkBudget(tx_lat_deg=0.0, tx_lon_deg=0.0, freq_hz=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tx_lat_deg", math.nan),
+            ("tx_lon_deg", math.inf),
+            ("tx_alt_m", math.nan),
+            ("antenna_height_m", math.inf),
+            ("tx_power_dbm", -math.inf),
+            ("freq_hz", math.inf),
+            ("freq_hz", math.nan),
+            ("reflection", complex(math.nan, 0.0)),
+        ],
+    )
+    def test_rejects_non_finite(self, field, value):
+        kwargs = {"tx_lat_deg": 0.0, "tx_lon_deg": 0.0, field: value}
+        with pytest.raises(ValidationError, match=f"link budget {field} must be finite"):
+            LinkBudget(**kwargs)
+
     def test_origin_property(self):
         assert BUDGET.origin == ORIGIN
 
