@@ -136,11 +136,13 @@ def cmd_predict(args) -> int:
     targets, _rsrp = dataio.load_targets_csv(
         args.targets, budget, options.get("column_map")
     )
-    predictions = predict_rsrp(ingest.samples, targets, budget, model, args.mode)
-    if predictions and predictions[0].nugget_used > model.nugget:
+    w_hat, z_hat, variance, nugget = predict_rsrp(
+        ingest.samples, targets, budget, model, args.mode
+    )
+    if nugget > model.nugget:
         _warn_escalated(args.mode, "the solve")
-    dataio.write_predictions_csv(args.out, predictions)
-    print(f"{args.out}: {len(predictions)} predictions ({args.mode})")
+    dataio.write_predictions_csv(args.out, w_hat, z_hat, variance, nugget)
+    print(f"{args.out}: {len(w_hat)} predictions ({args.mode})")
     return 0
 
 
@@ -159,19 +161,20 @@ def cmd_evaluate(args) -> int:
     ingest = dataio.ingest_csv(args.input, budget, **_ingest_options(config, args))
     result = run_evaluation(ingest.samples, model, eval_config)
     stem = _stem(Path(args.out))
-    dataio.write_trials_csv(f"{stem}_trials.csv", result)
-    dataio.write_summary_json(f"{stem}_summary.json", result)
-    for m in eval_config.m_values:
-        for mode in eval_config.modes:
-            print(
-                f"M={m} {mode}: median RMSE"
-                f" {result.median_rmse(m, mode):.3f} dB"
-            )
+    dataio.write_trials_csv(f"{stem}_trials.csv", result.trials)
+    summary = result.summary()
+    write_json(f"{stem}_summary.json", summary)
+    for entry in summary["results"]:
+        print(
+            f"M={entry['m']} {entry['mode']}: median RMSE"
+            f" {entry['median_rmse_db']:.3f} dB"
+        )
+    trials = result.trials
     for mode in eval_config.modes:
-        trials = [t for t in result.trials if t.mode == mode]
-        escalated = sum(t.nugget_used > model.nugget for t in trials)
+        in_mode = trials.mode == mode
+        escalated = int((in_mode & (trials.nugget_used > model.nugget)).sum())
         if escalated:
-            _warn_escalated(mode, f"{escalated} of {len(trials)} trials")
+            _warn_escalated(mode, f"{escalated} of {int(in_mode.sum())} trials")
     return 0
 
 

@@ -332,6 +332,16 @@ def correlation_matrix(
     return out
 
 
+def covariance_matrix(model, geoms_a, geoms_b=None, mode="angle_aware"):
+    """sigma2 * R, with arguments as in :func:`correlation_matrix`, plus the
+    nugget on the diagonal in the square case (``geoms_b`` omitted)."""
+    cov = correlation_matrix(model, geoms_a, geoms_b, mode=mode)
+    cov *= model.sigma2
+    if geoms_b is None:
+        cov[np.diag_indices_from(cov)] += model.nugget
+    return cov
+
+
 # ---------------------------------------------------------------------------
 # Empirical estimation
 
@@ -572,7 +582,7 @@ def empirical_correlogram(
     return Correlogram(lag_m=lag, rho=rho, counts=count)
 
 
-def _fit_distance(samples, max_lag_m, n_lags, empty_tol=0.2):
+def _fit_distance(samples, max_lag_m, n_lags):
     """SF statistics, correlogram and DEDM fit, each computed once.
 
     ``max_lag_m`` defaults to half the bounding-box diagonal of the sample
@@ -596,7 +606,7 @@ def _fit_distance(samples, max_lag_m, n_lags, empty_tol=0.2):
     if n_lags < 3:
         raise ValidationError("need at least 3 lags to fit 3 parameters")
 
-    gram = empirical_correlogram(samples, mu, sigma2, max_lag_m, n_lags, empty_tol)
+    gram = empirical_correlogram(samples, mu, sigma2, max_lag_m, n_lags)
     mask = gram.counts > 0
     lags = gram.lag_m[mask]
     rho = gram.rho[mask]
@@ -618,12 +628,7 @@ def _fit_distance(samples, max_lag_m, n_lags, empty_tol=0.2):
     return mu, sigma2, gram, DedmParams(a=float(a), p1=float(p1), p2=float(p2))
 
 
-def fit_dedm(
-    samples,
-    max_lag_m: float | None = None,
-    n_lags: int = 24,
-    empty_tol: float = 0.2,
-) -> DedmParams:
+def fit_dedm(samples, max_lag_m: float | None = None, n_lags: int = 24) -> DedmParams:
     """Fit the double-exponential distance decay to the correlogram.
 
     ``max_lag_m`` defaults to half the bounding-box diagonal of the sample
@@ -631,7 +636,7 @@ def fit_dedm(
     least squares over the non-empty lags and returned with the faster
     decay first (p1 >= p2).
     """
-    return _fit_distance(samples, max_lag_m, n_lags, empty_tol)[3]
+    return _fit_distance(samples, max_lag_m, n_lags)[3]
 
 
 # ---------------------------------------------------------------------------

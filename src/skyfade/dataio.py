@@ -37,7 +37,7 @@ from .correlation import (
     load_model,
 )
 from .errors import IngestError, RowErrors, SchemaError, ValidationError
-from .evaluation import EvalConfig, EvalResult
+from .evaluation import TRIAL_FIELDS, EvalConfig, TrialTable
 from .fieldsim import FlightSpec, SimConfig
 from .geometry import Geometry, check_poses, wrap_deg
 from .propagation import GainTable, LinkBudget, SfTable, decompose
@@ -275,12 +275,6 @@ def _cells(values) -> list:
     return [repr(float(v)) if isinstance(v, float) else v for v in values]
 
 
-def _record_columns(records, fields) -> list[list]:
-    """One column per name in ``fields``, read off each of ``records``."""
-    records = list(records)
-    return [[getattr(r, name) for r in records] for name in fields]
-
-
 def _blank_nonfinite(values) -> np.ndarray:
     """``values`` as floats, each non-finite one replaced by None."""
     values = np.asarray(values, dtype=float)
@@ -303,7 +297,9 @@ def _write_csv(path: str | Path, header, columns) -> None:
 
 def write_dataset_csv(path: str | Path, samples) -> None:
     """Write measurement samples in the canonical ingestion schema."""
-    _write_csv(path, CANONICAL_COLUMNS, _record_columns(samples, CANONICAL_COLUMNS))
+    samples = list(samples)
+    columns = [[getattr(s, name) for s in samples] for name in CANONICAL_COLUMNS]
+    _write_csv(path, CANONICAL_COLUMNS, columns)
 
 
 def write_geometry_csv(path: str | Path, ingest: IngestResult) -> None:
@@ -323,9 +319,13 @@ def write_geometry_csv(path: str | Path, ingest: IngestResult) -> None:
     )
 
 
-def write_predictions_csv(path: str | Path, predictions) -> None:
-    fields = ("w_hat_db", "z_hat_dbm", "variance_db2", "nugget_used")
-    _write_csv(path, PREDICTION_COLUMNS, _record_columns(predictions, fields))
+def write_predictions_csv(
+    path: str | Path, w_hat, z_hat, variance, nugget_used: float
+) -> None:
+    """One row per target, from :func:`~skyfade.kriging.predict_rsrp`'s
+    columns; each row repeats the solve's one ``nugget_used``."""
+    nugget = np.full(len(w_hat), nugget_used, dtype=float)
+    _write_csv(path, PREDICTION_COLUMNS, [w_hat, z_hat, variance, nugget])
 
 
 def write_profile_csv(
@@ -372,14 +372,9 @@ def write_coverage_report(path: str | Path, fit: FitResult, ingest_skipped=None)
     write_json(path, doc)
 
 
-def write_trials_csv(path: str | Path, result: EvalResult) -> None:
+def write_trials_csv(path: str | Path, trials: TrialTable) -> None:
     """One row per trial; a non-finite value is written as ``nan``/``inf``."""
-    fields = "m mode trial rmse_db nugget_used pi95_coverage zscore_sd".split()
-    _write_csv(path, fields, _record_columns(result.trials, fields))
-
-
-def write_summary_json(path: str | Path, result: EvalResult) -> None:
-    write_json(path, result.summary())
+    _write_csv(path, TRIAL_FIELDS, [getattr(trials, name) for name in TRIAL_FIELDS])
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,20 @@ reached.  Within a trial the tuning and test sets never overlap; across
 trials rows may recur.  All modes see identical tuning/test draws so the
 comparison is paired, and every trial's generator is derived from the
 master seed plus the (M, trial) pair, which keeps runs reproducible and
-lets trials run in any order.
+lets trials run in any order.  The results come back as columns, one
+array per trial field (:class:`TrialTable`), built once at the end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .correlation import MODES, CorrelationModel, check_mode
+from .correlation import CorrelationModel, check_mode
 from .errors import ValidationError
+from .geometry import Columns
 from .kriging import predict_sf_batch
 from .propagation import SfTable
 
@@ -51,27 +53,33 @@ class EvalConfig:
         return math.ceil(self.total_test_predictions / self.tests_per_trial)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    m: int
-    mode: str
-    trial: int
-    rmse_db: float
-    nugget_used: float
-    pi95_coverage: float = math.nan
-    zscore_sd: float = math.nan
+@dataclass(frozen=True, eq=False)
+class TrialTable(Columns):
+    """Per-trial results, one entry per (M, trial, mode) in each column,
+    in run order: by M, then trial, then mode."""
+
+    m: np.ndarray
+    mode: np.ndarray
+    trial: np.ndarray
+    rmse_db: np.ndarray
+    nugget_used: np.ndarray
+    pi95_coverage: np.ndarray
+    zscore_sd: np.ndarray
+
+
+#: The trial columns, in the trials CSV's header order.
+TRIAL_FIELDS = tuple(f.name for f in fields(TrialTable))
 
 
 @dataclass
 class EvalResult:
     config: EvalConfig
-    trials: list[TrialRecord] = field(default_factory=list)
+    trials: TrialTable
 
     def values(self, m: int, mode: str, name: str = "rmse_db") -> np.ndarray:
-        """One ``TrialRecord`` field over the (m, mode) trials, in trial order."""
-        return np.array(
-            [getattr(t, name) for t in self.trials if t.m == m and t.mode == mode]
-        )
+        """One trial column over the (m, mode) trials, in trial order."""
+        t = self.trials
+        return getattr(t, name)[(t.m == m) & (t.mode == mode)]
 
     def median_rmse(self, m: int, mode: str) -> float:
         return float(np.median(self.values(m, mode)))
@@ -133,16 +141,13 @@ def run_evaluation(
             f"dataset has {n} rows; need at least {needed} for"
             f" M={max(config.m_values)} plus {config.tests_per_trial} tests"
         )
-    result = EvalResult(config=config)
+    rows = []
     n_trials = config.n_trials
     for m in config.m_values:
         for trial in range(n_trials):
             rng = np.random.default_rng([config.seed, m, trial])
             draw = rng.choice(n, size=m + config.tests_per_trial, replace=False)
-            train_idx = draw[:m]
-            test_idx = draw[m:]
-            train = samples[train_idx]
-            test = samples[test_idx]
+            train, test = samples[draw[:m]], samples[draw[m:]]
             for mode in config.modes:
                 w_hat, var, nugget = predict_sf_batch(
                     train, test.geometry, model, mode
@@ -155,17 +160,9 @@ def run_evaluation(
                 # unless the error is zero too.
                 with np.errstate(divide="ignore", invalid="ignore"):
                     zscore_sd = float(np.std(err / sd))
-                result.trials.append(
-                    TrialRecord(
-                        m=m,
-                        mode=mode,
-                        trial=trial,
-                        rmse_db=rmse,
-                        nugget_used=nugget,
-                        pi95_coverage=float(np.mean(np.abs(err) <= 1.96 * sd)),
-                        zscore_sd=zscore_sd,
-                    )
-                )
+                coverage = float(np.mean(np.abs(err) <= 1.96 * sd))
+                rows.append((m, mode, trial, rmse, nugget, coverage, zscore_sd))
             if progress is not None:
                 progress(m, trial + 1, n_trials)
-    return result
+    table = TrialTable(*(np.array(column) for column in zip(*rows)))
+    return EvalResult(config=config, trials=table)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .correlation import CorrelationModel, correlation_matrix, serialize_model
+from .correlation import CorrelationModel, covariance_matrix, serialize_model
 from .errors import NotPositiveDefiniteError, RowErrors, ValidationError
 from .geometry import MeasurementSample, enu_to_geodetic, tilt_geometry
 from .propagation import LinkBudget, link_rsrp
@@ -204,32 +204,31 @@ def generate_trajectory(config: SimConfig) -> list[TrajectoryPoint]:
     return [TrajectoryPoint(*row) for row in _walk(config).tolist()]
 
 
-def sample_sf_field(
-    geometries,
-    truth: CorrelationModel,
-    seed,
-    mode: str = "angle_aware",
-) -> np.ndarray:
-    """Draw one realization of the SF field at the given geometries.
-
-    Builds the dense covariance sigma2 * r_hat + nugget * I, which every
-    model makes positive semidefinite, and factors it as L L^T: Cholesky
-    when it is positive definite, otherwise a spectral square root with
-    rounding-level negative eigenvalues clipped to zero (exact for merely
-    semidefinite covariances, e.g. perfectly correlated duplicate
-    geometries with no nugget).  Returns mu + L @ g with g standard normal
-    from the seeded generator.
-    """
-    n = len(geometries)
-    if n == 0:
-        raise ValidationError("need at least one geometry")
+def _check_field_size(n: int) -> None:
+    """The dense covariance caps a field draw at :data:`MAX_FIELD_SAMPLES`."""
     if n > MAX_FIELD_SAMPLES:
         raise ValidationError(
             f"field synthesis capped at {MAX_FIELD_SAMPLES} samples, got {n}"
         )
-    cov = correlation_matrix(truth, geometries, mode=mode)
-    cov *= truth.sigma2
-    cov[np.diag_indices_from(cov)] += truth.nugget
+
+
+def sample_sf_field(geometries, truth: CorrelationModel, seed) -> np.ndarray:
+    """Draw one realization of the SF field at the given geometries.
+
+    Builds the dense covariance sigma2 * r_hat + nugget * I of the full
+    (angle-aware) model, which every model makes positive semidefinite,
+    and factors it as L L^T: Cholesky when it is positive definite,
+    otherwise a spectral square root with rounding-level negative
+    eigenvalues clipped to zero (exact for merely semidefinite
+    covariances, e.g. perfectly correlated duplicate geometries with no
+    nugget).  Returns mu + L @ g with g standard normal from the seeded
+    generator.
+    """
+    n = len(geometries)
+    if n == 0:
+        raise ValidationError("need at least one geometry")
+    _check_field_size(n)
+    cov = covariance_matrix(truth, geometries)
     # numpy's Cholesky copies its input and returns a separate factor, two
     # n x n buffers that scipy's in-place factor would not need.  It stays:
     # numpy and scipy bundle different OpenBLAS builds, whose factors differ
@@ -253,8 +252,11 @@ def synthesize_dataset(config: SimConfig) -> list[MeasurementSample]:
 
     The emitted samples carry z = rsrp_est + w + noise, so decomposing
     them against the same link budget recovers the synthesized shadow
-    fading (exactly, when the noise is zero).
+    fading (exactly, when the noise is zero).  More than
+    :data:`MAX_FIELD_SAMPLES` rows fail before the walk; :class:`SimConfig`
+    allows any size, since :func:`generate_trajectory` has no cap.
     """
+    _check_field_size(config.n_samples)
     poses = _walk(config)
     budget = config.budget
     columns = dict(zip(_POSE_FIELDS, poses.T))

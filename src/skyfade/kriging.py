@@ -10,6 +10,10 @@ covariance between tuning sample i and the target.  The unbiasedness row
 forces the weights to sum to one; the predictor is lambda^T w and the
 prediction variance is sigma2 - lambda^T c0 - nu, floored at zero.
 
+Many targets share one factorization, and :func:`predict_sf_batch` and
+:func:`predict_rsrp` return columns: one array per output, one entry per
+target, and the one nugget the solve used.
+
 The solve factors C by Cholesky and removes the unbiasedness row by Schur
 complement (Rasmussen & Williams 2006, Alg. 2.1; Cressie 1993, sec. 3.2):
 with C [Y | a] = [c0 | 1], nu = (1^T Y - 1) / (1^T a) and
@@ -49,7 +53,7 @@ from .correlation import (
     DEFAULT_NUGGET_FACTOR,
     CorrelationModel,
     check_mode,
-    correlation_matrix,
+    covariance_matrix,
 )
 from .errors import RowErrors, SingularSystemError, ValidationError
 from .geometry import Geometry, LinkGeometry
@@ -118,11 +122,8 @@ def _covariances(training, targets, model, mode):
         return None
     targets = Geometry.of(targets)
     geoms, w = dedup_training(training)
-    cov = correlation_matrix(model, geoms, mode=mode)
-    cov *= model.sigma2
-    cov[np.diag_indices_from(cov)] += model.nugget
-    c0 = correlation_matrix(model, geoms, targets, mode=mode)
-    c0 *= model.sigma2
+    cov = covariance_matrix(model, geoms, mode=mode)
+    c0 = covariance_matrix(model, geoms, targets, mode=mode)
     return w, cov, c0
 
 
@@ -277,10 +278,9 @@ def solve_ok(system: KrigingSystem) -> KrigingSystem:
 
 @dataclass(frozen=True)
 class Prediction:
-    """Kriging output for one target."""
+    """Kriging output for one target of :func:`predict_sf`."""
 
     w_hat_db: float
-    z_hat_dbm: float | None
     variance_db2: float
     nugget_used: float
 
@@ -304,12 +304,7 @@ def predict_sf(system: KrigingSystem) -> Prediction:
         system.target_cov[:, None],
         system.sigma2,
     )
-    return Prediction(
-        w_hat_db=float(w_hat[0]),
-        z_hat_dbm=None,
-        variance_db2=float(variance[0]),
-        nugget_used=float(system.nugget_used),
-    )
+    return Prediction(float(w_hat[0]), float(variance[0]), float(system.nugget_used))
 
 
 def predict_sf_batch(
@@ -342,15 +337,11 @@ def predict_rsrp(
     budget: LinkBudget,
     model: CorrelationModel,
     mode: str = "angle_aware",
-) -> list[Prediction]:
-    """Received-power predictions: two-ray estimate plus Kriged SF, one
-    per target, off one factorization."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(w_hat, z_hat, variance, nugget_used) off one factorization: the
+    :func:`predict_sf_batch` columns plus z_hat, the two-ray estimate plus
+    the Kriged SF."""
     targets = Geometry.of(targets)
     w_hat, variance, nugget = predict_sf_batch(training, targets, model, mode)
     z_hat = RowErrors.strict(link_rsrp, targets, budget) + w_hat
-    return [
-        Prediction(
-            w_hat_db=w, z_hat_dbm=z, variance_db2=v, nugget_used=float(nugget)
-        )
-        for w, z, v in zip(w_hat.tolist(), z_hat.tolist(), variance.tolist())
-    ]
+    return w_hat, z_hat, variance, nugget

@@ -25,6 +25,7 @@ from skyfade import (
     synthesize_dataset,
 )
 from skyfade.errors import RowErrors
+from skyfade.evaluation import TrialTable
 from skyfade.fieldsim import sample_sf_field
 from skyfade.geometry import enu_to_geodetic, tilt_geometry
 from skyfade.propagation import decompose, link_rsrp
@@ -38,6 +39,12 @@ def pose_columns(rows):
     trajectory points), one 1-d array per field."""
     names = [f.name for f in dataclasses.fields(rows[0])]
     return {n: np.array([getattr(r, n) for r in rows], dtype=float) for n in names}
+
+
+def trial_table(rows):
+    """A :class:`~skyfade.evaluation.TrialTable` of (m, mode, trial, rmse_db,
+    nugget_used, pi95_coverage, zscore_sd) rows, in the given order."""
+    return TrialTable(*(np.array(column) for column in zip(*rows)))
 
 
 def same_geometry(a, b):

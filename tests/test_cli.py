@@ -667,6 +667,27 @@ class TestFailureModes:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_oversized_simulate_fails_before_the_walk(
+        self, ws, tmp_path, capsys, monkeypatch
+    ):
+        """An oversized request used to walk the whole trajectory before the
+        field draw rejected it."""
+
+        def walk(_config):
+            raise AssertionError("the trajectory walk ran")
+
+        monkeypatch.setattr(skyfade.fieldsim, "_walk", walk)
+        capsys.readouterr()
+        out = tmp_path / "never.csv"
+        rc = main(
+            ["simulate", "--config", str(ws.config), "--out", str(out), "--n-samples", "5001"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: field synthesis capped at 5000 samples, got 5001\n"
+        assert not out.exists()
+        assert not (tmp_path / "never_truth.json").exists()
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["transmogrify"])

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from _recipes import BUDGET, same_geometry
+from _recipes import BUDGET, same_geometry, trial_table
 from skyfade.correlation import (
     AngularProfile,
     Correlogram,
@@ -30,14 +30,13 @@ from skyfade.dataio import (
     write_geometry_csv,
     write_predictions_csv,
     write_profile_csv,
-    write_summary_json,
     write_trials_csv,
 )
 from skyfade.errors import IngestError, SchemaError, ValidationError
-from skyfade.evaluation import EvalConfig, EvalResult, TrialRecord
+from skyfade.evaluation import EvalConfig, EvalResult
 from skyfade.fieldsim import synthesize_dataset
 from skyfade.geometry import MeasurementSample
-from skyfade.kriging import Prediction
+from skyfade.schema import write_json
 from test_fieldsim import small_config
 
 HEADER = ",".join(CANONICAL_COLUMNS)
@@ -466,12 +465,7 @@ class TestWriters:
     def test_predictions_csv(self, tmp_path):
         path = tmp_path / "pred.csv"
         write_predictions_csv(
-            path,
-            [
-                Prediction(
-                    w_hat_db=1.5, z_hat_dbm=-70.25, variance_db2=0.75, nugget_used=0.0
-                )
-            ],
+            path, np.array([1.5]), np.array([-70.25]), np.array([0.75]), 0.0
         )
         lines = path.read_text().splitlines()
         assert lines[0] == "w_hat_db,z_hat_dbm,kriging_var_db2,nugget_used"
@@ -479,20 +473,10 @@ class TestWriters:
 
     def test_trials_csv(self, tmp_path):
         config = EvalConfig(m_values=(5,), tests_per_trial=2, total_test_predictions=2)
-        result = EvalResult(config=config)
-        result.trials.append(
-            TrialRecord(
-                m=5,
-                mode="baseline",
-                trial=0,
-                rmse_db=3.5,
-                nugget_used=1e-06,
-                pi95_coverage=0.95,
-                zscore_sd=1.25,
-            )
-        )
+        trials = trial_table([(5, "baseline", 0, 3.5, 1e-06, 0.95, 1.25)])
+        result = EvalResult(config=config, trials=trials)
         path = tmp_path / "trials.csv"
-        write_trials_csv(path, result)
+        write_trials_csv(path, result.trials)
         lines = path.read_text().splitlines()
         # The calibration columns come after the original five.
         assert lines[0] == "m,mode,trial,rmse_db,nugget_used,pi95_coverage,zscore_sd"
@@ -500,20 +484,10 @@ class TestWriters:
 
     def test_summary_json(self, tmp_path):
         config = EvalConfig(m_values=(5,), tests_per_trial=2, total_test_predictions=2)
-        result = EvalResult(config=config)
-        result.trials.append(
-            TrialRecord(
-                m=5,
-                mode="baseline",
-                trial=0,
-                rmse_db=3.5,
-                nugget_used=0.0,
-                pi95_coverage=0.9,
-                zscore_sd=1.5,
-            )
-        )
+        trials = trial_table([(5, "baseline", 0, 3.5, 0.0, 0.9, 1.5)])
+        result = EvalResult(config=config, trials=trials)
         path = tmp_path / "summary.json"
-        write_summary_json(path, result)
+        write_json(path, result.summary())
         doc = json.loads(path.read_text())
         assert doc["results"][0]["median_rmse_db"] == 3.5
         assert doc["results"][0]["median_pi95_coverage"] == 0.9

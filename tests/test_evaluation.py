@@ -1,16 +1,20 @@
 """Mode-comparison evaluation harness: draws, pairing, and summaries."""
 
+import csv
+import math
+
 import numpy as np
 import pytest
 
-from _recipes import gap_benchmark_sf, gap_benchmark_truth
+from _recipes import gap_benchmark_sf, gap_benchmark_truth, trial_table
 from skyfade.correlation import CorrelationModel, DedmParams, fit_correlation_model
+from skyfade.dataio import write_trials_csv
 from skyfade.errors import ValidationError
 from skyfade.evaluation import (
     DEFAULT_M_VALUES,
+    TRIAL_FIELDS,
     EvalConfig,
     EvalResult,
-    TrialRecord,
     run_evaluation,
 )
 from test_correlation import mk_sf
@@ -66,14 +70,11 @@ class TestResultAccessors:
         config = EvalConfig(
             m_values=(10,), tests_per_trial=5, total_test_predictions=15
         )
-        result = EvalResult(config=config)
-        for trial, rmse in enumerate((1.0, 9.0, 2.0)):
-            result.trials.append(
-                TrialRecord(
-                    m=10, mode="baseline", trial=trial, rmse_db=rmse, nugget_used=0.0
-                )
-            )
-        return result
+        rows = [
+            (10, "baseline", trial, rmse, 0.0, math.nan, math.nan)
+            for trial, rmse in enumerate((1.0, 9.0, 2.0))
+        ]
+        return EvalResult(config=config, trials=trial_table(rows))
 
     def test_median_is_order_statistic(self):
         result = self.build()
@@ -89,6 +90,41 @@ class TestResultAccessors:
         assert entry["median_rmse_db"] == 2.0
         assert entry["rmse_db"] == [1.0, 9.0, 2.0]
 
+    def test_interleaved_modes_keep_run_order(self, tmp_path):
+        # Run order: by M, then trial, then mode, so the two modes
+        # interleave; the RMSE values are deliberately unsorted.
+        rows = [
+            (10, "baseline", 0, 3.0, 0.0, 0.9, 1.25),
+            (10, "angle_aware", 0, 2.5, 1e-06, 0.95, 1.0),
+            (10, "baseline", 1, 1.0, 0.0, 1.0, math.inf),
+            (10, "angle_aware", 1, 0.5, 1e-05, 0.85, math.nan),
+            (10, "baseline", 2, 2.0, 0.0, 0.8, 0.75),
+            (20, "baseline", 0, 4.0, 0.0, 0.9, 1.5),
+        ]
+        config = EvalConfig(
+            m_values=(10, 20), tests_per_trial=5, total_test_predictions=30
+        )
+        result = EvalResult(config=config, trials=trial_table(rows))
+        assert result.values(10, "baseline").tolist() == [3.0, 1.0, 2.0]
+        assert result.values(10, "baseline", "trial").tolist() == [0, 1, 2]
+        assert result.values(10, "angle_aware").tolist() == [2.5, 0.5]
+        nuggets = result.values(10, "angle_aware", "nugget_used")
+        assert nuggets.tolist() == [1e-06, 1e-05]
+        assert result.values(20, "baseline").tolist() == [4.0]
+        assert result.values(20, "angle_aware").size == 0
+
+        path = tmp_path / "trials.csv"
+        write_trials_csv(path, result.trials)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *written = csv.reader(fh)
+        assert header == list(TRIAL_FIELDS)
+        columns = [getattr(result.trials, name).tolist() for name in TRIAL_FIELDS]
+        expected = [
+            [v if isinstance(v, str) else repr(v) for v in row] for row in zip(*columns)
+        ]
+        assert written == expected
+        assert written[3] == ["10", "angle_aware", "1", "0.5", "1e-05", "0.85", "nan"]
+
 
 class TestRunEvaluation:
     def test_deterministic_and_paired(self):
@@ -102,11 +138,16 @@ class TestRunEvaluation:
         )
         a = run_evaluation(samples, model, config)
         b = run_evaluation(samples, model, config)
-        assert a.trials == b.trials
+        for name in TRIAL_FIELDS:
+            assert getattr(a.trials, name).tolist() == getattr(b.trials, name).tolist()
         # Both modes appear once per (m, trial) pair: the draws are shared.
-        keys = [(t.m, t.trial) for t in a.trials if t.mode == "baseline"]
-        keys_aware = [(t.m, t.trial) for t in a.trials if t.mode == "angle_aware"]
-        assert keys == keys_aware
+        t = a.trials
+
+        def keys(mode):
+            in_mode = t.mode == mode
+            return list(zip(t.m[in_mode].tolist(), t.trial[in_mode].tolist()))
+
+        assert keys("baseline") == keys("angle_aware")
         assert len(a.trials) == 2 * 2 * config.n_trials
 
     def test_total_predictions_reached(self):
@@ -141,8 +182,7 @@ class TestRunEvaluation:
             m_values=(5,), tests_per_trial=10, total_test_predictions=10, seed=1
         )
         result = run_evaluation(samples, model, config)
-        for t in result.trials:
-            assert t.rmse_db < 1e-6
+        assert np.all(result.trials.rmse_db < 1e-6)
 
     def test_small_dataset_rejected(self):
         config = EvalConfig(
@@ -158,9 +198,13 @@ class TestRunEvaluation:
             m_values=(12,), tests_per_trial=8, total_test_predictions=24, seed=4
         )
         result = run_evaluation(samples, model, config)
-        base = {t.trial: t.rmse_db for t in result.trials if t.mode == "baseline"}
-        aware = {t.trial: t.rmse_db for t in result.trials if t.mode == "angle_aware"}
-        assert base == aware
+        t = result.trials
+
+        def by_trial(mode):
+            in_mode = t.mode == mode
+            return dict(zip(t.trial[in_mode].tolist(), t.rmse_db[in_mode].tolist()))
+
+        assert by_trial("baseline") == by_trial("angle_aware")
 
     def test_angle_aware_beats_baseline_on_benchmark_subset(self):
         samples = gap_benchmark_sf()
@@ -194,9 +238,9 @@ class TestCalibration:
         # median z-score SD 0.992 (seeds 1-3: 0.945-0.950, 0.998-1.017).
         assert 0.92 <= entry["median_pi95_coverage"] <= 0.98
         assert 0.9 <= entry["median_zscore_sd"] <= 1.1
-        for t in result.trials:
-            assert 0.0 <= t.pi95_coverage <= 1.0
-            assert np.isfinite(t.zscore_sd)
+        coverage = result.trials.pi95_coverage
+        assert np.all((0.0 <= coverage) & (coverage <= 1.0))
+        assert np.all(np.isfinite(result.trials.zscore_sd))
 
     def test_summary_medians_match_trials(self):
         config = EvalConfig(
@@ -225,7 +269,7 @@ class TestFittedModel:
         )
         result = run_evaluation(samples, model, config)
         for mode in config.modes:
-            trials = [t for t in result.trials if t.mode == mode]
+            trials = result.trials[np.flatnonzero(result.trials.mode == mode)]
             assert len(trials) == 16
-            assert [t.nugget_used for t in trials] == [model.nugget] * 16
-            assert max(t.rmse_db for t in trials) < 6.0
+            assert trials.nugget_used.tolist() == [model.nugget] * 16
+            assert trials.rmse_db.max() < 6.0

@@ -482,16 +482,20 @@ class TestRsrpPrediction:
         training = scattered_samples(15, seed=25)
         target = mk_geom(120.0, -80.0, theta=11.0, delta=0.5, up=30.0)
         targets = [target, mk_geom(-30.0, 45.0, theta=40.0, delta=-3.0, up=60.0)]
-        preds = predict_rsrp(training, targets, BUDGET, model)
+        w_rsrp, z_hat, var_rsrp, nugget_rsrp = predict_rsrp(
+            training, targets, BUDGET, model
+        )
         w_hat, variance, nugget = predict_sf_batch(training, targets, model)
-        assert len(preds) == 2
-        for pred, geom, w, v in zip(preds, targets, w_hat, variance):
+        assert len(w_rsrp) == len(z_hat) == len(var_rsrp) == 2
+        for geom, w, z, v, k in zip(targets, w_hat, z_hat, variance, range(2)):
             est = two_ray_rsrp(geom, geom.up_m, BUDGET.antenna_height_m, BUDGET)
-            assert pred.w_hat_db == w
-            assert pred.z_hat_dbm == est + pred.w_hat_db
-            assert pred.variance_db2 == v
-            assert pred.nugget_used == nugget
-        assert predict_rsrp(training, [], BUDGET, model) == []
+            assert w_rsrp[k] == w
+            assert z == est + w_rsrp[k]
+            assert var_rsrp[k] == v
+        assert nugget_rsrp == nugget
+        *empty, nugget_empty = predict_rsrp(training, [], BUDGET, model)
+        assert [column.size for column in empty] == [0, 0, 0]
+        assert nugget_empty == model.nugget
 
 
 class TestAgainstPrior:
