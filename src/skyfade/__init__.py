@@ -15,10 +15,7 @@ from .correlation import (
     deserialize_model,
     empirical_angular_correlation,
     empirical_correlogram,
-    estimate_elev_profile,
-    estimate_tilt_profile,
     fit_correlation_model,
-    fit_dedm,
     load_model,
     save_model,
     serialize_model,
@@ -100,10 +97,7 @@ __all__ = [
     "deserialize_model",
     "empirical_angular_correlation",
     "empirical_correlogram",
-    "estimate_elev_profile",
-    "estimate_tilt_profile",
     "fit_correlation_model",
-    "fit_dedm",
     "generate_trajectory",
     "load_model",
     "predict_rsrp",

@@ -65,8 +65,6 @@ def _fit_options(config: dict, args) -> dict:
     options = dataio.fit_from_config(config)
     if args.min_count is not None:
         options["min_count"] = args.min_count
-    if args.single_center:
-        options["single_center"] = True
     return options
 
 
@@ -232,11 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--min-count", type=int, default=None)
-    p.add_argument(
-        "--single-center",
-        action="store_true",
-        help="fit one decay rate per conditioning bin, at the center reference bin",
-    )
     add_common(p)
     add_ingest_flags(p)
     p.set_defaults(func=cmd_fit)

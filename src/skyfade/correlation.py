@@ -22,11 +22,12 @@ rate in each angle.  Samples in different cells may not: two samples with
 the same tilt delta != 0 in elevation bins of different rates get a
 nonzero tilt separation.
 
-The rates are estimated from binned empirical correlations computed on
-sorted, quantile-balanced sample vectors against the global SF mean: each
+:func:`fit_correlation_model` is the one fit.  It fits the DEDM to the
+distance correlogram by least squares, and each rate table to a binned
+angular profile: empirical correlations computed on sorted,
+quantile-balanced sample vectors against the global SF mean.  Each
 cell's rate is 1/2 (r+ + r-) of two log-domain least-squares fits, one
-toward larger and one toward smaller angles.  The same sorted-pair
-construction is exposed for reuse by the fitting code.
+toward larger and one toward smaller angles.
 """
 
 from __future__ import annotations
@@ -462,37 +463,6 @@ def _bin_cells(samples, bins: AngleBins):
     return cells.reshape(bins.n_elev, bins.n_tilt), int(keep.size - keep.sum())
 
 
-def estimate_tilt_profile(
-    samples,
-    bins: AngleBins,
-    mu: float,
-    min_count: int = DEFAULT_MIN_CELL_COUNT,
-) -> AngularProfile:
-    """Empirical tilt-bin correlation matrices, one per elevation bin.
-
-    ``rho[e, i, j]`` is the sorted-pair correlation between the SF values
-    observed in tilt bins i and j at elevation bin e; under-populated cells
-    stay NaN (absent, not zero).
-    """
-    cells, _ = _bin_cells(samples, bins)
-    return _estimate_profile(cells, mu, min_count)
-
-
-def estimate_elev_profile(
-    samples,
-    bins: AngleBins,
-    mu: float,
-    min_count: int = DEFAULT_MIN_CELL_COUNT,
-) -> AngularProfile:
-    """Empirical elevation-bin correlation matrices, one per tilt bin.
-
-    ``rho[t, i, j]`` correlates elevation bins i and j within tilt bin t;
-    ``counts[t, e]`` gives the cell populations.
-    """
-    cells, _ = _bin_cells(samples, bins)
-    return _estimate_profile(cells.T, mu, min_count)
-
-
 # ---------------------------------------------------------------------------
 # Distance-decay fitting
 
@@ -586,7 +556,9 @@ def _fit_distance(samples, max_lag_m, n_lags):
     """SF statistics, correlogram and DEDM fit, each computed once.
 
     ``max_lag_m`` defaults to half the bounding-box diagonal of the sample
-    positions.  Returns ``(mu, sigma2, correlogram, dedm)``.
+    positions.  The three DEDM parameters are estimated by bounded
+    nonlinear least squares over the non-empty lags, with the faster decay
+    first (p1 >= p2).  Returns ``(mu, sigma2, correlogram, dedm)``.
     """
     # Imported here: scipy.optimize adds about 0.1 s to every command's
     # start-up, and only fitting uses it.
@@ -628,17 +600,6 @@ def _fit_distance(samples, max_lag_m, n_lags):
     return mu, sigma2, gram, DedmParams(a=float(a), p1=float(p1), p2=float(p2))
 
 
-def fit_dedm(samples, max_lag_m: float | None = None, n_lags: int = 24) -> DedmParams:
-    """Fit the double-exponential distance decay to the correlogram.
-
-    ``max_lag_m`` defaults to half the bounding-box diagonal of the sample
-    positions.  The three parameters are estimated by bounded nonlinear
-    least squares over the non-empty lags and returned with the faster
-    decay first (p1 >= p2).
-    """
-    return _fit_distance(samples, max_lag_m, n_lags)[3]
-
-
 # ---------------------------------------------------------------------------
 # Full model fit
 
@@ -655,7 +616,7 @@ class FitResult:
     warnings: list
 
 
-def _fit_rates(rho, reps, center_ref, single_center, label, warnings):
+def _fit_rates(rho, reps, label, warnings):
     """Decay-rate table (n_ref, n_cond) fitted to a profile ``rho`` of shape
     (n_cond, n_ref, n_ref).
 
@@ -665,21 +626,17 @@ def _fit_rates(rho, reps, center_ref, single_center, label, warnings):
     with rho clamped to [RHO_FLOOR, 1], gives r = 1/q, and a fit that shows
     no decay (q capped at :data:`Q_CAP_DEG`) gives 0.  A direction with no
     points takes the other direction's rate; a cell with none has rate 0
-    and is named in a warning.  With ``single_center`` every reference bin
-    takes the rate fitted at ``center_ref``.
+    and is named in a warning.
     """
     reps = np.asarray(reps, dtype=float)
-    refs = [center_ref] if single_center else list(range(rho.shape[1]))
-    r = rho[:, refs, :]  # (n_cond, n_fit, n_ref): each fitted row's points
-    sep = reps[None, :] - reps[refs, None]  # other minus reference
-    used = np.isfinite(r)
-    used[:, np.arange(len(refs)), refs] = False
+    sep = reps[None, :] - reps[:, None]  # other minus reference
+    used = np.isfinite(rho) & ~np.eye(reps.size, dtype=bool)
     if np.any(used & ~((np.abs(sep) > 0.0) & np.isfinite(sep))):
         raise ValidationError(
             f"{label}: representatives of bins with profile points must differ"
             " and be finite"
         )
-    log_rho = np.log(np.clip(np.where(used, r, 1.0), RHO_FLOOR, 1.0))
+    log_rho = np.log(np.clip(np.where(used, rho, 1.0), RHO_FLOOR, 1.0))
 
     def direction(side):
         """The rate fitted to each row's points on one side, and whether
@@ -697,18 +654,12 @@ def _fit_rates(rho, reps, center_ref, single_center, label, warnings):
     cell = 0.5 * (np.where(has_pos, pos, neg) + np.where(has_neg, neg, pos))
     empty = ~(has_pos | has_neg)
     for cond in np.flatnonzero(np.any(empty, axis=1)).tolist():
-        if single_center:
-            warnings.append(
-                f"{label}: conditioning bin {cond} has no usable center-reference"
-                " pairs; kernels left absent"
-            )
-        else:
-            warnings.append(
-                f"{label}: conditioning bin {cond} reference bins"
-                f" {np.flatnonzero(empty[cond]).tolist()} have no usable pairs;"
-                " kernels left absent"
-            )
-    return np.broadcast_to(cell, (rho.shape[0], rho.shape[1])).T
+        warnings.append(
+            f"{label}: conditioning bin {cond} reference bins"
+            f" {np.flatnonzero(empty[cond]).tolist()} have no usable pairs;"
+            " kernels left absent"
+        )
+    return cell.T
 
 
 def fit_correlation_model(
@@ -718,8 +669,6 @@ def fit_correlation_model(
     max_lag_m: float | None = None,
     n_lags: int = 24,
     min_count: int = DEFAULT_MIN_CELL_COUNT,
-    single_center: bool = False,
-    nugget_factor: float = DEFAULT_NUGGET_FACTOR,
 ) -> FitResult:
     """Estimate the full correlation model from decomposed SF samples.
 
@@ -727,11 +676,10 @@ def fit_correlation_model(
     (fitted to the DEDM) and the (elevation, tilt) cell grid are each
     computed once; the tilt profile correlates the grid's rows and the
     elevation profile its columns.  Each profile is then fitted to one
-    decay-rate table.  With ``single_center`` each conditioning bin gets
-    one rate fitted at the center reference bin (tilt: the bin containing
-    zero tilt; elevation: the most populated bin), shared across reference
-    bins.  Samples with an angle outside the bins are
-    left out of the profiles and counted in a warning.
+    decay-rate table, one rate per (reference bin, conditioning bin) cell.
+    Samples with an angle outside the bins are left out of the profiles
+    and counted in a warning.  The model's nugget is
+    :data:`DEFAULT_NUGGET_FACTOR` times the SF variance.
     """
     bins = bins if bins is not None else AngleBins()
     samples = SfTable.of(samples)
@@ -756,19 +704,8 @@ def fit_correlation_model(
             f"{dropped} sample(s) outside the angle bins left out of the"
             " angular profiles"
         )
-    try:
-        center_tilt = int(bins.tilt_indices([0.0])[0])
-    except ValidationError:
-        center_tilt = bins.n_tilt // 2
-    center_elev = int(np.argmax(elev_profile.counts.sum(axis=0)))
-
-    tilt_rates = _fit_rates(
-        tilt_profile.rho, bins.tilt_reps, center_tilt, single_center, "tilt", warnings
-    )
-    elev_rates = _fit_rates(
-        elev_profile.rho, bins.elev_reps, center_elev, single_center, "elevation",
-        warnings,
-    )
+    tilt_rates = _fit_rates(tilt_profile.rho, bins.tilt_reps, "tilt", warnings)
+    elev_rates = _fit_rates(elev_profile.rho, bins.elev_reps, "elevation", warnings)
 
     model = CorrelationModel(
         mu=mu,
@@ -777,7 +714,7 @@ def fit_correlation_model(
         bins=bins,
         tilt_rates=tilt_rates,
         elev_rates=elev_rates,
-        nugget=nugget_factor * sigma2,
+        nugget=DEFAULT_NUGGET_FACTOR * sigma2,
     )
     return FitResult(
         model=model,

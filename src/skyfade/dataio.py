@@ -79,7 +79,6 @@ class IngestResult:
     samples: SfTable
     measurements: dict[str, np.ndarray]
     passthrough: dict[str, np.ndarray]
-    extra_columns: list[str]
     skipped: list[tuple[int, str]]
     n_rows: int
 
@@ -217,7 +216,6 @@ def ingest_csv(
         samples=samples[keep],
         measurements={name: column[keep] for name, column in columns.items()},
         passthrough={name: cells[rows[keep]] for name, cells in passthrough.items()},
-        extra_columns=list(passthrough),
         skipped=skipped,
         n_rows=n_rows,
     )
@@ -312,9 +310,9 @@ def write_geometry_csv(path: str | Path, ingest: IngestResult) -> None:
     g = s.geometry
     _write_csv(
         path,
-        list(CANONICAL_COLUMNS) + ingest.extra_columns + list(ANNOTATION_COLUMNS),
+        [*CANONICAL_COLUMNS, *ingest.passthrough, *ANNOTATION_COLUMNS],
         [ingest.measurements[c] for c in CANONICAL_COLUMNS]
-        + [ingest.passthrough[c] for c in ingest.extra_columns]
+        + list(ingest.passthrough.values())
         + [g.theta_deg, g.delta_deg, g.d2d_m, g.d3d_m, s.pl_est_dbm, s.sf_db],
     )
 
@@ -386,10 +384,7 @@ def write_trials_csv(path: str | Path, trials: TrialTable) -> None:
 #: ``budget.reflection``, the gain tables and the ``sim`` truth are read apart.
 CONFIG_KINDS = {
     "ingest": dict(median_window="integer", max_invalid_frac="number"),
-    "fit": dict(
-        max_lag_m="number", n_lags="integer", min_count="integer",
-        single_center="flag", nugget_factor="number",
-    ),
+    "fit": dict(max_lag_m="number", n_lags="integer", min_count="integer"),
     "budget": dict.fromkeys(
         ("tx_lat_deg", "tx_lon_deg", "tx_alt_m", "antenna_height_m", "tx_power_dbm", "freq_hz"),
         "number",

@@ -45,8 +45,10 @@ class EvalConfig:
             raise ValidationError("test counts must be positive")
         if not self.modes:
             raise ValidationError("need at least one mode")
-        for mode in self.modes:
+        for k, mode in enumerate(self.modes):
             check_mode(mode)
+            if mode in self.modes[:k]:
+                raise ValidationError(f"mode {mode!r} is listed twice")
 
     @property
     def n_trials(self) -> int:
@@ -122,7 +124,6 @@ def run_evaluation(
     samples,
     model: CorrelationModel,
     config: EvalConfig,
-    progress=None,
 ) -> EvalResult:
     """Run the full trial grid over a decomposed dataset.
 
@@ -130,8 +131,6 @@ def run_evaluation(
     (measured RSRP plus its decomposition); each trial takes its tuning
     and test rows by index.  The predicted z for a target reuses the
     target row's own two-ray estimate, so no link budget is needed here.
-    ``progress`` may be a callable invoked as
-    progress(m, completed_trials, total_trials).
     """
     samples = SfTable.of(samples)
     n = len(samples)
@@ -142,9 +141,8 @@ def run_evaluation(
             f" M={max(config.m_values)} plus {config.tests_per_trial} tests"
         )
     rows = []
-    n_trials = config.n_trials
     for m in config.m_values:
-        for trial in range(n_trials):
+        for trial in range(config.n_trials):
             rng = np.random.default_rng([config.seed, m, trial])
             draw = rng.choice(n, size=m + config.tests_per_trial, replace=False)
             train, test = samples[draw[:m]], samples[draw[m:]]
@@ -162,7 +160,5 @@ def run_evaluation(
                     zscore_sd = float(np.std(err / sd))
                 coverage = float(np.mean(np.abs(err) <= 1.96 * sd))
                 rows.append((m, mode, trial, rmse, nugget, coverage, zscore_sd))
-            if progress is not None:
-                progress(m, trial + 1, n_trials)
     table = TrialTable(*(np.array(column) for column in zip(*rows)))
     return EvalResult(config=config, trials=table)

@@ -26,7 +26,6 @@ from .errors import SchemaError
 KINDS = {
     "number": "a number",
     "integer": "an integer",
-    "flag": "true or false",
     "string": "a string",
     "path": "a path string",
 }
@@ -52,7 +51,7 @@ def write_json(path: str | Path, obj) -> None:
 
 def decode(value, kind: str, path: str, doc: str = "config"):
     """``value``, the field at ``path`` of a ``doc``, read as a ``kind`` of
-    :data:`KINDS`: a float, int, bool, str or :class:`Path`."""
+    :data:`KINDS`: a float, int, str or :class:`Path`."""
     if kind in ("number", "integer"):
         if isinstance(value, str) and value in ("inf", "-inf"):
             value = float(value)
@@ -60,7 +59,7 @@ def decode(value, kind: str, path: str, doc: str = "config"):
         if ok and kind == "integer" and isinstance(value, float):
             ok = value.is_integer()
     else:
-        ok = isinstance(value, {"flag": bool, "string": str, "path": (str, Path)}[kind])
+        ok = isinstance(value, {"string": str, "path": (str, Path)}[kind])
     if not ok:
         raise SchemaError(
             f"{doc} field '{path}' must be {KINDS[kind]}, got {value!r}", field=path

@@ -44,8 +44,9 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 def test_public_names_resolve():
     """Every exported name resolves, and the one-row wrappers that the
-    column functions replaced, and the kernel objects and scalar fit that
-    the rate tables replaced, are exported nowhere."""
+    column functions replaced, the kernel objects and scalar fit that the
+    rate tables replaced, and the fit's stage wrappers are exported
+    nowhere."""
     assert len(set(skyfade.__all__)) == len(skyfade.__all__)
     for name in skyfade.__all__:
         assert getattr(skyfade, name) is not None
@@ -60,6 +61,9 @@ def test_public_names_resolve():
         "decompose_sf",
         "PiecewiseExpKernel",
         "fit_piecewise_kernel",
+        "fit_dedm",
+        "estimate_tilt_profile",
+        "estimate_elev_profile",
     ):
         assert name not in skyfade.__all__
         assert not any(hasattr(m, name) for m in modules), name
@@ -469,6 +473,31 @@ class TestFailureModes:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_evaluate_repeated_mode(self, ws, tmp_path, capsys):
+        """A mode listed twice would run twice per trial and be summarized
+        twice; it is rejected before anything is read or written."""
+        capsys.readouterr()
+        rc = main(
+            [
+                "evaluate",
+                "--config",
+                str(ws.config),
+                "--input",
+                str(ws.train),
+                "--model",
+                str(ws.model),
+                "--out",
+                str(tmp_path / "e"),
+                "--mode",
+                "baseline,baseline",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mode 'baseline' is listed twice")
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
     def test_bad_column_map_flag(self, ws, capsys):
         capsys.readouterr()
         rc = main(
@@ -576,8 +605,8 @@ class TestFailureModes:
             ),
             ("fit", "fit", "n_lags", "24", "fit.n_lags"),
             ("fit", "fit", "min_count", 10.5, "fit.min_count"),
-            ("fit", "fit", "nugget_factor", [1e-6], "fit.nugget_factor"),
-            ("fit", "fit", "single_center", "false", "fit.single_center"),
+            ("fit", "fit", "max_lag_m", "far", "fit.max_lag_m"),
+            ("fit", "fit", "min_count", True, "fit.min_count"),
             ("fit", "bins", "elev_edges", [0, "45", 90], "bins.elev_edges[1]"),
             ("simulate", "sim", "n_samples", 600.5, "sim.n_samples"),
             ("simulate", "sim", "flight", 3, "sim.flight"),

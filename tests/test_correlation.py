@@ -35,6 +35,8 @@ from skyfade.correlation import (
     CorrelationModel,
     DedmParams,
     _bin_cells,
+    _estimate_profile,
+    _fit_distance,
     _fit_rates,
     balance_resample,
     correlation_matrix,
@@ -42,10 +44,7 @@ from skyfade.correlation import (
     deserialize_model,
     empirical_angular_correlation,
     empirical_correlogram,
-    estimate_elev_profile,
-    estimate_tilt_profile,
     fit_correlation_model,
-    fit_dedm,
     load_model,
     save_model,
     serialize_model,
@@ -655,11 +654,22 @@ class TestEmpiricalCorrelation:
             empirical_angular_correlation([1.0], [1.0, 2.0], 0.0)
 
 
+def profiles(samples, mu, min_count=DEFAULT_MIN_CELL_COUNT):
+    """The (tilt, elevation) profiles over the default bins, as the fit
+    computes them: the tilt profile correlates the cell grid's rows, the
+    elevation profile its columns."""
+    cells, _ = _bin_cells(samples, AngleBins())
+    return (
+        _estimate_profile(cells, mu, min_count),
+        _estimate_profile(cells.T, mu, min_count),
+    )
+
+
 class TestAngularProfiles:
     def test_single_cell_dataset(self):
         rng = np.random.default_rng(1)
         samples = [mk_sf(w, theta=20.0, delta=0.0) for w in rng.normal(size=40)]
-        profile = estimate_tilt_profile(samples, AngleBins(), 0.0)
+        profile, _ = profiles(samples, 0.0)
         assert profile.counts[1, 2] == 40
         assert profile.counts.sum() == 40
         assert profile.rho[1, 2, 2] == 1.0
@@ -673,7 +683,7 @@ class TestAngularProfiles:
         mu = float(pool.mean())
         samples = [mk_sf(w, theta=20.0, delta=-5.0) for w in pool[:5000]]
         samples += [mk_sf(w, theta=20.0, delta=5.0) for w in pool[5000:]]
-        profile = estimate_tilt_profile(samples, AngleBins(), mu)
+        profile, _ = profiles(samples, mu)
         assert profile.rho[1, 1, 3] > 0.95
         assert profile.rho[1, 3, 1] == profile.rho[1, 1, 3]
 
@@ -681,7 +691,7 @@ class TestAngularProfiles:
         rng = np.random.default_rng(56)
         samples = [mk_sf(w, theta=20.0, delta=-5.0) for w in rng.normal(size=60)]
         samples += [mk_sf(w, theta=40.0, delta=-5.0) for w in rng.normal(size=60)]
-        profile = estimate_elev_profile(samples, AngleBins(), 0.0)
+        _, profile = profiles(samples, 0.0)
         # Conditioning axis is the tilt bin (delta=-5 -> bin 1).
         assert profile.counts[1, 1] == 60
         assert profile.counts[1, 2] == 60
@@ -692,7 +702,7 @@ class TestAngularProfiles:
         rng = np.random.default_rng(57)
         samples = [mk_sf(w, theta=20.0, delta=0.0) for w in rng.normal(size=50)]
         samples += [mk_sf(w, theta=20.0, delta=5.0) for w in rng.normal(size=29)]
-        profile = estimate_tilt_profile(samples, AngleBins(), 0.0, min_count=30)
+        profile, _ = profiles(samples, 0.0, min_count=30)
         assert profile.counts[1, 3] == 29  # recorded ...
         assert np.isnan(profile.rho[1, 2, 3])  # ... but not correlated
         assert np.isnan(profile.rho[1, 3, 3])
@@ -701,16 +711,14 @@ class TestAngularProfiles:
         rng = np.random.default_rng(58)
         good = [mk_sf(w, theta=20.0, delta=0.0) for w in rng.normal(size=35)]
         bad = [mk_sf(0.0, theta=95.0, delta=0.0)]
-        profile = estimate_tilt_profile(good + bad, AngleBins(), 0.0)
+        profile, _ = profiles(good + bad, 0.0)
         assert profile.counts.sum() == 35
 
     def test_angle_grid_recovery(self):
         rows, _truth = angle_grid_dataset()
         samples = decompose_all(rows)
         mu, _ = sf_statistics(samples)
-        bins = AngleBins()
-        tilt = estimate_tilt_profile(samples, bins, mu)
-        elev = estimate_elev_profile(samples, bins, mu)
+        tilt, elev = profiles(samples, mu)
         t_mean = separation_mean(tilt.rho, DEFAULT_TILT_REPS, 10.0)
         e_mean = separation_mean(elev.rho, DEFAULT_ELEV_REPS, 20.0)
         # Truth kernels give 0.8499 at 10 deg tilt and 0.6004 at 20 deg
@@ -757,8 +765,9 @@ def fit_cell(points):
     rho = np.full((1, len(reps), len(reps)), np.nan)
     for sep, value in points:
         rho[0, ref, reps.index(sep)] = value
-    rates = _fit_rates(rho, reps, ref, True, "tilt", [])
-    assert np.all(rates == rates[ref, 0])
+    rates = _fit_rates(rho, reps, "tilt", [])
+    # The other reference rows have no points.
+    assert np.all(np.delete(rates, ref, axis=0) == 0.0)
     return rates[ref, 0]
 
 
@@ -773,8 +782,7 @@ class TestKernelFit:
     def test_all_unit_correlations_hit_cap(self):
         assert fit_cell([(5.0, 1.0), (-10.0, 1.0)]) == 0.0
 
-    @pytest.mark.parametrize("single_center", [False, True])
-    def test_matches_per_cell_loop(self, single_center):
+    def test_matches_per_cell_loop(self):
         rng = np.random.default_rng(71)
         for _ in range(100):
             n_cond, n_ref = int(rng.integers(1, 5)), int(rng.integers(2, 8))
@@ -782,14 +790,11 @@ class TestKernelFit:
             rho = rng.uniform(-0.3, 1.2, (n_cond, n_ref, n_ref))
             rho[rng.uniform(size=rho.shape) < 0.4] = np.nan
             rho[rng.uniform(size=rho.shape) < 0.1] = 1.0
-            center = int(rng.integers(n_ref))
-            rates = _fit_rates(rho, reps, center, single_center, "tilt", [])
+            rates = _fit_rates(rho, reps, "tilt", [])
             assert rates.shape == (n_ref, n_cond)
             for cond in range(n_cond):
                 for ref in range(n_ref):
-                    expect = oracle_fit_rate(
-                        rho, reps, cond, center if single_center else ref
-                    )
+                    expect = oracle_fit_rate(rho, reps, cond, ref)
                     assert rates[ref, cond] == (0.0 if expect is None else expect)
 
     def test_one_sided_data_inherits(self):
@@ -811,23 +816,17 @@ class TestKernelFit:
         # Equal representatives of two populated bins: a zero separation.
         rho = np.array([[[1.0, 0.5, 0.4], [0.5, 1.0, 0.6], [0.4, 0.6, 1.0]]])
         with pytest.raises(ValidationError, match="representatives"):
-            _fit_rates(rho, (0.0, 3.0, 3.0), 0, False, "tilt", [])
+            _fit_rates(rho, (0.0, 3.0, 3.0), "tilt", [])
         # Without profile points every rate is 0, and each bin is named.
         warnings = []
-        rates = _fit_rates(np.full((2, 3, 3), np.nan), (-5.0, 0.0, 5.0), 1, False,
-                           "tilt", warnings)
+        rates = _fit_rates(
+            np.full((2, 3, 3), np.nan), (-5.0, 0.0, 5.0), "tilt", warnings
+        )
         assert np.array_equal(rates, np.zeros((3, 2)))
         assert warnings == [
             f"tilt: conditioning bin {c} reference bins [0, 1, 2] have no usable"
             " pairs; kernels left absent"
             for c in (0, 1)
-        ]
-        warnings = []
-        _fit_rates(np.full((1, 3, 3), np.nan), (-5.0, 0.0, 5.0), 1, True,
-                   "elevation", warnings)
-        assert warnings == [
-            "elevation: conditioning bin 0 has no usable center-reference pairs;"
-            " kernels left absent"
         ]
 
 
@@ -959,9 +958,7 @@ class TestCorrelogram:
 class TestDistanceDecayFit:
     def test_two_rate_truth_recovered(self):
         samples = dedm_recovery_sf()
-        fitted = fit_dedm(
-            samples, max_lag_m=DEDM_RECOVERY_MAX_LAG, n_lags=DEDM_RECOVERY_N_LAGS
-        )
+        fitted = _fit_distance(samples, DEDM_RECOVERY_MAX_LAG, DEDM_RECOVERY_N_LAGS)[3]
         assert fitted.p1 >= fitted.p2
         grid = np.linspace(0.0, DEDM_RECOVERY_MAX_LAG, 451)
         dev = np.max(
@@ -971,9 +968,7 @@ class TestDistanceDecayFit:
 
     def test_single_rate_truth_recovered_as_curve(self):
         samples = single_exp_sf()
-        fitted = fit_dedm(
-            samples, max_lag_m=SINGLE_EXP_MAX_LAG, n_lags=SINGLE_EXP_N_LAGS
-        )
+        fitted = _fit_distance(samples, SINGLE_EXP_MAX_LAG, SINGLE_EXP_N_LAGS)[3]
         grid = np.linspace(0.0, SINGLE_EXP_MAX_LAG, 251)
         dev = np.max(
             np.abs(dedm_eval(fitted, grid) - np.exp(-SINGLE_EXP_RATE * grid))
@@ -985,19 +980,19 @@ class TestDistanceDecayFit:
     def test_constant_sf_rejected(self):
         samples = [mk_sf(1.5, east=10.0 * i) for i in range(10)]
         with pytest.raises(DegenerateCorrelationError):
-            fit_dedm(samples)
+            _fit_distance(samples, None, 24)
 
     def test_no_extent_rejected(self):
         rng = np.random.default_rng(2)
         samples = [mk_sf(w) for w in rng.normal(size=10)]
         with pytest.raises(ValidationError):
-            fit_dedm(samples)
+            _fit_distance(samples, None, 24)
 
     def test_too_few_lags_rejected(self):
         rng = np.random.default_rng(2)
         samples = [mk_sf(w, east=5.0 * i) for i, w in enumerate(rng.normal(size=20))]
         with pytest.raises(ValidationError):
-            fit_dedm(samples, max_lag_m=50.0, n_lags=2)
+            _fit_distance(samples, 50.0, 2)
 
 
 class TestModelFit:
@@ -1015,14 +1010,6 @@ class TestModelFit:
         assert fit.tilt_profile.rho.shape == (4, 5, 5)
         assert fit.elev_profile.rho.shape == (5, 4, 4)
         assert fit.correlogram.counts.sum() > 0
-
-    def test_single_center_shares_kernels(self):
-        rows, _ = angle_grid_dataset(n=1200)
-        fit = fit_correlation_model(
-            decompose_all(rows), max_lag_m=200.0, n_lags=10, single_center=True
-        )
-        for cond in range(4):
-            assert len(set(fit.model.tilt_rates[:, cond].tolist())) == 1
 
     def test_single_elev_bin_warns_but_fits(self):
         rng = np.random.default_rng(60)
@@ -1144,7 +1131,6 @@ class TestOnePassFit:
 
         mu, sigma2 = sf_statistics(samples)
         assert (fit.model.mu, fit.model.sigma2) == (mu, sigma2)
-        assert fit.model.dedm == fit_dedm(samples, max_lag_m=max_lag_m, n_lags=10)
         if max_lag_m is None:
             east = samples.geometry.east_m.tolist()
             north = samples.geometry.north_m.tolist()
@@ -1172,13 +1158,6 @@ class TestOnePassFit:
         assert np.array_equal(fit.tilt_profile.rho, tilt_rho, equal_nan=True)
         assert np.array_equal(fit.elev_profile.counts, elev_counts)
         assert np.array_equal(fit.elev_profile.rho, elev_rho, equal_nan=True)
-        for profile, estimate in (
-            (fit.tilt_profile, estimate_tilt_profile),
-            (fit.elev_profile, estimate_elev_profile),
-        ):
-            alone = estimate(samples, bins, mu)
-            assert np.array_equal(alone.counts, profile.counts)
-            assert np.array_equal(alone.rho, profile.rho, equal_nan=True)
         assert "2 sample(s) outside the angle bins" in fit.warnings[0]
 
     @pytest.mark.parametrize(
@@ -1206,9 +1185,8 @@ class TestOnePassFit:
         ],
     )
     def test_degenerate_inputs_raise_typed_errors(self, make, kwargs, error, message):
-        for fit in (fit_dedm, fit_correlation_model):
-            with pytest.raises(error, match=message):
-                fit(make(), **kwargs)
+        with pytest.raises(error, match=message):
+            fit_correlation_model(make(), **kwargs)
 
 
 class TestSerialization:

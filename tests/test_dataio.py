@@ -221,7 +221,7 @@ class TestIngest:
             [HEADER + ",site", good_row() + ",LW1", good_row(time=1.0) + ",LW2"],
         )
         ingest = ingest_csv(path, BUDGET)
-        assert ingest.extra_columns == ["site"]
+        assert list(ingest.passthrough) == ["site"]
         assert ingest.passthrough["site"].tolist() == ["LW1", "LW2"]
 
     def test_blank_line_ignored_and_not_counted(self, tmp_path):

@@ -63,6 +63,8 @@ class TestConfig:
             EvalConfig(modes=())
         with pytest.raises(ValidationError):
             EvalConfig(modes=("baseline", "psychic"))
+        with pytest.raises(ValidationError, match="'baseline' is listed twice"):
+            EvalConfig(modes=("baseline", "angle_aware", "baseline"))
 
 
 class TestResultAccessors:
