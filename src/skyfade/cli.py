@@ -8,14 +8,15 @@ Five subcommands cover the full workflow:
 ``skyfade predict``   Kriging predictions at target poses
 ``skyfade evaluate``  repeated-subsampling RMSE benchmark
 
-Every command is deterministic for fixed inputs and seed; domain errors
-exit with status 2 and a one-line message on stderr.
+Each flag but predict's ``--mode`` sets the config field its ``dest``
+names and wins over the file.  Every command is deterministic for fixed
+inputs and seed; domain errors exit with status 2 and a one-line message
+on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -29,15 +30,10 @@ from .schema import write_json
 
 
 def _parse_column_map(pairs) -> dict:
-    mapping = {}
     for pair in pairs:
         if "=" not in pair:
-            raise ValidationError(
-                f"--column-map expects canonical=actual, got {pair!r}"
-            )
-        canonical, actual = pair.split("=", 1)
-        mapping[canonical] = actual
-    return mapping
+            raise ValidationError(f"--column-map expects canonical=actual, got {pair!r}")
+    return dict(pair.split("=", 1) for pair in pairs)
 
 
 def _stem(out: Path) -> Path:
@@ -45,27 +41,24 @@ def _stem(out: Path) -> Path:
     return out.with_suffix("") if out.suffix else out
 
 
-def _load_config(args) -> tuple[dict, Path]:
+def _load_config(args) -> tuple[dict, Path, dataio.LinkBudget]:
+    """The ``--config`` document, its directory and its link budget.
+
+    Each flag that is set is first written into the config field its
+    ``dest`` names (``section.key``), so it is read and checked as that
+    field.
+    """
     path = Path(args.config)
-    return dataio.load_config(path), path.parent
-
-
-def _ingest_options(config: dict, args) -> dict:
-    """The config's ingest options, overridden by the command-line flags."""
-    options = dataio.ingest_from_config(config)
-    if args.median_window is not None:
-        options["median_window"] = args.median_window
-    if args.column_map:
-        options["column_map"] = _parse_column_map(args.column_map)
-    return options
-
-
-def _fit_options(config: dict, args) -> dict:
-    """The config's fit options, overridden by the command-line flags."""
-    options = dataio.fit_from_config(config)
-    if args.min_count is not None:
-        options["min_count"] = args.min_count
-    return options
+    config = dataio.load_config(path)
+    for dest, value in vars(args).items():
+        name, dot, key = dest.partition(".")
+        if dot and value is not None:
+            if dest == "ingest.column_map":
+                value = _parse_column_map(value)
+            section = config.setdefault(name, {})
+            if isinstance(section, dict):  # otherwise reading it names it
+                section[key] = value
+    return config, path.parent, dataio.budget_from_config(config, path.parent)
 
 
 def _warn_escalated(mode: str, what: str) -> None:
@@ -77,9 +70,8 @@ def _warn_escalated(mode: str, what: str) -> None:
 
 
 def cmd_geometry(args) -> int:
-    config, base = _load_config(args)
-    budget = dataio.budget_from_config(config, base)
-    ingest = dataio.ingest_csv(args.input, budget, **_ingest_options(config, args))
+    config, _base, budget = _load_config(args)
+    ingest = dataio.ingest_csv(args.input, budget, **dataio.ingest_from_config(config))
     dataio.write_geometry_csv(args.out, ingest)
     for line, reason in ingest.skipped:
         print(f"skipped line {line}: {reason}", file=sys.stderr)
@@ -91,11 +83,10 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    config, base = _load_config(args)
-    budget = dataio.budget_from_config(config, base)
+    config, _base, budget = _load_config(args)
     bins = dataio.bins_from_config(config)
-    options = _fit_options(config, args)
-    ingest = dataio.ingest_csv(args.input, budget, **_ingest_options(config, args))
+    options = dataio.fit_from_config(config)
+    ingest = dataio.ingest_csv(args.input, budget, **dataio.ingest_from_config(config))
     fit = fit_correlation_model(ingest.samples, bins=bins, **options)
 
     out = Path(args.out)
@@ -126,10 +117,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    config, base = _load_config(args)
-    budget = dataio.budget_from_config(config, base)
+    config, _base, budget = _load_config(args)
     model = load_model(args.model)
-    options = _ingest_options(config, args)
+    options = dataio.ingest_from_config(config)
     ingest = dataio.ingest_csv(args.input, budget, **options)
     targets, _rsrp = dataio.load_targets_csv(
         args.targets, budget, options.get("column_map")
@@ -145,18 +135,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config, base = _load_config(args)
-    budget = dataio.budget_from_config(config, base)
+    config, _base, budget = _load_config(args)
     model = load_model(args.model)
     eval_config = dataio.eval_from_config(config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.mode is not None:
-        overrides["modes"] = tuple(m.strip() for m in args.mode.split(","))
-    if overrides:
-        eval_config = dataclasses.replace(eval_config, **overrides)
-    ingest = dataio.ingest_csv(args.input, budget, **_ingest_options(config, args))
+    ingest = dataio.ingest_csv(args.input, budget, **dataio.ingest_from_config(config))
     result = run_evaluation(ingest.samples, model, eval_config)
     stem = _stem(Path(args.out))
     dataio.write_trials_csv(f"{stem}_trials.csv", result.trials)
@@ -177,16 +159,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config, base = _load_config(args)
-    budget = dataio.budget_from_config(config, base)
+    config, base, budget = _load_config(args)
     sim = dataio.sim_from_config(config, budget, base)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.n_samples is not None:
-        overrides["n_samples"] = args.n_samples
-    if overrides:
-        sim = dataclasses.replace(sim, **overrides)
     samples = synthesize_dataset(sim)
     out = Path(args.out)
     dataio.write_dataset_csv(out, samples)
@@ -208,12 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_ingest_flags(p):
         p.add_argument(
             "--median-window",
+            dest="ingest.median_window",
             type=int,
-            default=None,
             help="odd sliding-median window over RSRP (default: off)",
         )
         p.add_argument(
             "--column-map",
+            dest="ingest.column_map",
             action="append",
             metavar="CANONICAL=ACTUAL",
             help="remap an input CSV header (repeatable)",
@@ -229,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a correlation model from measurements")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True, help="model JSON path")
-    p.add_argument("--min-count", type=int, default=None)
+    p.add_argument("--min-count", dest="fit.min_count", type=int)
     add_common(p)
     add_ingest_flags(p)
     p.set_defaults(func=cmd_fit)
@@ -248,10 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="output prefix")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", dest="eval.seed", type=int)
     p.add_argument(
         "--mode",
-        default=None,
+        dest="eval.modes",
+        type=lambda text: [mode.strip() for mode in text.split(",")],
         help="comma-separated subset of " + ",".join(MODES),
     )
     add_common(p)
@@ -260,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="draw a synthetic dataset from a truth model")
     p.add_argument("--out", required=True, help="dataset CSV path")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-samples", type=int, default=None)
+    p.add_argument("--seed", dest="sim.seed", type=int)
+    p.add_argument("--n-samples", dest="sim.n_samples", type=int)
     add_common(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -46,7 +46,7 @@ from .errors import (
 )
 from .geometry import Geometry
 from .propagation import SfTable, sf_statistics
-from .schema import JsonObject, decode, read_json, write_json
+from .schema import JsonObject, decode, encode_number, read_json, write_json
 
 MODES = ("baseline", "angle_aware", "tilt_only", "elev_only")
 
@@ -61,6 +61,8 @@ DEFAULT_NUGGET_FACTOR = 1.0e-6
 CORRELATION_BLOCK_ROWS = 128
 #: Pairs per row block of :func:`empirical_correlogram`; bounds its memory.
 CORRELOGRAM_BLOCK_PAIRS = 2**14
+#: Largest share of empty lag bins :func:`empirical_correlogram` accepts.
+EMPTY_LAG_TOL = 0.2
 SCHEMA_VERSION = 2
 #: How errors name a model document.
 MODEL_DOC = "model document"
@@ -486,14 +488,13 @@ def empirical_correlogram(
     sigma2: float,
     max_lag_m: float,
     n_lags: int,
-    empty_tol: float = 0.2,
 ) -> Correlogram:
     """Normalized covariance of SF pairs binned by horizontal distance.
 
     Pairs are assigned to ``n_lags`` equal-width bins covering
     [0, max_lag_m); each pair contributes (w_i - mu)(w_j - mu)/sigma2.
-    Raises :class:`InsufficientCoverageError` when more than ``empty_tol``
-    of the lags are empty.
+    Raises :class:`InsufficientCoverageError` when more than
+    :data:`EMPTY_LAG_TOL` of the lags are empty.
 
     Memory is O(n): row blocks of about ``CORRELOGRAM_BLOCK_PAIRS`` pairs.
     The sums are bitwise one ``bincount`` per 512-row chunk over its pairs
@@ -542,7 +543,7 @@ def empirical_correlogram(
         dist_sum += dist_part
 
     empty = np.flatnonzero(count == 0)
-    if empty.size > empty_tol * n_lags:
+    if empty.size > EMPTY_LAG_TOL * n_lags:
         raise InsufficientCoverageError(
             f"{empty.size} of {n_lags} lag bins are empty", missing=empty.tolist()
         )
@@ -730,12 +731,6 @@ def fit_correlation_model(
 # Serialization
 
 
-def _encode_number(x: float):
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return float(x)
-
-
 def serialize_model(model: CorrelationModel) -> dict:
     """Model as a JSON-ready dict (schema version 2).
 
@@ -749,7 +744,7 @@ def serialize_model(model: CorrelationModel) -> dict:
         "sigma2": model.sigma2,
         "dedm": asdict(model.dedm),
         "bins": {
-            name: [_encode_number(v) for v in getattr(model.bins, name)]
+            name: [encode_number(v) for v in getattr(model.bins, name)]
             for name in BIN_FIELDS
         },
         "tilt_rates": model.tilt_rates.tolist(),

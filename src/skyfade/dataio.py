@@ -379,18 +379,24 @@ def write_trials_csv(path: str | Path, trials: TrialTable) -> None:
 # Config files
 
 
-#: The config schema: the JSON kind of each field read by name, by section
-#: path (see :class:`~skyfade.schema.JsonObject`).  ``ingest.column_map``,
-#: ``budget.reflection``, the gain tables and the ``sim`` truth are read apart.
+#: The config schema: the JSON kind of each field, by section path (see
+#: :class:`~skyfade.schema.JsonObject`); "" is the root, whose fields are
+#: the sections.  A field of kind None is read apart: a section, the column
+#: map, the reflection, the gain tables and the ``sim`` truth.  A field not
+#: named here is an error.
 CONFIG_KINDS = {
-    "ingest": dict(median_window="integer", max_invalid_frac="number"),
+    "": dict.fromkeys(("budget", "ingest", "fit", "bins", "sim", "eval")),
+    "ingest": dict(median_window="integer", max_invalid_frac="number", column_map=None),
     "fit": dict(max_lag_m="number", n_lags="integer", min_count="integer"),
     "budget": dict.fromkeys(
         ("tx_lat_deg", "tx_lon_deg", "tx_alt_m", "antenna_height_m", "tx_power_dbm", "freq_hz"),
         "number",
-    ),
+    ) | dict.fromkeys(("reflection", "gain_tx_csv", "gain_uav_csv")),
     "bins": dict.fromkeys(BIN_FIELDS, ["number"]),
-    "sim": dict(seed="integer", n_samples="integer", noise_std_db="number"),
+    "sim": dict(
+        seed="integer", n_samples="integer", noise_std_db="number",
+        truth=None, truth_path=None, flight=None,
+    ),
     "sim.flight": dict(
         altitude_m="number", east_extent_m=["number", 2], north_extent_m=["number", 2],
         speed_mps="number", sample_interval_s="number", pitch_excitation_deg="number",
@@ -408,13 +414,17 @@ def load_config(path: str | Path) -> dict:
 
 
 def _section(doc: dict, key: str) -> JsonObject:
-    """Top-level config section ``key``, empty when absent."""
-    return JsonObject(doc).section(key, {})
+    """Top-level config section ``key``, empty when absent; the root's
+    fields are checked against :data:`CONFIG_KINDS` first."""
+    root = JsonObject(doc)
+    root.read(CONFIG_KINDS[""])
+    return root.section(key, {})
 
 
 def _fields(section: JsonObject) -> dict:
-    """The fields of ``section`` named in its :data:`CONFIG_KINDS` entry
-    that are present, read."""
+    """The fields of ``section`` that are present and have a kind in its
+    :data:`CONFIG_KINDS` entry, read; any field the entry does not name
+    raises :class:`SchemaError`."""
     return section.read(CONFIG_KINDS[section.where])
 
 

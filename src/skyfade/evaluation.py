@@ -24,6 +24,7 @@ from .errors import ValidationError
 from .geometry import Columns
 from .kriging import predict_sf_batch
 from .propagation import SfTable
+from .schema import encode_number
 
 DEFAULT_M_VALUES = tuple(range(50, 451, 50))
 
@@ -41,8 +42,13 @@ class EvalConfig:
     def __post_init__(self):
         if not self.m_values or any(m < 1 for m in self.m_values):
             raise ValidationError("m_values must be positive integers")
+        for k, m in enumerate(self.m_values):
+            if m in self.m_values[:k]:
+                raise ValidationError(f"M={m} is listed twice")
         if self.tests_per_trial < 1 or self.total_test_predictions < 1:
             raise ValidationError("test counts must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must not be negative: {self.seed}")
         if not self.modes:
             raise ValidationError("need at least one mode")
         for k, mode in enumerate(self.modes):
@@ -87,10 +93,11 @@ class EvalResult:
         return float(np.median(self.values(m, mode)))
 
     def summary(self) -> dict:
-        """JSON-ready summary with per-(M, mode) medians and full RMSE lists."""
+        """JSON-ready summary with per-(M, mode) medians and full RMSE lists;
+        a NaN (a median over a floored variance's z-scores) is None."""
 
         def median(values):
-            return float(np.median(values)) if values.size else None
+            return encode_number(np.median(values)) if values.size else None
 
         results = []
         for m in self.config.m_values:
@@ -105,7 +112,7 @@ class EvalResult:
                         "total_predictions": int(values.size)
                         * self.config.tests_per_trial,
                         "median_rmse_db": median(values),
-                        "rmse_db": [float(v) for v in values],
+                        "rmse_db": [encode_number(v) for v in values],
                         "median_pi95_coverage": median(
                             self.values(m, mode, "pi95_coverage")
                         ),

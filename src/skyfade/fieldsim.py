@@ -86,6 +86,8 @@ class SimConfig:
     noise_std_db: float = 0.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must not be negative: {self.seed}")
         if self.n_samples < 2:
             raise ValidationError("need at least 2 samples")
         if not 0.0 <= self.noise_std_db < math.inf:

@@ -3,11 +3,13 @@
 Both are JSON objects.  :func:`read_json` loads one from a UTF-8 file and
 :func:`write_json` writes one the way every JSON output is written: two
 space indent, sorted keys, a final newline.  :class:`JsonObject` reads
-typed fields from one object; a missing field or a value of the wrong
-JSON type raises :class:`SchemaError` naming the field's full path
+typed fields from one object; a missing field, a value of the wrong JSON
+type, or a field :meth:`JsonObject.read` does not know raises
+:class:`SchemaError` naming the field's full path
 (``sim.flight.speed_mps``, ``eval.m_values[0]``, ``tilt_rates[1][2]``).
 
 A number is a JSON number or one of the strings "inf" and "-inf";
+:func:`encode_number` writes it that way, and NaN as ``null``;
 booleans are not numbers, and an integer takes integral values only
 (50.0 passes, 50.7 does not).  Whether a value is in range, finite
 included, is checked by the type built from it, not here.  Containers
@@ -18,6 +20,7 @@ scalars are named with it.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .errors import SchemaError
@@ -44,9 +47,21 @@ def read_json(path: str | Path, doc: str) -> dict:
 
 
 def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as strict JSON: a bare NaN or Infinity raises
+    ``ValueError``, so non-finite numbers go through :func:`encode_number`."""
     Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8",
     )
+
+
+def encode_number(x: float):
+    """``x`` as a JSON value: a float, "inf"/"-inf", or None for NaN."""
+    if math.isnan(x):
+        return None
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return float(x)
 
 
 def decode(value, kind: str, path: str, doc: str = "config"):
@@ -117,11 +132,18 @@ class JsonObject:
 
     def read(self, kinds: dict) -> dict:
         """Each field named in ``kinds`` that is present, read as its kind;
-        a kind in a list, ``[kind]`` or ``[kind, length]``, reads a list."""
+        a kind in a list, ``[kind]`` or ``[kind, length]``, reads a list,
+        and a kind of None is read elsewhere.  A field that ``kinds`` does
+        not name raises :class:`SchemaError`."""
+        for key in self.value:
+            if key not in kinds:
+                raise SchemaError(
+                    f"{self.doc} has unknown field '{self.at(key)}'", field=self.at(key)
+                )
         return {
             key: self.list(key, *kind) if isinstance(kind, list) else self.get(key, kind)
             for key, kind in kinds.items()
-            if key in self
+            if kind is not None and key in self
         }
 
     def path(self, key: str, base_dir: Path | None) -> Path:

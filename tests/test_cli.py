@@ -414,6 +414,59 @@ class TestPipeline:
         summary = json.loads((tmp_path / "only_summary.json").read_text())
         assert [e["mode"] for e in summary["results"]] == ["baseline"]
 
+    @pytest.mark.parametrize(
+        "command, flag, field, value, other",
+        [
+            ("geometry", ["--median-window", "3"], "ingest.median_window", 3, 5),
+            ("geometry", ["--column-map", "time_s=t"], "ingest.column_map", {"time_s": "t"}, {}),
+            ("fit", ["--min-count", "10"], "fit.min_count", 10, 25),
+            ("evaluate", ["--seed", "7"], "eval.seed", 7, 1),
+            ("evaluate", ["--mode", "baseline"], "eval.modes", ["baseline"], ["angle_aware"]),
+            ("simulate", ["--seed", "5"], "sim.seed", 5, 3),
+            ("simulate", ["--n-samples", "50"], "sim.n_samples", 50, 600),
+        ],
+    )
+    def test_flag_is_its_config_field(self, ws, tmp_path, command, flag, field, value, other):
+        """A flag writes the same files as its value in the config field it
+        names, and wins over another value in that field."""
+        header, body = ws.small.read_text().split("\n", 1)
+        external = tmp_path / "external.csv"
+        external.write_text(header.replace("time_s", "t", 1) + "\n" + body)
+        argv = {
+            "geometry": ["--input", str(external if "--column-map" in flag else ws.small)],
+            "fit": ["--input", str(ws.train)],
+            "evaluate": ["--input", str(ws.train), "--model", str(ws.exact_model)],
+            "simulate": [],
+        }[command]
+        section, key = field.split(".")
+        outputs = {}
+        for source, setting, extra in (("flag", other, flag), ("config", value, [])):
+            doc = json.loads(json.dumps(ws.config_doc))
+            doc.setdefault(section, {})[key] = setting
+            config = tmp_path / f"{source}.json"
+            config.write_text(json.dumps(doc))
+            out_dir = tmp_path / source
+            out_dir.mkdir()
+            rc = main(
+                [command, "--config", str(config), "--out", str(out_dir / "out.csv"), *argv, *extra]
+            )
+            assert rc == 0
+            outputs[source] = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        assert outputs["flag"] == outputs["config"]
+        assert outputs["flag"]
+
+    def test_sidecar_loads_as_truth_model(self, ws, tmp_path):
+        """A model document ignores fields it does not know: the truth
+        sidecar, a model extended with a sim section, is a truth model."""
+        doc = json.loads(json.dumps(ws.config_doc))
+        del doc["sim"]["truth"]
+        doc["sim"]["truth_path"] = str(ws.root / "train_truth.json")
+        config = tmp_path / "sidecar.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "again.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert out.read_bytes() == ws.train.read_bytes()
+
 
 class TestFailureModes:
     def test_missing_input_file(self, ws, capsys):
@@ -633,6 +686,69 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert f"'{field}'" in err
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize(
+        "command, path",
+        [
+            ("fit", "fit.min_cout"),
+            ("fit", "fit.nugget_factor"),
+            ("fit", "bins.tilt_edge"),
+            ("geometry", "ingest.median"),
+            ("geometry", "budget.gain_csv"),
+            ("evaluate", "eval.mode"),
+            ("simulate", "sim.flight.speed"),
+            ("simulate", "sim.n_sample"),
+            ("geometry", "fitt"),
+            ("simulate", "evaluate"),
+        ],
+    )
+    def test_unknown_config_field(self, ws, tmp_path, capsys, command, path):
+        """A key the config schema does not name, in a section the command
+        reads or at the top level, is an error, not a silent default."""
+        doc = json.loads(json.dumps(ws.config_doc))
+        *sections, key = path.split(".")
+        node = doc
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[key] = 10
+        config = tmp_path / "unknown.json"
+        config.write_text(json.dumps(doc))
+        argv = {
+            "evaluate": ["--input", str(ws.train), "--model", str(ws.exact_model)],
+            "fit": ["--input", str(ws.train)],
+            "geometry": ["--input", str(ws.train)],
+            "simulate": [],
+        }[command]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(config), "--out", str(out), *argv])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: config has unknown field '{path}'\n"
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, section", [("simulate", "sim"), ("evaluate", "eval")])
+    def test_negative_seed(self, ws, tmp_path, capsys, command, section, source):
+        """A negative seed used to end in numpy's ValueError traceback."""
+        doc, flags = json.loads(json.dumps(ws.config_doc)), []
+        if source == "flag":
+            flags = ["--seed", "-1"]
+        else:
+            doc[section]["seed"] = -2
+        config = tmp_path / "negative_seed.json"
+        config.write_text(json.dumps(doc))
+        argv = {
+            "evaluate": ["--input", str(ws.train), "--model", str(ws.exact_model)],
+            "simulate": [],
+        }[command]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(config), "--out", str(out), *argv, *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must not be negative: -")
+        assert len(err.splitlines()) == 1
         assert not list(tmp_path.glob("out*"))
 
     def test_tilt_representative_outside_its_bin(self, ws, tmp_path, capsys):

@@ -916,8 +916,9 @@ class TestCorrelogram:
         monkeypatch.setattr(
             "skyfade.correlation.CORRELOGRAM_BLOCK_PAIRS", block_pairs
         )
+        monkeypatch.setattr("skyfade.correlation.EMPTY_LAG_TOL", 1.0)
         gram = empirical_correlogram(
-            sf_columns(east, north, w), mu, sigma2, max_lag, n_lags, empty_tol=1.0
+            sf_columns(east, north, w), mu, sigma2, max_lag, n_lags
         )
         counts, rho, lag = oracle_correlogram(
             east, north, w, mu, sigma2, max_lag, n_lags

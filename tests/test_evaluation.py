@@ -1,6 +1,7 @@
 """Mode-comparison evaluation harness: draws, pairing, and summaries."""
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from skyfade.evaluation import (
     EvalResult,
     run_evaluation,
 )
+from skyfade.schema import write_json
 from test_correlation import mk_sf
 
 
@@ -65,6 +67,10 @@ class TestConfig:
             EvalConfig(modes=("baseline", "psychic"))
         with pytest.raises(ValidationError, match="'baseline' is listed twice"):
             EvalConfig(modes=("baseline", "angle_aware", "baseline"))
+        with pytest.raises(ValidationError, match="M=20 is listed twice"):
+            EvalConfig(m_values=(20, 50, 20))
+        with pytest.raises(ValidationError, match="seed must not be negative"):
+            EvalConfig(seed=-3)
 
 
 class TestResultAccessors:
@@ -185,6 +191,33 @@ class TestRunEvaluation:
         )
         result = run_evaluation(samples, model, config)
         assert np.all(result.trials.rmse_db < 1e-6)
+
+    def test_summary_with_floored_variance_is_strict_json(self, tmp_path):
+        # Every geometry appears twice with different SF, so a test row
+        # whose twin is in the tuning set gets a floored (zero) variance
+        # and a nonzero error: its trial's zscore_sd is NaN, which the
+        # summary writes as null, not as a bare NaN token.
+        rng = np.random.default_rng(5)
+        samples = [
+            mk_sf(rng.normal(0.0, 2.0), east=float(east), north=float(north))
+            for east, north in rng.uniform(-200.0, 200.0, (20, 2))
+            for _ in range(2)
+        ]
+        config = EvalConfig(
+            m_values=(20,), tests_per_trial=20, total_test_predictions=40,
+            modes=("baseline",),
+        )
+        result = run_evaluation(samples, quick_model(nugget=0.0), config)
+        assert np.isnan(result.trials.zscore_sd).all()
+        path = tmp_path / "summary.json"
+        write_json(path, result.summary())
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        assert doc["results"][0]["median_zscore_sd"] is None
+        assert doc["results"][0]["median_rmse_db"] > 0.0
 
     def test_small_dataset_rejected(self):
         config = EvalConfig(
