@@ -682,6 +682,8 @@ def fit_correlation_model(
     and counted in a warning.  The model's nugget is
     :data:`DEFAULT_NUGGET_FACTOR` times the SF variance.
     """
+    if min_count < 0:
+        raise ValidationError(f"min count must not be negative: {min_count}")
     bins = bins if bins is not None else AngleBins()
     samples = SfTable.of(samples)
     mu, sigma2, gram, dedm = _fit_distance(samples, max_lag_m, n_lags)

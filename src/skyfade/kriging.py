@@ -38,7 +38,9 @@ covariance has.
 The factor, the solve and the residual product all run in scipy's BLAS:
 numpy and scipy wheels each ship their own OpenBLAS with its own thread
 pool, and mixing the two makes the pools' idle-spinning workers fight over
-the cores.
+the cores.  scipy is imported inside the two functions that call it, at
+the first solve: loading ``scipy.linalg`` costs about 0.1 s and 28 MB at
+start-up, and ``geometry``, ``fit`` and ``simulate`` never solve.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import dgemm
 
 from .correlation import (
     DEFAULT_NUGGET_FACTOR,
@@ -187,6 +187,8 @@ def _cholesky_schur(cov, rhs, shift):
     C is factored in place and given back bitwise as it came, whether or
     not the factor succeeds; this requires C to be exactly symmetric.
     """
+    import scipy.linalg
+
     m, k = rhs.shape
     # The transpose of a C-ordered matrix is the Fortran-ordered view that
     # LAPACK factors in place; any other layout is copied here.
@@ -220,6 +222,8 @@ def _augmented_residual(cov, shift, rhs, x):
     C lambda is computed as (lambda^T C^T)^T: both transposes are
     Fortran-ordered views, so scipy's GEMM copies nothing.
     """
+    from scipy.linalg.blas import dgemm
+
     m = cov.shape[0]
     lam, nu = x[:m], x[m]
     top = dgemm(1.0, lam.T, cov.T).T

@@ -42,6 +42,49 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        (None, []),
+        ("simulate", []),
+        ("geometry", []),
+        ("predict", ["scipy", "scipy.linalg"]),
+    ],
+)
+def test_only_solving_commands_load_scipy(ws, tmp_path, command, loaded):
+    """scipy.linalg loads at the first Kriging solve, so importing the
+    package and running geometry or simulate load no scipy module, and
+    predict loads scipy.linalg but not scipy.optimize."""
+    argv = {
+        None: None,
+        "simulate": ["--n-samples", "60"],
+        "geometry": ["--input", str(ws.small)],
+        "predict": [
+            "--input",
+            str(ws.small),
+            "--targets",
+            str(ws.small),
+            "--model",
+            str(ws.exact_model),
+        ],
+    }[command]
+    if argv is not None:
+        argv = [command, "--config", str(ws.config), "--out", str(tmp_path / "out")] + argv
+    src = str(Path(skyfade.__file__).parents[1])
+    code = (
+        f"import json, sys; sys.path.insert(0, {src!r}); import skyfade, skyfade.cli;"
+        f" rc = skyfade.cli.main({argv!r}) if {argv!r} else 0;"
+        " print(json.dumps([rc, sorted(m for m in ('scipy', 'scipy.linalg',"
+        " 'scipy.optimize') if m in sys.modules)]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    rc, modules = json.loads(out.stdout.splitlines()[-1])
+    assert rc == 0
+    assert modules == loaded
+
+
 def test_public_names_resolve():
     """Every exported name resolves, and the one-row wrappers that the
     column functions replaced, the kernel objects and scalar fit that the
@@ -624,6 +667,34 @@ class TestFailureModes:
         assert err.startswith("error: median window must not be negative: -")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_min_count(self, ws, tmp_path, capsys, source):
+        """A negative min count used to write the same model as 0."""
+        doc, flags = json.loads(json.dumps(ws.config_doc)), []
+        if source == "flag":
+            flags = ["--min-count", "-5"]
+        else:
+            doc["fit"] = {"min_count": -5}
+        config = tmp_path / "negative_min_count.json"
+        config.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "never.json"
+        rc = main(
+            [
+                "fit",
+                "--config",
+                str(config),
+                "--input",
+                str(ws.train),
+                "--out",
+                str(out),
+                *flags,
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: min count must not be negative: -5\n"
+        assert not list(tmp_path.glob("never*"))
 
     def test_config_flag_required(self, ws, tmp_path):
         with pytest.raises(SystemExit):

@@ -1012,6 +1012,15 @@ class TestModelFit:
         assert fit.elev_profile.rho.shape == (5, 4, 4)
         assert fit.correlogram.counts.sum() > 0
 
+    def test_negative_min_count_rejected(self):
+        """A negative floor used to fit the same model as 0."""
+        rows, _ = angle_grid_dataset(n=300)
+        samples = decompose_all(rows)
+        with pytest.raises(ValidationError, match="min count must not be negative: -5"):
+            fit_correlation_model(samples, max_lag_m=200.0, n_lags=10, min_count=-5)
+        fit = fit_correlation_model(samples, max_lag_m=200.0, n_lags=10, min_count=0)
+        assert fit.excluded_cells == []
+
     def test_single_elev_bin_warns_but_fits(self):
         rng = np.random.default_rng(60)
         east = rng.uniform(0.0, 400.0, 2000)
