@@ -13,15 +13,28 @@ renames external headers onto the canonical ones, and an optional
 centered sliding-window median (off by default) smooths the RSRP
 sequence before decomposition.
 
-All emitted files are UTF-8 with a mandatory header row; floats are
-formatted with repr-style shortest round-trip so reruns are byte
-identical.
+Every CSV is read as UTF-8 text; a byte that is not UTF-8 raises
+:class:`SchemaError` naming the file.  The reader takes each row's cells
+by position and parses each with ``float()``; like csv.DictReader, it
+skips blank lines, ignores cells beyond the header, reads the cells a
+short row lacks as missing values, and takes a repeated header's last
+column.
+
+All emitted files are UTF-8 with a mandatory header row, written as
+csv.writer would write them but without its per-cell work: one
+``float.__repr__`` per float (shortest round-trip digits, so reruns are
+byte identical), an empty cell for None and ``str`` for anything else,
+quoted only where csv's minimal quoting would quote it, rows joined and
+ended with CRLF and written 1024 rows (:data:`WRITE_BLOCK_ROWS`) at a
+time.
 """
 
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +54,7 @@ from .evaluation import TRIAL_FIELDS, EvalConfig, TrialTable
 from .fieldsim import FlightSpec, SimConfig
 from .geometry import Geometry, check_poses, wrap_deg
 from .propagation import GainTable, LinkBudget, SfTable, decompose
-from .schema import JsonObject, read_json, write_json
+from .schema import JsonObject, open_csv, read_json, write_json
 
 CANONICAL_COLUMNS = (
     "time_s",
@@ -62,8 +75,10 @@ ANNOTATION_COLUMNS = (
     "sf_db",
 )
 PREDICTION_COLUMNS = ("w_hat_db", "z_hat_dbm", "kriging_var_db2", "nugget_used")
-#: Rows :func:`_write_csv` formats per pass.
-WRITE_BLOCK_ROWS = 4096
+#: Rows :func:`_write_csv` formats and writes per pass.
+WRITE_BLOCK_ROWS = 1024
+#: Finds a character that makes csv's minimal quoting quote a cell.
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
 @dataclass
@@ -129,36 +144,46 @@ def _read_csv(path, column_map: dict | None, required):
                 field=canonical,
             )
         claimed[actual] = canonical
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+    with open_csv(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise SchemaError(f"{path}: file is empty; expected a header row")
-        header = list(reader.fieldnames)
-        missing = [mapping[c] for c in required if mapping[c] not in header]
+        # A repeated header names its last column, as in csv.DictReader.
+        column = {name: j for j, name in enumerate(header)}
+        missing = [mapping[c] for c in required if mapping[c] not in column]
         if missing:
             raise SchemaError(
                 f"{path}: missing required column(s): {', '.join(missing)}",
                 field=missing[0],
             )
-        names = [c for c in CANONICAL_COLUMNS if mapping[c] in header]
-        keys = [mapping[c] for c in names]
+        names = [c for c in CANONICAL_COLUMNS if mapping[c] in column]
+        # names holds the seven required pose columns or more, so pick
+        # returns a tuple (itemgetter of one index would return the cell).
+        pick = itemgetter(*(column[mapping[c]] for c in names))
         extra = {
-            c: []
+            c: column[c]
             for c in header
-            if c not in set(mapping.values()) and c not in ANNOTATION_COLUMNS
+            if c not in claimed and c not in ANNOTATION_COLUMNS
         }
+        texts = {c: [] for c in extra}
         lines, values, failures = [], [], []
         for row in reader:
+            if not row:
+                continue  # a blank line
+            if len(row) < len(header):  # missing cells read as None
+                row += [None] * (len(header) - len(row))
             try:
-                values.append([float(row[k]) for k in keys])
+                parsed = list(map(float, pick(row)))
             except (TypeError, ValueError) as exc:
                 failures.append((reader.line_num, exc))
                 continue
             lines.append(reader.line_num)
-            for c, cells in extra.items():
-                cells.append(row[c] or "")
+            values += parsed
+            for c, j in extra.items():
+                texts[c].append(row[j] or "")
     table = np.array(values, dtype=float).reshape(-1, len(names))
-    passthrough = {c: np.array(cells, dtype=object) for c, cells in extra.items()}
+    passthrough = {c: np.array(cells, dtype=object) for c, cells in texts.items()}
     return names, lines, table, failures, passthrough
 
 
@@ -264,13 +289,24 @@ def load_targets_csv(
     return targets.geometry, columns["rsrp_dbm"]
 
 
-def _cells(values) -> list:
-    """CSV cells of a column slice: floats (numpy's too) in shortest
-    round-trip form, so reruns are byte identical; None stays None, which
-    :mod:`csv` writes as an empty cell."""
+def _text(value) -> str:
+    """One non-float cell: None is empty, anything else its ``str``,
+    quoted as :mod:`csv`'s excel dialect quotes it."""
+    text = "" if value is None else str(value)
+    if _NEEDS_QUOTES(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _cells(values) -> list[str]:
+    """Text cells of a column slice: floats (numpy's too) in shortest
+    round-trip form, so reruns are byte identical; see :func:`_text` for
+    the rest."""
     if isinstance(values, np.ndarray):
+        if values.dtype == np.float64:
+            return list(map(float.__repr__, values.tolist()))
         values = values.tolist()
-    return [repr(float(v)) if isinstance(v, float) else v for v in values]
+    return [repr(float(v)) if isinstance(v, float) else _text(v) for v in values]
 
 
 def _blank_nonfinite(values) -> np.ndarray:
@@ -282,15 +318,18 @@ def _blank_nonfinite(values) -> np.ndarray:
 def _write_csv(path: str | Path, header, columns) -> None:
     """Write ``header`` and then one row per index of ``columns``.
 
-    The cells are formatted :data:`WRITE_BLOCK_ROWS` rows at a time, so
-    the strings of a whole file are never held at once.
+    The bytes are those of :func:`csv.writer` on the same cells: rows end
+    in CRLF and a cell is quoted only when it must be.  (csv also quotes a
+    row whose one cell is empty; every file here has three or more
+    columns.)  The rows are formatted and written :data:`WRITE_BLOCK_ROWS`
+    at a time, so the strings of a whole file are never held at once.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(map(_text, header)) + "\r\n")
         for r0 in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
             block = slice(r0, r0 + WRITE_BLOCK_ROWS)
-            writer.writerows(zip(*(_cells(column[block]) for column in columns)))
+            rows = zip(*(_cells(column[block]) for column in columns))
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def write_dataset_csv(path: str | Path, samples) -> None:

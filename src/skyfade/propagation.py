@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, RowErrors, SchemaError, ValidationError
 from .geometry import Columns, Geometry, LinkGeometry, tilt_geometry
+from .schema import open_csv
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -72,23 +73,28 @@ class GainTable:
     def from_csv(cls, path: str | Path) -> "GainTable":
         """Load a two-column CSV of (elevation_deg, gain_dbi) rows.
 
-        A non-numeric first row is treated as a header and skipped.
+        The file is UTF-8 text.  Blank rows are skipped, and a non-numeric
+        first non-blank row is treated as a header and skipped.
         """
+        with open_csv(path) as fh:
+            rows = [
+                (i + 1, row)
+                for i, row in enumerate(csv.reader(fh))
+                if any(cell.strip() for cell in row)
+            ]
         angles: list[float] = []
         gains: list[float] = []
-        with open(path, newline="") as fh:
-            for i, row in enumerate(csv.reader(fh)):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) < 2:
-                    raise SchemaError(f"{path}: row {i + 1} has fewer than 2 columns")
-                try:
-                    angles.append(float(row[0]))
-                    gains.append(float(row[1]))
-                except ValueError:
-                    if i == 0:
-                        continue  # header row
-                    raise SchemaError(f"{path}: non-numeric row {i + 1}")
+        for k, (n, row) in enumerate(rows):
+            if len(row) < 2:
+                raise SchemaError(f"{path}: row {n} has fewer than 2 columns")
+            try:
+                angle, gain = float(row[0]), float(row[1])
+            except ValueError:
+                if k == 0:
+                    continue  # header row
+                raise SchemaError(f"{path}: non-numeric row {n}")
+            angles.append(angle)
+            gains.append(gain)
         if len(angles) < 2:
             raise SchemaError(f"{path}: need at least two gain rows")
         return cls(angles_deg=tuple(angles), gains_dbi=tuple(gains))

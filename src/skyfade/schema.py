@@ -1,11 +1,12 @@
-"""The JSON boundary: config files and model documents.
+"""The JSON boundary (config files and model documents) and the one way a
+CSV file is opened for reading.
 
-Both are JSON objects.  :func:`read_json` loads one from a UTF-8 file and
-:func:`write_json` writes one the way every JSON output is written: two
-space indent, sorted keys, a final newline.  :class:`JsonObject` reads
-typed fields from one object; a missing field, a value of the wrong JSON
-type, or a field :meth:`JsonObject.read` does not know raises
-:class:`SchemaError` naming the field's full path
+Both JSON documents are JSON objects.  :func:`read_json` loads one from
+a UTF-8 file and :func:`write_json` writes one the way every JSON output
+is written: two space indent, sorted keys, a final newline.
+:class:`JsonObject` reads typed fields from one object; a missing field,
+a value of the wrong JSON type, or a field :meth:`JsonObject.read` does
+not know raises :class:`SchemaError` naming the field's full path
 (``sim.flight.speed_mps``, ``eval.m_values[0]``, ``tilt_rates[1][2]``).
 
 A number is a JSON number or one of the strings "inf" and "-inf";
@@ -15,12 +16,16 @@ booleans are not numbers, and an integer takes integral values only
 included, is checked by the type built from it, not here.  Containers
 (objects and lists) of the wrong type are named without their value;
 scalars are named with it.
+
+:func:`open_csv` opens a CSV as UTF-8 text; a byte that is not UTF-8
+raises :class:`SchemaError` naming the file, as a JSON file's does.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import SchemaError
@@ -44,6 +49,20 @@ def read_json(path: str | Path, doc: str) -> dict:
     if not isinstance(value, dict):
         raise SchemaError(f"{path}: {doc} root must be a JSON object")
     return value
+
+
+@contextmanager
+def open_csv(path: str | Path):
+    """``path`` opened as UTF-8 text for :mod:`csv`; a byte that is not
+    UTF-8, wherever the reader meets it, raises :class:`SchemaError`."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise SchemaError(
+                f"{path}: not UTF-8 text: byte {byte:#04x} ({exc.reason})"
+            ) from exc
 
 
 def write_json(path: str | Path, obj) -> None:

@@ -883,6 +883,34 @@ class TestFailureModes:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("which", ["input", "targets", "gain_uav_csv"])
+    def test_csv_that_is_not_utf8(self, ws, tmp_path, capsys, which):
+        """A byte that is not UTF-8 in a measurement, target or gain CSV
+        used to end in a UnicodeDecodeError traceback."""
+        bad = tmp_path / "latin1.csv"
+        doc = json.loads(json.dumps(ws.config_doc))
+        if which == "gain_uav_csv":
+            bad.write_bytes(b"angle_deg,gain_dbi\n-90,-3\n90,3\xff\n")
+            doc["budget"][which] = str(bad)
+        else:  # a Latin-1 byte at the start of the first data row
+            bad.write_bytes(ws.small.read_bytes().replace(b"\n", b"\n\xff", 1))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "never.csv"
+        argv = ["--config", str(config), "--out", str(out), "--input", str(ws.small)]
+        if which == "input":
+            argv[-1] = str(bad)
+        if which == "targets":
+            argv += ["--targets", str(bad), "--model", str(ws.exact_model)]
+            argv = ["predict", *argv]
+        else:
+            argv = ["geometry", *argv]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: not UTF-8 text: byte 0xff (invalid start byte)\n"
+        assert not out.exists()
+
     def test_oversized_simulate_fails_before_the_walk(
         self, ws, tmp_path, capsys, monkeypatch
     ):

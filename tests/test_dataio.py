@@ -1,13 +1,20 @@
 """CSV ingestion, exporters, and config parsing."""
 
 import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from _recipes import BUDGET, same_geometry, trial_table
+from skyfade import dataio
 from skyfade.correlation import (
     AngularProfile,
     Correlogram,
@@ -36,6 +43,7 @@ from skyfade.errors import IngestError, SchemaError, ValidationError
 from skyfade.evaluation import EvalConfig, EvalResult
 from skyfade.fieldsim import synthesize_dataset
 from skyfade.geometry import MeasurementSample
+from skyfade.propagation import GainTable
 from skyfade.schema import write_json
 from test_fieldsim import small_config
 
@@ -240,6 +248,18 @@ class TestIngest:
         ingest = ingest_csv(path, BUDGET)
         assert ingest.n_rows == 13
         assert ingest.skipped == [(5, "non-numeric or missing value")]
+
+    @pytest.mark.parametrize("read", [ingest_csv, load_targets_csv])
+    def test_bytes_that_are_not_utf8_rejected(self, tmp_path, read):
+        """A Latin-1 byte used to end in a UnicodeDecodeError."""
+        path = tmp_path / "latin1.csv"
+        rows = [HEADER] + [good_row(time=float(i)) for i in range(12)]
+        latin1 = b"1,35.72,-78.70,30,10,1,-1,-75\xb0\n"
+        path.write_bytes("\n".join(rows).encode() + b"\n" + latin1)
+        with pytest.raises(SchemaError) as err:
+            read(path, BUDGET)
+        reason = "not UTF-8 text: byte 0xb0 (invalid start byte)"
+        assert str(err.value) == f"{path}: {reason}"
 
     def test_numpy_float_samples_round_trip(self, tmp_path):
         table = np.array(
@@ -506,6 +526,125 @@ class TestWriters:
         assert doc["skipped_rows"] == [{"line": 7, "reason": "bad row"}]
 
 
+def _dict_read_csv(path):
+    """The reader as it was written with csv.DictReader (no column map),
+    kept as the reference for :func:`skyfade.dataio._read_csv`."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = list(reader.fieldnames)
+        names = [c for c in CANONICAL_COLUMNS if c in header]
+        extra = {c: [] for c in header if c not in CANONICAL_COLUMNS}
+        lines, values, failures = [], [], []
+        for row in reader:
+            try:
+                values.append([float(row[k]) for k in names])
+            except (TypeError, ValueError) as exc:
+                failures.append((reader.line_num, exc))
+                continue
+            lines.append(reader.line_num)
+            for c, cells in extra.items():
+                cells.append(row[c] or "")
+    table = np.array(values, dtype=float).reshape(-1, len(names))
+    passthrough = {c: np.array(cells, dtype=object) for c, cells in extra.items()}
+    return names, lines, table, failures, passthrough
+
+
+#: Text cells: the characters csv quotes for, spaces and non-ASCII.
+TEXT = st.text(
+    st.one_of(
+        st.sampled_from(list(',"\r\n ab')),
+        st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
+    ),
+    max_size=6,
+)
+#: Floats, with the values where repr's form changes drawn often.
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+         1e-05, 9.999999999999999e-06, 0.0001, 1e16, 9999999999999998.0, 1e15]
+    ),
+)
+CELLS = st.one_of(FLOATS, st.integers(), st.none(), st.just(""), TEXT)
+
+
+@st.composite
+def csv_columns(draw):
+    """A header and 2-4 equally long columns: float64 arrays, int arrays,
+    object arrays or lists of any cells."""
+    n_rows = draw(st.integers(0, 12))
+    ints = st.integers(-(2**63), 2**63 - 1)
+    columns = []
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(["float64", "int64", "object", "list"]))
+        values = FLOATS if kind == "float64" else ints if kind == "int64" else CELLS
+        column = draw(st.lists(values, min_size=n_rows, max_size=n_rows))
+        columns.append(column if kind == "list" else np.array(column, dtype=kind))
+    header = draw(st.lists(TEXT, min_size=len(columns), max_size=len(columns)))
+    return header, columns
+
+
+class TestCsvBoundary:
+    @given(csv_columns(), st.integers(1, 5))
+    def test_writer_matches_csv_writer(self, table, block_rows):
+        """The same bytes as csv.writer on the cells, floats in repr form."""
+        header, columns = table
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        writer.writerow(header)
+        cells = [
+            [repr(float(v)) if isinstance(v, float) else v for v in column]
+            for column in columns
+        ]
+        writer.writerows(zip(*cells))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.csv"
+            with mock.patch.object(dataio, "WRITE_BLOCK_ROWS", block_rows):
+                dataio._write_csv(path, header, columns)
+            assert path.read_bytes() == reference.getvalue().encode("utf-8")
+
+    def test_reader_matches_dict_reader(self, tmp_path):
+        """Positional cells read as csv.DictReader read them: a repeated
+        header names its last column, a short row reads its missing cells
+        as None, blank lines are skipped, extra cells ignored, and each row
+        is reported on the line it ends."""
+        rows = [
+            HEADER + ",site,alt_m,note,site",
+            good_row() + ",A,31.5,plain,B",
+            "",
+            good_row(time=1.0) + ',A,32,"two\nlines, ""quoted""",C',
+            "3,35.7205,-78.699,30",
+            good_row(time=2.0) + ",A,33,short",
+            "",
+            "",
+            good_row(time=3.0) + ",A,34,extra,D,x,y",
+            " 1_0 ,35.7205,-78.699,30,infinity,1,-1,-75,A,35,n,E",
+            good_row(time=5.0) + ",A,,n,F",
+            "x,35.7205,-78.699,30,10,1,-1,-75,A,36,n,G",
+            good_row(time=6.0) + ",,37.25,,",
+        ]
+        path = tmp_path / "quirks.csv"
+        path.write_text("\r\n".join(rows), encoding="utf-8")
+        names, lines, table, failures, passthrough = dataio._read_csv(
+            path, None, CANONICAL_COLUMNS
+        )
+        ref = _dict_read_csv(path)
+        assert names == ref[0] == list(CANONICAL_COLUMNS)
+        assert lines == ref[1] == [2, 5, 7, 10, 11, 14]
+        assert np.array_equal(table, ref[2])
+        assert table[:, 3].tolist() == [31.5, 32.0, 33.0, 34.0, 35.0, 37.25]
+        assert table[4, 0] == 10.0 and table[4, 4] == math.inf
+        assert [(n, type(e), str(e)) for n, e in failures] == [
+            (n, type(e), str(e)) for n, e in ref[3]
+        ]
+        assert [n for n, _e in failures] == [6, 12, 13]
+        assert list(passthrough) == list(ref[4]) == ["site", "note"]
+        for c in passthrough:
+            assert passthrough[c].tolist() == ref[4][c].tolist()
+        assert passthrough["note"].tolist()[1] == 'two\nlines, "quoted"'
+        assert passthrough["site"].tolist() == ["B", "C", "", "D", "E", ""]
+
+
 class TestConfigs:
     def test_budget_full_section(self, tmp_path):
         gain = tmp_path / "gain.csv"
@@ -526,6 +665,27 @@ class TestConfigs:
         assert budget.reflection == complex(-0.8, 0.1)
         assert budget.gain_tx.lookup(90.0) == 3.0
         assert budget.gain_uav.lookup(0.0) == 0.0
+
+    def test_gain_table_header_after_blank_lines(self, tmp_path):
+        """The first non-blank row is the optional header; a blank first
+        line used to make it fail as a non-numeric row 2."""
+        gain = tmp_path / "gain.csv"
+        text = "\n,\nélévation (°),gain_dbi\n-90,-3\n\n90,3\n"
+        gain.write_text(text, encoding="utf-8")
+        table = GainTable.from_csv(gain)
+        assert table.angles_deg == (-90.0, 90.0)
+        assert table.gains_dbi == (-3.0, 3.0)
+        gain.write_text("angle_deg,gain_dbi\n-90,-3\nninety,3\n")
+        with pytest.raises(SchemaError, match="non-numeric row 3"):
+            GainTable.from_csv(gain)
+
+    def test_gain_table_not_utf8(self, tmp_path):
+        gain = tmp_path / "gain.csv"
+        gain.write_bytes(b"\xe9l\xe9vation,gain_dbi\n-90,-3\n90,3\n")
+        doc = {"budget": {"tx_lat_deg": 1.0, "tx_lon_deg": 2.0, "gain_uav_csv": str(gain)}}
+        with pytest.raises(SchemaError) as err:
+            budget_from_config(doc)
+        assert str(err.value).startswith(f"{gain}: not UTF-8 text: byte 0xe9")
 
     def test_budget_scalar_reflection(self):
         doc = {"budget": {"tx_lat_deg": 1.0, "tx_lon_deg": 2.0, "reflection": -0.9}}
