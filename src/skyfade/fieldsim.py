@@ -10,6 +10,10 @@ noise turns that into measured RSRP rows.
 All randomness flows from numpy's PCG64 generator seeded from the config
 seed with fixed per-purpose stream offsets (trajectory, field, noise), so
 a config reproduces its dataset bit for bit.
+
+The field draw holds one n x n matrix: the covariance is factored in its
+own buffer by a blocked Cholesky written in numpy alone (``simulate``
+loads no scipy), so 5000 samples need 200 MB rather than three times that.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 from .correlation import CorrelationModel, covariance_matrix, serialize_model
 from .errors import NotPositiveDefiniteError, RowErrors, ValidationError
 from .geometry import MeasurementSample, enu_to_geodetic, tilt_geometry
+from .kriging import _restore_lower
 from .propagation import LinkBudget, link_rsrp
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -29,6 +34,10 @@ MAX_FIELD_SAMPLES = 5000
 _STREAM_TRAJECTORY = 1
 _STREAM_FIELD = 2
 _STREAM_NOISE = 3
+# Column width of the blocked Cholesky's panels.  Wider panels run no
+# faster and raise the factor's temporaries.
+_PANEL = 256
+_LOWER = np.tri(_PANEL, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -214,38 +223,90 @@ def _check_field_size(n: int) -> None:
         )
 
 
+def _cholesky_in_place(a) -> None:
+    """Overwrite the lower triangle of the symmetric matrix ``a`` with its
+    Cholesky factor L (a = L L^T), reading only that triangle.
+
+    Right-looking block Cholesky (Golub & Van Loan, *Matrix Computations*,
+    4th ed., sec. 4.2.9; the scheme of LAPACK's ``dpotrf``) over
+    :data:`_PANEL`-column panels: factor the diagonal tile, solve the
+    panel below it through the tile's inverse, and subtract the panel's
+    outer product from the trailing lower triangle a row chunk at a time.
+    Temporaries are O(n * _PANEL), and the strict upper triangle of ``a``
+    is never written.  Raises ``np.linalg.LinAlgError`` at the first tile
+    that is not positive definite, with ``a`` partly overwritten.
+    """
+    n = a.shape[0]
+    for k0 in range(0, n, _PANEL):
+        k1 = min(k0 + _PANEL, n)
+        tile = a[k0:k1, k0:k1]
+        l11 = np.linalg.cholesky(tile)
+        np.copyto(tile, l11, where=_LOWER[: k1 - k0, : k1 - k0])
+        if k1 == n:
+            return
+        l21 = a[k1:, k0:k1]
+        l21[...] = l21 @ np.linalg.inv(l11).T
+        for i0 in range(k1, n, _PANEL):
+            i1 = min(i0 + _PANEL, n)
+            update = l21[i0 - k1 : i1 - k1] @ l21[: i1 - k1].T
+            a[i0:i1, k1:i0] -= update[:, : i0 - k1]
+            diag = a[i0:i1, i0:i1]
+            np.subtract(
+                diag, update[:, i0 - k1 :], out=diag, where=_LOWER[: i1 - i0, : i1 - i0]
+            )
+            # Free this chunk's product before the next one is formed.
+            del update
+
+
+def _lower_matvec(a, g) -> np.ndarray:
+    """L @ g for the lower triangle L of ``a``, a row block at a time."""
+    n = a.shape[0]
+    out = np.empty(n)
+    for i0 in range(0, n, _PANEL):
+        i1 = min(i0 + _PANEL, n)
+        tile = np.where(_LOWER[: i1 - i0, : i1 - i0], a[i0:i1, i0:i1], 0.0)
+        out[i0:i1] = a[i0:i1, :i0] @ g[:i0] + tile @ g[i0:i1]
+    return out
+
+
 def sample_sf_field(geometries, truth: CorrelationModel, seed) -> np.ndarray:
     """Draw one realization of the SF field at the given geometries.
 
     Builds the dense covariance sigma2 * r_hat + nugget * I of the full
     (angle-aware) model, which every model makes positive semidefinite,
-    and factors it as L L^T: Cholesky when it is positive definite,
-    otherwise a spectral square root with rounding-level negative
-    eigenvalues clipped to zero (exact for merely semidefinite
-    covariances, e.g. perfectly correlated duplicate geometries with no
-    nugget).  Returns mu + L @ g with g standard normal from the seeded
-    generator.
+    and factors it as L L^T: a blocked, numpy-only Cholesky in the
+    covariance's own buffer when it is positive definite, otherwise a
+    spectral square root with rounding-level negative eigenvalues clipped
+    to zero (exact for merely semidefinite covariances, e.g. perfectly
+    correlated duplicate geometries with no nugget).  Returns mu + L @ g
+    with g standard normal from the seeded generator.
     """
     n = len(geometries)
     if n == 0:
         raise ValidationError("need at least one geometry")
     _check_field_size(n)
     cov = covariance_matrix(truth, geometries)
-    # numpy's Cholesky copies its input and returns a separate factor, two
-    # n x n buffers that scipy's in-place factor would not need.  It stays:
-    # numpy and scipy bundle different OpenBLAS builds, whose factors differ
-    # in the last bits (up to 2.1e-13 at n = 4000), and every simulated
-    # dataset would change with them.
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        if eigvals[0] < -1.0e-8 * truth.sigma2:
-            raise NotPositiveDefiniteError(
-                f"covariance is indefinite (min eigenvalue {eigvals[0]:g})"
-            ) from None
-        factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
     g = np.random.default_rng(seed).standard_normal(n)
+    # The Cholesky factor runs in the covariance's own buffer, with numpy
+    # alone: numpy's cholesky would copy its input and return a separate
+    # factor, three n x n buffers in all.  It overwrites the lower triangle
+    # and the diagonal and leaves the strict upper triangle as built, so a
+    # failed factor gives the covariance back bit for bit (it is exactly
+    # symmetric) and the spectral path sees what it would have seen with
+    # no factor tried.
+    diag = cov.diagonal().copy()
+    try:
+        _cholesky_in_place(cov)
+    except np.linalg.LinAlgError:
+        _restore_lower(cov, diag)
+    else:
+        return truth.mu + _lower_matvec(cov, g)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    if eigvals[0] < -1.0e-8 * truth.sigma2:
+        raise NotPositiveDefiniteError(
+            f"covariance is indefinite (min eigenvalue {eigvals[0]:g})"
+        )
+    factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
     return truth.mu + factor @ g
 
 

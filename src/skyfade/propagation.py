@@ -74,12 +74,14 @@ class GainTable:
         """Load a two-column CSV of (elevation_deg, gain_dbi) rows.
 
         The file is UTF-8 text.  Blank rows are skipped, and a non-numeric
-        first non-blank row is treated as a header and skipped.
+        first non-blank row is treated as a header and skipped.  A bad row is
+        named by the file line it ends on, as for measurement CSVs.
         """
         with open_csv(path) as fh:
+            reader = csv.reader(fh)
             rows = [
-                (i + 1, row)
-                for i, row in enumerate(csv.reader(fh))
+                (reader.line_num, row)
+                for row in reader
                 if any(cell.strip() for cell in row)
             ]
         angles: list[float] = []

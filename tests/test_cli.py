@@ -49,15 +49,18 @@ def test_import_leaves_scipy_optimize_unloaded():
         ("simulate", []),
         ("geometry", []),
         ("predict", ["scipy", "scipy.linalg"]),
+        ("simulate-600", []),
     ],
 )
 def test_only_solving_commands_load_scipy(ws, tmp_path, command, loaded):
     """scipy.linalg loads at the first Kriging solve, so importing the
     package and running geometry or simulate load no scipy module, and
-    predict loads scipy.linalg but not scipy.optimize."""
+    predict loads scipy.linalg but not scipy.optimize.  A 600-row draw
+    factors its covariance in more than one panel."""
     argv = {
         None: None,
         "simulate": ["--n-samples", "60"],
+        "simulate-600": ["--n-samples", "600"],
         "geometry": ["--input", str(ws.small)],
         "predict": [
             "--input",
@@ -69,7 +72,8 @@ def test_only_solving_commands_load_scipy(ws, tmp_path, command, loaded):
         ],
     }[command]
     if argv is not None:
-        argv = [command, "--config", str(ws.config), "--out", str(tmp_path / "out")] + argv
+        name = command.split("-")[0]
+        argv = [name, "--config", str(ws.config), "--out", str(tmp_path / "out")] + argv
     src = str(Path(skyfade.__file__).parents[1])
     code = (
         f"import json, sys; sys.path.insert(0, {src!r}); import skyfade, skyfade.cli;"

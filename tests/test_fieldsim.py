@@ -1,19 +1,31 @@
 """Synthetic flights, correlated field draws, and dataset synthesis."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _recipes import BUDGET, decompose_all, fidelity_case, pose_columns
+from _recipes import (
+    BUDGET,
+    decompose_all,
+    fidelity_case,
+    gap_benchmark_truth,
+    pose_columns,
+)
+from skyfade import fieldsim
 from skyfade.correlation import (
     AngleBins,
     CorrelationModel,
     DedmParams,
     correlation_matrix,
+    covariance_matrix,
     deserialize_model,
 )
-from skyfade.errors import RowErrors, ValidationError
+from skyfade.errors import NotPositiveDefiniteError, RowErrors, ValidationError
 from skyfade.fieldsim import (
     MAX_FIELD_SAMPLES,
     FlightSpec,
@@ -223,6 +235,89 @@ class TestFieldDraw:
         assert float(np.max(np.abs(r_emp - r_truth))) < 0.12
         assert abs(float(draws.mean()) - truth.mu) < 0.3
         assert float(draws.var()) == pytest.approx(truth.sigma2, rel=0.15)
+
+
+def lawnmower_geometry(n, truth):
+    """Link geometry of an n-sample lawnmower flight over a 600 m box."""
+    config = SimConfig(seed=0, n_samples=n, truth=truth, budget=BUDGET)
+    return trajectory_geometry(generate_trajectory(config))
+
+
+def eigh_draw(cov, truth, seed):
+    """The spectral-square-root draw of an untouched covariance."""
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+    g = np.random.default_rng(seed).standard_normal(cov.shape[0])
+    return truth.mu + factor @ g
+
+
+class TestBlockedCholesky:
+    @settings(max_examples=30)
+    @given(
+        n=st.sampled_from([1, 2, 255, 256, 257, 600]),
+        seed=st.integers(0, 2**32 - 1),
+        ridge=st.floats(1e-3, 1.0),
+    )
+    def test_factors_lower_triangle_in_place(self, n, seed, ridge):
+        """Backward error at rounding level, numpy's factor to 1e-10, and
+        the strict upper triangle bitwise as it was."""
+        x = np.random.default_rng(seed).standard_normal((n, n))
+        cov = x @ x.T / n + ridge * np.eye(n)
+        work = cov.copy()
+        fieldsim._cholesky_in_place(work)
+        lower = np.tril(work)
+        scale = float(np.abs(cov).max())
+        assert float(np.abs(lower @ lower.T - cov).max()) <= 1e-12 * scale
+        assert float(np.abs(lower - np.linalg.cholesky(cov)).max()) <= 1e-10
+        upper = np.triu_indices(n, 1)
+        assert np.array_equal(work[upper], cov[upper])
+
+    def test_draw_matches_full_factor(self):
+        truth = gap_benchmark_truth()
+        geoms = lawnmower_geometry(600, truth)
+        cov = covariance_matrix(truth, geoms)
+        g = np.random.default_rng(5).standard_normal(600)
+        expected = truth.mu + np.linalg.cholesky(cov) @ g
+        w = sample_sf_field(geoms, truth, 5)
+        assert float(np.abs(w - expected).max()) <= 1e-10
+
+    def test_semidefinite_past_first_panel_is_the_eigh_draw(self):
+        """Rows 10 and 500 share one geometry and there is no nugget: the
+        factor fails after the first panel, the covariance comes back bit
+        for bit, and the draw is the spectral one."""
+        truth = dataclasses.replace(gap_benchmark_truth(), nugget=0.0)
+        index = np.arange(600)
+        index[500] = 10
+        geoms = lawnmower_geometry(600, truth)[index]
+        cov = covariance_matrix(truth, geoms)
+        # The first tile factors, so the failure comes in a later panel.
+        np.linalg.cholesky(cov[:256, :256])
+        with pytest.raises(np.linalg.LinAlgError):
+            fieldsim._cholesky_in_place(cov.copy())
+        w = sample_sf_field(geoms, truth, 9)
+        assert np.array_equal(w, eigh_draw(cov, truth, 9))
+
+    def test_indefinite_in_second_panel_raises(self, monkeypatch):
+        """The first panel's update leaves row 270 the pivot 1 - 2**2."""
+        cov = np.eye(300)
+        cov[270, 5] = cov[5, 270] = 2.0
+        monkeypatch.setattr(fieldsim, "covariance_matrix", lambda *_: cov.copy())
+        geoms = [mk_geom(0.0, 0.0)] * 300
+        with pytest.raises(NotPositiveDefiniteError):
+            sample_sf_field(geoms, flat_truth(), 1)
+
+    def test_draw_holds_one_matrix(self):
+        """The traced peak of a 3000-sample draw stays within 1.5 n x n
+        matrices; numpy's own Cholesky would trace two."""
+        truth = gap_benchmark_truth()
+        geoms = lawnmower_geometry(3000, truth)
+        tracemalloc.start()
+        try:
+            sample_sf_field(geoms, truth, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * 3000**2
 
 
 class TestDatasetSynthesis:

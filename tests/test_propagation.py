@@ -183,6 +183,21 @@ class TestGainTable:
         with pytest.raises(SchemaError):
             GainTable.from_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('"elevation\n(deg)",gain_dbi\n-90,-3\nx,1\n90,3\n', "non-numeric row 4"),
+            ('"elevation\n(deg)",gain_dbi\n-90,-3\n\n7\n90,3\n', "row 5 has fewer"),
+        ],
+    )
+    def test_csv_names_bad_rows_by_file_line(self, tmp_path, text, message):
+        """A quoted header cell over two lines does not shift the line
+        number of a later bad row, and blank lines count."""
+        path = tmp_path / "gain.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=message):
+            GainTable.from_csv(path)
+
 
 class TestLinkBudget:
     def test_wavelength(self):
