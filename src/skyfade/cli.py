@@ -129,6 +129,13 @@ def cmd_predict(args) -> int:
     )
     if nugget > model.nugget:
         _warn_escalated(args.mode, "the solve")
+    floored = int((variance == 0.0).sum())
+    if floored:
+        print(
+            f"warning: {args.mode}: {floored} of {len(variance)} prediction"
+            " variances floored at zero",
+            file=sys.stderr,
+        )
     dataio.write_predictions_csv(args.out, w_hat, z_hat, variance, nugget)
     print(f"{args.out}: {len(w_hat)} predictions ({args.mode})")
     return 0

@@ -14,6 +14,8 @@ a config reproduces its dataset bit for bit.
 The field draw holds one n x n matrix: the covariance is factored in its
 own buffer by a blocked Cholesky written in numpy alone (``simulate``
 loads no scipy), so 5000 samples need 200 MB rather than three times that.
+A merely semidefinite covariance falls back to a spectral square root,
+which holds two: the covariance and the eigenvectors, scaled in place.
 """
 
 from __future__ import annotations
@@ -306,8 +308,10 @@ def sample_sf_field(geometries, truth: CorrelationModel, seed) -> np.ndarray:
         raise NotPositiveDefiniteError(
             f"covariance is indefinite (min eigenvalue {eigvals[0]:g})"
         )
-    factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-    return truth.mu + factor @ g
+    # Scaled in place, the eigenvectors are the square root: with the
+    # covariance that makes two n x n buffers, not three.
+    eigvecs *= np.sqrt(np.clip(eigvals, 0.0, None))
+    return truth.mu + eigvecs @ g
 
 
 def synthesize_dataset(config: SimConfig) -> list[MeasurementSample]:

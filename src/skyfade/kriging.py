@@ -35,6 +35,14 @@ That mirror needs C exactly symmetric: the solve checks this first and
 raises ValidationError naming the first asymmetric entry, which no valid
 covariance has.
 
+For k targets a solve holds three buffers: the M x M matrix C, the
+caller's (M, k) target covariances c0, and one (M, k + 1) buffer that
+takes [c0 | 1], is overwritten by the triangular solves with [Y | a], and
+then holds lambda over Y.  The weights' formation, the residual (which
+reads the explicit, intact C over every right-hand side) and lambda^T c0
+work through a block of 128 columns at a time, so their temporaries are
+M x 128 whatever k is.
+
 The factor, the solve and the residual product all run in scipy's BLAS:
 numpy and scipy wheels each ship their own OpenBLAS with its own thread
 pool, and mixing the two makes the pools' idle-spinning workers fight over
@@ -61,7 +69,8 @@ from .propagation import LinkBudget, SfTable, link_rsrp
 
 RESIDUAL_TOL = 1.0e-8
 MAX_ESCALATIONS = 6
-# Rows or columns per block in the symmetry check and the restore.
+# Rows or columns per block in the symmetry check, the restore, the
+# weights' formation, the residual and the variance.
 _BLOCK = 128
 _STRICT_LOWER = np.tri(_BLOCK, k=-1, dtype=bool)
 
@@ -179,10 +188,12 @@ def _restore_lower(work, diag):
 def _cholesky_schur(cov, rhs, shift):
     """Solve by Cholesky of C, eliminating the unbiasedness row.
 
-    With C [Y | a] = [rhs | 1], the multiplier is the Schur complement
-    solution nu = (1^T Y - 1) / (1^T a) and the weights are Y - a nu.
-    Returns None when C (diagonal shifted by ``shift``) is not numerically
-    positive definite.
+    With C [Y | a] = [rhs | 1], the multipliers are the Schur complement
+    solution nu = (1^T Y - 1) / (1^T a) and the weights are Y - a nu^T.
+    Returns (lambda, nu), or None when C (diagonal shifted by ``shift``)
+    is not numerically positive definite.  lambda is a Fortran-ordered
+    view of the one (M, k + 1) buffer that holds the right-hand sides, the
+    solution and then the weights, formed a block of columns at a time.
 
     C is factored in place and given back bitwise as it came, whether or
     not the factor succeeds; this requires C to be exactly symmetric.
@@ -202,49 +213,59 @@ def _cholesky_schur(cov, rhs, shift):
         factor = scipy.linalg.cho_factor(
             work, lower=True, overwrite_a=True, check_finite=False
         )
-        sol = scipy.linalg.cho_solve(factor, b, overwrite_b=True, check_finite=False)
+        b = scipy.linalg.cho_solve(factor, b, overwrite_b=True, check_finite=False)
     except (scipy.linalg.LinAlgError, ValueError):
         return None
     finally:
         # The factor overwrote the lower triangle only; C = C^T restores it.
         _restore_lower(work, diag)
-    y, a = sol[:, :k], sol[:, k]
-    nu = (y.sum(axis=0) - 1.0) / a.sum()
-    x = np.empty((m + 1, k))
-    np.subtract(y, np.multiply.outer(a, nu), out=x[:m])
-    x[m] = nu
-    return x
+    lam, a = b[:, :k], b[:, k]
+    nu = (lam.sum(axis=0) - 1.0) / a.sum()
+    for j0 in range(0, k, _BLOCK):
+        j1 = min(j0 + _BLOCK, k)
+        lam[:, j0:j1] -= np.multiply.outer(a, nu[j0:j1])
+    return lam, nu
 
 
-def _augmented_residual(cov, shift, rhs, x):
-    """Largest |A x - b| entry of the augmented system, over every column.
+def _augmented_residual(cov, shift, rhs, lam, nu):
+    """Largest |A x - b| entry of the augmented system for x = (lambda; nu),
+    over every column, one block of columns at a time.
 
-    C lambda is computed as (lambda^T C^T)^T: both transposes are
-    Fortran-ordered views, so scipy's GEMM copies nothing.
+    C lambda is the product of the explicit C: C^T is the Fortran-ordered
+    view of a C-ordered C, and GEMM transposes it back, so scipy copies
+    neither it nor a Fortran-ordered block of lambda, and writes each
+    block's product into the one Fortran-ordered tile.
     """
     from scipy.linalg.blas import dgemm
 
-    m = cov.shape[0]
-    lam, nu = x[:m], x[m]
-    top = dgemm(1.0, lam.T, cov.T).T
-    if shift:
-        top += shift * lam
-    top += nu
-    top -= rhs
-    bottom = lam.sum(axis=0) - 1.0
-    return max(float(np.abs(top).max()), float(np.abs(bottom).max()))
+    m, k = lam.shape
+    peaks = [np.abs(lam.sum(axis=0) - 1.0).max()]
+    tile = np.empty((m, min(k, _BLOCK)), order="F")
+    for j0 in range(0, k, _BLOCK):
+        j1 = min(j0 + _BLOCK, k)
+        top = dgemm(
+            1.0, cov.T, lam[:, j0:j1], trans_a=True,
+            c=tile[:, : j1 - j0], overwrite_c=True,
+        )
+        if shift:
+            top += shift * lam[:, j0:j1]
+        top += nu[j0:j1]
+        top -= rhs[:, j0:j1]
+        peaks.append(np.abs(top, out=top).max())
+    return float(np.max(peaks))
 
 
-def _solve_augmented(cov, rhs, sigma2, base_nugget):
-    """Augmented solve with the escalation ladder; returns (solution, nugget).
+def _solve_weights(cov, rhs, sigma2, base_nugget):
+    """Augmented solve with the escalation ladder; returns (lambda, nu,
+    nugget).
 
     ``cov`` already carries ``base_nugget`` on its diagonal and ``rhs`` is
-    (M, k); the solution is (M + 1, k) with the multipliers in its last
-    row.  Each rung adds ``nugget - base_nugget`` to the diagonal and makes
-    one Cholesky-Schur attempt; the first finite solution whose relative
-    residual passes is accepted.  A covariance that is not numerically
-    positive definite at a rung moves up to the next one.  ``cov`` must be
-    exactly symmetric (ValidationError otherwise); it is left unchanged.
+    (M, k); lambda is (M, k) and nu (k,).  Each rung adds
+    ``nugget - base_nugget`` to the diagonal and makes one Cholesky-Schur
+    attempt; the first finite solution whose relative residual passes is
+    accepted.  A covariance that is not numerically positive definite at a
+    rung moves up to the next one.  ``cov`` must be exactly symmetric
+    (ValidationError otherwise); it is left unchanged.
     """
     m = cov.shape[0]
     _check_symmetric(cov)
@@ -254,14 +275,22 @@ def _solve_augmented(cov, rhs, sigma2, base_nugget):
         if attempt:
             nugget = DEFAULT_NUGGET_FACTOR * sigma2 if nugget == 0.0 else nugget * 10.0
         shift = nugget - base_nugget
-        x = _cholesky_schur(cov, rhs, shift)
-        if x is not None and np.all(np.isfinite(x)):
-            if _augmented_residual(cov, shift, rhs, x) / b_scale < RESIDUAL_TOL:
-                return x, nugget
+        sol = _cholesky_schur(cov, rhs, shift)
+        if sol is not None and all(np.isfinite(v).all() for v in sol):
+            if _augmented_residual(cov, shift, rhs, *sol) / b_scale < RESIDUAL_TOL:
+                return (*sol, nugget)
+        del sol  # the next rung's buffer replaces, not joins, this one
     raise SingularSystemError(
         f"augmented system unsolvable after {MAX_ESCALATIONS} nugget escalations"
         f" (M={m}, final nugget={nugget:g})"
     )
+
+
+def _solve_augmented(cov, rhs, sigma2, base_nugget):
+    """:func:`_solve_weights` as (solution, nugget), with the (M + 1, k)
+    solution holding the weights over the multipliers in its last row."""
+    lam, nu, nugget = _solve_weights(cov, rhs, sigma2, base_nugget)
+    return np.vstack((lam, nu)), nugget
 
 
 def solve_ok(system: KrigingSystem) -> KrigingSystem:
@@ -270,12 +299,11 @@ def solve_ok(system: KrigingSystem) -> KrigingSystem:
     Fills ``weights``, ``multiplier`` and ``nugget_used``; raises
     :class:`SingularSystemError` if the escalation ladder is exhausted.
     """
-    x, nugget = _solve_augmented(
+    lam, nu, nugget = _solve_weights(
         system.cov, system.target_cov[:, None], system.sigma2, system.nugget
     )
-    m = system.cov.shape[0]
-    system.weights = x[:m, 0]
-    system.multiplier = float(x[m, 0])
+    system.weights = lam[:, 0]
+    system.multiplier = float(nu[0])
     system.nugget_used = nugget
     return system
 
@@ -291,10 +319,17 @@ class Prediction:
 
 def _krige(lam, nu, w, c0, sigma2):
     """(w_hat, variance) for (M, k) weights and target covariances and (k,)
-    multipliers: lambda^T w and sigma2 - lambda^T c0 - nu, floored at zero."""
-    w_hat = lam.T @ w
-    variance = np.maximum(sigma2 - np.sum(lam * c0, axis=0) - nu, 0.0)
-    return w_hat, variance
+    multipliers: lambda^T w and sigma2 - lambda^T c0 - nu, floored at zero.
+    lambda^T c0 is summed one block of columns at a time."""
+    m, k = lam.shape
+    explained = np.empty(k)
+    tile = np.empty((m, min(k, _BLOCK)))
+    for j0 in range(0, k, _BLOCK):
+        j1 = min(j0 + _BLOCK, k)
+        prod = np.multiply(lam[:, j0:j1], c0[:, j0:j1], out=tile[:, : j1 - j0])
+        explained[j0:j1] = prod.sum(axis=0)
+    variance = np.maximum(sigma2 - explained - nu, 0.0)
+    return lam.T @ w, variance
 
 
 def predict_sf(system: KrigingSystem) -> Prediction:
@@ -329,9 +364,8 @@ def predict_sf_batch(
     if blocks is None:
         return np.empty(0), np.empty(0), model.nugget
     w, cov, c0 = blocks
-    x, nugget = _solve_augmented(cov, c0, model.sigma2, model.nugget)
-    m = w.size
-    w_hat, variance = _krige(x[:m, :], x[m, :], w, c0, model.sigma2)
+    lam, nu, nugget = _solve_weights(cov, c0, model.sigma2, model.nugget)
+    w_hat, variance = _krige(lam, nu, w, c0, model.sigma2)
     return w_hat, variance, nugget
 
 

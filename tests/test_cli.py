@@ -1019,8 +1019,9 @@ class TestFailureModes:
 
 
 class TestNuggetEscalation:
-    """A covariance that is not numerically positive definite is reported
-    on stderr; valid models, fitted ones included, solve silently."""
+    """A covariance that is not numerically positive definite, and a
+    prediction variance floored at zero, are reported on stderr; valid
+    models, fitted ones included, solve silently."""
 
     WARNING = (
         "warning: {mode}: {what} escalated the nugget above the model's"
@@ -1137,4 +1138,30 @@ class TestNuggetEscalation:
         out, err, escalated, total = self.evaluate(gap, flat, capsys, config, data)
         assert (escalated, total) == (2, 2)
         assert err == self.WARNING.format(mode="elev_only", what="2 of 2 trials")
+        assert "warning" not in out
+
+    def test_floored_variance_warns(self, gap, capsys):
+        # Every tuning geometry appears twice with different SF, and every
+        # target is a tuning geometry: with no nugget the exact variance is
+        # zero, so rounding leaves some computed variances below zero.
+        exact = gap.root / "exact.json"
+        save_model(dataclasses.replace(gap_benchmark_truth(), nugget=0.0), exact)
+        rows = gap_benchmark_rows()[::20]
+        twins = [dataclasses.replace(r, rsrp_dbm=r.rsrp_dbm + 3.0) for r in rows]
+        tuning = gap.root / "twins.csv"
+        write_dataset_csv(tuning, [r for pair in zip(rows, twins) for r in pair])
+        capsys.readouterr()
+        out_csv = gap.root / "twins_predictions.csv"
+        argv = ["predict", "--config", str(gap.config), "--input", str(tuning)]
+        argv += ["--targets", str(tuning), "--model", str(exact), "--out", str(out_csv)]
+        assert main([*argv, "--mode", "angle_aware"]) == 0
+        out, err = capsys.readouterr()
+        predictions = read_rows(out_csv)
+        assert {float(row["nugget_used"]) for row in predictions} == {0.0}
+        floored = sum(float(row["kriging_var_db2"]) == 0.0 for row in predictions)
+        assert 0 < floored < len(predictions)
+        assert err == (
+            f"warning: angle_aware: {floored} of {len(predictions)} prediction"
+            " variances floored at zero\n"
+        )
         assert "warning" not in out

@@ -319,6 +319,24 @@ class TestBlockedCholesky:
             tracemalloc.stop()
         assert peak <= 1.5 * 8 * 3000**2
 
+    def test_semidefinite_draw_holds_two_matrices(self):
+        """The spectral fallback scales the eigenvectors in place: the
+        covariance and the eigenvectors trace about two n x n matrices,
+        where a separate scaled copy would trace three."""
+        n = 1000
+        truth = dataclasses.replace(gap_benchmark_truth(), nugget=0.0)
+        index = np.arange(n)
+        index[900] = 10
+        geoms = lawnmower_geometry(n, truth)[index]
+        tracemalloc.start()
+        try:
+            w = sample_sf_field(geoms, truth, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 8 * n**2
+        assert np.array_equal(w, eigh_draw(covariance_matrix(truth, geoms), truth, 4))
+
 
 class TestDatasetSynthesis:
     def test_bitwise_determinism(self):

@@ -22,6 +22,7 @@ from skyfade.kriging import (
     _augmented_residual,
     _cholesky_schur,
     _solve_augmented,
+    _solve_weights,
     assemble_system,
     dedup_training,
     predict_rsrp,
@@ -29,7 +30,7 @@ from skyfade.kriging import (
     predict_sf_batch,
     solve_ok,
 )
-from skyfade.propagation import SfSample, two_ray_rsrp
+from skyfade.propagation import SfSample, SfTable, two_ray_rsrp
 from test_correlation import mk_geom, mk_sf, oracle_correlation
 
 
@@ -154,17 +155,28 @@ class TestSolvePaths:
         model = smooth_model(nugget=1e-4)
         training = scattered_samples(60, seed=26)
         geoms = [s.geometry for s in training]
-        targets = [g.geometry for g in scattered_samples(7, seed=27)]
         cov = model.sigma2 * correlation_matrix(model, geoms)
         cov[np.diag_indices_from(cov)] += model.nugget
-        rhs = model.sigma2 * correlation_matrix(model, geoms, targets)
-        expect = augmented_direct(cov, rhs)
-        chol = _cholesky_schur(cov, rhs, 0.0)
-        assert chol is not None
-        assert np.max(np.abs(chol - expect)) <= 1e-9
-        x, nugget = _solve_augmented(cov, rhs, model.sigma2, model.nugget)
-        assert nugget == model.nugget
-        assert np.array_equal(x, chol)
+        # 300 targets take the weights' formation past one column block.
+        for k in (7, 300):
+            targets = [g.geometry for g in scattered_samples(k, seed=27)]
+            rhs = model.sigma2 * correlation_matrix(model, geoms, targets)
+            expect = augmented_direct(cov, rhs)
+            chol = _cholesky_schur(cov, rhs, 0.0)
+            assert chol is not None
+            assert np.max(np.abs(np.vstack(chol) - expect)) <= 1e-9
+            lam, nu, nugget = _solve_weights(cov, rhs, model.sigma2, model.nugget)
+            assert nugget == model.nugget
+            assert np.array_equal(lam, chol[0])
+            assert np.array_equal(nu, chol[1])
+
+    def test_augmented_shim_stacks_the_core_solution(self):
+        cov, model = spd_covariance(200, seed=28)
+        rhs = np.random.default_rng(28).standard_normal((200, 5))
+        lam, nu, nugget = _solve_weights(cov, rhs, model.sigma2, model.nugget)
+        x, shim_nugget = _solve_augmented(cov, rhs, model.sigma2, model.nugget)
+        assert shim_nugget == nugget
+        assert np.array_equal(x, np.vstack((lam, nu)))
 
     def test_indefinite_covariance_exhausts_the_ladder(self):
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
@@ -189,17 +201,18 @@ class TestSolvePaths:
         cov = sigma2 * corr
         cov[np.diag_indices(3)] += base
         rhs = sigma2 * np.array([[0.8, 0.1], [0.5, 0.7], [0.3, 0.2]])
-        x, nugget = _solve_augmented(cov, rhs, sigma2, base)
+        lam, nu, nugget = _solve_weights(cov, rhs, sigma2, base)
         assert nugget > base
         # Accepted at the first rung that factors: 0.1 * sigma2; the rung
         # below it (0.01 * sigma2) is still indefinite.
         assert nugget == pytest.approx(0.1 * sigma2, rel=1e-12)
         assert _cholesky_schur(cov, rhs, nugget / 10.0 - base) is None
-        assert _augmented_residual(cov, nugget - base, rhs, x) < RESIDUAL_TOL
-        assert np.sum(x[:3], axis=0) == pytest.approx([1.0, 1.0], abs=1e-12)
+        assert _augmented_residual(cov, nugget - base, rhs, lam, nu) < RESIDUAL_TOL
+        assert np.sum(lam, axis=0) == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
-    @pytest.mark.parametrize("k", [1, 7])
+    # 300 right-hand sides span three column blocks of the residual.
+    @pytest.mark.parametrize("k", [1, 7, 300])
     def test_residual_is_the_explicit_augmented_product(self, k):
         # A non-symmetric C: the residual must not assume the symmetry it
         # exists to guard, so neither C^T nor a symmetric product may
@@ -208,6 +221,7 @@ class TestSolvePaths:
         rng = np.random.default_rng(k)
         cov = rng.standard_normal((m, m)) + m * np.eye(m)
         rhs = rng.standard_normal((m, k))
+        rhs[:, -1] *= 100.0  # the worst column is the last, in the last block
         x = rng.standard_normal((m + 1, k))
         x[:m] -= (x[:m].sum(axis=0) - 1.0) / m  # weights sum to 1
 
@@ -221,7 +235,7 @@ class TestSolvePaths:
 
         expect = reference(cov)
         assert abs(reference(cov.T) - expect) > 0.1
-        assert _augmented_residual(cov, shift, rhs, x) == pytest.approx(
+        assert _augmented_residual(cov, shift, rhs, x[:m], x[m]) == pytest.approx(
             expect, rel=1e-12
         )
 
@@ -319,6 +333,24 @@ class TestInPlaceFactor:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * m * m * 8
+
+    def test_batch_holds_three_buffers(self):
+        # C (8 M^2 bytes), the target covariances and the one solution
+        # buffer (8 M k bytes each), plus M x 128 block temporaries: about
+        # 8 M^2 + 2.25 * 8 M k traced.  A separate (M + 1, k) weights array
+        # and full-width temporaries would trace about 8 M^2 + 4 * 8 M k.
+        m, k = 1500, 600
+        model = smooth_model(nugget=1e-4)
+        training = SfTable.of(scattered_samples(m, seed=45))
+        targets = [s.geometry for s in scattered_samples(k, seed=46)]
+        predict_sf_batch(training, targets[:1], model)  # loads scipy untraced
+        tracemalloc.start()
+        try:
+            predict_sf_batch(training, targets, model)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * m * m + 2.5 * 8 * m * k
 
 
 class TestAssembly:
@@ -452,6 +484,9 @@ class TestBatch:
             mk_geom(-40.0, 61.0, theta=65.0, delta=-4.0),
             mk_geom(100.0, 100.0, theta=35.0, delta=9.0),
         ]
+        # More than one column block of targets: the batch sums lambda^T c0
+        # a block at a time.
+        targets += [s.geometry for s in scattered_samples(300, seed=23)]
         w_hat, variance, nugget = predict_sf_batch(training, targets, model)
         for k, target in enumerate(targets):
             pred = predict_sf(solve_ok(assemble_system(training, target, model)))
