@@ -69,6 +69,15 @@ def _warn_escalated(mode: str, what: str) -> None:
     )
 
 
+def _warn_floored(mode: str, floored: int, total: int) -> None:
+    if floored:
+        print(
+            f"warning: {mode}: {floored} of {total} prediction variances"
+            " floored at zero",
+            file=sys.stderr,
+        )
+
+
 def cmd_geometry(args) -> int:
     config, _base, budget = _load_config(args)
     ingest = dataio.ingest_csv(args.input, budget, **dataio.ingest_from_config(config))
@@ -129,13 +138,7 @@ def cmd_predict(args) -> int:
     )
     if nugget > model.nugget:
         _warn_escalated(args.mode, "the solve")
-    floored = int((variance == 0.0).sum())
-    if floored:
-        print(
-            f"warning: {args.mode}: {floored} of {len(variance)} prediction"
-            " variances floored at zero",
-            file=sys.stderr,
-        )
+    _warn_floored(args.mode, int((variance == 0.0).sum()), len(variance))
     dataio.write_predictions_csv(args.out, w_hat, z_hat, variance, nugget)
     print(f"{args.out}: {len(w_hat)} predictions ({args.mode})")
     return 0
@@ -159,9 +162,15 @@ def cmd_evaluate(args) -> int:
     trials = result.trials
     for mode in eval_config.modes:
         in_mode = trials.mode == mode
+        n_trials = int(in_mode.sum())
         escalated = int((in_mode & (trials.nugget_used > model.nugget)).sum())
         if escalated:
-            _warn_escalated(mode, f"{escalated} of {int(in_mode.sum())} trials")
+            _warn_escalated(mode, f"{escalated} of {n_trials} trials")
+        _warn_floored(
+            mode,
+            int(trials.floored[in_mode].sum()),
+            n_trials * eval_config.tests_per_trial,
+        )
     return 0
 
 

@@ -28,6 +28,12 @@ angular profile: empirical correlations computed on sorted,
 quantile-balanced sample vectors against the global SF mean.  Each
 cell's rate is 1/2 (r+ + r-) of two log-domain least-squares fits, one
 toward larger and one toward smaller angles.
+
+The DEDM fit uses numpy alone (:func:`_fit_dedm`).  It is separable: for
+fixed rates the weight a is linear and solved in closed form (variable
+projection, Golub & Pereyra 2003), which leaves a search over the two
+log-rates: a grid for start points, then a bounded Levenberg-Marquardt
+refinement from the best few of them and from one fixed start.
 """
 
 from __future__ import annotations
@@ -63,6 +69,18 @@ CORRELATION_BLOCK_ROWS = 128
 CORRELOGRAM_BLOCK_PAIRS = 2**14
 #: Largest share of empty lag bins :func:`empirical_correlogram` accepts.
 EMPTY_LAG_TOL = 0.2
+#: Bounds of the fitted DEDM rates p1 and p2, in 1/m.
+RATE_BOUNDS = (1.0e-8, 10.0)
+#: Points per log-rate axis of the DEDM fit's start grid.
+DEDM_GRID = 41
+#: Grid starts refined per DEDM fit, besides the fixed start.
+DEDM_STARTS = 4
+#: Gauss-Newton steps that polish each grid row's slow rate.
+DEDM_PROFILE_STEPS = 12
+#: Most Levenberg-Marquardt steps per refinement.
+DEDM_MAX_STEPS = 500
+#: Most Gauss-Newton steps that settle the chosen fit.
+DEDM_POLISH_STEPS = 8
 SCHEMA_VERSION = 2
 #: How errors name a model document.
 MODEL_DOC = "model document"
@@ -553,18 +571,195 @@ def empirical_correlogram(
     return Correlogram(lag_m=lag, rho=rho, counts=count)
 
 
+def _projection(s, lags, rho):
+    """The DEDM at log-rates ``s`` (..., 2) with its weight solved out.
+
+    For fixed rates the curve a*e1 + (1-a)*e2 is linear in a, so the
+    least-squares a is closed-form; it is clipped to [0, 1] (0.5 when the
+    two rates coincide and a has no effect).  Returns ``(a, r, jac)``:
+    that weight (...), the residuals (..., n) and their derivatives with
+    respect to ``s``, (..., 2, n), the weight's own change included where
+    it is not clipped (Golub & Pereyra 2003).
+    """
+    p = np.clip(np.exp(s), *RATE_BOUNDS)
+    e = np.exp(-p[..., None] * lags)
+    d = e[..., 0, :] - e[..., 1, :]
+    t = rho - e[..., 1, :]
+    dd = np.sum(d * d, axis=-1)
+    a = np.divide(np.sum(d * t, axis=-1), dd, out=np.full(dd.shape, 0.5), where=dd > 0.0)
+    a = np.clip(a, 0.0, 1.0)
+    r = a[..., None] * d - t
+    # d e_k / d s_k; each rate moves its own component, weighted by w_k.
+    f = -p[..., None] * lags * e
+    w = np.stack((a, 1.0 - a), axis=-1)
+    # Where a is interior, d . r = 0 holds along the path, which gives
+    # da/ds_k = -(sign_k f_k . r + w_k f_k . d) / (d . d).
+    inner = (a > 0.0) & (a < 1.0) & (dd > 0.0)
+    da = -(
+        np.array([1.0, -1.0]) * np.sum(f * r[..., None, :], axis=-1)
+        + w * np.sum(f * d[..., None, :], axis=-1)
+    )
+    da = np.divide(da, dd[..., None], out=np.zeros_like(da), where=inner[..., None])
+    jac = w[..., None] * f + da[..., None] * d[..., None, :]
+    return a, r, jac
+
+
+def _grid_starts(lags, rho):
+    """Start points for :func:`_refine`, from a grid over both log-rates.
+
+    The reduced cost is scanned on a :data:`DEDM_GRID` square grid.  Its
+    valleys can be narrower than a grid step, so each row's best slow rate
+    is first polished by a few capped Gauss-Newton steps at the row's
+    fixed fast rate.  The local minima of that profile, lowest first and
+    each cost once, give up to :data:`DEDM_STARTS` starts.
+    """
+    lo, hi = np.log(RATE_BOUNDS)
+    grid = np.linspace(lo, hi, DEDM_GRID)
+    pairs = np.stack(np.broadcast_arrays(grid[:, None], grid[None, :]), axis=-1)
+    _, r, _ = _projection(pairs, lags, rho)
+    s = pairs[np.arange(grid.size), np.argmin(np.sum(r * r, axis=-1), axis=1)]
+    _, r, jac = _projection(s, lags, rho)
+    cost = np.sum(r * r, axis=-1)
+    width = np.full(grid.size, grid[1] - grid[0])
+    for _ in range(DEDM_PROFILE_STEPS):
+        j = jac[:, 1]
+        jj = np.sum(j * j, axis=-1)
+        step = -np.divide(np.sum(j * r, axis=-1), jj, out=np.zeros_like(jj), where=jj > 0.0)
+        trial = s.copy()
+        trial[:, 1] = np.clip(s[:, 1] + np.clip(step, -width, width), lo, hi)
+        _, r_new, jac_new = _projection(trial, lags, rho)
+        cost_new = np.sum(r_new * r_new, axis=-1)
+        better = cost_new < cost
+        s[better], r[better], jac[better] = trial[better], r_new[better], jac_new[better]
+        cost = np.where(better, cost_new, cost)
+        width = np.where(better, width, width / 4.0)
+    edge = np.concatenate(([np.inf], cost, [np.inf]))
+    rows = np.flatnonzero((cost <= edge[:-2]) & (cost <= edge[2:]))
+    rows = rows[np.argsort(cost[rows], kind="stable")]
+    _, first = np.unique(cost[rows], return_index=True)
+    return s[rows[np.sort(first)][:DEDM_STARTS]]
+
+
+def _refine(s, lags, rho):
+    """Projected Levenberg-Marquardt on the reduced problem from ``s``.
+
+    A log-rate on its bound whose gradient points outward is held there;
+    the step on the others uses Marquardt's diagonal scaling (floored, so
+    a rate with no effect takes no step) and Nielsen's damping update, and
+    is clipped to the box.  Stops when the step no longer moves ``s`` or
+    the model predicts a gain below the cost's rounding.  Returns
+    ``(s, a, cost)``.
+    """
+    lo, hi = np.log(RATE_BOUNDS)
+    a, r, jac = _projection(s, lags, rho)
+    cost = r @ r
+    damping, growth = 1e-3, 2.0
+    for _ in range(DEDM_MAX_STEPS):
+        g = jac @ r
+        h = jac @ jac.T
+        free = ~(((s <= lo) & (g > 0.0)) | ((s >= hi) & (g < 0.0)))
+        if not free.any():
+            break
+        scale = np.maximum(np.diag(h), 1e-10 * np.trace(h) + 1e-300)
+        sub = np.ix_(free, free)
+        while True:
+            step = np.zeros(2)
+            step[free] = np.linalg.solve(
+                h[sub] + damping * np.diag(scale[free]), -g[free]
+            )
+            s_new = np.clip(s + step, lo, hi)
+            moved = s_new - s
+            predicted = -(2.0 * g @ moved + moved @ h @ moved)
+            if not predicted > 1e-15 * cost:
+                return s, a, cost
+            a_new, r_new, jac_new = _projection(s_new, lags, rho)
+            cost_new = r_new @ r_new
+            if cost_new < cost:
+                gain = (cost - cost_new) / predicted
+                damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                growth = 2.0
+                break
+            damping *= growth
+            growth *= 2.0
+        s, a, r, jac, cost = s_new, a_new, r_new, jac_new, cost_new
+        if np.all(np.abs(moved) <= 1e-13 * (np.abs(s) + 1e-13)):
+            break
+    return s, a, cost
+
+
+def _polish(s, lags, rho):
+    """Gauss-Newton steps from a refined ``s`` for as long as they halve.
+
+    A cost test resolves the rates only to about the square root of its
+    rounding error, while the gradient resolves them to the rounding error
+    itself; so a converged fit is settled by steps toward zero gradient,
+    with :func:`_refine`'s rule for rates on their bounds.  The first step
+    must be below 1e-6 in log-rate: a larger one means a direction the
+    lags do not resolve, which is left as it is.
+    """
+    lo, hi = np.log(RATE_BOUNDS)
+    last = 2e-6
+    for _ in range(DEDM_POLISH_STEPS):
+        _, r, jac = _projection(s, lags, rho)
+        g = jac @ r
+        free = ~(((s <= lo) & (g > 0.0)) | ((s >= hi) & (g < 0.0)))
+        if not free.any():
+            break
+        step = np.zeros(2)
+        step[free] = np.linalg.lstsq(jac[free].T, -r, rcond=None)[0]
+        size = np.max(np.abs(step))
+        if not size < 0.5 * last:
+            break
+        s, last = np.clip(s + step, lo, hi), size
+    return s
+
+
+def _fit_dedm(lags, rho, max_lag_m) -> DedmParams:
+    """Least-squares DEDM over correlogram points, numpy only.
+
+    Variable projection: the weight a is solved out in closed form, which
+    leaves a cost over the two rates, each in :data:`RATE_BOUNDS`.  Each
+    rate is searched on a log scale, from the start (a, p1, p2) =
+    (0.5, 1/(0.05 max_lag_m), 1/(0.7 max_lag_m)) and from
+    :func:`_grid_starts`, by :func:`_refine`, and the lowest cost wins.
+    A fast rate beside a slow component (a < 1) that no lag resolves
+    (moving it to its upper bound raises the cost by less than one part
+    in 1e12) is put on that bound, so the fit does not wander along a
+    flat valley.  :func:`_polish` then settles the rates.  A weight of 0
+    or 1 leaves one rate, and the other is set equal to it.  The faster
+    rate comes first (p1 >= p2).
+    """
+    lo, hi = np.log(RATE_BOUNDS)
+    x0 = np.clip(np.log([1.0 / (0.05 * max_lag_m), 1.0 / (0.7 * max_lag_m)]), lo, hi)
+    fits = [_refine(s, lags, rho) for s in (x0, *_grid_starts(lags, rho))]
+    s, a, cost = min(fits, key=lambda fit: fit[2])
+    if s[0] < s[1]:
+        s, a = s[::-1], 1.0 - a
+
+    def settle(moved):
+        """``moved`` and its weight if it costs at most 1e-12 more."""
+        a_moved, r, _ = _projection(moved, lags, rho)
+        return (moved, a_moved) if r @ r <= cost * (1.0 + 1e-12) else (s, a)
+
+    if a < 1.0:
+        s, a = settle(np.array([hi, s[1]]))
+    s, a = settle(_polish(s, lags, rho))
+    p1, p2 = np.clip(np.exp(s), *RATE_BOUNDS).tolist()
+    if a == 0.0:
+        p1 = p2
+    elif a == 1.0:
+        p2 = p1
+    return DedmParams(a=float(a), p1=p1, p2=p2)
+
+
 def _fit_distance(samples, max_lag_m, n_lags):
     """SF statistics, correlogram and DEDM fit, each computed once.
 
     ``max_lag_m`` defaults to half the bounding-box diagonal of the sample
-    positions.  The three DEDM parameters are estimated by bounded
-    nonlinear least squares over the non-empty lags, with the faster decay
-    first (p1 >= p2).  Returns ``(mu, sigma2, correlogram, dedm)``.
+    positions.  The three DEDM parameters are fitted over the non-empty
+    lags by :func:`_fit_dedm`.  Returns ``(mu, sigma2, correlogram,
+    dedm)``.
     """
-    # Imported here: scipy.optimize adds about 0.1 s to every command's
-    # start-up, and only fitting uses it.
-    from scipy.optimize import least_squares
-
     samples = SfTable.of(samples)
     mu, sigma2 = sf_statistics(samples)
     if sigma2 <= 0.0:
@@ -581,24 +776,8 @@ def _fit_distance(samples, max_lag_m, n_lags):
 
     gram = empirical_correlogram(samples, mu, sigma2, max_lag_m, n_lags)
     mask = gram.counts > 0
-    lags = gram.lag_m[mask]
-    rho = gram.rho[mask]
-
-    def residual(x):
-        a, p1, p2 = x
-        return a * np.exp(-p1 * lags) + (1.0 - a) * np.exp(-p2 * lags) - rho
-
-    x0 = np.array([0.5, 1.0 / (0.05 * max_lag_m), 1.0 / (0.7 * max_lag_m)])
-    result = least_squares(
-        residual,
-        x0,
-        bounds=([0.0, 1e-8, 1e-8], [1.0, 10.0, 10.0]),
-        method="trf",
-    )
-    a, p1, p2 = result.x
-    if p1 < p2:  # canonical order: fast component first
-        a, p1, p2 = 1.0 - a, p2, p1
-    return mu, sigma2, gram, DedmParams(a=float(a), p1=float(p1), p2=float(p2))
+    dedm = _fit_dedm(gram.lag_m[mask], gram.rho[mask], max_lag_m)
+    return mu, sigma2, gram, dedm
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,8 @@ class EvalConfig:
 @dataclass(frozen=True, eq=False)
 class TrialTable(Columns):
     """Per-trial results, one entry per (M, trial, mode) in each column,
-    in run order: by M, then trial, then mode."""
+    in run order: by M, then trial, then mode.  ``floored`` counts the
+    trial's prediction variances floored at zero."""
 
     m: np.ndarray
     mode: np.ndarray
@@ -73,6 +74,7 @@ class TrialTable(Columns):
     nugget_used: np.ndarray
     pi95_coverage: np.ndarray
     zscore_sd: np.ndarray
+    floored: np.ndarray
 
 
 #: The trial columns, in the trials CSV's header order.
@@ -166,6 +168,9 @@ def run_evaluation(
                 with np.errstate(divide="ignore", invalid="ignore"):
                     zscore_sd = float(np.std(err / sd))
                 coverage = float(np.mean(np.abs(err) <= 1.96 * sd))
-                rows.append((m, mode, trial, rmse, nugget, coverage, zscore_sd))
+                floored = int(np.count_nonzero(var == 0.0))
+                rows.append(
+                    (m, mode, trial, rmse, nugget, coverage, zscore_sd, floored)
+                )
     table = TrialTable(*(np.array(column) for column in zip(*rows)))
     return EvalResult(config=config, trials=table)

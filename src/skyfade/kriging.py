@@ -47,8 +47,10 @@ The factor, the solve and the residual product all run in scipy's BLAS:
 numpy and scipy wheels each ship their own OpenBLAS with its own thread
 pool, and mixing the two makes the pools' idle-spinning workers fight over
 the cores.  scipy is imported inside the two functions that call it, at
-the first solve: loading ``scipy.linalg`` costs about 0.1 s and 28 MB at
-start-up, and ``geometry``, ``fit`` and ``simulate`` never solve.
+the first solve: loading ``scipy.linalg`` costs about 0.35 s and 26 MB
+(2 vCPUs, scipy 1.17), most of it in scipy's array-API compatibility
+layer, which imports ``numpy.testing`` and ``numpy.f2py``.  ``geometry``,
+``fit`` and ``simulate`` never solve, so they never pay it.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from skyfade import (
     LinkBudget,
     MeasurementSample,
     SimConfig,
+    dedm_eval,
     synthesize_dataset,
 )
 from skyfade.errors import RowErrors
@@ -43,7 +44,8 @@ def pose_columns(rows):
 
 def trial_table(rows):
     """A :class:`~skyfade.evaluation.TrialTable` of (m, mode, trial, rmse_db,
-    nugget_used, pi95_coverage, zscore_sd) rows, in the given order."""
+    nugget_used, pi95_coverage, zscore_sd, floored) rows, in the given
+    order."""
     return TrialTable(*(np.array(column) for column in zip(*rows)))
 
 
@@ -260,6 +262,39 @@ def gap_benchmark_rows(seed=GAP_BENCHMARK_SEED):
 
 def gap_benchmark_sf(seed=GAP_BENCHMARK_SEED):
     return decompose_all(gap_benchmark_rows(seed))
+
+
+# ---------------------------------------------------------------------------
+# The DEDM fit's oracle: scipy's trust-region reflective least squares, from
+# the start and within the bounds the numpy fit uses (the fit skyfade used
+# before it dropped scipy.optimize).
+
+
+def dedm_cost(params, lags, rho):
+    """Sum of squared DEDM residuals over correlogram points."""
+    r = dedm_eval(params, lags) - rho
+    return float(r @ r)
+
+
+def trf_dedm(lags, rho, max_lag_m):
+    """The DEDM ``scipy.optimize.least_squares`` fits to (lags, rho)."""
+    from scipy.optimize import least_squares
+
+    def residual(x):
+        return x[0] * np.exp(-x[1] * lags) + (1.0 - x[0]) * np.exp(-x[2] * lags) - rho
+
+    x0 = np.array([0.5, 1.0 / (0.05 * max_lag_m), 1.0 / (0.7 * max_lag_m)])
+    a, p1, p2 = least_squares(
+        residual, x0, bounds=([0.0, 1e-8, 1e-8], [1.0, 10.0, 10.0]), method="trf"
+    ).x
+    return DedmParams(float(a), float(p1), float(p2))
+
+
+def no_worse_than_trf(fitted, lags, rho, max_lag_m):
+    """Whether ``fitted`` costs at most the oracle's cost, to 1e-6 relative
+    plus 1e-14."""
+    bound = dedm_cost(trf_dedm(lags, rho, max_lag_m), lags, rho)
+    return dedm_cost(fitted, lags, rho) <= bound * (1.0 + 1e-6) + 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ def read_rows(path):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    """Only fitting uses scipy.optimize, so the other commands do not pay
-    for importing it at start-up."""
+    """No command uses scipy.optimize (the DEDM fit is numpy only), so
+    importing the package must not load it."""
     src = str(Path(skyfade.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import skyfade.cli;"
@@ -50,18 +50,20 @@ def test_import_leaves_scipy_optimize_unloaded():
         ("geometry", []),
         ("predict", ["scipy", "scipy.linalg"]),
         ("simulate-600", []),
+        ("fit", []),
     ],
 )
 def test_only_solving_commands_load_scipy(ws, tmp_path, command, loaded):
     """scipy.linalg loads at the first Kriging solve, so importing the
-    package and running geometry or simulate load no scipy module, and
-    predict loads scipy.linalg but not scipy.optimize.  A 600-row draw
+    package and running geometry, simulate or fit load no scipy module,
+    and predict loads scipy.linalg but not scipy.optimize.  A 600-row draw
     factors its covariance in more than one panel."""
     argv = {
         None: None,
         "simulate": ["--n-samples", "60"],
         "simulate-600": ["--n-samples", "600"],
         "geometry": ["--input", str(ws.small)],
+        "fit": ["--input", str(ws.train)],
         "predict": [
             "--input",
             str(ws.small),
@@ -1140,16 +1142,22 @@ class TestNuggetEscalation:
         assert err == self.WARNING.format(mode="elev_only", what="2 of 2 trials")
         assert "warning" not in out
 
-    def test_floored_variance_warns(self, gap, capsys):
-        # Every tuning geometry appears twice with different SF, and every
-        # target is a tuning geometry: with no nugget the exact variance is
-        # zero, so rounding leaves some computed variances below zero.
+    def twins(self, gap):
+        """The no-nugget truth model and 100 gap-flight poses, each written
+        twice with SF 3 dB apart (200 rows)."""
         exact = gap.root / "exact.json"
         save_model(dataclasses.replace(gap_benchmark_truth(), nugget=0.0), exact)
         rows = gap_benchmark_rows()[::20]
         twins = [dataclasses.replace(r, rsrp_dbm=r.rsrp_dbm + 3.0) for r in rows]
-        tuning = gap.root / "twins.csv"
-        write_dataset_csv(tuning, [r for pair in zip(rows, twins) for r in pair])
+        data = gap.root / "twins.csv"
+        write_dataset_csv(data, [r for pair in zip(rows, twins) for r in pair])
+        return exact, data
+
+    def test_floored_variance_warns(self, gap, capsys):
+        # Every tuning geometry appears twice with different SF, and every
+        # target is a tuning geometry: with no nugget the exact variance is
+        # zero, so rounding leaves some computed variances below zero.
+        exact, tuning = self.twins(gap)
         capsys.readouterr()
         out_csv = gap.root / "twins_predictions.csv"
         argv = ["predict", "--config", str(gap.config), "--input", str(tuning)]
@@ -1163,5 +1171,32 @@ class TestNuggetEscalation:
         assert err == (
             f"warning: angle_aware: {floored} of {len(predictions)} prediction"
             " variances floored at zero\n"
+        )
+        assert "warning" not in out
+
+    def test_evaluate_counts_floored_variances(self, gap, capsys):
+        # The same 200 rows as a flight: a test row whose twin was drawn
+        # into the tuning set has exact variance zero, and evaluate counts
+        # the floored ones per trial and warns once per mode.
+        exact, data = self.twins(gap)
+        config = gap.root / "twins_config.json"
+        doc = json.loads(gap.config.read_text())
+        doc["eval"] = {
+            "m_values": [100], "tests_per_trial": 100, "total_test_predictions": 200
+        }
+        config.write_text(json.dumps(doc))
+        capsys.readouterr()
+        prefix = gap.root / "twins_eval"
+        argv = ["evaluate", "--config", str(config), "--input", str(data)]
+        argv += ["--model", str(exact), "--out", str(prefix), "--mode", "angle_aware"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        trials = read_rows(f"{prefix}_trials.csv")
+        assert [float(t["nugget_used"]) for t in trials] == [0.0, 0.0]
+        floored = sum(int(t["floored"]) for t in trials)
+        assert 0 < floored < 200
+        assert err == (
+            f"warning: angle_aware: {floored} of 200 prediction variances"
+            " floored at zero\n"
         )
         assert "warning" not in out

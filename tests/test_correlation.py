@@ -1,5 +1,6 @@
 """Correlation model: kernels, empirical profiles, distance decay, serialization."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -20,6 +21,8 @@ from _recipes import (
     decompose_all,
     angle_grid_dataset,
     dedm_recovery_sf,
+    gap_benchmark_sf,
+    no_worse_than_trf,
     separation_mean,
     single_exp_sf,
 )
@@ -30,6 +33,7 @@ from skyfade.correlation import (
     DEFAULT_TILT_REPS,
     MODES,
     Q_CAP_DEG,
+    RATE_BOUNDS,
     RHO_FLOOR,
     AngleBins,
     CorrelationModel,
@@ -994,6 +998,56 @@ class TestDistanceDecayFit:
         samples = [mk_sf(w, east=5.0 * i) for i, w in enumerate(rng.normal(size=20))]
         with pytest.raises(ValidationError):
             _fit_distance(samples, 50.0, 2)
+
+
+def half_diagonal(samples):
+    """The fit's default max lag: half the bounding-box diagonal."""
+    g = SfTable.of(samples).geometry
+    return 0.5 * math.hypot(np.ptp(g.east_m), np.ptp(g.north_m))
+
+
+@pytest.fixture(scope="module")
+def gap_fit():
+    samples = SfTable.of(gap_benchmark_sf())
+    return samples, _fit_distance(samples, None, 24)
+
+
+class TestDedmFit:
+    """The numpy-only DEDM fit against scipy's least squares as oracle,
+    and its stability on a fast rate that no lag resolves."""
+
+    @pytest.mark.parametrize(
+        "recipe, max_lag, n_lags",
+        [
+            (dedm_recovery_sf, DEDM_RECOVERY_MAX_LAG, DEDM_RECOVERY_N_LAGS),
+            (single_exp_sf, SINGLE_EXP_MAX_LAG, SINGLE_EXP_N_LAGS),
+        ],
+    )
+    def test_recipes_no_worse_than_trf(self, recipe, max_lag, n_lags):
+        _, _, gram, fitted = _fit_distance(recipe(), max_lag, n_lags)
+        mask = gram.counts > 0
+        assert no_worse_than_trf(fitted, gram.lag_m[mask], gram.rho[mask], max_lag)
+
+    def test_gap_flight_no_worse_than_trf(self, gap_fit):
+        samples, (_, _, gram, fitted) = gap_fit
+        mask = gram.counts > 0
+        lags, rho = gram.lag_m[mask], gram.rho[mask]
+        assert no_worse_than_trf(fitted, lags, rho, half_diagonal(samples))
+
+    def test_unresolved_fast_rate_is_stable(self, gap_fit):
+        # The gap flight's first lag lies far beyond the fast decay length,
+        # so the fast rate is not identifiable and sits on its bound.
+        # Last-bit noise on the SF must not move the weight, the slow rate,
+        # the fitted curve or that bound.
+        samples, (_, _, gram, base) = gap_fit
+        noise = 1e-13 * np.random.default_rng(9).standard_normal(len(samples))
+        noisy = dataclasses.replace(samples, sf_db=samples.sf_db + noise)
+        fitted = _fit_distance(noisy, None, 24)[3]
+        assert fitted.a == pytest.approx(base.a, rel=1e-6)
+        assert fitted.p2 == pytest.approx(base.p2, rel=1e-6)
+        lags = gram.lag_m[gram.counts > 0]
+        assert np.max(np.abs(dedm_eval(fitted, lags) - dedm_eval(base, lags))) < 1e-9
+        assert fitted.p1 == base.p1 == RATE_BOUNDS[1]
 
 
 class TestModelFit:

@@ -493,18 +493,21 @@ class TestWriters:
 
     def test_trials_csv(self, tmp_path):
         config = EvalConfig(m_values=(5,), tests_per_trial=2, total_test_predictions=2)
-        trials = trial_table([(5, "baseline", 0, 3.5, 1e-06, 0.95, 1.25)])
+        trials = trial_table([(5, "baseline", 0, 3.5, 1e-06, 0.95, 1.25, 1)])
         result = EvalResult(config=config, trials=trials)
         path = tmp_path / "trials.csv"
         write_trials_csv(path, result.trials)
         lines = path.read_text().splitlines()
-        # The calibration columns come after the original five.
-        assert lines[0] == "m,mode,trial,rmse_db,nugget_used,pi95_coverage,zscore_sd"
-        assert lines[1] == "5,baseline,0,3.5,1e-06,0.95,1.25"
+        # The calibration columns and the floored count come after the
+        # original five.
+        assert lines[0] == (
+            "m,mode,trial,rmse_db,nugget_used,pi95_coverage,zscore_sd,floored"
+        )
+        assert lines[1] == "5,baseline,0,3.5,1e-06,0.95,1.25,1"
 
     def test_summary_json(self, tmp_path):
         config = EvalConfig(m_values=(5,), tests_per_trial=2, total_test_predictions=2)
-        trials = trial_table([(5, "baseline", 0, 3.5, 0.0, 0.9, 1.5)])
+        trials = trial_table([(5, "baseline", 0, 3.5, 0.0, 0.9, 1.5, 0)])
         result = EvalResult(config=config, trials=trials)
         path = tmp_path / "summary.json"
         write_json(path, result.summary())

@@ -79,7 +79,7 @@ class TestResultAccessors:
             m_values=(10,), tests_per_trial=5, total_test_predictions=15
         )
         rows = [
-            (10, "baseline", trial, rmse, 0.0, math.nan, math.nan)
+            (10, "baseline", trial, rmse, 0.0, math.nan, math.nan, 0)
             for trial, rmse in enumerate((1.0, 9.0, 2.0))
         ]
         return EvalResult(config=config, trials=trial_table(rows))
@@ -102,12 +102,12 @@ class TestResultAccessors:
         # Run order: by M, then trial, then mode, so the two modes
         # interleave; the RMSE values are deliberately unsorted.
         rows = [
-            (10, "baseline", 0, 3.0, 0.0, 0.9, 1.25),
-            (10, "angle_aware", 0, 2.5, 1e-06, 0.95, 1.0),
-            (10, "baseline", 1, 1.0, 0.0, 1.0, math.inf),
-            (10, "angle_aware", 1, 0.5, 1e-05, 0.85, math.nan),
-            (10, "baseline", 2, 2.0, 0.0, 0.8, 0.75),
-            (20, "baseline", 0, 4.0, 0.0, 0.9, 1.5),
+            (10, "baseline", 0, 3.0, 0.0, 0.9, 1.25, 0),
+            (10, "angle_aware", 0, 2.5, 1e-06, 0.95, 1.0, 0),
+            (10, "baseline", 1, 1.0, 0.0, 1.0, math.inf, 0),
+            (10, "angle_aware", 1, 0.5, 1e-05, 0.85, math.nan, 2),
+            (10, "baseline", 2, 2.0, 0.0, 0.8, 0.75, 0),
+            (20, "baseline", 0, 4.0, 0.0, 0.9, 1.5, 0),
         ]
         config = EvalConfig(
             m_values=(10, 20), tests_per_trial=5, total_test_predictions=30
@@ -131,7 +131,7 @@ class TestResultAccessors:
             [v if isinstance(v, str) else repr(v) for v in row] for row in zip(*columns)
         ]
         assert written == expected
-        assert written[3] == ["10", "angle_aware", "1", "0.5", "1e-05", "0.85", "nan"]
+        assert written[3] == ["10", "angle_aware", "1", "0.5", "1e-05", "0.85", "nan", "2"]
 
 
 class TestRunEvaluation:

@@ -6,16 +6,19 @@ import json
 import math
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _recipes import no_worse_than_trf
 from skyfade.correlation import (
     MODES,
     Q_CAP_DEG,
     AngleBins,
     CorrelationModel,
     DedmParams,
+    _fit_dedm,
     correlation_matrix,
+    dedm_eval,
     deserialize_model,
     serialize_model,
 )
@@ -159,3 +162,26 @@ def test_kriging_ignores_training_order(model, nugget, training, targets, mode, 
     shuffled = [training[i] for i in order]
     w_hat_shuffled, _, _ = predict_sf_batch(shuffled, targets, model, mode)
     assert np.max(np.abs(w_hat_shuffled - w_hat)) <= 1e-9
+
+
+@st.composite
+def noisy_dedm_correlograms(draw):
+    """(lags, rho, max lag): a DEDM sampled at 3-30 lags, one inside each
+    of the fit's equal-width bins, plus Gaussian noise.  Each rate's decay
+    length lies between 1/200 and 200 times the max lag."""
+    n = draw(st.integers(3, 30))
+    max_lag = draw(st.floats(20.0, 2000.0))
+    offsets = draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n))
+    lags = (np.arange(n) + np.array(offsets)) * (max_lag / n)
+    rate = st.floats(-2.3, 2.3).map(lambda x: 10.0**x / max_lag)
+    truth = DedmParams(draw(st.floats(0.0, 1.0)), draw(rate), draw(rate))
+    sd = draw(st.sampled_from((1e-4, 1e-2, 0.05, 0.2)))
+    noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    return lags, dedm_eval(truth, lags) + sd * noise, max_lag
+
+
+@settings(max_examples=200)
+@given(noisy_dedm_correlograms())
+def test_dedm_fit_no_worse_than_trf(gram):
+    lags, rho, max_lag = gram
+    assert no_worse_than_trf(_fit_dedm(lags, rho, max_lag), lags, rho, max_lag)
