@@ -62,9 +62,9 @@ Q_CAP_DEG = 1.0e6
 RHO_FLOOR = 1.0e-3
 DEFAULT_MIN_CELL_COUNT = 30
 DEFAULT_NUGGET_FACTOR = 1.0e-6
-#: Output rows filled per pass by :func:`correlation_matrix`; bounds the
-#: size of its per-block temporaries.
-CORRELATION_BLOCK_ROWS = 128
+#: Side of the square output tiles :func:`correlation_matrix` fills; its
+#: temporaries are three tiles of 64K entries, about 1.5 MB.
+CORRELATION_TILE = 256
 #: Pairs per row block of :func:`empirical_correlogram`; bounds its memory.
 CORRELOGRAM_BLOCK_PAIRS = 2**14
 #: Largest share of empty lag bins :func:`empirical_correlogram` accepts.
@@ -81,6 +81,8 @@ DEDM_PROFILE_STEPS = 12
 DEDM_MAX_STEPS = 500
 #: Most Gauss-Newton steps that settle the chosen fit.
 DEDM_POLISH_STEPS = 8
+#: Points of the log-rate grid that settles a lone unresolved DEDM rate.
+LONE_RATE_GRID = 401
 SCHEMA_VERSION = 2
 #: How errors name a model document.
 MODEL_DOC = "model document"
@@ -187,7 +189,7 @@ class DedmParams:
 def dedm_eval(params: DedmParams, d2d_m):
     """Distance correlation at horizontal separation(s) ``d2d_m`` >= 0."""
     d = np.asarray(d2d_m, dtype=float)
-    if np.any(d < 0.0):
+    if not np.all(d >= 0.0):
         raise ValidationError("separations must be non-negative")
     out = params.a * np.exp(-params.p1 * d) + (1.0 - params.a) * np.exp(-params.p2 * d)
     return float(out) if np.isscalar(d2d_m) else out
@@ -301,6 +303,25 @@ def _warped_angles(model, geoms, mode):
     return out
 
 
+def _distance(xa, ya, xb, yb, out=None, work=None):
+    """Horizontal distances sqrt(dx*dx + dy*dy) from each point a to each
+    point b, shape (len(a), len(b)).
+
+    numpy's ``hypot`` is a scalar libm call per pair, several times the
+    cost of this form.  Squares of ENU offsets in metres neither overflow
+    nor, for offsets of a micrometre or more, underflow; the result is
+    within a few ulp of ``hypot``, and exactly symmetric because
+    (-dx)**2 == dx**2.  ``out`` and ``work``, when given, are same-shaped
+    buffers written in place; the distances land in ``out``.
+    """
+    out = np.subtract(xa[:, None], xb[None, :], out=out)
+    work = np.subtract(ya[:, None], yb[None, :], out=work)
+    np.multiply(out, out, out=out)
+    np.multiply(work, work, out=work)
+    np.add(out, work, out=out)
+    return np.sqrt(out, out=out)
+
+
 def correlation_matrix(
     model: CorrelationModel,
     geoms_a,
@@ -315,10 +336,14 @@ def correlation_matrix(
 
     Each sample's warped angles are computed once; an entry is then the
     distance term times one exponential of the summed absolute warped
-    separations.  The output is filled in blocks of
-    :data:`CORRELATION_BLOCK_ROWS` rows, so no other (len(a), len(b))
-    array is allocated; in the square case only the upper triangle is
-    computed and mirrored, which makes the result exactly symmetric.
+    separations.  The output is filled in tiles of at most
+    :data:`CORRELATION_TILE` rows by as many columns.  Each tile's
+    distances, DEDM terms and angular exponent are computed in three
+    preallocated tile-sized buffers, which stay in cache, and only the
+    finished entries are written to the output; so no temporary grows with
+    either side.  In the square case only the tiles on and above the
+    diagonal are computed and each is mirrored below it, which makes the
+    result exactly symmetric.
     """
     check_mode(mode)
     square = geoms_b is None
@@ -332,24 +357,37 @@ def correlation_matrix(
 
     ea, na, eb, nb = a.east_m, a.north_m, b.east_m, b.north_m
     out = np.empty((ea.size, eb.size))
-    for r0 in range(0, ea.size, CORRELATION_BLOCK_ROWS):
-        rows = slice(r0, r0 + CORRELATION_BLOCK_ROWS)
-        cols = slice(r0 if square else 0, None)
-        block = out[rows, cols]
-        dist = np.hypot(
-            ea[rows, None] - eb[None, cols], na[rows, None] - nb[None, cols]
-        )
-        r_d = dedm_eval(model.dedm, dist)
-        if warps:
-            expo = np.zeros_like(block)
-            for wa, wb in warps:
-                expo -= np.abs(wa[rows, None] - wb[None, cols])
-            np.exp(expo, out=expo)
-            np.multiply(r_d, expo, out=block)
-        else:
-            block[...] = r_d
-        if square:
-            out[rows.stop:, rows] = out[rows, rows.stop:].T
+    p1, p2, w1 = model.dedm.p1, model.dedm.p2, model.dedm.a
+    t = CORRELATION_TILE
+    buffers = np.empty((3, min(t, ea.size) * min(t, eb.size)))
+    for r0 in range(0, ea.size, t):
+        rows = slice(r0, r0 + t)
+        for c0 in range(r0 if square else 0, eb.size, t):
+            cols = slice(c0, c0 + t)
+            block = out[rows, cols]
+            # Flat buffers viewed at the tile's shape: every pass is contiguous.
+            d, e1, x = (buf[: block.size].reshape(block.shape) for buf in buffers)
+            _distance(ea[rows], na[rows], eb[cols], nb[cols], d, e1)
+            # dedm_eval(model.dedm, d), computed in place.
+            np.multiply(d, -p1, out=e1)
+            np.exp(e1, out=e1)
+            e1 *= w1
+            np.multiply(d, -p2, out=d)
+            np.exp(d, out=d)
+            d *= 1.0 - w1
+            if not warps:
+                np.add(e1, d, out=block)
+            else:
+                d += e1
+                x.fill(0.0)
+                for wa, wb in warps:
+                    np.subtract(wa[rows, None], wb[None, cols], out=e1)
+                    np.abs(e1, out=e1)
+                    x -= e1
+                np.exp(x, out=x)
+                np.multiply(d, x, out=block)
+            if square and c0 > r0:
+                out[cols, rows] = block.T
     return out
 
 
@@ -514,10 +552,13 @@ def empirical_correlogram(
     Raises :class:`InsufficientCoverageError` when more than
     :data:`EMPTY_LAG_TOL` of the lags are empty.
 
-    Memory is O(n): row blocks of about ``CORRELOGRAM_BLOCK_PAIRS`` pairs.
-    The sums are bitwise one ``bincount`` per 512-row chunk over its pairs
-    in row-major order, added chunk by chunk: the DEDM's fast rate is not
-    identifiable, so another summation order can move the fitted model.
+    Memory is O(n): row blocks of about ``CORRELOGRAM_BLOCK_PAIRS`` pairs,
+    whose distances :func:`_distance` computes.  The sums are bitwise one
+    ``bincount`` per 512-row chunk over its pairs in row-major order, added
+    chunk by chunk, whatever the block size: so the correlogram and the
+    model fitted to it do not depend on how the pass bounds its memory,
+    and a plain per-chunk reference pins every bit, which makes any change
+    to the pass that moves an output show in the tests.
     """
     if n_lags < 1:
         raise ValidationError("need n_lags >= 1")
@@ -543,8 +584,7 @@ def empirical_correlogram(
         r0 = i0
         while r0 < i1:
             r1 = min(r0 + max(1, CORRELOGRAM_BLOCK_PAIRS // (n - r0)), i1)
-            d = east[r0:r1, None] - east[None, r0:]
-            np.hypot(d, north[r0:r1, None] - north[None, r0:], out=d)
+            d = _distance(east[r0:r1], north[r0:r1], east[r0:], north[r0:])
             keep = d < max_lag_m
             keep[:, : r1 - r0] &= ~np.tri(r1 - r0, dtype=bool)  # column > row
             dk = d[keep]
@@ -714,6 +754,30 @@ def _polish(s, lags, rho):
     return s
 
 
+def _lone_rate(s, lags, rho, max_lag_m):
+    """The log-rate of a one-exponential fit (a = 0 or 1), given its fitted
+    log-rate ``s``, settled by a fixed rule where no lag resolves it.
+
+    The largest rate considered is the upper rate bound or, if smaller,
+    the rate whose curve reaches the smallest normal float at
+    ``max_lag_m``, so the curve does not underflow to 0 within the lag
+    range.  If moving ``s`` there raises the cost by less than one part in
+    1e12, no lag resolves the rate: where the fit stopped along that flat
+    valley depends on its start and on the last bits of the correlogram.
+    The rate is then the smallest on a fixed :data:`LONE_RATE_GRID` point
+    log grid up to that largest rate that costs at most one part in 1e12
+    more than the lower of the two costs.  Otherwise ``s`` is kept.
+    """
+    lo, hi = np.log(RATE_BOUNDS)
+    top = math.log(-math.log(np.finfo(float).tiny) / max_lag_m)
+    grid = np.linspace(lo, np.clip(top, lo, hi), LONE_RATE_GRID)
+    r = np.exp(-np.exp(np.append(grid, s))[:, None] * lags) - rho
+    cost = np.sum(r * r, axis=1)
+    if not cost[-2] <= cost[-1] * (1.0 + 1e-12):
+        return s
+    return grid[np.argmax(cost[:-1] <= min(cost[-2:]) * (1.0 + 1e-12))]
+
+
 def _fit_dedm(lags, rho, max_lag_m) -> DedmParams:
     """Least-squares DEDM over correlogram points, numpy only.
 
@@ -726,8 +790,9 @@ def _fit_dedm(lags, rho, max_lag_m) -> DedmParams:
     (moving it to its upper bound raises the cost by less than one part
     in 1e12) is put on that bound, so the fit does not wander along a
     flat valley.  :func:`_polish` then settles the rates.  A weight of 0
-    or 1 leaves one rate, and the other is set equal to it.  The faster
-    rate comes first (p1 >= p2).
+    or 1 leaves one rate, which :func:`_lone_rate` settles where no lag
+    resolves it, and the other is set equal to it.  The faster rate comes
+    first (p1 >= p2).
     """
     lo, hi = np.log(RATE_BOUNDS)
     x0 = np.clip(np.log([1.0 / (0.05 * max_lag_m), 1.0 / (0.7 * max_lag_m)]), lo, hi)
@@ -744,11 +809,9 @@ def _fit_dedm(lags, rho, max_lag_m) -> DedmParams:
     if a < 1.0:
         s, a = settle(np.array([hi, s[1]]))
     s, a = settle(_polish(s, lags, rho))
+    if a in (0.0, 1.0):
+        s = np.full(2, _lone_rate(s[0] if a == 1.0 else s[1], lags, rho, max_lag_m))
     p1, p2 = np.clip(np.exp(s), *RATE_BOUNDS).tolist()
-    if a == 0.0:
-        p1 = p2
-    elif a == 1.0:
-        p2 = p1
     return DedmParams(a=float(a), p1=p1, p2=p2)
 
 

@@ -27,7 +27,7 @@ from _recipes import (
     single_exp_sf,
 )
 from skyfade.correlation import (
-    CORRELATION_BLOCK_ROWS,
+    CORRELATION_TILE,
     DEFAULT_ELEV_REPS,
     DEFAULT_MIN_CELL_COUNT,
     DEFAULT_TILT_REPS,
@@ -181,8 +181,9 @@ class TestDistanceDecay:
             DedmParams(0.5, 0.0, 0.01)
         with pytest.raises(ValidationError):
             DedmParams(0.5, math.inf, 0.01)
-        with pytest.raises(ValidationError):
-            dedm_eval(DedmParams(0.5, 0.1, 0.01), -1.0)
+        for bad in (-1.0, math.nan, [0.0, math.nan]):
+            with pytest.raises(ValidationError, match="must be non-negative"):
+                dedm_eval(DedmParams(0.5, 0.1, 0.01), bad)
 
 
 def oracle_rate(cell):
@@ -538,8 +539,8 @@ def edge_case_geoms(n, seed):
 
 
 def block_edge_indices(n, seed):
-    """Indices on both sides of every row-block boundary, plus random ones."""
-    b = CORRELATION_BLOCK_ROWS
+    """Indices on both sides of every tile boundary, plus random ones."""
+    b = CORRELATION_TILE
     edges = {0, n - 1}
     for start in range(b, n, b):
         edges.update((start - 1, start))
@@ -576,6 +577,20 @@ class TestCorrelationKernel:
             for j in block_edge_indices(333, seed=36):
                 expect = oracle_correlation(model, ga[i], gb[j], mode)
                 assert abs(mat[i, j] - expect) <= 1e-12
+
+    def test_memory_is_the_output_plus_tiles(self):
+        # Three 256 x 256 tile buffers are 1.5 MB; a temporary as wide as
+        # the matrix (a 128 x n one is 3 MB here) would break the bound.
+        n = 3000
+        model = edge_case_model()
+        geoms = Geometry.of(edge_case_geoms(n, seed=39))
+        tracemalloc.start()
+        try:
+            correlation_matrix(model, geoms)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * n + 2 * 2**20
 
     def test_rectangular_block_of_square(self):
         model = edge_case_model()
@@ -839,7 +854,8 @@ def oracle_correlogram(east, north, w, mu, sigma2, max_lag, n_lags):
     pairs in row-major order, added to the totals chunk by chunk."""
     n = east.size
     i, j = np.triu_indices(n, 1)
-    d = np.hypot(east[i] - east[j], north[i] - north[j])
+    dx, dy = east[i] - east[j], north[i] - north[j]
+    d = np.sqrt(dx * dx + dy * dy)
     prod = (w[i] - mu) * (w[j] - mu)
     bins = np.minimum((d / (max_lag / n_lags)).astype(np.int64), n_lags - 1)
     sums = np.zeros((2, n_lags))
@@ -892,7 +908,9 @@ class TestCorrelogram:
         mu, sigma2, max_lag, n_lags = 0.3, 4.0, 200.0, 10
         gram = empirical_correlogram(samples, mu, sigma2, max_lag, n_lags)
 
-        dist = np.hypot(east[:, None] - east[None, :], north[:, None] - north[None, :])
+        dx = east[:, None] - east[None, :]
+        dy = north[:, None] - north[None, :]
+        dist = np.sqrt(dx * dx + dy * dy)
         iu = np.triu_indices(n, 1)
         d = dist[iu]
         prod = np.outer(w - mu, w - mu)[iu]
@@ -1048,6 +1066,22 @@ class TestDedmFit:
         lags = gram.lag_m[gram.counts > 0]
         assert np.max(np.abs(dedm_eval(fitted, lags) - dedm_eval(base, lags))) < 1e-9
         assert fitted.p1 == base.p1 == RATE_BOUNDS[1]
+
+    def test_unresolved_lone_rate_is_stable(self):
+        # White noise (the SF of test_single_elev_bin_warns_but_fits): the
+        # fit is one exponential (a = 1) that is negligible at every lag,
+        # so no lag resolves its rate.  Last-bit noise on the SF must not
+        # move it, and the curve must not underflow to 0 within the max lag.
+        rng = np.random.default_rng(60)
+        east = rng.uniform(0.0, 400.0, 2000)
+        samples = sf_columns(east, np.zeros(2000), rng.normal(0.0, 2.0, 2000))
+        base = _fit_distance(samples, 300.0, 8)[3]
+        for seed in range(4):
+            noise = 1e-13 * np.random.default_rng(seed).standard_normal(len(samples))
+            noisy = dataclasses.replace(samples, sf_db=samples.sf_db + noise)
+            assert _fit_distance(noisy, 300.0, 8)[3] == base
+        assert base.a == 1.0
+        assert dedm_eval(base, 300.0) > 0.0
 
 
 class TestModelFit:

@@ -16,6 +16,7 @@ from skyfade.correlation import (
     AngleBins,
     CorrelationModel,
     DedmParams,
+    _distance,
     _fit_dedm,
     correlation_matrix,
     dedm_eval,
@@ -185,3 +186,23 @@ def noisy_dedm_correlograms(draw):
 def test_dedm_fit_no_worse_than_trf(gram):
     lags, rho, max_lag = gram
     assert no_worse_than_trf(_fit_dedm(lags, rho, max_lag), lags, rho, max_lag)
+
+
+# ENU coordinates in metres, each 0 or at least a micrometre in size: no
+# squared offset overflows or underflows.
+enu = st.one_of(st.just(0.0), st.floats(1e-6, 1e7), st.floats(-1e7, -1e-6))
+points = st.lists(st.tuples(enu, enu), min_size=1, max_size=8)
+
+
+@given(points, points, st.data())
+def test_distance_symmetric_and_within_4_ulp_of_hypot(a, b, data):
+    b = b + data.draw(st.lists(st.sampled_from(a), max_size=3))
+    (xa, ya), (xb, yb) = np.array(a).T, np.array(b).T
+    d = _distance(xa, ya, xb, yb)
+    assert np.array_equal(d, _distance(xb, yb, xa, ya).T)
+    for i, (x0, y0) in enumerate(a):
+        for j, (x1, y1) in enumerate(b):
+            h = math.hypot(x0 - x1, y0 - y1)
+            assert abs(d[i, j] - h) <= 4.0 * math.ulp(h)
+            if (x0, y0) == (x1, y1):
+                assert d[i, j] == 0.0
