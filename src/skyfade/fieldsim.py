@@ -12,10 +12,14 @@ seed with fixed per-purpose stream offsets (trajectory, field, noise), so
 a config reproduces its dataset bit for bit.
 
 The field draw holds one n x n matrix: the covariance is factored in its
-own buffer by a blocked Cholesky written in numpy alone (``simulate``
-loads no scipy), so 5000 samples need 200 MB rather than three times that.
-A merely semidefinite covariance falls back to a spectral square root,
-which holds two: the covariance and the eigenvectors, scaled in place.
+own buffer by the Kriging solve's block Cholesky
+(:func:`skyfade.kriging._cholesky_in_place`, numpy alone), so 5000
+samples need 200 MB rather than three times that.  That factor works in
+diagonal tiles of fewer than 128 rows, where numpy's LAPACK calls still
+run on one thread, and leaves the work that grows as n^3 to matrix
+products.  A merely semidefinite covariance falls back to a spectral
+square root, which holds two: the covariance and the eigenvectors, scaled
+in place.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 from .correlation import CorrelationModel, covariance_matrix, serialize_model
 from .errors import NotPositiveDefiniteError, RowErrors, ValidationError
 from .geometry import MeasurementSample, enu_to_geodetic, tilt_geometry
-from .kriging import _restore_lower
+from .kriging import _TILE, _TILE_LOWER, _cholesky_in_place, _restore_lower
 from .propagation import LinkBudget, link_rsrp
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -36,10 +40,6 @@ MAX_FIELD_SAMPLES = 5000
 _STREAM_TRAJECTORY = 1
 _STREAM_FIELD = 2
 _STREAM_NOISE = 3
-# Column width of the blocked Cholesky's panels.  Wider panels run no
-# faster and raise the factor's temporaries.
-_PANEL = 256
-_LOWER = np.tri(_PANEL, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -225,48 +225,13 @@ def _check_field_size(n: int) -> None:
         )
 
 
-def _cholesky_in_place(a) -> None:
-    """Overwrite the lower triangle of the symmetric matrix ``a`` with its
-    Cholesky factor L (a = L L^T), reading only that triangle.
-
-    Right-looking block Cholesky (Golub & Van Loan, *Matrix Computations*,
-    4th ed., sec. 4.2.9; the scheme of LAPACK's ``dpotrf``) over
-    :data:`_PANEL`-column panels: factor the diagonal tile, solve the
-    panel below it through the tile's inverse, and subtract the panel's
-    outer product from the trailing lower triangle a row chunk at a time.
-    Temporaries are O(n * _PANEL), and the strict upper triangle of ``a``
-    is never written.  Raises ``np.linalg.LinAlgError`` at the first tile
-    that is not positive definite, with ``a`` partly overwritten.
-    """
-    n = a.shape[0]
-    for k0 in range(0, n, _PANEL):
-        k1 = min(k0 + _PANEL, n)
-        tile = a[k0:k1, k0:k1]
-        l11 = np.linalg.cholesky(tile)
-        np.copyto(tile, l11, where=_LOWER[: k1 - k0, : k1 - k0])
-        if k1 == n:
-            return
-        l21 = a[k1:, k0:k1]
-        l21[...] = l21 @ np.linalg.inv(l11).T
-        for i0 in range(k1, n, _PANEL):
-            i1 = min(i0 + _PANEL, n)
-            update = l21[i0 - k1 : i1 - k1] @ l21[: i1 - k1].T
-            a[i0:i1, k1:i0] -= update[:, : i0 - k1]
-            diag = a[i0:i1, i0:i1]
-            np.subtract(
-                diag, update[:, i0 - k1 :], out=diag, where=_LOWER[: i1 - i0, : i1 - i0]
-            )
-            # Free this chunk's product before the next one is formed.
-            del update
-
-
 def _lower_matvec(a, g) -> np.ndarray:
     """L @ g for the lower triangle L of ``a``, a row block at a time."""
     n = a.shape[0]
     out = np.empty(n)
-    for i0 in range(0, n, _PANEL):
-        i1 = min(i0 + _PANEL, n)
-        tile = np.where(_LOWER[: i1 - i0, : i1 - i0], a[i0:i1, i0:i1], 0.0)
+    for i0 in range(0, n, _TILE):
+        i1 = min(i0 + _TILE, n)
+        tile = np.where(_TILE_LOWER[: i1 - i0, : i1 - i0], a[i0:i1, i0:i1], 0.0)
         out[i0:i1] = a[i0:i1, :i0] @ g[:i0] + tile @ g[i0:i1]
     return out
 

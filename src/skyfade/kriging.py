@@ -43,14 +43,18 @@ reads the explicit, intact C over every right-hand side) and lambda^T c0
 work through a block of 128 columns at a time, so their temporaries are
 M x 128 whatever k is.
 
-The factor, the solve and the residual product all run in scipy's BLAS:
-numpy and scipy wheels each ship their own OpenBLAS with its own thread
-pool, and mixing the two makes the pools' idle-spinning workers fight over
-the cores.  scipy is imported inside the two functions that call it, at
-the first solve: loading ``scipy.linalg`` costs about 0.35 s and 26 MB
-(2 vCPUs, scipy 1.17), most of it in scipy's array-API compatibility
-layer, which imports ``numpy.testing`` and ``numpy.f2py``.  ``geometry``,
-``fit`` and ``simulate`` never solve, so they never pay it.
+The factor and the triangular solves are numpy alone, and the field draw
+in :mod:`fieldsim` shares the factor: a left-looking block Cholesky over
+diagonal tiles of :data:`_TILE` rows, each tile factored by numpy's
+``cholesky`` and inverted once, its inverse then serving the panel below
+it and both triangular solves.  The tiles stay below 128 rows because
+numpy's OpenBLAS runs LAPACK multi-threaded from 128 up: on 2 vCPUs a
+128 x 128 ``cholesky`` takes 2.9 ms and a 96 x 96 one 40 us.  The
+tiles' own calls stay cheap that way, and the work that grows as M^3 runs
+in matrix products, which use every core.  Everything runs in numpy's one
+OpenBLAS: the solve loads no second linear-algebra library, whose import
+cost ``predict`` and ``evaluate`` about 0.3 s and 28 MB at their first
+solve.
 """
 
 from __future__ import annotations
@@ -75,6 +79,10 @@ MAX_ESCALATIONS = 6
 # weights' formation, the residual and the variance.
 _BLOCK = 128
 _STRICT_LOWER = np.tri(_BLOCK, k=-1, dtype=bool)
+# Rows per diagonal tile of the Cholesky factor; below 128, where numpy's
+# LAPACK calls turn multi-threaded (see the module docstring).
+_TILE = 96
+_TILE_LOWER = np.tri(_TILE, dtype=bool)
 
 
 @dataclass
@@ -187,36 +195,94 @@ def _restore_lower(work, diag):
     work[np.diag_indices(m)] = diag
 
 
+def _cholesky_in_place(a) -> list[np.ndarray]:
+    """Overwrite the lower triangle of the C-ordered symmetric matrix ``a``
+    with its Cholesky factor L (a = L L^T), reading only that triangle,
+    and return the inverses of L's diagonal tiles, in order.
+
+    Left-looking block Cholesky (Golub & Van Loan, *Matrix Computations*,
+    4th ed., sec. 4.2) over :data:`_TILE`-row diagonal tiles: each block
+    column subtracts the product of the factored rows to its left, the
+    tile on top is factored and inverted, and the panel below it is
+    multiplied by the inverse's transpose.  Temporaries are O(n * _TILE),
+    and the strict upper triangle of ``a`` is never written.  Raises
+    ``np.linalg.LinAlgError`` at the first tile that is not positive
+    definite, with ``a`` partly overwritten.
+    """
+    n = a.shape[0]
+    inverses = []
+    buf = np.empty((n, min(n, _TILE)))
+    for k0 in range(0, n, _TILE):
+        k1 = min(k0 + _TILE, n)
+        width = k1 - k0
+        tile = a[k0:k1, k0:k1]
+        panel = a[k1:, k0:k1]
+        if k0:
+            prod = np.matmul(a[k0:, :k0], a[k0:k1, :k0].T, out=buf[: n - k0, :width])
+            l11 = np.linalg.cholesky(tile - prod[:width])
+            panel -= prod[width:]
+        else:
+            l11 = np.linalg.cholesky(tile)
+        np.copyto(tile, l11, where=_TILE_LOWER[:width, :width])
+        inv = np.linalg.inv(l11)
+        inverses.append(inv)
+        if k1 < n:
+            np.copyto(panel, np.matmul(panel, inv.T, out=buf[: n - k1, :width]))
+    return inverses
+
+
+def _cholesky_solve_in_place(a, inverses, b) -> None:
+    """Overwrite ``b`` with C^-1 b, where :func:`_cholesky_in_place` left
+    the factor L of C = L L^T in ``a`` and returned ``inverses``: forward
+    with L, then back with L^T, one tile of rows at a time, through one
+    (tile, k) temporary for k columns of ``b``."""
+    n = a.shape[0]
+    tiles = [(k0, min(k0 + _TILE, n), inv)
+             for k0, inv in zip(range(0, n, _TILE), inverses)]
+    tmp = np.empty((min(n, _TILE),) + b.shape[1:])
+    for k0, k1, inv in tiles:
+        rows, out = b[k0:k1], tmp[: k1 - k0]
+        if k0:
+            rows -= np.matmul(a[k0:k1, :k0], b[:k0], out=out)
+        np.copyto(rows, np.matmul(inv, rows, out=out))
+    for k0, k1, inv in reversed(tiles):
+        rows, out = b[k0:k1], tmp[: k1 - k0]
+        if k1 < n:
+            rows -= np.matmul(a[k1:, k0:k1].T, b[k1:], out=out)
+        np.copyto(rows, np.matmul(inv.T, rows, out=out))
+
+
 def _cholesky_schur(cov, rhs, shift):
     """Solve by Cholesky of C, eliminating the unbiasedness row.
 
     With C [Y | a] = [rhs | 1], the multipliers are the Schur complement
     solution nu = (1^T Y - 1) / (1^T a) and the weights are Y - a nu^T.
     Returns (lambda, nu), or None when C (diagonal shifted by ``shift``)
-    is not numerically positive definite.  lambda is a Fortran-ordered
-    view of the one (M, k + 1) buffer that holds the right-hand sides, the
-    solution and then the weights, formed a block of columns at a time.
+    is not numerically positive definite.  lambda is a view of the one
+    (M, k + 1) buffer that holds the right-hand sides, the solution and
+    then the weights, formed a block of columns at a time.
 
     C is factored in place and given back bitwise as it came, whether or
     not the factor succeeds; this requires C to be exactly symmetric.
     """
-    import scipy.linalg
-
     m, k = rhs.shape
-    # The transpose of a C-ordered matrix is the Fortran-ordered view that
-    # LAPACK factors in place; any other layout is copied here.
-    work = np.asfortranarray(cov.T)
+    # The factor runs on a C-ordered matrix.  A Fortran-ordered C is the
+    # transpose of one, with the same entries since C = C^T, so every
+    # layout factors the same numbers the same way; any other layout is
+    # copied here.
+    if cov.flags.f_contiguous and not cov.flags.c_contiguous:
+        work = cov.T
+    else:
+        work = np.ascontiguousarray(cov)
     diag = work.diagonal().copy()
     work[np.diag_indices(m)] += shift
-    b = np.empty((m, k + 1), order="F")
-    b[:, :k] = rhs
-    b[:, k] = 1.0
     try:
-        factor = scipy.linalg.cho_factor(
-            work, lower=True, overwrite_a=True, check_finite=False
-        )
-        b = scipy.linalg.cho_solve(factor, b, overwrite_b=True, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError):
+        inverses = _cholesky_in_place(work)
+        b = np.empty((m, k + 1))
+        b[:, :k] = rhs
+        b[:, k] = 1.0
+        _cholesky_solve_in_place(work, inverses, b)
+    except np.linalg.LinAlgError:
         return None
     finally:
         # The factor overwrote the lower triangle only; C = C^T restores it.
@@ -233,26 +299,20 @@ def _augmented_residual(cov, shift, rhs, lam, nu):
     """Largest |A x - b| entry of the augmented system for x = (lambda; nu),
     over every column, one block of columns at a time.
 
-    C lambda is the product of the explicit C: C^T is the Fortran-ordered
-    view of a C-ordered C, and GEMM transposes it back, so scipy copies
-    neither it nor a Fortran-ordered block of lambda, and writes each
-    block's product into the one Fortran-ordered tile.
+    C lambda is the product of the explicit C: each block is formed as
+    (C lambda)^T = lambda^T C^T, which reads C itself through its
+    transpose, into one reused (block, M) tile.
     """
-    from scipy.linalg.blas import dgemm
-
     m, k = lam.shape
     peaks = [np.abs(lam.sum(axis=0) - 1.0).max()]
-    tile = np.empty((m, min(k, _BLOCK)), order="F")
+    tile = np.empty((min(k, _BLOCK), m))
     for j0 in range(0, k, _BLOCK):
         j1 = min(j0 + _BLOCK, k)
-        top = dgemm(
-            1.0, cov.T, lam[:, j0:j1], trans_a=True,
-            c=tile[:, : j1 - j0], overwrite_c=True,
-        )
+        top = np.matmul(lam[:, j0:j1].T, cov.T, out=tile[: j1 - j0])
         if shift:
-            top += shift * lam[:, j0:j1]
-        top += nu[j0:j1]
-        top -= rhs[:, j0:j1]
+            top += shift * lam[:, j0:j1].T
+        top += nu[j0:j1, None]
+        top -= rhs[:, j0:j1].T
         peaks.append(np.abs(top, out=top).max())
     return float(np.max(peaks))
 

@@ -43,21 +43,13 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 @pytest.mark.parametrize(
-    "command, loaded",
-    [
-        (None, []),
-        ("simulate", []),
-        ("geometry", []),
-        ("predict", ["scipy", "scipy.linalg"]),
-        ("simulate-600", []),
-        ("fit", []),
-    ],
+    "command",
+    [None, "simulate", "geometry", "predict", "evaluate", "simulate-600", "fit"],
 )
-def test_only_solving_commands_load_scipy(ws, tmp_path, command, loaded):
-    """scipy.linalg loads at the first Kriging solve, so importing the
-    package and running geometry, simulate or fit load no scipy module,
-    and predict loads scipy.linalg but not scipy.optimize.  A 600-row draw
-    factors its covariance in more than one panel."""
+def test_no_command_loads_scipy(ws, tmp_path, command):
+    """The Kriging solve, the field draw and the DEDM fit are numpy only,
+    so importing the package and running any command loads no scipy
+    module.  A 600-row draw factors its covariance in more than one tile."""
     argv = {
         None: None,
         "simulate": ["--n-samples", "60"],
@@ -72,6 +64,7 @@ def test_only_solving_commands_load_scipy(ws, tmp_path, command, loaded):
             "--model",
             str(ws.exact_model),
         ],
+        "evaluate": ["--input", str(ws.small), "--model", str(ws.exact_model)],
     }[command]
     if argv is not None:
         name = command.split("-")[0]
@@ -80,15 +73,15 @@ def test_only_solving_commands_load_scipy(ws, tmp_path, command, loaded):
     code = (
         f"import json, sys; sys.path.insert(0, {src!r}); import skyfade, skyfade.cli;"
         f" rc = skyfade.cli.main({argv!r}) if {argv!r} else 0;"
-        " print(json.dumps([rc, sorted(m for m in ('scipy', 'scipy.linalg',"
-        " 'scipy.optimize') if m in sys.modules)]))"
+        " print(json.dumps([rc, sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy')]))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     rc, modules = json.loads(out.stdout.splitlines()[-1])
     assert rc == 0
-    assert modules == loaded
+    assert modules == []
 
 
 def test_public_names_resolve():

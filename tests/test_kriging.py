@@ -17,10 +17,14 @@ from skyfade.correlation import (
 from skyfade.errors import SingularSystemError, ValidationError
 from skyfade.geometry import Geometry
 from skyfade.kriging import (
+    _TILE,
     RESIDUAL_TOL,
     KrigingSystem,
     _augmented_residual,
+    _cholesky_in_place,
     _cholesky_schur,
+    _cholesky_solve_in_place,
+    _restore_lower,
     _solve_augmented,
     _solve_weights,
     assemble_system,
@@ -336,14 +340,16 @@ class TestInPlaceFactor:
 
     def test_batch_holds_three_buffers(self):
         # C (8 M^2 bytes), the target covariances and the one solution
-        # buffer (8 M k bytes each), plus M x 128 block temporaries: about
-        # 8 M^2 + 2.25 * 8 M k traced.  A separate (M + 1, k) weights array
-        # and full-width temporaries would trace about 8 M^2 + 4 * 8 M k.
+        # buffer (8 M k bytes each), plus the factor's diagonal-tile
+        # inverses (8 M * 96 bytes in all) and M x 128 block temporaries:
+        # about 8 M^2 + 2.4 * 8 M k traced.  A separate (M + 1, k) weights
+        # array and full-width temporaries would trace about
+        # 8 M^2 + 4 * 8 M k.  No module loads at the first solve, so the
+        # traced call needs no untraced one before it.
         m, k = 1500, 600
         model = smooth_model(nugget=1e-4)
         training = SfTable.of(scattered_samples(m, seed=45))
         targets = [s.geometry for s in scattered_samples(k, seed=46)]
-        predict_sf_batch(training, targets[:1], model)  # loads scipy untraced
         tracemalloc.start()
         try:
             predict_sf_batch(training, targets, model)
@@ -351,6 +357,59 @@ class TestInPlaceFactor:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * m * m + 2.5 * 8 * m * k
+
+
+def random_spd(n, seed):
+    """A well-conditioned symmetric positive definite n x n matrix."""
+    x = np.random.default_rng(seed).standard_normal((n, n))
+    return x @ x.T / n + np.eye(n)
+
+
+class TestTiledCholesky:
+    """The one block Cholesky and its triangular solves, with scipy's
+    LAPACK ``dpotrf``/``dpotrs`` as oracle."""
+
+    @pytest.mark.parametrize("n", [1, _TILE - 1, _TILE, _TILE + 1, 3 * _TILE + 5])
+    def test_factor_and_solve_match_lapack(self, n):
+        import scipy.linalg
+
+        a = random_spd(n, seed=n)
+        work = a.copy()
+        inverses = _cholesky_in_place(work)
+        expect = scipy.linalg.cho_factor(a, lower=True)
+        lower = np.tril(work)
+        assert np.abs(lower - np.tril(expect[0])).max() <= 1e-12 * np.abs(lower).max()
+        assert len(inverses) == -(-n // _TILE)
+        upper = np.triu_indices(n, 1)
+        assert np.array_equal(work[upper], a[upper])
+        for k in (1, 7, 130):
+            rhs = np.random.default_rng(k).standard_normal((n, k))
+            b = rhs.copy()
+            _cholesky_solve_in_place(work, inverses, b)
+            x = scipy.linalg.cho_solve(expect, rhs)
+            assert np.abs(b - x).max() <= 1e-12 * np.abs(x).max()
+
+    # The first failing pivot: the first row, a tile's last and first rows,
+    # and a row inside the third tile.
+    @pytest.mark.parametrize("k", [1, _TILE, _TILE + 1, 2 * _TILE + 3])
+    def test_first_indefinite_minor_raises_and_restores(self, k):
+        n = 3 * _TILE + 5
+        a = random_spd(n, seed=k)
+        # Lower the k-th pivot to -1: the leading (k - 1) x (k - 1) minor
+        # stays positive definite and the k x k one is not.
+        head, col = a[: k - 1, : k - 1], a[: k - 1, k - 1]
+        a[k - 1, k - 1] = col @ np.linalg.solve(head, col) - 1.0
+        np.linalg.cholesky(head)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(a[:k, :k])
+        work = a.copy()
+        diag = work.diagonal().copy()
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky_in_place(work)
+        upper = np.triu_indices(n, 1)
+        assert np.array_equal(work[upper], a[upper])
+        _restore_lower(work, diag)
+        assert np.array_equal(work, a)
 
 
 class TestAssembly:
