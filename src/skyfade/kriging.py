@@ -35,13 +35,18 @@ That mirror needs C exactly symmetric: the solve checks this first and
 raises ValidationError naming the first asymmetric entry, which no valid
 covariance has.
 
-For k targets a solve holds three buffers: the M x M matrix C, the
-caller's (M, k) target covariances c0, and one (M, k + 1) buffer that
-takes [c0 | 1], is overwritten by the triangular solves with [Y | a], and
-then holds lambda over Y.  The weights' formation, the residual (which
-reads the explicit, intact C over every right-hand side) and lambda^T c0
-work through a block of 128 columns at a time, so their temporaries are
-M x 128 whatever k is.
+For k targets :func:`predict_sf_batch` holds two large buffers: the
+M x M matrix C and one (M, k + 1) buffer.  The target covariances c0 are
+built straight into that buffer as [c0 | 1], 128 columns at a time; the
+triangular solves overwrite it with [Y | a], and it then holds lambda
+over Y.  No separate c0 is kept: with more than 128 targets, the one
+walk that forms the residual (which reads the explicit, intact C over
+every right-hand side) and lambda^T c0 builds each 128-column block of c0
+again with the same call, which gives bitwise the same columns because
+every entry is computed on its own.  Up to 128 targets, c0 is one block,
+built once and kept.  The weights' formation, the residual and
+lambda^T c0 work in M x 128 and 128 x M tiles, so beyond C and the
+buffer the temporaries are O(M x 128) whatever k is.
 
 The factor and the triangular solves are numpy alone, and the field draw
 in :mod:`fieldsim` shares the factor: a left-looking block Cholesky over
@@ -130,10 +135,40 @@ def dedup_training(samples) -> tuple[Geometry, np.ndarray]:
     return g[first[order]], w
 
 
+def _spans(n):
+    """(start, stop) of each block of :data:`_BLOCK` indices in range(n)."""
+    return [(i0, min(i0 + _BLOCK, n)) for i0 in range(0, n, _BLOCK)]
+
+
+class _TargetCovariance:
+    """The (M, k) covariance between training geometries and k targets,
+    built on request a block of columns at a time.
+
+    ``self[:, j0:j1]`` is :func:`covariance_matrix` of the training
+    geometries against ``targets[j0:j1]``; every entry is computed on its
+    own, so a block is bitwise that slice of the whole matrix.  The solve
+    reads a right-hand side only as ``rhs.shape`` and ``rhs[:, j0:j1]``,
+    so an (M, k) array is its own block source.
+    """
+
+    def __init__(self, model, geoms, targets, mode):
+        self.shape = (len(geoms), len(targets))
+        self._model, self._geoms = model, geoms
+        self._targets, self._mode = targets, mode
+
+    def __getitem__(self, index):
+        _rows, cols = index
+        return covariance_matrix(
+            self._model, self._geoms, self._targets[cols], mode=self._mode
+        )
+
+
 def _covariances(training, targets, model, mode):
     """(w, cov, c0): deduplicated training SF values, training covariance
     with the base nugget on its diagonal, and the (M, len(targets))
-    training-target covariance; None when there are no targets."""
+    training-target covariance; None when there are no targets.  c0 is an
+    array for up to :data:`_BLOCK` targets and otherwise a
+    :class:`_TargetCovariance`, which builds it a block at a time."""
     check_mode(mode)
     if len(training) == 0:
         raise ValidationError("need at least one training sample")
@@ -142,8 +177,9 @@ def _covariances(training, targets, model, mode):
     targets = Geometry.of(targets)
     geoms, w = dedup_training(training)
     cov = covariance_matrix(model, geoms, mode=mode)
-    c0 = covariance_matrix(model, geoms, targets, mode=mode)
-    return w, cov, c0
+    if len(targets) > _BLOCK:
+        return w, cov, _TargetCovariance(model, geoms, targets, mode)
+    return w, cov, covariance_matrix(model, geoms, targets, mode=mode)
 
 
 def assemble_system(
@@ -171,9 +207,7 @@ def _check_symmetric(cov):
     """Raise ValidationError naming the first (i, j), i <= j in row-major
     order, where C_ij != C_ji (a NaN is unequal to itself); compared one
     block of rows at a time."""
-    m = cov.shape[0]
-    for i0 in range(0, m, _BLOCK):
-        i1 = min(i0 + _BLOCK, m)
+    for i0, i1 in _spans(cov.shape[0]):
         bad = cov[i0:i1, i0:] != cov[i0:, i0:i1].T
         if bad.any():
             i, j = (int(v) + i0 for v in np.argwhere(bad)[0])
@@ -187,8 +221,7 @@ def _restore_lower(work, diag):
     """Mirror the strict upper triangle of ``work`` over its strict lower
     one, a block of columns at a time, then write ``diag`` back."""
     m = work.shape[0]
-    for j0 in range(0, m, _BLOCK):
-        j1 = min(j0 + _BLOCK, m)
+    for j0, j1 in _spans(m):
         tile = work[j0:j1, j0:j1]
         np.copyto(tile, tile.T, where=_STRICT_LOWER[: j1 - j0, : j1 - j0])
         work[j1:, j0:j1] = work[j0:j1, j1:].T
@@ -260,7 +293,9 @@ def _cholesky_schur(cov, rhs, shift):
     Returns (lambda, nu), or None when C (diagonal shifted by ``shift``)
     is not numerically positive definite.  lambda is a view of the one
     (M, k + 1) buffer that holds the right-hand sides, the solution and
-    then the weights, formed a block of columns at a time.
+    then the weights.  ``rhs`` is an (M, k) array or a block source (see
+    :class:`_TargetCovariance`), copied into the buffer and the weights
+    formed a block of columns at a time.
 
     C is factored in place and given back bitwise as it came, whether or
     not the factor succeeds; this requires C to be exactly symmetric.
@@ -279,7 +314,8 @@ def _cholesky_schur(cov, rhs, shift):
     try:
         inverses = _cholesky_in_place(work)
         b = np.empty((m, k + 1))
-        b[:, :k] = rhs
+        for j0, j1 in _spans(k):
+            b[:, j0:j1] = rhs[:, j0:j1]
         b[:, k] = 1.0
         _cholesky_solve_in_place(work, inverses, b)
     except np.linalg.LinAlgError:
@@ -289,32 +325,86 @@ def _cholesky_schur(cov, rhs, shift):
         _restore_lower(work, diag)
     lam, a = b[:, :k], b[:, k]
     nu = (lam.sum(axis=0) - 1.0) / a.sum()
-    for j0 in range(0, k, _BLOCK):
-        j1 = min(j0 + _BLOCK, k)
-        lam[:, j0:j1] -= np.multiply.outer(a, nu[j0:j1])
+    tile = np.empty((m, min(k, _BLOCK)))
+    for j0, j1 in _spans(k):
+        lam[:, j0:j1] -= np.multiply.outer(a, nu[j0:j1], out=tile[:, : j1 - j0])
     return lam, nu
+
+
+def _explained(lam, c0, tile):
+    """lambda^T c0 for one block of columns: the column sums of their
+    elementwise product, formed in ``tile``."""
+    return np.multiply(lam, c0, out=tile[:, : lam.shape[1]]).sum(axis=0)
+
+
+def _residual_pass(cov, shift, rhs, lam, nu):
+    """One walk over the columns of x = (lambda; nu), a block at a time,
+    reading each block of ``rhs`` once (a block source builds it once).
+
+    Returns (residual, scale, explained): the largest |A x - b| entry of
+    the augmented system, the largest |rhs| entry, and lambda^T rhs per
+    column as :func:`_krige` forms it.  C lambda is the product of the
+    explicit C: each block is formed as (C lambda)^T = lambda^T C^T, which
+    reads C itself through its transpose, into one reused (block, M)
+    tile; the other block temporaries share one (M, block) tile.
+    """
+    m, k = lam.shape
+    peaks = [np.abs(lam.sum(axis=0) - 1.0).max()]
+    scales = []
+    explained = np.empty(k)
+    row_tile = np.empty((min(k, _BLOCK), m))
+    col_tile = np.empty((m, min(k, _BLOCK)))
+    for j0, j1 in _spans(k):
+        block, c0 = lam[:, j0:j1], rhs[:, j0:j1]
+        cols = col_tile[:, : j1 - j0]
+        top = np.matmul(block.T, cov.T, out=row_tile[: j1 - j0])
+        if shift:
+            top += np.multiply(block, shift, out=cols).T
+        top += nu[j0:j1, None]
+        top -= c0.T
+        peaks.append(np.abs(top, out=top).max())
+        scales.append(np.abs(c0, out=cols).max())
+        explained[j0:j1] = _explained(block, c0, col_tile)
+    return float(np.max(peaks)), float(np.max(scales)), explained
 
 
 def _augmented_residual(cov, shift, rhs, lam, nu):
     """Largest |A x - b| entry of the augmented system for x = (lambda; nu),
-    over every column, one block of columns at a time.
+    over every column, one block of columns at a time, with C lambda the
+    product of the explicit C (see :func:`_residual_pass`)."""
+    return _residual_pass(cov, shift, rhs, lam, nu)[0]
 
-    C lambda is the product of the explicit C: each block is formed as
-    (C lambda)^T = lambda^T C^T, which reads C itself through its
-    transpose, into one reused (block, M) tile.
-    """
-    m, k = lam.shape
-    peaks = [np.abs(lam.sum(axis=0) - 1.0).max()]
-    tile = np.empty((min(k, _BLOCK), m))
-    for j0 in range(0, k, _BLOCK):
-        j1 = min(j0 + _BLOCK, k)
-        top = np.matmul(lam[:, j0:j1].T, cov.T, out=tile[: j1 - j0])
-        if shift:
-            top += shift * lam[:, j0:j1].T
-        top += nu[j0:j1, None]
-        top -= rhs[:, j0:j1].T
-        peaks.append(np.abs(top, out=top).max())
-    return float(np.max(peaks))
+
+def _finite(lam, nu):
+    """Whether every weight and multiplier is finite, checked a block of
+    columns at a time."""
+    return bool(np.isfinite(nu).all()) and all(
+        np.isfinite(lam[:, j0:j1]).all() for j0, j1 in _spans(lam.shape[1])
+    )
+
+
+def _solve_and_explain(cov, rhs, sigma2, base_nugget):
+    """:func:`_solve_weights` plus lambda^T rhs per column, taken from the
+    accepted rung's residual pass; returns (lambda, nu, nugget,
+    explained).  Each rung copies ``rhs`` into its buffer afresh, since a
+    rung that failed overwrote it."""
+    m = cov.shape[0]
+    _check_symmetric(cov)
+    nugget = base_nugget
+    for attempt in range(MAX_ESCALATIONS + 1):
+        if attempt:
+            nugget = DEFAULT_NUGGET_FACTOR * sigma2 if nugget == 0.0 else nugget * 10.0
+        shift = nugget - base_nugget
+        sol = _cholesky_schur(cov, rhs, shift)
+        if sol is not None and _finite(*sol):
+            residual, scale, explained = _residual_pass(cov, shift, rhs, *sol)
+            if residual / max(scale, 1.0) < RESIDUAL_TOL:
+                return (*sol, nugget, explained)
+        del sol  # the next rung's buffer replaces, not joins, this one
+    raise SingularSystemError(
+        f"augmented system unsolvable after {MAX_ESCALATIONS} nugget escalations"
+        f" (M={m}, final nugget={nugget:g})"
+    )
 
 
 def _solve_weights(cov, rhs, sigma2, base_nugget):
@@ -322,30 +412,15 @@ def _solve_weights(cov, rhs, sigma2, base_nugget):
     nugget).
 
     ``cov`` already carries ``base_nugget`` on its diagonal and ``rhs`` is
-    (M, k); lambda is (M, k) and nu (k,).  Each rung adds
-    ``nugget - base_nugget`` to the diagonal and makes one Cholesky-Schur
-    attempt; the first finite solution whose relative residual passes is
-    accepted.  A covariance that is not numerically positive definite at a
-    rung moves up to the next one.  ``cov`` must be exactly symmetric
-    (ValidationError otherwise); it is left unchanged.
+    an (M, k) array or a block source (see :class:`_TargetCovariance`);
+    lambda is (M, k) and nu (k,).  Each rung adds ``nugget - base_nugget``
+    to the diagonal and makes one Cholesky-Schur attempt; the first finite
+    solution whose residual, relative to the largest |rhs| entry (or 1 if
+    larger), passes is accepted.  A covariance that is not numerically
+    positive definite at a rung moves up to the next one.  ``cov`` must be
+    exactly symmetric (ValidationError otherwise); it is left unchanged.
     """
-    m = cov.shape[0]
-    _check_symmetric(cov)
-    b_scale = max(float(np.abs(rhs).max()), 1.0)
-    nugget = base_nugget
-    for attempt in range(MAX_ESCALATIONS + 1):
-        if attempt:
-            nugget = DEFAULT_NUGGET_FACTOR * sigma2 if nugget == 0.0 else nugget * 10.0
-        shift = nugget - base_nugget
-        sol = _cholesky_schur(cov, rhs, shift)
-        if sol is not None and all(np.isfinite(v).all() for v in sol):
-            if _augmented_residual(cov, shift, rhs, *sol) / b_scale < RESIDUAL_TOL:
-                return (*sol, nugget)
-        del sol  # the next rung's buffer replaces, not joins, this one
-    raise SingularSystemError(
-        f"augmented system unsolvable after {MAX_ESCALATIONS} nugget escalations"
-        f" (M={m}, final nugget={nugget:g})"
-    )
+    return _solve_and_explain(cov, rhs, sigma2, base_nugget)[:3]
 
 
 def _solve_augmented(cov, rhs, sigma2, base_nugget):
@@ -379,19 +454,22 @@ class Prediction:
     nugget_used: float
 
 
+def _estimates(lam, nu, w, explained, sigma2):
+    """(w_hat, variance): lambda^T w and sigma2 - lambda^T c0 - nu, floored
+    at zero, from lambda^T c0 per column."""
+    return lam.T @ w, np.maximum(sigma2 - explained - nu, 0.0)
+
+
 def _krige(lam, nu, w, c0, sigma2):
     """(w_hat, variance) for (M, k) weights and target covariances and (k,)
     multipliers: lambda^T w and sigma2 - lambda^T c0 - nu, floored at zero.
     lambda^T c0 is summed one block of columns at a time."""
     m, k = lam.shape
-    explained = np.empty(k)
     tile = np.empty((m, min(k, _BLOCK)))
-    for j0 in range(0, k, _BLOCK):
-        j1 = min(j0 + _BLOCK, k)
-        prod = np.multiply(lam[:, j0:j1], c0[:, j0:j1], out=tile[:, : j1 - j0])
-        explained[j0:j1] = prod.sum(axis=0)
-    variance = np.maximum(sigma2 - explained - nu, 0.0)
-    return lam.T @ w, variance
+    explained = np.empty(k)
+    for j0, j1 in _spans(k):
+        explained[j0:j1] = _explained(lam[:, j0:j1], c0[:, j0:j1], tile)
+    return _estimates(lam, nu, w, explained, sigma2)
 
 
 def predict_sf(system: KrigingSystem) -> Prediction:
@@ -421,14 +499,18 @@ def predict_sf_batch(
     Returns (w_hat, variance, nugget_used) with one entry per target.
     Identical inputs produce the same weights as the per-target path; the
     batch form just reuses one factorization across right-hand sides.
+    Beyond C it holds one (M, k + 1) buffer: lambda^T c0 comes from the
+    residual pass, which builds c0 a block at a time for more than
+    :data:`_BLOCK` targets (see the module docstring).
     """
     blocks = _covariances(training, targets, model, mode)
     if blocks is None:
         return np.empty(0), np.empty(0), model.nugget
     w, cov, c0 = blocks
-    lam, nu, nugget = _solve_weights(cov, c0, model.sigma2, model.nugget)
-    w_hat, variance = _krige(lam, nu, w, c0, model.sigma2)
-    return w_hat, variance, nugget
+    lam, nu, nugget, explained = _solve_and_explain(
+        cov, c0, model.sigma2, model.nugget
+    )
+    return (*_estimates(lam, nu, w, explained, model.sigma2), nugget)
 
 
 def predict_rsrp(

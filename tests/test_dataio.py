@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -633,7 +634,7 @@ class TestCsvBoundary:
         )
         ref = _dict_read_csv(path)
         assert names == ref[0] == list(CANONICAL_COLUMNS)
-        assert lines == ref[1] == [2, 5, 7, 10, 11, 14]
+        assert lines.tolist() == ref[1] == [2, 5, 7, 10, 11, 14]
         assert np.array_equal(table, ref[2])
         assert table[:, 3].tolist() == [31.5, 32.0, 33.0, 34.0, 35.0, 37.25]
         assert table[4, 0] == 10.0 and table[4, 4] == math.inf
@@ -646,6 +647,161 @@ class TestCsvBoundary:
             assert passthrough[c].tolist() == ref[4][c].tolist()
         assert passthrough["note"].tolist()[1] == 'two\nlines, "quoted"'
         assert passthrough["site"].tolist() == ["B", "C", "", "D", "E", ""]
+
+
+def _per_row_read_csv(path, column_map, required):
+    """:func:`_dict_read_csv`, a list per row, with its line numbers as the
+    reader's int array: the per-row reference for files with every
+    canonical column under its own name."""
+    names, lines, table, failures, passthrough = _dict_read_csv(path)
+    return names, np.array(lines, dtype=np.int64), table, failures, passthrough
+
+
+def _outcome(read, *args, **options):
+    """What ``read(*args, **options)`` returns, or the type, text and bad
+    rows of the error it raises."""
+    try:
+        return read(*args, **options)
+    except IngestError as exc:
+        return type(exc), str(exc), exc.bad_rows
+
+
+def assert_same_ingest(got, ref):
+    """Two :func:`ingest_csv` outcomes are equal: the same IngestResult,
+    value for value, or the same error."""
+    if isinstance(ref, tuple):
+        assert got == ref
+        return
+    assert same_geometry(got.samples.geometry, ref.samples.geometry)
+    for name in ("sf_db", "rsrp_dbm", "pl_est_dbm"):
+        assert np.array_equal(getattr(got.samples, name), getattr(ref.samples, name))
+    assert list(got.measurements) == list(ref.measurements)
+    for name, column in ref.measurements.items():
+        assert np.array_equal(got.measurements[name], column)
+    assert list(got.passthrough) == list(ref.passthrough)
+    for name, cells in ref.passthrough.items():
+        assert got.passthrough[name].tolist() == cells.tolist()
+    assert got.skipped == ref.skipped
+    assert all(type(line) is int for line, _why in got.skipped)
+    assert got.n_rows == ref.n_rows
+
+
+def ingest_both(path, block, **options):
+    """(blocked, per-row) :func:`ingest_csv` outcomes, the reader's block
+    set to ``block`` parsed rows."""
+    with mock.patch.object(dataio, "READ_BLOCK_ROWS", block):
+        got = _outcome(ingest_csv, path, BUDGET, **options)
+    with mock.patch.object(dataio, "_read_csv", _per_row_read_csv):
+        ref = _outcome(ingest_csv, path, BUDGET, **options)
+    return got, ref
+
+
+def numbered_rows(n):
+    """n valid rows, each with its own time, altitude and RSRP."""
+    return [
+        good_row(time=float(i), alt=30.0 + i % 7, rsrp=-75.0 - i % 5) for i in range(n)
+    ]
+
+
+class TestBlockedReader:
+    """_read_csv parses READ_BLOCK_ROWS rows at a time into float64 blocks;
+    every outcome is the per-row reader's."""
+
+    @pytest.mark.parametrize("block", [5, dataio.READ_BLOCK_ROWS])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_row_counts_around_a_block(self, tmp_path, block, offset):
+        n = block + offset
+        rows = [HEADER + ",site"] + [r + f",s{i}" for i, r in enumerate(numbered_rows(n))]
+        path = write_lines(tmp_path / "rows.csv", rows)
+        with mock.patch.object(dataio, "READ_BLOCK_ROWS", block):
+            names, lines, table, failures, passthrough = dataio._read_csv(
+                path, None, CANONICAL_COLUMNS
+            )
+        ref = _dict_read_csv(path)
+        assert lines.dtype == np.int64 and table.dtype == np.float64
+        assert lines.tolist() == ref[1] == list(range(2, n + 2))
+        assert np.array_equal(table, ref[2]) and table.shape == (n, 8)
+        assert failures == ref[3] == []
+        assert passthrough["site"].tolist() == ref[4]["site"].tolist()
+        got, ref = ingest_both(path, block)
+        assert_same_ingest(got, ref)
+        assert got.n_rows == n
+
+    @pytest.mark.parametrize("bad", ["x,35.7205,-78.699,30,10,1,-1,-75",
+                                     "1,35.7205,-78.699,30,10,95.0,-1,-75"],
+                             ids=["non-numeric", "pose"])
+    def test_bad_row_on_each_side_of_a_block_boundary(self, tmp_path, bad):
+        # Blocks of 4 parsed rows: a bad row just before the 4th parsed
+        # row, one just after it and one after the 8th.  A non-numeric row
+        # parses into no block; a bad pose is a row of its block.
+        rows = numbered_rows(10)
+        for at in (9, 5, 3):
+            rows.insert(at, bad)
+        path = write_lines(tmp_path / "bad.csv", [HEADER, *rows])
+        got, ref = ingest_both(path, 4, max_invalid_frac=0.5)
+        assert_same_ingest(got, ref)
+        assert [line for line, _why in got.skipped] == [5, 8, 13]
+        got, ref = ingest_both(path, 4, max_invalid_frac=0.2)
+        assert got == ref and got[0] is IngestError
+
+    def test_short_rows_blank_lines_and_passthrough(self, tmp_path):
+        rows = [HEADER + ",site,note"]
+        for i, row in enumerate(numbered_rows(12)):
+            rows += [row + f",s{i},n{i}", "" if i % 4 == 1 else row + f",t{i}"]
+        rows[7] = "3,35.7205,-78.699,30"  # short in the pose columns
+        rows[12] = good_row(time=9.0) + ",only"  # short in the passthrough
+        path = write_lines(tmp_path / "short.csv", rows)
+        for block in (1, 3, 4):
+            got, ref = ingest_both(path, block, max_invalid_frac=0.5)
+            assert_same_ingest(got, ref)
+            assert got.skipped == [(8, "non-numeric or missing value")]
+            site = got.passthrough["site"].tolist()
+            assert got.passthrough["note"].tolist()[site.index("only")] == ""
+
+    @pytest.mark.parametrize(
+        "rows, first",
+        [
+            # A non-numeric row after the boundary is named ahead of a bad
+            # pose before it.
+            (["1,35.7205,-78.699,30,10,95.0,-1", "1,35.7205,-78.699,thirty,10,1,-1"],
+             "line 5: non-numeric value (could not convert string to float:"
+             " 'thirty')"),
+            # A bad pose on each side of the boundary: the first is named.
+            (["1,35.7205,-78.699,30,10,1,-1", "1,35.7205,-78.699,30,10,95.0,-1",
+              "1,35.7205,-78.699,-5.0,10,1,-1"],
+             "line 5: pitch out of range: 95.0"),
+        ],
+        ids=["non-numeric", "pose"],
+    )
+    def test_targets_first_failure_message(self, tmp_path, rows, first):
+        header = ",".join(c for c in CANONICAL_COLUMNS if c != "rsrp_dbm")
+        good = "0,35.7205,-78.699,30,10,1,-1"
+        path = write_lines(tmp_path / "t.csv", [header, good, rows[0], good, *rows[1:]])
+        outcomes = []
+        for patch in (mock.patch.object(dataio, "READ_BLOCK_ROWS", 2),
+                      mock.patch.object(dataio, "_read_csv", _per_row_read_csv)):
+            with patch:
+                outcomes.append(_outcome(load_targets_csv, path, BUDGET))
+        got, ref = outcomes
+        assert got == ref
+        assert got[1] == f"{path}: {first}"
+        assert all(type(line) is int for line, _why in got[2])
+
+    def test_reader_holds_no_python_float_per_value(self, tmp_path):
+        # The table and line numbers are held twice while the blocks are
+        # joined, 2 * (8 + 1) * 8 bytes a row, and one block's Python
+        # lists (about 300 bytes a row; 1000 allowed) are alive at a time.
+        # A list of Python floats for the whole file traces about 360
+        # bytes a row, 7.3 MB here; this traces about 150, 3.1 MB.
+        n = 20000
+        path = write_lines(tmp_path / "big.csv", [HEADER, *numbered_rows(n)])
+        tracemalloc.start()
+        try:
+            dataio._read_csv(path, None, CANONICAL_COLUMNS)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 9 * 8 * n + 1000 * dataio.READ_BLOCK_ROWS
 
 
 class TestConfigs:

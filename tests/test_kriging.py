@@ -2,21 +2,24 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from _recipes import BUDGET, decompose_all, same_geometry
-from skyfade import FlightSpec, SimConfig, synthesize_dataset
+from skyfade import FlightSpec, SimConfig, kriging, synthesize_dataset
 from skyfade.correlation import (
     Q_CAP_DEG,
     CorrelationModel,
     DedmParams,
     correlation_matrix,
+    covariance_matrix,
 )
 from skyfade.errors import SingularSystemError, ValidationError
 from skyfade.geometry import Geometry
 from skyfade.kriging import (
+    _BLOCK,
     _TILE,
     RESIDUAL_TOL,
     KrigingSystem,
@@ -24,9 +27,11 @@ from skyfade.kriging import (
     _cholesky_in_place,
     _cholesky_schur,
     _cholesky_solve_in_place,
+    _krige,
     _restore_lower,
     _solve_augmented,
     _solve_weights,
+    _TargetCovariance,
     assemble_system,
     dedup_training,
     predict_rsrp,
@@ -357,6 +362,130 @@ class TestInPlaceFactor:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * m * m + 2.5 * 8 * m * k
+
+
+def escalating_training(m, seed):
+    """m scattered samples plus a copy of the first at another height: the
+    two stay apart in deduplication, but their covariance rows are equal
+    (the model reads no height), so at a zero nugget C is singular."""
+    samples = scattered_samples(m, seed=seed)
+    g = samples[0].geometry
+    twin = SfSample(
+        geometry=mk_geom(g.east_m, g.north_m, g.theta_deg, g.delta_deg, up=g.up_m + 15.0),
+        sf_db=1.0,
+        rsrp_dbm=1.0,
+        pl_est_dbm=0.0,
+    )
+    return SfTable.of(samples + [twin])
+
+
+def full_array_path(training, targets, model):
+    """(w_hat, variance, nugget) from :func:`_solve_weights` and
+    :func:`_krige` on the whole (M, k) target covariance array."""
+    geoms, w = dedup_training(training)
+    cov = covariance_matrix(model, geoms)
+    c0 = covariance_matrix(model, geoms, targets)
+    lam, nu, nugget = _solve_weights(cov, c0, model.sigma2, model.nugget)
+    return (*_krige(lam, nu, w, c0, model.sigma2), nugget)
+
+
+def assert_bitwise(got, expect):
+    assert np.array_equal(got[0], expect[0])
+    assert np.array_equal(got[1], expect[1])
+    assert got[2] == expect[2]
+
+
+class TestBlockedTargetCovariance:
+    """predict_sf_batch builds [c0 | 1] straight into the solve's buffer
+    and, past one column block of targets, builds c0 again a block at a
+    time for the residual and lambda^T c0, holding no whole c0 array."""
+
+    @pytest.mark.parametrize("k", [1, _BLOCK, _BLOCK + 1, 300])
+    def test_batch_is_bitwise_the_full_array_path(self, k):
+        model = smooth_model(nugget=1e-4)
+        training = SfTable.of(scattered_samples(150, seed=50))
+        targets = Geometry.of([s.geometry for s in scattered_samples(k, seed=51)])
+        expect = full_array_path(training, targets, model)
+        assert expect[2] == model.nugget
+        assert_bitwise(predict_sf_batch(training, targets, model), expect)
+
+    @pytest.mark.parametrize("k", [_BLOCK, 300])
+    def test_escalated_batch_is_bitwise_the_full_array_path(self, k):
+        model = smooth_model(nugget=0.0)
+        training = escalating_training(150, seed=52)
+        targets = Geometry.of([s.geometry for s in scattered_samples(k, seed=53)])
+        expect = full_array_path(training, targets, model)
+        assert expect[2] > model.nugget
+        assert_bitwise(predict_sf_batch(training, targets, model), expect)
+
+    def test_rung_after_a_solved_one_rebuilds_the_right_hand_side(self):
+        # The first rung factors and solves, overwriting the buffer, and
+        # its residual pass is made to reject it: the next rung must copy
+        # c0 into its buffer afresh.
+        model = smooth_model(nugget=1e-4)
+        training = SfTable.of(scattered_samples(150, seed=54))
+        targets = Geometry.of([s.geometry for s in scattered_samples(300, seed=55)])
+        real = kriging._residual_pass
+
+        def reject_first(*args):
+            reject_first.calls += 1
+            residual, scale, explained = real(*args)
+            return (math.inf if reject_first.calls == 1 else residual), scale, explained
+
+        results = []
+        for run in (lambda: full_array_path(training, targets, model),
+                    lambda: predict_sf_batch(training, targets, model)):
+            reject_first.calls = 0
+            with mock.patch.object(kriging, "_residual_pass", reject_first):
+                results.append(run())
+            assert reject_first.calls == 2
+        assert results[0][2] == 10.0 * model.nugget
+        assert_bitwise(results[1], results[0])
+
+    def test_each_block_is_built_once_for_the_buffer_and_once_after(self):
+        model = smooth_model(nugget=1e-4)
+        training = SfTable.of(scattered_samples(100, seed=56))
+        targets = Geometry.of([s.geometry for s in scattered_samples(300, seed=57)])
+        built = []
+        real = _TargetCovariance.__getitem__
+
+        def record(self, index):
+            built.append((index[1].start, index[1].stop))
+            return real(self, index)
+
+        with mock.patch.object(_TargetCovariance, "__getitem__", record):
+            predict_sf_batch(training, targets, model)
+        assert built == [(0, 128), (128, 256), (256, 300)] * 2
+
+    def test_block_source_columns_are_the_whole_matrix_columns(self):
+        model = smooth_model(nugget=1e-4)
+        geoms, _w = dedup_training(SfTable.of(scattered_samples(70, seed=58)))
+        targets = Geometry.of([s.geometry for s in scattered_samples(300, seed=59)])
+        whole = covariance_matrix(model, geoms, targets)
+        source = _TargetCovariance(model, geoms, targets, "angle_aware")
+        assert source.shape == whole.shape
+        for j0, j1 in [(0, 128), (128, 256), (256, 300), (5, 6)]:
+            assert np.array_equal(source[:, j0:j1], whole[:, j0:j1])
+
+    def test_batch_holds_one_target_sized_buffer(self):
+        # C (8 M^2 bytes) and the one (M, k + 1) buffer, plus the
+        # triangular solves' (96, k + 1) row tile and an allowance of five
+        # M x 128 tiles: the residual's two, a rebuilt block of c0, the
+        # covariance build's tile buffers and the factor's tile inverses.
+        # Holding the whole c0 as well adds 8 M k bytes (6.4 MB here)
+        # and fails; the traced peak is about 0.92 of the bound.
+        m, k = 400, 2000
+        model = smooth_model(nugget=1e-4)
+        training = SfTable.of(scattered_samples(m, seed=60))
+        targets = Geometry.of([s.geometry for s in scattered_samples(k, seed=61)])
+        tracemalloc.start()
+        try:
+            predict_sf_batch(training, targets, model)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 8 * m * m + 8 * (m + _TILE) * (k + 1) + 5 * 8 * m * _BLOCK
+        assert peak < bound
 
 
 def random_spd(n, seed):
