@@ -14,12 +14,11 @@ a config reproduces its dataset bit for bit.
 The field draw holds one n x n matrix: the covariance is factored in its
 own buffer by the Kriging solve's block Cholesky
 (:func:`skyfade.kriging._cholesky_in_place`, numpy alone), so 5000
-samples need 200 MB rather than three times that.  That factor works in
-diagonal tiles of fewer than 128 rows, where numpy's LAPACK calls still
-run on one thread, and leaves the work that grows as n^3 to matrix
-products.  A merely semidefinite covariance falls back to a spectral
-square root, which holds two: the covariance and the eigenvectors, scaled
-in place.
+samples need 200 MB rather than three times that, and the draw L @ g is
+:func:`skyfade.kriging._lower_matvec` on that factor; only
+:mod:`skyfade.kriging` knows the factor's tile layout.  A merely
+semidefinite covariance falls back to a spectral square root, which holds
+two: the covariance and the eigenvectors, scaled in place.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 from .correlation import CorrelationModel, covariance_matrix, serialize_model
 from .errors import NotPositiveDefiniteError, RowErrors, ValidationError
 from .geometry import MeasurementSample, enu_to_geodetic, tilt_geometry
-from .kriging import _TILE, _TILE_LOWER, _cholesky_in_place, _restore_lower
+from .kriging import _cholesky_in_place, _lower_matvec, _restore_lower
 from .propagation import LinkBudget, link_rsrp
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -76,6 +75,12 @@ class FlightSpec:
             raise ValidationError("east extent must be a non-empty interval")
         if not (self.north_extent_m[0] < self.north_extent_m[1]):
             raise ValidationError("north extent must be a non-empty interval")
+        # The walk skips waypoints np.allclose to its position; past 4 such
+        # tolerances, a quarter of an extent lies beyond one from any point.
+        extents = (self.east_extent_m, self.north_extent_m)
+        tol = 1e-8 + 1e-5 * max(abs(end) for extent in extents for end in extent)
+        if max(hi - lo for lo, hi in extents) <= 4.0 * tol:
+            raise ValidationError(f"flight box too small: no extent over {4.0 * tol:g} m")
         if self.speed_mps <= 0.0 or self.sample_interval_s <= 0.0:
             raise ValidationError("speed and sample interval must be positive")
         for amp in (self.pitch_excitation_deg, self.roll_excitation_deg):
@@ -223,17 +228,6 @@ def _check_field_size(n: int) -> None:
         raise ValidationError(
             f"field synthesis capped at {MAX_FIELD_SAMPLES} samples, got {n}"
         )
-
-
-def _lower_matvec(a, g) -> np.ndarray:
-    """L @ g for the lower triangle L of ``a``, a row block at a time."""
-    n = a.shape[0]
-    out = np.empty(n)
-    for i0 in range(0, n, _TILE):
-        i1 = min(i0 + _TILE, n)
-        tile = np.where(_TILE_LOWER[: i1 - i0, : i1 - i0], a[i0:i1, i0:i1], 0.0)
-        out[i0:i1] = a[i0:i1, :i0] @ g[:i0] + tile @ g[i0:i1]
-    return out
 
 
 def sample_sf_field(geometries, truth: CorrelationModel, seed) -> np.ndarray:

@@ -12,7 +12,8 @@ prediction variance is sigma2 - lambda^T c0 - nu, floored at zero.
 
 Many targets share one factorization, and :func:`predict_sf_batch` and
 :func:`predict_rsrp` return columns: one array per output, one entry per
-target, and the one nugget the solve used.
+target, and the one nugget the solve used.  Every solve goes through
+:func:`_solve`, so a batch of one target is bitwise :func:`predict_sf`.
 
 The solve factors C by Cholesky and removes the unbiasedness row by Schur
 complement (Rasmussen & Williams 2006, Alg. 2.1; Cressie 1993, sec. 3.2):
@@ -48,11 +49,12 @@ built once and kept.  The weights' formation, the residual and
 lambda^T c0 work in M x 128 and 128 x M tiles, so beyond C and the
 buffer the temporaries are O(M x 128) whatever k is.
 
-The factor and the triangular solves are numpy alone, and the field draw
-in :mod:`fieldsim` shares the factor: a left-looking block Cholesky over
-diagonal tiles of :data:`_TILE` rows, each tile factored by numpy's
-``cholesky`` and inverted once, its inverse then serving the panel below
-it and both triangular solves.  The tiles stay below 128 rows because
+The factor and the triangular solves are numpy alone: a left-looking
+block Cholesky over diagonal tiles of :data:`_TILE` rows, each tile
+factored by numpy's ``cholesky`` and inverted once, its inverse then
+serving the panel below it and both triangular solves.  The field draw in
+:mod:`fieldsim` uses the factor and :func:`_lower_matvec`, so only this
+module knows the tile layout.  The tiles stay below 128 rows because
 numpy's OpenBLAS runs LAPACK multi-threaded from 128 up: on 2 vCPUs a
 128 x 128 ``cholesky`` takes 2.9 ms and a 96 x 96 one 40 us.  The
 tiles' own calls stay cheap that way, and the work that grows as M^3 runs
@@ -285,6 +287,18 @@ def _cholesky_solve_in_place(a, inverses, b) -> None:
         np.copyto(rows, np.matmul(inv.T, rows, out=out))
 
 
+def _lower_matvec(a, g) -> np.ndarray:
+    """L @ g for the factor L that :func:`_cholesky_in_place` left in the
+    lower triangle of ``a``, a tile of rows at a time."""
+    n = a.shape[0]
+    out = np.empty(n)
+    for i0 in range(0, n, _TILE):
+        i1 = min(i0 + _TILE, n)
+        tile = np.where(_TILE_LOWER[: i1 - i0, : i1 - i0], a[i0:i1, i0:i1], 0.0)
+        out[i0:i1] = a[i0:i1, :i0] @ g[:i0] + tile @ g[i0:i1]
+    return out
+
+
 def _cholesky_schur(cov, rhs, shift):
     """Solve by Cholesky of C, eliminating the unbiasedness row.
 
@@ -301,14 +315,8 @@ def _cholesky_schur(cov, rhs, shift):
     not the factor succeeds; this requires C to be exactly symmetric.
     """
     m, k = rhs.shape
-    # The factor runs on a C-ordered matrix.  A Fortran-ordered C is the
-    # transpose of one, with the same entries since C = C^T, so every
-    # layout factors the same numbers the same way; any other layout is
-    # copied here.
-    if cov.flags.f_contiguous and not cov.flags.c_contiguous:
-        work = cov.T
-    else:
-        work = np.ascontiguousarray(cov)
+    # The factor runs on a C-ordered matrix; any other layout is copied.
+    work = np.ascontiguousarray(cov)
     diag = work.diagonal().copy()
     work[np.diag_indices(m)] += shift
     try:
@@ -343,7 +351,7 @@ def _residual_pass(cov, shift, rhs, lam, nu):
 
     Returns (residual, scale, explained): the largest |A x - b| entry of
     the augmented system, the largest |rhs| entry, and lambda^T rhs per
-    column as :func:`_krige` forms it.  C lambda is the product of the
+    column (see :func:`_explained`).  C lambda is the product of the
     explicit C: each block is formed as (C lambda)^T = lambda^T C^T, which
     reads C itself through its transpose, into one reused (block, M)
     tile; the other block temporaries share one (M, block) tile.
@@ -368,13 +376,6 @@ def _residual_pass(cov, shift, rhs, lam, nu):
     return float(np.max(peaks)), float(np.max(scales)), explained
 
 
-def _augmented_residual(cov, shift, rhs, lam, nu):
-    """Largest |A x - b| entry of the augmented system for x = (lambda; nu),
-    over every column, one block of columns at a time, with C lambda the
-    product of the explicit C (see :func:`_residual_pass`)."""
-    return _residual_pass(cov, shift, rhs, lam, nu)[0]
-
-
 def _finite(lam, nu):
     """Whether every weight and multiplier is finite, checked a block of
     columns at a time."""
@@ -383,11 +384,21 @@ def _finite(lam, nu):
     )
 
 
-def _solve_and_explain(cov, rhs, sigma2, base_nugget):
-    """:func:`_solve_weights` plus lambda^T rhs per column, taken from the
-    accepted rung's residual pass; returns (lambda, nu, nugget,
-    explained).  Each rung copies ``rhs`` into its buffer afresh, since a
-    rung that failed overwrote it."""
+def _solve(cov, rhs, sigma2, base_nugget):
+    """Augmented solve with the escalation ladder; returns (lambda, nu,
+    nugget, explained).
+
+    ``cov`` already carries ``base_nugget`` on its diagonal and ``rhs`` is
+    an (M, k) array or a block source (see :class:`_TargetCovariance`);
+    lambda is (M, k), nu and explained (lambda^T rhs per column) are (k,).
+    Each rung adds ``nugget - base_nugget`` to the diagonal and makes one
+    Cholesky-Schur attempt, copying ``rhs`` into its buffer afresh; the
+    first finite solution whose residual, relative to the largest |rhs|
+    entry (or 1 if larger), passes is accepted, with explained from its
+    residual pass.  A covariance that is not numerically positive definite
+    at a rung moves up to the next one.  ``cov`` must be exactly symmetric
+    (ValidationError otherwise); it is left unchanged.
+    """
     m = cov.shape[0]
     _check_symmetric(cov)
     nugget = base_nugget
@@ -407,26 +418,10 @@ def _solve_and_explain(cov, rhs, sigma2, base_nugget):
     )
 
 
-def _solve_weights(cov, rhs, sigma2, base_nugget):
-    """Augmented solve with the escalation ladder; returns (lambda, nu,
-    nugget).
-
-    ``cov`` already carries ``base_nugget`` on its diagonal and ``rhs`` is
-    an (M, k) array or a block source (see :class:`_TargetCovariance`);
-    lambda is (M, k) and nu (k,).  Each rung adds ``nugget - base_nugget``
-    to the diagonal and makes one Cholesky-Schur attempt; the first finite
-    solution whose residual, relative to the largest |rhs| entry (or 1 if
-    larger), passes is accepted.  A covariance that is not numerically
-    positive definite at a rung moves up to the next one.  ``cov`` must be
-    exactly symmetric (ValidationError otherwise); it is left unchanged.
-    """
-    return _solve_and_explain(cov, rhs, sigma2, base_nugget)[:3]
-
-
 def _solve_augmented(cov, rhs, sigma2, base_nugget):
-    """:func:`_solve_weights` as (solution, nugget), with the (M + 1, k)
-    solution holding the weights over the multipliers in its last row."""
-    lam, nu, nugget = _solve_weights(cov, rhs, sigma2, base_nugget)
+    """:func:`_solve` as (solution, nugget), with the (M + 1, k) solution
+    holding the weights over the multipliers in its last row."""
+    lam, nu, nugget, _ = _solve(cov, rhs, sigma2, base_nugget)
     return np.vstack((lam, nu)), nugget
 
 
@@ -436,7 +431,7 @@ def solve_ok(system: KrigingSystem) -> KrigingSystem:
     Fills ``weights``, ``multiplier`` and ``nugget_used``; raises
     :class:`SingularSystemError` if the escalation ladder is exhausted.
     """
-    lam, nu, nugget = _solve_weights(
+    lam, nu, nugget, _ = _solve(
         system.cov, system.target_cov[:, None], system.sigma2, system.nugget
     )
     system.weights = lam[:, 0]
@@ -460,28 +455,15 @@ def _estimates(lam, nu, w, explained, sigma2):
     return lam.T @ w, np.maximum(sigma2 - explained - nu, 0.0)
 
 
-def _krige(lam, nu, w, c0, sigma2):
-    """(w_hat, variance) for (M, k) weights and target covariances and (k,)
-    multipliers: lambda^T w and sigma2 - lambda^T c0 - nu, floored at zero.
-    lambda^T c0 is summed one block of columns at a time."""
-    m, k = lam.shape
-    tile = np.empty((m, min(k, _BLOCK)))
-    explained = np.empty(k)
-    for j0, j1 in _spans(k):
-        explained[j0:j1] = _explained(lam[:, j0:j1], c0[:, j0:j1], tile)
-    return _estimates(lam, nu, w, explained, sigma2)
-
-
 def predict_sf(system: KrigingSystem) -> Prediction:
-    """Predictor and variance from a solved (or solvable) single system."""
+    """Predictor and variance from a solved (or solvable) single system,
+    formed as :func:`predict_sf_batch` forms each column."""
     if system.weights is None:
         solve_ok(system)
-    w_hat, variance = _krige(
-        system.weights[:, None],
-        system.multiplier,
-        system.train_w,
-        system.target_cov[:, None],
-        system.sigma2,
+    lam, c0 = system.weights[:, None], system.target_cov[:, None]
+    w_hat, variance = _estimates(
+        lam, system.multiplier, system.train_w,
+        _explained(lam, c0, np.empty_like(c0)), system.sigma2,
     )
     return Prediction(float(w_hat[0]), float(variance[0]), float(system.nugget_used))
 
@@ -497,8 +479,8 @@ def predict_sf_batch(
     ``training`` is an :class:`SfTable` or a sequence of SF samples and
     ``targets`` a :class:`Geometry` or a sequence of link geometries.
     Returns (w_hat, variance, nugget_used) with one entry per target.
-    Identical inputs produce the same weights as the per-target path; the
-    batch form just reuses one factorization across right-hand sides.
+    A batch of one target gives bitwise what :func:`solve_ok` and
+    :func:`predict_sf` give; more targets share one factorization.
     Beyond C it holds one (M, k + 1) buffer: lambda^T c0 comes from the
     residual pass, which builds c0 a block at a time for more than
     :data:`_BLOCK` targets (see the module docstring).
@@ -507,9 +489,7 @@ def predict_sf_batch(
     if blocks is None:
         return np.empty(0), np.empty(0), model.nugget
     w, cov, c0 = blocks
-    lam, nu, nugget, explained = _solve_and_explain(
-        cov, c0, model.sigma2, model.nugget
-    )
+    lam, nu, nugget, explained = _solve(cov, c0, model.sigma2, model.nugget)
     return (*_estimates(lam, nu, w, explained, model.sigma2), nugget)
 
 

@@ -931,6 +931,21 @@ class TestFailureModes:
         assert not out.exists()
         assert not (tmp_path / "never_truth.json").exists()
 
+    def test_flight_box_within_the_walk_tolerance_fails(self, ws, tmp_path, capsys):
+        """A box whose waypoints all lie within np.allclose of each other
+        used to hang the trajectory walk."""
+        doc = json.loads(json.dumps(ws.config_doc))
+        doc["sim"]["flight"] = {
+            "east_extent_m": [1000, 1000.001], "north_extent_m": [1000, 1000.001]
+        }
+        config = tmp_path / "tiny_box.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "never.csv"
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: flight box too small")
+        assert not list(tmp_path.glob("never*"))
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["transmogrify"])

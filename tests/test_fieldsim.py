@@ -106,6 +106,35 @@ class TestValidation:
         with pytest.raises(ValidationError, match=f"flight {field} must be finite"):
             FlightSpec(**kwargs)
 
+    @pytest.mark.parametrize("path", ["lawnmower", "waypoints"])
+    @pytest.mark.parametrize(
+        "east, north",
+        [
+            # Every waypoint lies within np.allclose of every other.
+            ((1000.0, 1000.001), (1000.0, 1000.001)),
+            # Wider than one tolerance (0.01 m here), but no waypoint lies
+            # beyond it from a random start near the middle: the waypoints
+            # path hung at seed 6.
+            ((1000.0, 1000.015), (1000.0, 1000.000001)),
+        ],
+    )
+    def test_flight_box_within_the_walk_tolerance(self, path, east, north):
+        """The walk skips waypoints np.allclose to its position, so it
+        never ended in such a box."""
+        with pytest.raises(ValidationError, match="flight box too small"):
+            FlightSpec(east_extent_m=east, north_extent_m=north, path=path)
+
+    @pytest.mark.parametrize("path", ["lawnmower", "waypoints"])
+    def test_flight_box_past_the_bound_is_walked(self, path):
+        flight = FlightSpec(
+            east_extent_m=(1000.0, 1000.05), north_extent_m=(1000.0, 1000.000001), path=path
+        )
+        for seed in range(8):
+            config = SimConfig(
+                seed=seed, n_samples=3, truth=flat_truth(), budget=BUDGET, flight=flight
+            )
+            assert len(generate_trajectory(config)) == 3
+
     @pytest.mark.parametrize("noise", [math.nan, math.inf])
     def test_sim_config_non_finite_noise(self, noise):
         with pytest.raises(ValidationError, match="noise standard deviation"):

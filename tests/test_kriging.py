@@ -10,6 +10,7 @@ import pytest
 from _recipes import BUDGET, decompose_all, same_geometry
 from skyfade import FlightSpec, SimConfig, kriging, synthesize_dataset
 from skyfade.correlation import (
+    MODES,
     Q_CAP_DEG,
     CorrelationModel,
     DedmParams,
@@ -23,14 +24,14 @@ from skyfade.kriging import (
     _TILE,
     RESIDUAL_TOL,
     KrigingSystem,
-    _augmented_residual,
     _cholesky_in_place,
     _cholesky_schur,
     _cholesky_solve_in_place,
-    _krige,
+    _estimates,
+    _residual_pass,
     _restore_lower,
+    _solve,
     _solve_augmented,
-    _solve_weights,
     _TargetCovariance,
     assemble_system,
     dedup_training,
@@ -174,7 +175,7 @@ class TestSolvePaths:
             chol = _cholesky_schur(cov, rhs, 0.0)
             assert chol is not None
             assert np.max(np.abs(np.vstack(chol) - expect)) <= 1e-9
-            lam, nu, nugget = _solve_weights(cov, rhs, model.sigma2, model.nugget)
+            lam, nu, nugget, _explained = _solve(cov, rhs, model.sigma2, model.nugget)
             assert nugget == model.nugget
             assert np.array_equal(lam, chol[0])
             assert np.array_equal(nu, chol[1])
@@ -182,7 +183,7 @@ class TestSolvePaths:
     def test_augmented_shim_stacks_the_core_solution(self):
         cov, model = spd_covariance(200, seed=28)
         rhs = np.random.default_rng(28).standard_normal((200, 5))
-        lam, nu, nugget = _solve_weights(cov, rhs, model.sigma2, model.nugget)
+        lam, nu, nugget, _explained = _solve(cov, rhs, model.sigma2, model.nugget)
         x, shim_nugget = _solve_augmented(cov, rhs, model.sigma2, model.nugget)
         assert shim_nugget == nugget
         assert np.array_equal(x, np.vstack((lam, nu)))
@@ -210,13 +211,13 @@ class TestSolvePaths:
         cov = sigma2 * corr
         cov[np.diag_indices(3)] += base
         rhs = sigma2 * np.array([[0.8, 0.1], [0.5, 0.7], [0.3, 0.2]])
-        lam, nu, nugget = _solve_weights(cov, rhs, sigma2, base)
+        lam, nu, nugget, _explained = _solve(cov, rhs, sigma2, base)
         assert nugget > base
         # Accepted at the first rung that factors: 0.1 * sigma2; the rung
         # below it (0.01 * sigma2) is still indefinite.
         assert nugget == pytest.approx(0.1 * sigma2, rel=1e-12)
         assert _cholesky_schur(cov, rhs, nugget / 10.0 - base) is None
-        assert _augmented_residual(cov, nugget - base, rhs, lam, nu) < RESIDUAL_TOL
+        assert _residual_pass(cov, nugget - base, rhs, lam, nu)[0] < RESIDUAL_TOL
         assert np.sum(lam, axis=0) == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
@@ -244,7 +245,7 @@ class TestSolvePaths:
 
         expect = reference(cov)
         assert abs(reference(cov.T) - expect) > 0.1
-        assert _augmented_residual(cov, shift, rhs, x[:m], x[m]) == pytest.approx(
+        assert _residual_pass(cov, shift, rhs, x[:m], x[m])[0] == pytest.approx(
             expect, rel=1e-12
         )
 
@@ -380,13 +381,13 @@ def escalating_training(m, seed):
 
 
 def full_array_path(training, targets, model):
-    """(w_hat, variance, nugget) from :func:`_solve_weights` and
-    :func:`_krige` on the whole (M, k) target covariance array."""
+    """(w_hat, variance, nugget) from :func:`_solve` and :func:`_estimates`
+    on the whole (M, k) target covariance array."""
     geoms, w = dedup_training(training)
     cov = covariance_matrix(model, geoms)
     c0 = covariance_matrix(model, geoms, targets)
-    lam, nu, nugget = _solve_weights(cov, c0, model.sigma2, model.nugget)
-    return (*_krige(lam, nu, w, c0, model.sigma2), nugget)
+    lam, nu, nugget, explained = _solve(cov, c0, model.sigma2, model.nugget)
+    return (*_estimates(lam, nu, w, explained, model.sigma2), nugget)
 
 
 def assert_bitwise(got, expect):
@@ -681,6 +682,14 @@ class TestBatch:
             assert w_hat[k] == pytest.approx(pred.w_hat_db, abs=1e-9)
             assert variance[k] == pytest.approx(pred.variance_db2, abs=1e-9)
             assert nugget == pred.nugget_used
+        # A batch of one target goes through the same solve and estimates.
+        for mode in MODES:
+            for target in targets[:200]:
+                pred = predict_sf(solve_ok(assemble_system(training, target, model, mode)))
+                w_one, var_one, nugget_one = predict_sf_batch(training, [target], model, mode)
+                assert w_one[0] == pred.w_hat_db
+                assert var_one[0] == pred.variance_db2
+                assert nugget_one == pred.nugget_used
 
     def test_empty_targets(self):
         model = smooth_model(nugget=1e-5)
