@@ -22,6 +22,10 @@ rate in each angle.  Samples in different cells may not: two samples with
 the same tilt delta != 0 in elevation bins of different rates get a
 nonzero tilt separation.
 
+In the coordinates (east, north, u_t, u_e), which :class:`KernelPoints`
+holds for a row set, the model is a plain product of kernels, and
+:func:`correlation_matrix` builds every correlation from such points.
+
 :func:`fit_correlation_model` is the one fit.  It fits the DEDM to the
 distance correlogram by least squares, and each rate table to a binned
 angular profile: empirical correlations computed on sorted,
@@ -50,7 +54,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .geometry import Geometry
+from .geometry import Columns, Geometry
 from .propagation import SfTable, sf_statistics
 from .schema import JsonObject, decode, encode_number, read_json, write_json
 
@@ -287,20 +291,32 @@ def _warp(x, edges, rates):
     return np.sum(rates * span, axis=1)
 
 
-def _warped_angles(model, geoms, mode):
-    """The warped angles ``mode`` uses, one array per angle.
+@dataclass(frozen=True, eq=False)
+class KernelPoints(Columns):
+    """Rows in the kernel's own coordinates: ENU east and north, and one
+    column of ``warped`` per warped angle the mode uses (u_t before u_e;
+    none in baseline, one in tilt_only and elev_only, two in angle_aware)."""
 
-    Validates both angles in every angular mode.
-    """
-    bins = model.bins
-    bt = bins.tilt_indices(geoms.delta_deg)
-    be = bins.elev_indices(geoms.theta_deg)
-    out = []
-    if mode in ("angle_aware", "tilt_only"):
-        out.append(_warp(geoms.delta_deg, bins.tilt_edges, model.tilt_rates[:, be].T))
-    if mode in ("angle_aware", "elev_only"):
-        out.append(_warp(geoms.theta_deg, bins.elev_edges, model.elev_rates[:, bt].T))
-    return out
+    east_m: np.ndarray
+    north_m: np.ndarray
+    warped: np.ndarray
+
+    @classmethod
+    def of(cls, model, geoms, mode) -> KernelPoints:
+        """The points of ``geoms`` (a :class:`Geometry` or a sequence of
+        link geometries) under ``mode``, which validates both angles in
+        every angular mode; a :class:`KernelPoints` is returned as it is."""
+        check_mode(mode)
+        if isinstance(geoms, cls):
+            return geoms
+        g, bins, warped = Geometry.of(geoms), model.bins, []
+        if mode != "baseline":
+            bt, be = bins.tilt_indices(g.delta_deg), bins.elev_indices(g.theta_deg)
+            if mode in ("angle_aware", "tilt_only"):
+                warped.append(_warp(g.delta_deg, bins.tilt_edges, model.tilt_rates[:, be].T))
+            if mode in ("angle_aware", "elev_only"):
+                warped.append(_warp(g.theta_deg, bins.elev_edges, model.elev_rates[:, bt].T))
+        return cls(g.east_m, g.north_m, np.array(warped).reshape(len(warped), len(g)).T)
 
 
 def _distance(xa, ya, xb, yb, out=None, work=None):
@@ -330,13 +346,14 @@ def correlation_matrix(
 ) -> np.ndarray:
     """Dense model correlation between two sets of link geometries.
 
-    Returns an (len(a), len(b)) matrix.  Each side is a :class:`Geometry`
-    or a sequence of :class:`LinkGeometry`; ``geoms_b`` defaults to
-    ``geoms_a``.
+    Returns an (len(a), len(b)) matrix.  Each side is a
+    :class:`KernelPoints`, a :class:`Geometry` or a sequence of
+    :class:`LinkGeometry`; ``geoms_b`` defaults to ``geoms_a``.  A side
+    that is not yet points is made so under ``mode``; points already
+    carry their mode's warped angles.
 
-    Each sample's warped angles are computed once; an entry is then the
-    distance term times one exponential of the summed absolute warped
-    separations.  The output is filled in tiles of at most
+    An entry is the distance term times one exponential of the summed
+    absolute warped separations.  The output is filled in tiles of at most
     :data:`CORRELATION_TILE` rows by as many columns.  Each tile's
     distances, DEDM terms and angular exponent are computed in three
     preallocated tile-sized buffers, which stay in cache, and only the
@@ -345,16 +362,10 @@ def correlation_matrix(
     diagonal are computed and each is mirrored below it, which makes the
     result exactly symmetric.
     """
-    check_mode(mode)
     square = geoms_b is None
-    a = Geometry.of(geoms_a)
-    b = a if square else Geometry.of(geoms_b)
-    warps = []
-    if mode != "baseline":
-        u_a = _warped_angles(model, a, mode)
-        u_b = u_a if square else _warped_angles(model, b, mode)
-        warps = list(zip(u_a, u_b))
-
+    a = KernelPoints.of(model, geoms_a, mode)
+    b = a if square else KernelPoints.of(model, geoms_b, mode)
+    warps = list(zip(a.warped.T, b.warped.T))
     ea, na, eb, nb = a.east_m, a.north_m, b.east_m, b.north_m
     out = np.empty((ea.size, eb.size))
     p1, p2, w1 = model.dedm.p1, model.dedm.p2, model.dedm.a
@@ -591,11 +602,11 @@ def empirical_correlogram(
             pk = np.multiply(dev[r0:r1, None], dev[None, r0:], out=d)[keep]
             idx = np.minimum((dk / width).astype(np.int64), n_lags - 1)
             count += np.bincount(idx, minlength=n_lags)
-            # Each bin's running chunk sum goes first, so the bin goes on
-            # adding its pairs in row-major order, as one bincount would.
-            idx = np.concatenate((np.arange(n_lags), idx))
-            prod_part = np.bincount(idx, weights=np.concatenate((prod_part, pk)))
-            dist_part = np.bincount(idx, weights=np.concatenate((dist_part, dk)))
+            # add.at adds in index order, so each bin goes on adding its
+            # pairs to its running chunk sum in row-major order, as one
+            # bincount would.
+            np.add.at(prod_part, idx, pk)
+            np.add.at(dist_part, idx, dk)
             r0 = r1
         prod_sum += prod_part
         dist_sum += dist_part

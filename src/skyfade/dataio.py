@@ -279,28 +279,27 @@ def load_targets_csv(
     Returns ``(geometry, rsrp)``: the targets' link geometry and their
     RSRP column (zeros when the file has none).  Every row must pass the
     ingest rules (numeric cells, pose ranges, a UAV away from and above
-    the transmitter's ground plane); the first row that does not raises
-    :class:`IngestError` naming its line.
+    the transmitter's ground plane); the first row that does not, whatever
+    its failure, raises :class:`IngestError` naming its line.
     """
     required = [c for c in CANONICAL_COLUMNS if c != "rsrp_dbm"]
     names, lines, table, failures, _ = _read_csv(path, column_map, required)
-    if failures:
-        line, exc = failures[0]
-        raise IngestError(
-            f"{path}: line {line}: non-numeric value ({exc})",
-            bad_rows=[(line, "non-numeric value")],
-        ) from exc
-    if not lines.size:
+    if not lines.size and not failures:
         raise SchemaError(f"{path}: no data rows")
     columns = dict(zip(names, table.T))
     columns.setdefault("rsrp_dbm", np.zeros(len(lines)))
     errors = RowErrors()
     check_poses(columns, errors)
     targets = decompose(_wrap_attitude(columns), budget, errors)
-    if errors:
-        i = min(errors)
-        line, reason = int(lines[i]), str(errors[i])
-        raise IngestError(f"{path}: line {line}: {reason}", bad_rows=[(line, reason)])
+    # (line, message, reason, cause) of every failing row, of either kind.
+    bad = [(line, f"non-numeric value ({exc})", "non-numeric value", exc)
+           for line, exc in failures]
+    bad += [(int(lines[i]), str(exc), str(exc), None) for i, exc in errors.items()]
+    if bad:
+        line, message, reason, cause = min(bad, key=lambda b: b[0])
+        raise IngestError(
+            f"{path}: line {line}: {message}", bad_rows=[(line, reason)]
+        ) from cause
     return targets.geometry, columns["rsrp_dbm"]
 
 

@@ -36,6 +36,8 @@ from .propagation import LinkBudget, link_rsrp
 
 RNG_ALGORITHM = "numpy-pcg64"
 MAX_FIELD_SAMPLES = 5000
+#: Most legs one sample's step may cross: a box tiny against the step fails.
+MAX_STEP_LEGS = 1000
 _STREAM_TRAJECTORY = 1
 _STREAM_FIELD = 2
 _STREAM_NOISE = 3
@@ -169,20 +171,20 @@ def _walk(config: SimConfig) -> np.ndarray:
         def next_waypoint(_k):
             return (rng.uniform(e0, e1), rng.uniform(n0, n1))
 
-    def draw_attitude(heading_deg):
+    def start_leg(pos, wp_index):
+        """(index, waypoint, attitude) of the leg from ``pos`` to the first
+        waypoint from ``wp_index`` on that is not np.allclose to ``pos``."""
+        target = np.array(next_waypoint(wp_index), dtype=float)
+        while np.allclose(target, pos):
+            wp_index += 1
+            target = np.array(next_waypoint(wp_index), dtype=float)
+        heading = math.degrees(math.atan2(target[0] - pos[0], target[1] - pos[1]))
         pitch = rng.uniform(-spec.pitch_excitation_deg, spec.pitch_excitation_deg)
         roll = rng.uniform(-spec.roll_excitation_deg, spec.roll_excitation_deg)
-        return heading_deg, pitch, roll
+        return wp_index, target, (heading, pitch, roll)
 
     pos = np.array(next_waypoint(0), dtype=float)
-    wp_index = 1
-    target = np.array(next_waypoint(wp_index), dtype=float)
-    while np.allclose(target, pos):
-        wp_index += 1
-        target = np.array(next_waypoint(wp_index), dtype=float)
-    heading = math.degrees(math.atan2(target[0] - pos[0], target[1] - pos[1]))
-    yaw, pitch, roll = draw_attitude(heading)
-
+    wp_index, target, (yaw, pitch, roll) = start_leg(pos, 1)
     step = spec.speed_mps * spec.sample_interval_s
     rows = []
     for k in range(config.n_samples):
@@ -190,22 +192,18 @@ def _walk(config: SimConfig) -> np.ndarray:
             np.array([pos[0], pos[1], spec.altitude_m]), config.budget.origin
         )
         rows.append((k * spec.sample_interval_s, lat, lon, alt, yaw, pitch, roll))
-        remaining = step
+        remaining, legs = step, 0
         while remaining > 0.0:
             leg = target - pos
             dist = float(np.hypot(leg[0], leg[1]))
             if dist <= remaining:
+                legs += 1
+                if legs > MAX_STEP_LEGS:
+                    raise ValidationError(f"flight box too small for the step: a {step:g} m"
+                                          f" step crosses over {MAX_STEP_LEGS} legs")
                 pos = target.copy()
                 remaining -= dist
-                wp_index += 1
-                target = np.array(next_waypoint(wp_index), dtype=float)
-                while np.allclose(target, pos):
-                    wp_index += 1
-                    target = np.array(next_waypoint(wp_index), dtype=float)
-                heading = math.degrees(
-                    math.atan2(target[0] - pos[0], target[1] - pos[1])
-                )
-                yaw, pitch, roll = draw_attitude(heading)
+                wp_index, target, (yaw, pitch, roll) = start_leg(pos, wp_index + 1)
             else:
                 pos = pos + leg * (remaining / dist)
                 remaining = 0.0
@@ -217,7 +215,8 @@ def generate_trajectory(config: SimConfig) -> list[TrajectoryPoint]:
 
     The walk advances speed * interval meters per sample along the
     waypoint polyline (cycling when a lawnmower pattern is exhausted) and
-    redraws pitch and roll each time a new leg starts.
+    redraws pitch and roll each time a new leg starts.  A step that
+    crosses more than :data:`MAX_STEP_LEGS` legs raises ValidationError.
     """
     return [TrajectoryPoint(*row) for row in _walk(config).tolist()]
 

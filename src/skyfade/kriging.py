@@ -36,6 +36,8 @@ That mirror needs C exactly symmetric: the solve checks this first and
 raises ValidationError naming the first asymmetric entry, which no valid
 covariance has.
 
+The training rows and the targets are each made kernel points (their
+warped angles derived) once, and every covariance is built from them.
 For k targets :func:`predict_sf_batch` holds two large buffers: the
 M x M matrix C and one (M, k + 1) buffer.  The target covariances c0 are
 built straight into that buffer as [c0 | 1], 128 columns at a time; the
@@ -43,11 +45,12 @@ triangular solves overwrite it with [Y | a], and it then holds lambda
 over Y.  No separate c0 is kept: with more than 128 targets, the one
 walk that forms the residual (which reads the explicit, intact C over
 every right-hand side) and lambda^T c0 builds each 128-column block of c0
-again with the same call, which gives bitwise the same columns because
-every entry is computed on its own.  Up to 128 targets, c0 is one block,
-built once and kept.  The weights' formation, the residual and
-lambda^T c0 work in M x 128 and 128 x M tiles, so beyond C and the
-buffer the temporaries are O(M x 128) whatever k is.
+again from the same points, which repeats only the tile arithmetic and
+gives bitwise the same columns because every entry is computed on its
+own.  Up to 128 targets, c0 is one block, built once and kept.  The
+weights' formation, the residual and lambda^T c0 work in M x 128 and
+128 x M tiles, so beyond C and the buffer the temporaries are
+O(M x 128) whatever k is.
 
 The factor and the triangular solves are numpy alone: a left-looking
 block Cholesky over diagonal tiles of :data:`_TILE` rows, each tile
@@ -73,6 +76,7 @@ import numpy as np
 from .correlation import (
     DEFAULT_NUGGET_FACTOR,
     CorrelationModel,
+    KernelPoints,
     check_mode,
     covariance_matrix,
 )
@@ -143,26 +147,23 @@ def _spans(n):
 
 
 class _TargetCovariance:
-    """The (M, k) covariance between training geometries and k targets,
-    built on request a block of columns at a time.
+    """The (M, k) covariance between training points and k target points
+    (:class:`KernelPoints`), built on request a block of columns at a time.
 
-    ``self[:, j0:j1]`` is :func:`covariance_matrix` of the training
-    geometries against ``targets[j0:j1]``; every entry is computed on its
-    own, so a block is bitwise that slice of the whole matrix.  The solve
-    reads a right-hand side only as ``rhs.shape`` and ``rhs[:, j0:j1]``,
-    so an (M, k) array is its own block source.
+    ``self[:, j0:j1]`` is :func:`covariance_matrix` of the training points
+    against ``targets[j0:j1]``; every entry is computed on its own, so a
+    block is bitwise that slice of the whole matrix.  The solve reads a
+    right-hand side only as ``rhs.shape`` and ``rhs[:, j0:j1]``, so an
+    (M, k) array is its own block source.
     """
 
-    def __init__(self, model, geoms, targets, mode):
-        self.shape = (len(geoms), len(targets))
-        self._model, self._geoms = model, geoms
-        self._targets, self._mode = targets, mode
+    def __init__(self, model, points, targets):
+        self.shape = (len(points), len(targets))
+        self._model, self._points, self._targets = model, points, targets
 
     def __getitem__(self, index):
         _rows, cols = index
-        return covariance_matrix(
-            self._model, self._geoms, self._targets[cols], mode=self._mode
-        )
+        return covariance_matrix(self._model, self._points, self._targets[cols])
 
 
 def _covariances(training, targets, model, mode):
@@ -176,12 +177,13 @@ def _covariances(training, targets, model, mode):
         raise ValidationError("need at least one training sample")
     if len(targets) == 0:
         return None
-    targets = Geometry.of(targets)
     geoms, w = dedup_training(training)
-    cov = covariance_matrix(model, geoms, mode=mode)
+    points = KernelPoints.of(model, geoms, mode)
+    targets = KernelPoints.of(model, targets, mode)
+    cov = covariance_matrix(model, points)
     if len(targets) > _BLOCK:
-        return w, cov, _TargetCovariance(model, geoms, targets, mode)
-    return w, cov, covariance_matrix(model, geoms, targets, mode=mode)
+        return w, cov, _TargetCovariance(model, points, targets)
+    return w, cov, covariance_matrix(model, points, targets)
 
 
 def assemble_system(

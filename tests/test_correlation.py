@@ -38,6 +38,7 @@ from skyfade.correlation import (
     AngleBins,
     CorrelationModel,
     DedmParams,
+    KernelPoints,
     _bin_cells,
     _estimate_profile,
     _fit_distance,
@@ -610,6 +611,48 @@ class TestCorrelationKernel:
                 correlation_matrix(model, good, [bad], mode=mode)
             with pytest.raises(ValidationError):
                 correlation_matrix(model, [bad], good, mode=mode)
+
+
+class TestKernelPoints:
+    """Rows made :class:`KernelPoints` once give the matrices their
+    geometries give, bit for bit."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_points_give_the_geometry_matrices_bitwise(self, mode):
+        model = edge_case_model()
+        ga = Geometry.of(edge_case_geoms(600, seed=40))
+        gb = Geometry.of(edge_case_geoms(333, seed=41))
+        pa, pb = (KernelPoints.of(model, g, mode) for g in (ga, gb))
+        width = {"baseline": 0, "tilt_only": 1, "elev_only": 1, "angle_aware": 2}[mode]
+        assert pa.warped.shape == (600, width)
+        square = correlation_matrix(model, ga, mode=mode)
+        assert np.array_equal(correlation_matrix(model, pa, mode=mode), square)
+        rectangular = correlation_matrix(model, ga, gb, mode=mode)
+        for a, b in ((pa, pb), (pa, gb), (ga, pb)):
+            assert np.array_equal(correlation_matrix(model, a, b, mode=mode), rectangular)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_point_slices_are_the_points_of_geometry_slices(self, mode):
+        model = edge_case_model()
+        geoms = Geometry.of(edge_case_geoms(300, seed=42))
+        points = KernelPoints.of(model, geoms, mode)
+        assert KernelPoints.of(model, points, mode) is points
+        for j0, j1 in [(0, 128), (128, 256), (256, 300), (5, 6)]:
+            part = KernelPoints.of(model, geoms[j0:j1], mode)
+            for name in ("east_m", "north_m", "warped"):
+                assert np.array_equal(getattr(points[j0:j1], name), getattr(part, name))
+
+    def test_baseline_points_accept_any_angle(self):
+        model = edge_case_model()
+        geoms = [mk_geom(theta=0.0), mk_geom(east=5.0, theta=0.0, delta=math.nan)]
+        points = KernelPoints.of(model, geoms, "baseline")
+        assert points.warped.shape == (2, 0)
+        assert np.array_equal(
+            correlation_matrix(model, points, mode="baseline"),
+            correlation_matrix(model, geoms, mode="baseline"),
+        )
+        with pytest.raises(ValidationError):
+            KernelPoints.of(model, geoms, "tilt_only")
 
 
 class TestBalanceResample:

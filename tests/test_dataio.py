@@ -761,11 +761,10 @@ class TestBlockedReader:
     @pytest.mark.parametrize(
         "rows, first",
         [
-            # A non-numeric row after the boundary is named ahead of a bad
-            # pose before it.
+            # A bad pose before the boundary is named ahead of a
+            # non-numeric row after it: the lowest failing line wins.
             (["1,35.7205,-78.699,30,10,95.0,-1", "1,35.7205,-78.699,thirty,10,1,-1"],
-             "line 5: non-numeric value (could not convert string to float:"
-             " 'thirty')"),
+             "line 3: pitch out of range: 95.0"),
             # A bad pose on each side of the boundary: the first is named.
             (["1,35.7205,-78.699,30,10,1,-1", "1,35.7205,-78.699,30,10,95.0,-1",
               "1,35.7205,-78.699,-5.0,10,1,-1"],

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -126,6 +127,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("path", ["lawnmower", "waypoints"])
     def test_flight_box_past_the_bound_is_walked(self, path):
+        # A 10 m step crosses at most 200 legs (lawnmower) or 450
+        # (waypoints) over these seeds, within fieldsim.MAX_STEP_LEGS.
         flight = FlightSpec(
             east_extent_m=(1000.0, 1000.05), north_extent_m=(1000.0, 1000.000001), path=path
         )
@@ -134,6 +137,19 @@ class TestValidation:
                 seed=seed, n_samples=3, truth=flat_truth(), budget=BUDGET, flight=flight
             )
             assert len(generate_trajectory(config)) == 3
+
+    @pytest.mark.parametrize("path", ["lawnmower", "waypoints"])
+    def test_flight_box_small_against_the_step_fails_fast(self, path):
+        """A 1 mm box passes FlightSpec, but each 10 m step crosses some
+        10^4 legs; walking 1000 samples would take minutes."""
+        flight = FlightSpec(east_extent_m=(0.0, 0.001), north_extent_m=(0.0, 0.001), path=path)
+        config = SimConfig(
+            seed=0, n_samples=1000, truth=flat_truth(), budget=BUDGET, flight=flight
+        )
+        t0 = time.perf_counter()
+        with pytest.raises(ValidationError, match="flight box too small for the step"):
+            generate_trajectory(config)
+        assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("noise", [math.nan, math.inf])
     def test_sim_config_non_finite_noise(self, noise):

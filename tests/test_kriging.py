@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from _recipes import BUDGET, decompose_all, same_geometry
-from skyfade import FlightSpec, SimConfig, kriging, synthesize_dataset
+from skyfade import FlightSpec, SimConfig, correlation, kriging, synthesize_dataset
 from skyfade.correlation import (
     MODES,
     Q_CAP_DEG,
     CorrelationModel,
     DedmParams,
+    KernelPoints,
     correlation_matrix,
     covariance_matrix,
 )
@@ -458,12 +459,26 @@ class TestBlockedTargetCovariance:
             predict_sf_batch(training, targets, model)
         assert built == [(0, 128), (128, 256), (256, 300)] * 2
 
+    def test_each_point_set_is_warped_once(self):
+        # u_t and u_e of the training rows and of the targets, however
+        # many blocks of c0 are built from them.
+        model = smooth_model(nugget=1e-4)
+        training = SfTable.of(scattered_samples(100, seed=56))
+        targets = Geometry.of([s.geometry for s in scattered_samples(300, seed=57)])
+        with mock.patch.object(correlation, "_warp", wraps=correlation._warp) as warp:
+            predict_sf_batch(training, targets, model)
+        assert warp.call_count == 4
+
     def test_block_source_columns_are_the_whole_matrix_columns(self):
         model = smooth_model(nugget=1e-4)
         geoms, _w = dedup_training(SfTable.of(scattered_samples(70, seed=58)))
         targets = Geometry.of([s.geometry for s in scattered_samples(300, seed=59)])
         whole = covariance_matrix(model, geoms, targets)
-        source = _TargetCovariance(model, geoms, targets, "angle_aware")
+        source = _TargetCovariance(
+            model,
+            KernelPoints.of(model, geoms, "angle_aware"),
+            KernelPoints.of(model, targets, "angle_aware"),
+        )
         assert source.shape == whole.shape
         for j0, j1 in [(0, 128), (128, 256), (256, 300), (5, 6)]:
             assert np.array_equal(source[:, j0:j1], whole[:, j0:j1])
