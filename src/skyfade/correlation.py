@@ -23,8 +23,9 @@ the same tilt delta != 0 in elevation bins of different rates get a
 nonzero tilt separation.
 
 In the coordinates (east, north, u_t, u_e), which :class:`KernelPoints`
-holds for a row set, the model is a plain product of kernels, and
-:func:`correlation_matrix` builds every correlation from such points.
+holds for a row set under one mode, the model is a plain product of
+kernels, and :func:`correlation_matrix` builds every correlation from such
+points only.
 
 :func:`fit_correlation_model` is the one fit.  It fits the DEDM to the
 distance correlogram by least squares, and each rate table to a binned
@@ -305,10 +306,8 @@ class KernelPoints(Columns):
     def of(cls, model, geoms, mode) -> KernelPoints:
         """The points of ``geoms`` (a :class:`Geometry` or a sequence of
         link geometries) under ``mode``, which validates both angles in
-        every angular mode; a :class:`KernelPoints` is returned as it is."""
+        every angular mode.  A row set's mode is fixed here, once."""
         check_mode(mode)
-        if isinstance(geoms, cls):
-            return geoms
         g, bins, warped = Geometry.of(geoms), model.bins, []
         if mode != "baseline":
             bt, be = bins.tilt_indices(g.delta_deg), bins.elev_indices(g.theta_deg)
@@ -338,19 +337,12 @@ def _distance(xa, ya, xb, yb, out=None, work=None):
     return np.sqrt(out, out=out)
 
 
-def correlation_matrix(
-    model: CorrelationModel,
-    geoms_a,
-    geoms_b=None,
-    mode: str = "angle_aware",
-) -> np.ndarray:
-    """Dense model correlation between two sets of link geometries.
+def correlation_matrix(model: CorrelationModel, a: KernelPoints, b=None) -> np.ndarray:
+    """Dense model correlation between two sets of :class:`KernelPoints`.
 
-    Returns an (len(a), len(b)) matrix.  Each side is a
-    :class:`KernelPoints`, a :class:`Geometry` or a sequence of
-    :class:`LinkGeometry`; ``geoms_b`` defaults to ``geoms_a``.  A side
-    that is not yet points is made so under ``mode``; points already
-    carry their mode's warped angles.
+    Returns an (len(a), len(b)) matrix; ``b`` defaults to ``a``.  Sides
+    with different numbers of warped angles (two modes) raise
+    ValidationError.
 
     An entry is the distance term times one exponential of the summed
     absolute warped separations.  The output is filled in tiles of at most
@@ -362,9 +354,10 @@ def correlation_matrix(
     diagonal are computed and each is mirrored below it, which makes the
     result exactly symmetric.
     """
-    square = geoms_b is None
-    a = KernelPoints.of(model, geoms_a, mode)
-    b = a if square else KernelPoints.of(model, geoms_b, mode)
+    square = b is None
+    b = a if square else b
+    if a.warped.shape[1] != b.warped.shape[1]:
+        raise ValidationError("kernel points of two modes: warped widths differ")
     warps = list(zip(a.warped.T, b.warped.T))
     ea, na, eb, nb = a.east_m, a.north_m, b.east_m, b.north_m
     out = np.empty((ea.size, eb.size))
@@ -402,12 +395,12 @@ def correlation_matrix(
     return out
 
 
-def covariance_matrix(model, geoms_a, geoms_b=None, mode="angle_aware"):
+def covariance_matrix(model, a, b=None):
     """sigma2 * R, with arguments as in :func:`correlation_matrix`, plus the
-    nugget on the diagonal in the square case (``geoms_b`` omitted)."""
-    cov = correlation_matrix(model, geoms_a, geoms_b, mode=mode)
+    nugget on the diagonal in the square case (``b`` omitted)."""
+    cov = correlation_matrix(model, a, b)
     cov *= model.sigma2
-    if geoms_b is None:
+    if b is None:
         cov[np.diag_indices_from(cov)] += model.nugget
     return cov
 

@@ -11,8 +11,9 @@ All randomness flows from numpy's PCG64 generator seeded from the config
 seed with fixed per-purpose stream offsets (trajectory, field, noise), so
 a config reproduces its dataset bit for bit.
 
-The field draw holds one n x n matrix: the covariance is factored in its
-own buffer by the Kriging solve's block Cholesky
+The field draw makes the rows angle_aware :class:`KernelPoints` once and
+holds one n x n matrix: the covariance is factored in its own buffer by
+the Kriging solve's block Cholesky
 (:func:`skyfade.kriging._cholesky_in_place`, numpy alone), so 5000
 samples need 200 MB rather than three times that, and the draw L @ g is
 :func:`skyfade.kriging._lower_matvec` on that factor; only
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .correlation import CorrelationModel, covariance_matrix, serialize_model
+from .correlation import CorrelationModel, KernelPoints, covariance_matrix, serialize_model
 from .errors import NotPositiveDefiniteError, RowErrors, ValidationError
 from .geometry import MeasurementSample, enu_to_geodetic, tilt_geometry
 from .kriging import _cholesky_in_place, _lower_matvec, _restore_lower
@@ -77,12 +78,6 @@ class FlightSpec:
             raise ValidationError("east extent must be a non-empty interval")
         if not (self.north_extent_m[0] < self.north_extent_m[1]):
             raise ValidationError("north extent must be a non-empty interval")
-        # The walk skips waypoints np.allclose to its position; past 4 such
-        # tolerances, a quarter of an extent lies beyond one from any point.
-        extents = (self.east_extent_m, self.north_extent_m)
-        tol = 1e-8 + 1e-5 * max(abs(end) for extent in extents for end in extent)
-        if max(hi - lo for lo, hi in extents) <= 4.0 * tol:
-            raise ValidationError(f"flight box too small: no extent over {4.0 * tol:g} m")
         if self.speed_mps <= 0.0 or self.sample_interval_s <= 0.0:
             raise ValidationError("speed and sample interval must be positive")
         for amp in (self.pitch_excitation_deg, self.roll_excitation_deg):
@@ -171,39 +166,41 @@ def _walk(config: SimConfig) -> np.ndarray:
         def next_waypoint(_k):
             return (rng.uniform(e0, e1), rng.uniform(n0, n1))
 
-    def start_leg(pos, wp_index):
+    step = spec.speed_mps * spec.sample_interval_s
+
+    def start_leg(pos, wp_index, last):
         """(index, waypoint, attitude) of the leg from ``pos`` to the first
-        waypoint from ``wp_index`` on that is not np.allclose to ``pos``."""
-        target = np.array(next_waypoint(wp_index), dtype=float)
-        while np.allclose(target, pos):
-            wp_index += 1
+        waypoint from ``wp_index`` on that is not np.allclose to ``pos``,
+        which must come by waypoint ``last``."""
+        while wp_index <= last:
             target = np.array(next_waypoint(wp_index), dtype=float)
-        heading = math.degrees(math.atan2(target[0] - pos[0], target[1] - pos[1]))
-        pitch = rng.uniform(-spec.pitch_excitation_deg, spec.pitch_excitation_deg)
-        roll = rng.uniform(-spec.roll_excitation_deg, spec.roll_excitation_deg)
-        return wp_index, target, (heading, pitch, roll)
+            if not np.allclose(target, pos):
+                heading = math.degrees(math.atan2(target[0] - pos[0], target[1] - pos[1]))
+                pitch = rng.uniform(-spec.pitch_excitation_deg, spec.pitch_excitation_deg)
+                roll = rng.uniform(-spec.roll_excitation_deg, spec.roll_excitation_deg)
+                return wp_index, target, (heading, pitch, roll)
+            wp_index += 1
+        raise ValidationError(f"flight box too small for the step: a {step:g} m"
+                              f" step crosses over {MAX_STEP_LEGS} legs")
 
     pos = np.array(next_waypoint(0), dtype=float)
-    wp_index, target, (yaw, pitch, roll) = start_leg(pos, 1)
-    step = spec.speed_mps * spec.sample_interval_s
+    wp_index, target, (yaw, pitch, roll) = start_leg(pos, 1, MAX_STEP_LEGS)
     rows = []
     for k in range(config.n_samples):
         lat, lon, alt = enu_to_geodetic(
             np.array([pos[0], pos[1], spec.altitude_m]), config.budget.origin
         )
         rows.append((k * spec.sample_interval_s, lat, lon, alt, yaw, pitch, roll))
-        remaining, legs = step, 0
+        # Each leg the step crosses and each waypoint it skips moves the
+        # index on by one.
+        remaining, last = step, wp_index + MAX_STEP_LEGS
         while remaining > 0.0:
             leg = target - pos
             dist = float(np.hypot(leg[0], leg[1]))
             if dist <= remaining:
-                legs += 1
-                if legs > MAX_STEP_LEGS:
-                    raise ValidationError(f"flight box too small for the step: a {step:g} m"
-                                          f" step crosses over {MAX_STEP_LEGS} legs")
                 pos = target.copy()
                 remaining -= dist
-                wp_index, target, (yaw, pitch, roll) = start_leg(pos, wp_index + 1)
+                wp_index, target, (yaw, pitch, roll) = start_leg(pos, wp_index + 1, last)
             else:
                 pos = pos + leg * (remaining / dist)
                 remaining = 0.0
@@ -216,7 +213,8 @@ def generate_trajectory(config: SimConfig) -> list[TrajectoryPoint]:
     The walk advances speed * interval meters per sample along the
     waypoint polyline (cycling when a lawnmower pattern is exhausted) and
     redraws pitch and roll each time a new leg starts.  A step that
-    crosses more than :data:`MAX_STEP_LEGS` legs raises ValidationError.
+    crosses more than :data:`MAX_STEP_LEGS` legs, skipped waypoints
+    included, raises ValidationError.
     """
     return [TrajectoryPoint(*row) for row in _walk(config).tolist()]
 
@@ -245,7 +243,7 @@ def sample_sf_field(geometries, truth: CorrelationModel, seed) -> np.ndarray:
     if n == 0:
         raise ValidationError("need at least one geometry")
     _check_field_size(n)
-    cov = covariance_matrix(truth, geometries)
+    cov = covariance_matrix(truth, KernelPoints.of(truth, geometries, "angle_aware"))
     g = np.random.default_rng(seed).standard_normal(n)
     # The Cholesky factor runs in the covariance's own buffer, with numpy
     # alone: numpy's cholesky would copy its input and return a separate
@@ -288,12 +286,10 @@ def synthesize_dataset(config: SimConfig) -> list[MeasurementSample]:
     geometry = RowErrors.strict(tilt_geometry, columns, budget.tx_enu, budget.origin)
     estimate = RowErrors.strict(link_rsrp, geometry, budget)
     w = sample_sf_field(geometry, config.truth, [config.seed, _STREAM_FIELD])
-    if config.noise_std_db > 0.0:
-        noise = np.random.default_rng([config.seed, _STREAM_NOISE]).normal(
-            0.0, config.noise_std_db, len(geometry)
-        )
-    else:
-        noise = np.zeros(len(geometry))
+    # A scale of 0 draws exact zeros.
+    noise = np.random.default_rng([config.seed, _STREAM_NOISE]).normal(
+        0.0, config.noise_std_db, len(geometry)
+    )
     rsrp = estimate + w + noise
     return [
         MeasurementSample(*row, z) for row, z in zip(poses.tolist(), rsrp.tolist())

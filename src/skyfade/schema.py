@@ -17,8 +17,9 @@ included, is checked by the type built from it, not here.  Containers
 (objects and lists) of the wrong type are named without their value;
 scalars are named with it.
 
-:func:`open_csv` opens a CSV as UTF-8 text; a byte that is not UTF-8
-raises :class:`SchemaError` naming the file, as a JSON file's does.
+:func:`open_csv` opens a CSV as UTF-8 text, dropping a leading byte-order
+mark as :func:`read_json` does; a byte that is not UTF-8 raises
+:class:`SchemaError` naming the file, as a JSON file's does.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def read_json(path: str | Path, doc: str) -> dict:
     """The JSON object in the UTF-8 file ``path``, a ``doc`` (the kind of
     document, for errors)."""
     try:
-        value = json.loads(Path(path).read_text(encoding="utf-8"))
+        value = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(value, dict):
@@ -55,7 +56,7 @@ def read_json(path: str | Path, doc: str) -> dict:
 def open_csv(path: str | Path):
     """``path`` opened as UTF-8 text for :mod:`csv`; a byte that is not
     UTF-8, wherever the reader meets it, raises :class:`SchemaError`."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

@@ -25,6 +25,7 @@ from skyfade import (
     dedm_eval,
     synthesize_dataset,
 )
+from skyfade.correlation import KernelPoints, correlation_matrix, covariance_matrix
 from skyfade.errors import RowErrors
 from skyfade.evaluation import TrialTable
 from skyfade.fieldsim import sample_sf_field
@@ -40,6 +41,22 @@ def pose_columns(rows):
     trajectory points), one 1-d array per field."""
     names = [f.name for f in dataclasses.fields(rows[0])]
     return {n: np.array([getattr(r, n) for r in rows], dtype=float) for n in names}
+
+
+def kernel_correlation(model, a, b=None, mode="angle_aware"):
+    """:func:`~skyfade.correlation.correlation_matrix` of row sets ``a`` and
+    ``b`` (geometries), each made :class:`KernelPoints` under ``mode``."""
+    return correlation_matrix(model, *_kernel_points(model, a, b, mode))
+
+
+def kernel_covariance(model, a, b=None, mode="angle_aware"):
+    """:func:`~skyfade.correlation.covariance_matrix` of ``a`` and ``b``,
+    made points as in :func:`kernel_correlation`."""
+    return covariance_matrix(model, *_kernel_points(model, a, b, mode))
+
+
+def _kernel_points(model, a, b, mode):
+    return [KernelPoints.of(model, rows, mode) for rows in (a, b) if rows is not None]
 
 
 def trial_table(rows):

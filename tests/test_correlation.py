@@ -22,6 +22,7 @@ from _recipes import (
     angle_grid_dataset,
     dedm_recovery_sf,
     gap_benchmark_sf,
+    kernel_correlation,
     no_worse_than_trf,
     separation_mean,
     single_exp_sf,
@@ -45,6 +46,7 @@ from skyfade.correlation import (
     _fit_rates,
     balance_resample,
     correlation_matrix,
+    covariance_matrix,
     dedm_eval,
     deserialize_model,
     empirical_angular_correlation,
@@ -251,8 +253,8 @@ def oracle_correlation(model, gi, gj, mode="angle_aware"):
 
 
 def pair(model, gi, gj, mode="angle_aware"):
-    """``correlation_matrix`` of one pair."""
-    return float(correlation_matrix(model, [gi], [gj], mode=mode)[0, 0])
+    """The correlation of one pair under ``mode``."""
+    return float(kernel_correlation(model, [gi], [gj], mode=mode)[0, 0])
 
 
 class TestPiecewiseKernel:
@@ -291,11 +293,11 @@ class TestPiecewiseKernel:
             q_pos_deg=Q_CAP_DEG, r_pos_deg=2.0 * Q_CAP_DEG,
         )
         geoms = edge_case_geoms(60, seed=39)
-        base = correlation_matrix(model, geoms, mode="baseline")
+        base = kernel_correlation(model, geoms, mode="baseline")
         for mode in MODES:
-            assert np.array_equal(correlation_matrix(model, geoms, mode=mode), base)
+            assert np.array_equal(kernel_correlation(model, geoms, mode=mode), base)
             assert np.array_equal(
-                correlation_matrix(model, geoms[:20], geoms[20:], mode=mode),
+                kernel_correlation(model, geoms[:20], geoms[20:], mode=mode),
                 base[:20, 20:],
             )
 
@@ -312,7 +314,7 @@ class TestPiecewiseKernel:
             0.0, 1.0, DedmParams(0.5, 0.01, 0.001), tilt_rates=np.full((5, 4), rate)
         )
         others = [mk_geom(delta=d) for d in (0.0, -2.0, 8.0)]
-        out = correlation_matrix(model, [mk_geom(delta=0.0)], others, mode="tilt_only")
+        out = kernel_correlation(model, [mk_geom(delta=0.0)], others, mode="tilt_only")
         assert np.allclose(
             out[0], [1.0, math.exp(-2.0 * rate), math.exp(-8.0 * rate)], atol=1e-15
         )
@@ -432,7 +434,7 @@ class TestModelEvaluation:
             for _ in range(12)
         ]
         for mode in ("baseline", "angle_aware", "tilt_only", "elev_only"):
-            mat = correlation_matrix(model, geoms, mode=mode)
+            mat = kernel_correlation(model, geoms, mode=mode)
             for i, gi in enumerate(geoms):
                 for j, gj in enumerate(geoms):
                     expect = oracle_correlation(model, gi, gj, mode)
@@ -441,7 +443,7 @@ class TestModelEvaluation:
     def test_matrix_diagonal_is_one(self):
         model = cell_coded_model()
         geoms = [mk_geom(e, 2 * e, theta=30.0, delta=5.0) for e in range(5)]
-        mat = correlation_matrix(model, geoms, mode="angle_aware")
+        mat = kernel_correlation(model, geoms, mode="angle_aware")
         assert np.all(np.diagonal(mat) == 1.0)
 
     def test_flat_kernels_reduce_to_distance_only(self):
@@ -458,9 +460,9 @@ class TestModelEvaluation:
             )
             for _ in range(20)
         ]
-        base = correlation_matrix(model, geoms, mode="baseline")
+        base = kernel_correlation(model, geoms, mode="baseline")
         for mode in ("angle_aware", "tilt_only", "elev_only"):
-            assert np.array_equal(correlation_matrix(model, geoms, mode=mode), base)
+            assert np.array_equal(kernel_correlation(model, geoms, mode=mode), base)
 
     def test_absent_cells_fall_back_to_flat(self):
         model = CorrelationModel(mu=0.0, sigma2=4.0, dedm=DedmParams(0.5, 0.01, 0.001))
@@ -476,7 +478,7 @@ class TestModelEvaluation:
             mk_geom(20.0, 0.0, theta=25.0, delta=5.0),
             mk_geom(0.0, 90.0, theta=70.0, delta=-9.0),
         ]
-        mat = correlation_matrix(model, ga, gb, mode="angle_aware")
+        mat = kernel_correlation(model, ga, gb, mode="angle_aware")
         assert mat.shape == (1, 2)
         for j in range(2):
             assert abs(mat[0, j] - oracle_correlation(model, ga[0], gb[j])) <= 1e-12
@@ -484,7 +486,7 @@ class TestModelEvaluation:
     def test_unknown_mode(self):
         model = cell_coded_model()
         with pytest.raises(ValidationError):
-            correlation_matrix(model, [mk_geom()], [mk_geom(1.0)], mode="spatial")
+            kernel_correlation(model, [mk_geom()], [mk_geom(1.0)], mode="spatial")
 
     def test_kernel_key_out_of_range(self):
         # The tables must cover exactly the (tilt, elevation) bin grid.
@@ -557,7 +559,7 @@ class TestCorrelationKernel:
     def test_square_matches_oracle(self, mode):
         model = edge_case_model()
         geoms = edge_case_geoms(700, seed=31)
-        mat = correlation_matrix(model, geoms, mode=mode)
+        mat = kernel_correlation(model, geoms, mode=mode)
         assert mat.shape == (700, 700)
         assert np.array_equal(mat, mat.T)
         assert np.all(np.diagonal(mat) == 1.0)
@@ -572,7 +574,7 @@ class TestCorrelationKernel:
         model = edge_case_model()
         ga = edge_case_geoms(700, seed=33)
         gb = edge_case_geoms(333, seed=34)
-        mat = correlation_matrix(model, ga, gb, mode=mode)
+        mat = kernel_correlation(model, ga, gb, mode=mode)
         assert mat.shape == (700, 333)
         for i in block_edge_indices(700, seed=35):
             for j in block_edge_indices(333, seed=36):
@@ -587,7 +589,7 @@ class TestCorrelationKernel:
         geoms = Geometry.of(edge_case_geoms(n, seed=39))
         tracemalloc.start()
         try:
-            correlation_matrix(model, geoms)
+            kernel_correlation(model, geoms)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -596,8 +598,8 @@ class TestCorrelationKernel:
     def test_rectangular_block_of_square(self):
         model = edge_case_model()
         geoms = edge_case_geoms(300, seed=37)
-        full = correlation_matrix(model, geoms)
-        part = correlation_matrix(model, geoms, geoms[100:250])
+        full = kernel_correlation(model, geoms)
+        part = kernel_correlation(model, geoms, geoms[100:250])
         assert np.array_equal(part, full[:, 100:250])
 
     @pytest.mark.parametrize("mode", ["angle_aware", "tilt_only", "elev_only"])
@@ -606,41 +608,56 @@ class TestCorrelationKernel:
         good = edge_case_geoms(5, seed=38)
         for bad in (mk_geom(theta=0.0), mk_geom(theta=91.0), mk_geom(delta=math.nan)):
             with pytest.raises(ValidationError):
-                correlation_matrix(model, good + [bad], mode=mode)
+                kernel_correlation(model, good + [bad], mode=mode)
             with pytest.raises(ValidationError):
-                correlation_matrix(model, good, [bad], mode=mode)
+                kernel_correlation(model, good, [bad], mode=mode)
             with pytest.raises(ValidationError):
-                correlation_matrix(model, [bad], good, mode=mode)
+                kernel_correlation(model, [bad], good, mode=mode)
 
 
 class TestKernelPoints:
-    """Rows made :class:`KernelPoints` once give the matrices their
-    geometries give, bit for bit."""
+    """A row set's mode is fixed once, where it becomes
+    :class:`KernelPoints`, and the matrices take points only."""
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_points_give_the_geometry_matrices_bitwise(self, mode):
-        model = edge_case_model()
-        ga = Geometry.of(edge_case_geoms(600, seed=40))
-        gb = Geometry.of(edge_case_geoms(333, seed=41))
-        pa, pb = (KernelPoints.of(model, g, mode) for g in (ga, gb))
-        width = {"baseline": 0, "tilt_only": 1, "elev_only": 1, "angle_aware": 2}[mode]
-        assert pa.warped.shape == (600, width)
-        square = correlation_matrix(model, ga, mode=mode)
-        assert np.array_equal(correlation_matrix(model, pa, mode=mode), square)
-        rectangular = correlation_matrix(model, ga, gb, mode=mode)
-        for a, b in ((pa, pb), (pa, gb), (ga, pb)):
-            assert np.array_equal(correlation_matrix(model, a, b, mode=mode), rectangular)
+    WIDTH = {"baseline": 0, "tilt_only": 1, "elev_only": 1, "angle_aware": 2}
 
     @pytest.mark.parametrize("mode", MODES)
     def test_point_slices_are_the_points_of_geometry_slices(self, mode):
         model = edge_case_model()
         geoms = Geometry.of(edge_case_geoms(300, seed=42))
         points = KernelPoints.of(model, geoms, mode)
-        assert KernelPoints.of(model, points, mode) is points
+        assert points.warped.shape == (300, self.WIDTH[mode])
         for j0, j1 in [(0, 128), (128, 256), (256, 300), (5, 6)]:
             part = KernelPoints.of(model, geoms[j0:j1], mode)
             for name in ("east_m", "north_m", "warped"):
                 assert np.array_equal(getattr(points[j0:j1], name), getattr(part, name))
+
+    def test_points_are_not_made_points_again(self):
+        model = edge_case_model()
+        points = KernelPoints.of(model, edge_case_geoms(5, seed=43), "angle_aware")
+        with pytest.raises(TypeError):
+            KernelPoints.of(model, points, "baseline")
+
+    def test_sides_of_different_widths_are_rejected(self):
+        model = edge_case_model()
+        geoms = edge_case_geoms(20, seed=44)
+        points = {mode: KernelPoints.of(model, geoms, mode) for mode in MODES}
+        for ma in MODES:
+            for mb in MODES:
+                if self.WIDTH[ma] == self.WIDTH[mb]:
+                    assert correlation_matrix(model, points[ma], points[mb]).shape == (20, 20)
+                    continue
+                with pytest.raises(ValidationError, match="kernel points of two modes"):
+                    correlation_matrix(model, points[ma], points[mb])
+                with pytest.raises(ValidationError, match="kernel points of two modes"):
+                    covariance_matrix(model, points[ma], points[mb])
+
+    def test_geometries_are_not_points(self):
+        model = edge_case_model()
+        geoms = edge_case_geoms(5, seed=45)
+        for rows in (geoms, Geometry.of(geoms)):
+            with pytest.raises(AttributeError):
+                correlation_matrix(model, rows)
 
     def test_baseline_points_accept_any_angle(self):
         model = edge_case_model()
@@ -648,8 +665,8 @@ class TestKernelPoints:
         points = KernelPoints.of(model, geoms, "baseline")
         assert points.warped.shape == (2, 0)
         assert np.array_equal(
-            correlation_matrix(model, points, mode="baseline"),
-            correlation_matrix(model, geoms, mode="baseline"),
+            correlation_matrix(model, points),
+            dedm_eval(model.dedm, np.array([[0.0, 5.0], [5.0, 0.0]])),
         )
         with pytest.raises(ValidationError):
             KernelPoints.of(model, geoms, "tilt_only")
@@ -1382,8 +1399,8 @@ class TestSerialization:
         geoms = edge_case_geoms(200, seed=41)
         for mode in MODES:
             assert np.array_equal(
-                correlation_matrix(back, geoms, mode=mode),
-                correlation_matrix(model, geoms, mode=mode),
+                kernel_correlation(back, geoms, mode=mode),
+                kernel_correlation(model, geoms, mode=mode),
             )
 
     @pytest.mark.parametrize("field", ["sigma2", "nugget"])
@@ -1457,8 +1474,16 @@ class TestSerialization:
         assert back.tilt_rates.tobytes() == model.tilt_rates.tobytes()
         geoms = edge_case_geoms(50, seed=40)
         assert np.array_equal(
-            correlation_matrix(back, geoms), correlation_matrix(model, geoms)
+            kernel_correlation(back, geoms), kernel_correlation(model, geoms)
         )
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        model = cell_coded_model()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert not path.read_bytes().startswith(b"\xef\xbb\xbf")
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert serialize_model(load_model(path)) == serialize_model(model)
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "model.json"

@@ -262,6 +262,24 @@ class TestIngest:
         reason = "not UTF-8 text: byte 0xb0 (invalid start byte)"
         assert str(err.value) == f"{path}: {reason}"
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        """A leading UTF-8 byte-order mark, which spreadsheet exports write,
+        used to glue itself to the first column's name."""
+        lines = [HEADER] + [good_row(time=float(i)) for i in range(12)]
+        lines.insert(4, "3,35.7205,-78.699,30")
+        plain = write_lines(tmp_path / "plain.csv", lines)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        got, ref = ingest_csv(bom, BUDGET), ingest_csv(plain, BUDGET)
+        assert got.skipped == ref.skipped == [(5, "non-numeric or missing value")]
+        for name in CANONICAL_COLUMNS:
+            assert got.measurements[name].tolist() == ref.measurements[name].tolist()
+        del lines[4]
+        write_lines(plain, lines)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        (got, _), (ref, _) = load_targets_csv(bom, BUDGET), load_targets_csv(plain, BUDGET)
+        assert same_geometry(got, ref) and len(got) == 12
+
     def test_numpy_float_samples_round_trip(self, tmp_path):
         table = np.array(
             [
@@ -837,6 +855,15 @@ class TestConfigs:
         with pytest.raises(SchemaError, match="non-numeric row 3"):
             GainTable.from_csv(gain)
 
+    def test_gain_table_byte_order_mark_is_dropped(self, tmp_path):
+        """Behind a byte-order mark, a headerless table's first row used to
+        be taken for its header."""
+        gain = tmp_path / "gain.csv"
+        gain.write_bytes(b"\xef\xbb\xbf-90,-3\n0,1\n90,3\n")
+        table = GainTable.from_csv(gain)
+        assert table.angles_deg == (-90.0, 0.0, 90.0)
+        assert table.gains_dbi == (-3.0, 1.0, 3.0)
+
     def test_gain_table_not_utf8(self, tmp_path):
         gain = tmp_path / "gain.csv"
         gain.write_bytes(b"\xe9l\xe9vation,gain_dbi\n-90,-3\n90,3\n")
@@ -943,6 +970,11 @@ class TestConfigs:
         assert config.n_trials == 10
         assert config.modes == ("baseline",)
         assert eval_from_config({}) == EvalConfig()
+
+    def test_load_config_drops_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xef\xbb\xbf" + b'{"eval": {"n_trials": 10}}')
+        assert load_config(path) == {"eval": {"n_trials": 10}}
 
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "config.json"

@@ -15,6 +15,8 @@ from _recipes import (
     decompose_all,
     fidelity_case,
     gap_benchmark_truth,
+    kernel_correlation,
+    kernel_covariance,
     pose_columns,
 )
 from skyfade import fieldsim
@@ -22,8 +24,6 @@ from skyfade.correlation import (
     AngleBins,
     CorrelationModel,
     DedmParams,
-    correlation_matrix,
-    covariance_matrix,
     deserialize_model,
 )
 from skyfade.errors import NotPositiveDefiniteError, RowErrors, ValidationError
@@ -121,9 +121,17 @@ class TestValidation:
     )
     def test_flight_box_within_the_walk_tolerance(self, path, east, north):
         """The walk skips waypoints np.allclose to its position, so it
-        never ended in such a box."""
-        with pytest.raises(ValidationError, match="flight box too small"):
-            FlightSpec(east_extent_m=east, north_extent_m=north, path=path)
+        never ended in such a box; each skipped waypoint counts toward
+        fieldsim.MAX_STEP_LEGS."""
+        flight = FlightSpec(east_extent_m=east, north_extent_m=north, path=path)
+        for seed in (0, 6):
+            config = SimConfig(
+                seed=seed, n_samples=3, truth=flat_truth(), budget=BUDGET, flight=flight
+            )
+            t0 = time.perf_counter()
+            with pytest.raises(ValidationError, match="flight box too small for the step"):
+                generate_trajectory(config)
+            assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("path", ["lawnmower", "waypoints"])
     def test_flight_box_past_the_bound_is_walked(self, path):
@@ -131,6 +139,19 @@ class TestValidation:
         # (waypoints) over these seeds, within fieldsim.MAX_STEP_LEGS.
         flight = FlightSpec(
             east_extent_m=(1000.0, 1000.05), north_extent_m=(1000.0, 1000.000001), path=path
+        )
+        for seed in range(8):
+            config = SimConfig(
+                seed=seed, n_samples=3, truth=flat_truth(), budget=BUDGET, flight=flight
+            )
+            assert len(generate_trajectory(config)) == 3
+
+    @pytest.mark.parametrize("path", ["lawnmower", "waypoints"])
+    def test_flight_box_three_tolerances_wide_is_walked(self, path):
+        """A 3 cm box at 1000 m is three np.allclose tolerances wide; a rule
+        on FlightSpec's extents used to reject it, though it can be walked."""
+        flight = FlightSpec(
+            east_extent_m=(1000.0, 1000.03), north_extent_m=(1000.0, 1000.03), path=path
         )
         for seed in range(8):
             config = SimConfig(
@@ -270,7 +291,7 @@ class TestFieldDraw:
     def test_field_statistics_match_truth(self):
         config, truth = fidelity_case()
         geoms = trajectory_geometry(generate_trajectory(config))
-        r_truth = correlation_matrix(truth, geoms)
+        r_truth = kernel_correlation(truth, geoms)
         draws = np.stack(
             [sample_sf_field(geoms, truth, [77, k]) for k in range(500)]
         )
@@ -320,7 +341,7 @@ class TestBlockedCholesky:
     def test_draw_matches_full_factor(self):
         truth = gap_benchmark_truth()
         geoms = lawnmower_geometry(600, truth)
-        cov = covariance_matrix(truth, geoms)
+        cov = kernel_covariance(truth, geoms)
         g = np.random.default_rng(5).standard_normal(600)
         expected = truth.mu + np.linalg.cholesky(cov) @ g
         w = sample_sf_field(geoms, truth, 5)
@@ -334,7 +355,7 @@ class TestBlockedCholesky:
         index = np.arange(600)
         index[500] = 10
         geoms = lawnmower_geometry(600, truth)[index]
-        cov = covariance_matrix(truth, geoms)
+        cov = kernel_covariance(truth, geoms)
         # The first tile factors, so the failure comes in a later panel.
         np.linalg.cholesky(cov[:256, :256])
         with pytest.raises(np.linalg.LinAlgError):
@@ -380,7 +401,7 @@ class TestBlockedCholesky:
         finally:
             tracemalloc.stop()
         assert peak <= 2.25 * 8 * n**2
-        assert np.array_equal(w, eigh_draw(covariance_matrix(truth, geoms), truth, 4))
+        assert np.array_equal(w, eigh_draw(kernel_covariance(truth, geoms), truth, 4))
 
 
 class TestDatasetSynthesis:

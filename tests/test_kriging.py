@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from _recipes import BUDGET, decompose_all, same_geometry
+from _recipes import BUDGET, decompose_all, kernel_correlation, kernel_covariance, same_geometry
 from skyfade import FlightSpec, SimConfig, correlation, kriging, synthesize_dataset
 from skyfade.correlation import (
     MODES,
@@ -15,8 +15,6 @@ from skyfade.correlation import (
     CorrelationModel,
     DedmParams,
     KernelPoints,
-    correlation_matrix,
-    covariance_matrix,
 )
 from skyfade.errors import SingularSystemError, ValidationError
 from skyfade.geometry import Geometry
@@ -166,12 +164,12 @@ class TestSolvePaths:
         model = smooth_model(nugget=1e-4)
         training = scattered_samples(60, seed=26)
         geoms = [s.geometry for s in training]
-        cov = model.sigma2 * correlation_matrix(model, geoms)
+        cov = model.sigma2 * kernel_correlation(model, geoms)
         cov[np.diag_indices_from(cov)] += model.nugget
         # 300 targets take the weights' formation past one column block.
         for k in (7, 300):
             targets = [g.geometry for g in scattered_samples(k, seed=27)]
-            rhs = model.sigma2 * correlation_matrix(model, geoms, targets)
+            rhs = model.sigma2 * kernel_correlation(model, geoms, targets)
             expect = augmented_direct(cov, rhs)
             chol = _cholesky_schur(cov, rhs, 0.0)
             assert chol is not None
@@ -256,7 +254,7 @@ def spd_covariance(m, seed):
     with a small nugget on its diagonal, and the model that built it."""
     model = smooth_model(nugget=1e-4)
     geoms = [s.geometry for s in scattered_samples(m, seed=seed)]
-    cov = model.sigma2 * correlation_matrix(model, geoms)
+    cov = model.sigma2 * kernel_correlation(model, geoms)
     cov[np.diag_indices_from(cov)] += model.nugget
     return cov, model
 
@@ -385,8 +383,8 @@ def full_array_path(training, targets, model):
     """(w_hat, variance, nugget) from :func:`_solve` and :func:`_estimates`
     on the whole (M, k) target covariance array."""
     geoms, w = dedup_training(training)
-    cov = covariance_matrix(model, geoms)
-    c0 = covariance_matrix(model, geoms, targets)
+    cov = kernel_covariance(model, geoms)
+    c0 = kernel_covariance(model, geoms, targets)
     lam, nu, nugget, explained = _solve(cov, c0, model.sigma2, model.nugget)
     return (*_estimates(lam, nu, w, explained, model.sigma2), nugget)
 
@@ -473,7 +471,7 @@ class TestBlockedTargetCovariance:
         model = smooth_model(nugget=1e-4)
         geoms, _w = dedup_training(SfTable.of(scattered_samples(70, seed=58)))
         targets = Geometry.of([s.geometry for s in scattered_samples(300, seed=59)])
-        whole = covariance_matrix(model, geoms, targets)
+        whole = kernel_covariance(model, geoms, targets)
         source = _TargetCovariance(
             model,
             KernelPoints.of(model, geoms, "angle_aware"),

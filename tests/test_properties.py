@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _recipes import no_worse_than_trf
+from _recipes import kernel_correlation, no_worse_than_trf
 from skyfade.correlation import (
     MODES,
     Q_CAP_DEG,
@@ -18,7 +18,6 @@ from skyfade.correlation import (
     DedmParams,
     _distance,
     _fit_dedm,
-    correlation_matrix,
     dedm_eval,
     deserialize_model,
     serialize_model,
@@ -99,7 +98,7 @@ geometries = st.lists(
 def test_every_mode_is_a_valid_correlation(model, geoms):
     n = len(geoms)
     for mode in MODES:
-        r = correlation_matrix(model, geoms, mode=mode)
+        r = kernel_correlation(model, geoms, mode=mode)
         assert np.array_equal(r, r.T)
         assert np.all(np.diagonal(r) == 1.0)
         assert np.linalg.eigvalsh(r)[0] >= -1e-12 * n
@@ -107,9 +106,9 @@ def test_every_mode_is_a_valid_correlation(model, geoms):
 
 @given(models(capped_only=True), geometries)
 def test_capped_tables_equal_baseline(model, geoms):
-    base = correlation_matrix(model, geoms, mode="baseline")
+    base = kernel_correlation(model, geoms, mode="baseline")
     for mode in MODES:
-        assert np.array_equal(correlation_matrix(model, geoms, mode=mode), base)
+        assert np.array_equal(kernel_correlation(model, geoms, mode=mode), base)
 
 
 @given(models(), geometries)
@@ -117,8 +116,8 @@ def test_json_round_trip_gives_the_identical_matrix(model, geoms):
     back = deserialize_model(json.loads(json.dumps(serialize_model(model))))
     for mode in MODES:
         assert np.array_equal(
-            correlation_matrix(back, geoms, mode=mode),
-            correlation_matrix(model, geoms, mode=mode),
+            kernel_correlation(back, geoms, mode=mode),
+            kernel_correlation(model, geoms, mode=mode),
         )
 
 
