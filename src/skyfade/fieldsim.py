@@ -12,14 +12,16 @@ seed with fixed per-purpose stream offsets (trajectory, field, noise), so
 a config reproduces its dataset bit for bit.
 
 The field draw makes the rows angle_aware :class:`KernelPoints` once and
-holds one n x n matrix: the covariance is factored in its own buffer by
-the Kriging solve's block Cholesky
-(:func:`skyfade.kriging._cholesky_in_place`, numpy alone), so 5000
-samples need 200 MB rather than three times that, and the draw L @ g is
-:func:`skyfade.kriging._lower_matvec` on that factor; only
-:mod:`skyfade.kriging` knows the factor's tile layout.  A merely
-semidefinite covariance falls back to a spectral square root, which holds
-two: the covariance and the eigenvectors, scaled in place.
+never holds the whole n x n covariance: the Kriging solve's block
+Cholesky (:func:`skyfade.kriging._cholesky_rows`, numpy alone) asks for
+the covariance's lower triangle a block row at a time, each block row is
+built from the points when it is asked for and overwritten with the
+factor's rows, so 5000 samples need about 100 MB, half the matrix, and
+the draw L @ g is :func:`skyfade.kriging._lower_matvec` over those rows;
+only :mod:`skyfade.kriging` knows the factor's tile layout.  A merely
+semidefinite covariance falls back to a spectral square root, which
+builds the square matrix and holds two: the covariance and the
+eigenvectors, scaled in place.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .correlation import CorrelationModel, KernelPoints, covariance_matrix, serialize_model
 from .errors import NotPositiveDefiniteError, RowErrors, ValidationError
 from .geometry import MeasurementSample, enu_to_geodetic, tilt_geometry
-from .kriging import _cholesky_in_place, _lower_matvec, _restore_lower
+from .kriging import _cholesky_rows, _lower_matvec
 from .propagation import LinkBudget, link_rsrp
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -174,7 +176,9 @@ def _walk(config: SimConfig) -> np.ndarray:
         which must come by waypoint ``last``."""
         while wp_index <= last:
             target = np.array(next_waypoint(wp_index), dtype=float)
-            if not np.allclose(target, pos):
+            # np.allclose(target, pos) on scalars, without its array set-up.
+            if not all(abs(t - p) <= 1e-8 + 1e-5 * abs(p)
+                       for t, p in zip(target.tolist(), pos.tolist())):
                 heading = math.degrees(math.atan2(target[0] - pos[0], target[1] - pos[1]))
                 pitch = rng.uniform(-spec.pitch_excitation_deg, spec.pitch_excitation_deg)
                 roll = rng.uniform(-spec.roll_excitation_deg, spec.roll_excitation_deg)
@@ -230,35 +234,37 @@ def _check_field_size(n: int) -> None:
 def sample_sf_field(geometries, truth: CorrelationModel, seed) -> np.ndarray:
     """Draw one realization of the SF field at the given geometries.
 
-    Builds the dense covariance sigma2 * r_hat + nugget * I of the full
-    (angle-aware) model, which every model makes positive semidefinite,
-    and factors it as L L^T: a blocked, numpy-only Cholesky in the
-    covariance's own buffer when it is positive definite, otherwise a
-    spectral square root with rounding-level negative eigenvalues clipped
-    to zero (exact for merely semidefinite covariances, e.g. perfectly
-    correlated duplicate geometries with no nugget).  Returns mu + L @ g
-    with g standard normal from the seeded generator.
+    The covariance sigma2 * r_hat + nugget * I of the full (angle-aware)
+    model, which every model makes positive semidefinite, is factored as
+    L L^T: a blocked, numpy-only Cholesky over its lower triangle, built a
+    block row at a time, when it is positive definite, otherwise a
+    spectral square root of the dense matrix with rounding-level negative
+    eigenvalues clipped to zero (exact for merely semidefinite
+    covariances, e.g. perfectly correlated duplicate geometries with no
+    nugget).  Returns mu + L @ g with g standard normal from the seeded
+    generator.
     """
     n = len(geometries)
     if n == 0:
         raise ValidationError("need at least one geometry")
     _check_field_size(n)
-    cov = covariance_matrix(truth, KernelPoints.of(truth, geometries, "angle_aware"))
+    points = KernelPoints.of(truth, geometries, "angle_aware")
     g = np.random.default_rng(seed).standard_normal(n)
-    # The Cholesky factor runs in the covariance's own buffer, with numpy
-    # alone: numpy's cholesky would copy its input and return a separate
-    # factor, three n x n buffers in all.  It overwrites the lower triangle
-    # and the diagonal and leaves the strict upper triangle as built, so a
-    # failed factor gives the covariance back bit for bit (it is exactly
-    # symmetric) and the spectral path sees what it would have seen with
-    # no factor tried.
-    diag = cov.diagonal().copy()
+
+    def block_row(k0, k1):
+        # Every entry is computed on its own, so these are bitwise the
+        # rows of the square covariance_matrix(truth, points).
+        row = covariance_matrix(truth, points[k0:k1], points[:k1])
+        row[:, k0:k1][np.diag_indices(k1 - k0)] += truth.nugget
+        return row
+
     try:
-        _cholesky_in_place(cov)
+        rows, _ = _cholesky_rows(n, block_row)
     except np.linalg.LinAlgError:
-        _restore_lower(cov, diag)
+        pass  # the failed factor's rows are dropped with the exception
     else:
-        return truth.mu + _lower_matvec(cov, g)
+        return truth.mu + _lower_matvec(rows, g)
+    cov = covariance_matrix(truth, points)
     eigvals, eigvecs = np.linalg.eigh(cov)
     if eigvals[0] < -1.0e-8 * truth.sigma2:
         raise NotPositiveDefiniteError(

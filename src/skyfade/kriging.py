@@ -52,12 +52,16 @@ weights' formation, the residual and lambda^T c0 work in M x 128 and
 128 x M tiles, so beyond C and the buffer the temporaries are
 O(M x 128) whatever k is.
 
-The factor and the triangular solves are numpy alone: a left-looking
-block Cholesky over diagonal tiles of :data:`_TILE` rows, each tile
-factored by numpy's ``cholesky`` and inverted once, its inverse then
-serving the panel below it and both triangular solves.  The field draw in
-:mod:`fieldsim` uses the factor and :func:`_lower_matvec`, so only this
-module knows the tile layout.  The tiles stay below 128 rows because
+The factor and the triangular solves are numpy alone: an up-looking
+block Cholesky over block rows of :data:`_TILE` rows
+(:func:`_cholesky_rows`), each diagonal tile factored by numpy's
+``cholesky`` and inverted once, its inverse then serving the tiles below
+it and both triangular solves.  The factor asks for a block row of the
+lower triangle only when it reaches it: the solve hands it views of C,
+and the field draw in :mod:`fieldsim` builds each block row as it is
+asked for, so it never holds the upper half.  The draw multiplies by the
+factor with :func:`_lower_matvec`, so only this module knows the tile
+layout.  The tiles stay below 128 rows because
 numpy's OpenBLAS runs LAPACK multi-threaded from 128 up: on 2 vCPUs a
 128 x 128 ``cholesky`` takes 2.9 ms and a 96 x 96 one 40 us.  The
 tiles' own calls stay cheap that way, and the work that grows as M^3 runs
@@ -232,40 +236,56 @@ def _restore_lower(work, diag):
     work[np.diag_indices(m)] = diag
 
 
-def _cholesky_in_place(a) -> list[np.ndarray]:
-    """Overwrite the lower triangle of the C-ordered symmetric matrix ``a``
-    with its Cholesky factor L (a = L L^T), reading only that triangle,
-    and return the inverses of L's diagonal tiles, in order.
+def _cholesky_rows(n, block_row) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Cholesky factor L (A = L L^T) of an n x n symmetric matrix A, a
+    block row at a time; returns (rows, inverses): L's block rows and the
+    inverses of its diagonal tiles, in order.
 
-    Left-looking block Cholesky (Golub & Van Loan, *Matrix Computations*,
-    4th ed., sec. 4.2) over :data:`_TILE`-row diagonal tiles: each block
-    column subtracts the product of the factored rows to its left, the
-    tile on top is factored and inverted, and the panel below it is
-    multiplied by the inverse's transpose.  Temporaries are O(n * _TILE),
-    and the strict upper triangle of ``a`` is never written.  Raises
-    ``np.linalg.LinAlgError`` at the first tile that is not positive
-    definite, with ``a`` partly overwritten.
+    ``block_row(k0, k1)`` returns a writable (k1 - k0, k1) array holding
+    rows k0:k1 and columns :k1 of A, which is asked for only when the
+    factor reaches it and is overwritten with the same rows of L; the
+    strict upper part of its diagonal tile is neither used nor written.
+    Up-looking block Cholesky (Golub & Van Loan, *Matrix Computations*,
+    4th ed., sec. 4.2) over :data:`_TILE`-row tiles: in block row t, each
+    earlier tile j becomes L_tj = (A_tj - L_t,<j L_j,<j^T) inv_j^T, and
+    then A_tt - L_t,<t L_t,<t^T is factored and inverted.  Only the rows
+    already factored are read, so the rows may be views of one matrix or
+    separate arrays, with bitwise the same result; temporaries are
+    _TILE x _TILE.  Raises ``np.linalg.LinAlgError`` at the first tile
+    that is not positive definite, with that block row partly overwritten.
     """
-    n = a.shape[0]
-    inverses = []
-    buf = np.empty((n, min(n, _TILE)))
+    rows, inverses = [], []
+    buf = np.empty((min(n, _TILE), min(n, _TILE)))
     for k0 in range(0, n, _TILE):
         k1 = min(k0 + _TILE, n)
         width = k1 - k0
-        tile = a[k0:k1, k0:k1]
-        panel = a[k1:, k0:k1]
+        row = block_row(k0, k1)
+        out = buf[:width]
+        for j0, inv, done in zip(range(0, k0, _TILE), inverses, rows):
+            block = row[:, j0 : j0 + _TILE]
+            if j0:
+                block -= np.matmul(row[:, :j0], done[:, :j0].T, out=out)
+            np.copyto(block, np.matmul(block, inv.T, out=out))
+        tile = row[:, k0:k1]
         if k0:
-            prod = np.matmul(a[k0:, :k0], a[k0:k1, :k0].T, out=buf[: n - k0, :width])
-            l11 = np.linalg.cholesky(tile - prod[:width])
-            panel -= prod[width:]
+            prod = np.matmul(row[:, :k0], row[:, :k0].T, out=out[:, :width])
+            l11 = np.linalg.cholesky(tile - prod)
         else:
             l11 = np.linalg.cholesky(tile)
         np.copyto(tile, l11, where=_TILE_LOWER[:width, :width])
-        inv = np.linalg.inv(l11)
-        inverses.append(inv)
-        if k1 < n:
-            np.copyto(panel, np.matmul(panel, inv.T, out=buf[: n - k1, :width]))
-    return inverses
+        inverses.append(np.linalg.inv(l11))
+        rows.append(row)
+    return rows, inverses
+
+
+def _cholesky_in_place(a) -> list[np.ndarray]:
+    """Overwrite the lower triangle of the C-ordered symmetric matrix ``a``
+    with its Cholesky factor L, reading only that triangle, and return the
+    inverses of L's diagonal tiles: :func:`_cholesky_rows` on the views
+    ``a[k0:k1, :k1]``.  The strict upper triangle of ``a`` is never
+    written; a factor that fails leaves ``a`` partly overwritten.
+    """
+    return _cholesky_rows(a.shape[0], lambda k0, k1: a[k0:k1, :k1])[1]
 
 
 def _cholesky_solve_in_place(a, inverses, b) -> None:
@@ -289,15 +309,16 @@ def _cholesky_solve_in_place(a, inverses, b) -> None:
         np.copyto(rows, np.matmul(inv.T, rows, out=out))
 
 
-def _lower_matvec(a, g) -> np.ndarray:
-    """L @ g for the factor L that :func:`_cholesky_in_place` left in the
-    lower triangle of ``a``, a tile of rows at a time."""
-    n = a.shape[0]
-    out = np.empty(n)
-    for i0 in range(0, n, _TILE):
-        i1 = min(i0 + _TILE, n)
-        tile = np.where(_TILE_LOWER[: i1 - i0, : i1 - i0], a[i0:i1, i0:i1], 0.0)
-        out[i0:i1] = a[i0:i1, :i0] @ g[:i0] + tile @ g[i0:i1]
+def _lower_matvec(rows, g) -> np.ndarray:
+    """L @ g for the block rows of L that :func:`_cholesky_rows` returned,
+    a block row at a time."""
+    out = np.empty(len(g))
+    k0 = 0
+    for row in rows:
+        k1 = row.shape[1]
+        tile = np.where(_TILE_LOWER[: k1 - k0, : k1 - k0], row[:, k0:k1], 0.0)
+        out[k0:k1] = row[:, :k0] @ g[:k0] + tile @ g[k0:k1]
+        k0 = k1
     return out
 
 

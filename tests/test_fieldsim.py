@@ -19,11 +19,14 @@ from _recipes import (
     kernel_covariance,
     pose_columns,
 )
-from skyfade import fieldsim
+from skyfade import fieldsim, kriging
 from skyfade.correlation import (
+    MODES,
     AngleBins,
     CorrelationModel,
     DedmParams,
+    KernelPoints,
+    covariance_matrix,
     deserialize_model,
 )
 from skyfade.errors import NotPositiveDefiniteError, RowErrors, ValidationError
@@ -330,7 +333,7 @@ class TestBlockedCholesky:
         x = np.random.default_rng(seed).standard_normal((n, n))
         cov = x @ x.T / n + ridge * np.eye(n)
         work = cov.copy()
-        fieldsim._cholesky_in_place(work)
+        kriging._cholesky_in_place(work)
         lower = np.tril(work)
         scale = float(np.abs(cov).max())
         assert float(np.abs(lower @ lower.T - cov).max()) <= 1e-12 * scale
@@ -359,22 +362,37 @@ class TestBlockedCholesky:
         # The first tile factors, so the failure comes in a later panel.
         np.linalg.cholesky(cov[:256, :256])
         with pytest.raises(np.linalg.LinAlgError):
-            fieldsim._cholesky_in_place(cov.copy())
+            kriging._cholesky_in_place(cov.copy())
         w = sample_sf_field(geoms, truth, 9)
         assert np.array_equal(w, eigh_draw(cov, truth, 9))
 
     def test_indefinite_in_second_panel_raises(self, monkeypatch):
-        """The first panel's update leaves row 270 the pivot 1 - 2**2."""
+        """The first block row's factor leaves row t + 50 the pivot
+        1 - 2**2, so the factor fails in its second block row; the spectral
+        fallback then builds the square matrix and finds it indefinite.
+        The stub reads each row's index from its east coordinate."""
+        t = kriging._TILE
         cov = np.eye(300)
-        cov[270, 5] = cov[5, 270] = 2.0
-        monkeypatch.setattr(fieldsim, "covariance_matrix", lambda *_: cov.copy())
-        geoms = [mk_geom(0.0, 0.0)] * 300
+        cov[t + 50, 5] = cov[5, t + 50] = 2.0
+        built = []
+
+        def stub(_model, a, b=None):
+            rows = a.east_m.astype(int)
+            cols = rows if b is None else b.east_m.astype(int)
+            built.append((rows[0], rows[-1] + 1, cols.size))
+            return cov[np.ix_(rows, cols)]
+
+        monkeypatch.setattr(fieldsim, "covariance_matrix", stub)
+        geoms = [mk_geom(float(i), 0.0) for i in range(300)]
         with pytest.raises(NotPositiveDefiniteError):
             sample_sf_field(geoms, flat_truth(), 1)
+        assert built == [(0, t, t), (t, 2 * t, 2 * t), (0, 300, 300)]
 
     def test_draw_holds_one_matrix(self):
-        """The traced peak of a 3000-sample draw stays within 1.5 n x n
-        matrices; numpy's own Cholesky would trace two."""
+        """The traced peak of a 3000-sample draw stays within 0.6 n x n
+        matrices: the factor's block rows are the lower triangle, half of
+        one, and the square covariance factored in place would trace one;
+        numpy's own Cholesky would trace two."""
         truth = gap_benchmark_truth()
         geoms = lawnmower_geometry(3000, truth)
         tracemalloc.start()
@@ -383,7 +401,22 @@ class TestBlockedCholesky:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 8 * 3000**2
+        assert peak <= 0.6 * 8 * 3000**2
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", [1, 95, 96, 97, 600])
+    def test_block_rows_are_the_square_matrix_rows(self, mode, n):
+        """The draw's block row, a rectangular covariance plus the nugget
+        on its diagonal tile, is bitwise that block row of the square
+        covariance."""
+        truth = gap_benchmark_truth()
+        points = KernelPoints.of(truth, lawnmower_geometry(max(n, 2), truth)[:n], mode)
+        square = covariance_matrix(truth, points)
+        for k0 in range(0, n, kriging._TILE):
+            k1 = min(k0 + kriging._TILE, n)
+            row = covariance_matrix(truth, points[k0:k1], points[:k1])
+            row[:, k0:k1][np.diag_indices(k1 - k0)] += truth.nugget
+            assert np.array_equal(row, square[k0:k1, :k1])
 
     def test_semidefinite_draw_holds_two_matrices(self):
         """The spectral fallback scales the eigenvectors in place: the

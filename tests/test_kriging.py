@@ -24,6 +24,7 @@ from skyfade.kriging import (
     RESIDUAL_TOL,
     KrigingSystem,
     _cholesky_in_place,
+    _cholesky_rows,
     _cholesky_schur,
     _cholesky_solve_in_place,
     _estimates,
@@ -531,6 +532,22 @@ class TestTiledCholesky:
             _cholesky_solve_in_place(work, inverses, b)
             x = scipy.linalg.cho_solve(expect, rhs)
             assert np.abs(b - x).max() <= 1e-12 * np.abs(x).max()
+
+    @pytest.mark.parametrize("n", [1, _TILE - 1, _TILE, _TILE + 1, 3 * _TILE + 5])
+    def test_rows_factor_separate_rows_as_views(self, n):
+        """Block rows held as separate arrays factor bitwise as views of
+        one square matrix do, rows and tile inverses alike."""
+        a = random_spd(n, seed=n)
+        work = a.copy()
+        views, view_inverses = _cholesky_rows(n, lambda k0, k1: work[k0:k1, :k1])
+        rows, inverses = _cholesky_rows(n, lambda k0, k1: a[k0:k1, :k1].copy())
+        assert len(rows) == len(views) == len(inverses) == -(-n // _TILE)
+        for row, view in zip(rows, views):
+            assert np.array_equal(row, view)
+        for inv, view_inv in zip(inverses, view_inverses):
+            assert np.array_equal(inv, view_inv)
+        g = np.random.default_rng(n).standard_normal(n)
+        assert np.abs(kriging._lower_matvec(rows, g) - np.tril(work) @ g).max() <= 1e-12
 
     # The first failing pivot: the first row, a tile's last and first rows,
     # and a row inside the third tile.
