@@ -134,7 +134,7 @@ def cmd_predict(args) -> int:
         args.targets, budget, options.get("column_map")
     )
     w_hat, z_hat, variance, nugget = predict_rsrp(
-        ingest.samples, targets, budget, model, args.mode
+        ingest.samples, targets, budget, model.restricted(args.mode)
     )
     if nugget > model.nugget:
         _warn_escalated(args.mode, "the solve")

@@ -23,7 +23,7 @@ the same tilt delta != 0 in elevation bins of different rates get a
 nonzero tilt separation.
 
 In the coordinates (east, north, u_t, u_e), which :class:`KernelPoints`
-holds for a row set under one mode, the model is a plain product of
+holds for a row set under one model, the model is a plain product of
 kernels, and :func:`correlation_matrix` builds every correlation from such
 points only.
 
@@ -44,7 +44,7 @@ refinement from the best few of them and from one fixed start.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -232,7 +232,9 @@ class CorrelationModel:
     (n_elev, n_tilt).  Rates are finite and non-negative; a rate of 0
     means no angular decay (a capped, excluded or absent cell).  Omitted
     tables are all zero.  Instances are treated as immutable after
-    construction, and the tables are stored read-only.
+    construction, and the tables are stored read-only.  A table set to
+    None after construction (only :meth:`restricted` does so, and no caller
+    serializes such a model) marks its angle unused: not warped, not checked.
     """
 
     mu: float
@@ -270,8 +272,8 @@ class CorrelationModel:
         1/r_pos_deg everywhere (0 for constants at or above
         :data:`Q_CAP_DEG`).
 
-        Defaults build flat kernels, which makes the full model coincide
-        with the distance-only baseline.
+        Defaults build all-zero tables, whose matrices are bitwise those of
+        the baseline restriction; the model still checks both angles.
         """
         bins = bins if bins is not None else AngleBins()
         return cls(
@@ -280,6 +282,15 @@ class CorrelationModel:
             elev_rates=np.full((bins.n_elev, bins.n_tilt), _q_rate(r_pos_deg)),
             nugget=nugget,
         )
+
+    def restricted(self, mode: str) -> CorrelationModel:
+        """The model as ``mode`` uses it: ``baseline`` marks both rate tables
+        unused, ``tilt_only`` the elevation one, ``elev_only`` the tilt one."""
+        check_mode(mode)
+        model = replace(self)
+        model.tilt_rates = self.tilt_rates if mode in ("angle_aware", "tilt_only") else None
+        model.elev_rates = self.elev_rates if mode in ("angle_aware", "elev_only") else None
+        return model
 
 
 def _warp(x, edges, rates):
@@ -295,25 +306,24 @@ def _warp(x, edges, rates):
 @dataclass(frozen=True, eq=False)
 class KernelPoints(Columns):
     """Rows in the kernel's own coordinates: ENU east and north, and one
-    column of ``warped`` per warped angle the mode uses (u_t before u_e;
-    none in baseline, one in tilt_only and elev_only, two in angle_aware)."""
+    column of ``warped`` per angle the model uses (u_t before u_e; 0, 1 or
+    2 columns, see :meth:`CorrelationModel.restricted`)."""
 
     east_m: np.ndarray
     north_m: np.ndarray
     warped: np.ndarray
 
     @classmethod
-    def of(cls, model, geoms, mode) -> KernelPoints:
+    def of(cls, model, geoms) -> KernelPoints:
         """The points of ``geoms`` (a :class:`Geometry` or a sequence of
-        link geometries) under ``mode``, which validates both angles in
-        every angular mode.  A row set's mode is fixed here, once."""
-        check_mode(mode)
+        link geometries) under ``model``, which validates both angles when
+        it uses either, even where its tables are all zero."""
         g, bins, warped = Geometry.of(geoms), model.bins, []
-        if mode != "baseline":
+        if model.tilt_rates is not None or model.elev_rates is not None:
             bt, be = bins.tilt_indices(g.delta_deg), bins.elev_indices(g.theta_deg)
-            if mode in ("angle_aware", "tilt_only"):
+            if model.tilt_rates is not None:
                 warped.append(_warp(g.delta_deg, bins.tilt_edges, model.tilt_rates[:, be].T))
-            if mode in ("angle_aware", "elev_only"):
+            if model.elev_rates is not None:
                 warped.append(_warp(g.theta_deg, bins.elev_edges, model.elev_rates[:, bt].T))
         return cls(g.east_m, g.north_m, np.array(warped).reshape(len(warped), len(g)).T)
 
@@ -340,9 +350,9 @@ def _distance(xa, ya, xb, yb, out=None, work=None):
 def correlation_matrix(model: CorrelationModel, a: KernelPoints, b=None) -> np.ndarray:
     """Dense model correlation between two sets of :class:`KernelPoints`.
 
-    Returns an (len(a), len(b)) matrix; ``b`` defaults to ``a``.  Sides
-    with different numbers of warped angles (two modes) raise
-    ValidationError.
+    Returns an (len(a), len(b)) matrix; ``b`` defaults to ``a``.  Either
+    side's warped width not the model's angle count raises ValidationError;
+    tilt_only and elev_only (both width 1) cannot be told apart.
 
     An entry is the distance term times one exponential of the summed
     absolute warped separations.  The output is filled in tiles of at most
@@ -356,8 +366,9 @@ def correlation_matrix(model: CorrelationModel, a: KernelPoints, b=None) -> np.n
     """
     square = b is None
     b = a if square else b
-    if a.warped.shape[1] != b.warped.shape[1]:
-        raise ValidationError("kernel points of two modes: warped widths differ")
+    angles = (model.tilt_rates is not None) + (model.elev_rates is not None)
+    if a.warped.shape[1] != angles or b.warped.shape[1] != angles:
+        raise ValidationError("kernel points of another restriction: widths differ")
     warps = list(zip(a.warped.T, b.warped.T))
     ea, na, eb, nb = a.east_m, a.north_m, b.east_m, b.north_m
     out = np.empty((ea.size, eb.size))

@@ -8,8 +8,9 @@ reached.  Within a trial the tuning and test sets never overlap; across
 trials rows may recur.  All modes see identical tuning/test draws so the
 comparison is paired, and every trial's generator is derived from the
 master seed plus the (M, trial) pair, which keeps runs reproducible and
-lets trials run in any order.  The results come back as columns, one
-array per trial field (:class:`TrialTable`), built once at the end.
+lets trials run in any order.  Each mode predicts with the model
+restricted to it.  The results come back as columns, one array per
+trial field (:class:`TrialTable`), built once at the end.
 """
 
 from __future__ import annotations
@@ -141,6 +142,7 @@ def run_evaluation(
     and test rows by index.  The predicted z for a target reuses the
     target row's own two-ray estimate, so no link budget is needed here.
     """
+    models = {mode: model.restricted(mode) for mode in config.modes}
     samples = SfTable.of(samples)
     n = len(samples)
     needed = max(config.m_values) + config.tests_per_trial
@@ -155,10 +157,8 @@ def run_evaluation(
             rng = np.random.default_rng([config.seed, m, trial])
             draw = rng.choice(n, size=m + config.tests_per_trial, replace=False)
             train, test = samples[draw[:m]], samples[draw[m:]]
-            for mode in config.modes:
-                w_hat, var, nugget = predict_sf_batch(
-                    train, test.geometry, model, mode
-                )
+            for mode, restricted in models.items():
+                w_hat, var, nugget = predict_sf_batch(train, test.geometry, restricted)
                 z_hat = test.pl_est_dbm + w_hat
                 err = z_hat - test.rsrp_dbm
                 rmse = float(np.sqrt(np.mean(err**2)))

@@ -11,7 +11,7 @@ All randomness flows from numpy's PCG64 generator seeded from the config
 seed with fixed per-purpose stream offsets (trajectory, field, noise), so
 a config reproduces its dataset bit for bit.
 
-The field draw makes the rows angle_aware :class:`KernelPoints` once and
+The field draw makes the rows :class:`KernelPoints` of the truth once and
 never holds the whole n x n covariance: the Kriging solve's block
 Cholesky (:func:`skyfade.kriging._cholesky_rows`, numpy alone) asks for
 the covariance's lower triangle a block row at a time, each block row is
@@ -19,9 +19,8 @@ built from the points when it is asked for and overwritten with the
 factor's rows, so 5000 samples need about 100 MB, half the matrix, and
 the draw L @ g is :func:`skyfade.kriging._lower_matvec` over those rows;
 only :mod:`skyfade.kriging` knows the factor's tile layout.  A merely
-semidefinite covariance falls back to a spectral square root, which
-builds the square matrix and holds two: the covariance and the
-eigenvectors, scaled in place.
+semidefinite covariance falls back to a spectral square root (see
+:func:`sample_sf_field`).
 """
 
 from __future__ import annotations
@@ -234,8 +233,8 @@ def _check_field_size(n: int) -> None:
 def sample_sf_field(geometries, truth: CorrelationModel, seed) -> np.ndarray:
     """Draw one realization of the SF field at the given geometries.
 
-    The covariance sigma2 * r_hat + nugget * I of the full (angle-aware)
-    model, which every model makes positive semidefinite, is factored as
+    The covariance sigma2 * r_hat + nugget * I of the truth model, which
+    every model makes positive semidefinite, is factored as
     L L^T: a blocked, numpy-only Cholesky over its lower triangle, built a
     block row at a time, when it is positive definite, otherwise a
     spectral square root of the dense matrix with rounding-level negative
@@ -248,7 +247,7 @@ def sample_sf_field(geometries, truth: CorrelationModel, seed) -> np.ndarray:
     if n == 0:
         raise ValidationError("need at least one geometry")
     _check_field_size(n)
-    points = KernelPoints.of(truth, geometries, "angle_aware")
+    points = KernelPoints.of(truth, geometries)
     g = np.random.default_rng(seed).standard_normal(n)
 
     def block_row(k0, k1):

@@ -36,20 +36,19 @@ That mirror needs C exactly symmetric: the solve checks this first and
 raises ValidationError naming the first asymmetric entry, which no valid
 covariance has.
 
-The training rows and the targets are each made kernel points (their
-warped angles derived) once, and every covariance is built from them.
-For k targets :func:`predict_sf_batch` holds two large buffers: the
-M x M matrix C and one (M, k + 1) buffer.  The target covariances c0 are
-built straight into that buffer as [c0 | 1], 128 columns at a time; the
-triangular solves overwrite it with [Y | a], and it then holds lambda
-over Y.  No separate c0 is kept: with more than 128 targets, the one
-walk that forms the residual (which reads the explicit, intact C over
-every right-hand side) and lambda^T c0 builds each 128-column block of c0
-again from the same points, which repeats only the tile arithmetic and
-gives bitwise the same columns because every entry is computed on its
-own.  Up to 128 targets, c0 is one block, built once and kept.  The
-weights' formation, the residual and lambda^T c0 work in M x 128 and
-128 x M tiles, so beyond C and the buffer the temporaries are
+A mode enters as the model restricted to it (only :func:`assemble_system`
+takes a mode name).  The training rows and the targets are each made
+kernel points once, and every covariance is built from them.  For k
+targets :func:`predict_sf_batch` holds two large buffers: the M x M
+matrix C and one (M, k + 1) buffer, into which c0 is built as [c0 | 1]
+128 columns at a time, which the triangular solves overwrite with
+[Y | a], and which then holds lambda over Y.  No separate c0 is kept:
+past 128 targets, the one walk that forms the residual (reading the
+explicit, intact C over every right-hand side) and lambda^T c0 builds
+each 128-column block of c0 again from the points, which repeats only
+the tile arithmetic and gives bitwise the same columns, as every entry
+is computed on its own; up to 128 targets, c0 is one block, built once
+and kept.  Every other temporary is an M x 128 or 128 x M tile, so
 O(M x 128) whatever k is.
 
 The factor and the triangular solves are numpy alone: an up-looking
@@ -81,7 +80,6 @@ from .correlation import (
     DEFAULT_NUGGET_FACTOR,
     CorrelationModel,
     KernelPoints,
-    check_mode,
     covariance_matrix,
 )
 from .errors import RowErrors, SingularSystemError, ValidationError
@@ -170,20 +168,19 @@ class _TargetCovariance:
         return covariance_matrix(self._model, self._points, self._targets[cols])
 
 
-def _covariances(training, targets, model, mode):
+def _covariances(training, targets, model):
     """(w, cov, c0): deduplicated training SF values, training covariance
     with the base nugget on its diagonal, and the (M, len(targets))
     training-target covariance; None when there are no targets.  c0 is an
     array for up to :data:`_BLOCK` targets and otherwise a
     :class:`_TargetCovariance`, which builds it a block at a time."""
-    check_mode(mode)
     if len(training) == 0:
         raise ValidationError("need at least one training sample")
     if len(targets) == 0:
         return None
     geoms, w = dedup_training(training)
-    points = KernelPoints.of(model, geoms, mode)
-    targets = KernelPoints.of(model, targets, mode)
+    points = KernelPoints.of(model, geoms)
+    targets = KernelPoints.of(model, targets)
     cov = covariance_matrix(model, points)
     if len(targets) > _BLOCK:
         return w, cov, _TargetCovariance(model, points, targets)
@@ -199,9 +196,9 @@ def assemble_system(
     """Build the covariance blocks for one target.
 
     ``training`` is an :class:`SfTable` or a sequence of SF samples;
-    duplicates are collapsed first.
+    duplicates are collapsed first, and ``mode`` restricts ``model``.
     """
-    w, cov, c0 = _covariances(training, [target], model, mode)
+    w, cov, c0 = _covariances(training, [target], model.restricted(mode))
     return KrigingSystem(
         cov=cov,
         target_cov=c0[:, 0],
@@ -492,23 +489,19 @@ def predict_sf(system: KrigingSystem) -> Prediction:
 
 
 def predict_sf_batch(
-    training,
-    targets,
-    model: CorrelationModel,
-    mode: str = "angle_aware",
+    training, targets, model: CorrelationModel
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Kriging predictions for many targets off one factorization.
 
     ``training`` is an :class:`SfTable` or a sequence of SF samples and
     ``targets`` a :class:`Geometry` or a sequence of link geometries.
+    ``model`` is the model a mode restricts (:meth:`CorrelationModel.restricted`).
     Returns (w_hat, variance, nugget_used) with one entry per target.
     A batch of one target gives bitwise what :func:`solve_ok` and
-    :func:`predict_sf` give; more targets share one factorization.
-    Beyond C it holds one (M, k + 1) buffer: lambda^T c0 comes from the
-    residual pass, which builds c0 a block at a time for more than
-    :data:`_BLOCK` targets (see the module docstring).
+    :func:`predict_sf` give; more targets share one factorization, and
+    beyond C hold one (M, k + 1) buffer (see the module docstring).
     """
-    blocks = _covariances(training, targets, model, mode)
+    blocks = _covariances(training, targets, model)
     if blocks is None:
         return np.empty(0), np.empty(0), model.nugget
     w, cov, c0 = blocks
@@ -517,16 +510,12 @@ def predict_sf_batch(
 
 
 def predict_rsrp(
-    training,
-    targets,
-    budget: LinkBudget,
-    model: CorrelationModel,
-    mode: str = "angle_aware",
+    training, targets, budget: LinkBudget, model: CorrelationModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(w_hat, z_hat, variance, nugget_used) off one factorization: the
     :func:`predict_sf_batch` columns plus z_hat, the two-ray estimate plus
     the Kriged SF."""
     targets = Geometry.of(targets)
-    w_hat, variance, nugget = predict_sf_batch(training, targets, model, mode)
+    w_hat, variance, nugget = predict_sf_batch(training, targets, model)
     z_hat = RowErrors.strict(link_rsrp, targets, budget) + w_hat
     return w_hat, z_hat, variance, nugget

@@ -45,18 +45,21 @@ def pose_columns(rows):
 
 def kernel_correlation(model, a, b=None, mode="angle_aware"):
     """:func:`~skyfade.correlation.correlation_matrix` of row sets ``a`` and
-    ``b`` (geometries), each made :class:`KernelPoints` under ``mode``."""
-    return correlation_matrix(model, *_kernel_points(model, a, b, mode))
+    ``b`` (geometries) under ``model.restricted(mode)``, each made
+    :class:`KernelPoints` of it."""
+    return correlation_matrix(*_kernel_points(model, a, b, mode))
 
 
 def kernel_covariance(model, a, b=None, mode="angle_aware"):
     """:func:`~skyfade.correlation.covariance_matrix` of ``a`` and ``b``,
     made points as in :func:`kernel_correlation`."""
-    return covariance_matrix(model, *_kernel_points(model, a, b, mode))
+    return covariance_matrix(*_kernel_points(model, a, b, mode))
 
 
 def _kernel_points(model, a, b, mode):
-    return [KernelPoints.of(model, rows, mode) for rows in (a, b) if rows is not None]
+    """The restricted model, then the points of each row set given."""
+    model = model.restricted(mode)
+    return [model] + [KernelPoints.of(model, rows) for rows in (a, b) if rows is not None]
 
 
 def trial_table(rows):

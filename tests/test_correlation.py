@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -63,7 +64,9 @@ from skyfade.errors import (
     SchemaError,
     ValidationError,
 )
+from skyfade.fieldsim import sample_sf_field
 from skyfade.geometry import Geometry, LinkGeometry
+from skyfade.kriging import predict_sf_batch
 from skyfade.propagation import SfSample, SfTable, sf_statistics
 
 MODEL_V1 = Path(__file__).parent / "data" / "model_v1.json"
@@ -616,41 +619,47 @@ class TestCorrelationKernel:
 
 
 class TestKernelPoints:
-    """A row set's mode is fixed once, where it becomes
-    :class:`KernelPoints`, and the matrices take points only."""
+    """A mode is a restricted model: a row set becomes
+    :class:`KernelPoints` of it once, and the matrices take points only."""
 
     WIDTH = {"baseline": 0, "tilt_only": 1, "elev_only": 1, "angle_aware": 2}
 
     @pytest.mark.parametrize("mode", MODES)
     def test_point_slices_are_the_points_of_geometry_slices(self, mode):
-        model = edge_case_model()
+        model = edge_case_model().restricted(mode)
         geoms = Geometry.of(edge_case_geoms(300, seed=42))
-        points = KernelPoints.of(model, geoms, mode)
+        points = KernelPoints.of(model, geoms)
         assert points.warped.shape == (300, self.WIDTH[mode])
         for j0, j1 in [(0, 128), (128, 256), (256, 300), (5, 6)]:
-            part = KernelPoints.of(model, geoms[j0:j1], mode)
+            part = KernelPoints.of(model, geoms[j0:j1])
             for name in ("east_m", "north_m", "warped"):
                 assert np.array_equal(getattr(points[j0:j1], name), getattr(part, name))
 
     def test_points_are_not_made_points_again(self):
         model = edge_case_model()
-        points = KernelPoints.of(model, edge_case_geoms(5, seed=43), "angle_aware")
+        points = KernelPoints.of(model, edge_case_geoms(5, seed=43))
         with pytest.raises(TypeError):
-            KernelPoints.of(model, points, "baseline")
+            KernelPoints.of(model.restricted("baseline"), points)
 
     def test_sides_of_different_widths_are_rejected(self):
-        model = edge_case_model()
+        """Each side's width must be the angle count of the model the
+        matrix is built with; tilt_only and elev_only (both width 1) pass."""
+        full = edge_case_model()
         geoms = edge_case_geoms(20, seed=44)
-        points = {mode: KernelPoints.of(model, geoms, mode) for mode in MODES}
+        models = {mode: full.restricted(mode) for mode in MODES}
+        points = {mode: KernelPoints.of(models[mode], geoms) for mode in MODES}
         for ma in MODES:
             for mb in MODES:
-                if self.WIDTH[ma] == self.WIDTH[mb]:
-                    assert correlation_matrix(model, points[ma], points[mb]).shape == (20, 20)
-                    continue
-                with pytest.raises(ValidationError, match="kernel points of two modes"):
-                    correlation_matrix(model, points[ma], points[mb])
-                with pytest.raises(ValidationError, match="kernel points of two modes"):
-                    covariance_matrix(model, points[ma], points[mb])
+                model = models[mb]
+                for sides in ((points[ma],), (points[ma], points[mb]), (points[mb], points[ma])):
+                    if self.WIDTH[ma] == self.WIDTH[mb]:
+                        assert correlation_matrix(model, *sides).shape == (20, 20)
+                        assert covariance_matrix(model, *sides).shape == (20, 20)
+                        continue
+                    with pytest.raises(ValidationError, match="another restriction"):
+                        correlation_matrix(model, *sides)
+                    with pytest.raises(ValidationError, match="another restriction"):
+                        covariance_matrix(model, *sides)
 
     def test_geometries_are_not_points(self):
         model = edge_case_model()
@@ -661,15 +670,46 @@ class TestKernelPoints:
 
     def test_baseline_points_accept_any_angle(self):
         model = edge_case_model()
+        baseline = model.restricted("baseline")
         geoms = [mk_geom(theta=0.0), mk_geom(east=5.0, theta=0.0, delta=math.nan)]
-        points = KernelPoints.of(model, geoms, "baseline")
+        points = KernelPoints.of(baseline, geoms)
         assert points.warped.shape == (2, 0)
         assert np.array_equal(
-            correlation_matrix(model, points),
+            correlation_matrix(baseline, points),
             dedm_eval(model.dedm, np.array([[0.0, 5.0], [5.0, 0.0]])),
         )
-        with pytest.raises(ValidationError):
-            KernelPoints.of(model, geoms, "tilt_only")
+        for mode in ("angle_aware", "tilt_only", "elev_only"):
+            with pytest.raises(ValidationError):
+                KernelPoints.of(model.restricted(mode), geoms)
+
+    def test_flat_full_model_still_checks_angles(self):
+        """All-zero tables used whole warp to zero, yet both angles are
+        checked, as in every angular mode."""
+        model = CorrelationModel.with_uniform_kernels(
+            0.0, 9.0, DedmParams(0.6, 0.01, 0.001), nugget=1e-4
+        )
+        assert not model.tilt_rates.any() and not model.elev_rates.any()
+        good = edge_case_geoms(5, seed=46)
+        training = [SfSample(g, sf_db=0.0, rsrp_dbm=0.0, pl_est_dbm=0.0) for g in good]
+        for bad in (mk_geom(delta=math.nan), mk_geom(theta=0.0), mk_geom(theta=91.0)):
+            with pytest.raises(ValidationError):
+                KernelPoints.of(model, good + [bad])
+            with pytest.raises(ValidationError):
+                predict_sf_batch(training, [bad], model)
+            with pytest.raises(ValidationError):
+                sample_sf_field(good + [bad], model, 0)
+
+    def test_restricted_rejects_unknown_mode(self):
+        model = edge_case_model()
+        with pytest.raises(ValidationError, match=re.escape(str(MODES))):
+            model.restricted("psychic")
+
+    def test_restriction_does_not_bring_tables_back(self):
+        model = edge_case_model()
+        geoms = edge_case_geoms(5, seed=47)
+        for mode in MODES:
+            again = model.restricted(mode).restricted("angle_aware")
+            assert KernelPoints.of(again, geoms).warped.shape == (5, self.WIDTH[mode])
 
 
 class TestBalanceResample:

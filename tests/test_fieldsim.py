@@ -409,8 +409,8 @@ class TestBlockedCholesky:
         """The draw's block row, a rectangular covariance plus the nugget
         on its diagonal tile, is bitwise that block row of the square
         covariance."""
-        truth = gap_benchmark_truth()
-        points = KernelPoints.of(truth, lawnmower_geometry(max(n, 2), truth)[:n], mode)
+        truth = gap_benchmark_truth().restricted(mode)
+        points = KernelPoints.of(truth, lawnmower_geometry(max(n, 2), truth)[:n])
         square = covariance_matrix(truth, points)
         for k0 in range(0, n, kriging._TILE):
             k1 = min(k0 + kriging._TILE, n)

@@ -475,8 +475,8 @@ class TestBlockedTargetCovariance:
         whole = kernel_covariance(model, geoms, targets)
         source = _TargetCovariance(
             model,
-            KernelPoints.of(model, geoms, "angle_aware"),
-            KernelPoints.of(model, targets, "angle_aware"),
+            KernelPoints.of(model, geoms),
+            KernelPoints.of(model, targets),
         )
         assert source.shape == whole.shape
         for j0, j1 in [(0, 128), (128, 256), (256, 300), (5, 6)]:
@@ -673,8 +673,8 @@ class TestModes:
         aware = assemble_system(training, target, model, "angle_aware")
         assert np.array_equal(base.cov, aware.cov)
         assert np.array_equal(base.target_cov, aware.target_cov)
-        w_base, v_base, _ = predict_sf_batch(training, [target], model, "baseline")
-        w_aware, v_aware, _ = predict_sf_batch(training, [target], model, "angle_aware")
+        w_base, v_base, _ = predict_sf_batch(training, [target], model.restricted("baseline"))
+        w_aware, v_aware, _ = predict_sf_batch(training, [target], model)
         assert w_base[0] == w_aware[0]
         assert v_base[0] == v_aware[0]
 
@@ -689,8 +689,8 @@ class TestModes:
         )
         training = scattered_samples(30, seed=20)
         target = mk_geom(12.0, 44.0, theta=50.0, delta=-7.0)
-        w_base, _, _ = predict_sf_batch(training, [target], model, "baseline")
-        w_aware, _, _ = predict_sf_batch(training, [target], model, "angle_aware")
+        w_base, _, _ = predict_sf_batch(training, [target], model.restricted("baseline"))
+        w_aware, _, _ = predict_sf_batch(training, [target], model)
         assert w_base[0] != w_aware[0]
 
 
@@ -716,7 +716,9 @@ class TestBatch:
         for mode in MODES:
             for target in targets[:200]:
                 pred = predict_sf(solve_ok(assemble_system(training, target, model, mode)))
-                w_one, var_one, nugget_one = predict_sf_batch(training, [target], model, mode)
+                w_one, var_one, nugget_one = predict_sf_batch(
+                    training, [target], model.restricted(mode)
+                )
                 assert w_one[0] == pred.w_hat_db
                 assert var_one[0] == pred.variance_db2
                 assert nugget_one == pred.nugget_used

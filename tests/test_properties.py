@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _recipes import kernel_correlation, no_worse_than_trf
+from _recipes import kernel_correlation, kernel_covariance, no_worse_than_trf
 from skyfade.correlation import (
     MODES,
     Q_CAP_DEG,
@@ -22,6 +22,7 @@ from skyfade.correlation import (
     deserialize_model,
     serialize_model,
 )
+from skyfade.fieldsim import sample_sf_field
 from skyfade.kriging import predict_sf_batch
 from skyfade.propagation import SfSample
 from test_correlation import mk_geom
@@ -104,11 +105,32 @@ def test_every_mode_is_a_valid_correlation(model, geoms):
         assert np.linalg.eigvalsh(r)[0] >= -1e-12 * n
 
 
-@given(models(capped_only=True), geometries)
-def test_capped_tables_equal_baseline(model, geoms):
+def zeroed(model, mode):
+    """``model`` whole, with the tables ``mode`` leaves unused all zero (the
+    constructor reads a table of None as zeros)."""
+    tilt = model.tilt_rates if mode in ("angle_aware", "tilt_only") else None
+    elev = model.elev_rates if mode in ("angle_aware", "elev_only") else None
+    return dataclasses.replace(model, tilt_rates=tilt, elev_rates=elev)
+
+
+@given(models(capped_only=True), models(), geometries)
+def test_capped_tables_equal_baseline(model, full, geoms):
     base = kernel_correlation(model, geoms, mode="baseline")
     for mode in MODES:
         assert np.array_equal(kernel_correlation(model, geoms, mode=mode), base)
+    # More generally, each mode's restriction is bitwise the whole model
+    # with the unused tables zeroed: square and rectangular matrices, and
+    # the field draw, which factors the square one a block row at a time.
+    full = dataclasses.replace(full, nugget=0.01 * full.sigma2)
+    for mode in MODES:
+        restricted, whole = full.restricted(mode), zeroed(full, mode)
+        for rows in ((geoms,), (geoms, geoms[::2])):
+            assert np.array_equal(
+                kernel_covariance(restricted, *rows), kernel_covariance(whole, *rows)
+            )
+        assert np.array_equal(
+            sample_sf_field(geoms, restricted, 7), sample_sf_field(geoms, whole, 7)
+        )
 
 
 @given(models(), geometries)
@@ -138,7 +160,7 @@ def sf_samples(draw):
 def test_kriging_weights_sum_to_one(model, training, targets, mode):
     # With every training value 1 the predictor lambda^T w is the weight sum.
     ones = [dataclasses.replace(s, sf_db=1.0) for s in training]
-    w_hat, _, _ = predict_sf_batch(ones, targets, model, mode)
+    w_hat, _, _ = predict_sf_batch(ones, targets, model.restricted(mode))
     assert np.max(np.abs(w_hat - 1.0)) <= 1e-10
 
 
@@ -156,11 +178,11 @@ def test_kriging_ignores_training_order(model, nugget, training, targets, mode, 
     # the ladder's 1e-6 sigma2 loading then leaves a condition number near
     # 1e6, and reordering the rows moves w_hat by about 1e-9 through
     # rounding alone.
-    model = dataclasses.replace(model, nugget=nugget * model.sigma2)
+    model = dataclasses.replace(model, nugget=nugget * model.sigma2).restricted(mode)
     order = data.draw(st.permutations(range(len(training))))
-    w_hat, _, _ = predict_sf_batch(training, targets, model, mode)
+    w_hat, _, _ = predict_sf_batch(training, targets, model)
     shuffled = [training[i] for i in order]
-    w_hat_shuffled, _, _ = predict_sf_batch(shuffled, targets, model, mode)
+    w_hat_shuffled, _, _ = predict_sf_batch(shuffled, targets, model)
     assert np.max(np.abs(w_hat_shuffled - w_hat)) <= 1e-9
 
 
