@@ -233,8 +233,9 @@ class CorrelationModel:
     means no angular decay (a capped, excluded or absent cell).  Omitted
     tables are all zero.  Instances are treated as immutable after
     construction, and the tables are stored read-only.  A table set to
-    None after construction (only :meth:`restricted` does so, and no caller
-    serializes such a model) marks its angle unused: not warped, not checked.
+    None after construction (only :meth:`restricted` does so) marks its
+    angle unused: not warped, not checked; :func:`serialize_model` refuses
+    such a model.
     """
 
     mu: float
@@ -593,6 +594,7 @@ def empirical_correlogram(
     dist_sum = np.zeros(n_lags)
     count = np.zeros(n_lags, dtype=np.int64)
     chunk = 512
+    above = ~np.tri(min(chunk, n), dtype=bool)  # column > row, sliced per block
     for i0 in range(0, n, chunk):
         i1 = min(i0 + chunk, n)
         prod_part, dist_part = np.zeros(n_lags), np.zeros(n_lags)
@@ -601,7 +603,7 @@ def empirical_correlogram(
             r1 = min(r0 + max(1, CORRELOGRAM_BLOCK_PAIRS // (n - r0)), i1)
             d = _distance(east[r0:r1], north[r0:r1], east[r0:], north[r0:])
             keep = d < max_lag_m
-            keep[:, : r1 - r0] &= ~np.tri(r1 - r0, dtype=bool)  # column > row
+            keep[:, : r1 - r0] &= above[: r1 - r0, : r1 - r0]
             dk = d[keep]
             pk = np.multiply(dev[r0:r1, None], dev[None, r0:], out=d)[keep]
             idx = np.minimum((dk / width).astype(np.int64), n_lags - 1)
@@ -995,8 +997,15 @@ def serialize_model(model: CorrelationModel) -> dict:
 
     The rate tables become nested lists, ``tilt_rates[tilt][elev]`` and
     ``elev_rates[elev][tilt]``; infinite bin edges are encoded as the
-    strings "inf"/"-inf".
+    strings "inf"/"-inf".  A restricted model (see
+    :meth:`CorrelationModel.restricted`) with an unused table raises
+    ValidationError naming it: the schema has no way to write one.
     """
+    for name in ("tilt_rates", "elev_rates"):
+        if getattr(model, name) is None:
+            raise ValidationError(
+                f"cannot serialize a restricted model: {name} is unused"
+            )
     return {
         "version": SCHEMA_VERSION,
         "mu": model.mu,

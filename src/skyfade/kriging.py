@@ -27,40 +27,46 @@ An indefinite covariance is therefore never accepted at the model's
 nugget: the nugget actually used is recorded on the system, and callers
 report it.
 
-C is factored in place, so a solve holds one M x M matrix, not two.  The
-factor overwrites one triangle and the shifted diagonal; after each
-attempt, failed or not, the intact triangle is mirrored back over the
-factored one, a block of columns at a time, and the saved diagonal is
-written back, so the caller's matrix comes back bitwise as it went in.
-That mirror needs C exactly symmetric: the solve checks this first and
-raises ValidationError naming the first asymmetric entry, which no valid
-covariance has.
+C reaches the solve as an (M, M) array or as a :class:`_CovarianceRows`,
+which builds C from the training points a block row of its lower triangle
+at a time; :func:`predict_sf_batch` passes the array while C takes at most
+:data:`_WHOLE_COV_BYTES` and the source past that.  C is never written.
+The factor's block rows are new arrays, copied from the array or built,
+with the rung's shift on their diagonal tiles, and they are dropped once
+the triangular solves are done.  The residual check then reads C a block
+of rows at a time: an array's own rows or, from the source, C's lower
+triangle built again, each row block being its block row followed by the
+column block below its diagonal tile, transposed.  The source's C is
+exactly symmetric by construction.  An array must be too, since the factor
+reads only its lower triangle: the solve checks this first and raises
+ValidationError naming the first asymmetric entry, which no valid
+covariance has.  Both forms of one C give bitwise the same solution,
+residual and variances.
 
 A mode enters as the model restricted to it (only :func:`assemble_system`
 takes a mode name).  The training rows and the targets are each made
 kernel points once, and every covariance is built from them.  For k
-targets :func:`predict_sf_batch` holds two large buffers: the M x M
-matrix C and one (M, k + 1) buffer, into which c0 is built as [c0 | 1]
-128 columns at a time, which the triangular solves overwrite with
+targets past the array size, :func:`predict_sf_batch` holds two large
+buffers: L's lower triangle, as block rows (C's, when the residual check
+builds them again), and one (M, k + 1) buffer, into which c0 is built as
+[c0 | 1] 128 columns at a time, which the triangular solves overwrite with
 [Y | a], and which then holds lambda over Y.  No separate c0 is kept:
-past 128 targets, the one walk that forms the residual (reading the
-explicit, intact C over every right-hand side) and lambda^T c0 builds
-each 128-column block of c0 again from the points, which repeats only
-the tile arithmetic and gives bitwise the same columns, as every entry
-is computed on its own; up to 128 targets, c0 is one block, built once
-and kept.  Every other temporary is an M x 128 or 128 x M tile, so
-O(M x 128) whatever k is.
+past 128 targets, the one walk that forms the residual over every
+right-hand side and lambda^T c0 builds c0 again from the points, 96 rows
+at a time, which repeats only the tile arithmetic and gives bitwise the
+same entries, as every entry is computed on its own; up to 128 targets,
+c0 is one block, built once and kept.  Every other temporary is an
+M x 128, 96 x M, 96 x 512 or 96 x (k + 1) tile.
 
 The factor and the triangular solves are numpy alone: an up-looking
 block Cholesky over block rows of :data:`_TILE` rows
 (:func:`_cholesky_rows`), each diagonal tile factored by numpy's
 ``cholesky`` and inverted once, its inverse then serving the tiles below
 it and both triangular solves.  The factor asks for a block row of the
-lower triangle only when it reaches it: the solve hands it views of C,
-and the field draw in :mod:`fieldsim` builds each block row as it is
-asked for, so it never holds the upper half.  The draw multiplies by the
-factor with :func:`_lower_matvec`, so only this module knows the tile
-layout.  The tiles stay below 128 rows because
+lower triangle only when it reaches it, so it never holds the upper half;
+the field draw in :mod:`fieldsim` factors the same :class:`_CovarianceRows`
+and multiplies by the factor with :func:`_lower_matvec`, so only this
+module knows the tile layout.  The tiles stay below 128 rows because
 numpy's OpenBLAS runs LAPACK multi-threaded from 128 up: on 2 vCPUs a
 128 x 128 ``cholesky`` takes 2.9 ms and a 96 x 96 one 40 us.  The
 tiles' own calls stay cheap that way, and the work that grows as M^3 runs
@@ -88,14 +94,25 @@ from .propagation import LinkBudget, SfTable, link_rsrp
 
 RESIDUAL_TOL = 1.0e-8
 MAX_ESCALATIONS = 6
-# Rows or columns per block in the symmetry check, the restore, the
-# weights' formation, the residual and the variance.
+# Rows per block in the symmetry check; columns per block in the
+# right-hand sides' copy and the weights' formation.
 _BLOCK = 128
-_STRICT_LOWER = np.tri(_BLOCK, k=-1, dtype=bool)
-# Rows per diagonal tile of the Cholesky factor; below 128, where numpy's
-# LAPACK calls turn multi-threaded (see the module docstring).
+# Rows per diagonal tile of the Cholesky factor, and per row block of the
+# residual; below 128, where numpy's LAPACK calls turn multi-threaded (see
+# the module docstring).
 _TILE = 96
 _TILE_LOWER = np.tri(_TILE, dtype=bool)
+# Columns per block in the residual walk.  A (96, M) row block of C times
+# 512 columns of lambda runs OpenBLAS near full speed: over a 4000-row C
+# and 1000 targets, 0.53 s against 0.65 s at 128 columns and 0.49 s at all
+# 1000 (2 vCPUs), with the walk's two tiles kept at 96 x 512.
+_RESIDUAL_COLUMNS = 512
+# The largest C, in bytes, that predict_sf_batch builds whole, in one
+# square build per solve (1 MiB: 362 rows, above the 350-row systems of
+# the paper's benchmark); past it the solve builds C's lower triangle a
+# block row at a time, once for the factor and once for the residual
+# check, and never holds C whole.
+_WHOLE_COV_BYTES = 2**20
 
 
 @dataclass
@@ -143,20 +160,46 @@ def dedup_training(samples) -> tuple[Geometry, np.ndarray]:
     return g[first[order]], w
 
 
-def _spans(n):
-    """(start, stop) of each block of :data:`_BLOCK` indices in range(n)."""
-    return [(i0, min(i0 + _BLOCK, n)) for i0 in range(0, n, _BLOCK)]
+def _spans(n, size=_BLOCK):
+    """(start, stop) of each block of ``size`` indices in range(n)."""
+    return [(i0, min(i0 + size, n)) for i0 in range(0, n, size)]
+
+
+class _CovarianceRows:
+    """The (M, M) covariance C of M :class:`KernelPoints`, with the nugget
+    on its diagonal, built on request a block row of its lower triangle at
+    a time.
+
+    ``block_row(k0, k1)`` is a new (k1 - k0, k1) array holding rows k0:k1
+    and columns :k1 of C: :func:`covariance_matrix` of ``points[k0:k1]``
+    against ``points[:k1]``, plus the nugget on its diagonal tile.  Every
+    entry is computed on its own, and the square
+    ``covariance_matrix(model, points)`` is exactly symmetric, so a block
+    row is bitwise those entries of :meth:`whole`, the square matrix.
+    """
+
+    def __init__(self, model, points):
+        self.shape = (len(points), len(points))
+        self._model, self._points = model, points
+
+    def block_row(self, k0, k1):
+        row = covariance_matrix(self._model, self._points[k0:k1], self._points[:k1])
+        row[:, k0:k1][np.diag_indices(k1 - k0)] += self._model.nugget
+        return row
+
+    def whole(self):
+        return covariance_matrix(self._model, self._points)
 
 
 class _TargetCovariance:
     """The (M, k) covariance between training points and k target points
-    (:class:`KernelPoints`), built on request a block of columns at a time.
+    (:class:`KernelPoints`), built on request a block at a time.
 
-    ``self[:, j0:j1]`` is :func:`covariance_matrix` of the training points
-    against ``targets[j0:j1]``; every entry is computed on its own, so a
-    block is bitwise that slice of the whole matrix.  The solve reads a
-    right-hand side only as ``rhs.shape`` and ``rhs[:, j0:j1]``, so an
-    (M, k) array is its own block source.
+    ``self[rows, cols]``, for slices, is :func:`covariance_matrix` of
+    ``points[rows]`` against ``targets[cols]``; every entry is computed on
+    its own, so a block is bitwise that slice of the whole matrix.  The
+    solve reads a right-hand side only as ``rhs.shape`` and such slices,
+    so an (M, k) array is its own block source.
     """
 
     def __init__(self, model, points, targets):
@@ -164,16 +207,17 @@ class _TargetCovariance:
         self._model, self._points, self._targets = model, points, targets
 
     def __getitem__(self, index):
-        _rows, cols = index
-        return covariance_matrix(self._model, self._points, self._targets[cols])
+        rows, cols = index
+        return covariance_matrix(self._model, self._points[rows], self._targets[cols])
 
 
 def _covariances(training, targets, model):
-    """(w, cov, c0): deduplicated training SF values, training covariance
-    with the base nugget on its diagonal, and the (M, len(targets))
-    training-target covariance; None when there are no targets.  c0 is an
-    array for up to :data:`_BLOCK` targets and otherwise a
-    :class:`_TargetCovariance`, which builds it a block at a time."""
+    """(w, cov, c0): deduplicated training SF values, the training
+    covariance with the base nugget on its diagonal as a
+    :class:`_CovarianceRows`, and the (M, len(targets)) training-target
+    covariance; None when there are no targets.  c0 is an array for up to
+    :data:`_BLOCK` targets and otherwise a :class:`_TargetCovariance`,
+    which builds it a block at a time."""
     if len(training) == 0:
         raise ValidationError("need at least one training sample")
     if len(targets) == 0:
@@ -181,7 +225,7 @@ def _covariances(training, targets, model):
     geoms, w = dedup_training(training)
     points = KernelPoints.of(model, geoms)
     targets = KernelPoints.of(model, targets)
-    cov = covariance_matrix(model, points)
+    cov = _CovarianceRows(model, points)
     if len(targets) > _BLOCK:
         return w, cov, _TargetCovariance(model, points, targets)
     return w, cov, covariance_matrix(model, points, targets)
@@ -200,7 +244,7 @@ def assemble_system(
     """
     w, cov, c0 = _covariances(training, [target], model.restricted(mode))
     return KrigingSystem(
-        cov=cov,
+        cov=cov.whole(),
         target_cov=c0[:, 0],
         train_w=w,
         sigma2=model.sigma2,
@@ -220,17 +264,6 @@ def _check_symmetric(cov):
                 f"covariance is not symmetric: C[{i}, {j}] = {cov[i, j]!r}"
                 f" but C[{j}, {i}] = {cov[j, i]!r}"
             )
-
-
-def _restore_lower(work, diag):
-    """Mirror the strict upper triangle of ``work`` over its strict lower
-    one, a block of columns at a time, then write ``diag`` back."""
-    m = work.shape[0]
-    for j0, j1 in _spans(m):
-        tile = work[j0:j1, j0:j1]
-        np.copyto(tile, tile.T, where=_STRICT_LOWER[: j1 - j0, : j1 - j0])
-        work[j1:, j0:j1] = work[j0:j1, j1:].T
-    work[np.diag_indices(m)] = diag
 
 
 def _cholesky_rows(n, block_row) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -275,35 +308,58 @@ def _cholesky_rows(n, block_row) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return rows, inverses
 
 
-def _cholesky_in_place(a) -> list[np.ndarray]:
-    """Overwrite the lower triangle of the C-ordered symmetric matrix ``a``
-    with its Cholesky factor L, reading only that triangle, and return the
-    inverses of L's diagonal tiles: :func:`_cholesky_rows` on the views
-    ``a[k0:k1, :k1]``.  The strict upper triangle of ``a`` is never
-    written; a factor that fails leaves ``a`` partly overwritten.
-    """
-    return _cholesky_rows(a.shape[0], lambda k0, k1: a[k0:k1, :k1])[1]
+def _shifted_rows(cov, shift):
+    """``block_row`` for :func:`_cholesky_rows` on C + shift I: a new
+    array of C's rows k0:k1 and columns :k1, copied from an (M, M) array
+    ``cov`` or built by a :class:`_CovarianceRows`, with ``shift`` added on
+    its diagonal tile.  ``cov`` itself is never written."""
+
+    def block_row(k0, k1):
+        if isinstance(cov, np.ndarray):
+            row = cov[k0:k1, :k1].copy()
+        else:
+            row = cov.block_row(k0, k1)
+        row[:, k0:k1][np.diag_indices(k1 - k0)] += shift
+        return row
+
+    return block_row
 
 
-def _cholesky_solve_in_place(a, inverses, b) -> None:
-    """Overwrite ``b`` with C^-1 b, where :func:`_cholesky_in_place` left
-    the factor L of C = L L^T in ``a`` and returned ``inverses``: forward
-    with L, then back with L^T, one tile of rows at a time, through one
-    (tile, k) temporary for k columns of ``b``."""
-    n = a.shape[0]
-    tiles = [(k0, min(k0 + _TILE, n), inv)
-             for k0, inv in zip(range(0, n, _TILE), inverses)]
+def _column_below(rows, t, out):
+    """Fill ``out`` with the column block below diagonal tile t of the
+    lower triangle whose block rows are ``rows`` (as :func:`_cholesky_rows`
+    takes and returns them), gathered from the later block rows, and
+    return it.  Every tile but the last is :data:`_TILE` wide, so for
+    tile t spanning k0:k1 of n rows ``out`` is (n - k1, _TILE)."""
+    k0, k1 = t * _TILE, (t + 1) * _TILE
+    for later in rows[t + 1 :]:
+        s1 = later.shape[1]
+        out[s1 - later.shape[0] - k1 : s1 - k1] = later[:, k0:k1]
+    return out
+
+
+def _cholesky_solve_rows(rows, inverses, b) -> None:
+    """Overwrite ``b`` with C^-1 b, where ``rows`` and ``inverses`` are
+    what :func:`_cholesky_rows` returned for C = L L^T: forward with L,
+    then back with L^T, one tile of rows at a time, through one (tile, k)
+    temporary for k columns of ``b``.  The back solve gathers each column
+    block of L below a diagonal tile (:func:`_column_below`) into one
+    (M - tile, tile) buffer."""
+    n = b.shape[0]
+    tiles = list(zip(_spans(n, _TILE), rows, inverses))
     tmp = np.empty((min(n, _TILE),) + b.shape[1:])
-    for k0, k1, inv in tiles:
-        rows, out = b[k0:k1], tmp[: k1 - k0]
+    for (k0, k1), row, inv in tiles:
+        part, out = b[k0:k1], tmp[: k1 - k0]
         if k0:
-            rows -= np.matmul(a[k0:k1, :k0], b[:k0], out=out)
-        np.copyto(rows, np.matmul(inv, rows, out=out))
-    for k0, k1, inv in reversed(tiles):
-        rows, out = b[k0:k1], tmp[: k1 - k0]
+            part -= np.matmul(row[:, :k0], b[:k0], out=out)
+        np.copyto(part, np.matmul(inv, part, out=out))
+    below = np.empty((max(n - _TILE, 0), min(n, _TILE)))
+    for t, ((k0, k1), _row, inv) in reversed(list(enumerate(tiles))):
+        part, out = b[k0:k1], tmp[: k1 - k0]
         if k1 < n:
-            rows -= np.matmul(a[k1:, k0:k1].T, b[k1:], out=out)
-        np.copyto(rows, np.matmul(inv.T, rows, out=out))
+            col = _column_below(rows, t, below[: n - k1])
+            part -= np.matmul(col.T, b[k1:], out=out)
+        np.copyto(part, np.matmul(inv.T, part, out=out))
 
 
 def _lower_matvec(rows, g) -> np.ndarray:
@@ -327,30 +383,23 @@ def _cholesky_schur(cov, rhs, shift):
     Returns (lambda, nu), or None when C (diagonal shifted by ``shift``)
     is not numerically positive definite.  lambda is a view of the one
     (M, k + 1) buffer that holds the right-hand sides, the solution and
-    then the weights.  ``rhs`` is an (M, k) array or a block source (see
-    :class:`_TargetCovariance`), copied into the buffer and the weights
-    formed a block of columns at a time.
-
-    C is factored in place and given back bitwise as it came, whether or
-    not the factor succeeds; this requires C to be exactly symmetric.
+    then the weights.  ``cov`` is an (M, M) array or a
+    :class:`_CovarianceRows`, and ``rhs`` an (M, k) array or a block
+    source (see :class:`_TargetCovariance`), copied into the buffer and
+    the weights formed a block of columns at a time.  The factor's block
+    rows are new arrays (:func:`_shifted_rows`), dropped on return.
     """
     m, k = rhs.shape
-    # The factor runs on a C-ordered matrix; any other layout is copied.
-    work = np.ascontiguousarray(cov)
-    diag = work.diagonal().copy()
-    work[np.diag_indices(m)] += shift
     try:
-        inverses = _cholesky_in_place(work)
-        b = np.empty((m, k + 1))
-        for j0, j1 in _spans(k):
-            b[:, j0:j1] = rhs[:, j0:j1]
-        b[:, k] = 1.0
-        _cholesky_solve_in_place(work, inverses, b)
+        rows, inverses = _cholesky_rows(m, _shifted_rows(cov, shift))
     except np.linalg.LinAlgError:
         return None
-    finally:
-        # The factor overwrote the lower triangle only; C = C^T restores it.
-        _restore_lower(work, diag)
+    b = np.empty((m, k + 1))
+    for j0, j1 in _spans(k):
+        b[:, j0:j1] = rhs[:, j0:j1]
+    b[:, k] = 1.0
+    _cholesky_solve_rows(rows, inverses, b)
+    del rows, inverses
     lam, a = b[:, :k], b[:, k]
     nu = (lam.sum(axis=0) - 1.0) / a.sum()
     tile = np.empty((m, min(k, _BLOCK)))
@@ -359,40 +408,78 @@ def _cholesky_schur(cov, rhs, shift):
     return lam, nu
 
 
-def _explained(lam, c0, tile):
-    """lambda^T c0 for one block of columns: the column sums of their
-    elementwise product, formed in ``tile``."""
-    return np.multiply(lam, c0, out=tile[:, : lam.shape[1]]).sum(axis=0)
+def _row_blocks(cov, shift):
+    """(k0, k1, rows) for each :data:`_TILE`-row block of C + shift I, in
+    order: rows k0:k1 of it, formed in one reused (tile, M) buffer.
+
+    An (M, M) array's rows are copied as they are.  A
+    :class:`_CovarianceRows` builds C's lower triangle as its block rows,
+    and each row block is its block row followed by the column block
+    below its diagonal tile (:func:`_column_below`), transposed, which
+    C = C^T makes the rest of the row.  A block row is dropped once its
+    row block is formed, as later row blocks read only later block rows.
+    """
+    m = cov.shape[0]
+    spans = _spans(m, _TILE)
+    if not isinstance(cov, np.ndarray):
+        lower = [cov.block_row(k0, k1) for k0, k1 in spans]
+    buf = np.empty((min(m, _TILE), m))
+    for t, (k0, k1) in enumerate(spans):
+        row = buf[: k1 - k0]
+        if isinstance(cov, np.ndarray):
+            row[...] = cov[k0:k1]
+        else:
+            row[:, :k1] = lower[t]
+            lower[t] = None
+            _column_below(lower, t, row[:, k1:].T)
+        row[:, k0:k1][np.diag_indices(k1 - k0)] += shift
+        yield k0, k1, row
+
+
+def _explained(acc, lam, c0, tile):
+    """``acc`` plus lambda^T c0 over one block of rows: the column sums of
+    ``acc`` over the elementwise product, formed in ``tile``.  numpy sums
+    two or more columns row after row, so for them, carried over the
+    :data:`_TILE`-row blocks in order, this is bitwise one sum over all M
+    rows; one column it sums pairwise within each block."""
+    rows, cols = lam.shape
+    part = tile[: rows + 1, :cols]
+    part[0] = acc
+    np.multiply(lam, c0, out=part[1:])
+    return part.sum(axis=0)
 
 
 def _residual_pass(cov, shift, rhs, lam, nu):
-    """One walk over the columns of x = (lambda; nu), a block at a time,
-    reading each block of ``rhs`` once (a block source builds it once).
+    """One walk over the row blocks of C + shift I (see :func:`_row_blocks`)
+    and, within each, the column blocks of x = (lambda; nu), reading the
+    same rows of ``rhs`` once (a block source builds them once, all k
+    columns).
 
     Returns (residual, scale, explained): the largest |A x - b| entry of
     the augmented system, the largest |rhs| entry, and lambda^T rhs per
-    column (see :func:`_explained`).  C lambda is the product of the
-    explicit C: each block is formed as (C lambda)^T = lambda^T C^T, which
-    reads C itself through its transpose, into one reused (block, M)
-    tile; the other block temporaries share one (M, block) tile.
+    column (see :func:`_explained`).  The product with C is that of C's
+    rows as :func:`_row_blocks` gives them, an array's own rows as they
+    are; each (row, column) block is formed in one reused tile, and
+    :func:`_explained` sums in one more.
     """
     m, k = lam.shape
     peaks = [np.abs(lam.sum(axis=0) - 1.0).max()]
     scales = []
-    explained = np.empty(k)
-    row_tile = np.empty((min(k, _BLOCK), m))
-    col_tile = np.empty((m, min(k, _BLOCK)))
-    for j0, j1 in _spans(k):
-        block, c0 = lam[:, j0:j1], rhs[:, j0:j1]
-        cols = col_tile[:, : j1 - j0]
-        top = np.matmul(block.T, cov.T, out=row_tile[: j1 - j0])
-        if shift:
-            top += np.multiply(block, shift, out=cols).T
-        top += nu[j0:j1, None]
-        top -= c0.T
-        peaks.append(np.abs(top, out=top).max())
-        scales.append(np.abs(c0, out=cols).max())
-        explained[j0:j1] = _explained(block, c0, col_tile)
+    explained = np.zeros(k)
+    width = min(k, _RESIDUAL_COLUMNS)
+    top_tile = np.empty((min(m, _TILE), width))
+    sum_tile = np.empty((min(m, _TILE) + 1, width))
+    for k0, k1, crow in _row_blocks(cov, shift):
+        c0_rows = rhs[k0:k1, :]
+        for j0, j1 in _spans(k, _RESIDUAL_COLUMNS):
+            block, c0 = lam[k0:k1, j0:j1], c0_rows[:, j0:j1]
+            top = np.matmul(crow, lam[:, j0:j1], out=top_tile[: k1 - k0, : j1 - j0])
+            top += nu[j0:j1]
+            top -= c0
+            peaks.append(np.abs(top, out=top).max())
+            scales.append(np.abs(c0, out=top).max())
+            explained[j0:j1] = _explained(explained[j0:j1], block, c0, sum_tile)
+        del c0_rows, c0  # the next rows' build replaces, not joins, these
     return float(np.max(peaks)), float(np.max(scales)), explained
 
 
@@ -408,19 +495,22 @@ def _solve(cov, rhs, sigma2, base_nugget):
     """Augmented solve with the escalation ladder; returns (lambda, nu,
     nugget, explained).
 
-    ``cov`` already carries ``base_nugget`` on its diagonal and ``rhs`` is
-    an (M, k) array or a block source (see :class:`_TargetCovariance`);
-    lambda is (M, k), nu and explained (lambda^T rhs per column) are (k,).
-    Each rung adds ``nugget - base_nugget`` to the diagonal and makes one
-    Cholesky-Schur attempt, copying ``rhs`` into its buffer afresh; the
-    first finite solution whose residual, relative to the largest |rhs|
-    entry (or 1 if larger), passes is accepted, with explained from its
-    residual pass.  A covariance that is not numerically positive definite
-    at a rung moves up to the next one.  ``cov`` must be exactly symmetric
-    (ValidationError otherwise); it is left unchanged.
+    ``cov`` already carries ``base_nugget`` on its diagonal; it is an
+    (M, M) array, which must be exactly symmetric (ValidationError
+    otherwise), or a :class:`_CovarianceRows`, and it is never written.
+    ``rhs`` is an (M, k) array or a block source (see
+    :class:`_TargetCovariance`); lambda is (M, k), nu and explained
+    (lambda^T rhs per column) are (k,).  Each rung adds
+    ``nugget - base_nugget`` to the diagonal and makes one Cholesky-Schur
+    attempt, copying ``rhs`` into its buffer afresh; the first finite
+    solution whose residual, relative to the largest |rhs| entry (or 1 if
+    larger), passes is accepted, with explained from its residual pass.  A
+    covariance that is not numerically positive definite at a rung moves
+    up to the next one.
     """
     m = cov.shape[0]
-    _check_symmetric(cov)
+    if isinstance(cov, np.ndarray):
+        _check_symmetric(cov)
     nugget = base_nugget
     for attempt in range(MAX_ESCALATIONS + 1):
         if attempt:
@@ -481,9 +571,11 @@ def predict_sf(system: KrigingSystem) -> Prediction:
     if system.weights is None:
         solve_ok(system)
     lam, c0 = system.weights[:, None], system.target_cov[:, None]
+    explained, tile = np.zeros(1), np.empty((_TILE + 1, 1))
+    for k0, k1 in _spans(len(lam), _TILE):
+        explained = _explained(explained, lam[k0:k1], c0[k0:k1], tile)
     w_hat, variance = _estimates(
-        lam, system.multiplier, system.train_w,
-        _explained(lam, c0, np.empty_like(c0)), system.sigma2,
+        lam, system.multiplier, system.train_w, explained, system.sigma2
     )
     return Prediction(float(w_hat[0]), float(variance[0]), float(system.nugget_used))
 
@@ -498,13 +590,18 @@ def predict_sf_batch(
     ``model`` is the model a mode restricts (:meth:`CorrelationModel.restricted`).
     Returns (w_hat, variance, nugget_used) with one entry per target.
     A batch of one target gives bitwise what :func:`solve_ok` and
-    :func:`predict_sf` give; more targets share one factorization, and
-    beyond C hold one (M, k + 1) buffer (see the module docstring).
+    :func:`predict_sf` give; more targets share one factorization.  C is
+    passed to the solve whole up to :data:`_WHOLE_COV_BYTES` and as its
+    block-row source past that, which gives bitwise the same results;
+    beyond the factor, the solve holds one (M, k + 1) buffer (see the
+    module docstring).
     """
     blocks = _covariances(training, targets, model)
     if blocks is None:
         return np.empty(0), np.empty(0), model.nugget
     w, cov, c0 = blocks
+    if 8 * cov.shape[0] ** 2 <= _WHOLE_COV_BYTES:
+        cov = cov.whole()
     lam, nu, nugget, explained = _solve(cov, c0, model.sigma2, model.nugget)
     return (*_estimates(lam, nu, w, explained, model.sigma2), nugget)
 

@@ -1443,6 +1443,22 @@ class TestSerialization:
                 kernel_correlation(model, geoms, mode=mode),
             )
 
+    @pytest.mark.parametrize(
+        "mode, unused",
+        [("baseline", "tilt_rates"), ("tilt_only", "elev_rates"), ("elev_only", "tilt_rates")],
+    )
+    def test_restricted_model_is_refused_naming_the_unused_table(self, mode, unused, tmp_path):
+        model = cell_coded_model().restricted(mode)
+        message = f"cannot serialize a restricted model: {unused} is unused"
+        with pytest.raises(ValidationError, match=message):
+            serialize_model(model)
+        with pytest.raises(ValidationError, match=message):
+            save_model(model, tmp_path / "model.json")
+        assert not (tmp_path / "model.json").exists()
+        # angle_aware uses both tables: it is written as the whole model.
+        whole = serialize_model(cell_coded_model())
+        assert serialize_model(cell_coded_model().restricted("angle_aware")) == whole
+
     @pytest.mark.parametrize("field", ["sigma2", "nugget"])
     def test_infinite_variance_rejected(self, field):
         doc = serialize_model(cell_coded_model())

@@ -19,7 +19,7 @@ from _recipes import (
     kernel_covariance,
     pose_columns,
 )
-from skyfade import fieldsim, kriging
+from skyfade import kriging
 from skyfade.correlation import (
     MODES,
     AngleBins,
@@ -333,7 +333,7 @@ class TestBlockedCholesky:
         x = np.random.default_rng(seed).standard_normal((n, n))
         cov = x @ x.T / n + ridge * np.eye(n)
         work = cov.copy()
-        kriging._cholesky_in_place(work)
+        kriging._cholesky_rows(n, lambda k0, k1: work[k0:k1, :k1])
         lower = np.tril(work)
         scale = float(np.abs(cov).max())
         assert float(np.abs(lower @ lower.T - cov).max()) <= 1e-12 * scale
@@ -352,8 +352,8 @@ class TestBlockedCholesky:
 
     def test_semidefinite_past_first_panel_is_the_eigh_draw(self):
         """Rows 10 and 500 share one geometry and there is no nugget: the
-        factor fails after the first panel, the covariance comes back bit
-        for bit, and the draw is the spectral one."""
+        factor fails after the first panel, and the draw is the spectral
+        one."""
         truth = dataclasses.replace(gap_benchmark_truth(), nugget=0.0)
         index = np.arange(600)
         index[500] = 10
@@ -362,7 +362,7 @@ class TestBlockedCholesky:
         # The first tile factors, so the failure comes in a later panel.
         np.linalg.cholesky(cov[:256, :256])
         with pytest.raises(np.linalg.LinAlgError):
-            kriging._cholesky_in_place(cov.copy())
+            kriging._cholesky_rows(600, lambda k0, k1: cov[k0:k1, :k1].copy())
         w = sample_sf_field(geoms, truth, 9)
         assert np.array_equal(w, eigh_draw(cov, truth, 9))
 
@@ -382,7 +382,7 @@ class TestBlockedCholesky:
             built.append((rows[0], rows[-1] + 1, cols.size))
             return cov[np.ix_(rows, cols)]
 
-        monkeypatch.setattr(fieldsim, "covariance_matrix", stub)
+        monkeypatch.setattr(kriging, "covariance_matrix", stub)
         geoms = [mk_geom(float(i), 0.0) for i in range(300)]
         with pytest.raises(NotPositiveDefiniteError):
             sample_sf_field(geoms, flat_truth(), 1)
@@ -406,17 +406,18 @@ class TestBlockedCholesky:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n", [1, 95, 96, 97, 600])
     def test_block_rows_are_the_square_matrix_rows(self, mode, n):
-        """The draw's block row, a rectangular covariance plus the nugget
-        on its diagonal tile, is bitwise that block row of the square
-        covariance."""
+        """The source's block row, a rectangular covariance plus the
+        nugget on its diagonal tile, is bitwise that block row of the
+        square covariance, which is the source's whole matrix."""
         truth = gap_benchmark_truth().restricted(mode)
         points = KernelPoints.of(truth, lawnmower_geometry(max(n, 2), truth)[:n])
         square = covariance_matrix(truth, points)
+        source = kriging._CovarianceRows(truth, points)
+        assert source.shape == square.shape
+        assert np.array_equal(source.whole(), square)
         for k0 in range(0, n, kriging._TILE):
             k1 = min(k0 + kriging._TILE, n)
-            row = covariance_matrix(truth, points[k0:k1], points[:k1])
-            row[:, k0:k1][np.diag_indices(k1 - k0)] += truth.nugget
-            assert np.array_equal(row, square[k0:k1, :k1])
+            assert np.array_equal(source.block_row(k0, k1), square[k0:k1, :k1])
 
     def test_semidefinite_draw_holds_two_matrices(self):
         """The spectral fallback scales the eigenvectors in place: the
@@ -494,3 +495,10 @@ class TestTruthSidecar:
         assert doc["sim"]["n_samples"] == 64
         assert doc["sim"]["noise_std_db"] == 0.25
         assert doc["sim"]["rng"] == "numpy-pcg64"
+
+    def test_restricted_truth_is_refused(self):
+        config = dataclasses.replace(
+            small_config(seed=12, n=64), truth=flat_truth().restricted("tilt_only")
+        )
+        with pytest.raises(ValidationError, match="elev_rates is unused"):
+            truth_sidecar(config)

@@ -23,13 +23,12 @@ from skyfade.kriging import (
     _TILE,
     RESIDUAL_TOL,
     KrigingSystem,
-    _cholesky_in_place,
     _cholesky_rows,
     _cholesky_schur,
-    _cholesky_solve_in_place,
+    _cholesky_solve_rows,
+    _CovarianceRows,
     _estimates,
     _residual_pass,
-    _restore_lower,
     _solve,
     _solve_augmented,
     _TargetCovariance,
@@ -221,6 +220,19 @@ class TestSolvePaths:
         assert np.sum(lam, axis=0) == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
+    # 600 right-hand sides span two column blocks of the residual walk,
+    # and 250 rows three of its row blocks.
+    @pytest.mark.parametrize("k", [1, 7, 600])
+    def test_explained_is_lambda_t_rhs_over_every_row(self, k):
+        cov, model = spd_covariance(250, seed=29)
+        geoms = [s.geometry for s in scattered_samples(250, seed=29)]
+        targets = [s.geometry for s in scattered_samples(k, seed=30)]
+        rhs = model.sigma2 * kernel_correlation(model, geoms, targets)
+        lam, _nu, _nugget, explained = _solve(cov, rhs, model.sigma2, model.nugget)
+        products = lam * rhs
+        assert np.all(np.abs(explained - products.sum(axis=0))
+                      <= 1e-12 * np.abs(products).sum(axis=0))
+
     # 300 right-hand sides span three column blocks of the residual.
     @pytest.mark.parametrize("k", [1, 7, 300])
     def test_residual_is_the_explicit_augmented_product(self, k):
@@ -261,7 +273,8 @@ def spd_covariance(m, seed):
 
 
 class TestInPlaceFactor:
-    """The solver factors the caller's covariance in place and restores it."""
+    """The solver leaves the caller's covariance as it was: the factor
+    works on new arrays, its block rows copied from the matrix."""
 
     def test_cholesky_schur_restores_cov_after_success(self):
         cov, model = spd_covariance(300, seed=40)
@@ -330,9 +343,11 @@ class TestInPlaceFactor:
             _solve_augmented(cov, cov[:, :2], model.sigma2, model.nugget)
         assert np.array_equal(cov, before)
 
-    def test_solve_holds_no_second_matrix(self):
-        # Copying C before the factor holds a second M x M matrix, a traced
-        # peak of about 1.05 M^2 doubles; factored in place it is about 0.05.
+    def test_array_solve_holds_its_factor_and_no_copy(self):
+        # Beside the caller's C the solve holds L's lower triangle and the
+        # other buffers that test_source_path_holds_no_whole_matrix counts,
+        # under the same bound (traced peak about 0.8 of it); a copy of C
+        # would add 8 M^2 bytes, more than the bound.
         m, k = 1500, 20
         cov, model = spd_covariance(m, seed=44)
         rhs = np.random.default_rng(44).standard_normal((m, k))
@@ -342,7 +357,9 @@ class TestInPlaceFactor:
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.25 * m * m * 8
+        bound = 8 * (m * m / 2 + (4 * _TILE + _BLOCK) * m) + 8 * (m + _TILE) * (k + 1)
+        assert bound < 8 * m * m
+        assert peak < bound
 
     def test_batch_holds_three_buffers(self):
         # C (8 M^2 bytes), the target covariances and the one solution
@@ -448,15 +465,23 @@ class TestBlockedTargetCovariance:
         training = SfTable.of(scattered_samples(100, seed=56))
         targets = Geometry.of([s.geometry for s in scattered_samples(300, seed=57)])
         built = []
+        count = np.zeros((100, 300), dtype=int)
         real = _TargetCovariance.__getitem__
 
         def record(self, index):
-            built.append((index[1].start, index[1].stop))
+            rows, cols = index
+            built.append((rows.start, rows.stop, cols.start, cols.stop))
+            count[index] += 1
             return real(self, index)
 
         with mock.patch.object(_TargetCovariance, "__getitem__", record):
             predict_sf_batch(training, targets, model)
-        assert built == [(0, 128), (128, 256), (256, 300)] * 2
+        # Column blocks into the buffer, then row blocks for the residual.
+        assert built == [
+            (None, None, 0, 128), (None, None, 128, 256), (None, None, 256, 300),
+            (0, _TILE, None, None), (_TILE, 100, None, None),
+        ]
+        assert (count == 2).all()
 
     def test_each_point_set_is_warped_once(self):
         # u_t and u_e of the training rows and of the targets, however
@@ -481,6 +506,10 @@ class TestBlockedTargetCovariance:
         assert source.shape == whole.shape
         for j0, j1 in [(0, 128), (128, 256), (256, 300), (5, 6)]:
             assert np.array_equal(source[:, j0:j1], whole[:, j0:j1])
+        for i0, i1 in [(0, _TILE), (_TILE, 70), (3, 4)]:
+            assert np.array_equal(source[i0:i1, :], whole[i0:i1, :])
+            for j0, j1 in [(0, 128), (256, 300), (5, 6)]:
+                assert np.array_equal(source[i0:i1, j0:j1], whole[i0:i1, j0:j1])
 
     def test_batch_holds_one_target_sized_buffer(self):
         # C (8 M^2 bytes) and the one (M, k + 1) buffer, plus the
@@ -503,6 +532,60 @@ class TestBlockedTargetCovariance:
         assert peak < bound
 
 
+class TestCovarianceSource:
+    """Past ``_WHOLE_COV_BYTES`` predict_sf_batch hands the solve C as its
+    block-row source, which gives bitwise the array path's results and
+    never holds C whole."""
+
+    @pytest.mark.parametrize("k", [1, 7, _BLOCK + 1, 300])
+    @pytest.mark.parametrize("escalated", [False, True])
+    def test_source_path_is_bitwise_the_array_path(self, monkeypatch, k, escalated):
+        if escalated:
+            model = smooth_model(nugget=0.0)
+            training = escalating_training(250, seed=64)
+        else:
+            model = smooth_model(nugget=1e-4)
+            training = SfTable.of(scattered_samples(250, seed=64))
+        targets = Geometry.of([s.geometry for s in scattered_samples(k, seed=65)])
+        real, built = _CovarianceRows.whole, []
+
+        def whole(self):
+            built.append(kriging._WHOLE_COV_BYTES)
+            return real(self)
+
+        monkeypatch.setattr(_CovarianceRows, "whole", whole)
+        results = []
+        for limit in (math.inf, 0):
+            monkeypatch.setattr(kriging, "_WHOLE_COV_BYTES", limit)
+            results.append(predict_sf_batch(training, targets, model))
+        assert built == [math.inf]
+        assert (results[0][2] > model.nugget) == escalated
+        assert_bitwise(results[1], results[0])
+
+    def test_source_path_holds_no_whole_matrix(self, monkeypatch):
+        # L's lower triangle, 8 (M^2 / 2 + 48 M) bytes, and its tile
+        # inverses (8 M * 96); the (M, k + 1) buffer and the triangular
+        # solves' (96, k + 1) row tile; the column block the back solve
+        # gathers and the residual's (96, M) row block (8 M * 96 each);
+        # an M x 128 block of c0 built into the buffer, and 8 M * 96 more
+        # for the covariance builds' tiles.  The bound leaves no room for
+        # C whole (8 M^2 bytes); the traced peak is about 0.9 of it.
+        m, k = 2000, 200
+        monkeypatch.setattr(kriging, "_WHOLE_COV_BYTES", 0)
+        model = smooth_model(nugget=1e-4)
+        training = SfTable.of(scattered_samples(m, seed=66))
+        targets = Geometry.of([s.geometry for s in scattered_samples(k, seed=67)])
+        tracemalloc.start()
+        try:
+            predict_sf_batch(training, targets, model)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 8 * (m * m / 2 + (4 * _TILE + _BLOCK) * m) + 8 * (m + _TILE) * (k + 1)
+        assert bound < 8 * m * m
+        assert peak < bound
+
+
 def random_spd(n, seed):
     """A well-conditioned symmetric positive definite n x n matrix."""
     x = np.random.default_rng(seed).standard_normal((n, n))
@@ -519,19 +602,24 @@ class TestTiledCholesky:
 
         a = random_spd(n, seed=n)
         work = a.copy()
-        inverses = _cholesky_in_place(work)
+        rows, inverses = _cholesky_rows(n, lambda k0, k1: work[k0:k1, :k1])
         expect = scipy.linalg.cho_factor(a, lower=True)
         lower = np.tril(work)
         assert np.abs(lower - np.tril(expect[0])).max() <= 1e-12 * np.abs(lower).max()
         assert len(inverses) == -(-n // _TILE)
         upper = np.triu_indices(n, 1)
         assert np.array_equal(work[upper], a[upper])
+        # The same solve over block rows held as separate arrays.
+        copies = _cholesky_rows(n, lambda k0, k1: a[k0:k1, :k1].copy())
         for k in (1, 7, 130):
             rhs = np.random.default_rng(k).standard_normal((n, k))
             b = rhs.copy()
-            _cholesky_solve_in_place(work, inverses, b)
+            _cholesky_solve_rows(rows, inverses, b)
             x = scipy.linalg.cho_solve(expect, rhs)
             assert np.abs(b - x).max() <= 1e-12 * np.abs(x).max()
+            separate = rhs.copy()
+            _cholesky_solve_rows(*copies, separate)
+            assert np.array_equal(separate, b)
 
     @pytest.mark.parametrize("n", [1, _TILE - 1, _TILE, _TILE + 1, 3 * _TILE + 5])
     def test_rows_factor_separate_rows_as_views(self, n):
@@ -562,14 +650,18 @@ class TestTiledCholesky:
         np.linalg.cholesky(head)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(a[:k, :k])
-        work = a.copy()
-        diag = work.diagonal().copy()
+        before, asked = a.copy(), []
+
+        def block_row(k0, k1):
+            asked.append(k0)
+            return a[k0:k1, :k1].copy()
+
         with pytest.raises(np.linalg.LinAlgError):
-            _cholesky_in_place(work)
-        upper = np.triu_indices(n, 1)
-        assert np.array_equal(work[upper], a[upper])
-        _restore_lower(work, diag)
-        assert np.array_equal(work, a)
+            _cholesky_rows(n, block_row)
+        # The factor stops in the block row that holds the k-th pivot, and
+        # the matrix its rows were copied from is as it was.
+        assert asked == list(range(0, (k - 1) // _TILE * _TILE + 1, _TILE))
+        assert np.array_equal(a, before)
 
 
 class TestAssembly:
