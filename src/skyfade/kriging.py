@@ -27,28 +27,27 @@ An indefinite covariance is therefore never accepted at the model's
 nugget: the nugget actually used is recorded on the system, and callers
 report it.
 
-C reaches the solve as an (M, M) array or as a :class:`_CovarianceRows`,
-which builds C from the training points a block row of its lower triangle
-at a time; :func:`predict_sf_batch` passes the array while C takes at most
-:data:`_WHOLE_COV_BYTES` and the source past that.  C is never written.
-The factor's block rows are new arrays, copied from the array or built,
-with the rung's shift on their diagonal tiles, and they are dropped once
-the triangular solves are done.  The residual check then reads C a block
-of rows at a time: an array's own rows or, from the source, C's lower
-triangle built again, each row block being its block row followed by the
-column block below its diagonal tile, transposed.  The source's C is
-exactly symmetric by construction.  An array must be too, since the factor
-reads only its lower triangle: the solve checks this first and raises
-ValidationError naming the first asymmetric entry, which no valid
-covariance has.  Both forms of one C give bitwise the same solution,
-residual and variances.
+C reaches the solve as a :class:`_CovarianceRows`, which builds C from
+the training points a block row of its lower triangle at a time (from
+:func:`predict_sf_batch`), or as an (M, M) array (from :func:`solve_ok`,
+on an assembled system).  C is never written.  The factor's block rows
+are new arrays, built or copied from the array, with the rung's shift on
+their diagonal tiles, and they are dropped once the triangular solves are
+done.  The residual check then reads C a block of rows at a time: an
+array's own rows or, from the source, C's lower triangle built again,
+each row block being its block row followed by the column block below
+its diagonal tile, transposed.  The source's C is exactly symmetric by
+construction.  An array must be too, since the factor reads only its
+lower triangle: the solve checks this first and raises ValidationError
+naming the first asymmetric entry, which no valid covariance has.  Both
+forms of one C give bitwise the same solution, residual and variances.
 
 A mode enters as the model restricted to it (only :func:`assemble_system`
 takes a mode name).  The training rows and the targets are each made
 kernel points once, and every covariance is built from them.  For k
-targets past the array size, :func:`predict_sf_batch` holds two large
-buffers: L's lower triangle, as block rows (C's, when the residual check
-builds them again), and one (M, k + 1) buffer, into which c0 is built as
+targets, :func:`predict_sf_batch` holds two large buffers: L's lower
+triangle, as block rows (C's, when the residual check builds them
+again), and one (M, k + 1) buffer, into which c0 is built as
 [c0 | 1] 128 columns at a time, which the triangular solves overwrite with
 [Y | a], and which then holds lambda over Y.  No separate c0 is kept:
 past 128 targets, the one walk that forms the residual over every
@@ -56,7 +55,7 @@ right-hand side and lambda^T c0 builds c0 again from the points, 96 rows
 at a time, which repeats only the tile arithmetic and gives bitwise the
 same entries, as every entry is computed on its own; up to 128 targets,
 c0 is one block, built once and kept.  Every other temporary is an
-M x 128, 96 x M, 96 x 512 or 96 x (k + 1) tile.
+M x 128, 96 x M or 96 x (k + 1) tile.
 
 The factor and the triangular solves are numpy alone: an up-looking
 block Cholesky over block rows of :data:`_TILE` rows
@@ -102,17 +101,6 @@ _BLOCK = 128
 # the module docstring).
 _TILE = 96
 _TILE_LOWER = np.tri(_TILE, dtype=bool)
-# Columns per block in the residual walk.  A (96, M) row block of C times
-# 512 columns of lambda runs OpenBLAS near full speed: over a 4000-row C
-# and 1000 targets, 0.53 s against 0.65 s at 128 columns and 0.49 s at all
-# 1000 (2 vCPUs), with the walk's two tiles kept at 96 x 512.
-_RESIDUAL_COLUMNS = 512
-# The largest C, in bytes, that predict_sf_batch builds whole, in one
-# square build per solve (1 MiB: 362 rows, above the 350-row systems of
-# the paper's benchmark); past it the solve builds C's lower triangle a
-# block row at a time, once for the factor and once for the residual
-# check, and never holds C whole.
-_WHOLE_COV_BYTES = 2**20
 
 
 @dataclass
@@ -450,36 +438,31 @@ def _explained(acc, lam, c0, tile):
 
 
 def _residual_pass(cov, shift, rhs, lam, nu):
-    """One walk over the row blocks of C + shift I (see :func:`_row_blocks`)
-    and, within each, the column blocks of x = (lambda; nu), reading the
-    same rows of ``rhs`` once (a block source builds them once, all k
-    columns).
+    """One walk over the row blocks of C + shift I (see :func:`_row_blocks`),
+    reading the same rows of ``rhs`` once (a block source builds them
+    once, all k columns).
 
     Returns (residual, scale, explained): the largest |A x - b| entry of
     the augmented system, the largest |rhs| entry, and lambda^T rhs per
     column (see :func:`_explained`).  The product with C is that of C's
     rows as :func:`_row_blocks` gives them, an array's own rows as they
-    are; each (row, column) block is formed in one reused tile, and
-    :func:`_explained` sums in one more.
+    are, times all k columns of lambda.  It is formed in one reused
+    (tile + 1, k) tile, in which :func:`_explained` then sums.
     """
     m, k = lam.shape
     peaks = [np.abs(lam.sum(axis=0) - 1.0).max()]
     scales = []
     explained = np.zeros(k)
-    width = min(k, _RESIDUAL_COLUMNS)
-    top_tile = np.empty((min(m, _TILE), width))
-    sum_tile = np.empty((min(m, _TILE) + 1, width))
+    tile = np.empty((min(m, _TILE) + 1, k))
     for k0, k1, crow in _row_blocks(cov, shift):
-        c0_rows = rhs[k0:k1, :]
-        for j0, j1 in _spans(k, _RESIDUAL_COLUMNS):
-            block, c0 = lam[k0:k1, j0:j1], c0_rows[:, j0:j1]
-            top = np.matmul(crow, lam[:, j0:j1], out=top_tile[: k1 - k0, : j1 - j0])
-            top += nu[j0:j1]
-            top -= c0
-            peaks.append(np.abs(top, out=top).max())
-            scales.append(np.abs(c0, out=top).max())
-            explained[j0:j1] = _explained(explained[j0:j1], block, c0, sum_tile)
-        del c0_rows, c0  # the next rows' build replaces, not joins, these
+        c0 = rhs[k0:k1, :]
+        top = np.matmul(crow, lam, out=tile[: k1 - k0])
+        top += nu
+        top -= c0
+        peaks.append(np.abs(top, out=top).max())
+        scales.append(np.abs(c0, out=top).max())
+        explained = _explained(explained, lam[k0:k1], c0, tile)
+        del c0  # the next rows' build replaces, not joins, this one
     return float(np.max(peaks)), float(np.max(scales)), explained
 
 
@@ -506,7 +489,10 @@ def _solve(cov, rhs, sigma2, base_nugget):
     solution whose residual, relative to the largest |rhs| entry (or 1 if
     larger), passes is accepted, with explained from its residual pass.  A
     covariance that is not numerically positive definite at a rung moves
-    up to the next one.
+    up to the next one.  From a source, each rung builds C's lower
+    triangle twice, once for the factor and once for the residual check:
+    at M = 4000 a build takes about 0.16 s of a rung's 1.6 s (1000
+    targets, 2 vCPUs), where a rung on an array copies its rows instead.
     """
     m = cov.shape[0]
     if isinstance(cov, np.ndarray):
@@ -590,18 +576,15 @@ def predict_sf_batch(
     ``model`` is the model a mode restricts (:meth:`CorrelationModel.restricted`).
     Returns (w_hat, variance, nugget_used) with one entry per target.
     A batch of one target gives bitwise what :func:`solve_ok` and
-    :func:`predict_sf` give; more targets share one factorization.  C is
-    passed to the solve whole up to :data:`_WHOLE_COV_BYTES` and as its
-    block-row source past that, which gives bitwise the same results;
-    beyond the factor, the solve holds one (M, k + 1) buffer (see the
-    module docstring).
+    :func:`predict_sf` give; more targets share one factorization.  C
+    reaches the solve as its block-row source, never whole, which gives
+    bitwise the results of the whole array; beyond the factor, the solve
+    holds one (M, k + 1) buffer (see the module docstring).
     """
     blocks = _covariances(training, targets, model)
     if blocks is None:
         return np.empty(0), np.empty(0), model.nugget
     w, cov, c0 = blocks
-    if 8 * cov.shape[0] ** 2 <= _WHOLE_COV_BYTES:
-        cov = cov.whole()
     lam, nu, nugget, explained = _solve(cov, c0, model.sigma2, model.nugget)
     return (*_estimates(lam, nu, w, explained, model.sigma2), nugget)
 

@@ -362,13 +362,15 @@ class TestInPlaceFactor:
         assert peak < bound
 
     def test_batch_holds_three_buffers(self):
-        # C (8 M^2 bytes), the target covariances and the one solution
-        # buffer (8 M k bytes each), plus the factor's diagonal-tile
-        # inverses (8 M * 96 bytes in all) and M x 128 block temporaries:
-        # about 8 M^2 + 2.4 * 8 M k traced.  A separate (M + 1, k) weights
-        # array and full-width temporaries would trace about
-        # 8 M^2 + 4 * 8 M k.  No module loads at the first solve, so the
-        # traced call needs no untraced one before it.
+        # At most C's size (8 M^2 bytes; the lower triangle the solve
+        # holds is about half of it), the target covariances and the one
+        # solution buffer (8 M k bytes each), plus the factor's
+        # diagonal-tile inverses (8 M * 96 bytes in all) and block
+        # temporaries: about 4 M^2 + 1.6 * 8 M k traced.  A separate
+        # (M + 1, k) weights array and full-width temporaries beside C
+        # whole would trace about 8 M^2 + 4 * 8 M k.  No module loads at
+        # the first solve, so the traced call needs no untraced one
+        # before it.
         m, k = 1500, 600
         model = smooth_model(nugget=1e-4)
         training = SfTable.of(scattered_samples(m, seed=45))
@@ -512,12 +514,13 @@ class TestBlockedTargetCovariance:
                 assert np.array_equal(source[i0:i1, j0:j1], whole[i0:i1, j0:j1])
 
     def test_batch_holds_one_target_sized_buffer(self):
-        # C (8 M^2 bytes) and the one (M, k + 1) buffer, plus the
-        # triangular solves' (96, k + 1) row tile and an allowance of five
-        # M x 128 tiles: the residual's two, a rebuilt block of c0, the
-        # covariance build's tile buffers and the factor's tile inverses.
-        # Holding the whole c0 as well adds 8 M k bytes (6.4 MB here)
-        # and fails; the traced peak is about 0.92 of the bound.
+        # C (8 M^2 bytes) and the one (M, k + 1) buffer, plus two
+        # (96, k + 1) tiles, the triangular solves' and the residual's,
+        # and an allowance of four M x 128 tiles for the rest: a rebuilt
+        # row block of c0, the covariance builds' tile buffers and the
+        # factor's tile inverses.  Holding the whole c0 as well adds
+        # 8 M k bytes (6.4 MB here) and fails; the traced peak is about
+        # 0.92 of the bound.
         m, k = 400, 2000
         model = smooth_model(nugget=1e-4)
         training = SfTable.of(scattered_samples(m, seed=60))
@@ -528,18 +531,18 @@ class TestBlockedTargetCovariance:
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        bound = 8 * m * m + 8 * (m + _TILE) * (k + 1) + 5 * 8 * m * _BLOCK
+        bound = 8 * m * m + 8 * (m + 2 * _TILE) * (k + 1) + 4 * 8 * m * _BLOCK
         assert peak < bound
 
 
 class TestCovarianceSource:
-    """Past ``_WHOLE_COV_BYTES`` predict_sf_batch hands the solve C as its
-    block-row source, which gives bitwise the array path's results and
-    never holds C whole."""
+    """predict_sf_batch hands the solve C as its block-row source, which
+    gives bitwise the results of the whole array and never holds C
+    whole."""
 
     @pytest.mark.parametrize("k", [1, 7, _BLOCK + 1, 300])
     @pytest.mark.parametrize("escalated", [False, True])
-    def test_source_path_is_bitwise_the_array_path(self, monkeypatch, k, escalated):
+    def test_source_path_is_bitwise_the_array_path(self, k, escalated):
         if escalated:
             model = smooth_model(nugget=0.0)
             training = escalating_training(250, seed=64)
@@ -547,22 +550,16 @@ class TestCovarianceSource:
             model = smooth_model(nugget=1e-4)
             training = SfTable.of(scattered_samples(250, seed=64))
         targets = Geometry.of([s.geometry for s in scattered_samples(k, seed=65)])
-        real, built = _CovarianceRows.whole, []
+        w, cov, c0 = kriging._covariances(training, targets, model)
+        lam, nu, nugget, explained = _solve(cov.whole(), c0, model.sigma2, model.nugget)
+        expect = (*_estimates(lam, nu, w, explained, model.sigma2), nugget)
+        with mock.patch.object(_CovarianceRows, "whole") as whole:
+            got = predict_sf_batch(training, targets, model)
+        whole.assert_not_called()
+        assert (expect[2] > model.nugget) == escalated
+        assert_bitwise(got, expect)
 
-        def whole(self):
-            built.append(kriging._WHOLE_COV_BYTES)
-            return real(self)
-
-        monkeypatch.setattr(_CovarianceRows, "whole", whole)
-        results = []
-        for limit in (math.inf, 0):
-            monkeypatch.setattr(kriging, "_WHOLE_COV_BYTES", limit)
-            results.append(predict_sf_batch(training, targets, model))
-        assert built == [math.inf]
-        assert (results[0][2] > model.nugget) == escalated
-        assert_bitwise(results[1], results[0])
-
-    def test_source_path_holds_no_whole_matrix(self, monkeypatch):
+    def test_source_path_holds_no_whole_matrix(self):
         # L's lower triangle, 8 (M^2 / 2 + 48 M) bytes, and its tile
         # inverses (8 M * 96); the (M, k + 1) buffer and the triangular
         # solves' (96, k + 1) row tile; the column block the back solve
@@ -571,7 +568,6 @@ class TestCovarianceSource:
         # for the covariance builds' tiles.  The bound leaves no room for
         # C whole (8 M^2 bytes); the traced peak is about 0.9 of it.
         m, k = 2000, 200
-        monkeypatch.setattr(kriging, "_WHOLE_COV_BYTES", 0)
         model = smooth_model(nugget=1e-4)
         training = SfTable.of(scattered_samples(m, seed=66))
         targets = Geometry.of([s.geometry for s in scattered_samples(k, seed=67)])
