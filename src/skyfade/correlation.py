@@ -209,10 +209,15 @@ def _q_rate(q_deg: float) -> float:
     return 0.0 if q_deg >= Q_CAP_DEG else 1.0 / q_deg
 
 
+# The default of an omitted rate table, which the model makes all zero; a
+# table of None instead marks its angle unused.
+_ZERO_TABLE = object()
+
+
 def _rate_table(rates, shape: tuple[int, int], name: str) -> np.ndarray:
-    """A read-only float copy of ``rates`` (zeros when None), checked to be
-    finite and non-negative with ``shape``."""
-    table = np.zeros(shape) if rates is None else np.array(rates, dtype=float)
+    """A read-only float copy of ``rates`` (zeros when omitted), checked to
+    be finite and non-negative with ``shape``."""
+    table = np.zeros(shape) if rates is _ZERO_TABLE else np.array(rates, dtype=float)
     if table.shape != shape:
         raise ValidationError(f"{name} must have shape {shape}, got {table.shape}")
     if not np.all(np.isfinite(table) & (table >= 0.0)):
@@ -232,18 +237,18 @@ class CorrelationModel:
     (n_elev, n_tilt).  Rates are finite and non-negative; a rate of 0
     means no angular decay (a capped, excluded or absent cell).  Omitted
     tables are all zero.  Instances are treated as immutable after
-    construction, and the tables are stored read-only.  A table set to
-    None after construction (only :meth:`restricted` does so) marks its
-    angle unused: not warped, not checked; :func:`serialize_model` refuses
-    such a model.
+    construction, and the tables are stored read-only.  A table of None
+    marks its angle unused: not warped, not checked.  :meth:`restricted`
+    makes such models, a copy (``dataclasses.replace``) keeps the
+    restriction, and :func:`serialize_model` refuses them.
     """
 
     mu: float
     sigma2: float
     dedm: DedmParams
     bins: AngleBins = field(default_factory=AngleBins)
-    tilt_rates: np.ndarray | None = None
-    elev_rates: np.ndarray | None = None
+    tilt_rates: np.ndarray | None = _ZERO_TABLE
+    elev_rates: np.ndarray | None = _ZERO_TABLE
     nugget: float = 0.0
 
     def __post_init__(self):
@@ -254,8 +259,10 @@ class CorrelationModel:
         if not 0.0 <= self.nugget < math.inf:
             raise ValidationError(f"nugget must be finite and non-negative: {self.nugget}")
         nt, ne = self.bins.n_tilt, self.bins.n_elev
-        self.tilt_rates = _rate_table(self.tilt_rates, (nt, ne), "tilt_rates")
-        self.elev_rates = _rate_table(self.elev_rates, (ne, nt), "elev_rates")
+        if self.tilt_rates is not None:
+            self.tilt_rates = _rate_table(self.tilt_rates, (nt, ne), "tilt_rates")
+        if self.elev_rates is not None:
+            self.elev_rates = _rate_table(self.elev_rates, (ne, nt), "elev_rates")
 
     @classmethod
     def with_uniform_kernels(
@@ -288,10 +295,11 @@ class CorrelationModel:
         """The model as ``mode`` uses it: ``baseline`` marks both rate tables
         unused, ``tilt_only`` the elevation one, ``elev_only`` the tilt one."""
         check_mode(mode)
-        model = replace(self)
-        model.tilt_rates = self.tilt_rates if mode in ("angle_aware", "tilt_only") else None
-        model.elev_rates = self.elev_rates if mode in ("angle_aware", "elev_only") else None
-        return model
+        return replace(
+            self,
+            tilt_rates=self.tilt_rates if mode in ("angle_aware", "tilt_only") else None,
+            elev_rates=self.elev_rates if mode in ("angle_aware", "elev_only") else None,
+        )
 
 
 def _warp(x, edges, rates):

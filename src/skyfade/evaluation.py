@@ -11,6 +11,16 @@ master seed plus the (M, trial) pair, which keeps runs reproducible and
 lets trials run in any order.  Each mode predicts with the model
 restricted to it.  The results come back as columns, one array per
 trial field (:class:`TrialTable`), built once at the end.
+
+What is per row is computed once per dataset, not per trial: the group
+ids of exactly equal geometries (:func:`~skyfade.kriging.duplicate_groups`)
+and, per mode, the rows' :class:`~skyfade.correlation.KernelPoints`.  So
+every row of the dataset, drawn or not, must lie inside the model's angle
+bins for an angular mode.  A trial averages its drawn tuning rows'
+duplicates over their ids (:func:`~skyfade.kriging.average_duplicates`)
+and indexes its tuning and test points out of the dataset's; every entry
+of its covariances, and so every trial column, is bitwise what the drawn
+rows themselves give through :func:`~skyfade.kriging.predict_sf_batch`.
 """
 
 from __future__ import annotations
@@ -20,10 +30,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .correlation import CorrelationModel, check_mode
+from .correlation import CorrelationModel, KernelPoints, check_mode
 from .errors import ValidationError
 from .geometry import Columns
-from .kriging import predict_sf_batch
+from .kriging import (
+    TrainingPoints,
+    average_duplicates,
+    duplicate_groups,
+    predict_sf_batch,
+)
 from .propagation import SfTable
 from .schema import encode_number
 
@@ -139,8 +154,9 @@ def run_evaluation(
 
     ``samples`` is an :class:`SfTable` or a sequence of SF samples
     (measured RSRP plus its decomposition); each trial takes its tuning
-    and test rows by index.  The predicted z for a target reuses the
-    target row's own two-ray estimate, so no link budget is needed here.
+    and test rows by index, out of the per-dataset ids and points (see the
+    module docstring).  The predicted z for a target reuses the target
+    row's own two-ray estimate, so no link budget is needed here.
     """
     models = {mode: model.restricted(mode) for mode in config.modes}
     samples = SfTable.of(samples)
@@ -151,16 +167,26 @@ def run_evaluation(
             f"dataset has {n} rows; need at least {needed} for"
             f" M={max(config.m_values)} plus {config.tests_per_trial} tests"
         )
+    ids = duplicate_groups(samples.geometry)
+    points = {
+        mode: KernelPoints.of(restricted, samples.geometry)
+        for mode, restricted in models.items()
+    }
     rows = []
     for m in config.m_values:
         for trial in range(config.n_trials):
             rng = np.random.default_rng([config.seed, m, trial])
             draw = rng.choice(n, size=m + config.tests_per_trial, replace=False)
-            train, test = samples[draw[:m]], samples[draw[m:]]
+            train, test = draw[:m], draw[m:]
+            first, w = average_duplicates(ids[train], samples.sf_db[train])
+            kept = train[first]
+            pl_est, rsrp = samples.pl_est_dbm[test], samples.rsrp_dbm[test]
             for mode, restricted in models.items():
-                w_hat, var, nugget = predict_sf_batch(train, test.geometry, restricted)
-                z_hat = test.pl_est_dbm + w_hat
-                err = z_hat - test.rsrp_dbm
+                training = TrainingPoints(points[mode][kept], w)
+                w_hat, var, nugget = predict_sf_batch(
+                    training, points[mode][test], restricted
+                )
+                err = pl_est + w_hat - rsrp
                 rmse = float(np.sqrt(np.mean(err**2)))
                 sd = np.sqrt(var)
                 # A floored (zero) variance gives an infinite z-score

@@ -36,6 +36,7 @@ waypoints or check a pose by hand.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -133,6 +134,12 @@ class LinkGeometry:
     up_m: float
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    """The field names of a dataclass, looked up once per class."""
+    return tuple(f.name for f in fields(cls))
+
+
 class Columns:
     """Base of the column types: dataclass fields holding one value per row
     each (a 1-d array or another column type).  ``len()`` counts the rows
@@ -141,10 +148,11 @@ class Columns:
     __iter__ = None
 
     def __len__(self) -> int:
-        return len(getattr(self, fields(self)[0].name))
+        return len(getattr(self, _field_names(type(self))[0]))
 
     def __getitem__(self, index):
-        return type(self)(*(getattr(self, f.name)[index] for f in fields(self)))
+        names = _field_names(type(self))
+        return type(self)(*(getattr(self, name)[index] for name in names))
 
 
 _LINK_FIELDS = tuple(f.name for f in fields(LinkGeometry))

@@ -44,7 +44,16 @@ forms of one C give bitwise the same solution, residual and variances.
 
 A mode enters as the model restricted to it (only :func:`assemble_system`
 takes a mode name).  The training rows and the targets are each made
-kernel points once, and every covariance is built from them.  For k
+kernel points once, and every covariance is built from them.  Exactly
+duplicated training geometries collapse to their first row, with the mean
+of their SF values (:func:`dedup_training`).  A caller that solves many
+systems over subsets of one dataset, as :mod:`skyfade.evaluation` does,
+prepares the inputs once for the whole dataset instead: the group ids of
+equal geometries (:func:`duplicate_groups`) and the rows' kernel points.
+Per system it then averages the drawn rows' duplicates
+(:func:`average_duplicates`) and passes :class:`TrainingPoints` and target
+:class:`KernelPoints` indexed out of them, which give bitwise what the
+rows themselves give.  For k
 targets, :func:`predict_sf_batch` holds two large buffers: L's lower
 triangle, as block rows (C's, when the residual check builds them
 again), and one (M, k + 1) buffer, into which c0 is built as
@@ -60,8 +69,9 @@ M x 128, 96 x M or 96 x (k + 1) tile.
 The factor and the triangular solves are numpy alone: an up-looking
 block Cholesky over block rows of :data:`_TILE` rows
 (:func:`_cholesky_rows`), each diagonal tile factored by numpy's
-``cholesky`` and inverted once, its inverse then serving the tiles below
-it and both triangular solves.  The factor asks for a block row of the
+``cholesky`` and inverted once as a triangle, by halves
+(:func:`_lower_inverse`), its inverse then serving the tiles below it and
+both triangular solves.  The factor asks for a block row of the
 lower triangle only when it reaches it, so it never holds the upper half;
 the field draw in :mod:`fieldsim` factors the same :class:`_CovarianceRows`
 and multiplies by the factor with :func:`_lower_matvec`, so only this
@@ -88,7 +98,7 @@ from .correlation import (
     covariance_matrix,
 )
 from .errors import RowErrors, SingularSystemError, ValidationError
-from .geometry import Geometry, LinkGeometry
+from .geometry import Columns, Geometry, LinkGeometry
 from .propagation import LinkBudget, SfTable, link_rsrp
 
 RESIDUAL_TOL = 1.0e-8
@@ -122,30 +132,57 @@ class KrigingSystem:
     nugget_used: float | None = None
 
 
+def duplicate_groups(geometry: Geometry) -> np.ndarray:
+    """Group id of each row of ``geometry``: rows share one exactly when
+    they are equal in east, north, up, theta, theta_gs and delta.  The ids
+    are numbered in no particular order (see :func:`average_duplicates`)."""
+    keys = np.column_stack(
+        (
+            geometry.east_m, geometry.north_m, geometry.up_m,
+            geometry.theta_deg, geometry.theta_gs_deg, geometry.delta_deg,
+        )
+    )
+    return np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+
+
+def average_duplicates(ids, values) -> tuple[np.ndarray, np.ndarray]:
+    """(first, means) for rows with group ids ``ids``: the index of each
+    group's first row, in order of first occurrence, and the mean of
+    ``values`` over each group, in the same order.  Only which ids are
+    equal matters, so the ids of a larger row set, indexed by some of its
+    rows, give bitwise what those rows' own ids give."""
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    # Renumber the groups in order of first occurrence.
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    group = rank[inverse.ravel()]
+    return first[order], np.bincount(group, weights=values) / np.bincount(group)
+
+
 def dedup_training(samples) -> tuple[Geometry, np.ndarray]:
     """Collapse exactly duplicated training geometries.
 
     ``samples`` is an :class:`SfTable` or a sequence of SF samples.  The
     first occurrence keeps its position in the ordering and its SF value
-    becomes the mean over all duplicates.
+    becomes the mean over all duplicates (:func:`duplicate_groups`,
+    :func:`average_duplicates`).
     """
     table = SfTable.of(samples)
     if len(table) == 0:
         return table.geometry, np.empty(0)
-    g = table.geometry
-    keys = np.column_stack(
-        (g.east_m, g.north_m, g.up_m, g.theta_deg, g.theta_gs_deg, g.delta_deg)
-    )
-    _, first, inverse = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True
-    )
-    # Renumber the unique rows in order of first occurrence.
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    group = rank[inverse.ravel()]
-    w = np.bincount(group, weights=table.sf_db) / np.bincount(group)
-    return g[first[order]], w
+    first, w = average_duplicates(duplicate_groups(table.geometry), table.sf_db)
+    return table.geometry[first], w
+
+
+@dataclass(frozen=True, eq=False)
+class TrainingPoints(Columns):
+    """Deduplicated training rows as the solve takes them: their
+    :class:`KernelPoints` under one model and each row's SF value averaged
+    over its duplicates.  ``len()`` is M, the order of the system."""
+
+    points: KernelPoints
+    sf_db: np.ndarray
 
 
 def _spans(n, size=_BLOCK):
@@ -205,18 +242,23 @@ def _covariances(training, targets, model):
     :class:`_CovarianceRows`, and the (M, len(targets)) training-target
     covariance; None when there are no targets.  c0 is an array for up to
     :data:`_BLOCK` targets and otherwise a :class:`_TargetCovariance`,
-    which builds it a block at a time."""
+    which builds it a block at a time.  ``training`` may already be
+    :class:`TrainingPoints` and ``targets`` :class:`KernelPoints` under
+    ``model``."""
     if len(training) == 0:
         raise ValidationError("need at least one training sample")
     if len(targets) == 0:
         return None
-    geoms, w = dedup_training(training)
-    points = KernelPoints.of(model, geoms)
-    targets = KernelPoints.of(model, targets)
+    if not isinstance(training, TrainingPoints):
+        geoms, w = dedup_training(training)
+        training = TrainingPoints(KernelPoints.of(model, geoms), w)
+    if not isinstance(targets, KernelPoints):
+        targets = KernelPoints.of(model, targets)
+    points = training.points
     cov = _CovarianceRows(model, points)
     if len(targets) > _BLOCK:
-        return w, cov, _TargetCovariance(model, points, targets)
-    return w, cov, covariance_matrix(model, points, targets)
+        return training.sf_db, cov, _TargetCovariance(model, points, targets)
+    return training.sf_db, cov, covariance_matrix(model, points, targets)
 
 
 def assemble_system(
@@ -252,6 +294,25 @@ def _check_symmetric(cov):
                 f"covariance is not symmetric: C[{i}, {j}] = {cov[i, j]!r}"
                 f" but C[{j}, {i}] = {cov[j, i]!r}"
             )
+
+
+def _lower_inverse(lower) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix, lower-triangular
+    too, by blocks (Golub & Van Loan, *Matrix Computations*, 4th ed.,
+    sec. 3.1): with lower = [[A, 0], [B, D]] split at half its width, the
+    inverse is [[inv(A), 0], [-inv(D) B inv(A), inv(D)]].  The halves are
+    inverted by numpy's general ``inv``; the block above them is exactly
+    zero.  On a 96-row tile this takes about 0.13 ms against 0.23 ms for
+    ``inv`` of the whole tile, which ignores the triangle (2 vCPUs)."""
+    h = lower.shape[0] // 2
+    inv = np.zeros_like(lower)
+    top, bottom = inv[:h, :h], inv[h:, h:]
+    if h:  # a 1 x 1 tile has no top half
+        top[...] = np.linalg.inv(lower[:h, :h])
+    bottom[...] = np.linalg.inv(lower[h:, h:])
+    np.matmul(bottom, lower[h:, :h] @ top, out=inv[h:, :h])
+    np.negative(inv[h:, :h], out=inv[h:, :h])
+    return inv
 
 
 def _cholesky_rows(n, block_row) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -291,7 +352,7 @@ def _cholesky_rows(n, block_row) -> tuple[list[np.ndarray], list[np.ndarray]]:
         else:
             l11 = np.linalg.cholesky(tile)
         np.copyto(tile, l11, where=_TILE_LOWER[:width, :width])
-        inverses.append(np.linalg.inv(l11))
+        inverses.append(_lower_inverse(l11))
         rows.append(row)
     return rows, inverses
 
@@ -571,9 +632,12 @@ def predict_sf_batch(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Kriging predictions for many targets off one factorization.
 
-    ``training`` is an :class:`SfTable` or a sequence of SF samples and
-    ``targets`` a :class:`Geometry` or a sequence of link geometries.
-    ``model`` is the model a mode restricts (:meth:`CorrelationModel.restricted`).
+    ``training`` is an :class:`SfTable` or a sequence of SF samples, or
+    :class:`TrainingPoints` already made under ``model``, and ``targets``
+    a :class:`Geometry` or a sequence of link geometries, or
+    :class:`KernelPoints` already made under ``model``; prepared inputs
+    give bitwise the results of the rows they were made from.  ``model``
+    is the model a mode restricts (:meth:`CorrelationModel.restricted`).
     Returns (w_hat, variance, nugget_used) with one entry per target.
     A batch of one target gives bitwise what :func:`solve_ok` and
     :func:`predict_sf` give; more targets share one factorization.  C

@@ -711,6 +711,26 @@ class TestKernelPoints:
             again = model.restricted(mode).restricted("angle_aware")
             assert KernelPoints.of(again, geoms).warped.shape == (5, self.WIDTH[mode])
 
+    def test_copies_keep_the_restriction(self):
+        """A copy of a restricted model is restricted to the same mode: it
+        warps and checks only the angles the mode uses."""
+        model = edge_case_model()
+        geoms = edge_case_geoms(5, seed=48)
+        for mode in MODES:
+            restricted = model.restricted(mode)
+            copy = dataclasses.replace(restricted, nugget=0.5)
+            assert copy.nugget == 0.5
+            for name in ("tilt_rates", "elev_rates"):
+                assert (getattr(copy, name) is None) == (getattr(restricted, name) is None)
+            points = KernelPoints.of(copy, geoms)
+            assert points.warped.shape == (5, self.WIDTH[mode])
+            assert np.array_equal(
+                correlation_matrix(copy, points),
+                correlation_matrix(restricted, KernelPoints.of(restricted, geoms)),
+            )
+        copy = dataclasses.replace(model.restricted("baseline"), nugget=0.5)
+        assert KernelPoints.of(copy, [mk_geom(theta=0.0)]).warped.shape == (1, 0)
+
 
 class TestBalanceResample:
     def test_quantile_interpolation(self):

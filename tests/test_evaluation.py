@@ -1,13 +1,20 @@
 """Mode-comparison evaluation harness: draws, pairing, and summaries."""
 
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from _recipes import gap_benchmark_sf, gap_benchmark_truth, trial_table
+from _recipes import (
+    decompose_all,
+    gap_benchmark_rows,
+    gap_benchmark_sf,
+    gap_benchmark_truth,
+    trial_table,
+)
 from skyfade.correlation import CorrelationModel, DedmParams, fit_correlation_model
 from skyfade.dataio import write_trials_csv
 from skyfade.errors import ValidationError
@@ -18,6 +25,7 @@ from skyfade.evaluation import (
     EvalResult,
     run_evaluation,
 )
+from skyfade.kriging import dedup_training, predict_sf_batch
 from skyfade.schema import write_json
 from test_correlation import mk_sf
 
@@ -254,6 +262,48 @@ class TestRunEvaluation:
         # Pinned campaign: the gap at M=150 is 1.25 dB over the full run;
         # this 20-trial subset keeps a clear margin.
         assert gap > 0.3
+
+
+class TestPerDatasetFeatures:
+    """run_evaluation makes the duplicate ids and the kernel points once
+    per dataset; every trial is still bitwise the solve on its drawn
+    rows."""
+
+    def test_trials_are_bitwise_the_drawn_rows_solves(self):
+        # 100 gap-flight poses, each twice with SF 3 dB apart: most draws
+        # hold some twins, which the solve averages into one row.
+        rows = gap_benchmark_rows()[::20]
+        twins = [dataclasses.replace(r, rsrp_dbm=r.rsrp_dbm + 3.0) for r in rows]
+        samples = decompose_all([r for pair in zip(rows, twins) for r in pair])
+        model = gap_benchmark_truth()
+        config = EvalConfig(
+            m_values=(40, 90), tests_per_trial=50, total_test_predictions=100, seed=7
+        )
+        got = run_evaluation(samples, model, config).trials
+        expect, collapsed = [], 0
+        for m in config.m_values:
+            for trial in range(config.n_trials):
+                rng = np.random.default_rng([config.seed, m, trial])
+                draw = rng.choice(len(samples), size=m + 50, replace=False)
+                train, test = samples[draw[:m]], samples[draw[m:]]
+                collapsed += m - len(dedup_training(train)[1])
+                for mode in config.modes:
+                    w_hat, var, nugget = predict_sf_batch(
+                        train, test.geometry, model.restricted(mode)
+                    )
+                    err = test.pl_est_dbm + w_hat - test.rsrp_dbm
+                    sd = np.sqrt(var)
+                    expect.append(
+                        (
+                            m, mode, trial, float(np.sqrt(np.mean(err**2))), nugget,
+                            float(np.mean(np.abs(err) <= 1.96 * sd)),
+                            float(np.std(err / sd)),
+                            int(np.count_nonzero(var == 0.0)),
+                        )
+                    )
+        assert collapsed > 0
+        for name, column in zip(TRIAL_FIELDS, zip(*expect)):
+            assert getattr(got, name).tolist() == list(column), name
 
 
 class TestCalibration:

@@ -617,6 +617,16 @@ class TestTiledCholesky:
             _cholesky_solve_rows(*copies, separate)
             assert np.array_equal(separate, b)
 
+    def test_tile_inverse_matches_general_inverse(self):
+        """The diagonal tiles' triangular inverse, by halves, at every tile
+        width."""
+        for w in range(1, _TILE + 1):
+            lower = np.linalg.cholesky(random_spd(w, seed=w))
+            inv = kriging._lower_inverse(lower)
+            expect = np.linalg.inv(lower)
+            assert np.abs(inv - expect).max() <= 1e-12 * np.abs(expect).max(), w
+            assert not inv[: w // 2, w // 2 :].any()
+
     @pytest.mark.parametrize("n", [1, _TILE - 1, _TILE, _TILE + 1, 3 * _TILE + 5])
     def test_rows_factor_separate_rows_as_views(self, n):
         """Block rows held as separate arrays factor bitwise as views of

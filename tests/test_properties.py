@@ -106,10 +106,13 @@ def test_every_mode_is_a_valid_correlation(model, geoms):
 
 
 def zeroed(model, mode):
-    """``model`` whole, with the tables ``mode`` leaves unused all zero (the
-    constructor reads a table of None as zeros)."""
-    tilt = model.tilt_rates if mode in ("angle_aware", "tilt_only") else None
-    elev = model.elev_rates if mode in ("angle_aware", "elev_only") else None
+    """``model`` whole, with the tables ``mode`` leaves unused all zero (a
+    table of None would mark its angle unused instead)."""
+    tilt, elev = model.tilt_rates, model.elev_rates
+    if mode not in ("angle_aware", "tilt_only"):
+        tilt = np.zeros_like(tilt)
+    if mode not in ("angle_aware", "elev_only"):
+        elev = np.zeros_like(elev)
     return dataclasses.replace(model, tilt_rates=tilt, elev_rates=elev)
 
 
