@@ -25,7 +25,9 @@ nonzero tilt separation.
 In the coordinates (east, north, u_t, u_e), which :class:`KernelPoints`
 holds for a row set under one model, the model is a plain product of
 kernels, and :func:`correlation_matrix` builds every correlation from such
-points only.
+points only.  :class:`Covariance` is the one covariance built from them,
+the nugget included: the Kriging solve reads C and the target covariances
+from it a block at a time, and the field draw factors it.
 
 :func:`fit_correlation_model` is the one fit.  It fits the DEDM to the
 distance correlogram by least squares, and each rate table to a binned
@@ -369,12 +371,11 @@ def correlation_matrix(model: CorrelationModel, a: KernelPoints, b=None) -> np.n
     distances, DEDM terms and angular exponent are computed in three
     preallocated tile-sized buffers, which stay in cache, and only the
     finished entries are written to the output; so no temporary grows with
-    either side.  In the square case only the tiles on and above the
-    diagonal are computed and each is mirrored below it, which makes the
-    result exactly symmetric.
+    either side.  Every entry is computed on its own from its two points,
+    and each step is symmetric in them, so ``correlation_matrix(model, a)``
+    is exactly symmetric and any block of it is bitwise those entries.
     """
-    square = b is None
-    b = a if square else b
+    b = a if b is None else b
     angles = (model.tilt_rates is not None) + (model.elev_rates is not None)
     if a.warped.shape[1] != angles or b.warped.shape[1] != angles:
         raise ValidationError("kernel points of another restriction: widths differ")
@@ -386,7 +387,7 @@ def correlation_matrix(model: CorrelationModel, a: KernelPoints, b=None) -> np.n
     buffers = np.empty((3, min(t, ea.size) * min(t, eb.size)))
     for r0 in range(0, ea.size, t):
         rows = slice(r0, r0 + t)
-        for c0 in range(r0 if square else 0, eb.size, t):
+        for c0 in range(0, eb.size, t):
             cols = slice(c0, c0 + t)
             block = out[rows, cols]
             # Flat buffers viewed at the tile's shape: every pass is contiguous.
@@ -410,19 +411,43 @@ def correlation_matrix(model: CorrelationModel, a: KernelPoints, b=None) -> np.n
                     x -= e1
                 np.exp(x, out=x)
                 np.multiply(d, x, out=block)
-            if square and c0 > r0:
-                out[cols, rows] = block.T
     return out
 
 
+class Covariance:
+    """The model covariance between :class:`KernelPoints` ``a`` and ``b``
+    (``b`` defaults to ``a``), read like an (len(a), len(b)) array.
+
+    ``cov[rows, cols]``, for unit-step slices, is a new array holding
+    sigma2 * :func:`correlation_matrix` of ``a[rows]`` against ``b[cols]``;
+    with ``b`` omitted it is C, with the nugget added wherever a row meets
+    its own column.  Nothing is held but the points: each block is built
+    when it is read, and as every entry is computed on its own, a block is
+    bitwise that slice of ``cov[:, :]``, the whole matrix.
+    """
+
+    def __init__(self, model: CorrelationModel, a: KernelPoints, b=None):
+        self.shape = (len(a), len(a if b is None else b))
+        self._model, self._a, self._b = model, a, b
+
+    def __getitem__(self, index) -> np.ndarray:
+        rows, cols = index
+        b = self._a if self._b is None else self._b
+        cov = correlation_matrix(self._model, self._a[rows], b[cols])
+        cov *= self._model.sigma2
+        if self._b is None:
+            r0, r1, _ = rows.indices(self.shape[0])
+            c0, c1, _ = cols.indices(self.shape[1])
+            diag = np.arange(max(r0, c0), min(r1, c1))
+            cov[diag - r0, diag - c0] += self._model.nugget
+        return cov
+
+
 def covariance_matrix(model, a, b=None):
-    """sigma2 * R, with arguments as in :func:`correlation_matrix`, plus the
-    nugget on the diagonal in the square case (``b`` omitted)."""
-    cov = correlation_matrix(model, a, b)
-    cov *= model.sigma2
-    if b is None:
-        cov[np.diag_indices_from(cov)] += model.nugget
-    return cov
+    """The whole :class:`Covariance` of ``a`` and ``b``: sigma2 * R, with
+    arguments as in :func:`correlation_matrix`, plus the nugget on the
+    diagonal when ``b`` is omitted."""
+    return Covariance(model, a, b)[:, :]
 
 
 # ---------------------------------------------------------------------------
@@ -435,26 +460,18 @@ def balance_resample(w_ref, w_other) -> tuple[np.ndarray, np.ndarray]:
     The shorter vector is replaced by its empirical quantile function
     sampled at evenly spaced order-statistic positions, i.e. linear
     interpolation of the sorted values onto the longer length.  The longer
-    vector is returned sorted unchanged.
+    vector comes back sorted unchanged: ``np.interp`` returns a sample
+    point's own value exactly, so one call serves every length.
     """
     a = np.sort(np.asarray(w_ref, dtype=float))
     b = np.sort(np.asarray(w_other, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValidationError("both sample vectors must be non-empty")
-
-    def expand(short: np.ndarray, n: int) -> np.ndarray:
-        if short.size == n:
-            return short
-        if short.size == 1:
-            return np.full(n, short[0])
-        return np.interp(
-            np.linspace(0.0, short.size - 1.0, n),
-            np.arange(short.size, dtype=float),
-            short,
-        )
-
     n = max(a.size, b.size)
-    return expand(a, n), expand(b, n)
+    return tuple(
+        np.interp(np.linspace(0.0, v.size - 1.0, n), np.arange(v.size, dtype=float), v)
+        for v in (a, b)
+    )
 
 
 def empirical_angular_correlation(w_ref, w_other, mu: float) -> float:

@@ -12,12 +12,11 @@ seed with fixed per-purpose stream offsets (trajectory, field, noise), so
 a config reproduces its dataset bit for bit.
 
 The field draw makes the rows :class:`KernelPoints` of the truth once and
-never holds the whole n x n covariance.  It factors the covariance as
-the Kriging solve does past its array size: the block Cholesky
-(:func:`skyfade.kriging._cholesky_rows`, numpy alone) asks for the lower
-triangle a block row at a time, and
-:class:`skyfade.kriging._CovarianceRows` builds each block row from the
-points when it is asked for; the factor overwrites it with L's rows.  So
+never holds the whole n x n covariance.  It factors their
+:class:`~skyfade.correlation.Covariance` as the Kriging solve does: the
+block Cholesky (:func:`skyfade.kriging._cholesky_rows`, numpy alone)
+reads the lower triangle a block row at a time, which the source builds
+from the points when it is read, and overwrites each with L's rows.  So
 5000 samples need about 100 MB, half the matrix, and the draw L @ g is
 :func:`skyfade.kriging._lower_matvec` over those rows; only
 :mod:`skyfade.kriging` knows the factor's tile layout.  A merely
@@ -32,10 +31,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .correlation import CorrelationModel, KernelPoints, serialize_model
+from .correlation import CorrelationModel, Covariance, KernelPoints, serialize_model
 from .errors import NotPositiveDefiniteError, RowErrors, ValidationError
 from .geometry import MeasurementSample, enu_to_geodetic, tilt_geometry
-from .kriging import _cholesky_rows, _CovarianceRows, _lower_matvec
+from .kriging import _cholesky_rows, _lower_matvec
 from .propagation import LinkBudget, link_rsrp
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -252,14 +251,14 @@ def sample_sf_field(geometries, truth: CorrelationModel, seed) -> np.ndarray:
     points = KernelPoints.of(truth, geometries)
     g = np.random.default_rng(seed).standard_normal(n)
 
-    source = _CovarianceRows(truth, points)
+    cov = Covariance(truth, points)
     try:
-        rows, _ = _cholesky_rows(n, source.block_row)
+        rows, _ = _cholesky_rows(cov, 0.0)
     except np.linalg.LinAlgError:
         pass  # the failed factor's rows are dropped with the exception
     else:
         return truth.mu + _lower_matvec(rows, g)
-    cov = source.whole()
+    cov = cov[:, :]
     eigvals, eigvecs = np.linalg.eigh(cov)
     if eigvals[0] < -1.0e-8 * truth.sigma2:
         raise NotPositiveDefiniteError(

@@ -27,20 +27,21 @@ An indefinite covariance is therefore never accepted at the model's
 nugget: the nugget actually used is recorded on the system, and callers
 report it.
 
-C reaches the solve as a :class:`_CovarianceRows`, which builds C from
-the training points a block row of its lower triangle at a time (from
-:func:`predict_sf_batch`), or as an (M, M) array (from :func:`solve_ok`,
-on an assembled system).  C is never written.  The factor's block rows
-are new arrays, built or copied from the array, with the rung's shift on
-their diagonal tiles, and they are dropped once the triangular solves are
-done.  The residual check then reads C a block of rows at a time: an
-array's own rows or, from the source, C's lower triangle built again,
-each row block being its block row followed by the column block below
-its diagonal tile, transposed.  The source's C is exactly symmetric by
-construction.  An array must be too, since the factor reads only its
-lower triangle: the solve checks this first and raises ValidationError
-naming the first asymmetric entry, which no valid covariance has.  Both
-forms of one C give bitwise the same solution, residual and variances.
+What C and c0 are, :class:`skyfade.correlation.Covariance` alone says:
+:func:`predict_sf_batch` passes the training points' covariance as that
+source, and :func:`solve_ok` an (M, M) array of an assembled system.
+The solve reads either the same way, C only as its lower block rows
+``cov[k0:k1, :k1]`` and c0 only as slices, and never writes it.  The
+factor's block rows are new arrays, built by the source or copied from
+the array, with the rung's shift on their diagonal tiles, and they are
+dropped once the triangular solves are done.  The residual check then
+reads C's lower triangle again, each row block being its block row
+followed by the column block below its diagonal tile, transposed.  The
+source's C is exactly symmetric by construction.  An array must be too,
+since only its lower triangle is read: the solve checks this first and
+raises ValidationError naming the first asymmetric entry, which no valid
+covariance has.  Both forms of one C give bitwise the same solution,
+residual and variances.
 
 A mode enters as the model restricted to it (only :func:`assemble_system`
 takes a mode name).  The training rows and the targets are each made
@@ -71,11 +72,12 @@ block Cholesky over block rows of :data:`_TILE` rows
 (:func:`_cholesky_rows`), each diagonal tile factored by numpy's
 ``cholesky`` and inverted once as a triangle, by halves
 (:func:`_lower_inverse`), its inverse then serving the tiles below it and
-both triangular solves.  The factor asks for a block row of the
-lower triangle only when it reaches it, so it never holds the upper half;
-the field draw in :mod:`fieldsim` factors the same :class:`_CovarianceRows`
-and multiplies by the factor with :func:`_lower_matvec`, so only this
-module knows the tile layout.  The tiles stay below 128 rows because
+both triangular solves.  The factor reads a block row of the lower
+triangle only when it reaches it, so it never holds the upper half; the
+field draw in :mod:`fieldsim` factors a
+:class:`~skyfade.correlation.Covariance` too and multiplies by the factor
+with :func:`_lower_matvec`, so only this module knows the tile layout.
+The tiles stay below 128 rows because
 numpy's OpenBLAS runs LAPACK multi-threaded from 128 up: on 2 vCPUs a
 128 x 128 ``cholesky`` takes 2.9 ms and a 96 x 96 one 40 us.  The
 tiles' own calls stay cheap that way, and the work that grows as M^3 runs
@@ -94,8 +96,8 @@ import numpy as np
 from .correlation import (
     DEFAULT_NUGGET_FACTOR,
     CorrelationModel,
+    Covariance,
     KernelPoints,
-    covariance_matrix,
 )
 from .errors import RowErrors, SingularSystemError, ValidationError
 from .geometry import Columns, Geometry, LinkGeometry
@@ -190,61 +192,15 @@ def _spans(n, size=_BLOCK):
     return [(i0, min(i0 + size, n)) for i0 in range(0, n, size)]
 
 
-class _CovarianceRows:
-    """The (M, M) covariance C of M :class:`KernelPoints`, with the nugget
-    on its diagonal, built on request a block row of its lower triangle at
-    a time.
-
-    ``block_row(k0, k1)`` is a new (k1 - k0, k1) array holding rows k0:k1
-    and columns :k1 of C: :func:`covariance_matrix` of ``points[k0:k1]``
-    against ``points[:k1]``, plus the nugget on its diagonal tile.  Every
-    entry is computed on its own, and the square
-    ``covariance_matrix(model, points)`` is exactly symmetric, so a block
-    row is bitwise those entries of :meth:`whole`, the square matrix.
-    """
-
-    def __init__(self, model, points):
-        self.shape = (len(points), len(points))
-        self._model, self._points = model, points
-
-    def block_row(self, k0, k1):
-        row = covariance_matrix(self._model, self._points[k0:k1], self._points[:k1])
-        row[:, k0:k1][np.diag_indices(k1 - k0)] += self._model.nugget
-        return row
-
-    def whole(self):
-        return covariance_matrix(self._model, self._points)
-
-
-class _TargetCovariance:
-    """The (M, k) covariance between training points and k target points
-    (:class:`KernelPoints`), built on request a block at a time.
-
-    ``self[rows, cols]``, for slices, is :func:`covariance_matrix` of
-    ``points[rows]`` against ``targets[cols]``; every entry is computed on
-    its own, so a block is bitwise that slice of the whole matrix.  The
-    solve reads a right-hand side only as ``rhs.shape`` and such slices,
-    so an (M, k) array is its own block source.
-    """
-
-    def __init__(self, model, points, targets):
-        self.shape = (len(points), len(targets))
-        self._model, self._points, self._targets = model, points, targets
-
-    def __getitem__(self, index):
-        rows, cols = index
-        return covariance_matrix(self._model, self._points[rows], self._targets[cols])
-
-
 def _covariances(training, targets, model):
     """(w, cov, c0): deduplicated training SF values, the training
     covariance with the base nugget on its diagonal as a
-    :class:`_CovarianceRows`, and the (M, len(targets)) training-target
-    covariance; None when there are no targets.  c0 is an array for up to
-    :data:`_BLOCK` targets and otherwise a :class:`_TargetCovariance`,
-    which builds it a block at a time.  ``training`` may already be
-    :class:`TrainingPoints` and ``targets`` :class:`KernelPoints` under
-    ``model``."""
+    :class:`Covariance` of the training points, and the (M, len(targets))
+    training-target covariance; None when there are no targets.  c0 is
+    built whole for up to :data:`_BLOCK` targets and otherwise left a
+    :class:`Covariance`, which builds it a block at a time.  ``training``
+    may already be :class:`TrainingPoints` and ``targets``
+    :class:`KernelPoints` under ``model``."""
     if len(training) == 0:
         raise ValidationError("need at least one training sample")
     if len(targets) == 0:
@@ -255,10 +211,10 @@ def _covariances(training, targets, model):
     if not isinstance(targets, KernelPoints):
         targets = KernelPoints.of(model, targets)
     points = training.points
-    cov = _CovarianceRows(model, points)
-    if len(targets) > _BLOCK:
-        return training.sf_db, cov, _TargetCovariance(model, points, targets)
-    return training.sf_db, cov, covariance_matrix(model, points, targets)
+    c0 = Covariance(model, points, targets)
+    if len(targets) <= _BLOCK:
+        c0 = c0[:, :]
+    return training.sf_db, Covariance(model, points), c0
 
 
 def assemble_system(
@@ -274,7 +230,7 @@ def assemble_system(
     """
     w, cov, c0 = _covariances(training, [target], model.restricted(mode))
     return KrigingSystem(
-        cov=cov.whole(),
+        cov=cov[:, :],
         target_cov=c0[:, 0],
         train_w=w,
         sigma2=model.sigma2,
@@ -315,30 +271,32 @@ def _lower_inverse(lower) -> np.ndarray:
     return inv
 
 
-def _cholesky_rows(n, block_row) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Cholesky factor L (A = L L^T) of an n x n symmetric matrix A, a
+def _cholesky_rows(cov, shift) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Cholesky factor L (L L^T = C + shift I) of an n x n symmetric C, a
     block row at a time; returns (rows, inverses): L's block rows and the
     inverses of its diagonal tiles, in order.
 
-    ``block_row(k0, k1)`` returns a writable (k1 - k0, k1) array holding
-    rows k0:k1 and columns :k1 of A, which is asked for only when the
-    factor reaches it and is overwritten with the same rows of L; the
-    strict upper part of its diagonal tile is neither used nor written.
+    ``cov`` is an array or a :class:`Covariance`, read only as its lower
+    block rows ``cov[k0:k1, :k1]``, each when the factor reaches it.  A
+    block the source builds is used as it is, a view of an array is copied,
+    and ``shift`` is added on its diagonal tile; ``cov`` itself is never
+    written.  Each block row is then overwritten with the same rows of L;
+    the strict upper part of its diagonal tile is neither used nor written.
     Up-looking block Cholesky (Golub & Van Loan, *Matrix Computations*,
     4th ed., sec. 4.2) over :data:`_TILE`-row tiles: in block row t, each
     earlier tile j becomes L_tj = (A_tj - L_t,<j L_j,<j^T) inv_j^T, and
-    then A_tt - L_t,<t L_t,<t^T is factored and inverted.  Only the rows
-    already factored are read, so the rows may be views of one matrix or
-    separate arrays, with bitwise the same result; temporaries are
+    then A_tt - L_t,<t L_t,<t^T is factored and inverted.  Temporaries are
     _TILE x _TILE.  Raises ``np.linalg.LinAlgError`` at the first tile
-    that is not positive definite, with that block row partly overwritten.
+    that is not positive definite.
     """
+    n = cov.shape[0]
     rows, inverses = [], []
     buf = np.empty((min(n, _TILE), min(n, _TILE)))
     for k0 in range(0, n, _TILE):
         k1 = min(k0 + _TILE, n)
         width = k1 - k0
-        row = block_row(k0, k1)
+        row = np.require(cov[k0:k1, :k1], requirements="CO")
+        row[:, k0:k1][np.diag_indices(width)] += shift
         out = buf[:width]
         for j0, inv, done in zip(range(0, k0, _TILE), inverses, rows):
             block = row[:, j0 : j0 + _TILE]
@@ -355,23 +313,6 @@ def _cholesky_rows(n, block_row) -> tuple[list[np.ndarray], list[np.ndarray]]:
         inverses.append(_lower_inverse(l11))
         rows.append(row)
     return rows, inverses
-
-
-def _shifted_rows(cov, shift):
-    """``block_row`` for :func:`_cholesky_rows` on C + shift I: a new
-    array of C's rows k0:k1 and columns :k1, copied from an (M, M) array
-    ``cov`` or built by a :class:`_CovarianceRows`, with ``shift`` added on
-    its diagonal tile.  ``cov`` itself is never written."""
-
-    def block_row(k0, k1):
-        if isinstance(cov, np.ndarray):
-            row = cov[k0:k1, :k1].copy()
-        else:
-            row = cov.block_row(k0, k1)
-        row[:, k0:k1][np.diag_indices(k1 - k0)] += shift
-        return row
-
-    return block_row
 
 
 def _column_below(rows, t, out):
@@ -432,15 +373,14 @@ def _cholesky_schur(cov, rhs, shift):
     Returns (lambda, nu), or None when C (diagonal shifted by ``shift``)
     is not numerically positive definite.  lambda is a view of the one
     (M, k + 1) buffer that holds the right-hand sides, the solution and
-    then the weights.  ``cov`` is an (M, M) array or a
-    :class:`_CovarianceRows`, and ``rhs`` an (M, k) array or a block
-    source (see :class:`_TargetCovariance`), copied into the buffer and
+    then the weights.  ``cov`` and ``rhs`` are (M, M) and (M, k) arrays
+    or :class:`Covariance` sources; ``rhs`` is copied into the buffer and
     the weights formed a block of columns at a time.  The factor's block
-    rows are new arrays (:func:`_shifted_rows`), dropped on return.
+    rows are new arrays (:func:`_cholesky_rows`), dropped on return.
     """
     m, k = rhs.shape
     try:
-        rows, inverses = _cholesky_rows(m, _shifted_rows(cov, shift))
+        rows, inverses = _cholesky_rows(cov, shift)
     except np.linalg.LinAlgError:
         return None
     b = np.empty((m, k + 1))
@@ -461,26 +401,23 @@ def _row_blocks(cov, shift):
     """(k0, k1, rows) for each :data:`_TILE`-row block of C + shift I, in
     order: rows k0:k1 of it, formed in one reused (tile, M) buffer.
 
-    An (M, M) array's rows are copied as they are.  A
-    :class:`_CovarianceRows` builds C's lower triangle as its block rows,
-    and each row block is its block row followed by the column block
-    below its diagonal tile (:func:`_column_below`), transposed, which
-    C = C^T makes the rest of the row.  A block row is dropped once its
-    row block is formed, as later row blocks read only later block rows.
+    C's lower block rows ``cov[k0:k1, :k1]`` are read first, built by a
+    :class:`Covariance` or views of an array, and each row block is its
+    block row followed by the column block below its diagonal tile
+    (:func:`_column_below`), transposed, which C = C^T makes the rest of
+    the row: for a symmetric array, bitwise its own rows.  A block row is
+    dropped once its row block is formed, as later row blocks read only
+    later block rows.
     """
     m = cov.shape[0]
     spans = _spans(m, _TILE)
-    if not isinstance(cov, np.ndarray):
-        lower = [cov.block_row(k0, k1) for k0, k1 in spans]
+    lower = [cov[k0:k1, :k1] for k0, k1 in spans]
     buf = np.empty((min(m, _TILE), m))
     for t, (k0, k1) in enumerate(spans):
         row = buf[: k1 - k0]
-        if isinstance(cov, np.ndarray):
-            row[...] = cov[k0:k1]
-        else:
-            row[:, :k1] = lower[t]
-            lower[t] = None
-            _column_below(lower, t, row[:, k1:].T)
+        row[:, :k1] = lower[t]
+        lower[t] = None
+        _column_below(lower, t, row[:, k1:].T)
         row[:, k0:k1][np.diag_indices(k1 - k0)] += shift
         yield k0, k1, row
 
@@ -506,9 +443,9 @@ def _residual_pass(cov, shift, rhs, lam, nu):
     Returns (residual, scale, explained): the largest |A x - b| entry of
     the augmented system, the largest |rhs| entry, and lambda^T rhs per
     column (see :func:`_explained`).  The product with C is that of C's
-    rows as :func:`_row_blocks` gives them, an array's own rows as they
-    are, times all k columns of lambda.  It is formed in one reused
-    (tile + 1, k) tile, in which :func:`_explained` then sums.
+    rows as :func:`_row_blocks` gives them times all k columns of lambda.
+    It is formed in one reused (tile + 1, k) tile, in which
+    :func:`_explained` then sums.
     """
     m, k = lam.shape
     peaks = [np.abs(lam.sum(axis=0) - 1.0).max()]
@@ -541,19 +478,19 @@ def _solve(cov, rhs, sigma2, base_nugget):
 
     ``cov`` already carries ``base_nugget`` on its diagonal; it is an
     (M, M) array, which must be exactly symmetric (ValidationError
-    otherwise), or a :class:`_CovarianceRows`, and it is never written.
-    ``rhs`` is an (M, k) array or a block source (see
-    :class:`_TargetCovariance`); lambda is (M, k), nu and explained
-    (lambda^T rhs per column) are (k,).  Each rung adds
-    ``nugget - base_nugget`` to the diagonal and makes one Cholesky-Schur
-    attempt, copying ``rhs`` into its buffer afresh; the first finite
-    solution whose residual, relative to the largest |rhs| entry (or 1 if
-    larger), passes is accepted, with explained from its residual pass.  A
-    covariance that is not numerically positive definite at a rung moves
-    up to the next one.  From a source, each rung builds C's lower
+    otherwise), or a :class:`Covariance`, and it is never written.
+    ``rhs`` is an (M, k) array or a :class:`Covariance`; lambda is
+    (M, k), nu and explained (lambda^T rhs per column) are (k,).  Each
+    rung adds ``nugget - base_nugget`` to the diagonal and makes one
+    Cholesky-Schur attempt, copying ``rhs`` into its buffer afresh; the
+    first finite solution whose residual, relative to the largest |rhs|
+    entry (or 1 if larger), passes is accepted, with explained from its
+    residual pass.  A covariance that is not numerically positive definite
+    at a rung moves up to the next one.  From a source, each rung builds C's lower
     triangle twice, once for the factor and once for the residual check:
     at M = 4000 a build takes about 0.16 s of a rung's 1.6 s (1000
-    targets, 2 vCPUs), where a rung on an array copies its rows instead.
+    targets, 2 vCPUs), where a rung on an array copies or reads its rows
+    instead.
     """
     m = cov.shape[0]
     if isinstance(cov, np.ndarray):
@@ -641,9 +578,10 @@ def predict_sf_batch(
     Returns (w_hat, variance, nugget_used) with one entry per target.
     A batch of one target gives bitwise what :func:`solve_ok` and
     :func:`predict_sf` give; more targets share one factorization.  C
-    reaches the solve as its block-row source, never whole, which gives
-    bitwise the results of the whole array; beyond the factor, the solve
-    holds one (M, k + 1) buffer (see the module docstring).
+    reaches the solve as its :class:`Covariance`, read in lower block rows
+    and never whole, which gives bitwise the results of the whole array;
+    beyond the factor, the solve holds one (M, k + 1) buffer (see the
+    module docstring).
     """
     blocks = _covariances(training, targets, model)
     if blocks is None:

@@ -10,8 +10,10 @@ inside the asserted tolerance bands.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 
@@ -22,7 +24,9 @@ from skyfade import (
     LinkBudget,
     MeasurementSample,
     SimConfig,
+    correlation,
     dedm_eval,
+    kriging,
     synthesize_dataset,
 )
 from skyfade.correlation import KernelPoints, correlation_matrix, covariance_matrix
@@ -60,6 +64,38 @@ def _kernel_points(model, a, b, mode):
     """The restricted model, then the points of each row set given."""
     model = model.restricted(mode)
     return [model] + [KernelPoints.of(model, rows) for rows in (a, b) if rows is not None]
+
+
+def assemble_lower(rows):
+    """The lower-triangular L whose block rows
+    :func:`skyfade.kriging._cholesky_rows` returned."""
+    n = rows[-1].shape[1]
+    lower = np.zeros((n, n))
+    for row in rows:
+        k1 = row.shape[1]
+        lower[k1 - row.shape[0] : k1, :k1] = row
+    return np.tril(lower)
+
+
+def lower_entries(m):
+    """L(M): the entries of C's lower block rows, rows k0:k1 and columns
+    :k1 for each of the solve's _TILE-row blocks."""
+    return sum((k1 - k0) * k1 for k0, k1 in kriging._spans(m, kriging._TILE))
+
+
+@contextlib.contextmanager
+def built_entries():
+    """Collect the shape of every matrix correlation_matrix returns (every
+    covariance block is built through it) while the block runs."""
+    shapes, real = [], correlation.correlation_matrix
+
+    def counted(*args):
+        out = real(*args)
+        shapes.append(out.shape)
+        return out
+
+    with mock.patch.object(correlation, "correlation_matrix", counted):
+        yield shapes
 
 
 def trial_table(rows):

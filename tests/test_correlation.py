@@ -39,6 +39,7 @@ from skyfade.correlation import (
     RHO_FLOOR,
     AngleBins,
     CorrelationModel,
+    Covariance,
     DedmParams,
     KernelPoints,
     _bin_cells,
@@ -564,6 +565,8 @@ class TestCorrelationKernel:
         geoms = edge_case_geoms(700, seed=31)
         mat = kernel_correlation(model, geoms, mode=mode)
         assert mat.shape == (700, 700)
+        # Nothing mirrors it: every entry is computed on its own from its
+        # two points, and each step is symmetric in them.
         assert np.array_equal(mat, mat.T)
         assert np.all(np.diagonal(mat) == 1.0)
         idx = block_edge_indices(700, seed=32)
@@ -616,6 +619,58 @@ class TestCorrelationKernel:
                 kernel_correlation(model, good, [bad], mode=mode)
             with pytest.raises(ValidationError):
                 kernel_correlation(model, [bad], good, mode=mode)
+
+
+class TestCovariance:
+    """The one covariance source: each block it builds against the scalar
+    oracle and against the same slice of its whole matrix, at slices
+    across the solve's 96-row tiles and :func:`correlation_matrix`'s
+    256-entry ones, some meeting the diagonal only in part."""
+
+    SLICES = [
+        (slice(90, 200), slice(50, 150)),
+        (slice(0, 96), slice(0, 96)),
+        (slice(96, 192), slice(0, 192)),
+        (slice(250, 300), slice(200, 270)),
+        (slice(5, 6), slice(None)),
+        (slice(None), slice(255, 257)),
+        (slice(None), slice(None)),
+    ]
+
+    @staticmethod
+    def probes(part, n):
+        """Indices of ``range(n)[part]`` to check against the oracle: both
+        ends and both sides of every tile edge inside it."""
+        lo, hi, _ = part.indices(n)
+        cuts = {lo, hi - 1}
+        for tile in (96, CORRELATION_TILE):
+            for edge in range(tile, n, tile):
+                cuts.update(i for i in (edge - 1, edge) if lo <= i < hi)
+        return sorted(cuts)
+
+    @pytest.mark.parametrize("cross", [False, True])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_blocks_match_the_oracle_and_the_whole_matrix(self, mode, cross):
+        full = dataclasses.replace(edge_case_model(), nugget=0.25)
+        model = full.restricted(mode)
+        ga = edge_case_geoms(300, seed=49)
+        gb = edge_case_geoms(280, seed=50) if cross else ga
+        a = KernelPoints.of(model, ga)
+        cov = Covariance(model, a, KernelPoints.of(model, gb)) if cross else Covariance(model, a)
+        whole = cov[:, :]
+        assert cov.shape == whole.shape == (300, len(gb))
+        for rows, cols in self.SLICES:
+            block = cov[rows, cols]
+            assert np.array_equal(block, whole[rows, cols])
+            r0, r1, _ = rows.indices(len(ga))
+            c0, c1, _ = cols.indices(len(gb))
+            probes = [(i, j) for i in self.probes(rows, len(ga)) for j in self.probes(cols, len(gb))]
+            diagonal = [(i, i) for i in range(max(r0, c0), min(r1, c1))]
+            for i, j in probes + diagonal:
+                expect = model.sigma2 * oracle_correlation(full, ga[i], gb[j], mode)
+                if i == j and not cross:
+                    expect += model.nugget
+                assert abs(block[i - r0, j - c0] - expect) <= 1e-12 * abs(expect), (i, j)
 
 
 class TestKernelPoints:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,21 +13,25 @@ from hypothesis import strategies as st
 
 from _recipes import (
     BUDGET,
+    assemble_lower,
+    built_entries,
     decompose_all,
     fidelity_case,
     gap_benchmark_truth,
     kernel_correlation,
     kernel_covariance,
+    lower_entries,
     pose_columns,
 )
-from skyfade import kriging
+from skyfade import correlation, kriging
 from skyfade.correlation import (
     MODES,
     AngleBins,
     CorrelationModel,
+    Covariance,
     DedmParams,
     KernelPoints,
-    covariance_matrix,
+    correlation_matrix,
     deserialize_model,
 )
 from skyfade.errors import NotPositiveDefiniteError, RowErrors, ValidationError
@@ -328,18 +333,30 @@ class TestBlockedCholesky:
         ridge=st.floats(1e-3, 1.0),
     )
     def test_factors_lower_triangle_in_place(self, n, seed, ridge):
-        """Backward error at rounding level, numpy's factor to 1e-10, and
-        the strict upper triangle bitwise as it was."""
+        """Backward error at rounding level and numpy's factor to 1e-10,
+        with C's lower block rows stubbed into :func:`correlation_matrix`;
+        the factor overwrites the blocks it is given in place and leaves
+        C bitwise as it was.  The stub reads each row's index from its
+        east coordinate."""
         x = np.random.default_rng(seed).standard_normal((n, n))
         cov = x @ x.T / n + ridge * np.eye(n)
-        work = cov.copy()
-        kriging._cholesky_rows(n, lambda k0, k1: work[k0:k1, :k1])
-        lower = np.tril(work)
+        before = cov.copy()
+        blocks = []
+
+        def stub(_model, a, b):
+            blocks.append(cov[np.ix_(a.east_m.astype(int), b.east_m.astype(int))])
+            return blocks[-1]
+
+        truth = flat_truth(sigma2=1.0, nugget=0.0)
+        points = KernelPoints.of(truth, [mk_geom(float(i), 0.0) for i in range(n)])
+        with mock.patch.object(correlation, "correlation_matrix", stub):
+            rows, _ = kriging._cholesky_rows(Covariance(truth, points), 0.0)
+        assert all(row is block for row, block in zip(rows, blocks, strict=True))
+        lower = assemble_lower(rows)
         scale = float(np.abs(cov).max())
         assert float(np.abs(lower @ lower.T - cov).max()) <= 1e-12 * scale
         assert float(np.abs(lower - np.linalg.cholesky(cov)).max()) <= 1e-10
-        upper = np.triu_indices(n, 1)
-        assert np.array_equal(work[upper], cov[upper])
+        assert np.array_equal(cov, before)
 
     def test_draw_matches_full_factor(self):
         truth = gap_benchmark_truth()
@@ -362,7 +379,7 @@ class TestBlockedCholesky:
         # The first tile factors, so the failure comes in a later panel.
         np.linalg.cholesky(cov[:256, :256])
         with pytest.raises(np.linalg.LinAlgError):
-            kriging._cholesky_rows(600, lambda k0, k1: cov[k0:k1, :k1].copy())
+            kriging._cholesky_rows(cov, 0.0)
         w = sample_sf_field(geoms, truth, 9)
         assert np.array_equal(w, eigh_draw(cov, truth, 9))
 
@@ -370,19 +387,19 @@ class TestBlockedCholesky:
         """The first block row's factor leaves row t + 50 the pivot
         1 - 2**2, so the factor fails in its second block row; the spectral
         fallback then builds the square matrix and finds it indefinite.
-        The stub reads each row's index from its east coordinate."""
+        The stub, in place of every correlation the source builds, reads
+        each row's index from its east coordinate."""
         t = kriging._TILE
         cov = np.eye(300)
         cov[t + 50, 5] = cov[5, t + 50] = 2.0
         built = []
 
-        def stub(_model, a, b=None):
-            rows = a.east_m.astype(int)
-            cols = rows if b is None else b.east_m.astype(int)
+        def stub(_model, a, b):
+            rows, cols = a.east_m.astype(int), b.east_m.astype(int)
             built.append((rows[0], rows[-1] + 1, cols.size))
             return cov[np.ix_(rows, cols)]
 
-        monkeypatch.setattr(kriging, "covariance_matrix", stub)
+        monkeypatch.setattr(correlation, "correlation_matrix", stub)
         geoms = [mk_geom(float(i), 0.0) for i in range(300)]
         with pytest.raises(NotPositiveDefiniteError):
             sample_sf_field(geoms, flat_truth(), 1)
@@ -406,18 +423,34 @@ class TestBlockedCholesky:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n", [1, 95, 96, 97, 600])
     def test_block_rows_are_the_square_matrix_rows(self, mode, n):
-        """The source's block row, a rectangular covariance plus the
-        nugget on its diagonal tile, is bitwise that block row of the
-        square covariance, which is the source's whole matrix."""
+        """Each lower block row the factor reads, a rectangular covariance
+        plus the nugget on its diagonal tile, is bitwise that block row of
+        the source's whole matrix and of the correlations built with the
+        sides swapped, transposed."""
         truth = gap_benchmark_truth().restricted(mode)
         points = KernelPoints.of(truth, lawnmower_geometry(max(n, 2), truth)[:n])
-        square = covariance_matrix(truth, points)
-        source = kriging._CovarianceRows(truth, points)
-        assert source.shape == square.shape
-        assert np.array_equal(source.whole(), square)
+        source = Covariance(truth, points)
+        square = source[:, :]
+        assert source.shape == square.shape == (n, n)
         for k0 in range(0, n, kriging._TILE):
             k1 = min(k0 + kriging._TILE, n)
-            assert np.array_equal(source.block_row(k0, k1), square[k0:k1, :k1])
+            row = source[k0:k1, :k1]
+            assert np.array_equal(row, square[k0:k1, :k1])
+            swapped = truth.sigma2 * correlation_matrix(truth, points[:k1], points[k0:k1]).T
+            swapped[:, k0:k1][np.diag_indices(k1 - k0)] += truth.nugget
+            assert np.array_equal(row, swapped)
+
+    @pytest.mark.parametrize("n", [1, 96, 97, 600])
+    def test_draw_builds_the_lower_triangle_once(self, n):
+        """A positive definite draw builds C's lower block rows once, L(n)
+        entries, and never the whole matrix, which up to one tile is its
+        one block row."""
+        truth = gap_benchmark_truth()
+        geoms = lawnmower_geometry(max(n, 2), truth)[:n]
+        with built_entries() as shapes:
+            sample_sf_field(geoms, truth, 3)
+        assert sum(r * c for r, c in shapes) == lower_entries(n)
+        assert n <= kriging._TILE or (n, n) not in shapes
 
     def test_semidefinite_draw_holds_two_matrices(self):
         """The spectral fallback scales the eigenvectors in place: the

@@ -7,12 +7,22 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from _recipes import BUDGET, decompose_all, kernel_correlation, kernel_covariance, same_geometry
+from _recipes import (
+    BUDGET,
+    assemble_lower,
+    built_entries,
+    decompose_all,
+    kernel_correlation,
+    kernel_covariance,
+    lower_entries,
+    same_geometry,
+)
 from skyfade import FlightSpec, SimConfig, correlation, kriging, synthesize_dataset
 from skyfade.correlation import (
     MODES,
     Q_CAP_DEG,
     CorrelationModel,
+    Covariance,
     DedmParams,
     KernelPoints,
 )
@@ -26,12 +36,10 @@ from skyfade.kriging import (
     _cholesky_rows,
     _cholesky_schur,
     _cholesky_solve_rows,
-    _CovarianceRows,
     _estimates,
     _residual_pass,
     _solve,
     _solve_augmented,
-    _TargetCovariance,
     assemble_system,
     dedup_training,
     predict_rsrp,
@@ -236,30 +244,52 @@ class TestSolvePaths:
     # 300 right-hand sides span three column blocks of the residual.
     @pytest.mark.parametrize("k", [1, 7, 300])
     def test_residual_is_the_explicit_augmented_product(self, k):
-        # A non-symmetric C: the residual must not assume the symmetry it
-        # exists to guard, so neither C^T nor a symmetric product may
-        # stand in for C.
+        # A 9-row C is one tile, whose lower block row is all of it: the
+        # residual reads C itself, not C^T, so a non-symmetric C tells the
+        # two apart.  _check_symmetric, not the residual, guards symmetry.
         m, shift = 9, 0.25
         rng = np.random.default_rng(k)
         cov = rng.standard_normal((m, m)) + m * np.eye(m)
         rhs = rng.standard_normal((m, k))
         rhs[:, -1] *= 100.0  # the worst column is the last, in the last block
-        x = rng.standard_normal((m + 1, k))
-        x[:m] -= (x[:m].sum(axis=0) - 1.0) / m  # weights sum to 1
-
-        def reference(c):
-            aug = np.zeros((m + 1, m + 1))
-            aug[:m, :m] = c + shift * np.eye(m)
-            aug[:m, m] = 1.0
-            aug[m, :m] = 1.0
-            b = np.vstack([rhs, np.ones((1, k))])
-            return np.max(np.abs(aug @ x - b))
-
-        expect = reference(cov)
-        assert abs(reference(cov.T) - expect) > 0.1
+        x = weights_and_multipliers(rng, m, k)
+        expect = augmented_residual(cov, shift, rhs, x)
+        assert abs(augmented_residual(cov.T, shift, rhs, x) - expect) > 0.1
         assert _residual_pass(cov, shift, rhs, x[:m], x[m])[0] == pytest.approx(
             expect, rel=1e-12
         )
+
+    # 2 * _TILE + 5 rows: three row blocks, each gathered from the lower
+    # block rows of a symmetric C, the last one short.
+    @pytest.mark.parametrize("k", [1, 7, 300])
+    def test_residual_over_row_blocks_is_the_explicit_augmented_product(self, k):
+        m, shift = 2 * _TILE + 5, 0.25
+        rng = np.random.default_rng(k)
+        cov = random_spd(m, seed=k)
+        rhs = rng.standard_normal((m, k))
+        x = weights_and_multipliers(rng, m, k)
+        residual, scale, _explained = _residual_pass(cov, shift, rhs, x[:m], x[m])
+        assert residual == pytest.approx(
+            augmented_residual(cov, shift, rhs, x), rel=1e-12
+        )
+        assert scale == np.abs(rhs).max()
+
+
+def weights_and_multipliers(rng, m, k):
+    """A random (m + 1, k) solution whose weights sum to 1 per column."""
+    x = rng.standard_normal((m + 1, k))
+    x[:m] -= (x[:m].sum(axis=0) - 1.0) / m
+    return x
+
+
+def augmented_residual(cov, shift, rhs, x):
+    """The largest |A x - b| entry of the augmented system, formed whole."""
+    m, k = rhs.shape
+    aug = np.zeros((m + 1, m + 1))
+    aug[:m, :m] = cov + shift * np.eye(m)
+    aug[:m, m] = 1.0
+    aug[m, :m] = 1.0
+    return np.max(np.abs(aug @ x - np.vstack([rhs, np.ones((1, k))])))
 
 
 def spd_covariance(m, seed):
@@ -468,15 +498,16 @@ class TestBlockedTargetCovariance:
         targets = Geometry.of([s.geometry for s in scattered_samples(300, seed=57)])
         built = []
         count = np.zeros((100, 300), dtype=int)
-        real = _TargetCovariance.__getitem__
+        real = Covariance.__getitem__
 
         def record(self, index):
-            rows, cols = index
-            built.append((rows.start, rows.stop, cols.start, cols.stop))
-            count[index] += 1
+            if self.shape == count.shape:  # c0's source, not C's
+                rows, cols = index
+                built.append((rows.start, rows.stop, cols.start, cols.stop))
+                count[index] += 1
             return real(self, index)
 
-        with mock.patch.object(_TargetCovariance, "__getitem__", record):
+        with mock.patch.object(Covariance, "__getitem__", record):
             predict_sf_batch(training, targets, model)
         # Column blocks into the buffer, then row blocks for the residual.
         assert built == [
@@ -499,8 +530,8 @@ class TestBlockedTargetCovariance:
         model = smooth_model(nugget=1e-4)
         geoms, _w = dedup_training(SfTable.of(scattered_samples(70, seed=58)))
         targets = Geometry.of([s.geometry for s in scattered_samples(300, seed=59)])
-        whole = kernel_covariance(model, geoms, targets)
-        source = _TargetCovariance(
+        whole = model.sigma2 * kernel_correlation(model, geoms, targets)
+        source = Covariance(
             model,
             KernelPoints.of(model, geoms),
             KernelPoints.of(model, targets),
@@ -536,9 +567,9 @@ class TestBlockedTargetCovariance:
 
 
 class TestCovarianceSource:
-    """predict_sf_batch hands the solve C as its block-row source, which
-    gives bitwise the results of the whole array and never holds C
-    whole."""
+    """predict_sf_batch hands the solve C as its :class:`Covariance`, which
+    gives bitwise the results of the whole array and is read only in
+    lower block rows, never whole."""
 
     @pytest.mark.parametrize("k", [1, 7, _BLOCK + 1, 300])
     @pytest.mark.parametrize("escalated", [False, True])
@@ -551,13 +582,48 @@ class TestCovarianceSource:
             training = SfTable.of(scattered_samples(250, seed=64))
         targets = Geometry.of([s.geometry for s in scattered_samples(k, seed=65)])
         w, cov, c0 = kriging._covariances(training, targets, model)
-        lam, nu, nugget, explained = _solve(cov.whole(), c0, model.sigma2, model.nugget)
+        lam, nu, nugget, explained = _solve(cov[:, :], c0, model.sigma2, model.nugget)
         expect = (*_estimates(lam, nu, w, explained, model.sigma2), nugget)
-        with mock.patch.object(_CovarianceRows, "whole") as whole:
+        sources, reads = [], []
+        real_covariances, real_read = kriging._covariances, Covariance.__getitem__
+
+        def covariances(*args):
+            blocks = real_covariances(*args)
+            sources.append(blocks[1])
+            return blocks
+
+        def read(self, index):
+            reads.append((self, index))
+            return real_read(self, index)
+
+        with mock.patch.object(kriging, "_covariances", covariances), \
+                mock.patch.object(Covariance, "__getitem__", read):
             got = predict_sf_batch(training, targets, model)
-        whole.assert_not_called()
         assert (expect[2] > model.nugget) == escalated
         assert_bitwise(got, expect)
+        # Every read of C is a lower block row rows k0:k1, columns :k1.
+        m = cov.shape[0]
+        rows = [index for source, index in reads if source is sources[0]]
+        assert rows
+        for r, c in rows:
+            assert r.start % _TILE == 0 and r.stop == min(r.start + _TILE, m)
+            assert c == slice(None, r.stop)
+
+    @pytest.mark.parametrize("k", [1, _BLOCK, _BLOCK + 1, 300])
+    def test_batch_builds_the_lower_triangle_twice_and_c0_once_or_twice(self, k):
+        # The factor and the residual each build C's lower block rows,
+        # L(M) entries; c0 is built once up to _BLOCK targets and past
+        # that twice, into the buffer and again for the residual.
+        m = 250
+        model = smooth_model(nugget=1e-4)
+        training = SfTable.of(scattered_samples(m, seed=68))
+        targets = Geometry.of([s.geometry for s in scattered_samples(k, seed=69)])
+        with built_entries() as shapes:
+            predict_sf_batch(training, targets, model)
+        c0_builds = 1 if k <= _BLOCK else 2
+        assert sum(r * c for r, c in shapes) == 2 * lower_entries(m) + c0_builds * m * k
+        assert (m, m) not in shapes
+        assert c0_builds == 1 or (m, k) not in shapes
 
     def test_source_path_holds_no_whole_matrix(self):
         # L's lower triangle, 8 (M^2 / 2 + 48 M) bytes, and its tile
@@ -597,25 +663,19 @@ class TestTiledCholesky:
         import scipy.linalg
 
         a = random_spd(n, seed=n)
-        work = a.copy()
-        rows, inverses = _cholesky_rows(n, lambda k0, k1: work[k0:k1, :k1])
+        before = a.copy()
+        rows, inverses = _cholesky_rows(a, 0.0)
         expect = scipy.linalg.cho_factor(a, lower=True)
-        lower = np.tril(work)
+        lower = assemble_lower(rows)
         assert np.abs(lower - np.tril(expect[0])).max() <= 1e-12 * np.abs(lower).max()
         assert len(inverses) == -(-n // _TILE)
-        upper = np.triu_indices(n, 1)
-        assert np.array_equal(work[upper], a[upper])
-        # The same solve over block rows held as separate arrays.
-        copies = _cholesky_rows(n, lambda k0, k1: a[k0:k1, :k1].copy())
+        assert np.array_equal(a, before)
         for k in (1, 7, 130):
             rhs = np.random.default_rng(k).standard_normal((n, k))
             b = rhs.copy()
             _cholesky_solve_rows(rows, inverses, b)
             x = scipy.linalg.cho_solve(expect, rhs)
             assert np.abs(b - x).max() <= 1e-12 * np.abs(x).max()
-            separate = rhs.copy()
-            _cholesky_solve_rows(*copies, separate)
-            assert np.array_equal(separate, b)
 
     def test_tile_inverse_matches_general_inverse(self):
         """The diagonal tiles' triangular inverse, by halves, at every tile
@@ -629,19 +689,22 @@ class TestTiledCholesky:
 
     @pytest.mark.parametrize("n", [1, _TILE - 1, _TILE, _TILE + 1, 3 * _TILE + 5])
     def test_rows_factor_separate_rows_as_views(self, n):
-        """Block rows held as separate arrays factor bitwise as views of
-        one square matrix do, rows and tile inverses alike."""
-        a = random_spd(n, seed=n)
-        work = a.copy()
-        views, view_inverses = _cholesky_rows(n, lambda k0, k1: work[k0:k1, :k1])
-        rows, inverses = _cholesky_rows(n, lambda k0, k1: a[k0:k1, :k1].copy())
+        """Block rows a :class:`Covariance` builds as separate arrays factor
+        bitwise as the copied views of its whole array do, rows and tile
+        inverses alike, and L @ g over them is the product with L."""
+        model = smooth_model(nugget=1e-4)
+        geoms = [s.geometry for s in scattered_samples(n, seed=n)]
+        source = Covariance(model, KernelPoints.of(model, geoms))
+        rows, inverses = _cholesky_rows(source, 0.0)
+        views, view_inverses = _cholesky_rows(source[:, :], 0.0)
         assert len(rows) == len(views) == len(inverses) == -(-n // _TILE)
         for row, view in zip(rows, views):
             assert np.array_equal(row, view)
         for inv, view_inv in zip(inverses, view_inverses):
             assert np.array_equal(inv, view_inv)
         g = np.random.default_rng(n).standard_normal(n)
-        assert np.abs(kriging._lower_matvec(rows, g) - np.tril(work) @ g).max() <= 1e-12
+        expect = assemble_lower(rows) @ g
+        assert np.abs(kriging._lower_matvec(rows, g) - expect).max() <= 1e-12 * np.abs(expect).max()
 
     # The first failing pivot: the first row, a tile's last and first rows,
     # and a row inside the third tile.
@@ -658,14 +721,17 @@ class TestTiledCholesky:
             np.linalg.cholesky(a[:k, :k])
         before, asked = a.copy(), []
 
-        def block_row(k0, k1):
-            asked.append(k0)
-            return a[k0:k1, :k1].copy()
+        class Recording:
+            shape = a.shape
+
+            def __getitem__(self, index):
+                asked.append(index[0].start)
+                return a[index]
 
         with pytest.raises(np.linalg.LinAlgError):
-            _cholesky_rows(n, block_row)
+            _cholesky_rows(Recording(), 0.0)
         # The factor stops in the block row that holds the k-th pivot, and
-        # the matrix its rows were copied from is as it was.
+        # the matrix whose views it copied is as it was.
         assert asked == list(range(0, (k - 1) // _TILE * _TILE + 1, _TILE))
         assert np.array_equal(a, before)
 
