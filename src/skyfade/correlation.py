@@ -69,9 +69,10 @@ Q_CAP_DEG = 1.0e6
 RHO_FLOOR = 1.0e-3
 DEFAULT_MIN_CELL_COUNT = 30
 DEFAULT_NUGGET_FACTOR = 1.0e-6
-#: Side of the square output tiles :func:`correlation_matrix` fills; its
-#: temporaries are three tiles of 64K entries, about 1.5 MB.
-CORRELATION_TILE = 256
+#: Entries per output tile of :func:`correlation_matrix`: a tile is as
+#: many whole rows as fit (one row if a row is longer).  Its temporaries
+#: are two tiles, 512 KB.
+CORRELATION_TILE_ENTRIES = 2**15
 #: Pairs per row block of :func:`empirical_correlogram`; bounds its memory.
 CORRELOGRAM_BLOCK_PAIRS = 2**14
 #: Largest share of empty lag bins :func:`empirical_correlogram` accepts.
@@ -366,14 +367,16 @@ def correlation_matrix(model: CorrelationModel, a: KernelPoints, b=None) -> np.n
     tilt_only and elev_only (both width 1) cannot be told apart.
 
     An entry is the distance term times one exponential of the summed
-    absolute warped separations.  The output is filled in tiles of at most
-    :data:`CORRELATION_TILE` rows by as many columns.  Each tile's
-    distances, DEDM terms and angular exponent are computed in three
-    preallocated tile-sized buffers, which stay in cache, and only the
-    finished entries are written to the output; so no temporary grows with
-    either side.  Every entry is computed on its own from its two points,
-    and each step is symmetric in them, so ``correlation_matrix(model, a)``
-    is exactly symmetric and any block of it is bitwise those entries.
+    absolute warped separations.  The output is filled in tiles of
+    ``max(1, CORRELATION_TILE_ENTRIES // len(b))`` whole rows, so every
+    pass runs along long contiguous rows.  Each tile's distances and DEDM
+    terms are computed in the tile itself, and the angular exponent in two
+    preallocated tile-sized buffers, which stay in cache; so no temporary
+    grows with ``a``, nor with ``b`` until one output row holds more than
+    :data:`CORRELATION_TILE_ENTRIES`.  Every entry is computed on its own
+    from its two points, and each step is symmetric in them, so
+    ``correlation_matrix(model, a)`` is exactly symmetric and any block of
+    it is bitwise those entries.
     """
     b = a if b is None else b
     angles = (model.tilt_rates is not None) + (model.elev_rates is not None)
@@ -383,34 +386,31 @@ def correlation_matrix(model: CorrelationModel, a: KernelPoints, b=None) -> np.n
     ea, na, eb, nb = a.east_m, a.north_m, b.east_m, b.north_m
     out = np.empty((ea.size, eb.size))
     p1, p2, w1 = model.dedm.p1, model.dedm.p2, model.dedm.a
-    t = CORRELATION_TILE
-    buffers = np.empty((3, min(t, ea.size) * min(t, eb.size)))
+    t = max(1, CORRELATION_TILE_ENTRIES // max(1, eb.size))
+    buffers = np.empty((2, min(t, ea.size) * eb.size))
     for r0 in range(0, ea.size, t):
         rows = slice(r0, r0 + t)
-        for c0 in range(0, eb.size, t):
-            cols = slice(c0, c0 + t)
-            block = out[rows, cols]
-            # Flat buffers viewed at the tile's shape: every pass is contiguous.
-            d, e1, x = (buf[: block.size].reshape(block.shape) for buf in buffers)
-            _distance(ea[rows], na[rows], eb[cols], nb[cols], d, e1)
-            # dedm_eval(model.dedm, d), computed in place.
-            np.multiply(d, -p1, out=e1)
-            np.exp(e1, out=e1)
-            e1 *= w1
-            np.multiply(d, -p2, out=d)
-            np.exp(d, out=d)
-            d *= 1.0 - w1
-            if not warps:
-                np.add(e1, d, out=block)
-            else:
-                d += e1
-                x.fill(0.0)
-                for wa, wb in warps:
-                    np.subtract(wa[rows, None], wb[None, cols], out=e1)
-                    np.abs(e1, out=e1)
-                    x -= e1
-                np.exp(x, out=x)
-                np.multiply(d, x, out=block)
+        # A tile of whole rows is contiguous: the distances and DEDM terms
+        # are computed in it, the rest in flat buffers viewed at its shape.
+        d = out[rows]
+        e1, x = (buf[: d.size].reshape(d.shape) for buf in buffers)
+        _distance(ea[rows], na[rows], eb, nb, d, e1)
+        # dedm_eval(model.dedm, d), computed in place.
+        np.multiply(d, -p1, out=e1)
+        np.exp(e1, out=e1)
+        e1 *= w1
+        np.multiply(d, -p2, out=d)
+        np.exp(d, out=d)
+        d *= 1.0 - w1
+        d += e1
+        if warps:
+            x.fill(0.0)
+            for wa, wb in warps:
+                np.subtract(wa[rows, None], wb[None, :], out=e1)
+                np.abs(e1, out=e1)
+                x -= e1
+            np.exp(x, out=x)
+            d *= x
     return out
 
 

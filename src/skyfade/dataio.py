@@ -4,7 +4,11 @@ The ingestion schema is a header row of
 time_s, lat_deg, lon_deg, alt_m, yaw_deg, pitch_deg, roll_deg, rsrp_dbm
 with '.' decimals; extra columns pass through untouched.  A file is read
 into columns and decomposed with one call into the column code of
-:mod:`skyfade.propagation`.  Rows that fail validation (parse, pose,
+:mod:`skyfade.propagation`, which works through fixed blocks of rows.
+:func:`ingest_csv` frees the parsed table once it has copied out the
+kept rows, and returns the decomposed columns themselves unless
+decomposition drops a row, so what it holds beyond its result is one
+block's temporaries.  Rows that fail validation (parse, pose,
 geometry or two-ray rules) are skipped and reported with their line
 numbers, sorted by line, and the run aborts when more than the allowed
 fraction of rows is bad.  Target files go through the same rules and
@@ -132,9 +136,10 @@ def _read_csv(path, column_map: dict | None, required):
     ``(names, lines, table, failures, passthrough)``: the parsed names, the
     line of each parsed row (an int64 array) and its values (one table
     column per name), ``(line, exception)`` per row whose cells did not
-    parse, and each extra column (neither mapped nor an annotation) as the
-    parsed rows' text.  Each :data:`READ_BLOCK_ROWS` parsed rows' values
-    and lines go into arrays at once.
+    parse (the exception without its traceback), and each extra column
+    (neither mapped nor an annotation) as the parsed rows' text.  Each
+    :data:`READ_BLOCK_ROWS` parsed rows' values and lines go into arrays
+    at once.
     """
     mapping = {name: name for name in CANONICAL_COLUMNS}
     if column_map:
@@ -186,7 +191,11 @@ def _read_csv(path, column_map: dict | None, required):
             try:
                 parsed = list(map(float, pick(row)))
             except (TypeError, ValueError) as exc:
-                failures.append((reader.line_num, exc))
+                # Without its traceback: the traceback holds this frame,
+                # whose failures list holds the exception, a cycle that
+                # would keep every parsed block alive until a full
+                # garbage collection.
+                failures.append((reader.line_num, exc.with_traceback(None)))
                 continue
             lines.append(reader.line_num)
             values += parsed
@@ -238,6 +247,7 @@ def ingest_csv(
     rows = np.delete(np.arange(len(lines)), list(errors))
 
     columns = _wrap_attitude(dict(zip(CANONICAL_COLUMNS, table[rows].T)))
+    del table  # free the parse before decomposing: the kept rows are a copy
     columns["rsrp_dbm"] = _median_filter(columns["rsrp_dbm"], median_window)
     errors = RowErrors()
     samples = decompose(columns, budget, errors)
@@ -253,11 +263,14 @@ def ingest_csv(
             + "; ".join(f"line {ln}: {why}" for ln, why in skipped[:5]),
             bad_rows=skipped,
         )
-    keep = np.delete(np.arange(rows.size), list(errors))
+    if errors:
+        keep = np.delete(np.arange(rows.size), list(errors))
+        samples, rows = samples[keep], rows[keep]
+        columns = {name: column[keep] for name, column in columns.items()}
     return IngestResult(
-        samples=samples[keep],
-        measurements={name: column[keep] for name, column in columns.items()},
-        passthrough={name: cells[rows[keep]] for name, cells in passthrough.items()},
+        samples=samples,
+        measurements=columns,
+        passthrough={name: cells[rows] for name, cells in passthrough.items()},
         skipped=skipped,
         n_rows=n_rows,
     )

@@ -18,7 +18,11 @@ w = z - rsrp_est of the measured RSRP z against this estimate.
 
 The estimate (:func:`two_ray_power`, :func:`link_rsrp`) and the
 decomposition (:func:`decompose`) are written once, on columns, and a
-decomposed dataset is an :class:`SfTable`.  Two row shapes stay:
+decomposed dataset is an :class:`SfTable`.  :func:`decompose` carries
+:data:`DECOMPOSE_BLOCK_ROWS` rows at a time through projection, tilt and
+two-ray estimate into preallocated output columns, so its temporaries
+are those of one block whatever the row count.  Two row
+shapes stay:
 :func:`two_ray_rsrp` is a one-row :func:`two_ray_power` for checking the
 model link by link, and :class:`SfSample` is one decomposed measurement,
 packed into columns by :meth:`SfTable.of`.
@@ -38,6 +42,12 @@ from .geometry import Columns, Geometry, LinkGeometry, tilt_geometry
 from .schema import open_csv
 
 SPEED_OF_LIGHT = 299792458.0
+#: Pose rows :func:`decompose` takes through the whole per-row pipeline at
+#: a time.  A block's temporaries are about 1.5 MB (the rotation stack
+#: alone is 72 bytes a row); the outputs cost 80 bytes a row.  With
+#: blocks of 1024 or 65536 rows, 40,000 rows took 25-40% longer.
+DECOMPOSE_BLOCK_ROWS = 4096
+_GEOMETRY_FIELDS = tuple(f.name for f in fields(Geometry))
 
 
 @dataclass(frozen=True)
@@ -274,11 +284,29 @@ def decompose(poses, budget: LinkBudget, errors: RowErrors) -> SfTable:
     """Geometry, two-ray estimate and SF residual of every pose row.
 
     ``poses`` holds the pose columns and ``rsrp_dbm``; rows recorded in
-    ``errors`` carry meaningless values.
+    ``errors`` carry meaningless values.  The rows go through in blocks of
+    :data:`DECOMPOSE_BLOCK_ROWS`, each written into the output columns;
+    every value is computed from its own row, so the blocks do not change
+    a bit of the result.  A block's errors join ``errors`` at the block's
+    row offset, and a row that already has an error keeps it.
     """
-    geometry = tilt_geometry(poses, budget.tx_enu, budget.origin, errors)
-    estimate = link_rsrp(geometry, budget, errors)
-    return SfTable(geometry, poses["rsrp_dbm"] - estimate, poses["rsrp_dbm"], estimate)
+    rsrp = poses["rsrp_dbm"]
+    n = len(rsrp)
+    geometry = Geometry(*np.empty((len(_GEOMETRY_FIELDS), n)))
+    estimate = np.empty(n)
+    for r0 in range(0, n, DECOMPOSE_BLOCK_ROWS):
+        rows = slice(r0, r0 + DECOMPOSE_BLOCK_ROWS)
+        block_errors = RowErrors()
+        block = tilt_geometry(
+            {name: column[rows] for name, column in poses.items()},
+            budget.tx_enu, budget.origin, block_errors,
+        )
+        estimate[rows] = link_rsrp(block, budget, block_errors)
+        for name in _GEOMETRY_FIELDS:
+            getattr(geometry, name)[rows] = getattr(block, name)
+        for i, error in block_errors.items():
+            errors.setdefault(r0 + i, error)
+    return SfTable(geometry, rsrp - estimate, rsrp, estimate)
 
 
 def sf_statistics(samples) -> tuple[float, float]:

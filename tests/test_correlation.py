@@ -29,7 +29,7 @@ from _recipes import (
     single_exp_sf,
 )
 from skyfade.correlation import (
-    CORRELATION_TILE,
+    CORRELATION_TILE_ENTRIES,
     DEFAULT_ELEV_REPS,
     DEFAULT_MIN_CELL_COUNT,
     DEFAULT_TILT_REPS,
@@ -545,12 +545,15 @@ def edge_case_geoms(n, seed):
     return geoms
 
 
-def block_edge_indices(n, seed):
-    """Indices on both sides of every tile boundary, plus random ones."""
-    b = CORRELATION_TILE
+def block_edge_indices(n, seed, width=None):
+    """Both ends of ``range(n)`` and random indices, plus, given an output
+    ``width`` columns wide, both sides of every edge between its tiles of
+    whole rows."""
     edges = {0, n - 1}
-    for start in range(b, n, b):
-        edges.update((start - 1, start))
+    if width is not None:
+        b = max(1, CORRELATION_TILE_ENTRIES // width)
+        for start in range(b, n, b):
+            edges.update((start - 1, start))
     rng = np.random.default_rng(seed)
     edges.update(rng.choice(n, size=8, replace=False).tolist())
     return sorted(edges)
@@ -569,7 +572,7 @@ class TestCorrelationKernel:
         # two points, and each step is symmetric in them.
         assert np.array_equal(mat, mat.T)
         assert np.all(np.diagonal(mat) == 1.0)
-        idx = block_edge_indices(700, seed=32)
+        idx = block_edge_indices(700, seed=32, width=700)
         for i in idx:
             for j in idx:
                 expect = oracle_correlation(model, geoms[i], geoms[j], mode)
@@ -582,14 +585,14 @@ class TestCorrelationKernel:
         gb = edge_case_geoms(333, seed=34)
         mat = kernel_correlation(model, ga, gb, mode=mode)
         assert mat.shape == (700, 333)
-        for i in block_edge_indices(700, seed=35):
+        for i in block_edge_indices(700, seed=35, width=333):
             for j in block_edge_indices(333, seed=36):
                 expect = oracle_correlation(model, ga[i], gb[j], mode)
                 assert abs(mat[i, j] - expect) <= 1e-12
 
     def test_memory_is_the_output_plus_tiles(self):
-        # Three 256 x 256 tile buffers are 1.5 MB; a temporary as wide as
-        # the matrix (a 128 x n one is 3 MB here) would break the bound.
+        # Two tile buffers of 32K entries (10 whole rows here) are 0.5 MB;
+        # a temporary of 128 whole rows (3 MB here) would break the bound.
         n = 3000
         model = edge_case_model()
         geoms = Geometry.of(edge_case_geoms(n, seed=39))
@@ -624,8 +627,8 @@ class TestCorrelationKernel:
 class TestCovariance:
     """The one covariance source: each block it builds against the scalar
     oracle and against the same slice of its whole matrix, at slices
-    across the solve's 96-row tiles and :func:`correlation_matrix`'s
-    256-entry ones, some meeting the diagonal only in part."""
+    across the solve's 96-row tiles and across multiples of 256, some
+    meeting the diagonal only in part."""
 
     SLICES = [
         (slice(90, 200), slice(50, 150)),
@@ -643,7 +646,7 @@ class TestCovariance:
         ends and both sides of every tile edge inside it."""
         lo, hi, _ = part.indices(n)
         cuts = {lo, hi - 1}
-        for tile in (96, CORRELATION_TILE):
+        for tile in (96, 256):
             for edge in range(tile, n, tile):
                 cuts.update(i for i in (edge - 1, edge) if lo <= i < hi)
         return sorted(cuts)

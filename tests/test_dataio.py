@@ -1,6 +1,7 @@
 """CSV ingestion, exporters, and config parsing."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _recipes import BUDGET, same_geometry, trial_table
-from skyfade import dataio
+from skyfade import dataio, propagation
 from skyfade.correlation import (
     AngularProfile,
     Correlogram,
@@ -819,6 +820,104 @@ class TestBlockedReader:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 9 * 8 * n + 1000 * dataio.READ_BLOCK_ROWS
+
+
+def ingest_in_blocks(read, path, block, **options):
+    """The outcome of ``read(path, BUDGET, **options)``, decompose's block
+    set to ``block`` rows."""
+    with mock.patch.object(propagation, "DECOMPOSE_BLOCK_ROWS", block):
+        return _outcome(read, path, BUDGET, **options)
+
+
+class TestBlockedDecomposition:
+    """decompose runs in blocks of DECOMPOSE_BLOCK_ROWS rows; ingest and
+    target loading give what one block over the whole file gives."""
+
+    def test_ingest_with_failures_in_several_blocks(self, tmp_path):
+        # Rows failing geometry or two-ray rules fall in the first, second
+        # and fourth of decompose's 7-row blocks; rows failing the pose
+        # rules or the parse never reach it and shift the blocks' rows.
+        rows = [r + f",s{i}" for i, r in enumerate(numbered_rows(30))]
+        rows[3] = ANTENNA_ROW + ",antenna"
+        rows[9] = good_row(alt=-5.0) + ",below"
+        rows[12] = "1,35.7205,-78.699,30,10,95.0,-1,-75,pitch"
+        rows[17] = "x,35.7205,-78.699,30,10,1,-1,-75,text"
+        rows[25] = good_row(alt=-1.0) + ",below"
+        path = write_lines(tmp_path / "rows.csv", [HEADER + ",site", *rows])
+        got = ingest_in_blocks(ingest_csv, path, 7, max_invalid_frac=0.5)
+        ref = ingest_in_blocks(ingest_csv, path, 10**6, max_invalid_frac=0.5)
+        assert_same_ingest(got, ref)
+        assert [line for line, _why in got.skipped] == [5, 11, 14, 19, 27]
+        assert len(got.samples) == 25
+
+    def test_ingest_without_failures_returns_its_columns(self, tmp_path):
+        path = write_lines(tmp_path / "rows.csv", [HEADER, *numbered_rows(17)])
+        got = ingest_in_blocks(ingest_csv, path, 7)
+        assert_same_ingest(got, ingest_in_blocks(ingest_csv, path, 10**6))
+        assert got.samples.rsrp_dbm is got.measurements["rsrp_dbm"]
+
+    def test_targets_keep_the_pose_rule_error(self, tmp_path):
+        # Line 4 breaks a pose rule and sits at the antenna: the pose rule,
+        # flagged before decompose, is what names it, ahead of the
+        # below-ground row on line 11 in the next block.
+        header = ",".join(c for c in CANONICAL_COLUMNS if c != "rsrp_dbm")
+        rows = [f"{i},35.7205,-78.699,{30 + i},10,1,-1" for i in range(12)]
+        rows[2] = "2,35.72,-78.7,1.5,10,95.0,-1"
+        rows[9] = "9,35.7205,-78.699,-5.0,10,1,-1"
+        path = write_lines(tmp_path / "t.csv", [header, *rows])
+        got = ingest_in_blocks(load_targets_csv, path, 7)
+        assert got == ingest_in_blocks(load_targets_csv, path, 10**6)
+        reason = "pitch out of range: 95.0"
+        assert got == (IngestError, f"{path}: line 4: {reason}", [(4, reason)])
+
+
+class TestIngestMemory:
+    def test_malformed_rows_leave_nothing_allocated(self, tmp_path):
+        # A parse failure kept with its traceback held the reader's frame,
+        # and so every parsed block, in a reference cycle: with the cycle
+        # collector off, about 3 MB stayed allocated here after the result
+        # was dropped.  Left over now are the interpreter's free lists of
+        # small tuples and floats, some tens of kilobytes.
+        rows = numbered_rows(10000)
+        for i in range(50, len(rows), 100):
+            rows[i] = "x,35.7205,-78.699,30,10,1,-1,-75"
+        path = write_lines(tmp_path / "bad.csv", [HEADER, *rows])
+        ingest_csv(path, BUDGET)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before, _peak = tracemalloc.get_traced_memory()
+            result = ingest_csv(path, BUDGET)
+            assert len(result.skipped) == 100
+            del result
+            after, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert after - before < 256 * 1024
+
+    def test_peak_memory_per_row(self, tmp_path):
+        # The result holds about 160 bytes a row: the SfTable's 80 and the
+        # measurements' 80 (the kept rows' eight columns, wrapped yaw and
+        # roll).  The peak adds the parsed table while its kept rows are
+        # copied and one decompose block's temporaries, about 350 bytes a
+        # block row: about 240 bytes a row here.  Whole-column temporaries
+        # and copies of every kept column traced about 525 bytes a row.
+        n = 20000
+        rows = numbered_rows(n)
+        for i in range(50, n, 100):
+            rows[i] = "x,35.7205,-78.699,30,10,1,-1,-75"
+        path = write_lines(tmp_path / "big.csv", [HEADER, *rows])
+        tracemalloc.start()
+        try:
+            ingest_csv(path, BUDGET)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 240 * n + 500 * propagation.DECOMPOSE_BLOCK_ROWS
 
 
 class TestConfigs:

@@ -1,12 +1,15 @@
 """Two-ray received power, antenna gain tables, and SF decomposition."""
 
 import cmath
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from _recipes import BUDGET, ORIGIN, decompose_all, pose_columns, same_geometry
+from skyfade import propagation
 from skyfade.errors import (
     InsufficientDataError,
     RowErrors,
@@ -24,6 +27,7 @@ from skyfade.propagation import (
     GainTable,
     LinkBudget,
     SfTable,
+    decompose,
     sf_statistics,
     two_ray_power,
     two_ray_rsrp,
@@ -280,3 +284,68 @@ class TestDecomposition:
         table = decompose_all([self.sample_at(50.0, 40.0, 30.0, -70.0)])
         with pytest.raises(InsufficientDataError):
             sf_statistics(table)
+
+
+GEOMETRY_FIELDS = [f.name for f in dataclasses.fields(LinkGeometry)]
+
+
+def scattered_poses(n, seed):
+    """n pose and RSRP columns around the transmitter, every attitude
+    angle varied."""
+    rng = np.random.default_rng(seed)
+    lat, lon = BUDGET.tx_lat_deg, BUDGET.tx_lon_deg
+    return {
+        "time_s": np.arange(n, dtype=float),
+        "lat_deg": lat + rng.uniform(-0.004, 0.004, n),
+        "lon_deg": lon + rng.uniform(-0.004, 0.004, n),
+        "alt_m": rng.uniform(5.0, 150.0, n),
+        "yaw_deg": rng.uniform(-180.0, 180.0, n),
+        "pitch_deg": rng.uniform(-40.0, 40.0, n),
+        "roll_deg": rng.uniform(-40.0, 40.0, n),
+        "rsrp_dbm": rng.uniform(-110.0, -60.0, n),
+    }
+
+
+class TestBlockedDecomposition:
+    """decompose carries DECOMPOSE_BLOCK_ROWS rows at a time; every column
+    and every row error is that of one block over all rows."""
+
+    B = 7
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 3])
+    def test_blocks_are_bitwise_one_block(self, n):
+        poses = scattered_poses(n, seed=n)
+        lat, lon = BUDGET.tx_lat_deg, BUDGET.tx_lon_deg
+        below = "antenna heights must be above the ground plane"
+        coincide = "UAV and transmitter positions coincide"
+        # Rows failing decompose's rules, in up to three blocks, with the
+        # error each leaves when nothing flagged it before.
+        failing = {
+            0: ((lat, lon, BUDGET.antenna_height_m), coincide),
+            self.B - 1: ((lat + 0.001, lon, -5.0), below),
+            self.B + 1: ((95.0, lon, 30.0), "latitude out of range: 95.0"),
+            2 * self.B + 2: ((lat, lon, -3.0), below),
+        }
+        for row, (pose, _message) in failing.items():
+            if row < n:
+                poses["lat_deg"][row], poses["lon_deg"][row], poses["alt_m"][row] = pose
+        # Rows flagged before the call keep their errors: row 0, which
+        # decompose fails too, and row 2, which it passes.
+        flagged = {0: ValidationError("flagged first"), 2: ValidationError("flagged")}
+        outcomes = []
+        for block in (self.B, n):
+            errors = RowErrors(flagged)
+            with mock.patch.object(propagation, "DECOMPOSE_BLOCK_ROWS", block):
+                table = decompose(poses, BUDGET, errors)
+            columns = [getattr(table.geometry, name) for name in GEOMETRY_FIELDS]
+            columns += [table.sf_db, table.rsrp_dbm, table.pl_est_dbm]
+            outcomes.append(([c.tobytes() for c in columns], errors))
+        (got, got_errors), (ref, ref_errors) = outcomes
+        assert got == ref
+        messages = {row: message for row, (_pose, message) in failing.items() if row < n}
+        messages |= {row: str(error) for row, error in flagged.items()}
+        assert {i: str(e) for i, e in got_errors.items()} == messages
+        assert {i: (type(e), str(e)) for i, e in ref_errors.items()} == {
+            i: (type(e), str(e)) for i, e in got_errors.items()
+        }
+        assert all(got_errors[i] is flagged[i] for i in flagged)
