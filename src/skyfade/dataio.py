@@ -278,9 +278,11 @@ def ingest_csv(
 
 def _wrap_attitude(columns: dict) -> dict:
     """Wrap the yaw and roll columns into [-180, 180), as
-    :class:`~skyfade.geometry.MeasurementSample` does."""
+    :class:`~skyfade.geometry.MeasurementSample` does, writing the wrapped
+    values back into the columns: a new array would leave the unwrapped
+    values allocated in the table the columns view."""
     for name in ("yaw_deg", "roll_deg"):
-        columns[name] = wrap_deg(columns[name])
+        columns[name][...] = wrap_deg(columns[name])
     return columns
 
 

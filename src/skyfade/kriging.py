@@ -12,36 +12,49 @@ prediction variance is sigma2 - lambda^T c0 - nu, floored at zero.
 
 Many targets share one factorization, and :func:`predict_sf_batch` and
 :func:`predict_rsrp` return columns: one array per output, one entry per
-target, and the one nugget the solve used.  Every solve goes through
-:func:`_solve`, so a batch of one target is bitwise :func:`predict_sf`.
+target, and the one nugget the solve used.  Every prediction goes through
+:func:`_predict`, so a batch of one target is bitwise :func:`predict_sf`.
 
-The solve factors C by Cholesky and removes the unbiasedness row by Schur
-complement (Rasmussen & Williams 2006, Alg. 2.1; Cressie 1993, sec. 3.2):
-with C [Y | a] = [c0 | 1], nu = (1^T Y - 1) / (1^T a) and
-lambda = Y - a nu.  A solution is accepted only if the relative residual
-of the augmented system, over every right-hand side, is below the
-acceptance threshold.  When C is not numerically positive definite, or the
-solution fails that test, the diagonal nugget is multiplied by 10 and the
-factorization is tried again (diagonal loading), up to six escalations.
-An indefinite covariance is therefore never accepted at the model's
-nugget: the nugget actually used is recorded on the system, and callers
-report it.
+The predictions need the weights only through lambda^T w and
+lambda^T c0, so they are formed in dual form (Rasmussen & Williams 2006,
+Alg. 2.1, with the ordinary Kriging term of Cressie 1993, sec. 3.2; "dual
+kriging", Royer & Vieira 1984).  With C = L L^T, one solve
+C [alpha | a] = [w | 1] serves every target; for a target with
+covariances c0 and v = L^-1 c0,
+
+    nu = (a^T c0 - 1) / (1^T a),    w_hat = c0^T alpha - nu 1^T alpha,
+    variance = sigma2 - v^T v + nu^2 1^T a,
+
+so each target costs one forward solve and no weights are formed.  The
+acceptance shims :func:`solve_ok` and :func:`_solve_augmented`, which
+return the weights, solve C [Y | a] = [c0 | 1] and eliminate the
+unbiasedness row by Schur complement: nu = (1^T Y - 1) / (1^T a) and
+lambda = Y - a nu.
+
+Both go through one core, :func:`_solve`.  It factors C by Cholesky and
+accepts a solution X of C X = B only if the largest |C X - B| entry,
+relative to the largest |B| entry, is below the acceptance threshold.
+When C is not numerically positive definite, or the solution fails that
+test, the diagonal nugget is multiplied by 10 and the factorization is
+tried again (diagonal loading), up to six escalations.  An indefinite
+covariance is therefore never accepted at the model's nugget: the nugget
+actually used is recorded on the system, and callers report it.
 
 What C and c0 are, :class:`skyfade.correlation.Covariance` alone says:
-:func:`predict_sf_batch` passes the training points' covariance as that
-source, and :func:`solve_ok` an (M, M) array of an assembled system.
-The solve reads either the same way, C only as its lower block rows
-``cov[k0:k1, :k1]`` and c0 only as slices, and never writes it.  The
-factor's block rows are new arrays, built by the source or copied from
-the array, with the rung's shift on their diagonal tiles, and they are
-dropped once the triangular solves are done.  The residual check then
-reads C's lower triangle again, each row block being its block row
-followed by the column block below its diagonal tile, transposed.  The
-source's C is exactly symmetric by construction.  An array must be too,
-since only its lower triangle is read: the solve checks this first and
-raises ValidationError naming the first asymmetric entry, which no valid
-covariance has.  Both forms of one C give bitwise the same solution,
-residual and variances.
+:func:`predict_sf_batch` passes the training points' covariances as
+sources, and :func:`solve_ok` the arrays of an assembled system.  The
+solve reads either the same way, C only as its lower block rows
+``cov[k0:k1, :k1]`` and c0 only as blocks of :data:`_BLOCK` columns, and
+never writes them.  The factor's block rows are new arrays, built by the
+source or copied from the array, with the rung's shift on their diagonal
+tiles, and they are dropped once the predictions are formed.  The
+residual check then reads C's lower triangle again, each row block being
+its block row followed by the column block below its diagonal tile,
+transposed.  The source's C is exactly symmetric by construction.  An
+array must be too, since only its lower triangle is read: the solve
+checks this first and raises ValidationError naming the first asymmetric
+entry, which no valid covariance has.  Both forms of one C give bitwise
+the same solution, residual and predictions.
 
 A mode enters as the model restricted to it (only :func:`assemble_system`
 takes a mode name).  The training rows and the targets are each made
@@ -54,25 +67,19 @@ equal geometries (:func:`duplicate_groups`) and the rows' kernel points.
 Per system it then averages the drawn rows' duplicates
 (:func:`average_duplicates`) and passes :class:`TrainingPoints` and target
 :class:`KernelPoints` indexed out of them, which give bitwise what the
-rows themselves give.  For k
-targets, :func:`predict_sf_batch` holds two large buffers: L's lower
-triangle, as block rows (C's, when the residual check builds them
-again), and one (M, k + 1) buffer, into which c0 is built as
-[c0 | 1] 128 columns at a time, which the triangular solves overwrite with
-[Y | a], and which then holds lambda over Y.  No separate c0 is kept:
-past 128 targets, the one walk that forms the residual over every
-right-hand side and lambda^T c0 builds c0 again from the points, 96 rows
-at a time, which repeats only the tile arithmetic and gives bitwise the
-same entries, as every entry is computed on its own; up to 128 targets,
-c0 is one block, built once and kept.  Every other temporary is an
-M x 128, 96 x M or 96 x (k + 1) tile.
+rows themselves give.  For k targets, :func:`predict_sf_batch` holds one
+large buffer at a time: L's lower triangle, as block rows, while the
+targets are predicted, and C's, when the residual check builds them
+again.  c0 is built once, an M x 128 block at a time, solved in place and
+dropped, so beyond the two k-length outputs the memory does not grow
+with k.  Every other temporary is an M x 2, 96 x M or 96 x 128 tile.
 
 The factor and the triangular solves are numpy alone: an up-looking
 block Cholesky over block rows of :data:`_TILE` rows
 (:func:`_cholesky_rows`), each diagonal tile factored by numpy's
 ``cholesky`` and inverted once as a triangle, by halves
 (:func:`_lower_inverse`), its inverse then serving the tiles below it and
-both triangular solves.  The factor reads a block row of the lower
+the triangular solves.  The factor reads a block row of the lower
 triangle only when it reaches it, so it never holds the upper half; the
 field draw in :mod:`fieldsim` factors a
 :class:`~skyfade.correlation.Covariance` too and multiplies by the factor
@@ -105,8 +112,8 @@ from .propagation import LinkBudget, SfTable, link_rsrp
 
 RESIDUAL_TOL = 1.0e-8
 MAX_ESCALATIONS = 6
-# Rows per block in the symmetry check; columns per block in the
-# right-hand sides' copy and the weights' formation.
+# Rows per block in the symmetry check, and targets per block of c0 in the
+# predictions: each M x 128 block is built, solved in place and dropped.
 _BLOCK = 128
 # Rows per diagonal tile of the Cholesky factor, and per row block of the
 # residual; below 128, where numpy's LAPACK calls turn multi-threaded (see
@@ -193,14 +200,12 @@ def _spans(n, size=_BLOCK):
 
 
 def _covariances(training, targets, model):
-    """(w, cov, c0): deduplicated training SF values, the training
-    covariance with the base nugget on its diagonal as a
-    :class:`Covariance` of the training points, and the (M, len(targets))
-    training-target covariance; None when there are no targets.  c0 is
-    built whole for up to :data:`_BLOCK` targets and otherwise left a
-    :class:`Covariance`, which builds it a block at a time.  ``training``
-    may already be :class:`TrainingPoints` and ``targets``
-    :class:`KernelPoints` under ``model``."""
+    """(w, cov, c0): deduplicated training SF values, and as
+    :class:`Covariance` sources the training covariance, with the base
+    nugget on its diagonal, and the (M, len(targets)) training-target
+    covariance; None when there are no targets.  ``training`` may already
+    be :class:`TrainingPoints` and ``targets`` :class:`KernelPoints` under
+    ``model``."""
     if len(training) == 0:
         raise ValidationError("need at least one training sample")
     if len(targets) == 0:
@@ -211,10 +216,7 @@ def _covariances(training, targets, model):
     if not isinstance(targets, KernelPoints):
         targets = KernelPoints.of(model, targets)
     points = training.points
-    c0 = Covariance(model, points, targets)
-    if len(targets) <= _BLOCK:
-        c0 = c0[:, :]
-    return training.sf_db, Covariance(model, points), c0
+    return training.sf_db, Covariance(model, points), Covariance(model, points, targets)
 
 
 def assemble_system(
@@ -231,7 +233,7 @@ def assemble_system(
     w, cov, c0 = _covariances(training, [target], model.restricted(mode))
     return KrigingSystem(
         cov=cov[:, :],
-        target_cov=c0[:, 0],
+        target_cov=c0[:, :][:, 0],
         train_w=w,
         sigma2=model.sigma2,
         nugget=model.nugget,
@@ -328,28 +330,34 @@ def _column_below(rows, t, out):
     return out
 
 
-def _cholesky_solve_rows(rows, inverses, b) -> None:
-    """Overwrite ``b`` with C^-1 b, where ``rows`` and ``inverses`` are
-    what :func:`_cholesky_rows` returned for C = L L^T: forward with L,
-    then back with L^T, one tile of rows at a time, through one (tile, k)
-    temporary for k columns of ``b``.  The back solve gathers each column
-    block of L below a diagonal tile (:func:`_column_below`) into one
-    (M - tile, tile) buffer."""
+def _forward_rows(rows, inverses, b) -> None:
+    """Overwrite ``b`` with L^-1 b, where ``rows`` and ``inverses`` are
+    what :func:`_cholesky_rows` returned for C = L L^T, one tile of rows at
+    a time, through one (tile, k) temporary for k columns of ``b``."""
     n = b.shape[0]
-    tiles = list(zip(_spans(n, _TILE), rows, inverses))
     tmp = np.empty((min(n, _TILE),) + b.shape[1:])
-    for (k0, k1), row, inv in tiles:
+    for (k0, k1), row, inv in zip(_spans(n, _TILE), rows, inverses):
         part, out = b[k0:k1], tmp[: k1 - k0]
         if k0:
             part -= np.matmul(row[:, :k0], b[:k0], out=out)
         np.copyto(part, np.matmul(inv, part, out=out))
+
+
+def _cholesky_solve_rows(rows, inverses, b) -> None:
+    """Overwrite ``b`` with C^-1 b for C = L L^T: forward with L
+    (:func:`_forward_rows`), then back with L^T, one tile of rows at a
+    time.  The back solve gathers each column block of L below a diagonal
+    tile (:func:`_column_below`) into one (M - tile, tile) buffer."""
+    _forward_rows(rows, inverses, b)
+    n = b.shape[0]
+    tmp = np.empty((min(n, _TILE),) + b.shape[1:])
     below = np.empty((max(n - _TILE, 0), min(n, _TILE)))
-    for t, ((k0, k1), _row, inv) in reversed(list(enumerate(tiles))):
+    for t, (k0, k1) in reversed(list(enumerate(_spans(n, _TILE)))):
         part, out = b[k0:k1], tmp[: k1 - k0]
         if k1 < n:
             col = _column_below(rows, t, below[: n - k1])
             part -= np.matmul(col.T, b[k1:], out=out)
-        np.copyto(part, np.matmul(inv.T, part, out=out))
+        np.copyto(part, np.matmul(inverses[t].T, part, out=out))
 
 
 def _lower_matvec(rows, g) -> np.ndarray:
@@ -363,38 +371,6 @@ def _lower_matvec(rows, g) -> np.ndarray:
         out[k0:k1] = row[:, :k0] @ g[:k0] + tile @ g[k0:k1]
         k0 = k1
     return out
-
-
-def _cholesky_schur(cov, rhs, shift):
-    """Solve by Cholesky of C, eliminating the unbiasedness row.
-
-    With C [Y | a] = [rhs | 1], the multipliers are the Schur complement
-    solution nu = (1^T Y - 1) / (1^T a) and the weights are Y - a nu^T.
-    Returns (lambda, nu), or None when C (diagonal shifted by ``shift``)
-    is not numerically positive definite.  lambda is a view of the one
-    (M, k + 1) buffer that holds the right-hand sides, the solution and
-    then the weights.  ``cov`` and ``rhs`` are (M, M) and (M, k) arrays
-    or :class:`Covariance` sources; ``rhs`` is copied into the buffer and
-    the weights formed a block of columns at a time.  The factor's block
-    rows are new arrays (:func:`_cholesky_rows`), dropped on return.
-    """
-    m, k = rhs.shape
-    try:
-        rows, inverses = _cholesky_rows(cov, shift)
-    except np.linalg.LinAlgError:
-        return None
-    b = np.empty((m, k + 1))
-    for j0, j1 in _spans(k):
-        b[:, j0:j1] = rhs[:, j0:j1]
-    b[:, k] = 1.0
-    _cholesky_solve_rows(rows, inverses, b)
-    del rows, inverses
-    lam, a = b[:, :k], b[:, k]
-    nu = (lam.sum(axis=0) - 1.0) / a.sum()
-    tile = np.empty((m, min(k, _BLOCK)))
-    for j0, j1 in _spans(k):
-        lam[:, j0:j1] -= np.multiply.outer(a, nu[j0:j1], out=tile[:, : j1 - j0])
-    return lam, nu
 
 
 def _row_blocks(cov, shift):
@@ -422,100 +398,80 @@ def _row_blocks(cov, shift):
         yield k0, k1, row
 
 
-def _explained(acc, lam, c0, tile):
-    """``acc`` plus lambda^T c0 over one block of rows: the column sums of
-    ``acc`` over the elementwise product, formed in ``tile``.  numpy sums
-    two or more columns row after row, so for them, carried over the
-    :data:`_TILE`-row blocks in order, this is bitwise one sum over all M
-    rows; one column it sums pairwise within each block."""
-    rows, cols = lam.shape
-    part = tile[: rows + 1, :cols]
-    part[0] = acc
-    np.multiply(lam, c0, out=part[1:])
-    return part.sum(axis=0)
-
-
-def _residual_pass(cov, shift, rhs, lam, nu):
-    """One walk over the row blocks of C + shift I (see :func:`_row_blocks`),
-    reading the same rows of ``rhs`` once (a block source builds them
-    once, all k columns).
-
-    Returns (residual, scale, explained): the largest |A x - b| entry of
-    the augmented system, the largest |rhs| entry, and lambda^T rhs per
-    column (see :func:`_explained`).  The product with C is that of C's
-    rows as :func:`_row_blocks` gives them times all k columns of lambda.
-    It is formed in one reused (tile + 1, k) tile, in which
-    :func:`_explained` then sums.
-    """
-    m, k = lam.shape
-    peaks = [np.abs(lam.sum(axis=0) - 1.0).max()]
-    scales = []
-    explained = np.zeros(k)
-    tile = np.empty((min(m, _TILE) + 1, k))
+def _residual(cov, shift, x, b) -> float:
+    """The largest |(C + shift I) X - B| entry, C's rows as
+    :func:`_row_blocks` gives them, formed in one reused (tile, n) tile
+    for n columns of X."""
+    peaks = []
+    tile = np.empty((min(len(x), _TILE), x.shape[1]))
     for k0, k1, crow in _row_blocks(cov, shift):
-        c0 = rhs[k0:k1, :]
-        top = np.matmul(crow, lam, out=tile[: k1 - k0])
-        top += nu
-        top -= c0
+        top = np.matmul(crow, x, out=tile[: k1 - k0])
+        top -= b[k0:k1]
         peaks.append(np.abs(top, out=top).max())
-        scales.append(np.abs(c0, out=top).max())
-        explained = _explained(explained, lam[k0:k1], c0, tile)
-        del c0  # the next rows' build replaces, not joins, this one
-    return float(np.max(peaks)), float(np.max(scales)), explained
+    return float(np.max(peaks))
 
 
-def _finite(lam, nu):
-    """Whether every weight and multiplier is finite, checked a block of
-    columns at a time."""
-    return bool(np.isfinite(nu).all()) and all(
-        np.isfinite(lam[:, j0:j1]).all() for j0, j1 in _spans(lam.shape[1])
-    )
-
-
-def _solve(cov, rhs, sigma2, base_nugget):
-    """Augmented solve with the escalation ladder; returns (lambda, nu,
-    nugget, explained).
+def _solve(cov, b, sigma2, base_nugget, outputs=None):
+    """X = C^-1 B with the escalation ladder; returns (X, nugget, out).
 
     ``cov`` already carries ``base_nugget`` on its diagonal; it is an
     (M, M) array, which must be exactly symmetric (ValidationError
-    otherwise), or a :class:`Covariance`, and it is never written.
-    ``rhs`` is an (M, k) array or a :class:`Covariance`; lambda is
-    (M, k), nu and explained (lambda^T rhs per column) are (k,).  Each
-    rung adds ``nugget - base_nugget`` to the diagonal and makes one
-    Cholesky-Schur attempt, copying ``rhs`` into its buffer afresh; the
-    first finite solution whose residual, relative to the largest |rhs|
-    entry (or 1 if larger), passes is accepted, with explained from its
-    residual pass.  A covariance that is not numerically positive definite
-    at a rung moves up to the next one.  From a source, each rung builds C's lower
+    otherwise), or a :class:`Covariance`, and it is never written.  ``b``
+    is an (M, n) array.  Each rung adds ``nugget - base_nugget`` to the
+    diagonal, factors (:func:`_cholesky_rows`) and solves a copy of B.
+    While the factor is held, ``out = outputs(rows, inverses, X)`` (None
+    without ``outputs``); the factor is then dropped, so the residual check
+    that builds C's rows again never holds both.  The first finite X whose
+    largest |C X - B| entry (:func:`_residual`), relative to the largest
+    |B| entry (or 1 if larger), is below RESIDUAL_TOL is accepted.  A
+    covariance that is not numerically positive definite at a rung moves
+    up to the next one.  From a source, each rung builds C's lower
     triangle twice, once for the factor and once for the residual check:
-    at M = 4000 a build takes about 0.16 s of a rung's 1.6 s (1000
+    at M = 4000 each build takes about 0.11 s of a rung's 0.84 s (1000
     targets, 2 vCPUs), where a rung on an array copies or reads its rows
     instead.
     """
     m = cov.shape[0]
     if isinstance(cov, np.ndarray):
         _check_symmetric(cov)
+    scale = max(float(np.abs(b).max()), 1.0)
     nugget = base_nugget
     for attempt in range(MAX_ESCALATIONS + 1):
         if attempt:
             nugget = DEFAULT_NUGGET_FACTOR * sigma2 if nugget == 0.0 else nugget * 10.0
         shift = nugget - base_nugget
-        sol = _cholesky_schur(cov, rhs, shift)
-        if sol is not None and _finite(*sol):
-            residual, scale, explained = _residual_pass(cov, shift, rhs, *sol)
-            if residual / max(scale, 1.0) < RESIDUAL_TOL:
-                return (*sol, nugget, explained)
-        del sol  # the next rung's buffer replaces, not joins, this one
+        try:
+            rows, inverses = _cholesky_rows(cov, shift)
+        except np.linalg.LinAlgError:
+            continue
+        x = b.copy()
+        _cholesky_solve_rows(rows, inverses, x)
+        out = outputs(rows, inverses, x) if outputs else None
+        del rows, inverses
+        if np.isfinite(x).all() and _residual(cov, shift, x, b) / scale < RESIDUAL_TOL:
+            return x, nugget, out
     raise SingularSystemError(
         f"augmented system unsolvable after {MAX_ESCALATIONS} nugget escalations"
         f" (M={m}, final nugget={nugget:g})"
     )
 
 
+def _weights(cov, rhs, sigma2, base_nugget):
+    """(lambda, nu, nugget): the augmented system's weights (M, k) and
+    multipliers (k,) for the (M, k) right-hand sides ``rhs``, from one
+    :func:`_solve` of C [Y | a] = [rhs | 1], eliminating the unbiasedness
+    row by Schur complement."""
+    b = np.column_stack((rhs, np.ones(len(rhs))))
+    x, nugget, _ = _solve(cov, b, sigma2, base_nugget)
+    y, a = x[:, :-1], x[:, -1:]
+    nu = (y.sum(axis=0) - 1.0) / a.sum()
+    return y - a * nu, nu, nugget
+
+
 def _solve_augmented(cov, rhs, sigma2, base_nugget):
-    """:func:`_solve` as (solution, nugget), with the (M + 1, k) solution
+    """:func:`_weights` as (solution, nugget), with the (M + 1, k) solution
     holding the weights over the multipliers in its last row."""
-    lam, nu, nugget, _ = _solve(cov, rhs, sigma2, base_nugget)
+    lam, nu, nugget = _weights(cov, rhs, sigma2, base_nugget)
     return np.vstack((lam, nu)), nugget
 
 
@@ -525,7 +481,7 @@ def solve_ok(system: KrigingSystem) -> KrigingSystem:
     Fills ``weights``, ``multiplier`` and ``nugget_used``; raises
     :class:`SingularSystemError` if the escalation ladder is exhausted.
     """
-    lam, nu, nugget, _ = _solve(
+    lam, nu, nugget = _weights(
         system.cov, system.target_cov[:, None], system.sigma2, system.nugget
     )
     system.weights = lam[:, 0]
@@ -543,25 +499,56 @@ class Prediction:
     nugget_used: float
 
 
-def _estimates(lam, nu, w, explained, sigma2):
-    """(w_hat, variance): lambda^T w and sigma2 - lambda^T c0 - nu, floored
-    at zero, from lambda^T c0 per column."""
-    return lam.T @ w, np.maximum(sigma2 - explained - nu, 0.0)
+def _predict(cov, c0, w, sigma2, base_nugget):
+    """(w_hat, variance, nugget) for every target, in dual form (see the
+    module docstring), the variance floored at zero.
+
+    ``cov`` is C as :func:`_solve` takes it, ``c0`` the (M, k) target
+    covariance, an array or a :class:`Covariance`, and ``w`` the (M,)
+    training SF values.  One solve gives X = [alpha | a] = C^-1 [w | 1];
+    each block of :data:`_BLOCK` targets then builds (or copies) its c0
+    block once, takes c0^T X and forward-solves the block in place into
+    v = L^-1 c0, while the factor is held, before the residual check.
+
+    What the check on [w | 1] bounds: with R = [R_w | R_1] = C X - [w | 1],
+    X solves [w | 1] + R exactly, and the check holds every |R| entry below
+    RESIDUAL_TOL max(|w|, 1).  To first order, with lambda = C^-1 (c0 -
+    nu 1) a target's weights, R_w moves its w_hat by lambda^T R_w, at
+    most ||lambda||_1 max |R_w|; R_1 moves its nu by lambda^T R_1 / 1^T a,
+    and so its w_hat by -1^T alpha times that and its variance by
+    nu (2 lambda + nu a)^T R_1.  The forward solves of c0 run on the factor
+    that solved [w | 1]; they are not checked target by target.
+    """
+    k = c0.shape[1]
+
+    def outputs(rows, inverses, x):
+        alpha_sum, a_sum = x.sum(axis=0)
+        w_hat, variance = np.empty(k), np.empty(k)
+        for j0, j1 in _spans(k):
+            v = np.require(c0[:, j0:j1], requirements="CO")
+            c0_alpha, c0_a = x.T @ v
+            _forward_rows(rows, inverses, v)
+            nu = (c0_a - 1.0) / a_sum
+            w_hat[j0:j1] = c0_alpha - nu * alpha_sum
+            variance[j0:j1] = sigma2 - np.einsum("ij,ij->j", v, v) + nu**2 * a_sum
+        return w_hat, np.maximum(variance, 0.0)
+
+    b = np.column_stack((w, np.ones(len(w))))
+    _x, nugget, (w_hat, variance) = _solve(cov, b, sigma2, base_nugget, outputs)
+    return w_hat, variance, nugget
 
 
 def predict_sf(system: KrigingSystem) -> Prediction:
-    """Predictor and variance from a solved (or solvable) single system,
-    formed as :func:`predict_sf_batch` forms each column."""
+    """Predictor and variance of a single system, formed from its arrays
+    as :func:`predict_sf_batch` forms each target's; solves the system
+    first (:func:`solve_ok`) if it has no weights yet."""
     if system.weights is None:
         solve_ok(system)
-    lam, c0 = system.weights[:, None], system.target_cov[:, None]
-    explained, tile = np.zeros(1), np.empty((_TILE + 1, 1))
-    for k0, k1 in _spans(len(lam), _TILE):
-        explained = _explained(explained, lam[k0:k1], c0[k0:k1], tile)
-    w_hat, variance = _estimates(
-        lam, system.multiplier, system.train_w, explained, system.sigma2
+    w_hat, variance, nugget = _predict(
+        system.cov, system.target_cov[:, None], system.train_w, system.sigma2,
+        system.nugget,
     )
-    return Prediction(float(w_hat[0]), float(variance[0]), float(system.nugget_used))
+    return Prediction(float(w_hat[0]), float(variance[0]), float(nugget))
 
 
 def predict_sf_batch(
@@ -576,19 +563,17 @@ def predict_sf_batch(
     give bitwise the results of the rows they were made from.  ``model``
     is the model a mode restricts (:meth:`CorrelationModel.restricted`).
     Returns (w_hat, variance, nugget_used) with one entry per target.
-    A batch of one target gives bitwise what :func:`solve_ok` and
-    :func:`predict_sf` give; more targets share one factorization.  C
-    reaches the solve as its :class:`Covariance`, read in lower block rows
-    and never whole, which gives bitwise the results of the whole array;
-    beyond the factor, the solve holds one (M, k + 1) buffer (see the
-    module docstring).
+    A batch of one target gives bitwise what :func:`predict_sf` gives;
+    more targets share one factorization.  C and c0 reach the solve as
+    :class:`Covariance` sources, C read in lower block rows and c0 in
+    blocks of :data:`_BLOCK` targets, never whole, which gives bitwise the
+    results of the whole arrays (see :func:`_predict`).
     """
     blocks = _covariances(training, targets, model)
     if blocks is None:
         return np.empty(0), np.empty(0), model.nugget
     w, cov, c0 = blocks
-    lam, nu, nugget, explained = _solve(cov, c0, model.sigma2, model.nugget)
-    return (*_estimates(lam, nu, w, explained, model.sigma2), nugget)
+    return _predict(cov, c0, w, model.sigma2, model.nugget)
 
 
 def predict_rsrp(

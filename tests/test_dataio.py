@@ -919,6 +919,22 @@ class TestIngestMemory:
             tracemalloc.stop()
         assert peak < 240 * n + 500 * propagation.DECOMPOSE_BLOCK_ROWS
 
+    def test_result_holds_only_its_columns(self, tmp_path):
+        # The live columns need 144 bytes a row: the SfTable's ten and the
+        # measurements' eight.  Wrapped yaw and roll put in new arrays left
+        # the kept rows' unwrapped ones allocated too: about 159 bytes a row.
+        n = 20000
+        path = write_lines(tmp_path / "big.csv", [HEADER, *numbered_rows(n)])
+        tracemalloc.start()
+        try:
+            before, _peak = tracemalloc.get_traced_memory()
+            result = ingest_csv(path, BUDGET)
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.samples) == n
+        assert (held - before) / n <= 150
+
 
 class TestConfigs:
     def test_budget_full_section(self, tmp_path):

@@ -34,12 +34,13 @@ from skyfade.kriging import (
     RESIDUAL_TOL,
     KrigingSystem,
     _cholesky_rows,
-    _cholesky_schur,
     _cholesky_solve_rows,
-    _estimates,
-    _residual_pass,
+    _forward_rows,
+    _predict,
+    _residual,
     _solve,
     _solve_augmented,
+    _weights,
     assemble_system,
     dedup_training,
     predict_rsrp,
@@ -167,6 +168,11 @@ def augmented_direct(cov, rhs):
     return np.linalg.solve(aug, b)
 
 
+def with_ones(rhs):
+    """The right-hand sides [rhs | 1] the core solves for the shims."""
+    return np.column_stack((rhs, np.ones(len(rhs))))
+
+
 class TestSolvePaths:
     def test_cholesky_schur_matches_augmented_solve(self):
         model = smooth_model(nugget=1e-4)
@@ -179,18 +185,14 @@ class TestSolvePaths:
             targets = [g.geometry for g in scattered_samples(k, seed=27)]
             rhs = model.sigma2 * kernel_correlation(model, geoms, targets)
             expect = augmented_direct(cov, rhs)
-            chol = _cholesky_schur(cov, rhs, 0.0)
-            assert chol is not None
-            assert np.max(np.abs(np.vstack(chol) - expect)) <= 1e-9
-            lam, nu, nugget, _explained = _solve(cov, rhs, model.sigma2, model.nugget)
+            lam, nu, nugget = _weights(cov, rhs, model.sigma2, model.nugget)
             assert nugget == model.nugget
-            assert np.array_equal(lam, chol[0])
-            assert np.array_equal(nu, chol[1])
+            assert np.max(np.abs(np.vstack((lam, nu)) - expect)) <= 1e-9
 
     def test_augmented_shim_stacks_the_core_solution(self):
         cov, model = spd_covariance(200, seed=28)
         rhs = np.random.default_rng(28).standard_normal((200, 5))
-        lam, nu, nugget, _explained = _solve(cov, rhs, model.sigma2, model.nugget)
+        lam, nu, nugget = _weights(cov, rhs, model.sigma2, model.nugget)
         x, shim_nugget = _solve_augmented(cov, rhs, model.sigma2, model.nugget)
         assert shim_nugget == nugget
         assert np.array_equal(x, np.vstack((lam, nu)))
@@ -198,7 +200,8 @@ class TestSolvePaths:
     def test_indefinite_covariance_exhausts_the_ladder(self):
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
         rhs = np.array([[0.5], [0.3]])
-        assert _cholesky_schur(cov, rhs, 0.0) is None
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky_rows(cov, 0.0)
         system = KrigingSystem(
             cov=cov, target_cov=rhs[:, 0], train_w=np.array([1.0, 2.0]),
             sigma2=1.0, nugget=0.0,
@@ -218,30 +221,38 @@ class TestSolvePaths:
         cov = sigma2 * corr
         cov[np.diag_indices(3)] += base
         rhs = sigma2 * np.array([[0.8, 0.1], [0.5, 0.7], [0.3, 0.2]])
-        lam, nu, nugget, _explained = _solve(cov, rhs, sigma2, base)
+        x, nugget, _ = _solve(cov, with_ones(rhs), sigma2, base)
         assert nugget > base
         # Accepted at the first rung that factors: 0.1 * sigma2; the rung
         # below it (0.01 * sigma2) is still indefinite.
         assert nugget == pytest.approx(0.1 * sigma2, rel=1e-12)
-        assert _cholesky_schur(cov, rhs, nugget / 10.0 - base) is None
-        assert _residual_pass(cov, nugget - base, rhs, lam, nu)[0] < RESIDUAL_TOL
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky_rows(cov, nugget / 10.0 - base)
+        assert _residual(cov, nugget - base, x, with_ones(rhs)) < RESIDUAL_TOL
+        lam, _nu, shim_nugget = _weights(cov, rhs, sigma2, base)
+        assert shim_nugget == nugget
         assert np.sum(lam, axis=0) == pytest.approx([1.0, 1.0], abs=1e-12)
 
-
-    # 600 right-hand sides span two column blocks of the residual walk,
-    # and 250 rows three of its row blocks.
-    @pytest.mark.parametrize("k", [1, 7, 600])
+    # The dual outputs against the augmented system solved whole: w_hat is
+    # lambda^T w and sigma2 - variance is lambda^T c0 + nu, summed over
+    # every row.  Past _BLOCK targets c0 comes in more than one block, and
+    # 250 rows take three row blocks of the forward solve.
+    @pytest.mark.parametrize("k", [1, 7, _BLOCK, _BLOCK + 1, 300, 600])
     def test_explained_is_lambda_t_rhs_over_every_row(self, k):
         cov, model = spd_covariance(250, seed=29)
         geoms = [s.geometry for s in scattered_samples(250, seed=29)]
         targets = [s.geometry for s in scattered_samples(k, seed=30)]
         rhs = model.sigma2 * kernel_correlation(model, geoms, targets)
-        lam, _nu, _nugget, explained = _solve(cov, rhs, model.sigma2, model.nugget)
-        products = lam * rhs
-        assert np.all(np.abs(explained - products.sum(axis=0))
-                      <= 1e-12 * np.abs(products).sum(axis=0))
+        w = np.random.default_rng(k).normal(0.0, 3.0, 250)
+        w_hat, variance, nugget = _predict(cov, rhs, w, model.sigma2, model.nugget)
+        x = augmented_direct(cov, rhs)
+        lam, nu = x[:-1], x[-1]
+        assert nugget == model.nugget
+        assert np.abs(w_hat - lam.T @ w).max() <= 1e-9
+        assert np.all(variance > 0.0)
+        explained = model.sigma2 - variance
+        assert np.abs(explained - (lam * rhs).sum(axis=0) - nu).max() <= 1e-9
 
-    # 300 right-hand sides span three column blocks of the residual.
     @pytest.mark.parametrize("k", [1, 7, 300])
     def test_residual_is_the_explicit_augmented_product(self, k):
         # A 9-row C is one tile, whose lower block row is all of it: the
@@ -251,13 +262,12 @@ class TestSolvePaths:
         rng = np.random.default_rng(k)
         cov = rng.standard_normal((m, m)) + m * np.eye(m)
         rhs = rng.standard_normal((m, k))
-        rhs[:, -1] *= 100.0  # the worst column is the last, in the last block
-        x = weights_and_multipliers(rng, m, k)
+        rhs[:, -1] *= 100.0  # the worst column is the last
+        x = rng.standard_normal((m, k + 1))
         expect = augmented_residual(cov, shift, rhs, x)
         assert abs(augmented_residual(cov.T, shift, rhs, x) - expect) > 0.1
-        assert _residual_pass(cov, shift, rhs, x[:m], x[m])[0] == pytest.approx(
-            expect, rel=1e-12
-        )
+        residual = _residual(cov, shift, x, with_ones(rhs))
+        assert residual == pytest.approx(expect, rel=1e-12)
 
     # 2 * _TILE + 5 rows: three row blocks, each gathered from the lower
     # block rows of a symmetric C, the last one short.
@@ -267,29 +277,15 @@ class TestSolvePaths:
         rng = np.random.default_rng(k)
         cov = random_spd(m, seed=k)
         rhs = rng.standard_normal((m, k))
-        x = weights_and_multipliers(rng, m, k)
-        residual, scale, _explained = _residual_pass(cov, shift, rhs, x[:m], x[m])
-        assert residual == pytest.approx(
+        x = rng.standard_normal((m, k + 1))
+        assert _residual(cov, shift, x, with_ones(rhs)) == pytest.approx(
             augmented_residual(cov, shift, rhs, x), rel=1e-12
         )
-        assert scale == np.abs(rhs).max()
-
-
-def weights_and_multipliers(rng, m, k):
-    """A random (m + 1, k) solution whose weights sum to 1 per column."""
-    x = rng.standard_normal((m + 1, k))
-    x[:m] -= (x[:m].sum(axis=0) - 1.0) / m
-    return x
 
 
 def augmented_residual(cov, shift, rhs, x):
-    """The largest |A x - b| entry of the augmented system, formed whole."""
-    m, k = rhs.shape
-    aug = np.zeros((m + 1, m + 1))
-    aug[:m, :m] = cov + shift * np.eye(m)
-    aug[:m, m] = 1.0
-    aug[m, :m] = 1.0
-    return np.max(np.abs(aug @ x - np.vstack([rhs, np.ones((1, k))])))
+    """The largest |(C + shift I) X - [rhs | 1]| entry, formed whole."""
+    return np.max(np.abs((cov + shift * np.eye(len(cov))) @ x - with_ones(rhs)))
 
 
 def spd_covariance(m, seed):
@@ -310,7 +306,8 @@ class TestInPlaceFactor:
         cov, model = spd_covariance(300, seed=40)
         rhs = np.random.default_rng(40).standard_normal((300, 3))
         before = cov.copy()
-        assert _cholesky_schur(cov, rhs, 0.5) is not None
+        _cholesky_rows(cov, 0.5)
+        _solve_augmented(cov, rhs, model.sigma2, model.nugget)
         assert np.array_equal(cov, before)
 
     @pytest.mark.parametrize(
@@ -324,8 +321,8 @@ class TestInPlaceFactor:
     def test_cholesky_schur_restores_cov_after_failed_factor(self, cov):
         cov = np.array(cov)
         before = cov.copy()
-        rhs = np.full((cov.shape[0], 1), 0.5)
-        assert _cholesky_schur(cov, rhs, 0.0) is None
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky_rows(cov, 0.0)
         assert np.array_equal(cov, before)
 
     def test_escalating_solve_restores_cov(self):
@@ -344,9 +341,13 @@ class TestInPlaceFactor:
         training = scattered_samples(200, seed=41)
         target = mk_geom(15.0, -40.0, theta=30.0, delta=2.0)
         system = assemble_system(training, target, model)
-        before = system.cov.copy()
+        before, target_before = system.cov.copy(), system.target_cov.copy()
         solve_ok(system)
         assert np.array_equal(system.cov, before)
+        # The predictions forward-solve a copy of the target covariances.
+        predict_sf(system)
+        assert np.array_equal(system.cov, before)
+        assert np.array_equal(system.target_cov, target_before)
 
     def test_memory_layout_does_not_change_the_solution(self):
         cov, model = spd_covariance(150, seed=42)
@@ -375,9 +376,9 @@ class TestInPlaceFactor:
 
     def test_array_solve_holds_its_factor_and_no_copy(self):
         # Beside the caller's C the solve holds L's lower triangle and the
-        # other buffers that test_source_path_holds_no_whole_matrix counts,
-        # under the same bound (traced peak about 0.8 of it); a copy of C
-        # would add 8 M^2 bytes, more than the bound.
+        # tiles that test_source_path_holds_no_whole_matrix counts, and the
+        # (M, k + 1) solution of [rhs | 1] (traced peak about 0.8 of the
+        # bound); a copy of C would add 8 M^2 bytes, more than the bound.
         m, k = 1500, 20
         cov, model = spd_covariance(m, seed=44)
         rhs = np.random.default_rng(44).standard_normal((m, k))
@@ -390,28 +391,6 @@ class TestInPlaceFactor:
         bound = 8 * (m * m / 2 + (4 * _TILE + _BLOCK) * m) + 8 * (m + _TILE) * (k + 1)
         assert bound < 8 * m * m
         assert peak < bound
-
-    def test_batch_holds_three_buffers(self):
-        # At most C's size (8 M^2 bytes; the lower triangle the solve
-        # holds is about half of it), the target covariances and the one
-        # solution buffer (8 M k bytes each), plus the factor's
-        # diagonal-tile inverses (8 M * 96 bytes in all) and block
-        # temporaries: about 4 M^2 + 1.6 * 8 M k traced.  A separate
-        # (M + 1, k) weights array and full-width temporaries beside C
-        # whole would trace about 8 M^2 + 4 * 8 M k.  No module loads at
-        # the first solve, so the traced call needs no untraced one
-        # before it.
-        m, k = 1500, 600
-        model = smooth_model(nugget=1e-4)
-        training = SfTable.of(scattered_samples(m, seed=45))
-        targets = [s.geometry for s in scattered_samples(k, seed=46)]
-        tracemalloc.start()
-        try:
-            predict_sf_batch(training, targets, model)
-            _current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * m * m + 2.5 * 8 * m * k
 
 
 def escalating_training(m, seed):
@@ -430,13 +409,12 @@ def escalating_training(m, seed):
 
 
 def full_array_path(training, targets, model):
-    """(w_hat, variance, nugget) from :func:`_solve` and :func:`_estimates`
-    on the whole (M, k) target covariance array."""
+    """(w_hat, variance, nugget) from :func:`_predict` on the whole (M, M)
+    covariance and (M, k) target covariance arrays."""
     geoms, w = dedup_training(training)
     cov = kernel_covariance(model, geoms)
     c0 = kernel_covariance(model, geoms, targets)
-    lam, nu, nugget, explained = _solve(cov, c0, model.sigma2, model.nugget)
-    return (*_estimates(lam, nu, w, explained, model.sigma2), nugget)
+    return _predict(cov, c0, w, model.sigma2, model.nugget)
 
 
 def assert_bitwise(got, expect):
@@ -446,9 +424,8 @@ def assert_bitwise(got, expect):
 
 
 class TestBlockedTargetCovariance:
-    """predict_sf_batch builds [c0 | 1] straight into the solve's buffer
-    and, past one column block of targets, builds c0 again a block at a
-    time for the residual and lambda^T c0, holding no whole c0 array."""
+    """predict_sf_batch builds c0 once, a block of targets at a time, and
+    forward-solves each block in place, holding no whole c0 array."""
 
     @pytest.mark.parametrize("k", [1, _BLOCK, _BLOCK + 1, 300])
     def test_batch_is_bitwise_the_full_array_path(self, k):
@@ -469,30 +446,29 @@ class TestBlockedTargetCovariance:
         assert_bitwise(predict_sf_batch(training, targets, model), expect)
 
     def test_rung_after_a_solved_one_rebuilds_the_right_hand_side(self):
-        # The first rung factors and solves, overwriting the buffer, and
-        # its residual pass is made to reject it: the next rung must copy
-        # c0 into its buffer afresh.
+        # The first rung factors, solves in place and forward-solves the c0
+        # blocks in place, and its residual check is made to reject it:
+        # the next rung must solve [w | 1] and build c0 afresh.
         model = smooth_model(nugget=1e-4)
         training = SfTable.of(scattered_samples(150, seed=54))
         targets = Geometry.of([s.geometry for s in scattered_samples(300, seed=55)])
-        real = kriging._residual_pass
+        real = kriging._residual
 
         def reject_first(*args):
             reject_first.calls += 1
-            residual, scale, explained = real(*args)
-            return (math.inf if reject_first.calls == 1 else residual), scale, explained
+            return math.inf if reject_first.calls == 1 else real(*args)
 
         results = []
         for run in (lambda: full_array_path(training, targets, model),
                     lambda: predict_sf_batch(training, targets, model)):
             reject_first.calls = 0
-            with mock.patch.object(kriging, "_residual_pass", reject_first):
+            with mock.patch.object(kriging, "_residual", reject_first):
                 results.append(run())
             assert reject_first.calls == 2
         assert results[0][2] == 10.0 * model.nugget
         assert_bitwise(results[1], results[0])
 
-    def test_each_block_is_built_once_for_the_buffer_and_once_after(self):
+    def test_each_block_is_built_once(self):
         model = smooth_model(nugget=1e-4)
         training = SfTable.of(scattered_samples(100, seed=56))
         targets = Geometry.of([s.geometry for s in scattered_samples(300, seed=57)])
@@ -509,12 +485,10 @@ class TestBlockedTargetCovariance:
 
         with mock.patch.object(Covariance, "__getitem__", record):
             predict_sf_batch(training, targets, model)
-        # Column blocks into the buffer, then row blocks for the residual.
         assert built == [
             (None, None, 0, 128), (None, None, 128, 256), (None, None, 256, 300),
-            (0, _TILE, None, None), (_TILE, 100, None, None),
         ]
-        assert (count == 2).all()
+        assert (count == 1).all()
 
     def test_each_point_set_is_warped_once(self):
         # u_t and u_e of the training rows and of the targets, however
@@ -545,13 +519,13 @@ class TestBlockedTargetCovariance:
                 assert np.array_equal(source[i0:i1, j0:j1], whole[i0:i1, j0:j1])
 
     def test_batch_holds_one_target_sized_buffer(self):
-        # C (8 M^2 bytes) and the one (M, k + 1) buffer, plus two
-        # (96, k + 1) tiles, the triangular solves' and the residual's,
-        # and an allowance of four M x 128 tiles for the rest: a rebuilt
-        # row block of c0, the covariance builds' tile buffers and the
-        # factor's tile inverses.  Holding the whole c0 as well adds
-        # 8 M k bytes (6.4 MB here) and fails; the traced peak is about
-        # 0.92 of the bound.
+        # C's size (8 M^2 bytes; the solve holds at most its lower
+        # triangle beside the factor's tile inverses) and an allowance of
+        # four M x 128 tiles: a block of c0 and the covariance builds' tile
+        # buffers.  The target-sized buffers left are the k-length outputs
+        # and the targets' kernel points.  An (M, k + 1) buffer or the
+        # whole c0 adds 8 M k bytes (6.4 MB here) and fails; the traced
+        # peak is about 0.92 of the bound.
         m, k = 400, 2000
         model = smooth_model(nugget=1e-4)
         training = SfTable.of(scattered_samples(m, seed=60))
@@ -562,8 +536,29 @@ class TestBlockedTargetCovariance:
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        bound = 8 * m * m + 8 * (m + 2 * _TILE) * (k + 1) + 4 * 8 * m * _BLOCK
-        assert peak < bound
+        assert peak < 8 * m * m + 4 * 8 * m * _BLOCK
+
+    def test_peak_does_not_grow_with_the_target_count(self):
+        # Ten times the targets add their k-length outputs (150 KB here),
+        # less than one M x 128 block of c0; an (M, k + 1) buffer would
+        # add 36 MB.  The inputs are made before tracing, so the targets'
+        # own kernel points are not counted.
+        m = 500
+        model = smooth_model(nugget=1e-4)
+        geoms, w = dedup_training(SfTable.of(scattered_samples(m, seed=70)))
+        training = kriging.TrainingPoints(KernelPoints.of(model, geoms), w)
+        peaks = []
+        for k in (1000, 10000):
+            targets = [s.geometry for s in scattered_samples(k, seed=71)]
+            points = KernelPoints.of(model, Geometry.of(targets))
+            tracemalloc.start()
+            try:
+                predict_sf_batch(training, points, model)
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] <= 8 * m * _BLOCK
 
 
 class TestCovarianceSource:
@@ -582,8 +577,7 @@ class TestCovarianceSource:
             training = SfTable.of(scattered_samples(250, seed=64))
         targets = Geometry.of([s.geometry for s in scattered_samples(k, seed=65)])
         w, cov, c0 = kriging._covariances(training, targets, model)
-        lam, nu, nugget, explained = _solve(cov[:, :], c0, model.sigma2, model.nugget)
-        expect = (*_estimates(lam, nu, w, explained, model.sigma2), nugget)
+        expect = _predict(cov[:, :], c0[:, :], w, model.sigma2, model.nugget)
         sources, reads = [], []
         real_covariances, real_read = kriging._covariances, Covariance.__getitem__
 
@@ -612,27 +606,26 @@ class TestCovarianceSource:
     @pytest.mark.parametrize("k", [1, _BLOCK, _BLOCK + 1, 300])
     def test_batch_builds_the_lower_triangle_twice_and_c0_once_or_twice(self, k):
         # The factor and the residual each build C's lower block rows,
-        # L(M) entries; c0 is built once up to _BLOCK targets and past
-        # that twice, into the buffer and again for the residual.
+        # L(M) entries; c0 is built once at every k, a block of _BLOCK
+        # targets at a time, and never whole.
         m = 250
         model = smooth_model(nugget=1e-4)
         training = SfTable.of(scattered_samples(m, seed=68))
         targets = Geometry.of([s.geometry for s in scattered_samples(k, seed=69)])
         with built_entries() as shapes:
             predict_sf_batch(training, targets, model)
-        c0_builds = 1 if k <= _BLOCK else 2
-        assert sum(r * c for r, c in shapes) == 2 * lower_entries(m) + c0_builds * m * k
+        assert sum(r * c for r, c in shapes) == 2 * lower_entries(m) + m * k
         assert (m, m) not in shapes
-        assert c0_builds == 1 or (m, k) not in shapes
+        assert all(c <= _BLOCK for r, c in shapes if r == m)
 
     def test_source_path_holds_no_whole_matrix(self):
         # L's lower triangle, 8 (M^2 / 2 + 48 M) bytes, and its tile
-        # inverses (8 M * 96); the (M, k + 1) buffer and the triangular
-        # solves' (96, k + 1) row tile; the column block the back solve
-        # gathers and the residual's (96, M) row block (8 M * 96 each);
-        # an M x 128 block of c0 built into the buffer, and 8 M * 96 more
-        # for the covariance builds' tiles.  The bound leaves no room for
-        # C whole (8 M^2 bytes); the traced peak is about 0.9 of it.
+        # inverses (8 M * 96); the column block the back solve gathers and
+        # the residual's (96, M) row block (8 M * 96 each); an M x 128
+        # block of c0, and 8 M * 96 more for the covariance builds' tiles.
+        # The bound leaves no room for C whole (8 M^2 bytes) or an
+        # (M, k + 1) buffer beside the factor; the traced peak is about
+        # 0.92 of it.
         m, k = 2000, 200
         model = smooth_model(nugget=1e-4)
         training = SfTable.of(scattered_samples(m, seed=66))
@@ -643,8 +636,8 @@ class TestCovarianceSource:
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        bound = 8 * (m * m / 2 + (4 * _TILE + _BLOCK) * m) + 8 * (m + _TILE) * (k + 1)
-        assert bound < 8 * m * m
+        bound = 8 * (m * m / 2 + (4 * _TILE + _BLOCK) * m)
+        assert bound + 8 * m * k < 8 * m * m
         assert peak < bound
 
 
@@ -672,6 +665,10 @@ class TestTiledCholesky:
         assert np.array_equal(a, before)
         for k in (1, 7, 130):
             rhs = np.random.default_rng(k).standard_normal((n, k))
+            b = rhs.copy()
+            _forward_rows(rows, inverses, b)
+            x = scipy.linalg.solve_triangular(lower, rhs, lower=True)
+            assert np.abs(b - x).max() <= 1e-12 * np.abs(x).max()
             b = rhs.copy()
             _cholesky_solve_rows(rows, inverses, b)
             x = scipy.linalg.cho_solve(expect, rhs)
