@@ -48,13 +48,14 @@ solve reads either the same way, C only as its lower block rows
 never writes them.  The factor's block rows are new arrays, built by the
 source or copied from the array, with the rung's shift on their diagonal
 tiles, and they are dropped once the predictions are formed.  The
-residual check then reads C's lower triangle again, each row block being
-its block row followed by the column block below its diagonal tile,
-transposed.  The source's C is exactly symmetric by construction.  An
-array must be too, since only its lower triangle is read: the solve
-checks this first and raises ValidationError naming the first asymmetric
-entry, which no valid covariance has.  Both forms of one C give bitwise
-the same solution, residual and predictions.
+residual check then reads C's lower block rows again, one at a time.
+Every pass over L or C (the factor, both triangular solves and the
+residual) sweeps the block rows, the back solve from the last one, and
+gathers no column.  The source's C is exactly symmetric by construction.
+An array must be too, since only its lower triangle is read: the solve
+checks this first and raises ValidationError naming the first
+asymmetric entry, which no valid covariance has.  Both forms of one C
+give bitwise the same solution, residual and predictions.
 
 A mode enters as the model restricted to it (only :func:`assemble_system`
 takes a mode name).  The training rows and the targets are each made
@@ -68,11 +69,12 @@ Per system it then averages the drawn rows' duplicates
 (:func:`average_duplicates`) and passes :class:`TrainingPoints` and target
 :class:`KernelPoints` indexed out of them, which give bitwise what the
 rows themselves give.  For k targets, :func:`predict_sf_batch` holds one
-large buffer at a time: L's lower triangle, as block rows, while the
-targets are predicted, and C's, when the residual check builds them
-again.  c0 is built once, an M x 128 block at a time, solved in place and
+large buffer: L's lower triangle, as block rows, while the targets are
+predicted; the residual check that follows holds one block row of C at a
+time.  c0 is built once, an M x 128 block at a time, solved in place and
 dropped, so beyond the two k-length outputs the memory does not grow
-with k.  Every other temporary is an M x 2, 96 x M or 96 x 128 tile.
+with k.  Every other temporary is an M x 2 pair of columns or a tile of
+at most 96 x M.
 
 The factor and the triangular solves are numpy alone: an up-looking
 block Cholesky over block rows of :data:`_TILE` rows
@@ -115,11 +117,10 @@ MAX_ESCALATIONS = 6
 # Rows per block in the symmetry check, and targets per block of c0 in the
 # predictions: each M x 128 block is built, solved in place and dropped.
 _BLOCK = 128
-# Rows per diagonal tile of the Cholesky factor, and per row block of the
-# residual; below 128, where numpy's LAPACK calls turn multi-threaded (see
-# the module docstring).
+# Rows per diagonal tile of the Cholesky factor, and per block row of C
+# in the residual; below 128, where numpy's LAPACK calls turn
+# multi-threaded (see the module docstring).
 _TILE = 96
-_TILE_LOWER = np.tri(_TILE, dtype=bool)
 
 
 @dataclass
@@ -282,8 +283,8 @@ def _cholesky_rows(cov, shift) -> tuple[list[np.ndarray], list[np.ndarray]]:
     block rows ``cov[k0:k1, :k1]``, each when the factor reaches it.  A
     block the source builds is used as it is, a view of an array is copied,
     and ``shift`` is added on its diagonal tile; ``cov`` itself is never
-    written.  Each block row is then overwritten with the same rows of L;
-    the strict upper part of its diagonal tile is neither used nor written.
+    written.  Each block row is then overwritten with the same rows of L,
+    zeros above the diagonal included.
     Up-looking block Cholesky (Golub & Van Loan, *Matrix Computations*,
     4th ed., sec. 4.2) over :data:`_TILE`-row tiles: in block row t, each
     earlier tile j becomes L_tj = (A_tj - L_t,<j L_j,<j^T) inv_j^T, and
@@ -311,23 +312,10 @@ def _cholesky_rows(cov, shift) -> tuple[list[np.ndarray], list[np.ndarray]]:
             l11 = np.linalg.cholesky(tile - prod)
         else:
             l11 = np.linalg.cholesky(tile)
-        np.copyto(tile, l11, where=_TILE_LOWER[:width, :width])
+        tile[...] = l11
         inverses.append(_lower_inverse(l11))
         rows.append(row)
     return rows, inverses
-
-
-def _column_below(rows, t, out):
-    """Fill ``out`` with the column block below diagonal tile t of the
-    lower triangle whose block rows are ``rows`` (as :func:`_cholesky_rows`
-    takes and returns them), gathered from the later block rows, and
-    return it.  Every tile but the last is :data:`_TILE` wide, so for
-    tile t spanning k0:k1 of n rows ``out`` is (n - k1, _TILE)."""
-    k0, k1 = t * _TILE, (t + 1) * _TILE
-    for later in rows[t + 1 :]:
-        s1 = later.shape[1]
-        out[s1 - later.shape[0] - k1 : s1 - k1] = later[:, k0:k1]
-    return out
 
 
 def _forward_rows(rows, inverses, b) -> None:
@@ -345,19 +333,20 @@ def _forward_rows(rows, inverses, b) -> None:
 
 def _cholesky_solve_rows(rows, inverses, b) -> None:
     """Overwrite ``b`` with C^-1 b for C = L L^T: forward with L
-    (:func:`_forward_rows`), then back with L^T, one tile of rows at a
-    time.  The back solve gathers each column block of L below a diagonal
-    tile (:func:`_column_below`) into one (M - tile, tile) buffer."""
+    (:func:`_forward_rows`), then back with L^T by columns (Golub & Van
+    Loan, *Matrix Computations*, 4th ed., sec. 3.1), from the last tile of
+    rows to the first, so it too reads only L's block rows: each tile's
+    rows of b are solved with the tile inverse's transpose, and the part of
+    the block row left of its diagonal tile, transposed, then takes their
+    share out of the rows above."""
     _forward_rows(rows, inverses, b)
     n = b.shape[0]
     tmp = np.empty((min(n, _TILE),) + b.shape[1:])
-    below = np.empty((max(n - _TILE, 0), min(n, _TILE)))
-    for t, (k0, k1) in reversed(list(enumerate(_spans(n, _TILE)))):
-        part, out = b[k0:k1], tmp[: k1 - k0]
-        if k1 < n:
-            col = _column_below(rows, t, below[: n - k1])
-            part -= np.matmul(col.T, b[k1:], out=out)
-        np.copyto(part, np.matmul(inverses[t].T, part, out=out))
+    for (k0, k1), row, inv in reversed(list(zip(_spans(n, _TILE), rows, inverses))):
+        part = b[k0:k1]
+        np.copyto(part, np.matmul(inv.T, part, out=tmp[: k1 - k0]))
+        if k0:
+            b[:k0] -= row[:, :k0].T @ part
 
 
 def _lower_matvec(rows, g) -> np.ndarray:
@@ -367,48 +356,27 @@ def _lower_matvec(rows, g) -> np.ndarray:
     k0 = 0
     for row in rows:
         k1 = row.shape[1]
-        tile = np.where(_TILE_LOWER[: k1 - k0, : k1 - k0], row[:, k0:k1], 0.0)
-        out[k0:k1] = row[:, :k0] @ g[:k0] + tile @ g[k0:k1]
+        out[k0:k1] = row[:, :k0] @ g[:k0] + row[:, k0:k1] @ g[k0:k1]
         k0 = k1
     return out
 
 
-def _row_blocks(cov, shift):
-    """(k0, k1, rows) for each :data:`_TILE`-row block of C + shift I, in
-    order: rows k0:k1 of it, formed in one reused (tile, M) buffer.
-
-    C's lower block rows ``cov[k0:k1, :k1]`` are read first, built by a
-    :class:`Covariance` or views of an array, and each row block is its
-    block row followed by the column block below its diagonal tile
-    (:func:`_column_below`), transposed, which C = C^T makes the rest of
-    the row: for a symmetric array, bitwise its own rows.  A block row is
-    dropped once its row block is formed, as later row blocks read only
-    later block rows.
-    """
-    m = cov.shape[0]
-    spans = _spans(m, _TILE)
-    lower = [cov[k0:k1, :k1] for k0, k1 in spans]
-    buf = np.empty((min(m, _TILE), m))
-    for t, (k0, k1) in enumerate(spans):
-        row = buf[: k1 - k0]
-        row[:, :k1] = lower[t]
-        lower[t] = None
-        _column_below(lower, t, row[:, k1:].T)
-        row[:, k0:k1][np.diag_indices(k1 - k0)] += shift
-        yield k0, k1, row
-
-
 def _residual(cov, shift, x, b) -> float:
-    """The largest |(C + shift I) X - B| entry, C's rows as
-    :func:`_row_blocks` gives them, formed in one reused (tile, n) tile
-    for n columns of X."""
-    peaks = []
-    tile = np.empty((min(len(x), _TILE), x.shape[1]))
-    for k0, k1, crow in _row_blocks(cov, shift):
-        top = np.matmul(crow, x, out=tile[: k1 - k0])
-        top -= b[k0:k1]
-        peaks.append(np.abs(top, out=top).max())
-    return float(np.max(peaks))
+    """The largest |(C + shift I) X - B| entry, (C + shift I) X formed from
+    C's lower block rows ``cov[k0:k1, :k1]`` alone, as C = C^T allows
+    (Golub & Van Loan, sec. 1.2): each adds its product with X to its own
+    rows and, left of its diagonal tile, transposed, to the rows above.
+    The block rows are read in order, one at a time, and each is dropped
+    before the next is built."""
+    cx = shift * x
+    for k0, k1 in _spans(len(x), _TILE):
+        row = cov[k0:k1, :k1]
+        cx[k0:k1] += row @ x[:k1]
+        if k0:
+            cx[:k0] += row[:, :k0].T @ x[k0:k1]
+        del row
+    cx -= b
+    return float(np.abs(cx, out=cx).max())
 
 
 def _solve(cov, b, sigma2, base_nugget, outputs=None):
@@ -420,8 +388,8 @@ def _solve(cov, b, sigma2, base_nugget, outputs=None):
     is an (M, n) array.  Each rung adds ``nugget - base_nugget`` to the
     diagonal, factors (:func:`_cholesky_rows`) and solves a copy of B.
     While the factor is held, ``out = outputs(rows, inverses, X)`` (None
-    without ``outputs``); the factor is then dropped, so the residual check
-    that builds C's rows again never holds both.  The first finite X whose
+    without ``outputs``); the factor is then dropped before the residual
+    check builds C's block rows again.  The first finite X whose
     largest |C X - B| entry (:func:`_residual`), relative to the largest
     |B| entry (or 1 if larger), is below RESIDUAL_TOL is accepted.  A
     covariance that is not numerically positive definite at a rung moves

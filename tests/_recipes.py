@@ -74,7 +74,7 @@ def assemble_lower(rows):
     for row in rows:
         k1 = row.shape[1]
         lower[k1 - row.shape[0] : k1, :k1] = row
-    return np.tril(lower)
+    return lower
 
 
 def lower_entries(m):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -269,18 +270,50 @@ class TestSolvePaths:
         residual = _residual(cov, shift, x, with_ones(rhs))
         assert residual == pytest.approx(expect, rel=1e-12)
 
-    # 2 * _TILE + 5 rows: three row blocks, each gathered from the lower
-    # block rows of a symmetric C, the last one short.
+    # 2 * _TILE + 5 rows: three lower block rows of a symmetric C, the
+    # last one short.  A Covariance source and its whole array, whose block
+    # rows are views, give bitwise the same residual.
+    @pytest.mark.parametrize("form", ["array", "source"])
     @pytest.mark.parametrize("k", [1, 7, 300])
-    def test_residual_over_row_blocks_is_the_explicit_augmented_product(self, k):
+    def test_residual_over_row_blocks_is_the_explicit_augmented_product(self, k, form):
         m, shift = 2 * _TILE + 5, 0.25
         rng = np.random.default_rng(k)
-        cov = random_spd(m, seed=k)
+        model = smooth_model(nugget=1e-4)
+        geoms = [s.geometry for s in scattered_samples(m, seed=k)]
+        source = Covariance(model, KernelPoints.of(model, geoms))
+        array = source[:, :]
         rhs = rng.standard_normal((m, k))
         x = rng.standard_normal((m, k + 1))
-        assert _residual(cov, shift, x, with_ones(rhs)) == pytest.approx(
-            augmented_residual(cov, shift, rhs, x), rel=1e-12
+        cov = source if form == "source" else array
+        residual = _residual(cov, shift, x, with_ones(rhs))
+        assert residual == _residual(array, shift, x, with_ones(rhs))
+        assert residual == pytest.approx(
+            augmented_residual(array, shift, rhs, x), rel=1e-12
         )
+
+    def test_residual_holds_one_block_row_at_a_time(self):
+        # The residual asks for C's lower block rows once each, in order,
+        # and no block it was given is alive when it asks for the next.
+        m = 3 * _TILE + 5
+        cov = random_spd(m, seed=31)
+        asked, alive, given = [], [], []
+
+        class Recording:
+            shape = cov.shape
+
+            def __getitem__(self, index):
+                asked.append(index[0].start)
+                alive.append(sum(ref() is not None for ref in given))
+                block = cov[index].copy()  # a new array, as a source builds
+                given.append(weakref.ref(block))
+                return block
+
+        rng = np.random.default_rng(31)
+        x, b = rng.standard_normal((m, 2)), rng.standard_normal((m, 2))
+        residual = _residual(Recording(), 0.25, x, b)
+        assert asked == list(range(0, m, _TILE))
+        assert alive == [0] * len(asked)
+        assert residual == _residual(cov, 0.25, x, b)
 
 
 def augmented_residual(cov, shift, rhs, x):
@@ -620,12 +653,12 @@ class TestCovarianceSource:
 
     def test_source_path_holds_no_whole_matrix(self):
         # L's lower triangle, 8 (M^2 / 2 + 48 M) bytes, and its tile
-        # inverses (8 M * 96); the column block the back solve gathers and
-        # the residual's (96, M) row block (8 M * 96 each); an M x 128
-        # block of c0, and 8 M * 96 more for the covariance builds' tiles.
-        # The bound leaves no room for C whole (8 M^2 bytes) or an
-        # (M, k + 1) buffer beside the factor; the traced peak is about
-        # 0.92 of it.
+        # inverses (8 M * 96); an M x 128 block of c0, 8 M * 96 for the
+        # covariance builds' tiles, and 8 M * 96 to spare.  The residual
+        # check, which holds one (96, M) block row of C at a time, runs
+        # after the factor is dropped.  The bound leaves no room for C
+        # whole (8 M^2 bytes) or an (M, k + 1) buffer beside the factor;
+        # the traced peak is about 0.92 of it (0.98 without the spare).
         m, k = 2000, 200
         model = smooth_model(nugget=1e-4)
         training = SfTable.of(scattered_samples(m, seed=66))
@@ -697,6 +730,9 @@ class TestTiledCholesky:
         assert len(rows) == len(views) == len(inverses) == -(-n // _TILE)
         for row, view in zip(rows, views):
             assert np.array_equal(row, view)
+            # The diagonal tile holds L exactly: zeros above its diagonal.
+            tile = row[:, row.shape[1] - row.shape[0] :]
+            assert not np.triu(tile, 1).any()
         for inv, view_inv in zip(inverses, view_inverses):
             assert np.array_equal(inv, view_inv)
         g = np.random.default_rng(n).standard_normal(n)
