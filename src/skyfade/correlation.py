@@ -443,13 +443,6 @@ class Covariance:
         return cov
 
 
-def covariance_matrix(model, a, b=None):
-    """The whole :class:`Covariance` of ``a`` and ``b``: sigma2 * R, with
-    arguments as in :func:`correlation_matrix`, plus the nugget on the
-    diagonal when ``b`` is omitted."""
-    return Covariance(model, a, b)[:, :]
-
-
 # ---------------------------------------------------------------------------
 # Empirical estimation
 

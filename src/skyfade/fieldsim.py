@@ -190,11 +190,8 @@ def _walk(config: SimConfig) -> np.ndarray:
     pos = np.array(next_waypoint(0), dtype=float)
     wp_index, target, (yaw, pitch, roll) = start_leg(pos, 1, MAX_STEP_LEGS)
     rows = []
-    for k in range(config.n_samples):
-        lat, lon, alt = enu_to_geodetic(
-            np.array([pos[0], pos[1], spec.altitude_m]), config.budget.origin
-        )
-        rows.append((k * spec.sample_interval_s, lat, lon, alt, yaw, pitch, roll))
+    for _ in range(config.n_samples):
+        rows.append((pos[0], pos[1], yaw, pitch, roll))
         # Each leg the step crosses and each waypoint it skips moves the
         # index on by one.
         remaining, last = step, wp_index + MAX_STEP_LEGS
@@ -208,7 +205,11 @@ def _walk(config: SimConfig) -> np.ndarray:
             else:
                 pos = pos + leg * (remaining / dist)
                 remaining = 0.0
-    return np.array(rows, dtype=float).reshape(-1, len(_POSE_FIELDS))
+    walk = np.array(rows, dtype=float)
+    up = np.full(len(walk), spec.altitude_m)
+    lat, lon, alt = enu_to_geodetic((walk[:, 0], walk[:, 1], up), config.budget.origin)
+    times = np.arange(len(walk)) * spec.sample_interval_s
+    return np.column_stack((times, lat, lon, alt, walk[:, 2:]))
 
 
 def generate_trajectory(config: SimConfig) -> list[TrajectoryPoint]:

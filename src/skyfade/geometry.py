@@ -29,9 +29,9 @@ Rows remain only at the edges.  :class:`MeasurementSample` is one logged
 measurement, the row type of synthesized datasets and of the dataset
 writer; its checks are a one-row :func:`check_poses`.  :class:`LinkGeometry`
 is one link, the single Kriging target, packed into columns by
-:meth:`Geometry.of`.  :func:`project_enu` and :func:`enu_to_geodetic` map
-one position between the geodetic and ENU frames, for callers that place
-waypoints or check a pose by hand.
+:meth:`Geometry.of`.  :func:`project_enu` maps one position from the
+geodetic frame to ENU, for callers that place waypoints or check a pose
+by hand; :func:`enu_to_geodetic` maps back, one position or columns.
 """
 
 from __future__ import annotations
@@ -186,12 +186,12 @@ class Geometry(Columns):
 
 
 def _project(lat, lon, alt, origin, errors: RowErrors):
-    """Equirectangular ENU columns (east, north, up) about ``origin``."""
+    """Equirectangular ENU columns (east, north, up) about ``origin``; an
+    origin out of range raises ValidationError, rows out of range are
+    flagged."""
     lat0, lon0, alt0 = origin
+    RowErrors.strict(_check, {"lat_deg": lat0, "lon_deg": lon0}, _POSE_RULES[:2], "origin ")
     _check({"lat_deg": lat, "lon_deg": lon}, _POSE_RULES[:2], "", errors)
-    n = np.size(lat)
-    origins = {"lat_deg": np.full(n, lat0), "lon_deg": np.full(n, lon0)}
-    _check(origins, _POSE_RULES[:2], "origin ", errors)
     east = EARTH_RADIUS_M * math.cos(math.radians(lat0)) * np.radians(lon - lon0)
     north = EARTH_RADIUS_M * np.radians(lat - lat0)
     return east, north, alt - alt0
@@ -223,16 +223,16 @@ def project_enu(
     return np.concatenate(RowErrors.strict(_project, lat, lon, alt, origin))
 
 
-def enu_to_geodetic(
-    enu: np.ndarray,
-    origin: tuple[float, float, float],
-) -> tuple[float, float, float]:
-    """Inverse of :func:`project_enu` about the same origin."""
+def enu_to_geodetic(enu, origin: tuple[float, float, float]):
+    """Inverse of :func:`project_enu` about the same origin: (lat_deg,
+    lon_deg, alt_m) of ``enu`` = (east, north, up), each a number or an
+    equal-length column.  Each entry is computed on its own, so a column
+    gives bitwise what its rows give one at a time."""
     lat0, lon0, alt0 = origin
-    east, north, up = float(enu[0]), float(enu[1]), float(enu[2])
-    lat = lat0 + math.degrees(north / EARTH_RADIUS_M)
-    lon = lon0 + math.degrees(east / (EARTH_RADIUS_M * math.cos(math.radians(lat0))))
-    return (lat, lon, alt0 + up)
+    east, north, up = enu
+    lat = lat0 + np.degrees(north / EARTH_RADIUS_M)
+    lon = lon0 + np.degrees(east / (EARTH_RADIUS_M * math.cos(math.radians(lat0))))
+    return lat, lon, alt0 + up
 
 
 def _elevation(d_east, d_north, d_up, errors: RowErrors):

@@ -78,9 +78,11 @@ at most 96 x M.
 
 The factor and the triangular solves are numpy alone: an up-looking
 block Cholesky over block rows of :data:`_TILE` rows
-(:func:`_cholesky_rows`), each diagonal tile factored by numpy's
-``cholesky`` and inverted once as a triangle, by halves
-(:func:`_lower_inverse`), its inverse then serving the tiles below it and
+(:func:`_cholesky_rows`).  A block row's strip left of its diagonal tile
+is a forward solve against the rows above it, run by the same
+:func:`_forward_rows` as the solves; each diagonal tile is then factored
+by numpy's ``cholesky`` and inverted once as a triangle, by halves
+(:func:`_lower_inverse`), its inverse serving the block rows below it and
 the triangular solves.  The factor reads a block row of the lower
 triangle only when it reaches it, so it never holds the upper half; the
 field draw in :mod:`fieldsim` factors a
@@ -286,34 +288,22 @@ def _cholesky_rows(cov, shift) -> tuple[list[np.ndarray], list[np.ndarray]]:
     written.  Each block row is then overwritten with the same rows of L,
     zeros above the diagonal included.
     Up-looking block Cholesky (Golub & Van Loan, *Matrix Computations*,
-    4th ed., sec. 4.2) over :data:`_TILE`-row tiles: in block row t, each
-    earlier tile j becomes L_tj = (A_tj - L_t,<j L_j,<j^T) inv_j^T, and
-    then A_tt - L_t,<t L_t,<t^T is factored and inverted.  Temporaries are
-    _TILE x _TILE.  Raises ``np.linalg.LinAlgError`` at the first tile
-    that is not positive definite.
+    4th ed., sec. 4.2) over :data:`_TILE`-row tiles: in block row t, the
+    strip left of the diagonal tile satisfies L_t,<t^T = L_<t^-1 A_<t,t,
+    a forward solve against the rows already factored, which
+    :func:`_forward_rows` runs in place on the strip's transpose; then
+    A_tt - L_t,<t L_t,<t^T is factored and inverted.  Raises
+    ``np.linalg.LinAlgError`` at the first tile that is not positive
+    definite.
     """
-    n = cov.shape[0]
     rows, inverses = [], []
-    buf = np.empty((min(n, _TILE), min(n, _TILE)))
-    for k0 in range(0, n, _TILE):
-        k1 = min(k0 + _TILE, n)
-        width = k1 - k0
+    for k0, k1 in _spans(cov.shape[0], _TILE):
         row = np.require(cov[k0:k1, :k1], requirements="CO")
-        row[:, k0:k1][np.diag_indices(width)] += shift
-        out = buf[:width]
-        for j0, inv, done in zip(range(0, k0, _TILE), inverses, rows):
-            block = row[:, j0 : j0 + _TILE]
-            if j0:
-                block -= np.matmul(row[:, :j0], done[:, :j0].T, out=out)
-            np.copyto(block, np.matmul(block, inv.T, out=out))
-        tile = row[:, k0:k1]
-        if k0:
-            prod = np.matmul(row[:, :k0], row[:, :k0].T, out=out[:, :width])
-            l11 = np.linalg.cholesky(tile - prod)
-        else:
-            l11 = np.linalg.cholesky(tile)
-        tile[...] = l11
-        inverses.append(_lower_inverse(l11))
+        row[:, k0:k1][np.diag_indices(k1 - k0)] += shift
+        left, tile = row[:, :k0], row[:, k0:k1]
+        _forward_rows(rows, inverses, left.T)
+        tile[...] = np.linalg.cholesky(tile - left @ left.T)
+        inverses.append(_lower_inverse(tile))
         rows.append(row)
     return rows, inverses
 
@@ -321,13 +311,14 @@ def _cholesky_rows(cov, shift) -> tuple[list[np.ndarray], list[np.ndarray]]:
 def _forward_rows(rows, inverses, b) -> None:
     """Overwrite ``b`` with L^-1 b, where ``rows`` and ``inverses`` are
     what :func:`_cholesky_rows` returned for C = L L^T, one tile of rows at
-    a time, through one (tile, k) temporary for k columns of ``b``."""
+    a time, through one (tile, k) temporary for k columns of ``b``.  ``b``
+    may be a strided view, as the factor's transposed strip is; the first
+    tile's product with no earlier rows adds exact zeros."""
     n = b.shape[0]
     tmp = np.empty((min(n, _TILE),) + b.shape[1:])
     for (k0, k1), row, inv in zip(_spans(n, _TILE), rows, inverses):
         part, out = b[k0:k1], tmp[: k1 - k0]
-        if k0:
-            part -= np.matmul(row[:, :k0], b[:k0], out=out)
+        part -= np.matmul(row[:, :k0], b[:k0], out=out)
         np.copyto(part, np.matmul(inv, part, out=out))
 
 
@@ -345,19 +336,15 @@ def _cholesky_solve_rows(rows, inverses, b) -> None:
     for (k0, k1), row, inv in reversed(list(zip(_spans(n, _TILE), rows, inverses))):
         part = b[k0:k1]
         np.copyto(part, np.matmul(inv.T, part, out=tmp[: k1 - k0]))
-        if k0:
-            b[:k0] -= row[:, :k0].T @ part
+        b[:k0] -= row[:, :k0].T @ part
 
 
 def _lower_matvec(rows, g) -> np.ndarray:
     """L @ g for the block rows of L that :func:`_cholesky_rows` returned,
     a block row at a time."""
     out = np.empty(len(g))
-    k0 = 0
-    for row in rows:
-        k1 = row.shape[1]
+    for (k0, k1), row in zip(_spans(len(g), _TILE), rows):
         out[k0:k1] = row[:, :k0] @ g[:k0] + row[:, k0:k1] @ g[k0:k1]
-        k0 = k1
     return out
 
 
@@ -372,8 +359,7 @@ def _residual(cov, shift, x, b) -> float:
     for k0, k1 in _spans(len(x), _TILE):
         row = cov[k0:k1, :k1]
         cx[k0:k1] += row @ x[:k1]
-        if k0:
-            cx[:k0] += row[:, :k0].T @ x[k0:k1]
+        cx[:k0] += row[:, :k0].T @ x[k0:k1]
         del row
     cx -= b
     return float(np.abs(cx, out=cx).max())

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InsufficientDataError, RowErrors, SchemaError, ValidationError
-from .geometry import Columns, Geometry, LinkGeometry, tilt_geometry
+from .geometry import _POSE_RULES, Columns, Geometry, LinkGeometry, tilt_geometry
 from .schema import open_csv
 
 SPEED_OF_LIGHT = 299792458.0
@@ -124,7 +124,8 @@ class LinkBudget:
     center sits ``antenna_height_m`` above it.  ``reflection`` is the
     complex ground reflection coefficient (default -1, perfect reflector
     with phase inversion; 0 disables the reflected ray).  Every number
-    must be finite.
+    must be finite, and the transmitter position a valid latitude and
+    longitude.
     """
 
     tx_lat_deg: float
@@ -142,6 +143,11 @@ class LinkBudget:
             value = getattr(self, f.name)
             if not isinstance(value, GainTable) and not np.isfinite(value):
                 raise ValidationError(f"link budget {f.name} must be finite: {value}")
+        for name, (_field, lo, hi, _message) in zip(("tx_lat_deg", "tx_lon_deg"), _POSE_RULES):
+            if not lo <= getattr(self, name) <= hi:
+                raise ValidationError(
+                    f"link budget {name} must lie in [{lo:g}, {hi:g}]: {getattr(self, name)}"
+                )
         if self.freq_hz <= 0.0:
             raise ValidationError(f"carrier frequency must be positive: {self.freq_hz}")
         if abs(self.reflection) > 1.0 + 1e-12:

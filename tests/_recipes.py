@@ -29,7 +29,7 @@ from skyfade import (
     kriging,
     synthesize_dataset,
 )
-from skyfade.correlation import KernelPoints, correlation_matrix, covariance_matrix
+from skyfade.correlation import Covariance, KernelPoints, correlation_matrix
 from skyfade.errors import RowErrors
 from skyfade.evaluation import TrialTable
 from skyfade.fieldsim import sample_sf_field
@@ -55,9 +55,9 @@ def kernel_correlation(model, a, b=None, mode="angle_aware"):
 
 
 def kernel_covariance(model, a, b=None, mode="angle_aware"):
-    """:func:`~skyfade.correlation.covariance_matrix` of ``a`` and ``b``,
-    made points as in :func:`kernel_correlation`."""
-    return covariance_matrix(*_kernel_points(model, a, b, mode))
+    """The whole :class:`~skyfade.correlation.Covariance` of ``a`` and
+    ``b``, made points as in :func:`kernel_correlation`."""
+    return Covariance(*_kernel_points(model, a, b, mode))[:, :]
 
 
 def _kernel_points(model, a, b, mode):

@@ -931,6 +931,30 @@ class TestFailureModes:
         assert not out.exists()
         assert not (tmp_path / "never_truth.json").exists()
 
+    @pytest.mark.parametrize("command", ["geometry", "simulate"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("tx_lat_deg", 95.0, "link budget tx_lat_deg must lie in [-90, 90]: 95.0"),
+            ("tx_lon_deg", 181.0, "link budget tx_lon_deg must lie in [-180, 180]: 181.0"),
+        ],
+    )
+    def test_transmitter_out_of_range_is_one_config_error(
+        self, ws, tmp_path, capsys, command, key, value, message
+    ):
+        """An out-of-range transmitter position used to fail every row of
+        geometry's input, one per line, and simulate past its walk."""
+        doc = json.loads(json.dumps(ws.config_doc))
+        doc["budget"][key] = value
+        config = tmp_path / "bad_origin.json"
+        config.write_text(json.dumps(doc))
+        argv = ["--input", str(ws.train)] if command == "geometry" else []
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert main([command, "--config", str(config), "--out", str(out), *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("out*"))
+
     def test_flight_box_within_the_walk_tolerance_fails(self, ws, tmp_path, capsys):
         """A box whose waypoints all lie within np.allclose of each other
         used to hang the trajectory walk."""

@@ -48,7 +48,6 @@ from skyfade.correlation import (
     _fit_rates,
     balance_resample,
     correlation_matrix,
-    covariance_matrix,
     dedm_eval,
     deserialize_model,
     empirical_angular_correlation,
@@ -712,12 +711,12 @@ class TestKernelPoints:
                 for sides in ((points[ma],), (points[ma], points[mb]), (points[mb], points[ma])):
                     if self.WIDTH[ma] == self.WIDTH[mb]:
                         assert correlation_matrix(model, *sides).shape == (20, 20)
-                        assert covariance_matrix(model, *sides).shape == (20, 20)
+                        assert Covariance(model, *sides)[:, :].shape == (20, 20)
                         continue
                     with pytest.raises(ValidationError, match="another restriction"):
                         correlation_matrix(model, *sides)
                     with pytest.raises(ValidationError, match="another restriction"):
-                        covariance_matrix(model, *sides)
+                        Covariance(model, *sides)[:, :]
 
     def test_geometries_are_not_points(self):
         model = edge_case_model()

@@ -10,6 +10,7 @@ from skyfade.errors import RowErrors, UndefinedGeometryError, ValidationError
 from skyfade.geometry import (
     EARTH_RADIUS_M,
     MeasurementSample,
+    _project,
     enu_to_geodetic,
     euler_zyx_matrices,
     project_enu,
@@ -84,6 +85,33 @@ class TestProjection:
             project_enu((0.0, 181.0, 0.0), ORIGIN)
         with pytest.raises(ValidationError):
             project_enu((0.0, 0.0, 0.0), (0.0, float("nan"), 0.0))
+
+    @pytest.mark.parametrize(
+        "origin, message",
+        [
+            ((95.0, 0.0, 0.0), "origin latitude out of range: 95.0"),
+            ((0.0, 181.0, 0.0), "origin longitude out of range: 181.0"),
+        ],
+    )
+    def test_origin_out_of_range_raises_once(self, origin, message):
+        """A bad origin raises before any row is looked at, rather than
+        flagging every row."""
+        with pytest.raises(ValidationError, match=message):
+            project_enu((0.0, 0.0, 0.0), origin)
+        lat = np.array([35.7, 95.0, 35.8])
+        errors = RowErrors()
+        with pytest.raises(ValidationError, match=message):
+            _project(lat, np.zeros(3), np.zeros(3), origin, errors)
+        assert not errors
+
+    def test_column_inverse_is_the_rows_inverse(self):
+        """enu_to_geodetic on columns gives bitwise what it gives each row
+        on its own."""
+        rng = np.random.default_rng(11)
+        east, north, up = rng.uniform(-4000.0, 4000.0, (3, 500))
+        lat, lon, alt = enu_to_geodetic((east, north, up), ORIGIN)
+        rows = np.array([enu_to_geodetic(p, ORIGIN) for p in zip(east, north, up)])
+        assert rows.tobytes() == np.column_stack((lat, lon, alt)).tobytes()
 
 
 class TestElevation:

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -235,6 +236,25 @@ class TestLinkBudget:
 
     def test_origin_property(self):
         assert BUDGET.origin == ORIGIN
+
+    @pytest.mark.parametrize(
+        "field, value, bounds",
+        [
+            ("tx_lat_deg", 95.0, "[-90, 90]"),
+            ("tx_lat_deg", -90.5, "[-90, 90]"),
+            ("tx_lon_deg", 181.0, "[-180, 180]"),
+            ("tx_lon_deg", -180.5, "[-180, 180]"),
+        ],
+    )
+    def test_rejects_transmitter_out_of_range(self, field, value, bounds):
+        kwargs = {"tx_lat_deg": 0.0, "tx_lon_deg": 0.0, field: value}
+        match = re.escape(f"link budget {field} must lie in {bounds}: {value}")
+        with pytest.raises(ValidationError, match=match):
+            LinkBudget(**kwargs)
+
+    def test_accepts_the_range_ends(self):
+        for lat, lon in ((-90.0, -180.0), (90.0, 180.0)):
+            assert LinkBudget(tx_lat_deg=lat, tx_lon_deg=lon).origin == (lat, lon, 0.0)
 
 
 class TestDecomposition:
