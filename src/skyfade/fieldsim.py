@@ -16,8 +16,10 @@ never holds the whole n x n covariance.  It factors their
 :class:`~skyfade.correlation.Covariance` as the Kriging solve does: the
 block Cholesky (:func:`skyfade.kriging._cholesky_rows`, numpy alone)
 reads the lower triangle a block row at a time, which the source builds
-from the points when it is read, and overwrites each with L's rows.  So
-5000 samples need about 100 MB, half the matrix, and the draw L @ g is
+from the points when it is read, and overwrites each with L's rows, the
+inverse of each diagonal tile in the tile's place.  So 5000 samples need
+about 102 MB of rows, half the matrix and the diagonal tiles, with no
+separate inverses beside them, and the draw L @ g is
 :func:`skyfade.kriging._lower_matvec` over those rows; only
 :mod:`skyfade.kriging` knows the factor's tile layout.  A merely
 semidefinite covariance falls back to a spectral square root (see
@@ -254,7 +256,7 @@ def sample_sf_field(geometries, truth: CorrelationModel, seed) -> np.ndarray:
 
     cov = Covariance(truth, points)
     try:
-        rows, _ = _cholesky_rows(cov, 0.0)
+        rows = _cholesky_rows(cov, 0.0)
     except np.linalg.LinAlgError:
         pass  # the failed factor's rows are dropped with the exception
     else:

@@ -69,12 +69,13 @@ Per system it then averages the drawn rows' duplicates
 (:func:`average_duplicates`) and passes :class:`TrainingPoints` and target
 :class:`KernelPoints` indexed out of them, which give bitwise what the
 rows themselves give.  For k targets, :func:`predict_sf_batch` holds one
-large buffer: L's lower triangle, as block rows, while the targets are
-predicted; the residual check that follows holds one block row of C at a
-time.  c0 is built once, an M x 128 block at a time, solved in place and
-dropped, so beyond the two k-length outputs the memory does not grow
-with k.  Every other temporary is an M x 2 pair of columns or a tile of
-at most 96 x M.
+large buffer: L's lower triangle, as block rows that hold the diagonal
+tiles' inverses in the tiles' places, while the targets are predicted;
+the residual check that follows holds one block row of C at a time.  c0
+is built once, an M x 128 block at a time, solved in place and dropped
+before the next block is built, so the peak is L plus one block, and
+beyond the two k-length outputs the memory does not grow with k.  Every
+other temporary is an M x 2 pair of columns or a tile of at most 96 x M.
 
 The factor and the triangular solves are numpy alone: an up-looking
 block Cholesky over block rows of :data:`_TILE` rows
@@ -82,12 +83,15 @@ block Cholesky over block rows of :data:`_TILE` rows
 is a forward solve against the rows above it, run by the same
 :func:`_forward_rows` as the solves; each diagonal tile is then factored
 by numpy's ``cholesky`` and inverted once as a triangle, by halves
-(:func:`_lower_inverse`), its inverse serving the block rows below it and
-the triangular solves.  The factor reads a block row of the lower
-triangle only when it reaches it, so it never holds the upper half; the
-field draw in :mod:`fieldsim` factors a
-:class:`~skyfade.correlation.Covariance` too and multiplies by the factor
-with :func:`_lower_matvec`, so only this module knows the tile layout.
+(:func:`_lower_inverse`).  The inverse is written over the tile, in the
+block row itself, and serves the block rows below it and the triangular
+solves; nothing else reads L's diagonal tiles, so no separate inverses
+are kept.  The factor reads a block row of the lower triangle only when
+it reaches it, so it never holds the upper half; the field draw in
+:mod:`fieldsim` factors a :class:`~skyfade.correlation.Covariance` too
+and multiplies by the factor with :func:`_lower_matvec`, which solves
+against each stored inverse for the tile's share, so only this module
+knows the tile layout.
 The tiles stay below 128 rows because
 numpy's OpenBLAS runs LAPACK multi-threaded from 128 up: on 2 vCPUs a
 128 x 128 ``cholesky`` takes 2.9 ms and a 96 x 96 one 40 us.  The
@@ -117,7 +121,8 @@ from .propagation import LinkBudget, SfTable, link_rsrp
 RESIDUAL_TOL = 1.0e-8
 MAX_ESCALATIONS = 6
 # Rows per block in the symmetry check, and targets per block of c0 in the
-# predictions: each M x 128 block is built, solved in place and dropped.
+# predictions: each M x 128 block is built, solved in place and dropped
+# before the next.
 _BLOCK = 128
 # Rows per diagonal tile of the Cholesky factor, and per block row of C
 # in the residual; below 128, where numpy's LAPACK calls turn
@@ -276,75 +281,78 @@ def _lower_inverse(lower) -> np.ndarray:
     return inv
 
 
-def _cholesky_rows(cov, shift) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _cholesky_rows(cov, shift) -> list[np.ndarray]:
     """Cholesky factor L (L L^T = C + shift I) of an n x n symmetric C, a
-    block row at a time; returns (rows, inverses): L's block rows and the
-    inverses of its diagonal tiles, in order.
+    block row at a time; returns its block rows, in order, each holding
+    L's strip left of its diagonal tile and, in the tile's place, the
+    inverse of L's diagonal tile.
 
     ``cov`` is an array or a :class:`Covariance`, read only as its lower
     block rows ``cov[k0:k1, :k1]``, each when the factor reaches it.  A
     block the source builds is used as it is, a view of an array is copied,
     and ``shift`` is added on its diagonal tile; ``cov`` itself is never
-    written.  Each block row is then overwritten with the same rows of L,
-    zeros above the diagonal included.
+    written.  Each block row is then overwritten: its strip with the same
+    rows of L and its diagonal tile with the tile inverse.
     Up-looking block Cholesky (Golub & Van Loan, *Matrix Computations*,
     4th ed., sec. 4.2) over :data:`_TILE`-row tiles: in block row t, the
     strip left of the diagonal tile satisfies L_t,<t^T = L_<t^-1 A_<t,t,
     a forward solve against the rows already factored, which
     :func:`_forward_rows` runs in place on the strip's transpose; then
-    A_tt - L_t,<t L_t,<t^T is factored and inverted.  Raises
-    ``np.linalg.LinAlgError`` at the first tile that is not positive
-    definite.
+    A_tt - L_t,<t L_t,<t^T is factored, and only its factor's inverse
+    (:func:`_lower_inverse`) is kept.  Raises ``np.linalg.LinAlgError`` at
+    the first tile that is not positive definite.
     """
-    rows, inverses = [], []
+    rows = []
     for k0, k1 in _spans(cov.shape[0], _TILE):
         row = np.require(cov[k0:k1, :k1], requirements="CO")
         row[:, k0:k1][np.diag_indices(k1 - k0)] += shift
         left, tile = row[:, :k0], row[:, k0:k1]
-        _forward_rows(rows, inverses, left.T)
-        tile[...] = np.linalg.cholesky(tile - left @ left.T)
-        inverses.append(_lower_inverse(tile))
+        _forward_rows(rows, left.T)
+        tile[...] = _lower_inverse(np.linalg.cholesky(tile - left @ left.T))
         rows.append(row)
-    return rows, inverses
+    return rows
 
 
-def _forward_rows(rows, inverses, b) -> None:
-    """Overwrite ``b`` with L^-1 b, where ``rows`` and ``inverses`` are
-    what :func:`_cholesky_rows` returned for C = L L^T, one tile of rows at
-    a time, through one (tile, k) temporary for k columns of ``b``.  ``b``
-    may be a strided view, as the factor's transposed strip is; the first
-    tile's product with no earlier rows adds exact zeros."""
+def _forward_rows(rows, b) -> None:
+    """Overwrite ``b`` with L^-1 b, where ``rows`` are what
+    :func:`_cholesky_rows` returned for C = L L^T, one tile of rows at a
+    time, through one (tile, k) temporary for k columns of ``b``.  ``b``
+    may be a strided view, as the factor's transposed strip is.  Each
+    tile of rows takes out the strip's product with the rows above, then
+    multiplies by the tile inverse its block row holds; the first tile's
+    product with no earlier rows adds exact zeros."""
     n = b.shape[0]
     tmp = np.empty((min(n, _TILE),) + b.shape[1:])
-    for (k0, k1), row, inv in zip(_spans(n, _TILE), rows, inverses):
+    for (k0, k1), row in zip(_spans(n, _TILE), rows):
         part, out = b[k0:k1], tmp[: k1 - k0]
         part -= np.matmul(row[:, :k0], b[:k0], out=out)
-        np.copyto(part, np.matmul(inv, part, out=out))
+        np.copyto(part, np.matmul(row[:, k0:k1], part, out=out))
 
 
-def _cholesky_solve_rows(rows, inverses, b) -> None:
+def _cholesky_solve_rows(rows, b) -> None:
     """Overwrite ``b`` with C^-1 b for C = L L^T: forward with L
     (:func:`_forward_rows`), then back with L^T by columns (Golub & Van
     Loan, *Matrix Computations*, 4th ed., sec. 3.1), from the last tile of
-    rows to the first, so it too reads only L's block rows: each tile's
-    rows of b are solved with the tile inverse's transpose, and the part of
-    the block row left of its diagonal tile, transposed, then takes their
+    rows to the first, so it too reads only the block rows: each tile's
+    rows of b are solved with the transpose of the tile inverse the block
+    row holds, and the strip left of it, transposed, then takes their
     share out of the rows above."""
-    _forward_rows(rows, inverses, b)
+    _forward_rows(rows, b)
     n = b.shape[0]
     tmp = np.empty((min(n, _TILE),) + b.shape[1:])
-    for (k0, k1), row, inv in reversed(list(zip(_spans(n, _TILE), rows, inverses))):
+    for (k0, k1), row in reversed(list(zip(_spans(n, _TILE), rows))):
         part = b[k0:k1]
-        np.copyto(part, np.matmul(inv.T, part, out=tmp[: k1 - k0]))
+        np.copyto(part, np.matmul(row[:, k0:k1].T, part, out=tmp[: k1 - k0]))
         b[:k0] -= row[:, :k0].T @ part
 
 
 def _lower_matvec(rows, g) -> np.ndarray:
-    """L @ g for the block rows of L that :func:`_cholesky_rows` returned,
-    a block row at a time."""
+    """L @ g for the block rows that :func:`_cholesky_rows` returned, a
+    block row at a time: the strip's product plus L_tt g_t, solved
+    against the tile inverse the block row holds."""
     out = np.empty(len(g))
     for (k0, k1), row in zip(_spans(len(g), _TILE), rows):
-        out[k0:k1] = row[:, :k0] @ g[:k0] + row[:, k0:k1] @ g[k0:k1]
+        out[k0:k1] = row[:, :k0] @ g[:k0] + np.linalg.solve(row[:, k0:k1], g[k0:k1])
     return out
 
 
@@ -373,8 +381,9 @@ def _solve(cov, b, sigma2, base_nugget, outputs=None):
     otherwise), or a :class:`Covariance`, and it is never written.  ``b``
     is an (M, n) array.  Each rung adds ``nugget - base_nugget`` to the
     diagonal, factors (:func:`_cholesky_rows`) and solves a copy of B.
-    While the factor is held, ``out = outputs(rows, inverses, X)`` (None
-    without ``outputs``); the factor is then dropped before the residual
+    While the factor is held, ``out = outputs(rows, X)``, ``rows`` as
+    :func:`_cholesky_rows` returned them (None without ``outputs``); the
+    factor is then dropped before the residual
     check builds C's block rows again.  The first finite X whose
     largest |C X - B| entry (:func:`_residual`), relative to the largest
     |B| entry (or 1 if larger), is below RESIDUAL_TOL is accepted.  A
@@ -395,13 +404,13 @@ def _solve(cov, b, sigma2, base_nugget, outputs=None):
             nugget = DEFAULT_NUGGET_FACTOR * sigma2 if nugget == 0.0 else nugget * 10.0
         shift = nugget - base_nugget
         try:
-            rows, inverses = _cholesky_rows(cov, shift)
+            rows = _cholesky_rows(cov, shift)
         except np.linalg.LinAlgError:
             continue
         x = b.copy()
-        _cholesky_solve_rows(rows, inverses, x)
-        out = outputs(rows, inverses, x) if outputs else None
-        del rows, inverses
+        _cholesky_solve_rows(rows, x)
+        out = outputs(rows, x) if outputs else None
+        del rows
         if np.isfinite(x).all() and _residual(cov, shift, x, b) / scale < RESIDUAL_TOL:
             return x, nugget, out
     raise SingularSystemError(
@@ -463,6 +472,8 @@ def _predict(cov, c0, w, sigma2, base_nugget):
     each block of :data:`_BLOCK` targets then builds (or copies) its c0
     block once, takes c0^T X and forward-solves the block in place into
     v = L^-1 c0, while the factor is held, before the residual check.
+    Each block is released before the next is built, so the factor's
+    rows and one block are the most that is held.
 
     What the check on [w | 1] bounds: with R = [R_w | R_1] = C X - [w | 1],
     X solves [w | 1] + R exactly, and the check holds every |R| entry below
@@ -475,16 +486,17 @@ def _predict(cov, c0, w, sigma2, base_nugget):
     """
     k = c0.shape[1]
 
-    def outputs(rows, inverses, x):
+    def outputs(rows, x):
         alpha_sum, a_sum = x.sum(axis=0)
         w_hat, variance = np.empty(k), np.empty(k)
         for j0, j1 in _spans(k):
             v = np.require(c0[:, j0:j1], requirements="CO")
             c0_alpha, c0_a = x.T @ v
-            _forward_rows(rows, inverses, v)
+            _forward_rows(rows, v)
             nu = (c0_a - 1.0) / a_sum
             w_hat[j0:j1] = c0_alpha - nu * alpha_sum
             variance[j0:j1] = sigma2 - np.einsum("ij,ij->j", v, v) + nu**2 * a_sum
+            del v  # before the next block is built
         return w_hat, np.maximum(variance, 0.0)
 
     b = np.column_stack((w, np.ones(len(w))))

@@ -68,13 +68,29 @@ def _kernel_points(model, a, b, mode):
 
 def assemble_lower(rows):
     """The lower-triangular L whose block rows
-    :func:`skyfade.kriging._cholesky_rows` returned."""
+    :func:`skyfade.kriging._cholesky_rows` returned: each block row's
+    strip as it is, and in place of the tile inverse it holds, that
+    inverse's inverse."""
     n = rows[-1].shape[1]
     lower = np.zeros((n, n))
     for row in rows:
         k1 = row.shape[1]
-        lower[k1 - row.shape[0] : k1, :k1] = row
+        k0 = k1 - row.shape[0]
+        lower[k0:k1, :k0] = row[:, :k0]
+        lower[k0:k1, k0:k1] = np.tril(np.linalg.inv(row[:, k0:]))
     return lower
+
+
+def assert_tile_inverses(rows, cov):
+    """Each block row of the factor of ``cov`` holds in its diagonal tile
+    bitwise :func:`skyfade.kriging._lower_inverse` of that tile's Cholesky
+    factor, formed from its strip as the factor forms it."""
+    for row in rows:
+        k1 = row.shape[1]
+        k0 = k1 - row.shape[0]
+        left = row[:, :k0]
+        factor = np.linalg.cholesky(cov[k0:k1, k0:k1] - left @ left.T)
+        assert np.array_equal(row[:, k0:], kriging._lower_inverse(factor)), k0
 
 
 def lower_entries(m):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from _recipes import (
     BUDGET,
     assemble_lower,
+    assert_tile_inverses,
     built_entries,
     decompose_all,
     fidelity_case,
@@ -25,6 +26,7 @@ from _recipes import (
 )
 from skyfade import correlation, kriging
 from skyfade.correlation import (
+    CORRELATION_TILE_ENTRIES,
     MODES,
     AngleBins,
     CorrelationModel,
@@ -335,9 +337,10 @@ class TestBlockedCholesky:
     def test_factors_lower_triangle_in_place(self, n, seed, ridge):
         """Backward error at rounding level and numpy's factor to 1e-10,
         with C's lower block rows stubbed into :func:`correlation_matrix`;
-        the factor overwrites the blocks it is given in place and leaves
-        C bitwise as it was.  The stub reads each row's index from its
-        east coordinate."""
+        the factor overwrites the blocks it is given in place, each
+        diagonal tile with its factor's inverse, and leaves C bitwise as
+        it was.  The stub reads each row's index from its east
+        coordinate."""
         x = np.random.default_rng(seed).standard_normal((n, n))
         cov = x @ x.T / n + ridge * np.eye(n)
         before = cov.copy()
@@ -350,8 +353,9 @@ class TestBlockedCholesky:
         truth = flat_truth(sigma2=1.0, nugget=0.0)
         points = KernelPoints.of(truth, [mk_geom(float(i), 0.0) for i in range(n)])
         with mock.patch.object(correlation, "correlation_matrix", stub):
-            rows, _ = kriging._cholesky_rows(Covariance(truth, points), 0.0)
+            rows = kriging._cholesky_rows(Covariance(truth, points), 0.0)
         assert all(row is block for row, block in zip(rows, blocks, strict=True))
+        assert_tile_inverses(rows, cov)
         lower = assemble_lower(rows)
         scale = float(np.abs(cov).max())
         assert float(np.abs(lower @ lower.T - cov).max()) <= 1e-12 * scale
@@ -419,6 +423,24 @@ class TestBlockedCholesky:
         finally:
             tracemalloc.stop()
         assert peak <= 0.6 * 8 * 3000**2
+
+    def test_draw_holds_the_factor_rows_and_one_row_of_temporaries(self):
+        """The traced peak of a 1000-sample draw is L's block rows, which
+        hold the tile inverses in their diagonal tiles' places, plus one
+        block row's worth for the temporaries of the row being built, plus
+        the two tiles :func:`correlation_matrix` fills.  Separate tile
+        inverses, 8 n * 96 bytes, would not fit beside them."""
+        n = 1000
+        truth = gap_benchmark_truth()
+        geoms = lawnmower_geometry(n, truth)
+        tracemalloc.start()
+        try:
+            sample_sf_field(geoms, truth, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 8 * (lower_entries(n) + kriging._TILE * n + 2 * CORRELATION_TILE_ENTRIES)
+        assert peak < bound < peak + 8 * kriging._TILE * n
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n", [1, 95, 96, 97, 600])

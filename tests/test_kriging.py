@@ -11,6 +11,7 @@ import pytest
 from _recipes import (
     BUDGET,
     assemble_lower,
+    assert_tile_inverses,
     built_entries,
     decompose_all,
     kernel_correlation,
@@ -315,6 +316,32 @@ class TestSolvePaths:
         assert alive == [0] * len(asked)
         assert residual == _residual(cov, 0.25, x, b)
 
+    def test_predict_holds_one_c0_block_at_a_time(self):
+        # _predict asks for c0's blocks of _BLOCK targets once each, in
+        # order, and no block it was given is alive when it asks for the
+        # next: the peak is L plus one block.
+        model = smooth_model(nugget=1e-4)
+        training = SfTable.of(scattered_samples(150, seed=32))
+        targets = Geometry.of([s.geometry for s in scattered_samples(3 * _BLOCK + 5, seed=33)])
+        w, cov, c0 = kriging._covariances(training, targets, model)
+        whole = c0[:, :]
+        asked, alive, given = [], [], []
+
+        class Recording:
+            shape = whole.shape
+
+            def __getitem__(self, index):
+                asked.append(index[1].start)
+                alive.append(sum(ref() is not None for ref in given))
+                block = whole[index].copy()  # a new array, as a source builds
+                given.append(weakref.ref(block))
+                return block
+
+        got = _predict(cov, Recording(), w, model.sigma2, model.nugget)
+        assert asked == list(range(0, whole.shape[1], _BLOCK))
+        assert alive == [0] * len(asked)
+        assert_bitwise(got, _predict(cov, whole, w, model.sigma2, model.nugget))
+
 
 def augmented_residual(cov, shift, rhs, x):
     """The largest |(C + shift I) X - [rhs | 1]| entry, formed whole."""
@@ -408,8 +435,8 @@ class TestInPlaceFactor:
         assert np.array_equal(cov, before)
 
     def test_array_solve_holds_its_factor_and_no_copy(self):
-        # Beside the caller's C the solve holds L's lower triangle and the
-        # tiles that test_source_path_holds_no_whole_matrix counts, and the
+        # Beside the caller's C the solve holds L's lower triangle, an
+        # allowance of 4 * 96 + 128 columns for its tiles, and the
         # (M, k + 1) solution of [rhs | 1] (traced peak about 0.8 of the
         # bound); a copy of C would add 8 M^2 bytes, more than the bound.
         m, k = 1500, 20
@@ -553,7 +580,7 @@ class TestBlockedTargetCovariance:
 
     def test_batch_holds_one_target_sized_buffer(self):
         # C's size (8 M^2 bytes; the solve holds at most its lower
-        # triangle beside the factor's tile inverses) and an allowance of
+        # triangle, as the factor's block rows) and an allowance of
         # four M x 128 tiles: a block of c0 and the covariance builds' tile
         # buffers.  The target-sized buffers left are the k-length outputs
         # and the targets' kernel points.  An (M, k + 1) buffer or the
@@ -652,13 +679,14 @@ class TestCovarianceSource:
         assert all(c <= _BLOCK for r, c in shapes if r == m)
 
     def test_source_path_holds_no_whole_matrix(self):
-        # L's lower triangle, 8 (M^2 / 2 + 48 M) bytes, and its tile
-        # inverses (8 M * 96); an M x 128 block of c0, 8 M * 96 for the
-        # covariance builds' tiles, and 8 M * 96 to spare.  The residual
-        # check, which holds one (96, M) block row of C at a time, runs
-        # after the factor is dropped.  The bound leaves no room for C
-        # whole (8 M^2 bytes) or an (M, k + 1) buffer beside the factor;
-        # the traced peak is about 0.92 of it (0.98 without the spare).
+        # L's block rows, 8 L(M) bytes with each tile inverse in its
+        # diagonal tile's place; one M x 128 block of c0; and 8 M * 96
+        # for the covariance builds' tiles and the solve's temporaries.
+        # The residual check, which holds one (96, M) block row of C at a
+        # time, runs after the factor is dropped.  The bound leaves no
+        # room for C whole (8 M^2 bytes), an (M, k + 1) buffer beside the
+        # factor, a second block of c0 or separate tile inverses
+        # (8 M * 96); the traced peak is about 0.96 of it.
         m, k = 2000, 200
         model = smooth_model(nugget=1e-4)
         training = SfTable.of(scattered_samples(m, seed=66))
@@ -669,7 +697,7 @@ class TestCovarianceSource:
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        bound = 8 * (m * m / 2 + (4 * _TILE + _BLOCK) * m)
+        bound = 8 * (lower_entries(m) + (_TILE + _BLOCK) * m)
         assert bound + 8 * m * k < 8 * m * m
         assert peak < bound
 
@@ -690,20 +718,21 @@ class TestTiledCholesky:
 
         a = random_spd(n, seed=n)
         before = a.copy()
-        rows, inverses = _cholesky_rows(a, 0.0)
+        rows = _cholesky_rows(a, 0.0)
         expect = scipy.linalg.cho_factor(a, lower=True)
         lower = assemble_lower(rows)
         assert np.abs(lower - np.tril(expect[0])).max() <= 1e-12 * np.abs(lower).max()
-        assert len(inverses) == -(-n // _TILE)
+        assert len(rows) == -(-n // _TILE)
+        assert_tile_inverses(rows, a)
         assert np.array_equal(a, before)
         for k in (1, 7, 130):
             rhs = np.random.default_rng(k).standard_normal((n, k))
             b = rhs.copy()
-            _forward_rows(rows, inverses, b)
+            _forward_rows(rows, b)
             x = scipy.linalg.solve_triangular(lower, rhs, lower=True)
             assert np.abs(b - x).max() <= 1e-12 * np.abs(x).max()
             b = rhs.copy()
-            _cholesky_solve_rows(rows, inverses, b)
+            _cholesky_solve_rows(rows, b)
             x = scipy.linalg.cho_solve(expect, rhs)
             assert np.abs(b - x).max() <= 1e-12 * np.abs(x).max()
 
@@ -716,14 +745,14 @@ class TestTiledCholesky:
         copy's to rounding.  Not bitwise: with numpy 2.4 and its OpenBLAS,
         widths 2 to 96 at n = 97 differ in the last bits, as the two
         layouts take different kernels."""
-        rows, inverses = _cholesky_rows(random_spd(n, seed=n), 0.0)
+        rows = _cholesky_rows(random_spd(n, seed=n), 0.0)
         row = np.random.default_rng(width).standard_normal((width, n + width))
         before = row.copy()
         view = row[:, :n].T
         assert not view.flags.c_contiguous
         copy = np.ascontiguousarray(view)
-        _forward_rows(rows, inverses, view)
-        _forward_rows(rows, inverses, copy)
+        _forward_rows(rows, view)
+        _forward_rows(rows, copy)
         assert np.abs(row[:, :n].T - copy).max() <= 1e-13 * np.abs(copy).max()
         assert np.array_equal(row[:, n:], before[:, n:])
         x = np.linalg.solve(assemble_lower(rows), before[:, :n].T)
@@ -742,21 +771,19 @@ class TestTiledCholesky:
     @pytest.mark.parametrize("n", [1, _TILE - 1, _TILE, _TILE + 1, 3 * _TILE + 5])
     def test_rows_factor_separate_rows_as_views(self, n):
         """Block rows a :class:`Covariance` builds as separate arrays factor
-        bitwise as the copied views of its whole array do, rows and tile
-        inverses alike, and L @ g over them is the product with L."""
+        bitwise as the copied views of its whole array do, strips and tile
+        inverses alike; each tile holds its factor's inverse, and L @ g
+        over the rows is the product with L."""
         model = smooth_model(nugget=1e-4)
         geoms = [s.geometry for s in scattered_samples(n, seed=n)]
         source = Covariance(model, KernelPoints.of(model, geoms))
-        rows, inverses = _cholesky_rows(source, 0.0)
-        views, view_inverses = _cholesky_rows(source[:, :], 0.0)
-        assert len(rows) == len(views) == len(inverses) == -(-n // _TILE)
+        whole = source[:, :]
+        rows = _cholesky_rows(source, 0.0)
+        views = _cholesky_rows(whole, 0.0)
+        assert len(rows) == len(views) == -(-n // _TILE)
         for row, view in zip(rows, views):
             assert np.array_equal(row, view)
-            # The diagonal tile holds L exactly: zeros above its diagonal.
-            tile = row[:, row.shape[1] - row.shape[0] :]
-            assert not np.triu(tile, 1).any()
-        for inv, view_inv in zip(inverses, view_inverses):
-            assert np.array_equal(inv, view_inv)
+        assert_tile_inverses(rows, whole)
         g = np.random.default_rng(n).standard_normal(n)
         expect = assemble_lower(rows) @ g
         assert np.abs(kriging._lower_matvec(rows, g) - expect).max() <= 1e-12 * np.abs(expect).max()
