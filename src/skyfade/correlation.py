@@ -57,7 +57,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .geometry import Columns, Geometry
+from .geometry import Columns, Geometry, first_occurrence_groups
 from .propagation import SfTable, sf_statistics
 from .schema import JsonObject, decode, encode_number, read_json, write_json
 
@@ -586,13 +586,29 @@ def empirical_correlogram(
     Raises :class:`InsufficientCoverageError` when more than
     :data:`EMPTY_LAG_TOL` of the lags are empty.
 
-    Memory is O(n): row blocks of about ``CORRELOGRAM_BLOCK_PAIRS`` pairs,
-    whose distances :func:`_distance` computes.  The sums are bitwise one
-    ``bincount`` per 512-row chunk over its pairs in row-major order, added
-    chunk by chunk, whatever the block size: so the correlogram and the
-    model fitted to it do not depend on how the pass bounds its memory,
-    and a plain per-chunk reference pins every bit, which makes any change
-    to the pass that moves an output show in the tests.
+    A pair's distance, cutoff and lag depend on its two positions alone,
+    so the pass runs over the distinct (east, north) positions, in order
+    of first occurrence (:func:`~skyfade.geometry.first_occurrence_groups`),
+    and weights each pair of positions by the rows they hold (binned
+    moment sums over location pairs; Cressie 1993, sec. 2.4).  With n_p
+    rows at position p and S_p the sum of their deviations w - mu, the
+    pair p < q adds n_p n_q to its lag's count, S_p S_q to its product
+    sum and d n_p n_q to its distance sum; the pair p = p, at d = 0 in
+    lag 0, adds the n_p (n_p - 1) / 2 pairs of p's own rows, with product
+    sum (S_p^2 - sum of their squared deviations) / 2.  When no position
+    repeats, every weight is 1 and every p = p term 0, which changes no
+    bit of the sums, so the pass leaves them out and runs over the rows as
+    they are.  The cost grows with the square of the number of distinct
+    positions, not of rows.
+
+    Memory is O(n): row blocks of about ``CORRELOGRAM_BLOCK_PAIRS`` pairs
+    of positions, whose distances :func:`_distance` computes.  The sums
+    are bitwise one ``bincount`` per 512-position chunk over its weighted
+    pairs p <= q in row-major order (p < q without repeats), added chunk
+    by chunk, whatever the block size: so the correlogram and the model
+    fitted to it do not depend on how the pass bounds its memory, and a
+    plain per-chunk reference pins every bit, which makes any change to
+    the pass that moves an output show in the tests.
     """
     if n_lags < 1:
         raise ValidationError("need n_lags >= 1")
@@ -603,16 +619,28 @@ def empirical_correlogram(
     table = SfTable.of(samples)
     east, north = table.geometry.east_m, table.geometry.north_m
     dev = table.sf_db - mu
-    n = east.size
-    if n < 2:
+    if east.size < 2:
         raise ValidationError("need at least two samples")
+
+    first, group = first_occurrence_groups(np.column_stack((east, north)))
+    rows = own_prod = None
+    if first.size < east.size:
+        east, north = east[first], north[first]
+        rows = np.bincount(group)
+        sums = np.bincount(group, weights=dev)
+        own_prod = (sums * sums - np.bincount(group, weights=dev * dev)) / 2
+        dev = sums
+    # Without repeats, no row-length array but the inputs stays alive.
+    del first, group
+    n = east.size
 
     width = max_lag_m / n_lags
     prod_sum = np.zeros(n_lags)
     dist_sum = np.zeros(n_lags)
     count = np.zeros(n_lags, dtype=np.int64)
     chunk = 512
-    above = ~np.tri(min(chunk, n), dtype=bool)  # column > row, sliced per block
+    # column > row, or column >= row with the p = p terms; sliced per block
+    above = ~np.tri(min(chunk, n), k=0 if rows is None else -1, dtype=bool)
     for i0 in range(0, n, chunk):
         i1 = min(i0 + chunk, n)
         prod_part, dist_part = np.zeros(n_lags), np.zeros(n_lags)
@@ -623,9 +651,19 @@ def empirical_correlogram(
             keep = d < max_lag_m
             keep[:, : r1 - r0] &= above[: r1 - r0, : r1 - r0]
             dk = d[keep]
-            pk = np.multiply(dev[r0:r1, None], dev[None, r0:], out=d)[keep]
+            pk = np.multiply(dev[r0:r1, None], dev[None, r0:], out=d)
             idx = np.minimum((dk / width).astype(np.int64), n_lags - 1)
-            count += np.bincount(idx, minlength=n_lags)
+            if rows is None:
+                count += np.bincount(idx, minlength=n_lags)
+            else:
+                nk = np.multiply(rows[r0:r1, None], rows[None, r0:])
+                own = np.arange(r1 - r0)
+                nk[own, own] = rows[r0:r1] * (rows[r0:r1] - 1) // 2
+                pk[own, own] = own_prod[r0:r1]
+                nk = nk[keep]
+                count += np.bincount(idx, weights=nk, minlength=n_lags).astype(np.int64)
+                dk *= nk
+            pk = pk[keep]
             # add.at adds in index order, so each bin goes on adding its
             # pairs to its running chunk sum in row-major order, as one
             # bincount would.

@@ -29,9 +29,11 @@ Rows remain only at the edges.  :class:`MeasurementSample` is one logged
 measurement, the row type of synthesized datasets and of the dataset
 writer; its checks are a one-row :func:`check_poses`.  :class:`LinkGeometry`
 is one link, the single Kriging target, packed into columns by
-:meth:`Geometry.of`.  :func:`project_enu` maps one position from the
-geodetic frame to ENU, for callers that place waypoints or check a pose
-by hand; :func:`enu_to_geodetic` maps back, one position or columns.
+:meth:`Geometry.of`.  :func:`first_occurrence_groups` groups equal rows
+for the Kriging dedup and the correlogram.  :func:`project_enu` maps one
+position from the geodetic frame to ENU, for callers that place waypoints
+or check a pose by hand; :func:`enu_to_geodetic` maps back, one position
+or columns.
 """
 
 from __future__ import annotations
@@ -183,6 +185,25 @@ class Geometry(Columns):
             dtype=float,
         ).reshape(-1, len(_LINK_FIELDS))
         return cls(*table.T.copy())
+
+
+def first_occurrence_groups(keys) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, group)`` for rows with one key each in ``keys``, a 1-d
+    array or a 2-d array whose rows are the keys.  Rows share a group
+    exactly when their keys are equal, and the groups are numbered in
+    order of first occurrence: ``first[g]`` is group g's first row and
+    ``group[i]`` row i's group, so the numbering depends only on which
+    rows are equal."""
+    keys = np.asarray(keys)
+    axis = 0 if keys.ndim > 1 else None
+    _, first, inverse = np.unique(
+        keys, axis=axis, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    # numpy versions differ in the shape of the inverse; ravel it.
+    return first[order], rank[inverse.ravel()]
 
 
 def _project(lat, lon, alt, origin, errors: RowErrors):

@@ -115,7 +115,7 @@ from .correlation import (
     KernelPoints,
 )
 from .errors import RowErrors, SingularSystemError, ValidationError
-from .geometry import Columns, Geometry, LinkGeometry
+from .geometry import Columns, Geometry, LinkGeometry, first_occurrence_groups
 from .propagation import LinkBudget, SfTable, link_rsrp
 
 RESIDUAL_TOL = 1.0e-8
@@ -152,14 +152,15 @@ class KrigingSystem:
 def duplicate_groups(geometry: Geometry) -> np.ndarray:
     """Group id of each row of ``geometry``: rows share one exactly when
     they are equal in east, north, up, theta, theta_gs and delta.  The ids
-    are numbered in no particular order (see :func:`average_duplicates`)."""
+    are numbered in order of first occurrence
+    (:func:`~skyfade.geometry.first_occurrence_groups`)."""
     keys = np.column_stack(
         (
             geometry.east_m, geometry.north_m, geometry.up_m,
             geometry.theta_deg, geometry.theta_gs_deg, geometry.delta_deg,
         )
     )
-    return np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+    return first_occurrence_groups(keys)[1]
 
 
 def average_duplicates(ids, values) -> tuple[np.ndarray, np.ndarray]:
@@ -168,13 +169,8 @@ def average_duplicates(ids, values) -> tuple[np.ndarray, np.ndarray]:
     ``values`` over each group, in the same order.  Only which ids are
     equal matters, so the ids of a larger row set, indexed by some of its
     rows, give bitwise what those rows' own ids give."""
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    # Renumber the groups in order of first occurrence.
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    group = rank[inverse.ravel()]
-    return first[order], np.bincount(group, weights=values) / np.bincount(group)
+    first, group = first_occurrence_groups(ids)
+    return first, np.bincount(group, weights=values) / np.bincount(group)
 
 
 def dedup_training(samples) -> tuple[Geometry, np.ndarray]:

@@ -30,6 +30,7 @@ from _recipes import (
 )
 from skyfade.correlation import (
     CORRELATION_TILE_ENTRIES,
+    CORRELOGRAM_BLOCK_PAIRS,
     DEFAULT_ELEV_REPS,
     DEFAULT_MIN_CELL_COUNT,
     DEFAULT_TILT_REPS,
@@ -43,6 +44,7 @@ from skyfade.correlation import (
     DedmParams,
     KernelPoints,
     _bin_cells,
+    _distance,
     _estimate_profile,
     _fit_distance,
     _fit_rates,
@@ -1048,6 +1050,59 @@ def oracle_correlogram(east, north, w, mu, sigma2, max_lag, n_lags):
     return counts, rho, lag
 
 
+def oracle_group_correlogram(east, north, w, mu, sigma2, max_lag, n_lags):
+    """Correlogram bins over the distinct positions, in order of first
+    occurrence: one bincount per 512-position chunk over the chunk's
+    position pairs p <= q in row-major order, added chunk by chunk.  A pair
+    p < q weighs n_p n_q rows in the count and the distance sum and S_p S_q
+    in the product sum (S the position's summed deviation, accumulated row
+    by row); the pair p = p holds the n_p (n_p - 1) / 2 pairs of p's own
+    rows, with product sum (S_p^2 - sum of squared deviations) / 2."""
+    position = {}  # keeps the order of first occurrence
+    for x, y, v in zip(east.tolist(), north.tolist(), (w - mu).tolist()):
+        rows, s, q = position.get((x, y), (0, 0.0, 0.0))
+        position[(x, y)] = (rows + 1, s + v, q + v * v)
+    xy = np.array(list(position), dtype=float).reshape(-1, 2)
+    rows, s, q = (np.array(c) for c in zip(*position.values()))
+    u = rows.size
+    i, j = np.triu_indices(u, 0)
+    dx, dy = xy[i, 0] - xy[j, 0], xy[i, 1] - xy[j, 1]
+    d = np.sqrt(dx * dx + dy * dy)
+    own = i == j
+    pairs = np.where(own, rows[i] * (rows[i] - 1) // 2, rows[i] * rows[j])
+    prod = np.where(own, (s[i] * s[j] - q[i]) / 2, s[i] * s[j])
+    bins = np.minimum((d / (max_lag / n_lags)).astype(np.int64), n_lags - 1)
+    sums = np.zeros((2, n_lags))
+    counts = np.zeros(n_lags, dtype=np.int64)
+    for i0 in range(0, u, 512):
+        kept = (i >= i0) & (i < i0 + 512) & (d < max_lag)
+        b = bins[kept]
+        sums[0] += np.bincount(b, weights=prod[kept], minlength=n_lags)
+        sums[1] += np.bincount(b, weights=d[kept] * pairs[kept], minlength=n_lags)
+        counts += np.bincount(b, weights=pairs[kept], minlength=n_lags).astype(np.int64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = np.where(counts > 0, sums[0] / np.maximum(counts, 1) / sigma2, np.nan)
+        lag = np.where(counts > 0, sums[1] / np.maximum(counts, 1), np.nan)
+    return counts, rho, lag
+
+
+def brute_correlogram(east, north, w, mu, sigma2, max_lag, n_lags):
+    """Correlogram bins over every row pair at once, with no chunks."""
+    n = east.size
+    dx = east[:, None] - east[None, :]
+    dy = north[:, None] - north[None, :]
+    dist = np.sqrt(dx * dx + dy * dy)
+    iu = np.triu_indices(n, 1)
+    d = dist[iu]
+    prod = np.outer(w - mu, w - mu)[iu]
+    keep = d < max_lag
+    idx = np.minimum((d[keep] / (max_lag / n_lags)).astype(int), n_lags - 1)
+    counts = np.bincount(idx, minlength=n_lags)
+    rho = np.bincount(idx, weights=prod[keep], minlength=n_lags) / counts / sigma2
+    lag = np.bincount(idx, weights=d[keep], minlength=n_lags) / counts
+    return counts, rho, lag
+
+
 class TestCorrelogram:
     def hand_samples(self):
         east = [0.0, 5.0, 12.0, 28.0]
@@ -1084,33 +1139,78 @@ class TestCorrelogram:
         ]
         mu, sigma2, max_lag, n_lags = 0.3, 4.0, 200.0, 10
         gram = empirical_correlogram(samples, mu, sigma2, max_lag, n_lags)
-
-        dx = east[:, None] - east[None, :]
-        dy = north[:, None] - north[None, :]
-        dist = np.sqrt(dx * dx + dy * dy)
-        iu = np.triu_indices(n, 1)
-        d = dist[iu]
-        prod = np.outer(w - mu, w - mu)[iu]
-        keep = d < max_lag
-        idx = np.minimum((d[keep] / (max_lag / n_lags)).astype(int), n_lags - 1)
-        counts = np.bincount(idx, minlength=n_lags)
-        rho = np.bincount(idx, weights=prod[keep], minlength=n_lags) / counts / sigma2
-        lag = np.bincount(idx, weights=d[keep], minlength=n_lags) / counts
+        counts, rho, lag = brute_correlogram(east, north, w, mu, sigma2, max_lag, n_lags)
 
         assert gram.counts.tolist() == counts.tolist()
         assert np.allclose(gram.rho, rho, atol=1e-12)
         assert np.allclose(gram.lag_m, lag, atol=1e-12)
 
-    @pytest.mark.parametrize("block_pairs", [1, 700, 2**14])
-    @pytest.mark.parametrize("n", [2, 3, 511, 512, 513, 1100])
-    def test_matches_per_chunk_bincount(self, n, block_pairs, monkeypatch):
+    def test_repeated_positions_equal_brute_force(self):
+        # 600 positions (past one 512-position chunk), each held by one to
+        # several of 1200 rows in shuffled order.
+        rng = np.random.default_rng(22)
+        site = np.concatenate((np.arange(600), rng.integers(0, 600, 600)))
+        site = rng.permutation(site)
+        east = rng.uniform(-150.0, 150.0, 600)[site]
+        north = rng.uniform(-150.0, 150.0, 600)[site]
+        w = rng.normal(0.0, 2.0, site.size)
+        mu, sigma2, max_lag, n_lags = 0.3, 4.0, 200.0, 10
+        gram = empirical_correlogram(
+            sf_columns(east, north, w), mu, sigma2, max_lag, n_lags
+        )
+        counts, rho, lag = brute_correlogram(east, north, w, mu, sigma2, max_lag, n_lags)
+
+        assert counts[0] > 600  # the rows that share a position pair up in lag 0
+        assert np.array_equal(gram.counts, counts)
+        assert np.allclose(gram.rho, rho, rtol=0.0, atol=1e-12)
+        assert np.allclose(gram.lag_m, lag, rtol=1e-12, atol=0.0)
+
+    def test_rows_at_one_position_leave_lags_empty(self):
+        table = sf_columns(
+            np.full(50, 3.0), np.full(50, 4.0), np.random.default_rng(4).normal(size=50)
+        )
+        with pytest.raises(InsufficientCoverageError) as err:
+            empirical_correlogram(table, 0.0, 1.0, 40.0, 4)
+        assert err.value.missing == [1, 2, 3]
+
+    @staticmethod
+    def grid(n):
         # Integer positions put many pairs at d = 0, on lag edges and at
         # exactly max_lag; every third row is off the grid.
         rng = np.random.default_rng(n)
         east = rng.integers(0, 30, n).astype(float)
         north = rng.integers(0, 30, n).astype(float)
         east[::3] += rng.uniform(0.0, 1.0, east[::3].size)
-        w = rng.normal(0.0, 2.0, n)
+        return rng, east, north, rng.normal(0.0, 2.0, n)
+
+    @pytest.mark.parametrize("block_pairs", [1, 700, 2**14])
+    @pytest.mark.parametrize("n", [2, 3, 511, 512, 513, 1100])
+    def test_matches_per_chunk_bincount(self, n, block_pairs, monkeypatch):
+        _rng, east, north, w = self.grid(n)
+        mu, sigma2, max_lag, n_lags = 0.3, 4.0, 20.0, 8
+        monkeypatch.setattr(
+            "skyfade.correlation.CORRELOGRAM_BLOCK_PAIRS", block_pairs
+        )
+        monkeypatch.setattr("skyfade.correlation.EMPTY_LAG_TOL", 1.0)
+        gram = empirical_correlogram(
+            sf_columns(east, north, w), mu, sigma2, max_lag, n_lags
+        )
+        counts, rho, lag = oracle_group_correlogram(
+            east, north, w, mu, sigma2, max_lag, n_lags
+        )
+        assert np.array_equal(gram.counts, counts)
+        assert np.array_equal(gram.rho, rho, equal_nan=True)
+        assert np.array_equal(gram.lag_m, lag, equal_nan=True)
+
+    @pytest.mark.parametrize("block_pairs", [1, 700, 2**14])
+    @pytest.mark.parametrize("n", [2, 3, 511, 512, 513, 1100])
+    def test_distinct_positions_match_per_chunk_row_bincount(
+        self, n, block_pairs, monkeypatch
+    ):
+        # The same grids, each row moved by its own fraction of a
+        # micrometre, so that no position repeats.
+        rng, east, north, w = self.grid(n)
+        east += 1e-7 * rng.permutation(n) / n
         mu, sigma2, max_lag, n_lags = 0.3, 4.0, 20.0, 8
         monkeypatch.setattr(
             "skyfade.correlation.CORRELOGRAM_BLOCK_PAIRS", block_pairs
@@ -1122,9 +1222,34 @@ class TestCorrelogram:
         counts, rho, lag = oracle_correlogram(
             east, north, w, mu, sigma2, max_lag, n_lags
         )
+        assert np.unique(np.column_stack((east, north)), axis=0).shape[0] == n
         assert np.array_equal(gram.counts, counts)
         assert np.array_equal(gram.rho, rho, equal_nan=True)
         assert np.array_equal(gram.lag_m, lag, equal_nan=True)
+        # Without repeats the position weights are all 1 and change no bit.
+        grouped = oracle_group_correlogram(east, north, w, mu, sigma2, max_lag, n_lags)
+        for a, b in zip(grouped, (counts, rho, lag)):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_pass_computes_distances_per_position_pair(self, monkeypatch):
+        # A flight over u positions that logs 12 rows at each: the pass
+        # computes each pair of positions' distance about once, at most
+        # u^2 entries, where one per pair of rows would be about n^2 / 2.
+        u, copies = 200, 12
+        rng = np.random.default_rng(5)
+        east = np.tile(rng.uniform(-300.0, 300.0, u), copies)
+        north = np.tile(rng.uniform(-300.0, 300.0, u), copies)
+        table = sf_columns(east, north, rng.normal(0.0, 3.0, u * copies))
+        entries = []
+
+        def counting(*args, **kwargs):
+            out = _distance(*args, **kwargs)
+            entries.append(out.size)
+            return out
+
+        monkeypatch.setattr("skyfade.correlation._distance", counting)
+        empirical_correlogram(table, 0.0, 9.0, 300.0 * math.sqrt(2.0), 24)
+        assert u * (u + 1) // 2 <= sum(entries) <= u * u
 
     def test_pair_pass_memory_is_linear(self):
         n = 6000
@@ -1141,6 +1266,27 @@ class TestCorrelogram:
         finally:
             tracemalloc.stop()
         assert peak < 0.05 * 512 * n * 8
+
+    def test_repeated_position_pass_memory_is_linear(self):
+        # 6000 rows at 3000 positions.  Beyond the duplicate-free bound the
+        # pass holds five position-length columns (east, north, rows, own
+        # product sums, summed deviations) and a block of integer pair
+        # weights.
+        n, u = 6000, 3000
+        rng = np.random.default_rng(9)
+        site = np.concatenate((np.arange(u), rng.integers(0, u, n - u)))
+        table = sf_columns(
+            rng.uniform(-300.0, 300.0, u)[site],
+            rng.uniform(-300.0, 300.0, u)[site],
+            rng.normal(0.0, 3.0, n),
+        )
+        tracemalloc.start()
+        try:
+            empirical_correlogram(table, 0.0, 9.0, 300.0 * math.sqrt(2.0), 24)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * 512 * n * 8 + 5 * 8 * u + 8 * CORRELOGRAM_BLOCK_PAIRS
 
     def test_validation(self):
         samples = self.hand_samples()
