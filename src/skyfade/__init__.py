@@ -50,7 +50,6 @@ from .geometry import (
 from .kriging import (
     Prediction,
     assemble_system,
-    predict_rsrp,
     predict_sf,
     predict_sf_batch,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "fit_correlation_model",
     "generate_trajectory",
     "load_model",
-    "predict_rsrp",
     "predict_sf",
     "predict_sf_batch",
     "project_enu",

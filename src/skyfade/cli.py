@@ -25,7 +25,7 @@ from .correlation import MODES, fit_correlation_model, load_model, save_model
 from .errors import SkyfadeError, ValidationError
 from .evaluation import run_evaluation
 from .fieldsim import synthesize_dataset, truth_sidecar
-from .kriging import predict_rsrp
+from .kriging import predict_sf_batch
 from .schema import write_json
 
 
@@ -130,15 +130,14 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     options = dataio.ingest_from_config(config)
     ingest = dataio.ingest_csv(args.input, budget, **options)
-    targets, _rsrp = dataio.load_targets_csv(
-        args.targets, budget, options.get("column_map")
-    )
-    w_hat, z_hat, variance, nugget = predict_rsrp(
-        ingest.samples, targets, budget, model.restricted(args.mode)
+    targets = dataio.load_targets_csv(args.targets, budget, options.get("column_map"))
+    w_hat, variance, nugget = predict_sf_batch(
+        ingest.samples, targets.geometry, model.restricted(args.mode)
     )
     if nugget > model.nugget:
         _warn_escalated(args.mode, "the solve")
     _warn_floored(args.mode, int((variance == 0.0).sum()), len(variance))
+    z_hat = targets.pl_est_dbm + w_hat
     dataio.write_predictions_csv(args.out, w_hat, z_hat, variance, nugget)
     print(f"{args.out}: {len(w_hat)} predictions ({args.mode})")
     return 0

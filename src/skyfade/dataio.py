@@ -59,7 +59,7 @@ from .correlation import (
 from .errors import IngestError, RowErrors, SchemaError, ValidationError
 from .evaluation import TRIAL_FIELDS, EvalConfig, TrialTable
 from .fieldsim import FlightSpec, SimConfig
-from .geometry import Geometry, check_poses, wrap_deg
+from .geometry import check_poses, wrap_deg
 from .propagation import GainTable, LinkBudget, SfTable, decompose
 from .schema import JsonObject, open_csv, read_json, write_json
 
@@ -288,14 +288,17 @@ def _wrap_attitude(columns: dict) -> dict:
 
 def load_targets_csv(
     path: str | Path, budget: LinkBudget, column_map: dict | None = None
-) -> tuple[Geometry, np.ndarray]:
+) -> SfTable:
     """Read prediction targets: pose columns required, RSRP optional.
 
-    Returns ``(geometry, rsrp)``: the targets' link geometry and their
-    RSRP column (zeros when the file has none).  Every row must pass the
-    ingest rules (numeric cells, pose ranges, a UAV away from and above
-    the transmitter's ground plane); the first row that does not, whatever
-    its failure, raises :class:`IngestError` naming its line.
+    Returns the targets' :func:`~skyfade.propagation.decompose` table:
+    their link geometry, two-ray estimate ``pl_est_dbm`` and RSRP column
+    (zeros when the file has none).  ``sf_db`` means something only where
+    the file has RSRP; without it, it is minus the estimate.  Every row
+    must pass the ingest rules (numeric cells, pose ranges, a UAV away
+    from and above the transmitter's ground plane); the first row that
+    does not, whatever its failure, raises :class:`IngestError` naming its
+    line.
     """
     required = [c for c in CANONICAL_COLUMNS if c != "rsrp_dbm"]
     names, lines, table, failures, _ = _read_csv(path, column_map, required)
@@ -315,7 +318,7 @@ def load_targets_csv(
         raise IngestError(
             f"{path}: line {line}: {message}", bad_rows=[(line, reason)]
         ) from cause
-    return targets.geometry, columns["rsrp_dbm"]
+    return targets
 
 
 def _text(value) -> str:
@@ -388,8 +391,9 @@ def write_geometry_csv(path: str | Path, ingest: IngestResult) -> None:
 def write_predictions_csv(
     path: str | Path, w_hat, z_hat, variance, nugget_used: float
 ) -> None:
-    """One row per target, from :func:`~skyfade.kriging.predict_rsrp`'s
-    columns; each row repeats the solve's one ``nugget_used``."""
+    """One row per target of the columns ``w_hat``, ``z_hat`` (the
+    target's two-ray estimate plus ``w_hat``) and ``variance``; each row
+    repeats the solve's one ``nugget_used``."""
     nugget = np.full(len(w_hat), nugget_used, dtype=float)
     _write_csv(path, PREDICTION_COLUMNS, [w_hat, z_hat, variance, nugget])
 

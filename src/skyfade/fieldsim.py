@@ -1,11 +1,13 @@
 """Synthetic flights and Gaussian shadow-fading fields with known truth.
 
-A simulated dataset is built in three steps: a deterministic waypoint
+A simulated dataset is built in four steps: a deterministic waypoint
 walk produces timestamped poses (lawnmower or random-waypoint at fixed
 altitude, with per-leg uniform pitch/roll excitation and yaw following
-the leg heading); a correlated Gaussian field drawn from the truth model
-supplies the shadow fading; the two-ray estimate plus optional white
-noise turns that into measured RSRP rows.
+the leg heading); :func:`skyfade.propagation.decompose` of the walk
+gives each pose's geometry and two-ray estimate; a correlated Gaussian
+field drawn from the truth model at that geometry supplies the shadow
+fading; the estimate plus the field plus optional white noise gives the
+measured RSRP rows.
 
 All randomness flows from numpy's PCG64 generator seeded from the config
 seed with fixed per-purpose stream offsets (trajectory, field, noise), so
@@ -35,9 +37,9 @@ import numpy as np
 
 from .correlation import CorrelationModel, Covariance, KernelPoints, serialize_model
 from .errors import NotPositiveDefiniteError, RowErrors, ValidationError
-from .geometry import MeasurementSample, enu_to_geodetic, tilt_geometry
+from .geometry import MeasurementSample, enu_to_geodetic
 from .kriging import _cholesky_rows, _lower_matvec
-from .propagation import LinkBudget, link_rsrp
+from .propagation import LinkBudget, decompose
 
 RNG_ALGORITHM = "numpy-pcg64"
 MAX_FIELD_SAMPLES = 5000
@@ -276,24 +278,23 @@ def sample_sf_field(geometries, truth: CorrelationModel, seed) -> np.ndarray:
 def synthesize_dataset(config: SimConfig) -> list[MeasurementSample]:
     """Full synthetic dataset: poses, truth SF field, two-ray RSRP, noise.
 
-    The emitted samples carry z = rsrp_est + w + noise, so decomposing
-    them against the same link budget recovers the synthesized shadow
-    fading (exactly, when the noise is zero).  More than
-    :data:`MAX_FIELD_SAMPLES` rows fail before the walk; :class:`SimConfig`
-    allows any size, since :func:`generate_trajectory` has no cap.
+    The walk is decomposed with a zero RSRP column, and the samples carry
+    z = pl_est + w + noise, so decomposing them against the same link
+    budget recovers the synthesized shadow fading (exactly, when the noise
+    is zero).  More than :data:`MAX_FIELD_SAMPLES` rows fail before the
+    walk; :class:`SimConfig` allows any size, since
+    :func:`generate_trajectory` has no cap.
     """
     _check_field_size(config.n_samples)
     poses = _walk(config)
-    budget = config.budget
-    columns = dict(zip(_POSE_FIELDS, poses.T))
-    geometry = RowErrors.strict(tilt_geometry, columns, budget.tx_enu, budget.origin)
-    estimate = RowErrors.strict(link_rsrp, geometry, budget)
-    w = sample_sf_field(geometry, config.truth, [config.seed, _STREAM_FIELD])
+    columns = dict(zip(_POSE_FIELDS, poses.T), rsrp_dbm=np.zeros(len(poses)))
+    table = RowErrors.strict(decompose, columns, config.budget)
+    w = sample_sf_field(table.geometry, config.truth, [config.seed, _STREAM_FIELD])
     # A scale of 0 draws exact zeros.
     noise = np.random.default_rng([config.seed, _STREAM_NOISE]).normal(
-        0.0, config.noise_std_db, len(geometry)
+        0.0, config.noise_std_db, len(table)
     )
-    rsrp = estimate + w + noise
+    rsrp = table.pl_est_dbm + w + noise
     return [
         MeasurementSample(*row, z) for row, z in zip(poses.tolist(), rsrp.tolist())
     ]

@@ -10,10 +10,13 @@ covariance between tuning sample i and the target.  The unbiasedness row
 forces the weights to sum to one; the predictor is lambda^T w and the
 prediction variance is sigma2 - lambda^T c0 - nu, floored at zero.
 
-Many targets share one factorization, and :func:`predict_sf_batch` and
-:func:`predict_rsrp` return columns: one array per output, one entry per
-target, and the one nugget the solve used.  Every prediction goes through
-:func:`_predict`, so a batch of one target is bitwise :func:`predict_sf`.
+Kriging handles shadow fading only: a predicted RSRP is the target's
+two-ray estimate, from :func:`skyfade.propagation.decompose`, plus its
+Kriged SF, and callers form that sum.  Many targets share one
+factorization, and :func:`predict_sf_batch` returns columns: one array
+per output, one entry per target, and the one nugget the solve used.
+Every prediction goes through :func:`_predict`, so a batch of one target
+is bitwise :func:`predict_sf`.
 
 The predictions need the weights only through lambda^T w and
 lambda^T c0, so they are formed in dual form (Rasmussen & Williams 2006,
@@ -114,9 +117,9 @@ from .correlation import (
     Covariance,
     KernelPoints,
 )
-from .errors import RowErrors, SingularSystemError, ValidationError
+from .errors import SingularSystemError, ValidationError
 from .geometry import Columns, Geometry, LinkGeometry, first_occurrence_groups
-from .propagation import LinkBudget, SfTable, link_rsrp
+from .propagation import SfTable
 
 RESIDUAL_TOL = 1.0e-8
 MAX_ESCALATIONS = 6
@@ -537,14 +540,3 @@ def predict_sf_batch(
     w, cov, c0 = blocks
     return _predict(cov, c0, w, model.sigma2, model.nugget)
 
-
-def predict_rsrp(
-    training, targets, budget: LinkBudget, model: CorrelationModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(w_hat, z_hat, variance, nugget_used) off one factorization: the
-    :func:`predict_sf_batch` columns plus z_hat, the two-ray estimate plus
-    the Kriged SF."""
-    targets = Geometry.of(targets)
-    w_hat, variance, nugget = predict_sf_batch(training, targets, model)
-    z_hat = RowErrors.strict(link_rsrp, targets, budget) + w_hat
-    return w_hat, z_hat, variance, nugget

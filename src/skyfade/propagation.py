@@ -16,12 +16,14 @@ far field rolls off at -40 dB per decade of horizontal distance.
 Shadow fading is defined in the received-power domain as the residual
 w = z - rsrp_est of the measured RSRP z against this estimate.
 
-The estimate (:func:`two_ray_power`, :func:`link_rsrp`) and the
-decomposition (:func:`decompose`) are written once, on columns, and a
-decomposed dataset is an :class:`SfTable`.  :func:`decompose` carries
-:data:`DECOMPOSE_BLOCK_ROWS` rows at a time through projection, tilt and
-two-ray estimate into preallocated output columns, so its temporaries
-are those of one block whatever the row count.  Two row
+The estimate (:func:`two_ray_power`) and the decomposition
+(:func:`decompose`) are written once, on columns.  :func:`decompose` is
+the one route from pose columns to geometry and estimate, for
+measurement files, target files and simulated flights, and returns an
+:class:`SfTable`.  It carries :data:`DECOMPOSE_BLOCK_ROWS` rows at a
+time through projection, tilt and two-ray estimate (the UAV at its
+height, the antenna at the mast's) into preallocated output columns, so
+its temporaries are those of one block whatever the row count.  Two row
 shapes stay:
 :func:`two_ray_rsrp` is a one-row :func:`two_ray_power` for checking the
 model link by link, and :class:`SfSample` is one decomposed measurement,
@@ -277,15 +279,6 @@ def two_ray_rsrp(
     return float(power[0])
 
 
-def link_rsrp(geometry: Geometry, budget: LinkBudget, errors: RowErrors):
-    """Two-ray estimate of each link: the UAV at its height above the
-    transmitter ground plane, the antenna at the mast height."""
-    return two_ray_power(
-        geometry.d2d_m, geometry.d3d_m, geometry.up_m, budget.antenna_height_m,
-        budget, errors,
-    )
-
-
 def decompose(poses, budget: LinkBudget, errors: RowErrors) -> SfTable:
     """Geometry, two-ray estimate and SF residual of every pose row.
 
@@ -307,7 +300,10 @@ def decompose(poses, budget: LinkBudget, errors: RowErrors) -> SfTable:
             {name: column[rows] for name, column in poses.items()},
             budget.tx_enu, budget.origin, block_errors,
         )
-        estimate[rows] = link_rsrp(block, budget, block_errors)
+        estimate[rows] = two_ray_power(
+            block.d2d_m, block.d3d_m, block.up_m, budget.antenna_height_m,
+            budget, block_errors,
+        )
         for name in _GEOMETRY_FIELDS:
             getattr(geometry, name)[rows] = getattr(block, name)
         for i, error in block_errors.items():

@@ -22,6 +22,7 @@ from skyfade import (
     DedmParams,
     FlightSpec,
     LinkBudget,
+    LinkGeometry,
     MeasurementSample,
     SimConfig,
     correlation,
@@ -33,8 +34,8 @@ from skyfade.correlation import Covariance, KernelPoints, correlation_matrix
 from skyfade.errors import RowErrors
 from skyfade.evaluation import TrialTable
 from skyfade.fieldsim import sample_sf_field
-from skyfade.geometry import enu_to_geodetic, tilt_geometry
-from skyfade.propagation import decompose, link_rsrp
+from skyfade.geometry import enu_to_geodetic
+from skyfade.propagation import decompose
 
 BUDGET = LinkBudget(tx_lat_deg=35.72, tx_lon_deg=-78.70)
 ORIGIN = BUDGET.origin
@@ -130,6 +131,14 @@ def same_geometry(a, b):
     )
 
 
+def link_at(geometry, i):
+    """Row ``i`` of a :class:`~skyfade.geometry.Geometry` as a
+    :class:`~skyfade.geometry.LinkGeometry`."""
+    return LinkGeometry(
+        *(getattr(geometry, f.name)[i] for f in dataclasses.fields(LinkGeometry))
+    )
+
+
 def decompose_all(rows):
     """The :class:`~skyfade.propagation.SfTable` of measurement rows, in
     one call; any invalid row raises."""
@@ -208,10 +217,8 @@ def angle_grid_dataset(
                 )
             )
             i += 1
-    geoms = RowErrors.strict(tilt_geometry, pose_columns(rows), BUDGET.tx_enu, ORIGIN)
-    rsrp = RowErrors.strict(link_rsrp, geoms, BUDGET) + sample_sf_field(
-        geoms, truth, seed
-    )
+    table = decompose_all(rows)  # the rows' RSRP is zero, as simulate's
+    rsrp = table.pl_est_dbm + sample_sf_field(table.geometry, truth, seed)
     out = [dataclasses.replace(r, rsrp_dbm=z) for r, z in zip(rows, rsrp.tolist())]
     return out, truth
 

@@ -19,6 +19,7 @@ from skyfade.dataio import (
     budget_from_config,
     ingest_csv,
     load_config,
+    load_targets_csv,
     write_dataset_csv,
 )
 
@@ -87,8 +88,8 @@ def test_no_command_loads_scipy(ws, tmp_path, command):
 def test_public_names_resolve():
     """Every exported name resolves, and the one-row wrappers that the
     column functions replaced, the kernel objects and scalar fit that the
-    rate tables replaced, and the fit's stage wrappers are exported
-    nowhere."""
+    rate tables replaced, the fit's stage wrappers and the two-ray paths
+    that decompose's table replaced are exported nowhere."""
     assert len(set(skyfade.__all__)) == len(skyfade.__all__)
     for name in skyfade.__all__:
         assert getattr(skyfade, name) is not None
@@ -106,6 +107,8 @@ def test_public_names_resolve():
         "fit_dedm",
         "estimate_tilt_profile",
         "estimate_elev_profile",
+        "predict_rsrp",
+        "link_rsrp",
     ):
         assert name not in skyfade.__all__
         assert not any(hasattr(m, name) for m in modules), name
@@ -367,6 +370,32 @@ class TestPipeline:
         )
         assert rc == 0
         assert out.read_bytes() == ws.predictions.read_bytes()
+
+    def test_predict_z_is_estimate_plus_sf(self, ws, tmp_path):
+        # z_hat is the target's two-ray estimate plus its Kriged SF, bitwise,
+        # and depends on the pose alone: a targets file without rsrp_dbm
+        # gives the same bytes.
+        header, *rows = ws.train.read_text().splitlines()
+        poses = tmp_path / "poses.csv"
+        poses.write_text(
+            "\n".join(line.rsplit(",", 1)[0] for line in [header, *rows]) + "\n"
+        )
+        assert header.endswith(",rsrp_dbm")
+        budget = budget_from_config(load_config(ws.config), ws.config.parent)
+        outputs = []
+        for targets in (ws.train, poses):
+            out = tmp_path / f"{targets.stem}_predictions.csv"
+            argv = ["predict", "--config", str(ws.config), "--input", str(ws.small)]
+            argv += ["--targets", str(targets), "--model", str(ws.model)]
+            argv += ["--out", str(out)]
+            assert main(argv) == 0
+            estimate = load_targets_csv(targets, budget).pl_est_dbm
+            predictions = read_rows(out)
+            assert len(predictions) == len(estimate) == 600
+            for row, pl_est in zip(predictions, estimate.tolist()):
+                assert float(row["z_hat_dbm"]) == pl_est + float(row["w_hat_db"])
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_predict_baseline_also_exact_here(self, ws, tmp_path):
         out = tmp_path / "baseline.csv"

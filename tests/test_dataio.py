@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _recipes import BUDGET, same_geometry, trial_table
+from _recipes import BUDGET, link_at, same_geometry, trial_table
 from skyfade import dataio, propagation
 from skyfade.correlation import (
     AngularProfile,
@@ -45,7 +45,7 @@ from skyfade.errors import IngestError, SchemaError, ValidationError
 from skyfade.evaluation import EvalConfig, EvalResult
 from skyfade.fieldsim import synthesize_dataset
 from skyfade.geometry import MeasurementSample
-from skyfade.propagation import GainTable
+from skyfade.propagation import GainTable, two_ray_rsrp
 from skyfade.schema import write_json
 from test_fieldsim import small_config
 
@@ -278,8 +278,9 @@ class TestIngest:
         del lines[4]
         write_lines(plain, lines)
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-        (got, _), (ref, _) = load_targets_csv(bom, BUDGET), load_targets_csv(plain, BUDGET)
-        assert same_geometry(got, ref) and len(got) == 12
+        got, ref = load_targets_csv(bom, BUDGET), load_targets_csv(plain, BUDGET)
+        assert same_geometry(got.geometry, ref.geometry) and len(got) == 12
+        assert np.array_equal(got.pl_est_dbm, ref.pl_est_dbm)
 
     def test_numpy_float_samples_round_trip(self, tmp_path):
         table = np.array(
@@ -354,15 +355,33 @@ class TestTargets:
         path = write_lines(
             tmp_path / "t.csv", [header, "0,35.7205,-78.699,30,10,1,-1"]
         )
-        geoms, rsrp = load_targets_csv(path, BUDGET)
-        assert len(geoms) == 1
-        assert rsrp.tolist() == [0.0]
-        assert geoms.d2d_m[0] > 0.0
+        targets = load_targets_csv(path, BUDGET)
+        assert len(targets) == 1
+        assert targets.rsrp_dbm.tolist() == [0.0]
+        assert targets.geometry.d2d_m[0] > 0.0
 
     def test_rsrp_parsed_when_present(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", [HEADER, good_row(rsrp=-64.5)])
-        _, rsrp = load_targets_csv(path, BUDGET)
-        assert rsrp.tolist() == [-64.5]
+        targets = load_targets_csv(path, BUDGET)
+        assert targets.rsrp_dbm.tolist() == [-64.5]
+        assert targets.sf_db[0] == -64.5 - targets.pl_est_dbm[0]
+
+    @pytest.mark.parametrize("with_rsrp", [True, False], ids=["rsrp", "poses"])
+    def test_estimate_is_the_one_row_two_ray(self, tmp_path, with_rsrp):
+        # Each target's pl_est_dbm is bitwise the one-row two-ray estimate
+        # of its link, whether or not the file has RSRP.
+        rows = [good_row(time=float(i), alt=30.0 + 7 * i, lat=35.7205 + 1e-4 * i)
+                for i in range(9)]
+        header = HEADER
+        if not with_rsrp:
+            header = ",".join(c for c in CANONICAL_COLUMNS if c != "rsrp_dbm")
+            rows = [row.rsplit(",", 1)[0] for row in rows]
+        path = write_lines(tmp_path / "t.csv", [header, *rows])
+        targets = load_targets_csv(path, BUDGET)
+        for i in range(len(targets)):
+            link = link_at(targets.geometry, i)
+            est = two_ray_rsrp(link, link.up_m, BUDGET.antenna_height_m, BUDGET)
+            assert targets.pl_est_dbm[i] == est
 
     def test_bad_value_names_line(self, tmp_path):
         path = write_lines(
@@ -422,11 +441,12 @@ class TestTargets:
             "lon_deg": "longitude",
             "rsrp_dbm": "power",
         }
-        geoms, rsrp = load_targets_csv(path, BUDGET, column_map)
+        got = load_targets_csv(path, BUDGET, column_map)
         ref_path = write_lines(tmp_path / "ref.csv", [HEADER, good_row(rsrp=-64.5)])
-        ref_geoms, ref_rsrp = load_targets_csv(ref_path, BUDGET)
-        assert same_geometry(geoms, ref_geoms)
-        assert rsrp.tolist() == ref_rsrp.tolist() == [-64.5]
+        ref = load_targets_csv(ref_path, BUDGET)
+        assert same_geometry(got.geometry, ref.geometry)
+        assert got.rsrp_dbm.tolist() == ref.rsrp_dbm.tolist() == [-64.5]
+        assert np.array_equal(got.pl_est_dbm, ref.pl_est_dbm)
         # A mapped column that is absent is named by its actual header.
         with pytest.raises(SchemaError) as err:
             load_targets_csv(ref_path, BUDGET, {"lat_deg": "latitude"})

@@ -21,10 +21,11 @@ from _recipes import (
     gap_benchmark_truth,
     kernel_correlation,
     kernel_covariance,
+    link_at,
     lower_entries,
     pose_columns,
 )
-from skyfade import correlation, kriging
+from skyfade import correlation, kriging, propagation
 from skyfade.correlation import (
     CORRELATION_TILE_ENTRIES,
     MODES,
@@ -47,7 +48,7 @@ from skyfade.fieldsim import (
     truth_sidecar,
 )
 from skyfade.geometry import project_enu, tilt_geometry
-from skyfade.propagation import link_rsrp
+from skyfade.propagation import two_ray_rsrp
 from test_correlation import mk_geom
 
 
@@ -534,9 +535,20 @@ class TestDatasetSynthesis:
         config = small_config(seed=8, n=50)
         rows = synthesize_dataset(config)
         samples = decompose_all(rows)
-        est = RowErrors.strict(link_rsrp, samples.geometry, BUDGET)
+        links = [link_at(samples.geometry, i) for i in range(len(rows))]
+        est = np.array(
+            [two_ray_rsrp(g, g.up_m, BUDGET.antenna_height_m, BUDGET) for g in links]
+        )
         rsrp = np.array([row.rsrp_dbm for row in rows])
         assert rsrp == pytest.approx(est + samples.sf_db, abs=1e-9)
+
+    def test_blocked_decomposition_gives_the_same_rows(self):
+        # The walk goes through decompose in blocks of 7 rows here, as a
+        # measurement file does; each row is computed from itself alone.
+        config = small_config(seed=5, n=60, noise=0.5)
+        with mock.patch.object(propagation, "DECOMPOSE_BLOCK_ROWS", 7):
+            blocked = synthesize_dataset(config)
+        assert blocked == synthesize_dataset(config)
 
 
 class TestTruthSidecar:

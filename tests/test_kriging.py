@@ -45,12 +45,11 @@ from skyfade.kriging import (
     _weights,
     assemble_system,
     dedup_training,
-    predict_rsrp,
     predict_sf,
     predict_sf_batch,
     solve_ok,
 )
-from skyfade.propagation import SfSample, SfTable, two_ray_rsrp
+from skyfade.propagation import SfSample, SfTable
 from test_correlation import mk_geom, mk_sf, oracle_correlation
 
 
@@ -984,28 +983,6 @@ class TestBatch:
         targets = [g.geometry for g in scattered_samples(50, seed=24)]
         _, variance, _ = predict_sf_batch(training, targets, model)
         assert np.all(variance >= 0.0)
-
-
-class TestRsrpPrediction:
-    def test_adds_two_ray_estimate(self):
-        model = smooth_model(nugget=1e-5)
-        training = scattered_samples(15, seed=25)
-        target = mk_geom(120.0, -80.0, theta=11.0, delta=0.5, up=30.0)
-        targets = [target, mk_geom(-30.0, 45.0, theta=40.0, delta=-3.0, up=60.0)]
-        w_rsrp, z_hat, var_rsrp, nugget_rsrp = predict_rsrp(
-            training, targets, BUDGET, model
-        )
-        w_hat, variance, nugget = predict_sf_batch(training, targets, model)
-        assert len(w_rsrp) == len(z_hat) == len(var_rsrp) == 2
-        for geom, w, z, v, k in zip(targets, w_hat, z_hat, variance, range(2)):
-            est = two_ray_rsrp(geom, geom.up_m, BUDGET.antenna_height_m, BUDGET)
-            assert w_rsrp[k] == w
-            assert z == est + w_rsrp[k]
-            assert var_rsrp[k] == v
-        assert nugget_rsrp == nugget
-        *empty, nugget_empty = predict_rsrp(training, [], BUDGET, model)
-        assert [column.size for column in empty] == [0, 0, 0]
-        assert nugget_empty == model.nugget
 
 
 class TestAgainstPrior:
